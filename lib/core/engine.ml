@@ -143,21 +143,41 @@ let run ?(config = Config.default) (plan : Plan.t) ~k =
   in
   let topk = Topk_set.create ~k ~admit_partial:(Plan.admits_partial_answers plan) in
   (* Streaming certification: when the caller installed an
-     [on_certified] hook, track the alive set and push entries the
-     moment no alive match can beat them.  The physical-equality gate
-     (the [Trace.ignore_tracer] idiom) keeps the default path free. *)
+     [on_certified] hook, push entries the moment no alive match can
+     beat them.  The physical-equality gate (the [Trace.ignore_tracer]
+     idiom) keeps the default path free.  At every certification point
+     the queue holds exactly the alive matches, so under the default
+     max-final-score policy, whose priority is [max_possible], the
+     queue's top priority is the certification bar; other policies
+     order the queue differently and track the alive set aside. *)
   let cert =
     if config.on_certified == no_certify then None
     else Some (Certify.create ~emit:config.on_certified)
   in
-  let cert_add pm = match cert with Some c -> Certify.add c pm | None -> () in
-  let cert_remove (pm : Partial_match.t) =
-    match cert with Some c -> Certify.remove c pm.id | None -> ()
+  let alive =
+    match (cert, queue_policy) with
+    | Some _, Strategy.(Fifo | Current_score | Max_next_score) ->
+        Some (Certify.Alive.create ())
+    | Some _, Strategy.Max_final_score | None, _ -> None
   in
-  let certify () =
-    match cert with Some c -> Certify.flush c topk | None -> ()
+  let cert_add pm =
+    match alive with Some a -> Certify.Alive.add a pm | None -> ()
+  in
+  let cert_remove (pm : Partial_match.t) =
+    match alive with Some a -> Certify.Alive.remove a pm.id | None -> ()
   in
   let queue : Partial_match.t Pqueue.t = Pqueue.create () in
+  let certify () =
+    match cert with
+    | None -> ()
+    | Some c ->
+        let bound =
+          match alive with
+          | Some a -> Certify.Alive.bound a
+          | None -> Pqueue.max_priority queue
+        in
+        Certify.flush c topk ~bound
+  in
   let seq = ref 0 in
   let next_id =
     let n = ref 0 in

@@ -113,12 +113,13 @@ module Make (S : Sync.S) = struct
     prune_bound : unit -> float;  (* external score floor; read outside locks *)
     publish_threshold : float -> unit;  (* invoked outside the topk lock *)
     mutable published : float;  (* last published threshold; topk_mutex *)
-    cert : Certify.t option;
-        (* streaming certification; the alive-set operations and
-           [newly_certified] run under topk_mutex, but only the router
-           thread emits (outside the lock), so the streamed order is
-           total and a blocking callback never stalls a worker holding
-           a lock *)
+    cert : (Certify.t * Certify.Alive.t) option;
+        (* streaming certification; the per-server queues hide the
+           alive set's maximum, so it is tracked in an [Alive] heap.
+           The alive-set operations and [newly_certified] run under
+           topk_mutex, but only the router thread emits (outside the
+           lock), so the streamed order is total and a blocking
+           callback never stalls a worker holding a lock *)
     next_id : S.atomic_int;
     trace : Trace.t;  (* already serialized; see [run] *)
     tracing : bool;  (* false iff [trace] is the no-op tracer *)
@@ -201,9 +202,11 @@ module Make (S : Sync.S) = struct
                 in
                 let certified =
                   match shared.cert with
-                  | Some c ->
-                      if pruned then Certify.remove c pm.Partial_match.id;
+                  | Some (c, alive) ->
+                      if pruned then
+                        Certify.Alive.remove alive pm.Partial_match.id;
                       Certify.newly_certified c topk
+                        ~bound:(Certify.Alive.bound alive)
                   | None -> []
                 in
                 (pruned, Topk_set.threshold topk, certified))
@@ -211,7 +214,7 @@ module Make (S : Sync.S) = struct
           (* Stream outside the lock: the callback may block on a
              socket.  Only this thread emits, so order is total. *)
           (match shared.cert with
-          | Some c -> List.iter (Certify.emit c) certified
+          | Some (c, _) -> List.iter (Certify.emit c) certified
           | None -> ());
           if pruned then begin
             if shared.tracing then
@@ -254,7 +257,8 @@ module Make (S : Sync.S) = struct
                   || Topk_set.should_prune topk pm
                 in
                 (match shared.cert with
-                | Some c when pruned -> Certify.remove c pm.Partial_match.id
+                | Some (_, alive) when pruned ->
+                    Certify.Alive.remove alive pm.Partial_match.id
                 | Some _ | None -> ());
                 pruned)
           in
@@ -326,7 +330,8 @@ module Make (S : Sync.S) = struct
                           && not (ext.Partial_match.max_possible < xb)
                         in
                         (match shared.cert with
-                        | Some c when keep -> Certify.add c ext
+                        | Some (_, alive) when keep ->
+                            Certify.Alive.add alive ext
                         | Some _ | None -> ());
                         let th = Topk_set.threshold topk in
                         let pub =
@@ -368,9 +373,9 @@ module Make (S : Sync.S) = struct
                certification bar never dips below a score that a
                descendant could still reach. *)
             (match shared.cert with
-            | Some c ->
+            | Some (_, alive) ->
                 with_topk shared (fun _ ->
-                    Certify.remove c pm.Partial_match.id)
+                    Certify.Alive.remove alive pm.Partial_match.id)
             | None -> ());
             (* Register the new in-flight matches before retiring the
                consumed one, so the count never dips to zero early.
@@ -435,7 +440,10 @@ module Make (S : Sync.S) = struct
     let tracing = not (trace == Trace.ignore_tracer) in
     let cert =
       if config.Engine.Config.on_certified == Engine.no_certify then None
-      else Some (Certify.create ~emit:config.Engine.Config.on_certified)
+      else
+        Some
+          ( Certify.create ~emit:config.Engine.Config.on_certified,
+            Certify.Alive.create () )
     in
     let main_stats = Stats.create () in
     let cache_mutex = S.mutex Candidate_cache.mutex_name in
@@ -505,7 +513,9 @@ module Make (S : Sync.S) = struct
             None
           end
           else begin
-            (match cert with Some c -> Certify.add c pm | None -> ());
+            (match cert with
+            | Some (_, alive) -> Certify.Alive.add alive pm
+            | None -> ());
             Some pm
           end)
         initial
@@ -555,7 +565,8 @@ module Make (S : Sync.S) = struct
        alive set, so every remaining entry is final; a partial run
        stops emitting (already-streamed answers stay valid). *)
     (match cert with
-    | Some c when S.get shared.partial = 0 -> Certify.flush_all c shared.topk
+    | Some (c, _) when S.get shared.partial = 0 ->
+        Certify.flush_all c shared.topk
     | Some _ | None -> ());
     let stats = Stats.create () in
     Stats.add stats main_stats;

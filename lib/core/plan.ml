@@ -96,15 +96,15 @@ let estimate config idx (specs : Server_spec.t array) roots ~sample =
 type estimator = Sampled | Synopsis
 
 (* One synopsis per document, built on first use. *)
-let synopsis_cache : (Doc.t, Wp_stats.Synopsis.t) Hashtbl.t = Hashtbl.create 4
+let synopsis_cache : Wp_stats.Synopsis.t Doc.Tbl.t = Doc.Tbl.create 4
 
 let synopsis_for idx =
   let doc = Index.doc idx in
-  match Hashtbl.find_opt synopsis_cache doc with
+  match Doc.Tbl.find_opt synopsis_cache doc with
   | Some s -> s
   | None ->
       let s = Wp_stats.Synopsis.build doc in
-      Hashtbl.add synopsis_cache doc s;
+      Doc.Tbl.add synopsis_cache doc s;
       s
 
 (* Selectivity-estimation variant of [estimate]: per-server fan-out,

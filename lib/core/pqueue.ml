@@ -69,7 +69,8 @@ let pop_with_priority q =
 
 let pop q = Option.map snd (pop_with_priority q)
 let peek q = if q.size = 0 then None else Some q.heap.(0).value
-let peek_priority q = if q.size = 0 then None else Some q.heap.(0).priority
+let max_priority q =
+  if q.size = 0 then Float.neg_infinity else q.heap.(0).priority
 
 let clear q = q.size <- 0
 

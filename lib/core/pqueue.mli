@@ -17,7 +17,8 @@ val push : ?tie:float -> 'a t -> float -> 'a -> unit
 val pop : 'a t -> 'a option
 val pop_with_priority : 'a t -> (float * 'a) option
 val peek : 'a t -> 'a option
-val peek_priority : 'a t -> float option
+val max_priority : 'a t -> float
+(** The top priority, [neg_infinity] when empty; allocation-free. *)
 
 val clear : 'a t -> unit
 

@@ -86,6 +86,7 @@ type t = {
   admit_partial : bool;
   by_root : (int, entry) Hashtbl.t;  (* at most k bindings *)
   heap : Min_heap.t;  (* (score, root) items, lazily pruned *)
+  mutable best_since_mark : float;  (* best score stored since [mark] *)
 }
 
 let create ~k ~admit_partial =
@@ -95,6 +96,7 @@ let create ~k ~admit_partial =
     admit_partial;
     by_root = Hashtbl.create (2 * k);
     heap = Min_heap.create (2 * k);
+    best_since_mark = Float.neg_infinity;
   }
 
 let k t = t.k
@@ -123,45 +125,54 @@ let threshold t =
   else match min_entry t with None -> neg_infinity | Some e -> e.score
 [@@wp.hot]
 
+(* Entries are built only on the branches that store them: under
+   relaxed semantics every extension is offered, and most are turned
+   away. *)
+let store t (pm : Partial_match.t) root =
+  let entry =
+    {
+      root;
+      score = pm.score;
+      match_id = pm.id;
+      bindings = Array.copy pm.bindings;
+      progress = Partial_match.n_visited pm;
+    }
+  in
+  Hashtbl.replace t.by_root root entry;
+  if entry.score > t.best_since_mark then t.best_since_mark <- entry.score
+
 let consider t ~complete (pm : Partial_match.t) =
   if complete || t.admit_partial then begin
     let threshold_before =
       if Invariants.enabled () then Some (threshold t) else None
     in
     let root = Partial_match.root_binding pm in
-    let entry =
-      {
-        root;
-        score = pm.score;
-        match_id = pm.id;
-        bindings = Array.copy pm.bindings;
-        progress = Partial_match.n_visited pm;
-      }
-    in
     (match Hashtbl.find_opt t.by_root root with
     | Some existing ->
         (* Equal scores prefer the more-processed match, so the reported
            bindings reflect a maximal match rather than an early partial
            snapshot. *)
         if pm.score > existing.score then begin
-          Hashtbl.replace t.by_root root entry;
-          Min_heap.push t.heap entry.score root
+          store t pm root;
+          Min_heap.push t.heap pm.score root
         end
-        else if pm.score = existing.score && entry.progress > existing.progress
+        else if
+          pm.score = existing.score
+          && Partial_match.n_visited pm > existing.progress
         then
           (* Same score: the existing heap item stays valid. *)
-          Hashtbl.replace t.by_root root entry
+          store t pm root
     | None ->
         if Hashtbl.length t.by_root < t.k then begin
-          Hashtbl.add t.by_root root entry;
-          Min_heap.push t.heap entry.score root
+          store t pm root;
+          Min_heap.push t.heap pm.score root
         end
         else begin
           match min_entry t with
           | Some m when pm.score > m.score ->
               Hashtbl.remove t.by_root m.root;
-              Hashtbl.add t.by_root root entry;
-              Min_heap.push t.heap entry.score root
+              store t pm root;
+              Min_heap.push t.heap pm.score root
           | Some _ | None -> ()
         end);
     match threshold_before with
@@ -187,6 +198,9 @@ let retract t (pm : Partial_match.t) =
   match Hashtbl.find_opt t.by_root root with
   | Some e when e.match_id = pm.id -> Hashtbl.remove t.by_root root
   | Some _ | None -> ()
+
+let best_since_mark t = t.best_since_mark
+let mark t = t.best_since_mark <- Float.neg_infinity
 
 let entries t =
   let compare_entries a b =

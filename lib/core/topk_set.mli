@@ -55,6 +55,15 @@ val retract : t -> Partial_match.t -> unit
     higher threshold are not resurrected — the same approximation the
     paper's lock-step predecessor accepts. *)
 
+val best_since_mark : t -> float
+(** The best score stored since the last {!mark} (or creation),
+    [neg_infinity] if none — an O(1) answer to "may an entry above some
+    bar have arrived?" for readers that otherwise keep their own view
+    of the set (streaming certification). *)
+
+val mark : t -> unit
+(** Reset {!best_since_mark} to [neg_infinity]. *)
+
 val entries : t -> entry list
 (** Current entries, best first (ties by root document order). *)
 

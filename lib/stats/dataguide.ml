@@ -108,15 +108,15 @@ let build doc =
 
 (* One guide per document for the life of the process — same no-lock
    memo discipline as the plan-level synopsis cache. *)
-let cache : (Doc.t, t) Hashtbl.t = Hashtbl.create 4
+let cache : t Doc.Tbl.t = Doc.Tbl.create 4
 
 let of_index idx =
   let doc = Wp_xml.Index.doc idx in
-  match Hashtbl.find_opt cache doc with
+  match Doc.Tbl.find_opt cache doc with
   | Some g -> g
   | None ->
       let g = build doc in
-      Hashtbl.add cache doc g;
+      Doc.Tbl.add cache doc g;
       g
 
 type selection = {

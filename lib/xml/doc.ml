@@ -112,6 +112,14 @@ let of_ext ~size ~tag ~value ~parent ~subtree_end ~depth ~rank ~distinct_tags =
 
 let root _ = 0
 let size = function Mem d -> Array.length d.tags | Ext e -> e.ext_size
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = ( == )
+  let hash d = Hashtbl.hash (size d)
+end)
+
 let tag t i = match t with Mem d -> d.tags.(i) | Ext e -> e.ext_tag i
 let value t i = match t with Mem d -> d.values.(i) | Ext e -> e.ext_value i
 

@@ -51,6 +51,12 @@ val of_ext :
 val root : t -> node_id
 val size : t -> int
 
+module Tbl : Hashtbl.S with type key = t
+(** Hash tables keyed by document identity (physical equality), for
+    per-document memos.  A structural key would compare two documents
+    array by array, and raises on mapped ones, whose accessors are
+    closures. *)
+
 val tag : t -> node_id -> string
 val value : t -> node_id -> string option
 val dewey : t -> node_id -> Dewey.t

@@ -187,6 +187,43 @@ let test_deterministic_runs () =
     (List.map (fun (e : Topk_set.entry) -> e.root) r1.answers)
     (List.map (fun (e : Topk_set.entry) -> e.root) r2.answers)
 
+(* Streaming certification must be nearly free: a streamed Whirlpool-S
+   run allocates at most 1.25x the minor words of the same run without
+   [on_certified].  Both runs use one warm private candidate cache, so
+   the words measured are the engine's own.  A single-domain run's
+   [Gc.minor_words] is deterministic. *)
+let test_streaming_allocation_bound () =
+  let minor_words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  List.iter
+    (fun q ->
+      let plan = Run.compile idx (parse q) in
+      List.iter
+        (fun k ->
+          let cache = Candidate_cache.create () in
+          let plain = Engine.Config.(default |> with_cache (Some cache)) in
+          let streamed = ref 0 in
+          let streaming =
+            Engine.Config.with_on_certified (fun _ -> incr streamed) plain
+          in
+          let run config () =
+            ignore (Engine.run ~config plan ~k : Engine.result)
+          in
+          run plain ();
+          let base = minor_words (run plain) in
+          let with_stream = minor_words (run streaming) in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s k=%d streams answers" q k)
+            true (!streamed > 0);
+          if with_stream > 1.25 *. base then
+            Alcotest.failf "%s k=%d: streamed %.0f words vs %.0f (%.2fx)" q k
+              with_stream base (with_stream /. base))
+        [ 10; 75 ])
+    [ Fixtures.q1; Fixtures.q2; Fixtures.q3 ]
+
 let suite =
   [
     Alcotest.test_case "books ranking" `Quick test_books_topk_order;
@@ -203,4 +240,6 @@ let suite =
     Alcotest.test_case "single-node query" `Quick test_single_node_query;
     Alcotest.test_case "no matches" `Quick test_no_matches;
     Alcotest.test_case "deterministic" `Quick test_deterministic_runs;
+    Alcotest.test_case "streaming allocation bound" `Quick
+      test_streaming_allocation_bound;
   ]

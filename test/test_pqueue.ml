@@ -21,12 +21,14 @@ let test_fifo_ties () =
 let test_pop_with_priority () =
   let q = Pqueue.create () in
   Pqueue.push q 0.5 42;
+  Alcotest.(check (float 0.0)) "peek" 0.5 (Pqueue.max_priority q);
   (match Pqueue.pop_with_priority q with
   | Some (p, v) ->
       Alcotest.(check int) "value" 42 v;
       Alcotest.(check bool) "priority" true (Float.abs (p -. 0.5) < 1e-12)
   | None -> Alcotest.fail "expected an element");
-  Alcotest.(check bool) "peek on empty" true (Pqueue.peek_priority q = None)
+  Alcotest.(check bool) "peek on empty" true
+    (Pqueue.max_priority q = Float.neg_infinity)
 
 let test_clear () =
   let q = Pqueue.create () in

@@ -599,6 +599,64 @@ let test_sharded_mapped_corpus () =
                 (answer_list a = answer_list b))
             shard_queries))
 
+(* Two mapped documents of equal node count but distinct content in
+   one catalog: per-document memos (dataguide, synopsis) are keyed by
+   identity, so neither compares the documents' accessor closures nor
+   hands one document's guide to the other. *)
+let test_mapped_equal_size_docs () =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "wp-equal-size-%d-%d" (Unix.getpid ()) (Random.int 100000))
+  in
+  Unix.mkdir dir 0o700;
+  let a = Wp_xml.Tree.el "bib" [ Fixtures.book_a ] in
+  let b =
+    Wp_xml.Tree.el "bib"
+      [
+        Wp_xml.Tree.el "book"
+          [
+            Wp_xml.Tree.leaf "title" "psmith";
+            Wp_xml.Tree.el "publisher"
+              [ Wp_xml.Tree.leaf "name" "wodehouse" ];
+            Wp_xml.Tree.el "info" [ Wp_xml.Tree.leaf "isbn" "5678" ];
+            Wp_xml.Tree.leaf "price" "12.50";
+          ];
+      ]
+  in
+  Alcotest.(check int) "equal node counts" (Wp_xml.Tree.size a)
+    (Wp_xml.Tree.size b);
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+        (Sys.readdir dir);
+      try Unix.rmdir dir with Unix.Unix_error _ -> ())
+    (fun () ->
+      List.iter
+        (fun (name, tree) ->
+          let (_ : int) =
+            Wp_storage.Index_file.write
+              (Filename.concat dir name)
+              (Wp_xml.Doc.of_tree tree)
+          in
+          ())
+        [ ("a.wpidx", a); ("b.wpidx", b) ];
+      let service = service_with dir ~shards:1 in
+      List.iter
+        (fun (doc, expected) ->
+          let r =
+            Service.handle_query service
+              {
+                (query 1 ~doc ~k:5 "/book[./info/publisher]") with
+                algo = Some "twig";
+              }
+          in
+          Alcotest.(check bool) (doc ^ " ok") true (r.status = Protocol.Ok);
+          Alcotest.(check int) (doc ^ " answers") expected
+            (List.length r.answers))
+        [ ("a.wpidx", 1); ("b.wpidx", 0) ])
+
 let test_service_errors () =
   with_corpus_dir (fun dir ->
       let service = Service.create ~catalog:(loaded_catalog dir) () in
@@ -1070,6 +1128,128 @@ let test_stream_partial_run_emits_prefix_only () =
   Alcotest.(check bool) "stream is a prefix of the partial answers" true
     (prefix (List.rev_map entry_key !streamed) (List.map entry_key r.answers))
 
+(* When each answer streams, not just what streams.  For a Whirlpool-S
+   run the pop order is deterministic, so the number of [Popped] events
+   seen before each emission is a fixed fingerprint of the certification
+   points.  Encoded as space-separated pop counts in emission order, a
+   run of [n] equal counts written [c*n], then [/ total pops]: a count
+   equal to the total is an entry only the end-of-run flush emitted. *)
+let emission_timing plan ~policy ~k =
+  let pops = ref 0 and at = ref [] in
+  let config =
+    Whirlpool.Engine.Config.(
+      default
+      |> with_queue_policy policy
+      |> with_trace (function
+           | Whirlpool.Trace.Popped _ -> incr pops
+           | _ -> ())
+      |> with_on_certified (fun _ -> at := !pops :: !at))
+  in
+  ignore (Whirlpool.Engine.run ~config plan ~k : Whirlpool.Engine.result);
+  let rec runs acc = function
+    | [] -> List.rev acc
+    | c :: rest ->
+        let rec count n = function
+          | c' :: rest' when c' = c -> count (n + 1) rest'
+          | rest' -> (n, rest')
+        in
+        let n, rest = count 1 rest in
+        let s = if n = 1 then string_of_int c else Printf.sprintf "%d*%d" c n in
+        runs (s :: acc) rest
+  in
+  Printf.sprintf "%s / %d" (String.concat " " (runs [] (List.rev !at))) !pops
+
+let timing_queries =
+  let books = Lazy.from_val Fixtures.books_index in
+  [ ("q2a", books, Fixtures.q2a); ("q2b", books, Fixtures.q2b);
+    ("q2c", books, Fixtures.q2c); ("q2d", books, Fixtures.q2d);
+    ("q1", Fixtures.xmark_index, Fixtures.q1);
+    ("q2", Fixtures.xmark_index, Fixtures.q2);
+    ("q3", Fixtures.xmark_index, Fixtures.q3) ]
+
+let timing_policies =
+  Whirlpool.Strategy.
+    [ ("fifo", Fifo); ("current", Current_score); ("max_next", Max_next_score);
+      ("max_final", Max_final_score) ]
+
+(* Recorded from the certification code that sorted the whole top-k
+   set after every pop; any cheaper certification must reproduce them. *)
+let timing_goldens =
+  [
+    (("q2a", 5, "fifo"), "10 11 12 / 12");
+    (("q2a", 5, "current"), "9 10 12 / 12");
+    (("q2a", 5, "max_next"), "9 10 12 / 12");
+    (("q2a", 5, "max_final"), "8 10 12 / 12");
+    (("q2a", 75, "fifo"), "10 11 12 / 12");
+    (("q2a", 75, "current"), "9 10 12 / 12");
+    (("q2a", 75, "max_next"), "9 10 12 / 12");
+    (("q2a", 75, "max_final"), "8 10 12 / 12");
+    (("q2b", 5, "fifo"), "10 11 12 / 12");
+    (("q2b", 5, "current"), "10 11 12 / 12");
+    (("q2b", 5, "max_next"), "10 11 12 / 12");
+    (("q2b", 5, "max_final"), "9 11 12 / 12");
+    (("q2b", 75, "fifo"), "10 11 12 / 12");
+    (("q2b", 75, "current"), "10 11 12 / 12");
+    (("q2b", 75, "max_next"), "10 11 12 / 12");
+    (("q2b", 75, "max_final"), "9 11 12 / 12");
+    (("q2c", 5, "fifo"), "8*2 9 / 9");
+    (("q2c", 5, "current"), "8*2 9 / 9");
+    (("q2c", 5, "max_next"), "8*2 9 / 9");
+    (("q2c", 5, "max_final"), "8*2 9 / 9");
+    (("q2c", 75, "fifo"), "8*2 9 / 9");
+    (("q2c", 75, "current"), "8*2 9 / 9");
+    (("q2c", 75, "max_next"), "8*2 9 / 9");
+    (("q2c", 75, "max_final"), "8*2 9 / 9");
+    (("q2d", 5, "fifo"), "3*3 / 3");
+    (("q2d", 5, "current"), "3*3 / 3");
+    (("q2d", 5, "max_next"), "3*3 / 3");
+    (("q2d", 5, "max_final"), "3*3 / 3");
+    (("q2d", 75, "fifo"), "3*3 / 3");
+    (("q2d", 75, "current"), "3*3 / 3");
+    (("q2d", 75, "max_next"), "3*3 / 3");
+    (("q2d", 75, "max_final"), "3*3 / 3");
+    (("q1", 5, "fifo"), "242*5 / 242");
+    (("q1", 5, "current"), "130*5 / 130");
+    (("q1", 5, "max_next"), "130*5 / 130");
+    (("q1", 5, "max_final"), "130*5 / 130");
+    (("q1", 75, "fifo"), "242*75 / 242");
+    (("q1", 75, "current"), "222*75 / 222");
+    (("q1", 75, "max_next"), "222*75 / 222");
+    (("q1", 75, "max_final"), "222*75 / 222");
+    (("q2", 5, "fifo"), "1070*5 / 1070");
+    (("q2", 5, "current"), "216*5 / 216");
+    (("q2", 5, "max_next"), "216*5 / 216");
+    (("q2", 5, "max_final"), "204*5 / 214");
+    (("q2", 75, "fifo"), "1055*52 1059*23 / 1059");
+    (("q2", 75, "current"), "1107*75 / 1107");
+    (("q2", 75, "max_next"), "1107*75 / 1107");
+    (("q2", 75, "max_final"), "941*52 1044*23 / 1044");
+    (("q3", 5, "fifo"), "2981*5 / 2981");
+    (("q3", 5, "current"), "1025*5 / 1025");
+    (("q3", 5, "max_next"), "1025*5 / 1025");
+    (("q3", 5, "max_final"), "283*5 / 440");
+    (("q3", 75, "fifo"), "4328*75 / 4328");
+    (("q3", 75, "current"), "4234*30 4235*7 4334*23 4337*6 4341*9 / 4341");
+    (("q3", 75, "max_next"), "4234*30 4235*7 4334*23 4337*6 4341*9 / 4341");
+    (("q3", 75, "max_final"), "1036*24 1856*6 2214*7 2587*19 3560*4 3843*4 3915*2 3982*4 4208*4 4287 / 4311")
+  ]
+
+let test_stream_emission_timing () =
+  List.iter
+    (fun (name, idx, q) ->
+      let plan = Whirlpool.Run.compile (Lazy.force idx) (Fixtures.parse q) in
+      List.iter
+        (fun k ->
+          List.iter
+            (fun (pname, policy) ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s k=%d %s" name k pname)
+                (List.assoc (name, k, pname) timing_goldens)
+                (emission_timing plan ~policy ~k))
+            timing_policies)
+        [ 5; 75 ])
+    timing_queries
+
 (* --- the event tier: sockets end to end --- *)
 
 let start_event_server ?http ~socket ~service () =
@@ -1410,6 +1590,8 @@ let suite =
       test_persistent_cache_hits;
     Alcotest.test_case "sharded mapped corpus" `Quick
       test_sharded_mapped_corpus;
+    Alcotest.test_case "mapped equal-size docs" `Quick
+      test_mapped_equal_size_docs;
     Alcotest.test_case "service errors" `Quick test_service_errors;
     Alcotest.test_case "service metrics json" `Quick
       test_service_metrics_json;
@@ -1429,6 +1611,8 @@ let suite =
       test_stream_prefix_matches_final;
     Alcotest.test_case "stream partial run prefix only" `Quick
       test_stream_partial_run_emits_prefix_only;
+    Alcotest.test_case "stream emission timing" `Quick
+      test_stream_emission_timing;
     Alcotest.test_case "event tier end to end" `Quick test_event_end_to_end;
     Alcotest.test_case "event deadline mid-stream" `Quick
       test_event_deadline_mid_stream;

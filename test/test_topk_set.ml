@@ -98,6 +98,75 @@ let prop_threshold_monotone =
           ok)
         events)
 
+(* Certification reads the next certifiable entry off [floor] and
+   [best_since_mark] instead of sorting; a retract can leave [floor]
+   stale (too high), which may cost a sort but never an emission. *)
+let test_certify_gate () =
+  let t = Topk_set.create ~k:4 ~admit_partial:true in
+  let out = ref [] in
+  let c = Certify.create ~emit:(fun (e : Topk_set.entry) -> out := e.root :: !out) in
+  let add id root score =
+    let m = pm ~id ~root ~score ~max_possible:score in
+    Topk_set.consider t ~complete:false m;
+    m
+  in
+  let emitted msg expected =
+    Alcotest.(check (list int)) msg expected (List.rev !out)
+  in
+  ignore (add 1 10 0.9 : Partial_match.t);
+  let m20 = add 2 20 0.5 in
+  Certify.flush c t ~bound:0.95;
+  emitted "nothing beats the bound" [];
+  Certify.flush c t ~bound:0.6;
+  emitted "the best entry certifies" [ 10 ];
+  ignore (add 3 30 0.55 : Partial_match.t);
+  ignore (add 4 40 0.45 : Partial_match.t);
+  Certify.flush c t ~bound:0.52;
+  emitted "a later arrival certifies" [ 10; 30 ];
+  Topk_set.retract t m20;
+  Certify.flush c t ~bound:0.48;
+  emitted "a retracted floor emits nothing" [ 10; 30 ];
+  Certify.flush c t ~bound:0.4;
+  emitted "the next entry still certifies" [ 10; 30; 40 ];
+  Alcotest.(check int) "streamed" 3 (Certify.streamed c)
+
+(* Differential: the gated certification emits exactly what sorting the
+   set at every call would, at the same calls — for any sequence of
+   arrivals at or below a non-increasing bound, some retracted. *)
+let prop_certify_matches_sorting =
+  QCheck2.Test.make ~name:"certify = sort at every call" ~count:300
+    QCheck2.Gen.(
+      pair (int_range 1 5)
+        (list
+           (quad (int_range 1 12) (float_range 0.0 1.0) (float_range 0.5 1.0)
+              bool)))
+    (fun (k, events) ->
+      let t = Topk_set.create ~k ~admit_partial:true in
+      let gated = ref [] and sorted = ref [] and streamed = ref 0 in
+      let c = Certify.create ~emit:(fun e -> gated := e :: !gated) in
+      let sort_and_take bound =
+        List.iteri
+          (fun i (e : Topk_set.entry) ->
+            if i >= !streamed && e.score > bound then begin
+              incr streamed;
+              sorted := e :: !sorted
+            end)
+          (Topk_set.entries t)
+      in
+      let bound = ref 1.0 and id = ref 0 in
+      List.for_all
+        (fun (root, u, shrink, retract) ->
+          incr id;
+          let score = u *. !bound in
+          let m = pm ~id:!id ~root ~score ~max_possible:score in
+          Topk_set.consider t ~complete:false m;
+          if retract then Topk_set.retract t m;
+          bound := !bound *. shrink;
+          Certify.flush c t ~bound:!bound;
+          sort_and_take !bound;
+          !gated = !sorted)
+        events)
+
 let suite =
   [
     Alcotest.test_case "fill and threshold" `Quick test_fill_and_threshold;
@@ -107,5 +176,7 @@ let suite =
     Alcotest.test_case "pruning" `Quick test_pruning;
     Alcotest.test_case "entries sorted" `Quick test_entries_sorted;
     Alcotest.test_case "invalid k" `Quick test_invalid_k;
+    Alcotest.test_case "certify gate" `Quick test_certify_gate;
     QCheck_alcotest.to_alcotest prop_threshold_monotone;
+    QCheck_alcotest.to_alcotest prop_certify_matches_sorting;
   ]
