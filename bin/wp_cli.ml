@@ -126,9 +126,9 @@ let generate_cmd =
 
 (* Remote mode: ship the query to a running server and print its
    reply.  Parsing, planning and deadline enforcement all happen
-   server-side.  With --stream (and an event-tier server, which
-   negotiates protocol v2) each certified answer prints the moment its
-   Part frame arrives, ahead of the final summary. *)
+   server-side.  With --stream (over protocol v2) each certified answer
+   prints the moment its Part frame arrives, ahead of the final
+   summary. *)
 let remote_query socket q k deadline_ms algo routing doc stream json =
   let client =
     match Wp_serve.Client.connect socket with
@@ -139,8 +139,7 @@ let remote_query socket q k deadline_ms algo routing doc stream json =
   in
   if stream && Wp_serve.Client.version client < 2 then
     prerr_endline
-      "note: server negotiated protocol v1 (threaded tier?); nothing \
-       will stream";
+      "note: server negotiated protocol v1; nothing will stream";
   let req =
     Wp_serve.Protocol.Query
       {
@@ -352,9 +351,9 @@ let query_cmd =
       value & flag
       & info [ "stream" ]
           ~doc:
-            "With --connect against an event-tier server: print each \
-             answer the moment the server certifies it (protocol v2 \
-             Part frames), before the final summary.")
+            "With --connect: print each answer the moment the server \
+             certifies it (protocol v2 Part frames), before the final \
+             summary.")
   in
   Cmd.v
     (cmd_info "query"
@@ -900,18 +899,10 @@ let relax_config relax_content =
   if relax_content then Wp_relax.Relaxation.with_content
   else Wp_relax.Relaxation.all
 
-let serve_run corpus socket tier http workers queue_depth default_k
-    deadline_ms plan_cache slow_query_ms shards relax_content algo =
+let serve_run corpus socket http workers queue_depth default_k deadline_ms
+    plan_cache slow_query_ms shards relax_content algo =
   if shards < 1 then begin
     prerr_endline "--shards must be >= 1";
-    exit 2
-  end;
-  if tier <> "event" && tier <> "threaded" then begin
-    Printf.eprintf "unknown tier %S (known: event, threaded)\n" tier;
-    exit 2
-  end;
-  if http <> None && tier <> "event" then begin
-    prerr_endline "--http requires --tier event";
     exit 2
   end;
   let algo =
@@ -932,31 +923,19 @@ let serve_run corpus socket tier http workers queue_depth default_k
       ~engine_config:Whirlpool.Engine.Config.(default |> with_algo algo)
       ~catalog ()
   in
-  let install_signals stop =
-    Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle stop)
+  let on_ready server =
+    let stop = Sys.Signal_handle (fun _ -> Wp_serve.Event.request_stop server) in
+    Sys.set_signal Sys.sigint stop;
+    Sys.set_signal Sys.sigterm stop;
+    Printf.printf "Listening on %s%s\n%!" socket
+      (match Wp_serve.Event.http_port server with
+      | Some p -> Printf.sprintf " (http on 127.0.0.1:%d)" p
+      | None -> "")
   in
-  let result =
-    match tier with
-    | "event" ->
-        let on_ready server =
-          install_signals (fun _ -> Wp_serve.Event.request_stop server);
-          Printf.printf "Listening on %s (event tier%s)\n%!" socket
-            (match Wp_serve.Event.http_port server with
-            | Some p -> Printf.sprintf ", http on 127.0.0.1:%d" p
-            | None -> "")
-        in
-        Wp_serve.Event.serve ?workers ~queue_depth ?http ~on_ready ~socket
-          ~service ()
-    | _ ->
-        let on_ready server =
-          install_signals (fun _ -> Wp_serve.Wire.request_stop server);
-          Printf.printf "Listening on %s (threaded tier)\n%!" socket
-        in
-        Wp_serve.Wire.serve ?workers ~queue_depth ~on_ready ~socket ~service
-          ()
-  in
-  match result with
+  match
+    Wp_serve.Event.serve ?workers ~queue_depth ?http ~on_ready ~socket ~service
+      ()
+  with
   | Ok () -> print_endline "Server stopped."
   | Error m ->
       prerr_endline m;
@@ -977,26 +956,15 @@ let serve_cmd =
             "Documents to serve: XML files, .wpdoc snapshots, .wpidx \
              memory-mapped indexes, or directories of them.")
   in
-  let tier =
-    Arg.(
-      value & opt string "event"
-      & info [ "tier" ] ~docv:"TIER"
-          ~doc:
-            "Serve tier: $(b,event) (one select loop multiplexes every \
-             connection, speaks protocol v2 with streamed certified \
-             answers, can host the HTTP gateway) or $(b,threaded) (one \
-             blocking reader thread per connection, buffered v1 \
-             replies — the benchmark baseline).")
-  in
   let http =
     Arg.(
       value
       & opt (some int) None
       & info [ "http" ] ~docv:"PORT"
           ~doc:
-            "Event tier only: also serve the HTTP/JSON gateway on \
-             127.0.0.1:PORT — GET /healthz, GET /metrics (Prometheus), \
-             GET /metrics.json, POST /query.")
+            "Also serve the HTTP/JSON gateway on 127.0.0.1:PORT — GET \
+             /healthz, GET /metrics (Prometheus), GET /metrics.json, \
+             POST /query.")
   in
   let workers =
     Arg.(
@@ -1087,7 +1055,7 @@ let serve_cmd =
          ]
        ())
     Term.(
-      const serve_run $ corpus $ socket_arg $ tier $ http $ workers
+      const serve_run $ corpus $ socket_arg $ http $ workers
       $ queue_depth $ default_k $ deadline_ms $ plan_cache $ slow_query_ms
       $ shards $ relax_content $ algo)
 
@@ -1113,8 +1081,8 @@ let ctl_run socket op format json =
         exit 2
   in
   let client =
-    (* Control ops have buffered replies on both tiers; v1 skips the
-       Hello round-trip. *)
+    (* Control ops have buffered replies; v1 skips the Hello
+       round-trip. *)
     match Wp_serve.Client.connect ~version:1 socket with
     | Ok c -> c
     | Error e ->
@@ -1321,74 +1289,91 @@ let profile_cmd =
 
 (* --- loadgen --- *)
 
-(* Run a serve tier on a background thread and hand back a stop
-   function once the socket is listening (or the bind error). *)
-let spawn_server ~tier ~socket ~service ~workers ~queue_depth =
-  let m = Mutex.create () in
-  let c = Condition.create () in
-  let state = ref `Pending in
-  let with_lock f =
-    Mutex.lock m;
-    Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-  in
-  let set s =
-    with_lock (fun () ->
-        state := s;
-        Condition.signal c)
-  in
-  let thread =
-    Thread.create
-      (fun () ->
-        let r =
-          match tier with
-          | `Event ->
-              Wp_serve.Event.serve ~workers ~queue_depth
-                ~on_ready:(fun server ->
-                  set
-                    (`Ready (fun () -> Wp_serve.Event.request_stop server)))
-                ~socket ~service ()
-          | `Threaded ->
-              Wp_serve.Wire.serve ~workers ~queue_depth
-                ~on_ready:(fun server ->
-                  set (`Ready (fun () -> Wp_serve.Wire.request_stop server)))
-                ~socket ~service ()
-        in
-        match r with Ok () -> () | Error e -> set (`Failed e))
-      ()
-  in
-  let outcome =
-    with_lock (fun () ->
-        while !state = `Pending do
-          Condition.wait c m
-        done;
-        !state)
-  in
-  match outcome with
-  | `Ready stop -> Ok (stop, thread)
-  | `Failed e ->
-      Thread.join thread;
-      Error e
-  | `Pending -> assert false
-
 let obj_fields = function Wp_json.Json.Obj fields -> fields | j -> [ ("value", j) ]
 
-let loadgen_run connect corpus queries clients duration tier_list
-    workers_list queue_depths shards_list push_list relax_content algo
-    ttfa_query out =
+(* One spawned point.  A fresh catalog (its load time is the point's
+   cold-open cost) and a fresh service per point, so every point starts
+   with empty candidate caches and its metrics snapshot is its own.
+   The point is measured twice back-to-back against the same service:
+   the first window starts cold, the second reuses the caches (warm). *)
+let loadgen_point ~corpus ~socket ~queries ~clients ~duration ~relax_content
+    ~algo ~ttfa_query (shards, push, workers, queue_depth) =
+  let catalog =
+    Wp_serve.Catalog.create ~shards ~config:(relax_config relax_content) ()
+  in
+  let t0 = Whirlpool.Clock.now_ns () in
+  load_corpus catalog corpus;
+  let open_ms =
+    Int64.to_float (Int64.sub (Whirlpool.Clock.now_ns ()) t0) /. 1e6
+  in
+  let service = Wp_serve.Service.create ~catalog () in
+  let server, thread =
+    match Wp_serve.Event.spawn ~workers ~queue_depth ~socket ~service () with
+    | Ok st -> st
+    | Error e ->
+        prerr_endline e;
+        exit 2
+  in
+  let bound_push = if push then None else Some false in
+  let window () =
+    Wp_serve.Loadgen.run ?algo ?bound_push ~socket ~queries ~clients
+      ~duration_s:duration ()
+  in
+  let cold = window () in
+  let warm = Result.bind cold (fun _ -> window ()) in
+  (* Streamed time-to-first-answer over protocol v2.  Pin the first
+     document: only single-document runs stream mid-query. *)
+  let ttfa =
+    Option.bind ttfa_query (fun query ->
+        let doc =
+          match Wp_serve.Catalog.docs catalog with
+          | d :: _ -> Some d.Wp_serve.Catalog.name
+          | [] -> None
+        in
+        match Wp_serve.Loadgen.ttfa_probe ?algo ?doc ~socket ~query () with
+        | Ok j -> Some j
+        | Error e ->
+            Printf.eprintf "ttfa probe: %s\n" e;
+            None)
+  in
+  Wp_serve.Event.request_stop server;
+  Thread.join thread;
+  match (cold, warm) with
+  | Error e, _ | _, Error e ->
+      prerr_endline e;
+      exit 2
+  | Ok cold, Ok warm ->
+      Printf.printf
+        "shards=%d push=%b workers=%d queue_depth=%d: cold %.0f req/s p50 \
+         %.2fms p99 %.2fms | warm %.0f req/s p50 %.2fms p99 %.2fms  (%d ok, \
+         %d partial, %d shed, %d errors)\n\
+         %!"
+        shards push workers queue_depth cold.throughput cold.p50_ms
+        cold.p99_ms warm.throughput warm.p50_ms warm.p99_ms
+        (cold.ok + warm.ok)
+        (cold.partial + warm.partial)
+        (cold.overloaded + warm.overloaded)
+        (cold.errors + warm.errors);
+      let open Wp_json.Json in
+      [
+        ("shards", Int shards);
+        ("algo", String (Option.value algo ~default:"whirlpool-s"));
+        ("bound_push", Bool push);
+        ("workers", Int workers);
+        ("queue_depth", Int queue_depth);
+        ("corpus_open_ms", Float open_ms);
+        ("cold", Wp_serve.Loadgen.point_to_json cold);
+        ("warm", Wp_serve.Loadgen.point_to_json warm);
+      ]
+      @ (match ttfa with Some j -> [ ("ttfa", j) ] | None -> [])
+      @ [ ("server_metrics", Wp_serve.Service.metrics_json service) ]
+
+let loadgen_run connect corpus queries clients duration workers_list
+    queue_depths shards_list push_list relax_content algo ttfa_query out =
   if queries = [] then begin
     prerr_endline "at least one -q query is required";
     exit 2
   end;
-  let tiers =
-    List.map
-      (function
-        | "event" -> `Event
-        | "threaded" -> `Threaded
-        | other ->
-            Printf.eprintf "unknown tier %S (known: event, threaded)\n" other;
-            exit 2)
-      tier_list
-  in
   (match algo with
   | Some a when Whirlpool.Engine.Config.algo_of_string a = None ->
       prerr_endline ("unknown algorithm: " ^ a);
@@ -1421,124 +1406,19 @@ let loadgen_run connect corpus queries clients duration tier_list
             (Filename.get_temp_dir_name ())
             (Printf.sprintf "wp-loadgen-%d.sock" (Unix.getpid ()))
         in
-        (* One point per (shards x push x workers x queue-depth): fresh
-           catalog per shard count (its load time is the cold-open
-           cost), fresh service per point so the metrics snapshot is
-           the point's own.  Each point is measured twice back-to-back
-           against the same service: the first window starts with every
-           candidate cache empty (cold), the second reuses them
-           (warm). *)
-        List.concat_map
-          (fun shards ->
-            let catalog =
-              Wp_serve.Catalog.create ~shards
-                ~config:(relax_config relax_content) ()
-            in
-            let t0 = Whirlpool.Clock.now_ns () in
-            load_corpus catalog corpus;
-            let open_ms =
-              Int64.to_float (Int64.sub (Whirlpool.Clock.now_ns ()) t0) /. 1e6
-            in
-            List.concat_map
-              (fun push ->
-                let bound_push = if push then None else Some false in
-                List.concat_map
-                  (fun workers ->
-                    List.concat_map
-                      (fun queue_depth ->
-                        List.map
-                          (fun tier ->
-                        let tier_name =
-                          match tier with
-                          | `Event -> "event"
-                          | `Threaded -> "threaded"
-                        in
-                        let service = Wp_serve.Service.create ~catalog () in
-                        match
-                          spawn_server ~tier ~socket ~service ~workers
-                            ~queue_depth
-                        with
-                        | Error e ->
-                            prerr_endline e;
-                            exit 2
-                        | Ok (stop, thread) -> (
-                            let window () =
-                              Wp_serve.Loadgen.run ?algo ?bound_push ~socket
-                                ~queries ~clients ~duration_s:duration ()
-                            in
-                            let cold = window () in
-                            let warm = Result.bind cold (fun _ -> window ()) in
-                            (* Streamed time-to-first-answer, only
-                               meaningful on the event tier (v2).  Pin
-                               the first document: only single-document
-                               runs stream mid-query. *)
-                            let ttfa =
-                              match (tier, ttfa_query) with
-                              | `Event, Some q -> (
-                                  let doc =
-                                    match Wp_serve.Catalog.docs catalog with
-                                    | d :: _ -> Some d.Wp_serve.Catalog.name
-                                    | [] -> None
-                                  in
-                                  match
-                                    Wp_serve.Loadgen.ttfa_probe ?algo ?doc
-                                      ~socket ~query:q ()
-                                  with
-                                  | Ok j -> Some j
-                                  | Error e ->
-                                      Printf.eprintf "ttfa probe: %s\n" e;
-                                      None)
-                              | _ -> None
-                            in
-                            stop ();
-                            Thread.join thread;
-                            match (cold, warm) with
-                            | Error e, _ | _, Error e ->
-                                prerr_endline e;
-                                exit 2
-                            | Ok cold, Ok warm ->
-                                Printf.printf
-                                  "tier=%s shards=%d push=%b workers=%d \
-                                   queue_depth=%d: cold %.0f req/s p50 \
-                                   %.2fms p99 %.2fms | warm %.0f req/s p50 \
-                                   %.2fms p99 %.2fms  (%d ok, %d partial, \
-                                   %d shed, %d errors)\n\
-                                   %!"
-                                  tier_name shards push workers queue_depth
-                                  cold.throughput cold.p50_ms cold.p99_ms
-                                  warm.throughput warm.p50_ms warm.p99_ms
-                                  (cold.ok + warm.ok)
-                                  (cold.partial + warm.partial)
-                                  (cold.overloaded + warm.overloaded)
-                                  (cold.errors + warm.errors);
-                                [
-                                  ("tier", Wp_json.Json.String tier_name);
-                                  ("shards", Wp_json.Json.Int shards);
-                                  ( "algo",
-                                    Wp_json.Json.String
-                                      (Option.value algo
-                                         ~default:"whirlpool-s") );
-                                  ("bound_push", Wp_json.Json.Bool push);
-                                  ("workers", Wp_json.Json.Int workers);
-                                  ("queue_depth", Wp_json.Json.Int queue_depth);
-                                  ("corpus_open_ms", Wp_json.Json.Float open_ms);
-                                  ( "cold",
-                                    Wp_serve.Loadgen.point_to_json cold );
-                                  ( "warm",
-                                    Wp_serve.Loadgen.point_to_json warm );
-                                ]
-                                @ (match ttfa with
-                                  | Some j -> [ ("ttfa", j) ]
-                                  | None -> [])
-                                @ [
-                                    ( "server_metrics",
-                                      Wp_serve.Service.metrics_json service );
-                                  ]))
-                          tiers)
-                      queue_depths)
-                  workers_list)
-              push_list)
-          shards_list
+        (* One point per (shards x push x workers x queue-depth). *)
+        let ( let* ) l f = List.concat_map f l in
+        let grid =
+          let* shards = shards_list in
+          let* push = push_list in
+          let* workers = workers_list in
+          let* queue_depth = queue_depths in
+          [ (shards, push, workers, queue_depth) ]
+        in
+        List.map
+          (loadgen_point ~corpus ~socket ~queries ~clients ~duration
+             ~relax_content ~algo ~ttfa_query)
+          grid
   in
   let report =
     Wp_json.Json.Obj
@@ -1584,26 +1464,15 @@ let loadgen_cmd =
       value & opt float 2.0
       & info [ "duration" ] ~docv:"SECONDS" ~doc:"Seconds per point.")
   in
-  let tier_list =
-    Arg.(
-      value
-      & opt_all string [ "event" ]
-      & info [ "tier" ] ~docv:"TIER"
-          ~doc:
-            "Serve tier to sweep (repeatable; spawn mode): $(b,event) \
-             or $(b,threaded).  $(b,--tier event --tier threaded) pits \
-             the select loop against the thread-per-connection \
-             baseline on the same corpus and pool shape.")
-  in
   let ttfa_query =
     Arg.(
       value
       & opt (some string) None
       & info [ "ttfa-query" ] ~docv:"XPATH"
           ~doc:
-            "After each event-tier point, stream this query once over \
-             protocol v2 and record the client-side time-to-first-answer \
-             in the point (field $(b,ttfa)).")
+            "After each point, stream this query once over protocol v2 \
+             and record the client-side time-to-first-answer in the \
+             point (field $(b,ttfa)).")
   in
   let workers_list =
     Arg.(
@@ -1685,7 +1554,7 @@ let loadgen_cmd =
        ())
     Term.(
       const loadgen_run $ connect $ corpus $ queries $ clients $ duration
-      $ tier_list $ workers_list $ queue_depths $ shards_list $ push_list
+      $ workers_list $ queue_depths $ shards_list $ push_list
       $ relax_content $ algo $ ttfa_query $ out)
 
 let () =

@@ -4,10 +4,9 @@
 
     A client speaks the {!Wire} framing over a Unix-domain socket.
     {!connect} negotiates the protocol version with a [Hello] exchange
-    (v2 by default); against the threaded tier — which always answers
-    [Hello] with version 1 — or a pre-[Hello] server the connection
-    transparently degrades to buffered v1 replies, so callers never
-    branch on the version themselves.
+    (v2 by default); when the server answers [Hello] with version 1, or
+    predates [Hello], the connection transparently degrades to buffered
+    v1 replies, so callers never branch on the version themselves.
 
     Errors are typed: {!error.Connect_failed} before the socket is up,
     {!error.Io} for transport failures (including the server vanishing

@@ -63,7 +63,6 @@ type server = {
   mutable conns : conn list;
 }
 
-let pool_stats server = Pool.Real.stats server.pool
 let conn_count server = with_lock server.mutex (fun () -> List.length server.conns)
 
 let http_port server =
@@ -156,10 +155,6 @@ let dispatch_wire server conn payload =
   match Protocol.parse_request payload with
   | Result.Error msg ->
       send_response conn (Protocol.error_response ~id:0 ("bad request: " ^ msg))
-  | Result.Ok (Protocol.Hello { id; version }) ->
-      conn.version <- min version Protocol.current_version;
-      send_response conn
-        (Protocol.ok_response ~version:conn.version ~id ~elapsed_ms:0.0 ())
   | Result.Ok (Protocol.Query q) ->
       if with_lock server.mutex (fun () -> server.stopping) then begin
         Service.record_shed server.service;
@@ -168,7 +163,11 @@ let dispatch_wire server conn payload =
       else submit_query server conn q
   | Result.Ok req -> (
       match Service.handle server.service req with
-      | `Reply r -> send_response conn r
+      | `Reply r ->
+          (* Only a Hello reply carries a version: it becomes the
+             connection's negotiated one. *)
+          Option.iter (fun v -> conn.version <- v) r.Protocol.version;
+          send_response conn r
       | `Stop r ->
           send_response conn r;
           with_lock server.mutex (fun () -> server.stopping <- true))
@@ -630,3 +629,36 @@ let serve ?workers ?(queue_depth = 64) ?http ?on_ready ~socket ~service () =
           (try Unix.close server.wake_w with Unix.Unix_error _ -> ());
           (try Unix.unlink socket with Unix.Unix_error _ -> ());
           Result.Ok ())
+
+let spawn ?workers ?queue_depth ?http ~socket ~service () =
+  let m = Mutex.create () and c = Condition.create () in
+  let started = ref None in
+  let set r =
+    with_lock m (fun () ->
+        started := Some r;
+        Condition.signal c)
+  in
+  let thread =
+    Thread.create
+      (fun () ->
+        match
+          serve ?workers ?queue_depth ?http
+            ~on_ready:(fun server -> set (Result.Ok server))
+            ~socket ~service ()
+        with
+        | Result.Ok () -> ()
+        | Result.Error e -> set (Result.Error e))
+      ()
+  in
+  let started =
+    with_lock m (fun () ->
+        while Option.is_none !started do
+          Condition.wait c m
+        done;
+        Option.get !started)
+  in
+  match started with
+  | Result.Ok server -> Result.Ok (server, thread)
+  | Result.Error e ->
+      Thread.join thread;
+      Result.Error e

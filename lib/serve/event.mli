@@ -1,9 +1,6 @@
-(** The event-driven serve tier — one [Unix.select] loop multiplexing
-    every connection, with the bounded worker pool ({!Pool.Real}) kept
+(** The serve tier — one [Unix.select] loop multiplexing every
+    connection, with the bounded worker pool ({!Pool.Real}) kept
     strictly for query execution.
-
-    Compared with the threaded tier ({!Wire}), which parks one reader
-    thread per connection in a blocking [read]:
 
     - N connections cost one loop thread plus the pool, not N threads;
     - the loop can interleave frames on a connection, so it negotiates
@@ -23,11 +20,12 @@
       sheds.
 
     Control operations (ping, metrics, hello, stop) are answered inline
-    by the loop thread, so a saturated pool never makes the service
-    unobservable.  Workers never touch sockets: replies and stream
-    frames are appended to a per-connection outbox under its mutex and
-    a self-pipe write wakes the select, which flushes writable sockets
-    outside any lock. *)
+    by the loop thread through {!Service.handle}, so a saturated pool
+    never makes the service unobservable.  Workers never touch sockets:
+    replies and stream frames are appended to a per-connection outbox
+    under its mutex and a self-pipe write wakes the select, which
+    flushes writable sockets outside any lock.  Frames use the {!Wire}
+    layout. *)
 
 type server
 
@@ -50,6 +48,18 @@ val serve :
     (default 64) size the pool.  [Error] when a listener cannot be
     bound. *)
 
+val spawn :
+  ?workers:int ->
+  ?queue_depth:int ->
+  ?http:int ->
+  socket:string ->
+  service:Service.t ->
+  unit ->
+  (server * Thread.t, string) result
+(** {!serve} on a fresh thread: returns once the listeners are up, with
+    the server and the thread to join after {!request_stop}, or with
+    the bind error once that thread has exited. *)
+
 val request_stop : server -> unit
 (** Begin a graceful shutdown from any thread (idempotent): stop
     accepting, shed new queries, drain in-flight runs and outboxes,
@@ -62,5 +72,3 @@ val conn_count : server -> int
 
 val http_port : server -> int option
 (** The bound HTTP port, once listening ([None] without [?http]). *)
-
-val pool_stats : server -> Pool.stats

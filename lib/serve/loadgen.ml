@@ -66,11 +66,9 @@ let client_loop client queries ~algo ~bound_push ~t_end acc =
         continue := false)
   done
 
-(* Latency points pin protocol v1 by default: a buffered reply is the
-   unit both tiers implement identically, so tier comparisons measure
-   the serve architecture, not the framing. *)
-let run ?algo ?bound_push ?(version = 1) ~socket ~queries ~clients
-    ~duration_s () =
+(* Latency windows speak protocol v1: one buffered reply per request,
+   with no Hello round-trip and no stream frames to drain. *)
+let run ?algo ?bound_push ~socket ~queries ~clients ~duration_s () =
   if queries = [] then Result.Error "no queries to issue"
   else if clients < 1 then Result.Error "need at least one client"
   else begin
@@ -78,7 +76,7 @@ let run ?algo ?bound_push ?(version = 1) ~socket ~queries ~clients
     let conns = ref [] in
     let connect_err = ref None in
     for _ = 1 to clients do
-      match Client.connect ~version socket with
+      match Client.connect ~version:1 socket with
       | Result.Ok c -> conns := c :: !conns
       | Result.Error e ->
           if !connect_err = None then
@@ -175,7 +173,7 @@ let ttfa_probe ?algo ?k ?doc ~socket ~query () =
   let* client = client_err (Client.connect socket) in
   if Client.version client < 2 then begin
     Client.close client;
-    Result.Error "server negotiated v1: no streaming on this tier"
+    Result.Error "server negotiated v1: nothing can stream"
   end
   else begin
     let req =

@@ -3,9 +3,10 @@
     [clients] threads each hold one connection and issue queries
     back-to-back (round-robin over the query list) for [duration_s]
     seconds, then the per-status counts and client-side latency
-    samples are merged into one {!point}.  {!sweep} runs one point
-    against an already-listening server and returns the JSON report
-    the CLI writes to [BENCH_serve.json]. *)
+    samples are merged into one {!point}.  [wp_cli loadgen] boots a
+    server per point and calls {!run} for its cold and warm windows;
+    {!report} measures an already-listening server instead
+    ([loadgen --connect]). *)
 
 type point = {
   clients : int;
@@ -25,7 +26,6 @@ type point = {
 val run :
   ?algo:string ->
   ?bound_push:bool ->
-  ?version:int ->
   socket:string ->
   queries:string list ->
   clients:int ->
@@ -37,10 +37,9 @@ val run :
     (omitted when [None], leaving the server's default).
     [bound_push] is forwarded on every request (omitted when [None]):
     [Some false] turns cross-shard bound pushing off server-side, the
-    scatter-only baseline for the sharding benchmarks.
-    [version] (default [1]) pins the protocol version offered on every
-    connection: latency points default to buffered v1 replies so tier
-    comparisons measure the serve architecture, not the framing. *)
+    scatter-only baseline for the sharding benchmarks.  Every
+    connection speaks protocol v1, so each request costs exactly one
+    buffered reply. *)
 
 val ttfa_probe :
   ?algo:string ->
@@ -56,7 +55,7 @@ val ttfa_probe :
     [streamed] and [answers] counts, and [ttfa_before_done].  Only
     single-document queries stream, so pass [doc] on a multi-document
     corpus.  [Error] when the server negotiates the connection down to
-    v1 (the threaded tier), since nothing can stream there. *)
+    v1, since nothing can stream there. *)
 
 val point_to_json : point -> Wp_json.Json.t
 

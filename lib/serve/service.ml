@@ -516,9 +516,7 @@ let handle t (req : Protocol.request) =
   | Protocol.Ping { id } ->
       `Reply (Protocol.ok_response ~id ~elapsed_ms:0.0 ())
   | Protocol.Hello { id; version } ->
-      (* Transport-agnostic negotiation: meet at the highest version
-         both sides speak.  A transport that cannot stream (the
-         threaded tier) intercepts Hello itself and caps at 1. *)
+      (* Meet at the highest version both sides speak. *)
       `Reply
         (Protocol.ok_response
            ~version:(min version Protocol.current_version)

@@ -1,8 +1,4 @@
-module Json = Wp_json.Json
-
 let max_frame = 16 * 1024 * 1024
-
-(* --- framing --- *)
 
 let rec write_all fd buf pos len =
   if len > 0 then begin
@@ -52,192 +48,3 @@ let read_frame fd =
             Result.Error (Unix.error_message e)
       end
   | exception Unix.Unix_error (e, _, _) -> Result.Error (Unix.error_message e)
-
-(* --- server --- *)
-
-(* Every mutex in this module is held through [with_lock] so an
-   exception raised inside a critical section cannot leak the lock
-   (Sentinel's exception-safety rule checks for exactly this). *)
-let with_lock m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-
-type server = {
-  socket : string;
-  listener : Unix.file_descr;
-  service : Service.t;
-  pool : Pool.Real.t;
-  mutex : Mutex.t;
-  mutable stopping : bool;
-  mutable conns : Unix.file_descr list;
-}
-
-let request_stop server =
-  let first =
-    with_lock server.mutex (fun () ->
-        let f = not server.stopping in
-        server.stopping <- true;
-        f)
-  in
-  if first then begin
-    (* Wake the accept loop: a throwaway self-connection is the
-       portable way to unblock a thread parked in [accept]. *)
-    match Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 with
-    | fd ->
-        (try Unix.connect fd (Unix.ADDR_UNIX server.socket)
-         with Unix.Unix_error _ -> ());
-        (try Unix.close fd with Unix.Unix_error _ -> ())
-    | exception Unix.Unix_error _ -> ()
-  end
-
-let pool_stats server = Pool.Real.stats server.pool
-
-let track_conn server fd =
-  with_lock server.mutex (fun () -> server.conns <- fd :: server.conns)
-
-let untrack_conn server fd =
-  with_lock server.mutex (fun () ->
-      server.conns <- List.filter (fun c -> c != fd) server.conns)
-
-let handle_conn server fd =
-  let wm = Mutex.create () in
-  let drained = Condition.create () in
-  let inflight = ref 0 in
-  let send resp =
-    let payload = Json.to_string (Protocol.response_to_json resp) in
-    let r =
-      (with_lock wm (fun () -> write_frame fd payload)
-      [@wp.allow
-        "blocking-under-lock frame writes must be atomic per connection; \
-         the per-connection write mutex exists precisely to serialize \
-         them, and only this connection's jobs contend on it"])
-    in
-    ignore (r : (unit, string) result)
-  in
-  let job_done () =
-    with_lock wm (fun () ->
-        decr inflight;
-        Condition.signal drained)
-  in
-  let rec loop () =
-    match read_frame fd with
-    | Result.Error _ -> ()
-    | Result.Ok payload -> (
-        match Protocol.parse_request payload with
-        | Result.Error msg ->
-            send (Protocol.error_response ~id:0 ("bad request: " ^ msg));
-            loop ()
-        | Result.Ok (Protocol.Query q as req) ->
-            (* Queries go through the pool: this is where admission
-               control applies.  The reader thread never runs one. *)
-            with_lock wm (fun () -> incr inflight);
-            let accepted =
-              Pool.Real.submit server.pool (fun () ->
-                  let reply =
-                    match Service.handle server.service req with
-                    | `Reply r | `Stop r -> r
-                  in
-                  send reply;
-                  job_done ())
-            in
-            if not accepted then begin
-              job_done ();
-              Service.record_shed server.service;
-              send (Protocol.overloaded_response ~id:q.id)
-            end;
-            loop ()
-        | Result.Ok (Protocol.Hello { id; version = _ }) ->
-            (* This tier reads with one blocking thread per connection
-               and cannot interleave stream frames with its own reads,
-               so it always negotiates down to v1 buffered replies.
-               The event tier ({!Event}) speaks v2. *)
-            send (Protocol.ok_response ~version:1 ~id ~elapsed_ms:0.0 ());
-            loop ()
-        | Result.Ok req -> (
-            match Service.handle server.service req with
-            | `Reply r ->
-                send r;
-                loop ()
-            | `Stop r ->
-                send r;
-                request_stop server))
-  in
-  loop ();
-  (* Let in-flight replies finish before the descriptor goes away. *)
-  with_lock wm (fun () ->
-      while !inflight > 0 do
-        Condition.wait drained wm
-      done);
-  (try Unix.close fd with Unix.Unix_error _ -> ());
-  untrack_conn server fd
-
-let default_workers () = max 1 (Domain.recommended_domain_count () - 1)
-
-let serve ?workers ?(queue_depth = 64) ?on_ready ~socket ~service () =
-  let workers =
-    match workers with Some w -> max 1 w | None -> default_workers ()
-  in
-  (match Sys.signal Sys.sigpipe Sys.Signal_ignore with
-  | _ -> ()
-  | exception Invalid_argument _ -> () (* no sigpipe on this platform *));
-  (try Unix.unlink socket with Unix.Unix_error _ -> ());
-  match
-    let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    (try
-       Unix.bind listener (Unix.ADDR_UNIX socket);
-       Unix.listen listener 64
-     with e ->
-       (try Unix.close listener with Unix.Unix_error _ -> ());
-       raise e);
-    listener
-  with
-  | exception Unix.Unix_error (e, _, arg) ->
-      Result.Error
-        (Printf.sprintf "cannot listen on %s: %s%s" socket
-           (Unix.error_message e)
-           (if arg = "" then "" else " (" ^ arg ^ ")"))
-  | listener ->
-      let server =
-        {
-          socket;
-          listener;
-          service;
-          pool = Pool.Real.create ~workers ~queue_depth ();
-          mutex = Mutex.create ();
-          stopping = false;
-          conns = [];
-        }
-      in
-      (match on_ready with None -> () | Some f -> f server);
-      let handlers = ref [] in
-      let stopping () = with_lock server.mutex (fun () -> server.stopping) in
-      let rec accept_loop () =
-        match Unix.accept server.listener with
-        | fd, _ ->
-            if stopping () then (
-              try Unix.close fd with Unix.Unix_error _ -> ())
-            else begin
-              track_conn server fd;
-              handlers :=
-                Thread.create (fun () -> handle_conn server fd) ()
-                :: !handlers;
-              accept_loop ()
-            end
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
-        | exception Unix.Unix_error _ -> if not (stopping ()) then accept_loop ()
-      in
-      accept_loop ();
-      (* Drain accepted work first so queued queries still get their
-         replies, then unblock any reader parked on a quiet
-         connection. *)
-      Pool.Real.shutdown server.pool;
-      let conns = with_lock server.mutex (fun () -> server.conns) in
-      List.iter
-        (fun fd ->
-          try Unix.shutdown fd Unix.SHUTDOWN_ALL
-          with Unix.Unix_error _ -> ())
-        conns;
-      List.iter Thread.join !handlers;
-      (try Unix.close server.listener with Unix.Unix_error _ -> ());
-      (try Unix.unlink socket with Unix.Unix_error _ -> ());
-      Result.Ok ()

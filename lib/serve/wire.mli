@@ -1,54 +1,16 @@
-(** Transport — length-prefixed JSON frames over Unix-domain sockets.
+(** Transport framing — length-prefixed JSON frames over Unix-domain
+    sockets.
 
     Every frame is a 4-byte big-endian payload length followed by that
-    many bytes of UTF-8 JSON ({!Protocol}).  The server accepts
-    connections on a socket path, reads frames on one lightweight
-    thread per connection, and runs queries on the shared worker pool
-    ({!Pool.Real}) — cheap control operations (ping, metrics, stop)
-    are answered inline by the connection thread, so a saturated pool
-    never makes the service unobservable.  When the pool sheds a query
-    the connection thread replies [Overloaded] immediately.
-
-    A [Stop] request (or {!request_stop}) triggers a graceful
-    shutdown: stop accepting, drain every already accepted job, answer
-    it, then close connections and remove the socket file.
-
-    This tier cannot interleave stream frames with its blocking
-    per-connection reads, so it answers [Hello] with version 1 — every
-    reply stays buffered.  The event-driven tier ({!Event}) serves the
-    same protocol at v2 with streaming; this one is kept as the
-    baseline the serve benchmarks compare against.  Client-side
-    helpers live in {!Client}. *)
+    many bytes of UTF-8 JSON ({!Protocol}).  {!Client} reads and writes
+    whole frames with these blocking helpers; the server ({!Event})
+    extracts frames incrementally from its non-blocking read buffers
+    and shares only the {!max_frame} cap. *)
 
 val max_frame : int
 (** Frame payload cap (16 MiB); longer frames are a protocol error. *)
 
 val write_frame : Unix.file_descr -> string -> (unit, string) result
 val read_frame : Unix.file_descr -> (string, string) result
-(** Exposed for tests; [Error] on EOF, short reads or oversized
+(** Blocking whole-frame I/O; [Error] on EOF, short reads or oversized
     frames. *)
-
-(** {1 Server} *)
-
-type server
-
-val serve :
-  ?workers:int ->
-  ?queue_depth:int ->
-  ?on_ready:(server -> unit) ->
-  socket:string ->
-  service:Service.t ->
-  unit ->
-  (unit, string) result
-(** Bind [socket] (an existing socket file is replaced), then accept
-    and serve until a [Stop] request or {!request_stop}.  Blocks the
-    calling thread for the server's lifetime; [on_ready] runs once the
-    socket is listening (install signal handlers, spawn load there).
-    [workers] (default [Domain.recommended_domain_count]) and
-    [queue_depth] (default 64) size the pool.  [Error] when the socket
-    cannot be bound. *)
-
-val request_stop : server -> unit
-(** Begin a graceful shutdown from any thread (idempotent). *)
-
-val pool_stats : server -> Pool.stats

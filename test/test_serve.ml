@@ -801,50 +801,17 @@ let test_pool_runs_jobs () =
   Alcotest.(check int) "accounting" s.submitted (s.executed + s.failed);
   Alcotest.(check int) "no failures" 0 s.failed
 
-(* --- Wire: sockets end to end --- *)
+(* --- sockets end to end --- *)
 
 let temp_socket () =
   Filename.concat
     (Filename.get_temp_dir_name ())
     (Printf.sprintf "wp-test-%d-%d.sock" (Unix.getpid ()) (Random.int 100000))
 
-let start_server ~socket ~service =
-  let m = Mutex.create () and c = Condition.create () in
-  let state = ref `Pending in
-  let set s =
-    Mutex.lock m;
-    state := s;
-    Condition.signal c;
-    Mutex.unlock m
-  in
-  let thread =
-    Thread.create
-      (fun () ->
-        match
-          Wire.serve ~workers:2 ~queue_depth:8
-            ~on_ready:(fun server -> set (`Ready server))
-            ~socket ~service ()
-        with
-        | Ok () -> ()
-        | Error e -> set (`Failed e))
-      ()
-  in
-  Mutex.lock m;
-  while !state = `Pending do
-    Condition.wait c m
-  done;
-  let outcome = !state in
-  Mutex.unlock m;
-  match outcome with
-  | `Ready _ -> thread
-  | `Failed e ->
-      Thread.join thread;
-      Alcotest.failf "server failed to start: %s" e
-  | `Pending -> assert false
-[@@wp.allow
-  "lock-leak the startup handshake only assigns, signals and waits under \
-   the lock — none of which raise; a failure here ends the test binary \
-   anyway"]
+let start_event_server ?http ~socket ~service () =
+  match Event.spawn ~workers:2 ~queue_depth:8 ?http ~socket ~service () with
+  | Ok started -> started
+  | Error e -> Alcotest.failf "event server failed to start: %s" e
 
 let connect_exn ?version socket =
   match Client.connect ?version socket with
@@ -856,68 +823,13 @@ let call_exn client req =
   | Ok r -> r
   | Error e -> Alcotest.failf "call: %s" (Client.error_to_string e)
 
-let test_wire_end_to_end () =
-  with_corpus_dir (fun dir ->
-      let socket = temp_socket () in
-      let service = Service.create ~catalog:(loaded_catalog dir) () in
-      let thread = start_server ~socket ~service in
-      (* The default connect offers protocol v2; the threaded tier
-         always negotiates down to buffered v1. *)
-      let client = connect_exn socket in
-      Alcotest.(check int) "threaded tier negotiates v1" 1
-        (Client.version client);
-      let r = call_exn client (Protocol.Ping { id = 1 }) in
-      Alcotest.(check bool) "ping ok" true (r.status = Protocol.Ok);
-      let r = call_exn client (Protocol.Query (query 2 ~k:3 "/book[./title]")) in
-      Alcotest.(check bool) "query ok" true (r.status = Protocol.Ok);
-      Alcotest.(check bool) "has answers" true (r.answers <> []);
-      Alcotest.(check bool) "has stats" true (r.stats <> None);
-      (* A malformed frame payload gets an error reply on its own
-         connection; the server survives. *)
-      (let raw = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-       Fun.protect
-         ~finally:(fun () ->
-           try Unix.close raw with Unix.Unix_error _ -> ())
-         (fun () ->
-           Unix.connect raw (Unix.ADDR_UNIX socket);
-           (match Wire.write_frame raw "this is not json" with
-           | Ok () -> ()
-           | Error e -> Alcotest.failf "raw write: %s" e);
-           match Wire.read_frame raw with
-           | Ok reply -> (
-               match Protocol.parse_response reply with
-               | Ok r ->
-                   Alcotest.(check bool) "bad frame -> error reply" true
-                     (r.status = Protocol.Error)
-               | Error e -> Alcotest.failf "error reply unparsable: %s" e)
-           | Error e -> Alcotest.failf "raw read: %s" e));
-      (let r =
-         call_exn client (Protocol.Metrics { id = 5; format = Protocol.Prometheus })
-       in
-       match r.metrics_text with
-       | Some page -> (
-           match Wp_obs.Registry.validate_exposition page with
-           | Ok () ->
-               Alcotest.(check bool) "request counted in exposition" true
-                 (Test_stats.contains ~needle:"wp_serve_requests_total" page)
-           | Error m -> Alcotest.failf "invalid exposition: %s" m)
-       | None -> Alcotest.fail "prometheus reply lacks metrics_text");
-      (let r =
-         call_exn client (Protocol.Metrics { id = 3; format = Protocol.Json_format })
-       in
-       Alcotest.(check bool) "metrics" true (r.metrics <> None));
-      (let r = call_exn client (Protocol.Stop { id = 4 }) in
-       Alcotest.(check bool) "stop acked" true (r.status = Protocol.Ok));
-      Client.close client;
-      Thread.join thread;
-      Alcotest.(check bool) "socket removed" false (Sys.file_exists socket))
-
+(* Pinned to v1: the single buffered reply carries the partial flag. *)
 let test_wire_deadline_over_socket () =
   with_corpus_dir (fun dir ->
       let socket = temp_socket () in
       let service = Service.create ~catalog:(loaded_catalog dir) () in
-      let thread = start_server ~socket ~service in
-      let client = connect_exn socket in
+      let _server, thread = start_event_server ~socket ~service () in
+      let client = connect_exn ~version:1 socket in
       let r =
         call_exn client
           (Protocol.Query (query 1 ~deadline_ms:0.0 "/book[./title]"))
@@ -1000,7 +912,7 @@ let test_algo_over_wire () =
   with_corpus_dir (fun dir ->
       let socket = temp_socket () in
       let service = Service.create ~catalog:(loaded_catalog dir) () in
-      let thread = start_server ~socket ~service in
+      let _server, thread = start_event_server ~socket ~service () in
       let client = connect_exn socket in
       (let r =
          call_exn client
@@ -1250,45 +1162,7 @@ let test_stream_emission_timing () =
         [ 5; 75 ])
     timing_queries
 
-(* --- the event tier: sockets end to end --- *)
-
-let start_event_server ?http ~socket ~service () =
-  let m = Mutex.create () and c = Condition.create () in
-  let state = ref `Pending in
-  let set s =
-    Mutex.lock m;
-    state := s;
-    Condition.signal c;
-    Mutex.unlock m
-  in
-  let thread =
-    Thread.create
-      (fun () ->
-        match
-          Event.serve ~workers:2 ~queue_depth:8 ?http
-            ~on_ready:(fun server -> set (`Ready server))
-            ~socket ~service ()
-        with
-        | Ok () -> ()
-        | Error e -> set (`Failed e))
-      ()
-  in
-  Mutex.lock m;
-  while !state = `Pending do
-    Condition.wait c m
-  done;
-  let outcome = !state in
-  Mutex.unlock m;
-  match outcome with
-  | `Ready server -> (server, thread)
-  | `Failed e ->
-      Thread.join thread;
-      Alcotest.failf "event server failed to start: %s" e
-  | `Pending -> assert false
-[@@wp.allow
-  "lock-leak the startup handshake only assigns, signals and waits under \
-   the lock — none of which raise; a failure here ends the test binary \
-   anyway"]
+(* --- the server: sockets end to end --- *)
 
 let test_event_end_to_end () =
   with_corpus_dir (fun dir ->
@@ -1322,6 +1196,7 @@ let test_event_end_to_end () =
       | Ok r ->
           Alcotest.(check bool) "query ok" true (r.status = Protocol.Ok);
           Alcotest.(check bool) "has answers" true (r.answers <> []);
+          Alcotest.(check bool) "has stats" true (r.stats <> None);
           let key (a : Protocol.answer) = (a.doc, a.root, a.score) in
           Alcotest.(check bool)
             "streamed parts equal the Done answers" true
@@ -1355,6 +1230,18 @@ let test_event_end_to_end () =
                    Alcotest.(check bool) "ttfa sampled" true (n >= 1)
                | _ -> Alcotest.fail "ttfa_ms lacks samples")
            | None -> Alcotest.fail "metrics lack ttfa_ms"));
+      (let r =
+         call_exn client
+           (Protocol.Metrics { id = 6; format = Protocol.Prometheus })
+       in
+       match r.metrics_text with
+       | Some page -> (
+           match Wp_obs.Registry.validate_exposition page with
+           | Ok () ->
+               Alcotest.(check bool) "request counted in exposition" true
+                 (Test_stats.contains ~needle:"wp_serve_requests_total" page)
+           | Error m -> Alcotest.failf "invalid exposition: %s" m)
+       | None -> Alcotest.fail "prometheus reply lacks metrics_text");
       (* A malformed frame gets an error reply; the server survives. *)
       (let raw = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
        Fun.protect
@@ -1600,7 +1487,6 @@ let suite =
     Alcotest.test_case "pool sheds when full" `Quick test_pool_sheds_when_full;
     Alcotest.test_case "pool runs jobs" `Quick test_pool_runs_jobs;
     Alcotest.test_case "wire frame roundtrip" `Quick test_wire_frame_roundtrip;
-    Alcotest.test_case "wire end to end" `Quick test_wire_end_to_end;
     Alcotest.test_case "wire deadline over socket" `Quick
       test_wire_deadline_over_socket;
     Alcotest.test_case "algo axis over the service" `Quick
