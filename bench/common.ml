@@ -13,6 +13,66 @@ let q3 =
 
 let queries = [ ("Q1", q1); ("Q2", q2); ("Q3", q3) ]
 
+(* Ad-hoc tree patterns of 2-6 nodes over the XMark schema, with child
+   and descendant edges and, in about one in four, a keyword-equality
+   content predicate — the shape of an exploratory session whose every
+   query misses the plan cache.  Some root at nesting tags (parlist,
+   listitem, text), whose idf sources overlap. *)
+let adhoc_patterns =
+  [
+    "//item[./name]";
+    "//item[./location and ./quantity]";
+    "//item[./payment and ./shipping and ./name]";
+    "//item[./incategory and ./mailbox/mail]";
+    "//item[./mailbox/mail[./from and ./to]]";
+    "//item[./mailbox/mail/date and ./location]";
+    "//item[./description/text[./bold]]";
+    "//item[./description//listitem and ./name]";
+    "//item[.//keyword and ./payment]";
+    "//item[./description/parlist/listitem/text]";
+    "//item[./mailbox//text[./emph] and ./quantity]";
+    "//item[./description[./text and ./parlist] and ./shipping]";
+    "//item[.//emph and .//bold and ./incategory]";
+    "//item[./mailbox/mail[./text/keyword and ./date] and ./name]";
+    "//item[./location and ./quantity and ./payment and ./shipping]";
+    "//item[./description//text[./keyword] and ./mailbox]";
+    "//item[.//listitem[./text] and ./location]";
+    "//item[./mailbox/mail/text[./keyword = 'rare']]";
+    "//item[.//keyword = 'antique' and ./name]";
+    "//item[./description//keyword = 'mint' and ./incategory]";
+    "//item[./mailbox/mail[./text/keyword = 'sealed' and ./from]]";
+    "//item[./mailbox/mail/text[./keyword = 'signed' and ./bold] and \
+     ./location]";
+    "//item[.//text[./keyword = 'limited'] and ./payment]";
+    "//mail[./from]";
+    "//mail[./to and ./date]";
+    "//mail[./text[./bold and ./emph]]";
+    "//mail[./text/keyword and ./from and ./to]";
+    "//mail[.//emph and ./date]";
+    "//mail[./text[./keyword = 'original']]";
+    "//mail[./text[./keyword = 'restored' and ./bold] and ./date]";
+    "//mail[.//keyword = 'pristine' and ./to]";
+    "//mailbox[./mail/text]";
+    "//mailbox[./mail[./from and ./date]]";
+    "//mailbox[.//keyword = 'collectible']";
+    "//person[./name]";
+    "//person[./address/city]";
+    "//person[./address[./city and ./country] and ./emailaddress]";
+    "//person[.//country and ./name]";
+    "//address[./city and ./country]";
+    "//description[./parlist]";
+    "//description[./text/bold]";
+    "//description[.//keyword = 'handmade']";
+    "//parlist[./listitem/text]";
+    "//parlist[./listitem[./text/keyword] and .//emph]";
+    "//parlist[.//parlist]";
+    "//listitem[./text[./bold]]";
+    "//listitem[.//listitem and ./text]";
+    "//listitem[./parlist/listitem/text/keyword = 'imported']";
+    "//text[./keyword and ./bold]";
+    "//text[./emph and ./keyword = 'certified']";
+  ]
+
 type scale = {
   label : string;
   sizes : (string * int) list;  (** the 1Mb/10Mb/50Mb sweep *)

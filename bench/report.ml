@@ -5,10 +5,11 @@
      dune exec bench/report.exe -- --quick --check BENCH_core.json
 
    Emits one JSON object per exhibit (fig6/fig8-style workloads, a
-   cache sweep over k x document size x routing strategy, and a
+   cache sweep over k x document size x routing strategy, a
    sharded-serve exhibit measuring cross-shard bound pushing over
-   memory-mapped .wpidx shards) with the engine's wall time and its
-   machine-independent operation counters,
+   memory-mapped .wpidx shards, and wall-only exhibits for the
+   dataguide build and for compiling ad-hoc plans) with the engine's
+   wall time and its machine-independent operation counters,
    and — for every exhibit — the same workload re-run with the
    per-(server, root) candidate cache disabled, so the committed
    baseline itself documents what the cache buys.
@@ -46,6 +47,23 @@ let measure ~runs f =
     List.sort (fun a b -> compare a.wall_ns b.wall_ns) samples
   in
   List.nth sorted (List.length sorted / 2)
+
+(* Wall-time-only exhibits: the median of [runs] timings of [f], with
+   the counters zeroed. *)
+let wall_only ~runs f =
+  let timed () =
+    let t0 = Whirlpool.Clock.now_ns () in
+    f ();
+    Int64.to_int (Int64.sub (Whirlpool.Clock.now_ns ()) t0)
+  in
+  let samples = List.sort compare (List.init (max 1 runs) (fun _ -> timed ())) in
+  {
+    wall_ns = List.nth samples (List.length samples / 2);
+    comparisons = 0;
+    server_ops = 0;
+    matches_created = 0;
+    cache_hit_rate = 0.0;
+  }
 
 type exhibit = { name : string; cached : measurement; uncached : measurement }
 
@@ -324,29 +342,13 @@ let exhibits (scale : Common.scale) ~runs ~trace =
          wall time and [uncached] one uncached Q2 pass over every
          shard, so [speedup] reads "cold queries per dataguide build"
          and the acceptance bar is a value above 1. *)
-      let wall_only wall_ns =
-        {
-          wall_ns;
-          comparisons = 0;
-          server_ops = 0;
-          matches_created = 0;
-          cache_hit_rate = 0.0;
-        }
-      in
-      let median xs = List.nth (List.sort compare xs) (List.length xs / 2) in
-      let timed f =
-        let t0 = Whirlpool.Clock.now_ns () in
-        f ();
-        Int64.to_int (Int64.sub (Whirlpool.Clock.now_ns ()) t0)
-      in
-      let build_ns () =
-        timed (fun () ->
-            List.iter
-              (fun idx ->
-                ignore
-                  (Sys.opaque_identity
-                     (Wp_stats.Dataguide.build (Wp_xml.Index.doc idx))))
-              indexes)
+      let build () =
+        List.iter
+          (fun idx ->
+            ignore
+              (Sys.opaque_identity
+                 (Wp_stats.Dataguide.build (Wp_xml.Index.doc idx))))
+          indexes
       in
       let q2_plans =
         List.map
@@ -355,21 +357,35 @@ let exhibits (scale : Common.scale) ~runs ~trace =
               (Wp_pattern.Xpath_parser.parse Common.q2))
           indexes
       in
-      let cold_ns () =
-        timed (fun () ->
-            List.iter
-              (fun plan ->
-                let config =
-                  Whirlpool.Engine.Config.(default |> with_use_cache false)
-                in
-                ignore
-                  (Sys.opaque_identity (Whirlpool.Engine.run ~config plan ~k)))
-              q2_plans)
+      let cold () =
+        List.iter
+          (fun plan ->
+            let config =
+              Whirlpool.Engine.Config.(default |> with_use_cache false)
+            in
+            ignore (Sys.opaque_identity (Whirlpool.Engine.run ~config plan ~k)))
+          q2_plans
       in
-      let samples f = List.init (max 1 runs) (fun _ -> f ()) in
       add "serve/dataguide/build-vs-cold-query"
-        ( wall_only (median (samples build_ns)),
-          wall_only (median (samples cold_ns)) ));
+        (wall_only ~runs build, wall_only ~runs cold));
+  (* plan compile: what every plan-cache miss pays before an engine
+     runs.  Wall time only (both slots hold the same median): every
+     ad-hoc pattern compiled against the 1 MB document under all
+     relaxations, as the serve catalog compiles them. *)
+  let idx = Common.index_for 1_000_000 in
+  let patterns = List.map Wp_pattern.Xpath_parser.parse Common.adhoc_patterns in
+  Printf.printf "plan compile (%d ad-hoc patterns, 1 MB document)\n%!"
+    (List.length patterns);
+  let compile =
+    wall_only ~runs (fun () ->
+        List.iter
+          (fun pat ->
+            ignore
+              (Sys.opaque_identity
+                 (Whirlpool.Plan.compile idx Wp_relax.Relaxation.all pat)))
+          patterns)
+  in
+  add "plan/compile/adhoc" (compile, compile);
   List.rev !out
 
 let measurement_to_json m =

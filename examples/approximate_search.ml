@@ -62,7 +62,7 @@ let () =
         "Threshold query (score > %.3f): %d of %d candidates qualify\n"
         threshold
         (List.length above.answers)
-        (List.length (Whirlpool.Plan.root_candidates with_content))
+        (Array.length with_content.Whirlpool.Plan.roots)
   | [] -> ());
 
   (* The same answers as machine-readable JSON (what the CLI's --json

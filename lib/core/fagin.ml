@@ -52,7 +52,6 @@ let build_lists (plan : Plan.t) =
     invalid_arg
       "Fagin.build_lists: per-node independence requires all relaxations";
   let doc = Index.doc plan.index in
-  let roots = Plan.root_candidates plan in
   let entry0 = Score_table.entry plan.scores 0 in
   let spec0 = plan.specs.(0) in
   let doc_root_depth = Doc.depth doc (Doc.root doc) in
@@ -65,21 +64,20 @@ let build_lists (plan : Plan.t) =
   in
   let list_for server =
     let scored =
-      List.map
+      Array.map
         (fun root ->
           ( root,
             if server = 0 then root_weight root
             else best_weight plan ~root ~server ))
-        roots
+        plan.roots
     in
-    List.sort
+    Array.sort
       (fun (r1, s1) (r2, s2) ->
         match Float.compare s2 s1 with 0 -> Int.compare r1 r2 | c -> c)
-      scored
+      scored;
+    scored
   in
-  let sorted =
-    Array.init plan.n_servers (fun server -> Array.of_list (list_for server))
-  in
+  let sorted = Array.init plan.n_servers list_for in
   let random =
     Array.map
       (fun list ->

@@ -12,6 +12,7 @@ type t = {
   specs : Server_spec.t array;
   scores : Score_table.t;
   index : Index.t;
+  roots : Doc.node_id array;
   n_servers : int;
   full_mask : int;
   est_fanout : float array;
@@ -30,8 +31,8 @@ let value_ok config doc value n =
 
 (* Candidates for the pattern root: nodes with the right tag/value whose
    relation to the document root satisfies the (possibly relaxed) root
-   edge. *)
-let root_candidates_of config idx (specs : Server_spec.t array) =
+   edge, in document order. *)
+let root_candidates config idx (specs : Server_spec.t array) =
   let doc = Index.doc idx in
   let spec = specs.(0) in
   let rel = Server_spec.candidate_relation spec in
@@ -42,6 +43,7 @@ let root_candidates_of config idx (specs : Server_spec.t array) =
          && Relation.test_depths rel ~anc_depth:doc_root_depth
               ~desc_depth:(Doc.depth doc n)
          && value_ok config doc spec.value n)
+  |> Array.of_list
 
 (* Estimate fan-out, exactness and emptiness of each server over a sample
    of root candidates. *)
@@ -57,7 +59,7 @@ let estimate config idx (specs : Server_spec.t array) roots ~sample =
       | _ when k = 0 -> []
       | x :: rest -> x :: take (k - 1) rest
     in
-    take sample roots
+    take sample (Array.to_list roots)
   in
   let n_sampled = List.length sampled in
   if n_sampled > 0 then
@@ -95,17 +97,24 @@ let estimate config idx (specs : Server_spec.t array) roots ~sample =
 
 type estimator = Sampled | Synopsis
 
-(* One synopsis per document, built on first use. *)
+(* One synopsis per document, built on first use.  Plans compile on
+   any domain (the serve catalog compiles outside its own lock), so the
+   table is only touched under its mutex. *)
 let synopsis_cache : Wp_stats.Synopsis.t Doc.Tbl.t = Doc.Tbl.create 4
+let synopsis_mutex = Mutex.create ()
 
 let synopsis_for idx =
   let doc = Index.doc idx in
-  match Doc.Tbl.find_opt synopsis_cache doc with
-  | Some s -> s
-  | None ->
-      let s = Wp_stats.Synopsis.build doc in
-      Doc.Tbl.add synopsis_cache doc s;
-      s
+  Mutex.lock synopsis_mutex;
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock synopsis_mutex)
+    (fun () ->
+      match Doc.Tbl.find_opt synopsis_cache doc with
+      | Some s -> s
+      | None ->
+          let s = Wp_stats.Synopsis.build doc in
+          Doc.Tbl.add synopsis_cache doc s;
+          s)
 
 (* Selectivity-estimation variant of [estimate]: per-server fan-out,
    exactness and emptiness derived from the document synopsis instead of
@@ -141,7 +150,7 @@ let compile ?(normalization = Wp_score.Score_table.Sparse) ?(sample = 100)
     invalid_arg "Plan.compile: pattern too large for bitmask bookkeeping";
   let specs = Server_spec.build config pat in
   let scores = Score_table.build idx pat config normalization in
-  let roots = root_candidates_of config idx specs in
+  let roots = root_candidates config idx specs in
   let est_fanout, est_p_exact, est_p_empty =
     match estimator with
     | Sampled -> estimate config idx specs roots ~sample
@@ -153,6 +162,7 @@ let compile ?(normalization = Wp_score.Score_table.Sparse) ?(sample = 100)
     specs;
     scores;
     index = idx;
+    roots;
     n_servers;
     full_mask = (1 lsl n_servers) - 1;
     est_fanout;
@@ -165,7 +175,6 @@ let admits_partial_answers t =
 
 let max_weight t s = (Score_table.entry t.scores s).exact_weight
 let server_op_cost_hint t s = Float.max 1.0 t.est_fanout.(s)
-let root_candidates t = root_candidates_of t.config t.index t.specs
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>plan: %s (%a)@," (Pattern.to_string t.pattern)

@@ -13,6 +13,10 @@ type t = {
   specs : Wp_relax.Server_spec.t array;  (** by pattern node id *)
   scores : Wp_score.Score_table.t;
   index : Wp_xml.Index.t;
+  roots : Wp_xml.Doc.node_id array;
+      (** document nodes matching the pattern root's tag, value and
+          (relaxed) root edge, in document order — the tuples the root
+          server generates *)
   n_servers : int;  (** = pattern size; server ids are pattern node ids *)
   full_mask : int;  (** bitmask with one bit per server *)
   est_fanout : float array;
@@ -44,8 +48,8 @@ val compile :
     [Sampled]. *)
 
 val synopsis_for : Wp_xml.Index.t -> Wp_stats.Synopsis.t
-(** The (memoized per index) structural synopsis used by the [Synopsis]
-    estimator. *)
+(** The structural synopsis used by the [Synopsis] estimator, memoized
+    per document under a mutex (safe from any domain). *)
 
 val admits_partial_answers : t -> bool
 (** Whether the top-k set may hold partial matches: true as soon as leaf
@@ -58,9 +62,5 @@ val max_weight : t -> int -> float
 val server_op_cost_hint : t -> int -> float
 (** Relative cost estimate of one operation at a server (its fan-out),
     used by cost-aware routing variants. *)
-
-val root_candidates : t -> Wp_xml.Doc.node_id list
-(** Document nodes matching the pattern root's tag, value and (relaxed)
-    root edge — the tuples the root server generates. *)
 
 val pp : Format.formatter -> t -> unit

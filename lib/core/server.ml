@@ -28,7 +28,7 @@ let initial_matches (plan : Plan.t) (stats : Stats.t) ~next_id =
   stats.server_ops <- stats.server_ops + 1;
   let doc_root_depth = Doc.depth doc (Doc.root doc) in
   let matches =
-    List.map
+    Array.map
       (fun root ->
         stats.comparisons <- stats.comparisons + 1;
         let exact =
@@ -42,10 +42,10 @@ let initial_matches (plan : Plan.t) (stats : Stats.t) ~next_id =
         in
         Partial_match.create_root ~plan_servers:plan.n_servers
           ~id:(next_id ()) ~root ~weight ~max_rest)
-      (Plan.root_candidates plan)
+      plan.roots
   in
-  stats.matches_created <- stats.matches_created + List.length matches;
-  matches
+  stats.matches_created <- stats.matches_created + Array.length matches;
+  Array.to_list matches
 
 (* A conditional predicate holds when its exact relation holds, or its
    relaxed relation (if any) does. *)

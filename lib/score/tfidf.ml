@@ -37,18 +37,57 @@ let tf idx (c : Component.t) ~root =
       else acc)
     0
 
-(* Candidate sources of a component: every node with the q0 tag (the
-   document root for root components). *)
-let sources idx (c : Component.t) =
-  if c.from_doc_root then [| Doc.root (Index.doc idx) |] else Index.ids idx c.root_tag
+(* Does a target at position [i] or later of [targets], all of them
+   past the source, satisfy the component below it?  The scan stops at
+   the first satisfying target or at [stop], the end of the source's
+   subtree. *)
+let rec satisfied_from doc (c : Component.t) targets ~len ~anc_depth ~stop i =
+  i < len
+  &&
+  let n = Index.posting targets i in
+  n < stop
+  && ((Relation.test_depths c.relation ~anc_depth ~desc_depth:(Doc.depth doc n)
+      && value_ok doc c n)
+     || satisfied_from doc c targets ~len ~anc_depth ~stop (i + 1))
 
+(* First position at or after [i] whose target lies past [src]. *)
+let rec first_after targets ~len src i =
+  if i < len && Index.posting targets i <= src then
+    first_after targets ~len src (i + 1)
+  else i
+
+(* [i] is the first target past [src]; most sources of a selective
+   component have no target in their subtree at all, so that case is
+   settled before reading the source's depth. *)
+let satisfied doc c targets ~len src i =
+  let stop = Doc.subtree_end doc src in
+  i < len
+  && Index.posting targets i < stop
+  && satisfied_from doc c targets ~len ~anc_depth:(Doc.depth doc src) ~stop i
+
+(* One forward merge of the (preorder-sorted) source and target
+   postings: the target cursor only advances, and each source scans its
+   own subtree interval from it until the first satisfying target. *)
 let satisfying_roots idx (c : Component.t) =
-  Array.fold_left
-    (fun acc n -> if tf idx c ~root:n > 0 then acc + 1 else acc)
-    0 (sources idx c)
+  let doc = Index.doc idx in
+  let targets = Index.postings idx c.target_tag in
+  let len = Index.postings_length targets in
+  if c.from_doc_root then
+    let root = Doc.root doc in
+    if satisfied doc c targets ~len root (first_after targets ~len root 0) then 1
+    else 0
+  else
+    let sources = Index.postings idx c.root_tag in
+    let count = ref 0 and cursor = ref 0 in
+    for s = 0 to Index.postings_length sources - 1 do
+      let src = Index.posting sources s in
+      cursor := first_after targets ~len src !cursor;
+      if satisfied doc c targets ~len src !cursor then incr count
+    done;
+    !count
 
 let idf idx (c : Component.t) =
-  let total = Array.length (sources idx c) in
+  let total = if c.from_doc_root then 1 else Index.count idx c.root_tag in
   if total = 0 then 0.0
   else
     let satisfying = satisfying_roots idx c in

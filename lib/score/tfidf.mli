@@ -29,10 +29,21 @@ val tf : Wp_xml.Index.t -> Component.t -> root:Wp_xml.Doc.node_id -> int
 (** Definition 4.3. *)
 
 val satisfying_roots : Wp_xml.Index.t -> Component.t -> int
-(** [|{n : tag(n) = q0 and ∃ n' : p(n, n')}|] — the idf denominator. *)
+(** [|{n : tag(n) = q0 and ∃ n' : p(n, n')}|] — the idf denominator.
+
+    Computed by one forward merge sweep over the [q0] and [qi] postings
+    (both in preorder, read in place on either index backend): the
+    target cursor advances past each source, and the source then scans
+    only its own subtree interval, stopping at the first satisfying
+    target.  For source tags that do not nest (no [q0] node below
+    another) the subtree intervals are disjoint, so the sweep is
+    O(|sources| + |targets|); nested sources rescan the targets of
+    their shared subtrees, never more than a full per-source count
+    would. *)
 
 val idf : Wp_xml.Index.t -> Component.t -> float
-(** Definition 4.2, with the degenerate-count conventions above. *)
+(** Definition 4.2, with the degenerate-count conventions above; the
+    [q0] count is {!Wp_xml.Index.count} (1 for the root component). *)
 
 val score : Wp_xml.Index.t -> Component.t array -> root:Wp_xml.Doc.node_id -> float
 (** Definition 4.4: [Σ idf·tf] over the query's component predicates for

@@ -103,7 +103,7 @@ let load_file t ?name path =
       let doc =
         { name; path; index; nodes = Wp_xml.Doc.size (Wp_xml.Index.doc index);
           source; shard = shard_of t name;
-          dataguide = lazy (Wp_stats.Dataguide.of_index index) }
+          dataguide = lazy (Wp_stats.Dataguide.build (Wp_xml.Index.doc index)) }
       in
       with_lock t (fun () ->
           if not (Hashtbl.mem t.docs name) then t.order <- name :: t.order;
@@ -143,47 +143,56 @@ let docs_in_shard t shard =
 
 let find t name = with_lock t (fun () -> Hashtbl.find_opt t.docs name)
 
+(* Forcing one suspension from two domains at once raises
+   [CamlinternalLazy.Undefined]; the catalog mutex makes the first
+   force (the build) exclusive, and later ones return at once. *)
+let dataguide t doc = with_lock t (fun () -> Lazy.force doc.dataguide)
+
 type plan_error =
   | Bad_query of string
   | Rejected of string
 
 let plan_error_message = function Bad_query m | Rejected m -> m
 
+(* Parse, compile and lint one plan, outside the catalog mutex. *)
+let compile t doc query =
+  match Wp_pattern.Xpath_parser.parse_opt query with
+  | None -> Error (Bad_query (Printf.sprintf "cannot parse query: %s" query))
+  | Some pattern -> (
+      match Whirlpool.Plan.compile doc.index t.config pattern with
+      | plan -> (
+          (* The engines re-lint at entry; reject here so a bad plan
+             never occupies a cache slot. *)
+          match Whirlpool.Engine.validate_plan plan with
+          | () ->
+              let m = Mutex.create () in
+              let cache =
+                Whirlpool.Candidate_cache.create
+                  ~lock:(fun () -> Mutex.lock m)
+                  ~unlock:(fun () -> Mutex.unlock m)
+                  ()
+              in
+              Ok { plan; cache }
+          | exception Wp_analysis.Lint.Rejected diags ->
+              Error
+                (Rejected
+                   (Format.asprintf "query rejected by lint:@ %a"
+                      Wp_analysis.Diagnostic.pp_list diags)))
+      | exception Invalid_argument m ->
+          Error (Bad_query (Printf.sprintf "cannot compile query: %s" m)))
+
+(* Look up under the lock, compile without it, and insert under it
+   again.  A concurrent miss on the same key may compile the plan
+   twice, but only the first insert is kept and every caller gets that
+   entry, so requests still share one candidate cache. *)
 let plan_for t doc query =
-  with_lock t (fun () ->
-      match Lru.find t.plans (query, doc.name) with
-      | Some cached -> Ok cached
-      | None -> (
-          match Wp_pattern.Xpath_parser.parse_opt query with
-          | None ->
-              Error (Bad_query (Printf.sprintf "cannot parse query: %s" query))
-          | Some pattern -> (
-              match
-                Whirlpool.Plan.compile doc.index t.config pattern
-              with
-              | plan ->
-                  (* The engines re-lint at entry; reject here so a bad
-                     plan never occupies a cache slot. *)
-                  (match Whirlpool.Engine.validate_plan plan with
-                  | () ->
-                      let m = Mutex.create () in
-                      let cache =
-                        Whirlpool.Candidate_cache.create
-                          ~lock:(fun () -> Mutex.lock m)
-                          ~unlock:(fun () -> Mutex.unlock m)
-                          ()
-                      in
-                      let cached = { plan; cache } in
-                      Lru.add t.plans (query, doc.name) cached;
-                      Ok cached
-                  | exception Wp_analysis.Lint.Rejected diags ->
-                      Error
-                        (Rejected
-                           (Format.asprintf "query rejected by lint:@ %a"
-                              Wp_analysis.Diagnostic.pp_list diags)))
-              | exception Invalid_argument m ->
-                  Error
-                    (Bad_query (Printf.sprintf "cannot compile query: %s" m)))))
+  let key = (query, doc.name) in
+  match with_lock t (fun () -> Lru.find t.plans key) with
+  | Some cached -> Ok cached
+  | None ->
+      Result.map
+        (fun cached -> with_lock t (fun () -> Lru.add_absent t.plans key cached))
+        (compile t doc query)
 
 let plan_cache_stats t =
   with_lock t (fun () ->

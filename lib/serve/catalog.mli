@@ -17,9 +17,11 @@
     prune bound).
 
     All operations are thread-safe: worker domains resolve documents
-    and plans concurrently under the catalog's internal mutex
-    (compilation is serialized, which keeps a thundering herd on a cold
-    plan from compiling it once per worker). *)
+    and plans concurrently under the catalog's internal mutex.  A plan
+    is compiled outside that mutex, so a miss never stalls another
+    worker's lookups; concurrent misses on one (query, document) may
+    each compile, but all of them get the one entry that was cached
+    first. *)
 
 (** How a document entered the corpus: parsed from XML, restored from a
     [.wpdoc] binary snapshot, or memory-mapped from a compacted
@@ -36,7 +38,9 @@ type doc = {
   dataguide : Wp_stats.Dataguide.t Lazy.t;
       (** the document's annotated strong dataguide, built on first
           force (a twig-backend query) and cached next to the warm
-          index for the life of the catalog entry *)
+          index for the life of the catalog entry.  Force it only
+          through {!dataguide}: two domains forcing it at once raise
+          [CamlinternalLazy.Undefined]. *)
 }
 
 type t
@@ -81,6 +85,10 @@ val docs_in_shard : t -> int -> doc list
 
 val find : t -> string -> doc option
 
+val dataguide : t -> doc -> Wp_stats.Dataguide.t
+(** The document's dataguide, built under the catalog mutex on first
+    use: safe to call from any number of worker domains at once. *)
+
 (** Why a query has no plan: [Bad_query] for parse/compile failures
     (the client's request is malformed), [Rejected] when the static
     analyzer refused a well-formed query
@@ -106,7 +114,9 @@ type cached_plan = {
 val plan_for : t -> doc -> string -> (cached_plan, plan_error) result
 (** Compiled plan (and its persistent candidate cache) for a query
     string against a document, served from the plan cache when warm;
-    rejected plans are not cached. *)
+    rejected plans are not cached.  Each call counts one plan-cache
+    lookup (hit or miss); a miss compiles without holding the catalog
+    mutex. *)
 
 type cache_stats = {
   size : int;

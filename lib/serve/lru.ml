@@ -94,6 +94,15 @@ let add t key value =
       Hashtbl.replace t.table key node;
       push_front t node
 
+let add_absent t key value =
+  match Hashtbl.find_opt t.table key with
+  | Some node ->
+      touch t node;
+      node.value
+  | None ->
+      add t key value;
+      value
+
 let find_or_add t key ~compute =
   match find t key with
   | Some v -> v

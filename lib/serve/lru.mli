@@ -24,6 +24,11 @@ val add : ('k, 'v) t -> 'k -> 'v -> unit
 (** Insert or replace, evicting the least-recently-used entry when the
     cache is full.  The new entry becomes most-recent. *)
 
+val add_absent : ('k, 'v) t -> 'k -> 'v -> 'v
+(** [add_absent t key value] returns the resident value when [key] is
+    present, else {!add}s and returns [value].  Either way the entry
+    becomes most-recent; no hit or miss is counted. *)
+
 val find_or_add : ('k, 'v) t -> 'k -> compute:('k -> 'v) -> 'v
 (** {!find}, or on a miss [compute], insert and return.  If [compute]
     raises, nothing is inserted. *)

@@ -185,14 +185,14 @@ let run_doc t ~config ~algo ~k (doc : Catalog.doc) (q : Protocol.query) =
     Whirlpool.Engine.Config.(
       config |> with_cache (Some cached.Catalog.cache) |> with_algo algo)
   in
-  (* The twig backends read the catalog's per-document guide (built
-     lazily on first twig query, shared thereafter); the adaptive
-     engines never force it. *)
+  (* The twig backends read the catalog's per-document guide (built on
+     the first twig query, shared thereafter); the adaptive engines
+     never build it. *)
   let result =
     match algo with
     | Whirlpool.Engine.Config.Twig | Whirlpool.Engine.Config.Twig_seeded ->
         Wp_twig.Backend.run ~config
-          ~guide:(Lazy.force doc.Catalog.dataguide)
+          ~guide:(Catalog.dataguide t.catalog doc)
           cached.Catalog.plan ~k
     | _ -> Wp_twig.Backend.run ~config cached.Catalog.plan ~k
   in

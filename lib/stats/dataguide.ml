@@ -106,18 +106,25 @@ let build doc =
   { tags; depths; counts; min_ids; max_ids; kids; height = !max_depth;
     doc_nodes = n }
 
-(* One guide per document for the life of the process — same no-lock
-   memo discipline as the plan-level synopsis cache. *)
+(* One guide per document for the life of the process.  Engines on
+   several domains may ask at once, so the table is only touched under
+   its mutex; a first build holds it, and a concurrent caller for the
+   same document waits for that guide instead of building its own. *)
 let cache : t Doc.Tbl.t = Doc.Tbl.create 4
+let cache_mutex = Mutex.create ()
 
 let of_index idx =
   let doc = Wp_xml.Index.doc idx in
-  match Doc.Tbl.find_opt cache doc with
-  | Some g -> g
-  | None ->
-      let g = build doc in
-      Doc.Tbl.add cache doc g;
-      g
+  Mutex.lock cache_mutex;
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock cache_mutex)
+    (fun () ->
+      match Doc.Tbl.find_opt cache doc with
+      | Some g -> g
+      | None ->
+          let g = build doc in
+          Doc.Tbl.add cache doc g;
+          g)
 
 type selection = {
   satisfiable : bool;

@@ -15,8 +15,8 @@
     pattern — the stream-skipping half of the holistic join.
 
     Building the guide is a single O(nodes) traversal; {!of_index}
-    memoizes one guide per document for the life of the process (the
-    same discipline as the plan-level synopsis cache). *)
+    memoizes one guide per document for the life of the process, under
+    a mutex, so any domain may call it. *)
 
 type t
 

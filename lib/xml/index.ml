@@ -82,6 +82,16 @@ let ids t tag =
         Array.init n (fun i -> pget p i)
 
 let count t tag = plen (postings t tag)
+let postings_length = plen
+
+(* One dispatch per read: the sweeps in [Wp_score.Tfidf] call this once
+   per posting. *)
+let[@inline] posting p i =
+  match p with
+  | P_mem a -> a.(i)
+  | P_map { base; off; len } ->
+      if i < 0 || i >= len then invalid_arg "Index.posting: out of range";
+      Int32.to_int (Bigarray.Array1.unsafe_get base (off + i))
 
 (* First position in [p] whose value is >= [v]. *)
 let lower_bound p v =

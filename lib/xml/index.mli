@@ -28,7 +28,8 @@ val of_mapped :
     one shared [Int32] bigarray — the postings section of a
     memory-mapped on-disk index ([Wp_storage]).  Lookups read the
     mapped pages directly; {!ids} materializes an [int array] copy per
-    call on this backend (the range functions below never do).  Each
+    call on this backend ({!postings} and the range functions below
+    never do).  Each
     extent's window must hold that tag's node ids in document order —
     the storage layer guarantees this; only window bounds are checked
     here.
@@ -41,10 +42,25 @@ val ids : t -> string -> int array
 (** All nodes with the given tag, in document order; empty for tags
     absent from the document.  On the in-memory backend the array is
     owned by the index and must not be mutated; on a mapped backend it
-    is a fresh copy per call — prefer the range functions below on hot
-    paths. *)
+    is a fresh copy per call — prefer {!postings} or the range
+    functions below on hot paths. *)
 
 val count : t -> string -> int
+
+type postings
+(** One tag's postings read in place: the index's own array on the
+    in-memory backend, the mapped window on a [.wpidx] backend — no
+    copy on either. *)
+
+val postings : t -> string -> postings
+(** The postings of a tag ({!wildcard} included); empty for tags absent
+    from the document. *)
+
+val postings_length : postings -> int
+
+val posting : postings -> int -> Doc.node_id
+(** [posting p i] is the [i]-th node id of [p] (document order).
+    @raise Invalid_argument unless [0 <= i < postings_length p]. *)
 
 val subtree_slice : t -> string -> root:Doc.node_id -> int * int
 (** [subtree_slice idx tag ~root] is the half-open interval [(lo, hi)]

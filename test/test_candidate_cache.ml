@@ -258,7 +258,7 @@ let test_hit_miss_counters () =
   let plan = Run.compile idx pat in
   let cache = Candidate_cache.create () in
   let stats = Stats.create () in
-  let root = List.hd (Plan.root_candidates plan) in
+  let root = plan.Plan.roots.(0) in
   let a = Candidate_cache.find cache plan stats ~server:1 ~root in
   let b = Candidate_cache.find cache plan stats ~server:1 ~root in
   Alcotest.(check bool) "same array on hit" true (a == b);

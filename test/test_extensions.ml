@@ -54,7 +54,7 @@ let test_run_above_extremes () =
   let plan = Run.compile idx (parse Fixtures.q1) in
   let all = Engine.run_above plan ~threshold:neg_infinity in
   Alcotest.(check int) "below any score: every root answers"
-    (List.length (Plan.root_candidates plan))
+    (Array.length plan.Plan.roots)
     (List.length all.answers);
   let none = Engine.run_above plan ~threshold:infinity in
   Alcotest.(check int) "above any score: nothing" 0 (List.length none.answers);

@@ -59,7 +59,7 @@ let test_ta_stops_early () =
   let plan = Run.compile idx (parse Fixtures.q2) in
   let lists = Fagin.build_lists plan in
   let ta = Fagin.top_k lists ~k:5 in
-  let total = List.length (Plan.root_candidates plan) in
+  let total = Array.length plan.Plan.roots in
   Alcotest.(check bool)
     (Printf.sprintf "fewer sorted accesses (%d) than full scan (%d lists x %d)"
        ta.sorted_accesses plan.n_servers total)
@@ -91,8 +91,8 @@ let test_threshold_rule_is_safe () =
         let idx = Wp_xml.Index.build doc in
         let pat = parse "//t0[./t1 and .//t2]" in
         let plan = Run.compile idx pat in
-        match Plan.root_candidates plan with
-        | [] -> true
+        match plan.Plan.roots with
+        | [||] -> true
         | _ ->
             let lists = Fagin.build_lists plan in
             List.for_all

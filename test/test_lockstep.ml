@@ -24,7 +24,7 @@ let test_noprun_counts_everything () =
   let noprun = Lockstep.run ~prune:false plan ~k:3 in
   Alcotest.(check int) "nothing pruned" 0 noprun.stats.matches_pruned;
   (* Every root candidate survives outer-join semantics to completion. *)
-  let roots = List.length (Plan.root_candidates plan) in
+  let roots = Array.length plan.Plan.roots in
   Alcotest.(check bool) "at least one complete match per root" true
     (noprun.stats.completed >= roots)
 

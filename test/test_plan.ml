@@ -20,11 +20,11 @@ let test_admits_partial () =
 
 let test_root_candidates () =
   let plan = Run.compile books (parse "/book") in
-  Alcotest.(check int) "three books" 3 (List.length (Plan.root_candidates plan));
+  Alcotest.(check int) "three books" 3 (Array.length plan.Plan.roots);
   (* The synthetic document root never matches, even for its own tag. *)
   let plan = Run.compile books (parse "//bib") in
   Alcotest.(check int) "doc root excluded" 0
-    (List.length (Plan.root_candidates plan))
+    (Array.length plan.Plan.roots)
 
 let test_estimates_sane () =
   let plan = Run.compile idx (parse Fixtures.q2) in

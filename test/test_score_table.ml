@@ -110,6 +110,89 @@ let test_normalization_parsing () =
   Alcotest.(check bool) "unknown" true
     (Score_table.normalization_of_string "bogus" = None)
 
+(* Score tables of the paper's XMark queries and the content query QC
+   on the shared XMark fixture, recorded before idf moved to a merge
+   sweep over the postings: every weight must stay bit-identical, on
+   the in-memory index and on the same document mapped from a .wpidx
+   file.  Rows are (normalization, query, (exact, relaxed) per node). *)
+let golden_qc =
+  "//item[./mailbox/mail/text[./keyword = 'vintage'] and ./name and \
+   ./incategory]"
+
+let golden =
+  [
+    ( Score_table.Raw, Fixtures.q1,
+      [ (0x0p+0, 0x0p+0); (0x0p+0, 0x0p+0);
+        (0x1.2f159c4e0b3bcp-2, 0x1.2f159c4e0b3bcp-2) ] );
+    ( Score_table.Raw, Fixtures.q2,
+      [ (0x0p+0, 0x0p+0); (0x0p+0, 0x0p+0);
+        (0x1.2f159c4e0b3bcp-2, 0x1.2f159c4e0b3bcp-2);
+        (0x1.0f0e471da3711p-3, 0x1.0f0e471da3711p-3);
+        (0x1.b4932dcf85d8bp-2, 0x1.b4932dcf85d8bp-2);
+        (0x1.f786e0828c2f3p-2, 0x0p+0) ] );
+    ( Score_table.Raw, Fixtures.q3,
+      [ (0x0p+0, 0x0p+0);
+        (0x1.0f0e471da3711p-3, 0x1.0f0e471da3711p-3);
+        (0x1.b4932dcf85d8bp-2, 0x1.b4932dcf85d8bp-2);
+        (0x1.f786e0828c2f3p-2, 0x0p+0);
+        (0x1.ba599beb5b661p-1, 0x1.afc4010d85c43p-3);
+        (0x1.a6a7c1b70c7b4p-1, 0x1.c4c55d33d6a77p-3);
+        (0x1.0f0e471da3711p-3, 0x1.0f0e471da3711p-3);
+        (0x1.2f159c4e0b3bcp-2, 0x1.2f159c4e0b3bcp-2) ] );
+    ( Score_table.Raw, golden_qc,
+      [ (0x0p+0, 0x0p+0);
+        (0x1.0f0e471da3711p-3, 0x1.0f0e471da3711p-3);
+        (0x1.b4932dcf85d8bp-2, 0x1.b4932dcf85d8bp-2);
+        (0x1.f786e0828c2f3p-2, 0x0p+0);
+        (0x1.8084171e95e96p+1, 0x1.32ee3b77f374cp+1);
+        (0x1.0f0e471da3711p-3, 0x1.0f0e471da3711p-3);
+        (0x1.2f159c4e0b3bcp-2, 0x1.2f159c4e0b3bcp-2) ] );
+    ( Score_table.Sparse, Fixtures.q1,
+      [ (0x1p+0, 0x1p-1); (0x1p+0, 0x1p-1); (0x1p+0, 0x1p+0) ] );
+    ( Score_table.Sparse, Fixtures.q2,
+      [ (0x1p+0, 0x1p-1); (0x1p+0, 0x1p-1); (0x1p+0, 0x1p+0);
+        (0x1p+0, 0x1p+0); (0x1p+0, 0x1p+0); (0x1p+0, 0x0p+0) ] );
+    ( Score_table.Sparse, Fixtures.q3,
+      [ (0x1p+0, 0x1p-1); (0x1p+0, 0x1p+0); (0x1p+0, 0x1p+0);
+        (0x1p+0, 0x0p+0); (0x1p+0, 0x1.f3bfc17c13936p-3);
+        (0x1p+0, 0x1.123daabdccd6ap-2); (0x1p+0, 0x1p+0); (0x1p+0, 0x1p+0) ] );
+    ( Score_table.Sparse, golden_qc,
+      [ (0x1p+0, 0x1p-1); (0x1p+0, 0x1p+0); (0x1p+0, 0x1p+0);
+        (0x1p+0, 0x0p+0); (0x1p+0, 0x1.98b10f279161cp-1); (0x1p+0, 0x1p+0);
+        (0x1p+0, 0x1p+0) ] );
+  ]
+
+let check_golden backend ix =
+  List.iter
+    (fun (norm, q, want) ->
+      let t = Score_table.build ix (parse q) Relaxation.all norm in
+      Alcotest.(check int) (q ^ ": size") (List.length want) (Score_table.size t);
+      List.iteri
+        (fun node (exact, relaxed) ->
+          let e = Score_table.entry t node in
+          let same what got want =
+            if not (Float.equal got want) then
+              Alcotest.failf "%s %s %a node %d %s: %h, recorded %h" backend q
+                Score_table.pp_normalization norm node what got want
+          in
+          same "exact" e.exact_weight exact;
+          same "relaxed" e.relaxed_weight relaxed)
+        want)
+    golden
+
+let test_golden_xmark () =
+  check_golden "mem" (Lazy.force Fixtures.xmark_index);
+  let path = Filename.temp_file "wp-score-table-test" ".wpidx" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let (_ : int) =
+        Wp_storage.Index_file.write path (Lazy.force Fixtures.xmark_doc)
+      in
+      match Wp_storage.Index_file.open_index path with
+      | Ok h -> check_golden "mapped" (Wp_storage.Index_file.index h)
+      | Error e -> Alcotest.fail (Wp_storage.Index_file.error_message e))
+
 let suite =
   [
     Alcotest.test_case "raw weights" `Quick test_raw_weights;
@@ -120,4 +203,5 @@ let suite =
     Alcotest.test_case "max contribution" `Quick test_max_contribution;
     Alcotest.test_case "of_entries" `Quick test_of_entries;
     Alcotest.test_case "normalization parsing" `Quick test_normalization_parsing;
+      Alcotest.test_case "golden XMark tables" `Quick test_golden_xmark;
   ]

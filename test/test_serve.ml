@@ -378,6 +378,92 @@ let query id ?doc ?k ?deadline_ms ?algo q =
     bound_push = None;
   }
 
+(* Run [f 0] on this domain and [f 1] on a second one, released
+   together by a spin barrier so both reach the catalog at once. *)
+let on_two_domains f =
+  let ready = Atomic.make 0 in
+  let go i =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    f i
+  in
+  let other = Domain.spawn (fun () -> go 1) in
+  let mine = go 0 in
+  (mine, Domain.join other)
+
+let with_xmark_dir f =
+  with_corpus_dir (fun dir ->
+      write_tree (Filename.concat dir "x.xml")
+        (Wp_xml.Doc.to_tree (Lazy.force Fixtures.xmark_doc) 0);
+      f dir)
+
+(* The first twig query on a document builds its dataguide.  Two of
+   them arriving together on a freshly loaded document must both be
+   answered: the guide is forced once, under the catalog lock. *)
+let test_concurrent_first_twig () =
+  with_xmark_dir (fun dir ->
+      for trial = 1 to 20 do
+        let service = Service.create ~catalog:(loaded_catalog dir) () in
+        let r0, r1 =
+          on_two_domains (fun i ->
+              Service.handle_query service
+                (query i ~doc:"x.xml" ~k:3 ~algo:"twig" Fixtures.q1))
+        in
+        List.iter
+          (fun (r : Protocol.response) ->
+            if r.status <> Protocol.Ok then
+              Alcotest.failf "trial %d: request %d failed: %s" trial r.id
+                (Option.value r.error ~default:"(no message)"))
+          [ r0; r1 ]
+      done)
+
+(* Concurrent misses compile outside the catalog lock.  Identical
+   queries must still end up sharing one cached plan (and so one
+   candidate cache), distinct ones get their own, and every call counts
+   exactly one lookup.  The document is a chain of nested <a> nodes
+   whose only matching <b> is the deepest, so each idf sweep rescans
+   the shared subtrees and a compile takes tens of milliseconds: long
+   enough that the two domains' lookups fall inside each other's
+   compile even when they share one core. *)
+let test_concurrent_plan_for () =
+  let rec chain d n =
+    let b = Wp_xml.Tree.leaf "b" (if d = n then "x" else "y") in
+    Wp_xml.Tree.el "a" (if d = n then [ b ] else [ b; chain (d + 1) n ])
+  in
+  with_corpus_dir (fun dir ->
+      write_tree (Filename.concat dir "chain.xml") (chain 1 1000);
+      let catalog = loaded_catalog dir in
+      let doc = Option.get (Catalog.find catalog "chain.xml") in
+      let plan q =
+        match Catalog.plan_for catalog doc q with
+        | Ok p -> p
+        | Error e ->
+            Alcotest.failf "plan_for %s: %s" q (Catalog.plan_error_message e)
+      in
+      (* Distinct texts (the cache key) of equally slow queries. *)
+      let queries =
+        List.init 4 (fun i ->
+            Printf.sprintf "//a[./b = 'x'%s]" (String.make i ' '))
+      in
+      List.iter
+        (fun q ->
+          let a, b = on_two_domains (fun _ -> plan q) in
+          Alcotest.(check bool) (q ^ ": one shared plan") true (a == b);
+          Alcotest.(check bool) (q ^ ": cached entry") true (plan q == a))
+        queries;
+      let a, b =
+        on_two_domains (fun i ->
+            plan (if i = 0 then "//a[.//b = 'x']" else "//a[./b = 'y']"))
+      in
+      Alcotest.(check bool) "distinct plans" true (a != b);
+      let s = Catalog.plan_cache_stats catalog in
+      let n = List.length queries in
+      Alcotest.(check int) "one lookup per call" ((3 * n) + 2) (s.hits + s.misses);
+      Alcotest.(check int) "cached plans" (n + 2) s.size;
+      Alcotest.(check bool) "a miss per plan" true (s.misses >= n + 2))
+
 let test_service_matches_engine () =
   (* The acceptance property: a request without a deadline returns
      answers entry-identical to a direct Engine.run on the same
@@ -1458,6 +1544,10 @@ let suite =
     Alcotest.test_case "catalog load dir" `Quick test_catalog_load_dir;
     Alcotest.test_case "catalog load errors" `Quick test_catalog_load_errors;
     Alcotest.test_case "catalog plan cache" `Quick test_catalog_plan_cache;
+    Alcotest.test_case "concurrent first twig queries" `Quick
+      test_concurrent_first_twig;
+    Alcotest.test_case "concurrent plan compiles" `Quick
+      test_concurrent_plan_for;
     Alcotest.test_case "percentile" `Quick test_percentile;
     Alcotest.test_case "metrics zero requests finite" `Quick
       test_metrics_zero_requests_finite;

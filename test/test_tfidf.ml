@@ -91,6 +91,108 @@ let test_rank_scores_match_score () =
     (fun (root, s) -> float_eq "rank score = score" (Tfidf.score idx c ~root) s)
     (Tfidf.rank idx pat ~k:10)
 
+(* --- the merge sweep against the definition ---
+
+   The reference is the per-root count the sweep replaced: a source
+   satisfies the component iff its tf is positive, and idf divides the
+   source count by the number of satisfying sources. *)
+
+let reference_satisfying_roots ix (c : Component.t) =
+  let sources =
+    if c.from_doc_root then [| Wp_xml.Doc.root (Wp_xml.Index.doc ix) |]
+    else Wp_xml.Index.ids ix c.root_tag
+  in
+  Array.fold_left
+    (fun acc n -> if Tfidf.tf ix c ~root:n > 0 then acc + 1 else acc)
+    0 sources
+
+let reference_idf ix (c : Component.t) =
+  let total =
+    if c.from_doc_root then 1 else Array.length (Wp_xml.Index.ids ix c.root_tag)
+  in
+  if total = 0 then 0.0
+  else
+    let satisfying = reference_satisfying_roots ix c in
+    if satisfying = 0 then log (float_of_int (total + 1))
+    else log (float_of_int total /. float_of_int satisfying)
+
+(* Few tags, so same-tag sources nest (parlist/listitem-style
+   recursion); values hold a space so token relaxation differs from
+   equality. *)
+let gen_sweep_tree =
+  let open QCheck2.Gen in
+  let tag = oneofl [ "a"; "b"; "c" ] in
+  let value = oneofl [ None; Some "x"; Some "y"; Some "x y"; Some "z x" ] in
+  sized_size (int_bound 60)
+  @@ fix (fun self n ->
+         if n <= 1 then
+           map2
+             (fun t v -> { Wp_xml.Tree.tag = t; value = v; children = [] })
+             tag value
+         else
+           map3
+             (fun t v cs -> { Wp_xml.Tree.tag = t; value = v; children = cs })
+             tag value
+             (list_size (int_range 1 3) (self (n / 2))))
+
+let gen_component =
+  let open QCheck2.Gen in
+  let* root_tag = oneofl [ "a"; "b"; "c"; Wp_xml.Index.wildcard; "absent" ] in
+  let* target_tag = oneofl [ "a"; "b"; "c"; Wp_xml.Index.wildcard; "absent" ] in
+  let* target_value = oneofl [ None; Some "x"; Some "y"; Some "x y" ] in
+  let* value_tokens = bool in
+  let* min_depth = int_range 1 3 in
+  let* max_depth = opt (map (fun w -> min_depth + w) (int_bound 2)) in
+  let+ from_doc_root = frequency [ (4, return false); (1, return true) ] in
+  {
+    Component.node = 1;
+    root_tag;
+    target_tag;
+    target_value;
+    value_tokens;
+    relation = { Wp_relax.Relation.min_depth; max_depth };
+    from_doc_root;
+  }
+
+let print_case (tree, cs) =
+  Format.asprintf "%s@.%a"
+    (Wp_xml.Printer.tree_to_string tree)
+    (Format.pp_print_list Component.pp)
+    cs
+
+(* Both index backends: built in memory, and written to a .wpidx file
+   and memory-mapped back. *)
+let with_both_indexes doc f =
+  f "mem" (Wp_xml.Index.build doc);
+  let path = Filename.temp_file "wp-tfidf-test" ".wpidx" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let (_ : int) = Wp_storage.Index_file.write path doc in
+      match Wp_storage.Index_file.open_index path with
+      | Ok h -> f "mapped" (Wp_storage.Index_file.index h)
+      | Error e -> failwith (Wp_storage.Index_file.error_message e))
+
+let prop_sweep_matches_definition =
+  QCheck2.Test.make ~name:"merge sweep = per-root tf > 0 fold" ~count:200
+    ~print:print_case
+    QCheck2.Gen.(pair gen_sweep_tree (list_size (int_range 1 8) gen_component))
+    (fun (tree, cs) ->
+      with_both_indexes (Wp_xml.Doc.of_tree tree) (fun backend ix ->
+          List.iter
+            (fun c ->
+              let got = Tfidf.satisfying_roots ix c
+              and want = reference_satisfying_roots ix c in
+              if got <> want then
+                QCheck2.Test.fail_reportf "%s: satisfying_roots %d, want %d"
+                  backend got want;
+              let got = Tfidf.idf ix c and want = reference_idf ix c in
+              if not (Float.equal got want) then
+                QCheck2.Test.fail_reportf "%s: idf %h, want %h" backend got
+                  want)
+            cs);
+      true)
+
 let suite =
   [
     Alcotest.test_case "idf values" `Quick test_idf_values;
@@ -101,4 +203,5 @@ let suite =
     Alcotest.test_case "score aggregates" `Quick test_score_aggregates;
     Alcotest.test_case "rank" `Quick test_rank;
     Alcotest.test_case "rank/score agreement" `Quick test_rank_scores_match_score;
+    QCheck_alcotest.to_alcotest prop_sweep_matches_definition;
   ]
