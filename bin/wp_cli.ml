@@ -60,7 +60,8 @@ let parse_query q =
 
 (* Documents load from XML or from a binary snapshot (.wpdoc), detected
    by content — via the catalog's loader, so CLI and server read
-   documents identically. *)
+   documents identically.  The load line goes to stderr, so a [--json]
+   command's stdout is one JSON document. *)
 let load_index path =
   let t0 = Whirlpool.Clock.now () in
   match Wp_serve.Catalog.read_index path with
@@ -68,7 +69,7 @@ let load_index path =
       prerr_endline m;
       exit 2
   | Ok (idx, source) ->
-      Printf.printf "Loaded %s%s: %d nodes in %.2fs\n" path
+      Printf.eprintf "Loaded %s%s: %d nodes in %.2fs\n" path
         (match source with
         | Wp_serve.Catalog.Xml -> ""
         | Wp_serve.Catalog.Snapshot -> " (snapshot)"

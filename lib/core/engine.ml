@@ -51,7 +51,6 @@ module Config = struct
     use_cache : bool;
     threads_per_server : int;
     should_stop : unit -> bool;
-    trace : Trace.t;
     obs : Obs.t;
     cache : Candidate_cache.t option;
     prune_bound : unit -> float;
@@ -68,7 +67,6 @@ module Config = struct
       use_cache = true;
       threads_per_server = 1;
       should_stop = never_stop;
-      trace = Trace.ignore_tracer;
       obs = Obs.disabled;
       cache = None;
       prune_bound = no_bound;
@@ -87,7 +85,6 @@ module Config = struct
   let with_prune_bound prune_bound t = { t with prune_bound }
   let with_publish_threshold publish_threshold t = { t with publish_threshold }
   let with_on_certified on_certified t = { t with on_certified }
-  let with_trace trace t = { t with trace }
   let with_obs obs t = { t with obs }
 end
 
@@ -125,31 +122,27 @@ let run ?(config = Config.default) (plan : Plan.t) ~k =
   let stats = Stats.create () in
   let t0 = now_ns () in
   (* Observability: a root span for the run, a child per iteration
-     batch, a grandchild per server visit; trace events attach to the
+     batch, a grandchild per server visit; engine events attach to the
      innermost open span.  All of it reads the counters without writing
      them, so a disabled (or unsampled) context leaves the run
-     bit-identical. *)
+     bit-identical.  Every event site tests [tracing ()] first, so a run
+     without a live span builds no event. *)
   let obs_on = Obs.enabled obs in
   let qspan = if obs_on then Obs.root obs "query" else None in
   Obs.attr obs qspan "k" (float_of_int k);
   Obs.attr obs qspan "servers" (float_of_int plan.n_servers);
   let cur_span = ref qspan in
-  let trace =
-    if obs_on then (fun e ->
-      config.trace e;
-      Obs.event obs !cur_span (fun () ->
-          Format.asprintf "%a" Trace.pp_event e))
-    else config.trace
-  in
+  let tracing () = Option.is_some !cur_span in
+  let emit e = Obs.emit obs !cur_span e in
   let topk = Topk_set.create ~k ~admit_partial:(Plan.admits_partial_answers plan) in
   (* Streaming certification: when the caller installed an
      [on_certified] hook, push entries the moment no alive match can
-     beat them.  The physical-equality gate (the [Trace.ignore_tracer]
-     idiom) keeps the default path free.  At every certification point
-     the queue holds exactly the alive matches, so under the default
-     max-final-score policy, whose priority is [max_possible], the
-     queue's top priority is the certification bar; other policies
-     order the queue differently and track the alive set aside. *)
+     beat them.  The physical-equality gate on [no_certify] keeps the
+     default path free.  At every certification point the queue holds
+     exactly the alive matches, so under the default max-final-score
+     policy, whose priority is [max_possible], the queue's top priority
+     is the certification bar; other policies order the queue
+     differently and track the alive set aside. *)
   let cert =
     if config.on_certified == no_certify then None
     else Some (Certify.create ~emit:config.on_certified)
@@ -226,27 +219,29 @@ let run ?(config = Config.default) (plan : Plan.t) ~k =
     if checking then
       List.iter (Invariants.check_extension plan ~parent:pm) extensions;
     if died then begin
-      trace (Trace.Died { id = pm.id; server });
+      if tracing () then emit (Obs.Died { id = pm.id; server });
       Topk_set.retract topk pm
     end;
     List.iter
       (fun (ext : Partial_match.t) ->
         let complete = Partial_match.is_complete ext ~full_mask:plan.full_mask in
-        trace
-          (Trace.Extended
-             {
-               parent = pm.id;
-               id = ext.id;
-               server;
-               bound = Partial_match.bound ext server <> None;
-             });
+        if tracing () then
+          emit
+            (Obs.Extended
+               {
+                 parent = pm.id;
+                 id = ext.id;
+                 server;
+                 bound = Partial_match.bound ext server <> None;
+               });
         Topk_set.consider topk ~complete ext;
         if complete then begin
-          trace (Trace.Completed { id = ext.id; score = ext.score });
+          if tracing () then
+            emit (Obs.Completed { id = ext.id; score = ext.score });
           stats.completed <- stats.completed + 1
         end
         else if Topk_set.should_prune topk ext || xpruned ext then begin
-          trace (Trace.Pruned { id = ext.id });
+          if tracing () then emit (Obs.Pruned { id = ext.id });
           stats.matches_pruned <- stats.matches_pruned + 1
         end
         else enqueue ext)
@@ -284,11 +279,12 @@ let run ?(config = Config.default) (plan : Plan.t) ~k =
         stopped := true
     | Some pm ->
         cert_remove pm;
-        trace
-          (Trace.Popped
-             { id = pm.id; score = pm.score; max_possible = pm.max_possible });
+        if tracing () then
+          emit
+            (Obs.Popped
+               { id = pm.id; score = pm.score; max_possible = pm.max_possible });
         if Topk_set.should_prune topk pm || xpruned pm then begin
-          trace (Trace.Pruned { id = pm.id });
+          if tracing () then emit (Obs.Pruned { id = pm.id });
           stats.matches_pruned <- stats.matches_pruned + 1
         end
         else begin
@@ -297,7 +293,7 @@ let run ?(config = Config.default) (plan : Plan.t) ~k =
               ~threshold:(Topk_set.threshold topk) pm
           in
           stats.routing_decisions <- stats.routing_decisions + 1;
-          trace (Trace.Routed { id = pm.id; server });
+          if tracing () then emit (Obs.Routed { id = pm.id; server });
           let bspan =
             if obs_on then begin
               let b = Obs.child obs ~parent:qspan "batch" in
@@ -319,19 +315,21 @@ let run ?(config = Config.default) (plan : Plan.t) ~k =
                   match Pqueue.pop queue with
                   | Some next ->
                       cert_remove next;
-                      trace
-                        (Trace.Popped
-                           {
-                             id = next.id;
-                             score = next.score;
-                             max_possible = next.max_possible;
-                           });
+                      if tracing () then
+                        emit
+                          (Obs.Popped
+                             {
+                               id = next.id;
+                               score = next.score;
+                               max_possible = next.max_possible;
+                             });
                       if Topk_set.should_prune topk next || xpruned next then begin
-                        trace (Trace.Pruned { id = next.id });
+                        if tracing () then emit (Obs.Pruned { id = next.id });
                         stats.matches_pruned <- stats.matches_pruned + 1
                       end
                       else begin
-                        trace (Trace.Routed { id = next.id; server });
+                        if tracing () then
+                          emit (Obs.Routed { id = next.id; server });
                         process_at next server
                       end;
                       drain_batch (budget - 1)

@@ -28,8 +28,7 @@ val never_stop : unit -> bool
 val no_certify : Topk_set.entry -> unit
 (** The default [on_certified] hook: a shared no-op.  The engines gate
     all certification bookkeeping on physical inequality with this
-    value (the [Trace.ignore_tracer] idiom), so a run without a hook
-    pays nothing. *)
+    value, so a run without a hook pays nothing. *)
 
 (** Every engine knob in one record — the single seam through which the
     CLI, the benches and {!Wp_serve} configure a run, replacing the
@@ -88,11 +87,12 @@ module Config : sig
             the single-threaded engine *)
     should_stop : unit -> bool;
         (** cooperative-cancellation hook, default {!never_stop} *)
-    trace : Trace.t;  (** default {!Trace.ignore_tracer} *)
     obs : Wp_obs.Obs.t;
-        (** observability context (spans + per-server cost profile),
-            default {!Wp_obs.Obs.disabled}; a disabled context leaves
-            the run's counters and answers bit-identical *)
+        (** observability context (spans with their engine events +
+            per-server cost profile), default {!Wp_obs.Obs.disabled};
+            the engines' only event channel.  A disabled context leaves
+            the run's counters and answers bit-identical and builds no
+            event *)
     cache : Candidate_cache.t option;
         (** an external candidate cache to use instead of a fresh
             run-local one, default [None].  The serve tier passes its
@@ -137,7 +137,6 @@ module Config : sig
   val with_use_cache : bool -> t -> t
   val with_threads_per_server : int -> t -> t
   val with_should_stop : (unit -> bool) -> t -> t
-  val with_trace : Trace.t -> t -> t
   val with_obs : Wp_obs.Obs.t -> t -> t
   val with_cache : Candidate_cache.t option -> t -> t
   val with_prune_bound : (unit -> float) -> t -> t
@@ -175,9 +174,9 @@ val run : ?config:Config.t -> Plan.t -> k:int -> result
 
     [config.obs], when enabled, collects a span tree (a root span for
     the run, a child per iteration batch, a grandchild per server
-    visit, trace events attached to the enclosing span) and an exact
-    per-server cost profile; the run's counters and answers are never
-    affected. *)
+    visit, each {!Wp_obs.Obs.event} attached to the innermost open
+    span) and an exact per-server cost profile; the run's counters and
+    answers are never affected. *)
 
 val run_above : ?config:Config.t -> Plan.t -> threshold:float -> result
 (** Threshold variant (the mode of the paper's predecessor system,
@@ -186,7 +185,7 @@ val run_above : ?config:Config.t -> Plan.t -> threshold:float -> result
     whose maximum possible final score cannot beat it.  The cardinality
     of the answer set is data-dependent rather than fixed at [k].
     Honors [config]'s routing, queue policy, cache and stop hook;
-    [batch], [trace] and [obs] do not apply to this mode.
+    [batch] and [obs] do not apply to this mode.
     [config.on_certified] is ignored here.
 
     The pre-redesign [run_args]/[run_above_args] wrappers, deprecated

@@ -7,11 +7,11 @@
    (rank 0) below topk.mutex (rank 1); in fact no thread ever holds two
    locks at once — the candidate-cache mutex in particular is leaf-only,
    taken and released inside Candidate_cache.find with no other lock
-   held.  The trace wrapper and the observability context use real
-   [Mutex.t] values (never S.mutex): they are leaf-only, taken with no
-   S-operation inside the critical section, so they cannot participate
-   in a Sched-visible deadlock and stay invisible to schedule
-   exploration.
+   held.  The observability context's mutex is a real [Mutex.t] (never
+   S.mutex): it is leaf-only, taken with no S-operation inside the
+   critical section, so it cannot participate in a Sched-visible
+   deadlock and stays invisible to schedule exploration.  It also
+   serializes every domain's engine events.
    Shutdown protocol: [pending] counts partial matches alive in queues
    or in flight; workers increment it for every surviving extension
    *before* retiring the consumed match, so the count reaches zero
@@ -121,17 +121,23 @@ module Make (S : Sync.S) = struct
            lock), so the streamed order is total and a blocking
            callback never stalls a worker holding a lock *)
     next_id : S.atomic_int;
-    trace : Trace.t;  (* already serialized; see [run] *)
-    tracing : bool;  (* false iff [trace] is the no-op tracer *)
     obs : Obs.t;
     obs_on : bool;
-    qspan : Obs.span option;  (* the run's root span, parent of visits *)
+    qspan : Obs.span option;
+        (* the run's root span: parent of visits, holder of events *)
     drop_topk_lock : bool;
     retire_early : bool;
     skip_pending_incr : bool;
   }
 
   let stopped shared () = S.get shared.stop <> 0
+
+  (* Every engine event lands on the root span.  Call sites test
+     [tracing] before building the event, so a run without a live root
+     span allocates none; the context's mutex orders all domains'
+     events. *)
+  let tracing shared = Option.is_some shared.qspan
+  let emit shared e = Obs.emit shared.obs shared.qspan e
 
   let finish shared =
     S.set shared.stop 1;
@@ -183,9 +189,9 @@ module Make (S : Sync.S) = struct
       | Some _ when check_deadline shared -> loop ()
       | Some pm ->
           S.note_write "stats.router";
-          if shared.tracing then
-            shared.trace
-              (Trace.Popped
+          if tracing shared then
+            emit shared
+              (Obs.Popped
                  {
                    id = pm.Partial_match.id;
                    score = pm.score;
@@ -217,8 +223,8 @@ module Make (S : Sync.S) = struct
           | Some (c, _) -> List.iter (Certify.emit c) certified
           | None -> ());
           if pruned then begin
-            if shared.tracing then
-              shared.trace (Trace.Pruned { id = pm.Partial_match.id });
+            if tracing shared then
+              emit shared (Obs.Pruned { id = pm.Partial_match.id });
             stats.matches_pruned <- stats.matches_pruned + 1;
             retire shared
           end
@@ -227,9 +233,8 @@ module Make (S : Sync.S) = struct
               Strategy.choose_next shared.routing shared.plan ~threshold pm
             in
             stats.routing_decisions <- stats.routing_decisions + 1;
-            if shared.tracing then
-              shared.trace
-                (Trace.Routed { id = pm.Partial_match.id; server });
+            if tracing shared then
+              emit shared (Obs.Routed { id = pm.Partial_match.id; server });
             Shared_queue.push shared.server_queues.(server)
               ~tie:pm.Partial_match.score
               ~priority_of:(server_priority shared server) pm
@@ -263,8 +268,8 @@ module Make (S : Sync.S) = struct
                 pruned)
           in
           if pruned then begin
-            if shared.tracing then
-              shared.trace (Trace.Pruned { id = pm.Partial_match.id });
+            if tracing shared then
+              emit shared (Obs.Pruned { id = pm.Partial_match.id });
             stats.matches_pruned <- stats.matches_pruned + 1;
             retire shared
           end
@@ -296,8 +301,8 @@ module Make (S : Sync.S) = struct
                 (Invariants.check_extension shared.plan ~parent:pm)
                 extensions;
             if died then begin
-              if shared.tracing then
-                shared.trace (Trace.Died { id = pm.Partial_match.id; server });
+              if tracing shared then
+                emit shared (Obs.Died { id = pm.Partial_match.id; server });
               with_topk shared (fun topk -> Topk_set.retract topk pm)
             end;
             let alive =
@@ -307,9 +312,9 @@ module Make (S : Sync.S) = struct
                     Partial_match.is_complete ext
                       ~full_mask:shared.plan.full_mask
                   in
-                  if shared.tracing then
-                    shared.trace
-                      (Trace.Extended
+                  if tracing shared then
+                    emit shared
+                      (Obs.Extended
                          {
                            parent = pm.Partial_match.id;
                            id = ext.Partial_match.id;
@@ -350,17 +355,17 @@ module Make (S : Sync.S) = struct
                   | Some th -> shared.publish_threshold th
                   | None -> ());
                   if complete then begin
-                    if shared.tracing then
-                      shared.trace
-                        (Trace.Completed
+                    if tracing shared then
+                      emit shared
+                        (Obs.Completed
                            { id = ext.Partial_match.id; score = ext.score });
                     stats.completed <- stats.completed + 1;
                     None
                   end
                   else if keep then Some ext
                   else begin
-                    if shared.tracing then
-                      shared.trace (Trace.Pruned { id = ext.Partial_match.id });
+                    if tracing shared then
+                      emit shared (Obs.Pruned { id = ext.Partial_match.id });
                     stats.matches_pruned <- stats.matches_pruned + 1;
                     None
                   end)
@@ -416,28 +421,6 @@ module Make (S : Sync.S) = struct
     let qspan = if obs_on then Obs.root obs "query" else None in
     Obs.attr obs qspan "k" (float_of_int k);
     Obs.attr obs qspan "servers" (float_of_int plan.n_servers);
-    (* Serialize the user tracer once here: every domain shares it, and
-       a tracer built on a plain ref (Trace.collector predates the
-       mutex) must still see a consistent stream.  Events also land on
-       the run's root span.  The no-op tracer stays the no-op tracer —
-       nothing is paid when tracing is off. *)
-    let trace =
-      if config.trace == Trace.ignore_tracer && not obs_on then
-        Trace.ignore_tracer
-      else begin
-        let m = Mutex.create () in
-        let inner = config.Engine.Config.trace in
-        fun e ->
-          Mutex.lock m;
-          Fun.protect
-            ~finally:(fun () -> Mutex.unlock m)
-            (fun () ->
-              inner e;
-              Obs.event obs qspan (fun () ->
-                  Format.asprintf "%a" Trace.pp_event e))
-      end
-    in
-    let tracing = not (trace == Trace.ignore_tracer) in
     let cert =
       if config.Engine.Config.on_certified == Engine.no_certify then None
       else
@@ -480,8 +463,6 @@ module Make (S : Sync.S) = struct
         published = Float.neg_infinity;
         cert;
         next_id = S.atomic "next_id" 1;
-        trace;
-        tracing;
         obs;
         obs_on;
         qspan;

@@ -73,16 +73,14 @@ val run : ?config:Engine.Config.t -> Plan.t -> k:int -> Engine.result
     stop flag, every queue drains without further processing, and the
     result carries the current top-k with [partial = true].
 
-    [config.trace] receives the same event vocabulary as the
-    single-threaded engine.  Events from all domains are serialized
-    through one internal mutex and stamped at receipt when collected
-    with {!Trace.timed_collector}, so two multi-threaded runs can be
-    ordered and diffed even though per-domain emission order is
-    nondeterministic.
-
     [config.obs], when enabled, collects a root span with a child span
     per server visit plus the exact per-server cost profile; as in the
-    single-threaded engine it never affects counters or answers.
+    single-threaded engine it never affects counters or answers.  The
+    root span carries the same {!Wp_obs.Obs.event} vocabulary as the
+    single-threaded engine.  Events from all domains are stamped and
+    sequenced under the context's mutex, so {!Wp_obs.Obs.events} orders
+    two multi-threaded runs' streams comparably even though per-domain
+    emission order is nondeterministic.
 
     [config.batch] and [config.use_cache] do not apply: the
     multi-threaded engine always shares one candidate cache and routes

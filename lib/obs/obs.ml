@@ -2,13 +2,35 @@ module Json = Wp_json.Json
 
 let mutex_name = "obs.ctx.mutex"
 
+type event =
+  | Popped of { id : int; score : float; max_possible : float }
+  | Routed of { id : int; server : int }
+  | Extended of { parent : int; id : int; server : int; bound : bool }
+  | Pruned of { id : int }
+  | Died of { id : int; server : int }
+  | Completed of { id : int; score : float }
+
+let pp_event ppf = function
+  | Popped { id; score; max_possible } ->
+      Format.fprintf ppf "pop #%d score=%.4f max=%.4f" id score max_possible
+  | Routed { id; server } -> Format.fprintf ppf "route #%d -> q%d" id server
+  | Extended { parent; id; server; bound } ->
+      Format.fprintf ppf "extend #%d -> #%d at q%d (%s)" parent id server
+        (if bound then "bound" else "deleted")
+  | Pruned { id } -> Format.fprintf ppf "prune #%d" id
+  | Died { id; server } -> Format.fprintf ppf "die #%d at q%d" id server
+  | Completed { id; score } ->
+      Format.fprintf ppf "complete #%d score=%.4f" id score
+
+type stamped = { ts_ns : int64; seq : int; event : event }
+
 type span = {
   sid : int;
   parent : int option;
   name : string;
   start_ns : int64;
   mutable end_ns : int64;
-  mutable rev_events : (int64 * string) list;
+  mutable rev_events : stamped list;
   mutable rev_attrs : (string * float) list;
 }
 
@@ -34,6 +56,7 @@ type state = {
   max_spans : int;
   mutable rng : int64;
   mutable next_sid : int;
+  mutable next_seq : int;
   mutable collected : int;
   mutable dropped : int;
   mutable rev_spans : span list;
@@ -56,6 +79,7 @@ let create ?(sample = 1.0) ?(seed = 0) ?(max_spans = 4096) () =
       max_spans;
       rng = Int64.of_int seed;
       next_sid = 0;
+      next_seq = 0;
       collected = 0;
       dropped = 0;
       rev_spans = [];
@@ -121,12 +145,17 @@ let child t ~parent name =
   | Enabled st, Some (p : span) ->
       with_lock st (fun () -> alloc_span st ~parent:(Some p.sid) name)
 
-let event t sp msg =
+(* Stamp and sequence under the one lock, so [seq] order is a total
+   order of the context's events that agrees with [ts_ns]. *)
+let emit t sp event =
   match (t, sp) with
   | Disabled, _ | _, None -> ()
   | Enabled st, Some s ->
       with_lock st (fun () ->
-          s.rev_events <- (Clock.now_ns (), msg ()) :: s.rev_events)
+          st.next_seq <- st.next_seq + 1;
+          s.rev_events <-
+            { ts_ns = Clock.now_ns (); seq = st.next_seq; event }
+            :: s.rev_events)
 
 let attr t sp name v =
   match (t, sp) with
@@ -195,7 +224,7 @@ type span_record = {
   name : string;
   start_ns : int64;
   end_ns : int64;
-  events : (int64 * string) list;
+  events : stamped list;
   attrs : (string * float) list;
 }
 
@@ -216,6 +245,10 @@ let spans t =
             attrs = List.rev s.rev_attrs;
           })
         raw
+
+let events t =
+  List.concat_map (fun (s : span_record) -> s.events) (spans t)
+  |> List.sort (fun a b -> Int.compare a.seq b.seq)
 
 let dropped_spans t =
   match t with
@@ -258,11 +291,13 @@ let span_tree_json t =
               ( "events",
                 Json.List
                   (List.map
-                     (fun (ts, msg) ->
+                     (fun e ->
                        Json.Obj
                          [
-                           ("ts_ns", Json.Float (Int64.to_float ts));
-                           ("msg", Json.String msg);
+                           ("ts_ns", Json.Float (Int64.to_float e.ts_ns));
+                           ( "msg",
+                             Json.String
+                               (Format.asprintf "%a" pp_event e.event) );
                          ])
                      events) );
             ])

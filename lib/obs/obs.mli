@@ -8,10 +8,11 @@
     table aggregates exact per-server costs regardless of sampling.
 
     Span model: one {e root} span per query run, child spans per
-    iteration batch and per server visit.  Spans carry timestamped
-    events (the engine feeds its {!Whirlpool.Trace} stream in) and
-    numeric attributes.  All operations are thread-safe: Whirlpool-M
-    server domains report into one shared context.
+    iteration batch and per server visit.  Spans carry typed engine
+    {!event}s — one per router or server action, stamped and sequenced
+    at receipt — and numeric attributes.  This is the engines' only
+    event channel.  All operations are thread-safe: Whirlpool-M server
+    domains report into one shared context.
 
     The internal mutex ({!mutex_name}) is leaf-only in the declared
     lock hierarchy: span and profile calls never take another lock. *)
@@ -41,6 +42,29 @@ val enabled : t -> bool
 val mutex_name : string
 (** ["obs.ctx.mutex"], leaf rank in {!Whirlpool.Race.lock_rank}. *)
 
+(** {1 Engine events} *)
+
+(** One router or server action on a partial match, identified by the
+    match's id. *)
+type event =
+  | Popped of { id : int; score : float; max_possible : float }
+  | Routed of { id : int; server : int }
+  | Extended of { parent : int; id : int; server : int; bound : bool }
+  | Pruned of { id : int }
+  | Died of { id : int; server : int }
+  | Completed of { id : int; score : float }
+
+val pp_event : Format.formatter -> event -> unit
+(** The one-line rendering used as the span-tree JSON's ["msg"]. *)
+
+type stamped = { ts_ns : int64; seq : int; event : event }
+(** An event stamped at receipt with the monotonic {!Clock} and a
+    per-context sequence number, both taken under the context's mutex:
+    [seq] totally orders one context's events, and [ts_ns] never
+    decreases along it, so multi-threaded runs (whose per-domain
+    emission order is nondeterministic) can still be ordered and
+    diffed. *)
+
 (** {1 Spans} *)
 
 val root : t -> string -> span option
@@ -50,9 +74,11 @@ val child : t -> parent:span option -> string -> span option
 (** Open a child span; [None] propagates from an absent parent, so an
     unsampled subtree costs nothing. *)
 
-val event : t -> span option -> (unit -> string) -> unit
-(** Record a timestamped event on the span; the message thunk is only
-    forced when the span is live. *)
+val emit : t -> span option -> event -> unit
+(** Record a stamped event on the span; a no-op when the span is
+    absent.  Callers on a hot path test the span before building the
+    event, so a disabled or unsampled run allocates none.  Rendering is
+    deferred to export. *)
 
 val attr : t -> span option -> string -> float -> unit
 
@@ -92,18 +118,23 @@ type span_record = {
   name : string;
   start_ns : int64;
   end_ns : int64;  (** equals [start_ns] when never finished *)
-  events : (int64 * string) list;  (** in emission order *)
+  events : stamped list;  (** in emission order *)
   attrs : (string * float) list;
 }
 
 val spans : t -> span_record list
 (** Collected spans in creation order. *)
 
+val events : t -> stamped list
+(** Every event on the collected spans, in [seq] order. *)
+
 val dropped_spans : t -> int
 
 val span_tree_json : t -> Wp_json.Json.t
 (** The span forest as nested JSON: each node carries [name],
-    [start_ns], [duration_ns], [attrs], [events] and [children]. *)
+    [start_ns], [duration_ns], [attrs], [events] (each
+    [{"ts_ns", "msg"}], [msg] rendered by {!pp_event}) and
+    [children]. *)
 
 val profile_json : t -> Wp_json.Json.t
 (** The per-server cost table as JSON (one object per server with

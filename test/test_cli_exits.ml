@@ -1,6 +1,7 @@
 (* The wp_cli exit-code contract, pinned end-to-end for the three
-   analysis subcommands: 0 clean, 1 findings (lint or static-check
-   diagnostics, a detected race), 2 usage or load errors.  Drives the
+   analysis subcommands and for [profile]: 0 clean, 1 findings (lint
+   or static-check diagnostics, a detected race), 2 usage or load
+   errors.  Drives the
    real binary; the dune test stanza depends on ../bin/wp_cli.exe. *)
 
 let build_root = Filename.dirname (Sys.getcwd ())
@@ -55,6 +56,60 @@ let test_query_algo () =
   check_exit "unknown algo exits 2" 2
     [ "query"; books; "-q"; "/book[./title]"; "--algo"; "quicksort" ]
 
+(* [profile --json] on stdout, parsed; the exit code comes back too. *)
+let profile_json args =
+  let out = Filename.temp_file "wp_profile" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove out)
+    (fun () ->
+      let code =
+        Sys.command
+          (Filename.quote_command wp_cli ~stdout:out ~stderr:Filename.null
+             ("profile" :: "--json" :: args))
+      in
+      (code, Wp_json.Json.of_string (In_channel.with_open_bin out In_channel.input_all)))
+
+(* Total engine events across a span-tree node and its descendants. *)
+let rec span_events node =
+  let count key f =
+    match Wp_json.Json.member key node with
+    | Some (Wp_json.Json.List xs) -> f xs
+    | _ -> 0
+  in
+  count "events" List.length
+  + count "children" (List.fold_left (fun n c -> n + span_events c) 0)
+
+let test_profile () =
+  let books = Lazy.force books_file in
+  let q = "/book[./title and ./info/publisher]" in
+  List.iter
+    (fun (what, extra) ->
+      match profile_json ([ books; "-q"; q ] @ extra) with
+      | 0, Ok json ->
+          let events =
+            match
+              Option.bind (Wp_json.Json.member "spans" json)
+                (Wp_json.Json.member "roots")
+            with
+            | Some (Wp_json.Json.List roots) ->
+                List.fold_left (fun n r -> n + span_events r) 0 roots
+            | _ -> 0
+          in
+          Alcotest.(check bool) (what ^ ": spans carry events") true
+            (events > 0)
+      | 0, Error e -> Alcotest.failf "%s: unparsable JSON: %s" what e
+      | code, _ -> Alcotest.failf "%s: profile exited %d" what code)
+    [
+      ("whirlpool-s", [ "--algo"; "whirlpool-s" ]);
+      ("whirlpool-m", [ "--algo"; "whirlpool-m"; "--threads-per-server"; "2" ]);
+    ];
+  check_exit "profile --algo twig exits 2" 2
+    [ "profile"; books; "-q"; q; "--algo"; "twig" ];
+  check_exit "profile --algo lockstep exits 2" 2
+    [ "profile"; books; "-q"; q; "--algo"; "lockstep" ];
+  check_exit "profile unknown algo exits 2" 2
+    [ "profile"; books; "-q"; q; "--algo"; "quicksort" ]
+
 let test_check () =
   check_exit "clean tree exits 0" 0 [ "check"; "--root"; build_root ];
   check_exit "fixture findings exit 1" 1
@@ -68,4 +123,5 @@ let suite =
     Alcotest.test_case "race exit codes" `Quick test_race;
     Alcotest.test_case "query --algo exit codes" `Quick test_query_algo;
     Alcotest.test_case "check exit codes" `Quick test_check;
+    Alcotest.test_case "profile exit codes and events" `Quick test_profile;
   ]

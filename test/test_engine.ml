@@ -224,6 +224,37 @@ let test_streaming_allocation_bound () =
         [ 10; 75 ])
     [ Fixtures.q1; Fixtures.q2; Fixtures.q3 ]
 
+(* A default run builds no engine event: with observability disabled,
+   the event sites are skipped before any record is allocated.  Minor
+   words per created match on a warm private cache, bounded at the
+   value measured once events were gated (x86-64, OCaml 5 without
+   flambda) plus 3% headroom; building an event per site costs ~8-14%
+   more on these runs and fails every row. *)
+let test_default_run_allocates_no_events () =
+  let bounds =
+    [
+      ((Fixtures.q1, 10), 70.84); ((Fixtures.q1, 75), 103.52);
+      ((Fixtures.q2, 10), 62.96); ((Fixtures.q2, 75), 72.97);
+      ((Fixtures.q3, 10), 106.19); ((Fixtures.q3, 75), 62.07);
+    ]
+  in
+  List.iter
+    (fun ((q, k), measured) ->
+      let plan = Run.compile idx (parse q) in
+      let config =
+        Engine.Config.(default |> with_cache (Some (Candidate_cache.create ())))
+      in
+      ignore (Engine.run ~config plan ~k : Engine.result);
+      let w0 = Gc.minor_words () in
+      let r = Engine.run ~config plan ~k in
+      let per_match =
+        (Gc.minor_words () -. w0) /. float_of_int r.stats.matches_created
+      in
+      if per_match > 1.03 *. measured then
+        Alcotest.failf "%s k=%d: %.2f minor words per match, bound %.2f" q k
+          per_match (1.03 *. measured))
+    bounds
+
 let suite =
   [
     Alcotest.test_case "books ranking" `Quick test_books_topk_order;
@@ -242,4 +273,6 @@ let suite =
     Alcotest.test_case "deterministic" `Quick test_deterministic_runs;
     Alcotest.test_case "streaming allocation bound" `Quick
       test_streaming_allocation_bound;
+    Alcotest.test_case "default run allocates no events" `Quick
+      test_default_run_allocates_no_events;
   ]

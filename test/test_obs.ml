@@ -238,10 +238,16 @@ let test_span_events_carry_trace () =
   let plan = Run.compile idx (parse Fixtures.q1) in
   ignore (Engine.run ~config:Engine.Config.(default |> with_obs obs) plan ~k:3);
   let events =
-    List.concat_map (fun s -> List.map snd s.Obs.events) (Obs.spans obs)
+    List.concat_map (fun s -> s.Obs.events) (Obs.spans obs)
   in
-  Alcotest.(check bool) "trace events attached to spans" true
-    (List.exists (fun m -> Test_stats.contains ~needle:"route #" m) events)
+  Alcotest.(check bool) "engine events attached to spans" true
+    (List.exists
+       (fun (e : Obs.stamped) ->
+         match e.event with Obs.Routed _ -> true | _ -> false)
+       events);
+  Alcotest.(check bool) "span tree renders them" true
+    (Test_stats.contains ~needle:{|"msg":"route #|}
+       (Wp_json.Json.to_string (Obs.span_tree_json obs)))
 
 (* --- no interference with the engines --- *)
 
@@ -270,17 +276,20 @@ let test_obs_does_not_change_runs () =
 let test_config_default_is_old_default () =
   (* Spelling out every historical default through the setter chain
      must stay bit-identical to Config.default — answers, counters and
-     the trace event stream.  (This test compared against the
+     the engine event stream.  (This test compared against the
      deprecated [run_args] wrappers until they were removed.) *)
+  let events obs =
+    List.map (fun (e : Obs.stamped) -> (e.seq, e.event)) (Obs.events obs)
+  in
   List.iter
     (fun q ->
       let plan = Run.compile idx (parse q) in
-      let trace_a, events_a = Trace.collector () in
+      let obs_a = Obs.create ~max_spans:1_000_000 () in
       let a =
-        Engine.run ~config:Engine.Config.(default |> with_trace trace_a)
+        Engine.run ~config:Engine.Config.(default |> with_obs obs_a)
           plan ~k:4
       in
-      let trace_b, events_b = Trace.collector () in
+      let obs_b = Obs.create ~max_spans:1_000_000 () in
       let config_b =
         Engine.Config.(
           default
@@ -289,31 +298,32 @@ let test_config_default_is_old_default () =
           |> with_batch 1 |> with_use_cache true
           |> with_should_stop Engine.never_stop
           |> with_on_certified Engine.no_certify
-          |> with_trace trace_b)
+          |> with_obs obs_b)
       in
       let b = Engine.run ~config:config_b plan ~k:4 in
       Alcotest.(check bool) (q ^ ": same answers") true
         (Fixtures.sorted_scores a.answers = Fixtures.sorted_scores b.answers);
       Alcotest.(check bool) (q ^ ": same counters") true
         (stats_counters a.stats = stats_counters b.stats);
-      Alcotest.(check bool) (q ^ ": same trace") true
-        (events_a () = events_b ()))
+      Alcotest.(check bool) (q ^ ": events recorded") true
+        (events obs_a <> []);
+      Alcotest.(check bool) (q ^ ": same events") true
+        (events obs_a = events obs_b))
     [ Fixtures.q1; Fixtures.q2; Fixtures.q3 ]
 
-let test_timed_collector_ordered () =
+let test_mt_events_ordered () =
   let plan = Run.compile idx (parse Fixtures.q2) in
-  let trace, timed = Trace.timed_collector () in
+  let obs = Obs.create () in
   ignore
     (Engine_mt.run
        ~config:
-         Engine.Config.(
-           default |> with_trace trace |> with_threads_per_server 2)
+         Engine.Config.(default |> with_obs obs |> with_threads_per_server 2)
        plan ~k:5);
-  let events = timed () in
+  let events = Obs.events obs in
   Alcotest.(check bool) "events collected" true (events <> []);
   let rec sorted = function
-    | a :: (b :: _ as rest) ->
-        Trace.compare_timed a b <= 0 && sorted rest
+    | (a : Obs.stamped) :: (b :: _ as rest) ->
+        a.seq < b.seq && Int64.compare a.ts_ns b.ts_ns <= 0 && sorted rest
     | _ -> true
   in
   Alcotest.(check bool) "monotone (ts, seq) order" true (sorted events)
@@ -342,6 +352,6 @@ let suite =
       test_obs_does_not_change_runs;
     Alcotest.test_case "config default = old default" `Quick
       test_config_default_is_old_default;
-    Alcotest.test_case "timed collector ordered" `Quick
-      test_timed_collector_ordered;
+    Alcotest.test_case "mt events (ts, seq) ordered" `Quick
+      test_mt_events_ordered;
   ]

@@ -1133,15 +1133,25 @@ let test_stream_partial_run_emits_prefix_only () =
    run of [n] equal counts written [c*n], then [/ total pops]: a count
    equal to the total is an entry only the end-of-run flush emitted. *)
 let emission_timing plan ~policy ~k =
-  let pops = ref 0 and at = ref [] in
+  (* A one-span cap keeps only the root: child spans are dropped, so
+     every event lands on the root and a count stays cheap. *)
+  let obs = Wp_obs.Obs.create ~max_spans:1 () in
+  let pops () =
+    List.fold_left
+      (fun n (s : Wp_obs.Obs.span_record) ->
+        List.fold_left
+          (fun n (e : Wp_obs.Obs.stamped) ->
+            match e.event with Wp_obs.Obs.Popped _ -> n + 1 | _ -> n)
+          n s.events)
+      0 (Wp_obs.Obs.spans obs)
+  in
+  let at = ref [] in
   let config =
     Whirlpool.Engine.Config.(
       default
       |> with_queue_policy policy
-      |> with_trace (function
-           | Whirlpool.Trace.Popped _ -> incr pops
-           | _ -> ())
-      |> with_on_certified (fun _ -> at := !pops :: !at))
+      |> with_obs obs
+      |> with_on_certified (fun _ -> at := pops () :: !at))
   in
   ignore (Whirlpool.Engine.run ~config plan ~k : Whirlpool.Engine.result);
   let rec runs acc = function
@@ -1155,7 +1165,7 @@ let emission_timing plan ~policy ~k =
         let s = if n = 1 then string_of_int c else Printf.sprintf "%d*%d" c n in
         runs (s :: acc) rest
   in
-  Printf.sprintf "%s / %d" (String.concat " " (runs [] (List.rev !at))) !pops
+  Printf.sprintf "%s / %d" (String.concat " " (runs [] (List.rev !at))) (pops ())
 
 let timing_queries =
   let books = Lazy.from_val Fixtures.books_index in

@@ -1,24 +1,29 @@
+(* Engine event properties, read off an enabled observability
+   context whose span cap exceeds the run, so no event is dropped. *)
+
 open Whirlpool
+module Obs = Wp_obs.Obs
 
 let idx = Lazy.force Fixtures.xmark_index
 let parse = Fixtures.parse
 
 let traced_run ?(k = 5) q =
   let plan = Run.compile idx (parse q) in
-  let trace, events = Trace.collector () in
-  let r = Engine.run ~config:Engine.Config.(default |> with_trace trace) plan ~k in
-  (plan, r, events ())
+  let obs = Obs.create ~max_spans:1_000_000 () in
+  let r = Engine.run ~config:Engine.Config.(default |> with_obs obs) plan ~k in
+  Alcotest.(check int) "no span dropped" 0 (Obs.dropped_spans obs);
+  (plan, r, List.map (fun (e : Obs.stamped) -> e.event) (Obs.events obs))
 
 let test_events_flow () =
   let _, r, events = traced_run Fixtures.q1 in
   let count p = List.length (List.filter p events) in
   Alcotest.(check int) "one Routed per routing decision"
     r.stats.routing_decisions
-    (count (function Trace.Routed _ -> true | _ -> false));
+    (count (function Obs.Routed _ -> true | _ -> false));
   Alcotest.(check int) "one Completed per completion" r.stats.completed
-    (count (function Trace.Completed _ -> true | _ -> false));
+    (count (function Obs.Completed _ -> true | _ -> false));
   Alcotest.(check bool) "extensions traced" true
-    (count (function Trace.Extended _ -> true | _ -> false) > 0)
+    (count (function Obs.Extended _ -> true | _ -> false) > 0)
 
 let test_route_follows_pop () =
   (* Every Routed event must be immediately preceded by a Popped of the
@@ -28,9 +33,9 @@ let test_route_follows_pop () =
     | [] | [ _ ] -> ()
     | a :: (b :: _ as rest) ->
         (match b with
-        | Trace.Routed { id; _ } -> (
+        | Obs.Routed { id; _ } -> (
             match a with
-            | Trace.Popped { id = id'; _ } ->
+            | Obs.Popped { id = id'; _ } ->
                 Alcotest.(check int) "routed after its own pop" id' id
             | _ -> Alcotest.fail "Routed not preceded by Popped")
         | _ -> ());
@@ -43,16 +48,17 @@ let test_no_activity_after_prune () =
   let _, _, events = traced_run Fixtures.q2 in
   let pruned = Hashtbl.create 64 in
   List.iter
-    (fun e ->
-      let id = Trace.event_id e in
-      (match e with
-      | Trace.Pruned _ -> Hashtbl.replace pruned id ()
-      | Trace.Popped _ | Trace.Routed _ | Trace.Completed _ | Trace.Died _ ->
+    (function
+      | Obs.Pruned { id } -> Hashtbl.replace pruned id ()
+      | Obs.Popped { id; _ }
+      | Obs.Routed { id; _ }
+      | Obs.Completed { id; _ }
+      | Obs.Died { id; _ } ->
           Alcotest.(check bool) "no activity after prune" false
             (Hashtbl.mem pruned id)
-      | Trace.Extended { parent; _ } ->
+      | Obs.Extended { parent; _ } ->
           Alcotest.(check bool) "no extension of a pruned match" false
-            (Hashtbl.mem pruned parent)))
+            (Hashtbl.mem pruned parent))
     events
 
 let test_max_possible_never_grows_along_lineage () =
@@ -62,7 +68,7 @@ let test_max_possible_never_grows_along_lineage () =
   List.iter
     (fun e ->
       match e with
-      | Trace.Popped { id; max_possible; _ } ->
+      | Obs.Popped { id; max_possible; _ } ->
           Hashtbl.replace max_of id max_possible
       | _ -> ())
     events;
@@ -70,7 +76,7 @@ let test_max_possible_never_grows_along_lineage () =
   List.iter
     (fun e ->
       match e with
-      | Trace.Extended { parent; id; _ } -> (
+      | Obs.Extended { parent; id; _ } -> (
           match (Hashtbl.find_opt max_of parent, Hashtbl.find_opt max_of id) with
           | Some p, Some c ->
               Alcotest.(check bool) "monotone max-possible" true (c <= p +. 1e-9)
@@ -84,7 +90,7 @@ let test_completed_scores_match_answers () =
     List.fold_left
       (fun acc e ->
         match e with
-        | Trace.Completed { score; _ } -> Float.max acc score
+        | Obs.Completed { score; _ } -> Float.max acc score
         | _ -> acc)
       neg_infinity events
   in
@@ -96,18 +102,39 @@ let test_completed_scores_match_answers () =
 
 let test_silent_by_default () =
   let plan = Run.compile idx (parse Fixtures.q1) in
-  (* No tracer: must simply run (the ignore tracer is free). *)
+  (* No observability context: must simply run. *)
   let r = Engine.run plan ~k:3 in
   Alcotest.(check bool) "answers" true (List.length r.answers > 0)
 
+(* A golden over every constructor: the span-tree JSON's "msg" text
+   (profile output, slow-query log) is an interface and must not
+   drift. *)
 let test_pp_event () =
   let rendered =
-    Format.asprintf "%a" Trace.pp_event
-      (Trace.Extended { parent = 1; id = 2; server = 3; bound = true })
+    List.map
+      (Format.asprintf "%a" Obs.pp_event)
+      Obs.
+        [
+          Popped { id = 7; score = 0.5; max_possible = 1.25 };
+          Routed { id = 7; server = 2 };
+          Extended { parent = 7; id = 8; server = 2; bound = true };
+          Extended { parent = 7; id = 9; server = 3; bound = false };
+          Pruned { id = 9 };
+          Died { id = 7; server = 2 };
+          Completed { id = 8; score = 2.123456 };
+        ]
   in
-  Alcotest.(check bool) "rendering mentions ids" true
-    (Test_stats.contains ~needle:"#1" rendered
-    && Test_stats.contains ~needle:"#2" rendered)
+  Alcotest.(check (list string)) "golden rendering"
+    [
+      "pop #7 score=0.5000 max=1.2500";
+      "route #7 -> q2";
+      "extend #7 -> #8 at q2 (bound)";
+      "extend #7 -> #9 at q3 (deleted)";
+      "prune #9";
+      "die #7 at q2";
+      "complete #8 score=2.1235";
+    ]
+    rendered
 
 let suite =
   [
