@@ -119,26 +119,12 @@ let exhibits (scale : Common.scale) ~runs ~trace =
         (Printf.sprintf "fig8/static/%s" qname)
         (run_workload ~runs ~trace ~routing:(Whirlpool.Strategy.Static order) plan ~k))
     Common.queries;
-  (* backend comparison: the twig-join competitor and prefilter over
-     the same fig8-style workload.  k is pinned to the twig-join's
-     exact-match count, so the twig-seeded floor is active and every
-     backend must return the identical top-k (the harness aborts on any
-     disagreement).  For twig-seeded the gated measurement is the MAIN
-     whirlpool pass running under the twig-published floor, and the
-     pair runs under the Fifo queue policy: under the default
-     max-possible-final-score priority the queue itself already defers
-     every sub-floor partial past the k-th completion, so the floor
-     prunes nothing extra — Fifo isolates what the seeded floor buys
-     when the queue order does not (the fig6/fig8 exhibits document
-     what the best-first queue buys).  The acceptance claim is that the
-     seeded main pass's visits and comparisons come in below the plain
-     Fifo whirlpool run's; the twig prefilter itself is its own
-     exhibit.  The [uncached] slot holds the cache-off re-run except
-     for twig-seeded-main, where it holds the plain whirlpool run it is
-     measured against (so [speedup] reads as the seeded wall-time
-     win). *)
-  Printf.printf
-    "backend comparison (whirlpool vs lockstep vs twig vs twig-seeded)\n%!";
+  (* backend comparison: the twig-join competitor over the same
+     fig8-style workload.  k is pinned to the twig join's exact-match
+     count, so its whole answer set is in range, and every backend must
+     return the top-k the checks below demand (the harness aborts on any
+     disagreement).  The [uncached] slot holds the cache-off re-run. *)
+  Printf.printf "backend comparison (whirlpool vs lockstep vs twig)\n%!";
   List.iter
     (fun (qname, q) ->
       let plan = Common.plan_for ~size:scale.default_size q in
@@ -193,26 +179,7 @@ let exhibits (scale : Common.scale) ~runs ~trace =
           ("whirlpool", Whirlpool.Engine.Config.Whirlpool);
           ("lockstep", Whirlpool.Engine.Config.Lockstep);
           ("twig", Whirlpool.Engine.Config.Twig);
-        ];
-      let fifo =
-        Whirlpool.Engine.Config.(
-          default |> with_queue_policy Whirlpool.Strategy.Fifo)
-      in
-      let plain_fifo = Whirlpool.Engine.run ~config:fifo plan ~k in
-      let seeded_main () =
-        let s = Wp_twig.Backend.run_seeded ~config:fifo plan ~k in
-        if entries s.Wp_twig.Backend.main <> entries plain_fifo then
-          failwith
-            (Printf.sprintf
-               "backend/%s/twig-seeded: top-k diverged from whirlpool" qname);
-        s.Wp_twig.Backend.main.Whirlpool.Engine.stats
-      in
-      add
-        (Printf.sprintf "backend/%s/twig-seeded-main" qname)
-        ( measure ~runs seeded_main,
-          measure ~runs (fun () ->
-              (Whirlpool.Engine.run ~config:fifo plan ~k).Whirlpool.Engine.stats)
-        ))
+        ])
     Common.queries;
   (* cache exhibit: k x document size x routing strategy over Q2. *)
   Printf.printf "cache sweep (Q2, k x size x routing)\n%!";
@@ -486,6 +453,11 @@ let check ~warn_wall ~wall_tolerance baseline exhibits =
                     (float_of_int e.cached.wall_ns /. 1e9)
           | Some _ -> ()))
     exhibits;
+  List.iter
+    (fun (name, _) ->
+      if not (List.exists (fun e -> e.name = name) exhibits) then
+        warn "%s: in baseline but not produced (stale row?)" name)
+    baseline;
   if !checked = 0 then
     fail "no exhibit matched the baseline (quick vs full scale mismatch?)";
   { failures = List.rev !failures; warnings = List.rev !warnings }

@@ -201,8 +201,6 @@ let remote_query socket q k deadline_ms algo routing doc stream json =
           end)
 
 let local_query path q k threshold algo routing exact explain json =
-  let idx = load_index path in
-  let pattern = parse_query q in
   let algo =
     match Whirlpool.Engine.Config.algo_of_string algo with
     | Some a -> a
@@ -210,6 +208,12 @@ let local_query path q k threshold algo routing exact explain json =
         prerr_endline ("unknown algorithm: " ^ algo);
         exit 2
   in
+  if threshold <> None && algo <> Whirlpool.Engine.Config.Whirlpool then begin
+    prerr_endline "--threshold runs whirlpool-s only";
+    exit 2
+  end;
+  let idx = load_index path in
+  let pattern = parse_query q in
   let routing =
     match Whirlpool.Strategy.routing_of_string routing with
     | Some r -> r
@@ -317,8 +321,8 @@ let query_cmd =
       value & opt string "whirlpool-s"
       & info [ "algo" ]
           ~doc:
-            "whirlpool-s, whirlpool-m, lockstep, lockstep-noprun, twig \
-             or twig-seeded.")
+            "whirlpool-s, whirlpool-m, lockstep, lockstep-noprun or \
+             twig.")
   in
   let routing =
     Arg.(
@@ -334,7 +338,7 @@ let query_cmd =
       & opt (some float) None
       & info [ "threshold" ]
           ~doc:"Return every answer scoring above this value instead of \
-                the top-k.")
+                the top-k (whirlpool-s only).")
   in
   let explain =
     Arg.(
@@ -1034,8 +1038,7 @@ let serve_cmd =
       & info [ "algo" ] ~docv:"ALGO"
           ~doc:
             "Default backend for requests that omit one: whirlpool-s, \
-             whirlpool-m, lockstep, lockstep-noprun, twig or \
-             twig-seeded.")
+             whirlpool-m, lockstep, lockstep-noprun or twig.")
   in
   Cmd.v
     (cmd_info "serve"
@@ -1142,10 +1145,8 @@ let profile_run path q k algo routing batch threads use_cache exact
   let idx = load_index path in
   let pattern = parse_query q in
   let algo =
-    match Whirlpool.Run.algorithm_of_string algo with
-    | Some (Whirlpool.Run.Whirlpool_s as a) | Some (Whirlpool.Run.Whirlpool_m as a)
-      ->
-        a
+    match Whirlpool.Engine.Config.algo_of_string algo with
+    | Some (Whirlpool.Engine.Config.(Whirlpool | Whirlpool_mt) as a) -> a
     | Some _ ->
         prerr_endline "profile supports whirlpool-s and whirlpool-m";
         exit 2
@@ -1167,18 +1168,18 @@ let profile_run path q k algo routing batch threads use_cache exact
   let obs = Wp_obs.Obs.create () in
   let config =
     Whirlpool.Engine.Config.(
-      default |> with_routing routing |> with_batch batch
+      default |> with_algo algo |> with_routing routing |> with_batch batch
       |> with_threads_per_server threads |> with_use_cache use_cache
       |> with_obs obs)
   in
-  let r = Whirlpool.Run.run ~config algo plan ~k in
+  let r = Wp_twig.Backend.run ~config plan ~k in
+  let algo_name = Whirlpool.Engine.Config.algo_to_string algo in
   if json then
     Format.printf "%a@." Wp_json.Json.pp
       (Wp_json.Json.Obj
          [
            ("query", Wp_json.Json.String (Wp_pattern.Pattern.to_string pattern));
-           ("algorithm", Wp_json.Json.String
-              (Format.asprintf "%a" Whirlpool.Run.pp_algorithm algo));
+           ("algorithm", Wp_json.Json.String algo_name);
            ("answers", Wp_json.Json.Int (List.length r.answers));
            ("stats", Whirlpool.Stats.to_json r.stats);
            ("profile", Wp_obs.Obs.profile_json obs);
@@ -1187,7 +1188,7 @@ let profile_run path q k algo routing batch threads use_cache exact
   else begin
     Printf.printf "Top-%d for %s (%s):\n" k
       (Wp_pattern.Pattern.to_string pattern)
-      (Format.asprintf "%a" Whirlpool.Run.pp_algorithm algo);
+      algo_name;
     List.iteri
       (fun i (e : Whirlpool.Topk_set.entry) ->
         Printf.printf "%3d. node %-10d score %.4f\n" (i + 1) e.root e.score)
@@ -1535,8 +1536,8 @@ let loadgen_cmd =
       & info [ "algo" ] ~docv:"ALGO"
           ~doc:
             "Backend sent with every request (whirlpool-s, whirlpool-m, \
-             lockstep, lockstep-noprun, twig, twig-seeded); omitted, \
-             the server default applies.")
+             lockstep, lockstep-noprun or twig); omitted, the server \
+             default applies.")
   in
   Cmd.v
     (cmd_info "loadgen"

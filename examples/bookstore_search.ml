@@ -105,12 +105,15 @@ let () =
   Printf.printf "\nWorkload comparison (same top-8):\n";
   List.iter
     (fun algo ->
-      let r = Whirlpool.Run.run algo plan ~k:8 in
+      let r =
+        Wp_twig.Backend.run
+          ~config:Whirlpool.Engine.Config.(default |> with_algo algo)
+          plan ~k:8
+      in
       Printf.printf "  %-16s ops=%-6d created=%-6d pruned=%-6d\n"
-        (Format.asprintf "%a" Whirlpool.Run.pp_algorithm algo)
+        (Whirlpool.Engine.Config.algo_to_string algo)
         r.stats.server_ops r.stats.matches_created r.stats.matches_pruned)
-    [ Whirlpool.Run.Whirlpool_s; Whirlpool.Run.Whirlpool_m;
-      Whirlpool.Run.Lockstep; Whirlpool.Run.Lockstep_noprun ];
+    Whirlpool.Engine.Config.[ Whirlpool; Whirlpool_mt; Lockstep; Lockstep_noprun ];
 
   (* Restricting relaxations changes the answer set: without subtree
      promotion, seller B's flattened location cannot float to the book

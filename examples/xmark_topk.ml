@@ -2,16 +2,16 @@
 
    Examples:
 
-     dune exec examples/xmark_topk.exe -- --size 1000000 --k 15
+     dune exec examples/xmark_topk.exe -- --size 1000000 -k 15
      dune exec examples/xmark_topk.exe -- -q "//item[./name and ./incategory]" \
-       --algo whirlpool-m --routing max_score --k 5 --verbose
+       --algo whirlpool-m --routing max_score -k 5 --verbose
 *)
 
 let default_query = "//item[./description/parlist and ./mailbox/mail/text]"
 
 let run size seed query k algo routing normalization exact verbose =
   let algo =
-    match Whirlpool.Run.algorithm_of_string algo with
+    match Whirlpool.Engine.Config.algo_of_string algo with
     | Some a -> a
     | None -> prerr_endline ("unknown algorithm: " ^ algo); exit 2
   in
@@ -43,13 +43,15 @@ let run size seed query k algo routing normalization exact verbose =
   let plan = Whirlpool.Run.compile ~config ~normalization idx pattern in
   if verbose then Format.printf "%a@." Whirlpool.Plan.pp plan;
   let result =
-    Whirlpool.Run.run
-      ~config:Whirlpool.Engine.Config.(default |> with_routing routing)
-      algo plan ~k
+    Wp_twig.Backend.run
+      ~config:
+        Whirlpool.Engine.Config.(
+          default |> with_algo algo |> with_routing routing)
+      plan ~k
   in
   Printf.printf "\nTop-%d answers for %s\n  (%s, %s routing, %s scores%s):\n" k
     (Wp_pattern.Pattern.to_string pattern)
-    (Format.asprintf "%a" Whirlpool.Run.pp_algorithm algo)
+    (Whirlpool.Engine.Config.algo_to_string algo)
     (Format.asprintf "%a" Whirlpool.Strategy.pp_routing routing)
     (Format.asprintf "%a" Wp_score.Score_table.pp_normalization normalization)
     (if exact then ", exact matching" else "");
@@ -78,7 +80,7 @@ let k = Arg.(value & opt int 10 & info [ "k" ] ~doc:"Number of answers.")
 
 let algo =
   Arg.(value & opt string "whirlpool-s" & info [ "algo" ]
-         ~doc:"Engine: whirlpool-s, whirlpool-m, lockstep, lockstep-noprun.")
+         ~doc:"Engine: whirlpool-s, whirlpool-m, lockstep, lockstep-noprun, twig.")
 
 let routing =
   Arg.(value & opt string "min_alive" & info [ "routing" ]

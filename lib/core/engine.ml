@@ -21,10 +21,8 @@ module Config = struct
     | Lockstep
     | Lockstep_noprun
     | Twig
-    | Twig_seeded
 
-  let all_algos =
-    [ Whirlpool; Whirlpool_mt; Lockstep; Lockstep_noprun; Twig; Twig_seeded ]
+  let all_algos = [ Whirlpool; Whirlpool_mt; Lockstep; Lockstep_noprun; Twig ]
 
   let algo_to_string = function
     | Whirlpool -> "whirlpool-s"
@@ -32,7 +30,6 @@ module Config = struct
     | Lockstep -> "lockstep"
     | Lockstep_noprun -> "lockstep-noprun"
     | Twig -> "twig"
-    | Twig_seeded -> "twig-seeded"
 
   let algo_of_string = function
     | "whirlpool-s" | "ws" -> Some Whirlpool
@@ -40,7 +37,6 @@ module Config = struct
     | "lockstep" -> Some Lockstep
     | "lockstep-noprun" | "noprun" -> Some Lockstep_noprun
     | "twig" -> Some Twig
-    | "twig-seeded" -> Some Twig_seeded
     | _ -> None
 
   type t = {

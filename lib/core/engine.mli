@@ -47,28 +47,26 @@ val no_certify : Topk_set.entry -> unit
       Engine.run ~config plan ~k:10
     ]} *)
 module Config : sig
-  (** Backend selector — the engine family a run should use.  The
-      whirlpool engines ignore it (calling {!Engine.run} always runs
-      Whirlpool-S); dispatch over the full axis lives in
-      [Wp_twig.Backend.run], which the CLI and the serve tier go
-      through.  [Twig] is the exact-only holistic twig join;
-      [Twig_seeded] runs the twig join first and folds its exact-match
-      scores into the prune floor before adaptive matching starts. *)
+  (** Backend selector — the engine family a run should use, and the
+      only one: the paper's four engines plus the exact-only holistic
+      twig join ([Twig]).  The whirlpool engines ignore it (calling
+      {!Engine.run} always runs Whirlpool-S); the one dispatcher over
+      the axis is [Wp_twig.Backend.run], which the CLI, the examples
+      and the serve tier go through. *)
   type algo =
     | Whirlpool
     | Whirlpool_mt
     | Lockstep
     | Lockstep_noprun
     | Twig
-    | Twig_seeded
 
   val all_algos : algo list
   (** Every constructor, in declaration order. *)
 
   val algo_to_string : algo -> string
   (** Canonical wire name ("whirlpool-s", "whirlpool-m", "lockstep",
-      "lockstep-noprun", "twig", "twig-seeded"); distinct per
-      constructor and accepted back by {!algo_of_string}. *)
+      "lockstep-noprun", "twig"); distinct per constructor and accepted
+      back by {!algo_of_string}. *)
 
   val algo_of_string : string -> algo option
   (** Inverse of {!algo_to_string}, also accepting the historical

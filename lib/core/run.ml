@@ -1,47 +1,13 @@
-type algorithm = Whirlpool_s | Whirlpool_m | Lockstep | Lockstep_noprun
-
-let pp_algorithm ppf = function
-  | Whirlpool_s -> Format.pp_print_string ppf "Whirlpool-S"
-  | Whirlpool_m -> Format.pp_print_string ppf "Whirlpool-M"
-  | Lockstep -> Format.pp_print_string ppf "LockStep"
-  | Lockstep_noprun -> Format.pp_print_string ppf "LockStep-NoPrun"
-
-let algorithm_of_string = function
-  | "whirlpool-s" | "ws" -> Some Whirlpool_s
-  | "whirlpool-m" | "wm" -> Some Whirlpool_m
-  | "lockstep" -> Some Lockstep
-  | "lockstep-noprun" | "noprun" -> Some Lockstep_noprun
-  | _ -> None
-
 let compile ?(config = Wp_relax.Relaxation.all) ?normalization idx pattern =
   Plan.compile ?normalization idx config pattern
 
-let run ?(config = Engine.Config.default) ?order algorithm plan ~k =
-  match algorithm with
-  | Whirlpool_s -> Engine.run ~config plan ~k
-  | Whirlpool_m -> Engine_mt.run ~config plan ~k
-  | Lockstep ->
-      Lockstep.run ?order ~queue_policy:config.Engine.Config.queue_policy
-        ~prune:true plan ~k
-  | Lockstep_noprun ->
-      Lockstep.run ?order ~queue_policy:config.Engine.Config.queue_policy
-        ~prune:false plan ~k
+let top_k ?config ?normalization ?(routing = Strategy.Min_alive) idx pattern
+    ~k =
+  let plan = compile ?config ?normalization idx pattern in
+  Engine.run ~config:Engine.Config.(default |> with_routing routing) plan ~k
 
-let engine_config routing =
-  match routing with
-  | None -> Engine.Config.default
-  | Some r -> Engine.Config.(default |> with_routing r)
-
-let top_k ?config ?normalization ?routing ?(algorithm = Whirlpool_s) idx
+let top_k_answers ?config ?normalization ?(routing = Strategy.Min_alive) idx
     pattern ~k =
   let plan = compile ?config ?normalization idx pattern in
-  run ~config:(engine_config routing) algorithm plan ~k
-
-let top_k_answers ?config ?normalization ?routing ?algorithm idx pattern ~k =
-  let plan = compile ?config ?normalization idx pattern in
-  let result =
-    run ~config:(engine_config routing)
-      (Option.value algorithm ~default:Whirlpool_s)
-      plan ~k
-  in
-  Answer.of_result plan result
+  Answer.of_result plan
+    (Engine.run ~config:Engine.Config.(default |> with_routing routing) plan ~k)

@@ -6,21 +6,12 @@
       let doc = Wp_xml.Parser.parse_doc xml in
       let idx = Wp_xml.Index.build doc in
       let query = Wp_pattern.Xpath_parser.parse "//item[./description/parlist]" in
-      let result =
-        Whirlpool.Run.top_k ~algorithm:Whirlpool_s ~k:10 idx query
-      in
+      let result = Whirlpool.Run.top_k ~k:10 idx query in
       List.iter
         (fun (a : Whirlpool.Topk_set.entry) ->
           Printf.printf "root node %d, score %.3f\n" a.root a.score)
         result.answers
     ]} *)
-
-type algorithm = Whirlpool_s | Whirlpool_m | Lockstep | Lockstep_noprun
-
-val pp_algorithm : Format.formatter -> algorithm -> unit
-val algorithm_of_string : string -> algorithm option
-(** Recognizes ["whirlpool-s"], ["whirlpool-m"], ["lockstep"],
-    ["lockstep-noprun"]. *)
 
 val compile :
   ?config:Wp_relax.Relaxation.config ->
@@ -31,35 +22,23 @@ val compile :
 (** Compile a query against an indexed document.  [config] defaults to
     all relaxations enabled, [normalization] to [Sparse]. *)
 
-val run :
-  ?config:Engine.Config.t ->
-  ?order:int array ->
-  algorithm ->
-  Plan.t ->
-  k:int ->
-  Engine.result
-(** Dispatch to the chosen engine under [config] (default
-    {!Engine.Config.default}).  [order] only applies to the LockStep
-    variants and to [Static] routing default construction; the LockStep
-    variants honor only [config.queue_policy]. *)
-
 val top_k :
   ?config:Wp_relax.Relaxation.config ->
   ?normalization:Wp_score.Score_table.normalization ->
   ?routing:Strategy.routing ->
-  ?algorithm:algorithm ->
   Wp_xml.Index.t ->
   Wp_pattern.Pattern.t ->
   k:int ->
   Engine.result
-(** One-call convenience: compile then run (default [Whirlpool_s] with
-    [Min_alive] routing). *)
+(** One-call convenience: compile then run Whirlpool-S through
+    {!Engine.run} ([routing] defaults to [Min_alive]).  Other engines
+    are picked by {!Engine.Config.with_algo} and run through
+    [Wp_twig.Backend.run]. *)
 
 val top_k_answers :
   ?config:Wp_relax.Relaxation.config ->
   ?normalization:Wp_score.Score_table.normalization ->
   ?routing:Strategy.routing ->
-  ?algorithm:algorithm ->
   Wp_xml.Index.t ->
   Wp_pattern.Pattern.t ->
   k:int ->

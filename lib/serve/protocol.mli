@@ -29,8 +29,8 @@ type query = {
   deadline_ms : float option;  (** [None] = service default *)
   algo : string option;
       (** a {!Whirlpool.Engine.Config.algo} wire name ("whirlpool-s",
-          "whirlpool-m", "lockstep", "lockstep-noprun", "twig",
-          "twig-seeded"); [None] = the server's configured default.
+          "whirlpool-m", "lockstep", "lockstep-noprun", "twig");
+          [None] = the server's configured default.
           Unknown names are a typed [Bad_request]. *)
   routing : string option;  (** as {!Whirlpool.Strategy.routing_of_string} *)
   batch : int option;

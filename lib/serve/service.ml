@@ -185,12 +185,12 @@ let run_doc t ~config ~algo ~k (doc : Catalog.doc) (q : Protocol.query) =
     Whirlpool.Engine.Config.(
       config |> with_cache (Some cached.Catalog.cache) |> with_algo algo)
   in
-  (* The twig backends read the catalog's per-document guide (built on
-     the first twig query, shared thereafter); the adaptive engines
-     never build it. *)
+  (* The twig backend reads the catalog's per-document guide (built on
+     the first twig query, shared thereafter); the other engines never
+     build it. *)
   let result =
     match algo with
-    | Whirlpool.Engine.Config.Twig | Whirlpool.Engine.Config.Twig_seeded ->
+    | Whirlpool.Engine.Config.Twig ->
         Wp_twig.Backend.run ~config
           ~guide:(Catalog.dataguide t.catalog doc)
           cached.Catalog.plan ~k

@@ -1,12 +1,5 @@
 module Engine = Whirlpool.Engine
 module Config = Whirlpool.Engine.Config
-module Stats = Whirlpool.Stats
-
-type seeded = {
-  twig : Engine.result;
-  floor : float;
-  main : Engine.result;
-}
 
 (* Buffering backends (the twig join and both lockstep variants)
    certify nothing mid-run; when the caller asked for streaming, every
@@ -18,48 +11,6 @@ let emit_all ~(config : Config.t) (result : Engine.result) =
     && not result.Engine.partial
   then List.iter config.Config.on_certified result.Engine.answers;
   result
-
-let run_seeded ?(config = Config.default) ?guide plan ~k =
-  (* The twig phase's answers are only a seed — the adaptive phase
-     re-derives (and may displace) them — so strip the streaming hook
-     for that phase; the main phase streams normally and its answers
-     are the combined result's answers. *)
-  let twig =
-    Twig_join.run
-      ~config:(Config.with_on_certified Engine.no_certify config)
-      ?guide plan ~k
-  in
-  let floor =
-    match List.nth_opt twig.Engine.answers (k - 1) with
-    | Some e -> e.Whirlpool.Topk_set.score
-    | None -> Float.neg_infinity
-  in
-  let config =
-    if floor = Float.neg_infinity then config
-    else begin
-      (* Let the other shards of a scatter–gather run prune against the
-         twig floor too. *)
-      config.Config.publish_threshold floor;
-      let base = config.Config.prune_bound in
-      Config.with_prune_bound (fun () -> Float.max (base ()) floor) config
-    end
-  in
-  let main = Engine.run ~config plan ~k in
-  { twig; floor; main }
-
-let combine { twig; floor = _; main } =
-  let stats = Stats.create () in
-  Stats.add stats twig.Engine.stats;
-  Stats.add stats main.Engine.stats;
-  (* The phases ran back to back: their wall times add (Stats.add takes
-     the max, which is right for parallel shards, wrong here). *)
-  stats.Stats.wall_ns <-
-    Int64.add twig.Engine.stats.Stats.wall_ns main.Engine.stats.Stats.wall_ns;
-  {
-    Engine.answers = main.Engine.answers;
-    stats;
-    partial = twig.Engine.partial || main.Engine.partial;
-  }
 
 let run ?(config = Config.default) ?guide plan ~k =
   match config.Config.algo with
@@ -74,4 +25,3 @@ let run ?(config = Config.default) ?guide plan ~k =
         (Whirlpool.Lockstep.run ~queue_policy:config.Config.queue_policy
            ~prune:false plan ~k)
   | Config.Twig -> emit_all ~config (Twig_join.run ~config ?guide plan ~k)
-  | Config.Twig_seeded -> combine (run_seeded ~config ?guide plan ~k)

@@ -1,41 +1,8 @@
 (** Backend dispatch over the {!Whirlpool.Engine.Config.algo} axis.
 
-    The single entry point the CLI and the serve tier call: picks the
-    engine named by [config.algo] and runs it with the rest of the
-    config.  [Twig_seeded] composes the two exact/adaptive engines —
-    the twig join runs first and its exact-match scores seed the
-    adaptive engine's prune floor (see {!run_seeded}). *)
-
-type seeded = {
-  twig : Whirlpool.Engine.result;  (** the prefilter pass *)
-  floor : float;
-      (** the score floor derived from it: the k-th twig match's score
-          when the twig join found at least [k] exact matches,
-          [neg_infinity] otherwise (no seeding) *)
-  main : Whirlpool.Engine.result;
-      (** the adaptive Whirlpool pass, run with [prune_bound] raised to
-          [floor] — its counters isolate what seeding saved *)
-}
-
-val run_seeded :
-  ?config:Whirlpool.Engine.Config.t ->
-  ?guide:Wp_stats.Dataguide.t ->
-  Whirlpool.Plan.t ->
-  k:int ->
-  seeded
-(** The [Twig_seeded] composition with the two phases kept apart.
-    When the twig join finds [>= k] exact matches, [floor] (each exact
-    match's score, [Score_table.max_total]) is published through
-    [config.publish_threshold] — reaching the other shards' bounds via
-    the scatter–gather {!Wp_serve.Gather} — and folded into
-    [config.prune_bound] for the main pass.  Pruning uses a strict [<]
-    against [max_possible], so a floor equal to an achievable score
-    never excludes an exact answer: the final scores are identical to
-    an unseeded run's, with no-worse visit/comparison counters. *)
-
-val combine : seeded -> Whirlpool.Engine.result
-(** Collapse a seeded run into one result: the main pass's answers,
-    counters summed across both phases, wall times added. *)
+    The single entry point the CLI, the examples and the serve tier
+    call: picks the engine named by [config.algo] and runs it with the
+    rest of the config. *)
 
 val run :
   ?config:Whirlpool.Engine.Config.t ->
@@ -49,7 +16,6 @@ val run :
     - [Lockstep] / [Lockstep_noprun] → {!Whirlpool.Lockstep.run} under
       [config.queue_policy], with and without pruning
     - [Twig] → {!Twig_join.run}
-    - [Twig_seeded] → [combine (run_seeded ...)]
 
-    [guide] (used by the twig backends only) defaults to the memoized
+    [guide] (used by the twig backend only) defaults to the memoized
     per-document guide. *)

@@ -74,3 +74,9 @@ let check_scores_equal ~msg expected actual =
     true
     (List.length expected = List.length actual
     && List.for_all2 (fun a b -> Float.abs (a -. b) < 1e-9) expected actual)
+
+(* Run the engine named by [algo] through the one backend dispatcher. *)
+let run_algo algo plan ~k =
+  Wp_twig.Backend.run
+    ~config:Whirlpool.Engine.Config.(default |> with_algo algo)
+    plan ~k

@@ -52,9 +52,16 @@ let test_query_algo () =
         (Printf.sprintf "query --algo %s exits 0" algo)
         0
         [ "query"; books; "-q"; "/book[./title]"; "--algo"; algo ])
-    [ "twig"; "twig-seeded"; "lockstep"; "whirlpool-s" ];
+    [ "twig"; "lockstep"; "lockstep-noprun"; "whirlpool-m"; "whirlpool-s" ];
   check_exit "unknown algo exits 2" 2
-    [ "query"; books; "-q"; "/book[./title]"; "--algo"; "quicksort" ]
+    [ "query"; books; "-q"; "/book[./title]"; "--algo"; "quicksort" ];
+  check_exit "query --threshold exits 0 on whirlpool-s" 0
+    [ "query"; books; "-q"; "/book[./title]"; "--threshold"; "0.5" ];
+  check_exit "query --threshold with --algo twig exits 2" 2
+    [
+      "query"; books; "-q"; "/book[./title]"; "--threshold"; "0.5"; "--algo";
+      "twig";
+    ]
 
 (* [profile --json] on stdout, parsed; the exit code comes back too. *)
 let profile_json args =
@@ -83,9 +90,15 @@ let test_profile () =
   let books = Lazy.force books_file in
   let q = "/book[./title and ./info/publisher]" in
   List.iter
-    (fun (what, extra) ->
+    (fun (what, extra, algorithm) ->
       match profile_json ([ books; "-q"; q ] @ extra) with
       | 0, Ok json ->
+          Alcotest.(check (option string))
+            (what ^ ": canonical algorithm name")
+            (Some algorithm)
+            (match Wp_json.Json.member "algorithm" json with
+            | Some (Wp_json.Json.String s) -> Some s
+            | _ -> None);
           let events =
             match
               Option.bind (Wp_json.Json.member "spans" json)
@@ -100,8 +113,11 @@ let test_profile () =
       | 0, Error e -> Alcotest.failf "%s: unparsable JSON: %s" what e
       | code, _ -> Alcotest.failf "%s: profile exited %d" what code)
     [
-      ("whirlpool-s", [ "--algo"; "whirlpool-s" ]);
-      ("whirlpool-m", [ "--algo"; "whirlpool-m"; "--threads-per-server"; "2" ]);
+      ("whirlpool-s", [ "--algo"; "whirlpool-s" ], "whirlpool-s");
+      ("ws", [ "--algo"; "ws" ], "whirlpool-s");
+      ( "whirlpool-m",
+        [ "--algo"; "whirlpool-m"; "--threads-per-server"; "2" ],
+        "whirlpool-m" );
     ];
   check_exit "profile --algo twig exits 2" 2
     [ "profile"; books; "-q"; q; "--algo"; "twig" ];

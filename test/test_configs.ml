@@ -36,14 +36,14 @@ let test_engines_agree_on_all_configs () =
       let reference = Fixtures.sorted_scores (Engine.run plan ~k:8).answers in
       List.iter
         (fun algo ->
-          let r = Run.run algo plan ~k:8 in
+          let r = Fixtures.run_algo algo plan ~k:8 in
           Fixtures.check_scores_equal
             ~msg:
-              (Format.asprintf "%s under %a" (config_name config)
-                 Run.pp_algorithm algo)
+              (Printf.sprintf "%s under %s" (config_name config)
+                 (Engine.Config.algo_to_string algo))
             reference
             (Fixtures.sorted_scores r.answers))
-        [ Run.Whirlpool_m; Run.Lockstep ])
+        Engine.Config.[ Whirlpool_mt; Lockstep ])
     all_configs
 
 let test_monotone_in_relaxation_power () =
@@ -82,7 +82,7 @@ let test_no_phantom_answers () =
   List.iter
     (fun q ->
       let plan = Run.compile ~config idx (parse q) in
-      let reference = Run.run Run.Lockstep_noprun plan ~k:8 in
+      let reference = Fixtures.run_algo Engine.Config.Lockstep_noprun plan ~k:8 in
       let r = Engine.run plan ~k:8 in
       Fixtures.check_scores_equal ~msg:("no phantom answers: " ^ q)
         (Fixtures.sorted_scores reference.answers)

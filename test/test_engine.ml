@@ -67,7 +67,8 @@ let test_exact_mode_agrees_with_matcher () =
         r.answers)
     [ Fixtures.q1; Fixtures.q2; Fixtures.q3 ]
 
-let all_algorithms = [ Run.Whirlpool_s; Run.Whirlpool_m; Run.Lockstep; Run.Lockstep_noprun ]
+let all_algorithms =
+  Engine.Config.[ Whirlpool; Whirlpool_mt; Lockstep; Lockstep_noprun ]
 
 let test_algorithms_agree_on_scores () =
   List.iter
@@ -75,13 +76,14 @@ let test_algorithms_agree_on_scores () =
       let plan = Run.compile idx (parse q) in
       let k = 10 in
       let reference =
-        Fixtures.sorted_scores (Run.run Run.Lockstep_noprun plan ~k).answers
+        Fixtures.sorted_scores
+          (Fixtures.run_algo Engine.Config.Lockstep_noprun plan ~k).answers
       in
       List.iter
         (fun algo ->
-          let r = Run.run algo plan ~k in
+          let r = Fixtures.run_algo algo plan ~k in
           Fixtures.check_scores_equal
-            ~msg:(Format.asprintf "%s on %a" q Run.pp_algorithm algo)
+            ~msg:(Printf.sprintf "%s on %s" q (Engine.Config.algo_to_string algo))
             reference
             (Fixtures.sorted_scores r.answers))
         all_algorithms)
@@ -144,7 +146,7 @@ let test_k_one () =
   let plan = Run.compile idx (parse Fixtures.q2) in
   let r = Engine.run plan ~k:1 in
   Alcotest.(check int) "single answer" 1 (List.length r.answers);
-  let noprun = Run.run Run.Lockstep_noprun plan ~k:1 in
+  let noprun = Fixtures.run_algo Engine.Config.Lockstep_noprun plan ~k:1 in
   Fixtures.check_scores_equal ~msg:"k=1 matches baseline"
     (Fixtures.sorted_scores noprun.answers)
     (Fixtures.sorted_scores r.answers)
@@ -152,7 +154,7 @@ let test_k_one () =
 let test_pruning_reduces_work () =
   let plan = Run.compile idx (parse Fixtures.q2) in
   let pruned = Engine.run plan ~k:5 in
-  let baseline = Run.run Run.Lockstep_noprun plan ~k:5 in
+  let baseline = Fixtures.run_algo Engine.Config.Lockstep_noprun plan ~k:5 in
   Alcotest.(check bool) "fewer matches created than NoPrun" true
     (pruned.stats.matches_created < baseline.stats.matches_created);
   Alcotest.(check bool) "fewer server ops than NoPrun" true

@@ -83,26 +83,31 @@ let test_consistency_across_document_sizes () =
       let idx = Wp_xml.Index.build doc in
       let plan = Run.compile idx (parse Fixtures.q2) in
       let reference =
-        Fixtures.sorted_scores (Run.run Run.Lockstep_noprun plan ~k:8).answers
+        Fixtures.sorted_scores
+          (Fixtures.run_algo Engine.Config.Lockstep_noprun plan ~k:8).answers
       in
       List.iter
         (fun algo ->
           Fixtures.check_scores_equal
-            ~msg:(Format.asprintf "%a at %d bytes" Run.pp_algorithm algo target_bytes)
+            ~msg:
+              (Printf.sprintf "%s at %d bytes"
+                 (Engine.Config.algo_to_string algo) target_bytes)
             reference
-            (Fixtures.sorted_scores (Run.run algo plan ~k:8).answers))
-        [ Run.Whirlpool_s; Run.Whirlpool_m; Run.Lockstep ])
+            (Fixtures.sorted_scores (Fixtures.run_algo algo plan ~k:8).answers))
+        Engine.Config.[ Whirlpool; Whirlpool_mt; Lockstep ])
     [ 30_000; 80_000; 200_000 ]
 
 let test_algorithm_parsing_roundtrip () =
+  (* The historical short aliases parse to the same backends as their
+     canonical wire names. *)
   List.iter
-    (fun a ->
-      let s =
-        String.lowercase_ascii (Format.asprintf "%a" Run.pp_algorithm a)
-      in
-      Alcotest.(check bool) ("algorithm " ^ s) true
-        (Run.algorithm_of_string s = Some a))
-    [ Run.Whirlpool_s; Run.Whirlpool_m; Run.Lockstep; Run.Lockstep_noprun ]
+    (fun (alias, a) ->
+      Alcotest.(check bool) ("algorithm alias " ^ alias) true
+        (Engine.Config.algo_of_string alias = Some a
+        && Engine.Config.algo_of_string (Engine.Config.algo_to_string a)
+           = Some a))
+    Engine.Config.
+      [ ("ws", Whirlpool); ("wm", Whirlpool_mt); ("noprun", Lockstep_noprun) ]
 
 let test_per_query_workload_growth () =
   (* Larger queries do more work (paper Figure 10's x-axis). *)

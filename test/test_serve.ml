@@ -89,7 +89,7 @@ let test_protocol_request_roundtrip () =
          doc = None;
          k = Some 3;
          deadline_ms = None;
-         algo = Some "twig-seeded";
+         algo = Some "twig";
          routing = None;
          batch = None;
          use_cache = None;
@@ -946,9 +946,8 @@ let test_wire_frame_roundtrip () =
 (* Per-document, with k past every exact match, every full backend must
    return the same answer list; plain twig is exact-only, so its
    answers are the exact prefix of the default backend's (the relaxed
-   tail is absent).  With k past the exact-match count the twig-seeded
-   floor stays inactive, so it degenerates to the plain run.  The twig
-   backends also force the catalog's lazy dataguide. *)
+   tail is absent).  The twig backend also forces the catalog's lazy
+   dataguide. *)
 let rec is_prefix xs ys =
   match (xs, ys) with
   | [], _ -> true
@@ -991,7 +990,7 @@ let test_service_algo_backends () =
                   (c "answers match default backend")
                   true
                   (answer_list r = answer_list base))
-            [ "twig"; "twig-seeded"; "lockstep"; "whirlpool-s"; "ws" ])
+            [ "twig"; "lockstep"; "lockstep-noprun"; "whirlpool-s"; "ws" ])
         docs)
 
 let test_algo_over_wire () =
@@ -1003,19 +1002,22 @@ let test_algo_over_wire () =
       (let r =
          call_exn client
            (Protocol.Query
-              { (query 1 ~k:3 "/book[./title]") with algo = Some "twig-seeded" })
+              { (query 1 ~k:3 "/book[./title]") with algo = Some "twig" })
        in
-       Alcotest.(check bool) "twig-seeded over the wire ok" true
+       Alcotest.(check bool) "twig over the wire ok" true
          (r.status = Protocol.Ok);
-       Alcotest.(check bool) "twig-seeded has answers" true (r.answers <> []));
-      (let r =
-         call_exn client
-           (Protocol.Query { (query 2 "/book") with algo = Some "quicksort" })
-       in
-       Alcotest.(check bool) "unknown algo -> error reply" true
-         (r.status = Protocol.Error);
-       Alcotest.(check bool) "unknown algo typed bad_request" true
-         (r.code = Some Protocol.Bad_request));
+       Alcotest.(check bool) "twig has answers" true (r.answers <> []));
+      List.iter
+        (fun algo ->
+          let r =
+            call_exn client
+              (Protocol.Query { (query 2 "/book") with algo = Some algo })
+          in
+          Alcotest.(check bool) (algo ^ " -> error reply") true
+            (r.status = Protocol.Error);
+          Alcotest.(check bool) (algo ^ " typed bad_request") true
+            (r.code = Some Protocol.Bad_request))
+        [ "quicksort"; "twig-seeded" ];
       ignore (Client.call client (Protocol.Stop { id = 3 }));
       Client.close client;
       Thread.join thread)
@@ -1060,8 +1062,7 @@ let test_protocol_v2_codec () =
 (* --- streaming certification: engine-level prefix property --- *)
 
 let stream_algos =
-  [ "whirlpool-s"; "whirlpool-m"; "lockstep"; "lockstep-noprun"; "twig";
-    "twig-seeded" ]
+  [ "whirlpool-s"; "whirlpool-m"; "lockstep"; "lockstep-noprun"; "twig" ]
 
 let entry_key (e : Whirlpool.Topk_set.entry) = (e.root, e.score)
 

@@ -1,6 +1,5 @@
 (* The holistic twig-join backend: differential equivalence against the
-   existing engines, witness validity, and the seeding contract of
-   Twig_seeded.
+   existing engines, witness validity, and backend dispatch.
 
    The differential property: Twig == Lockstep == Whirlpool restricted
    to exact matching.  Every complete exact match scores exactly
@@ -167,56 +166,6 @@ let test_should_stop () =
   Alcotest.(check bool) "partial" true r.partial;
   Alcotest.(check (list int)) "no answers" [] (roots r)
 
-(* The seeding contract: with k = number of exact matches, the floor is
-   active and both plain and seeded Whirlpool must return exactly the
-   exact-match roots — identical top-k — and the seeded main pass can
-   never do more visit/comparison work than the unseeded run. *)
-let test_seeded_contract () =
-  List.iter
-    (fun (name, idx) ->
-      List.iter
-        (fun query ->
-          let pat = Fixtures.parse query in
-          let plan = Whirlpool.Run.compile idx pat in
-          let m = Twig_join.match_count plan in
-          if m > 0 then begin
-            let k = m in
-            let plain = Whirlpool.Engine.run plan ~k in
-            let s = Backend.run_seeded plan ~k in
-            let c msg = Printf.sprintf "%s %s %s" name query msg in
-            Alcotest.(check bool)
-              (c "floor active")
-              true
-              (s.floor > Float.neg_infinity);
-            Alcotest.(check (list (pair int (float 1e-9))))
-              (c "seeded top-k == plain top-k")
-              (root_scores plain) (root_scores s.main);
-            Alcotest.(check bool)
-              (c
-                 (Printf.sprintf "server_ops no worse (%d <= %d)"
-                    s.main.stats.server_ops plain.stats.server_ops))
-              true
-              (s.main.stats.server_ops <= plain.stats.server_ops);
-            Alcotest.(check bool)
-              (c
-                 (Printf.sprintf "comparisons no worse (%d <= %d)"
-                    s.main.stats.comparisons plain.stats.comparisons))
-              true
-              (s.main.stats.comparisons <= plain.stats.comparisons);
-            (* Smaller k: ties make root membership arrival-dependent,
-               but the score multiset must still agree. *)
-            if m > 1 then begin
-              let k = (m / 2) + 1 in
-              let plain = Whirlpool.Engine.run plan ~k in
-              let s = Backend.run_seeded plan ~k in
-              Fixtures.check_scores_equal ~msg:(c "small-k seeded scores")
-                (Fixtures.sorted_scores plain.answers)
-                (Fixtures.sorted_scores s.main.answers)
-            end
-          end)
-        [ Fixtures.q1; Fixtures.q2; Fixtures.q3; "//keyword" ])
-    (indexes ())
-
 (* Backend dispatch: every algo runs and the axis round-trips through
    its wire names. *)
 let test_backend_dispatch () =
@@ -247,7 +196,6 @@ let suite =
     Alcotest.test_case "witness bindings are real embeddings" `Quick
       test_witnesses;
     Alcotest.test_case "should_stop honored" `Quick test_should_stop;
-    Alcotest.test_case "twig-seeded contract" `Quick test_seeded_contract;
     Alcotest.test_case "backend dispatch + algo round-trip" `Quick
       test_backend_dispatch;
   ]
