@@ -58,22 +58,18 @@ let parse_query q =
       prerr_endline ("cannot parse query: " ^ q);
       exit 2
 
-(* Documents load from XML or from a binary snapshot (.wpdoc), detected
-   by content — via the catalog's loader, so CLI and server read
-   documents identically.  The load line goes to stderr, so a [--json]
-   command's stdout is one JSON document. *)
+(* Documents load from XML or from a mapped index (.wpidx), detected by
+   content — via the catalog's loader, so CLI and server read documents
+   identically.  The load line goes to stderr, so a [--json] command's
+   stdout is one JSON document. *)
 let load_index path =
   let t0 = Whirlpool.Clock.now () in
   match Wp_serve.Catalog.read_index path with
   | Error m ->
       prerr_endline m;
       exit 2
-  | Ok (idx, source) ->
-      Printf.eprintf "Loaded %s%s: %d nodes in %.2fs\n" path
-        (match source with
-        | Wp_serve.Catalog.Xml -> ""
-        | Wp_serve.Catalog.Snapshot -> " (snapshot)"
-        | Wp_serve.Catalog.Mapped -> " (mapped index)")
+  | Ok idx ->
+      Printf.eprintf "Loaded %s: %d nodes in %.2fs\n" path
         (Wp_xml.Doc.size (Wp_xml.Index.doc idx))
         (Whirlpool.Clock.now () -. t0);
       idx
@@ -363,40 +359,13 @@ let query_cmd =
   Cmd.v
     (cmd_info "query"
        ~doc:
-         "run a top-k query against an XML file or snapshot, or against \
+         "run a top-k query against an XML file or .wpidx index, or against \
           a running server (--connect)"
        ())
     Term.(
       const query_run $ connect_arg $ path $ query_arg $ k $ threshold
       $ deadline_ms $ algo $ routing $ doc_name $ stream $ exact $ explain
       $ json)
-
-(* --- snapshot --- *)
-
-let snapshot path out =
-  let idx = load_index path in
-  let doc = Wp_xml.Index.doc idx in
-  Wp_xml.Doc_io.save out doc;
-  Printf.printf "Wrote snapshot %s (%d nodes, %d bytes)\n" out
-    (Wp_xml.Doc.size doc)
-    (Unix.stat out).Unix.st_size
-
-let snapshot_cmd =
-  let path =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"FILE" ~doc:"XML document.")
-  in
-  let out =
-    Arg.(
-      value & opt string "doc.wpdoc"
-      & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Snapshot file.")
-  in
-  Cmd.v
-    (cmd_info "snapshot"
-       ~doc:"freeze an XML file into a binary snapshot for fast loading" ())
-    Term.(const snapshot $ path $ out)
 
 (* --- index --- *)
 
@@ -429,7 +398,7 @@ let index_build_cmd =
     Arg.(
       required
       & pos 0 (some file) None
-      & info [] ~docv:"FILE" ~doc:"XML document or .wpdoc snapshot.")
+      & info [] ~docv:"FILE" ~doc:"XML document.")
   in
   let out =
     Arg.(
@@ -569,7 +538,7 @@ let lint_cmd =
       & pos 0 (some file) None
       & info [] ~docv:"FILE"
           ~doc:
-            "XML document or snapshot; when given, the analyzer also \
+            "XML document or .wpidx index; when given, the analyzer also \
              checks the query's tag vocabulary, structural \
              satisfiability and static score bound against it.")
   in
@@ -662,7 +631,7 @@ let race_cmd =
     Arg.(
       required
       & pos 0 (some file) None
-      & info [] ~docv:"FILE" ~doc:"XML document or snapshot.")
+      & info [] ~docv:"FILE" ~doc:"XML document or .wpidx index.")
   in
   let k = Arg.(value & opt int 5 & info [ "k" ] ~doc:"Answers to return.") in
   let schedules =
@@ -958,8 +927,8 @@ let serve_cmd =
       non_empty & pos_all string []
       & info [] ~docv:"CORPUS"
           ~doc:
-            "Documents to serve: XML files, .wpdoc snapshots, .wpidx \
-             memory-mapped indexes, or directories of them.")
+            "Documents to serve: XML files, .wpidx memory-mapped \
+             indexes, or directories of them.")
   in
   let http =
     Arg.(
@@ -1225,7 +1194,7 @@ let profile_cmd =
     Arg.(
       required
       & pos 0 (some file) None
-      & info [] ~docv:"FILE" ~doc:"XML document or snapshot.")
+      & info [] ~docv:"FILE" ~doc:"XML document or .wpidx index.")
   in
   let k = Arg.(value & opt int 10 & info [ "k" ] ~doc:"Answers to return.") in
   let algo =
@@ -1566,8 +1535,8 @@ let () =
       (Cmd.group
          (Cmd.info "wp_cli" ~version ~exits ~doc)
          [
-           generate_cmd; query_cmd; explain_cmd; relax_cmd; snapshot_cmd;
-           index_cmd; lint_cmd; race_cmd; check_cmd; profile_cmd; serve_cmd;
+           generate_cmd; query_cmd; explain_cmd; relax_cmd; index_cmd;
+           lint_cmd; race_cmd; check_cmd; profile_cmd; serve_cmd;
            ctl_cmd; loadgen_cmd;
          ])
   in

@@ -1,7 +1,7 @@
 let now_ns = Clock.now_ns
 
 let run ?order ?(queue_policy = Strategy.Max_final_score) ?(prune = true)
-    (plan : Plan.t) ~k =
+    ?(should_stop = Engine.never_stop) (plan : Plan.t) ~k =
   let order =
     match order with
     | Some o -> o
@@ -17,6 +17,7 @@ let run ?order ?(queue_policy = Strategy.Max_final_score) ?(prune = true)
     fun () -> incr n; !n
   in
   let seq = ref 0 in
+  let stopped = ref false in
   let consider_and_keep pm =
     let complete = Partial_match.is_complete pm ~full_mask:plan.full_mask in
     if prune then Topk_set.consider topk ~complete pm;
@@ -61,6 +62,11 @@ let run ?order ?(queue_policy = Strategy.Max_final_score) ?(prune = true)
       (let rec drain () =
         match Pqueue.pop stage with
         | None -> ()
+        | Some _ when should_stop () ->
+            (* Deadline / cancellation: abandon the rest of this stage;
+               with no survivors every later stage is empty, and the
+               answers known so far are returned flagged [partial]. *)
+            stopped := true
         | Some pm ->
             if prune && Topk_set.should_prune topk pm then
               stats.matches_pruned <- stats.matches_pruned + 1
@@ -83,7 +89,7 @@ let run ?order ?(queue_policy = Strategy.Max_final_score) ?(prune = true)
       [@wp.bounded
         "every pass pops one staged match and extensions accumulate in \
          [survivors], never back into [stage]"];
-      current := List.rev !survivors)
+      current := if !stopped then [] else List.rev !survivors)
     order;
   let answers =
     if prune then Topk_set.entries topk
@@ -95,4 +101,4 @@ let run ?order ?(queue_policy = Strategy.Max_final_score) ?(prune = true)
     end
   in
   stats.wall_ns <- Int64.sub (now_ns ()) t0;
-  { Engine.answers; stats; partial = false }
+  { Engine.answers; stats; partial = !stopped }

@@ -17,8 +17,12 @@ val run :
   ?order:int array ->
   ?queue_policy:Strategy.queue_policy ->
   ?prune:bool ->
+  ?should_stop:(unit -> bool) ->
   Plan.t ->
   k:int ->
   Engine.result
 (** [order] is the server sequence (default [1 .. n-1]); [prune] defaults
-    to [true]. *)
+    to [true].  [should_stop] (default {!Engine.never_stop}) is checked
+    at every staged pop, as {!Engine.run} checks it per iteration; once
+    it fires no further match is processed in this or any later stage,
+    and the answers known so far are returned with [partial = true]. *)

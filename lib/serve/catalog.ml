@@ -1,11 +1,8 @@
-type source = Xml | Snapshot | Mapped
-
 type doc = {
   name : string;
   path : string;
   index : Wp_xml.Index.t;
   nodes : int;
-  source : source;
   shard : int;
   dataguide : Wp_stats.Dataguide.t Lazy.t;
 }
@@ -62,33 +59,25 @@ let with_lock t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-(* Documents load from XML, from a binary snapshot (.wpdoc) or from a
-   compacted on-disk index (.wpidx, memory-mapped), detected by
-   content — the sniffing the CLI's one-shot loader used to inline. *)
+(* Documents load from XML or from a compacted on-disk index (.wpidx,
+   memory-mapped), detected by content rather than by file name. *)
 let read_index path =
   match open_in_bin path with
   | exception Sys_error m -> Error m
   | ic ->
-      let probe_len =
-        max
-          (String.length Wp_xml.Doc_io.magic)
-          (String.length Wp_storage.Index_file.magic)
-      in
+      let magic = Wp_storage.Index_file.magic in
       let probe =
-        try really_input_string ic probe_len with End_of_file -> ""
+        try really_input_string ic (String.length magic)
+        with End_of_file -> ""
       in
       close_in_noerr ic;
-      if String.starts_with ~prefix:Wp_storage.Index_file.magic probe then
+      if String.equal probe magic then
         match Wp_storage.Index_file.open_index path with
-        | Ok h -> Ok (Wp_storage.Index_file.index h, Mapped)
+        | Ok h -> Ok (Wp_storage.Index_file.index h)
         | Error e -> Error (Wp_storage.Index_file.error_message e)
-      else if String.starts_with ~prefix:Wp_xml.Doc_io.magic probe then
-        match Wp_xml.Doc_io.load path with
-        | d -> Ok (Wp_xml.Index.build d, Snapshot)
-        | exception Failure m -> Error (Printf.sprintf "%s: %s" path m)
       else
         match Wp_xml.Doc.of_tree (Wp_xml.Parser.parse_file path) with
-        | d -> Ok (Wp_xml.Index.build d, Xml)
+        | d -> Ok (Wp_xml.Index.build d)
         | exception Wp_xml.Parser.Error { position; message } ->
             Error
               (Printf.sprintf "%s: parse error at byte %d: %s" path position
@@ -99,10 +88,10 @@ let load_file t ?name path =
   let name = match name with Some n -> n | None -> Filename.basename path in
   match read_index path with
   | Error _ as e -> e
-  | Ok (index, source) ->
+  | Ok index ->
       let doc =
         { name; path; index; nodes = Wp_xml.Doc.size (Wp_xml.Index.doc index);
-          source; shard = shard_of t name;
+          shard = shard_of t name;
           dataguide = lazy (Wp_stats.Dataguide.build (Wp_xml.Index.doc index)) }
       in
       with_lock t (fun () ->
@@ -111,9 +100,7 @@ let load_file t ?name path =
       Ok doc
 
 let corpus_file f =
-  Filename.check_suffix f ".xml"
-  || Filename.check_suffix f ".wpdoc"
-  || Filename.check_suffix f ".wpidx"
+  Filename.check_suffix f ".xml" || Filename.check_suffix f ".wpidx"
 
 let load_dir t dir =
   match Sys.readdir dir with
@@ -123,7 +110,7 @@ let load_dir t dir =
         Array.to_list entries |> List.filter corpus_file |> List.sort compare
       in
       if files = [] then
-        Error (Printf.sprintf "%s: no .xml, .wpdoc or .wpidx files" dir)
+        Error (Printf.sprintf "%s: no .xml or .wpidx files" dir)
       else
         let rec go acc = function
           | [] -> Ok (List.rev acc)

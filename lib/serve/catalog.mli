@@ -23,17 +23,11 @@
     each compile, but all of them get the one entry that was cached
     first. *)
 
-(** How a document entered the corpus: parsed from XML, restored from a
-    [.wpdoc] binary snapshot, or memory-mapped from a compacted
-    [.wpidx] on-disk index ({!Wp_storage.Index_file}). *)
-type source = Xml | Snapshot | Mapped
-
 type doc = {
   name : string;  (** corpus-unique name clients address (file basename) *)
   path : string;
   index : Wp_xml.Index.t;
   nodes : int;
-  source : source;
   shard : int;  (** [Hashtbl.hash name mod shards] — stable across loads *)
   dataguide : Wp_stats.Dataguide.t Lazy.t;
       (** the document's annotated strong dataguide, built on first
@@ -62,19 +56,18 @@ val shard_of : t -> string -> int
 (** The shard a document of the given name belongs (or would belong)
     to. *)
 
-val read_index : string -> (Wp_xml.Index.t * source, string) result
-(** Load and index a document from an XML file, a binary snapshot or a
-    [.wpidx] on-disk index (detected by content).  The
-    catalog-independent loader the CLI also uses; [Error] carries a
-    printable message. *)
+val read_index : string -> (Wp_xml.Index.t, string) result
+(** Load and index a document from an XML file or a [.wpidx] on-disk
+    index (detected by content).  The catalog-independent loader the
+    CLI also uses; [Error] carries a printable message. *)
 
 val load_file : t -> ?name:string -> string -> (doc, string) result
 (** Load one document into the corpus.  [name] defaults to the file's
     basename; reloading an existing name replaces the document. *)
 
 val load_dir : t -> string -> (doc list, string) result
-(** Load every [*.xml], [*.wpdoc] and [*.wpidx] file of a directory, in
-    name order.  [Error] on an unreadable directory or if any file
+(** Load every [*.xml] and [*.wpidx] file of a directory, in name
+    order.  [Error] on an unreadable directory or if any file
     fails to load; on success the list of loaded documents. *)
 
 val docs : t -> doc list

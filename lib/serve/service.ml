@@ -299,6 +299,16 @@ let shard_groups docs =
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   |> List.map snd
 
+let entry_answer (doc : Catalog.doc) (e : Whirlpool.Topk_set.entry) =
+  let d = Wp_xml.Index.doc doc.Catalog.index in
+  {
+    Protocol.doc = doc.Catalog.name;
+    root = e.root;
+    dewey = Wp_xml.Dewey.to_string (Wp_xml.Doc.dewey d e.root);
+    score = e.score;
+    progress = e.progress;
+  }
+
 let run_query t (q : Protocol.query) ~t0 ~obs ~cancelled ~on_entry =
   let* docs = resolve_docs t q in
   let* k = resolve_k t q in
@@ -333,7 +343,6 @@ let run_query t (q : Protocol.query) ~t0 ~obs ~cancelled ~on_entry =
         let push = Option.value q.bound_push ~default:true in
         scatter_gather t ~config ~algo ~k ~should_stop ~push groups q
   in
-  let partial = ref partial in
   (* Merge across documents: best scores first, ties by document name
      then root id for a deterministic order. *)
   let merged =
@@ -349,20 +358,7 @@ let run_query t (q : Protocol.query) ~t0 ~obs ~cancelled ~on_entry =
       tagged
   in
   let top = List.filteri (fun i _ -> i < k) merged in
-  let answers =
-    List.map
-      (fun ((doc : Catalog.doc), (e : Whirlpool.Topk_set.entry)) ->
-        let d = Wp_xml.Index.doc doc.index in
-        {
-          Protocol.doc = doc.name;
-          root = e.root;
-          dewey = Wp_xml.Dewey.to_string (Wp_xml.Doc.dewey d e.root);
-          score = e.score;
-          progress = e.progress;
-        })
-      top
-  in
-  Result.Ok (answers, stats, !partial)
+  Result.Ok (List.map (fun (doc, e) -> entry_answer doc e) top, stats, partial)
 
 let note_slow t (q : Protocol.query) ~elapsed_ms ~obs =
   match t.slow_query_ms with
@@ -381,16 +377,6 @@ let note_slow t (q : Protocol.query) ~elapsed_ms ~obs =
           t.slow_log <-
             entry :: List.filteri (fun i _ -> i < slow_log_cap - 1) t.slow_log)
   | Some _ | None -> ()
-
-let entry_answer (doc : Catalog.doc) (e : Whirlpool.Topk_set.entry) =
-  let d = Wp_xml.Index.doc doc.Catalog.index in
-  {
-    Protocol.doc = doc.Catalog.name;
-    root = e.root;
-    dewey = Wp_xml.Dewey.to_string (Wp_xml.Doc.dewey d e.root);
-    score = e.score;
-    progress = e.progress;
-  }
 
 let handle_query_stream t ?cancelled ?on_part (q : Protocol.query) =
   let t0 = now_ns () in

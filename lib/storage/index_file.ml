@@ -406,8 +406,8 @@ let parse_header path ~actual_size ~sections bytes =
     h_offsets; h_lengths }
 
 (* Eagerly decode the (small) tag table and tag extents with ordinary
-   reads, validating string lengths and extent ranges Doc_io-style:
-   never trust a length field further than the bytes actually present. *)
+   reads, validating string lengths and extent ranges: never trust a
+   length field further than the bytes actually present. *)
 let read_tag_table path ic (h : header) =
   let fail detail = raise (Invalid (Corrupt { path; detail })) in
   seek_in ic h.h_offsets.(s_tag_table);

@@ -29,11 +29,15 @@
     validate the 15 sections they know and skip any trailing entries a
     newer writer appended (e.g. a persisted dataguide), so the format
     can grow without breaking old files; a count below 15 is rejected.
-    Corruption — bad magic, version skew, checksum mismatch,
-    truncation, out-of-range or misaligned section extents, tag
-    extents that do not tile the postings — is rejected with a typed
-    {!error} before anything is mapped or any count-sized allocation
-    happens, in the style of {!Wp_xml.Doc_io}. *)
+    Damage to the header, the section table or the tag extents — bad
+    magic, version skew, checksum mismatch, truncation, out-of-range or
+    misaligned section extents, tag extents that do not tile the
+    postings — is rejected with a typed {!error} before anything is
+    mapped or any count-sized allocation happens.  The mapped column
+    bytes are not checksummed or range-checked: a file whose header is
+    intact but whose columns were altered opens, and a query over it
+    can return wrong answers or raise [Invalid_argument] on an
+    out-of-range node id. *)
 
 val magic : string
 (** First bytes of every [.wpidx] file (["WPIDX"]), for sniffing. *)

@@ -19,9 +19,9 @@ let run ?(config = Config.default) ?guide plan ~k =
   | Config.Lockstep ->
       emit_all ~config
         (Whirlpool.Lockstep.run ~queue_policy:config.Config.queue_policy
-           ~prune:true plan ~k)
+           ~prune:true ~should_stop:config.Config.should_stop plan ~k)
   | Config.Lockstep_noprun ->
       emit_all ~config
         (Whirlpool.Lockstep.run ~queue_policy:config.Config.queue_policy
-           ~prune:false plan ~k)
+           ~prune:false ~should_stop:config.Config.should_stop plan ~k)
   | Config.Twig -> emit_all ~config (Twig_join.run ~config ?guide plan ~k)

@@ -14,7 +14,8 @@ val run :
     - [Whirlpool] → {!Whirlpool.Engine.run}
     - [Whirlpool_mt] → {!Whirlpool.Engine_mt.run}
     - [Lockstep] / [Lockstep_noprun] → {!Whirlpool.Lockstep.run} under
-      [config.queue_policy], with and without pruning
+      [config.queue_policy] and [config.should_stop], with and without
+      pruning
     - [Twig] → {!Twig_join.run}
 
     [guide] (used by the twig backend only) defaults to the memoized

@@ -60,42 +60,6 @@ let of_tree tree =
 let of_forest ?(root_tag = "doc-root") trees =
   of_tree (Tree.el root_tag trees)
 
-let of_components ~tags ~values ~parents =
-  let n = Array.length tags in
-  if Array.length values <> n || Array.length parents <> n then
-    invalid_arg "Doc.of_components: array lengths differ";
-  if n = 0 then invalid_arg "Doc.of_components: empty document";
-  if parents.(0) <> -1 then
-    invalid_arg "Doc.of_components: node 0 must be the root";
-  for i = 1 to n - 1 do
-    if parents.(i) < 0 || parents.(i) >= i then
-      invalid_arg "Doc.of_components: parents must precede children"
-  done;
-  (* Subtree extents: scanning ids backwards, a child's extent is final
-     before its parent's is read. *)
-  let subtree_ends = Array.init n (fun i -> i + 1) in
-  for i = n - 1 downto 1 do
-    let p = parents.(i) in
-    if subtree_ends.(i) > subtree_ends.(p) then
-      subtree_ends.(p) <- subtree_ends.(i)
-  done;
-  (* Dewey labels from per-parent child ranks. *)
-  let next_rank = Array.make n 0 in
-  let deweys = Array.make n Dewey.root in
-  for i = 1 to n - 1 do
-    let p = parents.(i) in
-    next_rank.(p) <- next_rank.(p) + 1;
-    deweys.(i) <- Dewey.child deweys.(p) next_rank.(p)
-  done;
-  Mem
-    {
-      tags = Array.copy tags;
-      values = Array.copy values;
-      deweys;
-      parents = Array.copy parents;
-      subtree_ends;
-    }
-
 let of_ext ~size ~tag ~value ~parent ~subtree_end ~depth ~rank ~distinct_tags =
   if size < 1 then invalid_arg "Doc.of_ext: empty document";
   Ext

@@ -19,14 +19,6 @@ val of_forest : ?root_tag:string -> Tree.t list -> t
 (** Freeze a forest under a synthetic root (default tag ["doc-root"]),
     matching the paper's data model of "a forest of node labeled trees". *)
 
-val of_components :
-  tags:string array -> values:string option array -> parents:int array -> t
-(** Rebuild a document from its preorder components ([parents.(0) = -1],
-    every other parent precedes its child); subtree extents and Dewey
-    labels are recomputed.  Used by {!Doc_io} snapshots.
-    @raise Invalid_argument if the arrays are not a valid preorder
-    encoding. *)
-
 val of_ext :
   size:int ->
   tag:(node_id -> string) ->

@@ -1,41 +1,16 @@
-(* Fuzzing the three parsers: arbitrary inputs must either succeed or
+(* Fuzzing the two parsers: arbitrary inputs must either succeed or
    raise the parser's own Error — never any other exception, never a
    hang.  Mutated well-formed documents stress the error paths most. *)
 
 let well_behaved_xml input =
-  let string_parser () =
-    match Wp_xml.Parser.parse_string input with
-    | _ -> true
-    | exception Wp_xml.Parser.Error _ -> true
-  in
-  let sax () =
-    match Wp_xml.Sax.tree_of_string input with
-    | _ -> true
-    | exception Wp_xml.Sax.Error _ -> true
-  in
-  string_parser () && sax ()
+  match Wp_xml.Parser.parse_string input with
+  | _ -> true
+  | exception Wp_xml.Parser.Error _ -> true
 
 let well_behaved_xpath input =
   match Wp_pattern.Xpath_parser.parse input with
   | _ -> true
   | exception Wp_pattern.Xpath_parser.Error _ -> true
-
-(* Parsers must agree on acceptance. *)
-let parsers_agree input =
-  let a =
-    match Wp_xml.Parser.parse_string input with
-    | t -> Some t
-    | exception Wp_xml.Parser.Error _ -> None
-  in
-  let b =
-    match Wp_xml.Sax.tree_of_string input with
-    | t -> Some t
-    | exception Wp_xml.Sax.Error _ -> None
-  in
-  match (a, b) with
-  | Some t1, Some t2 -> Wp_xml.Tree.equal t1 t2
-  | None, None -> true
-  | Some _, None | None, Some _ -> false
 
 let gen_noise =
   QCheck2.Gen.(string_size ~gen:(map Char.chr (int_range 32 126)) (int_bound 60))
@@ -74,16 +49,12 @@ let gen_mutated =
        (map Char.chr (int_range 32 126)))
 
 let prop_noise_xml =
-  QCheck2.Test.make ~name:"xml parsers survive noise" ~count:500 gen_noise
+  QCheck2.Test.make ~name:"xml parser survives noise" ~count:500 gen_noise
     well_behaved_xml
 
 let prop_mutations_xml =
-  QCheck2.Test.make ~name:"xml parsers survive mutations" ~count:300
+  QCheck2.Test.make ~name:"xml parser survives mutations" ~count:300
     gen_mutated well_behaved_xml
-
-let prop_parsers_agree =
-  QCheck2.Test.make ~name:"string and sax parsers agree" ~count:300 gen_mutated
-    parsers_agree
 
 let prop_noise_xpath =
   QCheck2.Test.make ~name:"xpath parser survives noise" ~count:500 gen_noise
@@ -114,7 +85,6 @@ let suite =
     [
       prop_noise_xml;
       prop_mutations_xml;
-      prop_parsers_agree;
       prop_noise_xpath;
       prop_mutated_xpath;
     ]

@@ -63,6 +63,19 @@ let test_query_algo () =
       "twig";
     ]
 
+(* XML and .wpidx are the only formats that load: a file with any other
+   magic, here the old WPDOC snapshot's, goes to the XML parser and
+   fails there as a load error. *)
+let test_query_load () =
+  let file = Filename.temp_file "wp_retired" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      Out_channel.with_open_bin file (fun oc ->
+          output_string oc "WPDOC\001\000\000\000\003");
+      check_exit "query on a WPDOC file exits 2" 2
+        [ "query"; file; "-q"; "/book[./title]" ])
+
 (* [profile --json] on stdout, parsed; the exit code comes back too. *)
 let profile_json args =
   let out = Filename.temp_file "wp_profile" ".json" in
@@ -138,6 +151,7 @@ let suite =
     Alcotest.test_case "lint exit codes" `Quick test_lint;
     Alcotest.test_case "race exit codes" `Quick test_race;
     Alcotest.test_case "query --algo exit codes" `Quick test_query_algo;
+    Alcotest.test_case "query load errors" `Quick test_query_load;
     Alcotest.test_case "check exit codes" `Quick test_check;
     Alcotest.test_case "profile exit codes and events" `Quick test_profile;
   ]

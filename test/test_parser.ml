@@ -72,6 +72,8 @@ let test_errors () =
       "<a>&unknown;</a>";
       "< a/>";
       "<a>text";
+      "text<a/>";
+      "<a></a>trailing";
     ]
 
 let test_error_position () =

@@ -350,17 +350,25 @@ let test_engine_should_stop () =
   Alcotest.(check bool) "no more answers than baseline" true
     (List.length stopped.answers <= List.length baseline.answers)
 
-let test_engine_mt_should_stop () =
+(* Every backend honours the hook through the one dispatcher: one that
+   always fires flags the run partial, [never_stop] lets it complete. *)
+let test_backend_should_stop () =
   let plan = books_plan Fixtures.q2a in
-  let stopped =
-    Whirlpool.Engine_mt.run
-      ~config:
-        Whirlpool.Engine.Config.(default |> with_should_stop (fun () -> true))
-      plan ~k:3
-  in
-  Alcotest.(check bool) "mt flagged partial" true stopped.partial;
-  let complete = Whirlpool.Engine_mt.run plan ~k:3 in
-  Alcotest.(check bool) "mt default complete" false complete.partial
+  List.iter
+    (fun algo ->
+      let name = Whirlpool.Engine.Config.algo_to_string algo in
+      let run should_stop =
+        Wp_twig.Backend.run
+          ~config:
+            Whirlpool.Engine.Config.(
+              default |> with_algo algo |> with_should_stop should_stop)
+          plan ~k:3
+      in
+      Alcotest.(check bool) (name ^ " flagged partial") true
+        (run (fun () -> true)).partial;
+      Alcotest.(check bool) (name ^ " complete") false
+        (run Whirlpool.Engine.never_stop).partial)
+    Whirlpool.Engine.Config.all_algos
 
 (* --- Service --- *)
 
@@ -1564,8 +1572,7 @@ let suite =
       test_metrics_zero_requests_finite;
     Alcotest.test_case "metrics counts" `Quick test_metrics_counts;
     Alcotest.test_case "engine should_stop" `Quick test_engine_should_stop;
-    Alcotest.test_case "engine-mt should_stop" `Quick
-      test_engine_mt_should_stop;
+    Alcotest.test_case "backend should_stop" `Quick test_backend_should_stop;
     Alcotest.test_case "service matches engine" `Quick
       test_service_matches_engine;
     Alcotest.test_case "service expired deadline partial" `Quick

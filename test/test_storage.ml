@@ -1,5 +1,5 @@
 (* The .wpidx on-disk index: differential equivalence against the
-   in-memory backend, and Doc_io-style rejection of corrupt files.
+   in-memory backend, and rejection of truncated or corrupt files.
 
    The tentpole property is bit-for-bit interchangeability: a document
    written to a .wpidx file and memory-mapped back must give every
@@ -217,6 +217,38 @@ let test_corrupt_headers () =
       Alcotest.(check int) "restored file opens" (Doc.size doc)
         (If.info h).If.nodes)
 
+(* Every strict prefix of a valid file, and every single-byte change
+   inside its header, must be rejected with a typed [Error] — never
+   opened, never another exception.  Column bytes past the header are
+   not checksummed, so changes there are out of scope. *)
+
+(* The header at the baseline section count (see the Index_file docs). *)
+let header_bytes = 312
+
+let books_wpidx = with_written Fixtures.books_doc read_file
+
+let rejects contents =
+  let path = temp_wpidx () in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      write_file path contents;
+      Result.is_error (If.open_index path))
+
+let prop_truncation_fails_cleanly =
+  QCheck2.Test.make ~name:"truncation fails cleanly" ~count:200
+    QCheck2.Gen.(int_bound (String.length books_wpidx - 1))
+    (fun cut -> rejects (String.sub books_wpidx 0 cut))
+
+let prop_header_corruption_rejected =
+  QCheck2.Test.make ~name:"header corruption rejected" ~count:300
+    QCheck2.Gen.(pair (int_bound (header_bytes - 1)) (int_range 1 255))
+    (fun (pos, flip) ->
+      rejects
+        (String.mapi
+           (fun i c -> if i = pos then Char.chr (Char.code c lxor flip) else c)
+           books_wpidx))
+
 (* --- forward compatibility --- *)
 
 (* FNV-1a 64, mirroring the writer's header checksum (not exported). *)
@@ -316,6 +348,8 @@ let suite =
       test_roundtrip_engine;
     Alcotest.test_case "content-term lookup" `Quick test_lookup_term;
     Alcotest.test_case "corrupt files rejected" `Quick test_corrupt_headers;
+    QCheck_alcotest.to_alcotest prop_truncation_fails_cleanly;
+    QCheck_alcotest.to_alcotest prop_header_corruption_rejected;
     Alcotest.test_case "unknown sections skipped (forward compat)" `Quick
       test_forward_compat;
   ]
