@@ -4,8 +4,6 @@
      — routing decisions amortized over batches of queue heads.
    - [threads]: the paper's Section 7 future work — several worker
      threads per server.
-   - [estimator]: sampled root-candidate statistics vs the structural
-     synopsis (selectivity-estimation style) behind min_alive routing.
    - [quality]: the paper's deferred scoring validation — precision and
      nDCG of the engine ranking against relaxation-distance relevance. *)
 
@@ -61,36 +59,6 @@ let threads (scale : Common.scale) =
   Printf.printf
     "\nPaper Section 7: \"increasing the number of threads per server for\n\
      maximal parallelism\" — useful once a single hot server saturates.\n"
-
-let estimator (scale : Common.scale) =
-  Common.header "Ablation: routing estimates — sampling vs synopsis (Q2)";
-  let idx = Common.index_for scale.default_size in
-  let pattern = Wp_pattern.Xpath_parser.parse Common.q2 in
-  let k = scale.default_k in
-  let widths = [ 12; 14; 14; 12; 12 ] in
-  Common.print_row widths [ "estimator"; "compile"; "time"; "ops"; "created" ];
-  List.iter
-    (fun (name, estimator) ->
-      let plan, compile_dt =
-        Common.time (fun () ->
-            Whirlpool.Plan.compile ~estimator idx Wp_relax.Relaxation.all
-              pattern)
-      in
-      let (r : Whirlpool.Engine.result), dt =
-        Common.timed_runs (fun () -> Whirlpool.Engine.run plan ~k)
-      in
-      Common.print_row widths
-        [
-          name;
-          Common.fsec compile_dt;
-          Common.fsec dt;
-          Common.fint r.stats.server_ops;
-          Common.fint r.stats.matches_created;
-        ])
-    [ ("sampled", Whirlpool.Plan.Sampled); ("synopsis", Whirlpool.Plan.Synopsis) ];
-  Printf.printf
-    "\nThe synopsis amortizes across queries (one pass per document); the\n\
-     sample is per-plan.  Routing quality should be comparable.\n"
 
 let quality (scale : Common.scale) =
   Common.header

@@ -21,7 +21,6 @@ let exhibits =
     ("queues", Queues.run);
     ("batching", Extensions.batching);
     ("threads", Extensions.threads);
-    ("estimator", Extensions.estimator);
     ("quality", Extensions.quality);
     ("fagin", Fagin_bench.run);
     ("corpus", Corpus.run);
@@ -90,7 +89,7 @@ let names =
     & info [] ~docv:"EXHIBIT"
         ~doc:
           "Exhibits to run: fig3 fig5 fig6 fig7 fig8 fig9 fig10 fig11 table2 \
-           scoring queues batching threads estimator quality fagin corpus content micro.  \
+           scoring queues batching threads quality fagin corpus content micro.  \
            Default: all.")
 
 let cmd =

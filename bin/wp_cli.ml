@@ -58,6 +58,14 @@ let parse_query q =
       prerr_endline ("cannot parse query: " ^ q);
       exit 2
 
+(* Counts the engines need positive ([-k], [--batch]): the serve
+   tier's [Service.resolve_k]/[resolve_batch] rule, as a usage error. *)
+let require_positive name v =
+  if v < 1 then begin
+    Printf.eprintf "%s must be >= 1 (got %d)\n" name v;
+    exit 2
+  end
+
 (* Documents load from XML or from a mapped index (.wpidx), detected by
    content — via the catalog's loader, so CLI and server read documents
    identically.  The load line goes to stderr, so a [--json] command's
@@ -255,6 +263,7 @@ let local_query path q k threshold algo routing exact explain json =
 
 let query_run connect path q k threshold deadline_ms algo routing doc stream
     exact explain json =
+  require_positive "-k" k;
   match connect with
   | Some socket ->
       if threshold <> None || exact || explain then begin
@@ -577,6 +586,7 @@ let lint_cmd =
 (* --- race --- *)
 
 let race q path k schedules seed threads_per_server routing exact inject json =
+  require_positive "-k" k;
   let idx = load_index path in
   let pattern = parse_query q in
   let routing =
@@ -1111,6 +1121,8 @@ let ctl_cmd =
    cost attribution plus the query's span tree. *)
 let profile_run path q k algo routing batch threads use_cache exact
     show_spans json =
+  require_positive "-k" k;
+  require_positive "--batch" batch;
   let idx = load_index path in
   let pattern = parse_query q in
   let algo =

@@ -264,6 +264,21 @@ let run ?(config = Config.default) (plan : Plan.t) ~k =
       cur_span := saved
     end
   in
+  (* Bulk adaptivity (paper Section 6.3.3): a routing decision made for
+     a popped match is reused for up to [batch - 1] following pops that
+     have visited the same servers (and so admit the same choice).  Any
+     other pop ends the batch.  Plain ints, so deciding allocates
+     nothing. *)
+  let batch_server = ref 0 and batch_mask = ref 0 and batch_left = ref 0 in
+  let bspan = ref None in
+  let end_batch () =
+    batch_left := 0;
+    if obs_on then begin
+      Obs.finish obs !bspan;
+      bspan := None;
+      cur_span := qspan
+    end
+  in
   let stopped = ref false in
   let rec loop () =
     match Pqueue.pop queue with
@@ -275,6 +290,8 @@ let run ?(config = Config.default) (plan : Plan.t) ~k =
         stopped := true
     | Some pm ->
         cert_remove pm;
+        let in_batch = !batch_left > 0 && pm.visited_mask = !batch_mask in
+        if in_batch then decr batch_left else end_batch ();
         if tracing () then
           emit
             (Obs.Popped
@@ -284,65 +301,30 @@ let run ?(config = Config.default) (plan : Plan.t) ~k =
           stats.matches_pruned <- stats.matches_pruned + 1
         end
         else begin
-          let server =
-            Strategy.choose_next routing plan
-              ~threshold:(Topk_set.threshold topk) pm
-          in
-          stats.routing_decisions <- stats.routing_decisions + 1;
+          if not in_batch then begin
+            batch_server :=
+              Strategy.choose_next routing plan
+                ~threshold:(Topk_set.threshold topk) pm;
+            batch_mask := pm.visited_mask;
+            batch_left := batch - 1;
+            stats.routing_decisions <- stats.routing_decisions + 1
+          end;
+          let server = !batch_server in
           if tracing () then emit (Obs.Routed { id = pm.id; server });
-          let bspan =
-            if obs_on then begin
-              let b = Obs.child obs ~parent:qspan "batch" in
-              Obs.attr obs b "server" (float_of_int server);
-              if b <> None then cur_span := b;
-              b
-            end
-            else None
-          in
-          process_at pm server;
-          (* Bulk adaptivity: reuse the decision for queue heads that
-             have visited the same servers (and therefore admit the same
-             choice), without paying another decision. *)
-          let rec drain_batch budget =
-            if budget > 0 then
-              match Pqueue.peek queue with
-              | Some (head : Partial_match.t)
-                when head.visited_mask = pm.visited_mask -> (
-                  match Pqueue.pop queue with
-                  | Some next ->
-                      cert_remove next;
-                      if tracing () then
-                        emit
-                          (Obs.Popped
-                             {
-                               id = next.id;
-                               score = next.score;
-                               max_possible = next.max_possible;
-                             });
-                      if Topk_set.should_prune topk next || xpruned next then begin
-                        if tracing () then emit (Obs.Pruned { id = next.id });
-                        stats.matches_pruned <- stats.matches_pruned + 1
-                      end
-                      else begin
-                        if tracing () then
-                          emit (Obs.Routed { id = next.id; server });
-                        process_at next server
-                      end;
-                      drain_batch (budget - 1)
-                  | None -> ())
-              | Some _ | None -> ()
-          in
-          drain_batch (batch - 1);
-          if obs_on then begin
-            Obs.finish obs bspan;
-            cur_span := qspan
-          end
+          if obs_on && not in_batch then begin
+            bspan := Obs.child obs ~parent:qspan "batch";
+            Obs.attr obs !bspan "server" (float_of_int server);
+            if !bspan <> None then cur_span := !bspan
+          end;
+          process_at pm server
         end;
+        if !batch_left = 0 then end_batch ();
         publish ();
         certify ();
         loop ()
   in
   loop ();
+  end_batch ();
   (* A drained run holds no alive matches: everything left is final.
      A stopped run emits nothing more — its remaining answers travel
      only in the buffered (partial) reply. *)
@@ -359,99 +341,22 @@ let run ?(config = Config.default) (plan : Plan.t) ~k =
   end;
   { answers; stats; partial = !stopped }
 
-(* Threshold mode: no top-k set — a fixed bar prunes instead, and every
-   completed match above the bar is an answer (best score per root). *)
+(* Threshold mode is [run] with the bar as a fixed external prune
+   bound and room for every root: the top-k set keeps one entry per
+   root, and the strict [<] prune never drops a match that could still
+   score above the bar. *)
 let run_above ?(config = Config.default) (plan : Plan.t) ~threshold =
-  let { Config.routing; queue_policy; use_cache; should_stop; _ } = config in
-  validate_plan plan;
-  let cache =
-    if not use_cache then None
-    else match config.cache with Some _ as c -> c | None -> Some (Candidate_cache.create ())
+  let config =
+    {
+      config with
+      prune_bound = (fun () -> threshold);
+      publish_threshold = no_publish;
+      on_certified = no_certify;
+    }
   in
-  let stats = Stats.create () in
-  let t0 = now_ns () in
-  let queue : Partial_match.t Pqueue.t = Pqueue.create () in
-  let seq = ref 0 in
-  let next_id =
-    let n = ref 0 in
-    fun () -> incr n; !n
-  in
-  let answers : (int, Topk_set.entry) Hashtbl.t = Hashtbl.create 64 in
-  let record (pm : Partial_match.t) =
-    stats.completed <- stats.completed + 1;
-    if pm.score > threshold then begin
-      let root = Partial_match.root_binding pm in
-      let entry =
-        {
-          Topk_set.root;
-          score = pm.score;
-          match_id = pm.id;
-          bindings = Array.copy pm.bindings;
-          progress = plan.n_servers;
-        }
-      in
-      match Hashtbl.find_opt answers root with
-      | Some e when e.Topk_set.score >= pm.score -> ()
-      | Some _ | None -> Hashtbl.replace answers root entry
-    end
-  in
-  let hopeless (pm : Partial_match.t) = pm.max_possible <= threshold in
-  let enqueue (pm : Partial_match.t) =
-    incr seq;
-    Pqueue.push queue ~tie:pm.score
-      (Strategy.priority queue_policy plan ~seq:!seq ~server:None pm)
-      pm
-  in
-  let single_node = plan.n_servers = 1 in
-  let checking = Invariants.enabled () in
-  List.iter
-    (fun pm ->
-      if checking then Invariants.check_root plan pm;
-      if single_node then record pm
-      else if hopeless pm then
-        stats.matches_pruned <- stats.matches_pruned + 1
-      else enqueue pm)
-    (Server.initial_matches plan stats ~next_id);
-  let stopped = ref false in
-  let rec loop () =
-    match Pqueue.pop queue with
-    | None -> ()
-    | Some _ when should_stop () -> stopped := true
-    | Some pm ->
-        let server = Strategy.choose_next routing plan ~threshold pm in
-        stats.routing_decisions <- stats.routing_decisions + 1;
-        let { Server.extensions; died = _ } =
-          Server.process ?cache plan stats ~next_id pm ~server
-        in
-        if checking then
-          List.iter (Invariants.check_extension plan ~parent:pm) extensions;
-        List.iter
-          (fun ext ->
-            if Partial_match.is_complete ext ~full_mask:plan.full_mask then
-              record ext
-            else if hopeless ext then
-              stats.matches_pruned <- stats.matches_pruned + 1
-            else enqueue ext)
-          extensions;
-        loop ()
-  in
-  loop ();
-  stats.wall_ns <- Int64.sub (now_ns ()) t0;
-  let sorted =
-    List.sort
-      (fun (a : Topk_set.entry) b ->
-        match Float.compare b.score a.score with
-        | 0 -> Int.compare a.root b.root
-        | c -> c)
-      (Hashtbl.fold (fun _ e acc -> e :: acc) answers [])
-  in
-  { answers = sorted; stats; partial = !stopped }
-
-let pp_result ppf r =
-  Format.fprintf ppf "@[<v>%a@," Stats.pp r.stats;
-  if r.partial then Format.fprintf ppf "(partial: run stopped early)@,";
-  List.iteri
-    (fun i (e : Topk_set.entry) ->
-      Format.fprintf ppf "%d. root=%d score=%.4f@," (i + 1) e.root e.score)
-    r.answers;
-  Format.fprintf ppf "@]"
+  let r = run ~config plan ~k:(max 1 (Array.length plan.roots)) in
+  {
+    r with
+    answers =
+      List.filter (fun (e : Topk_set.entry) -> e.score > threshold) r.answers;
+  }

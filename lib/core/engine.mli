@@ -123,7 +123,7 @@ module Config : sig
             protocol-v2 clients mid-run.  Emissions form a stable
             prefix of [result.answers]; a run cut short by
             [should_stop] stops emitting but never retracts.  Ignored
-            by {!run_above} (threshold mode has no top-k set). *)
+            by {!run_above}. *)
   }
 
   val default : t
@@ -164,6 +164,7 @@ val run : ?config:Config.t -> Plan.t -> k:int -> result
     similarity"): one routing decision is reused for up to [batch]
     consecutive queue heads that have visited the same set of servers,
     amortizing the decision overhead when server operations are cheap.
+    A pop with a different visited set ends the batch.
 
     [config.use_cache] memoizes per-(server, root) candidate derivation
     through a run-local {!Candidate_cache}; disabling it recomputes
@@ -182,12 +183,10 @@ val run_above : ?config:Config.t -> Plan.t -> threshold:float -> result
     strictly exceeds [threshold], best first, pruning partial matches
     whose maximum possible final score cannot beat it.  The cardinality
     of the answer set is data-dependent rather than fixed at [k].
-    Honors [config]'s routing, queue policy, cache and stop hook;
-    [batch] and [obs] do not apply to this mode.
-    [config.on_certified] is ignored here.
 
-    The pre-redesign [run_args]/[run_above_args] wrappers, deprecated
-    since the Observe release, are gone; {!Config.t} is the only
-    configuration surface. *)
-
-val pp_result : Format.formatter -> result -> unit
+    A wrapper over {!run}: [k] is the number of root candidates (at
+    least 1), so the top-k set holds one entry per root, and
+    [config.prune_bound] is fixed at [threshold]; the answers are those
+    entries scoring above it.  Every other knob of [config] applies as
+    in {!run}, [batch] and [obs] included; [config.publish_threshold]
+    and [config.on_certified] are ignored. *)

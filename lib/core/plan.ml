@@ -45,29 +45,25 @@ let root_candidates config idx (specs : Server_spec.t array) =
          && value_ok config doc spec.value n)
   |> Array.of_list
 
-(* Estimate fan-out, exactness and emptiness of each server over a sample
-   of root candidates. *)
-let estimate config idx (specs : Server_spec.t array) roots ~sample =
+(* Root candidates inspected for the routing estimates. *)
+let sample = 100
+
+(* Estimate fan-out, exactness and emptiness of each server over the
+   first [sample] root candidates. *)
+let estimate config idx (specs : Server_spec.t array) roots =
   let doc = Index.doc idx in
   let n = Array.length specs in
   let est_fanout = Array.make n 1.0 in
   let est_p_exact = Array.make n 1.0 in
   let est_p_empty = Array.make n 0.0 in
-  let sampled =
-    let rec take k = function
-      | [] -> []
-      | _ when k = 0 -> []
-      | x :: rest -> x :: take (k - 1) rest
-    in
-    take sample (Array.to_list roots)
-  in
-  let n_sampled = List.length sampled in
+  let n_sampled = min sample (Array.length roots) in
+  let sampled = Array.sub roots 0 n_sampled in
   if n_sampled > 0 then
     for s = 1 to n - 1 do
       let spec = specs.(s) in
       let rel = Server_spec.candidate_relation spec in
       let total = ref 0 and exact = ref 0 and empty = ref 0 in
-      List.iter
+      Array.iter
         (fun root ->
           let root_depth = Doc.depth doc root in
           let here = ref 0 in
@@ -95,67 +91,14 @@ let estimate config idx (specs : Server_spec.t array) roots ~sample =
     done;
   (est_fanout, est_p_exact, est_p_empty)
 
-type estimator = Sampled | Synopsis
-
-(* One synopsis per document, built on first use.  Plans compile on
-   any domain (the serve catalog compiles outside its own lock), so the
-   table is only touched under its mutex. *)
-let synopsis_cache : Wp_stats.Synopsis.t Doc.Tbl.t = Doc.Tbl.create 4
-let synopsis_mutex = Mutex.create ()
-
-let synopsis_for idx =
-  let doc = Index.doc idx in
-  Mutex.lock synopsis_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock synopsis_mutex)
-    (fun () ->
-      match Doc.Tbl.find_opt synopsis_cache doc with
-      | Some s -> s
-      | None ->
-          let s = Wp_stats.Synopsis.build doc in
-          Doc.Tbl.add synopsis_cache doc s;
-          s)
-
-(* Selectivity-estimation variant of [estimate]: per-server fan-out,
-   exactness and emptiness derived from the document synopsis instead of
-   sampling root candidates. *)
-let estimate_synopsis idx (specs : Server_spec.t array) pat =
-  let syn = synopsis_for idx in
-  let n = Array.length specs in
-  let est_fanout = Array.make n 1.0 in
-  let est_p_exact = Array.make n 1.0 in
-  let est_p_empty = Array.make n 0.0 in
-  let root_tag = Pattern.tag pat 0 in
-  for s = 1 to n - 1 do
-    let spec = specs.(s) in
-    let rel = Server_spec.candidate_relation spec in
-    let fanout =
-      Wp_stats.Synopsis.expected_related syn ~anc:root_tag ~desc:spec.tag rel
-    in
-    let exact_fanout =
-      Wp_stats.Synopsis.expected_related syn ~anc:root_tag ~desc:spec.tag
-        spec.to_root.exact
-    in
-    est_fanout.(s) <- fanout;
-    est_p_exact.(s) <- (if fanout > 0.0 then Float.min 1.0 (exact_fanout /. fanout) else 1.0);
-    est_p_empty.(s) <-
-      Wp_stats.Synopsis.p_empty syn ~anc:root_tag ~desc:spec.tag rel
-  done;
-  (est_fanout, est_p_exact, est_p_empty)
-
-let compile ?(normalization = Wp_score.Score_table.Sparse) ?(sample = 100)
-    ?(estimator = Sampled) idx config pat =
+let compile ?(normalization = Wp_score.Score_table.Sparse) idx config pat =
   let n_servers = Pattern.size pat in
   if n_servers > Sys.int_size - 2 then
     invalid_arg "Plan.compile: pattern too large for bitmask bookkeeping";
   let specs = Server_spec.build config pat in
   let scores = Score_table.build idx pat config normalization in
   let roots = root_candidates config idx specs in
-  let est_fanout, est_p_exact, est_p_empty =
-    match estimator with
-    | Sampled -> estimate config idx specs roots ~sample
-    | Synopsis -> estimate_synopsis idx specs pat
-  in
+  let est_fanout, est_p_exact, est_p_empty = estimate config idx specs roots in
   {
     pattern = pat;
     config;
@@ -174,7 +117,6 @@ let admits_partial_answers t =
   t.config.leaf_deletion || t.config.subtree_promotion
 
 let max_weight t s = (Score_table.entry t.scores s).exact_weight
-let server_op_cost_hint t s = Float.max 1.0 t.est_fanout.(s)
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>plan: %s (%a)@," (Pattern.to_string t.pattern)

@@ -27,29 +27,15 @@ type t = {
       (** estimated fraction of partial matches finding no extension *)
 }
 
-type estimator =
-  | Sampled  (** inspect a sample of root candidates (default) *)
-  | Synopsis
-      (** derive the estimates from a {!Wp_stats.Synopsis} of the
-          document — selectivity-estimation style, no per-query
-          sampling *)
-
 val compile :
   ?normalization:Wp_score.Score_table.normalization ->
-  ?sample:int ->
-  ?estimator:estimator ->
   Wp_xml.Index.t ->
   Wp_relax.Relaxation.config ->
   Wp_pattern.Pattern.t ->
   t
 (** [compile idx config pat] builds a plan.  [normalization] defaults to
-    [Sparse]; [sample] (default 100) bounds the number of root candidates
-    inspected for the routing estimates when [estimator] is
-    [Sampled]. *)
-
-val synopsis_for : Wp_xml.Index.t -> Wp_stats.Synopsis.t
-(** The structural synopsis used by the [Synopsis] estimator, memoized
-    per document under a mutex (safe from any domain). *)
+    [Sparse]; the routing estimates sample the first 100 root
+    candidates. *)
 
 val admits_partial_answers : t -> bool
 (** Whether the top-k set may hold partial matches: true as soon as leaf
@@ -58,9 +44,5 @@ val admits_partial_answers : t -> bool
 
 val max_weight : t -> int -> float
 (** Best score contribution of a server (its exact weight). *)
-
-val server_op_cost_hint : t -> int -> float
-(** Relative cost estimate of one operation at a server (its fan-out),
-    used by cost-aware routing variants. *)
 
 val pp : Format.formatter -> t -> unit

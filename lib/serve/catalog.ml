@@ -125,9 +125,6 @@ let docs t =
   with_lock t (fun () ->
       List.rev_map (fun name -> Hashtbl.find t.docs name) t.order)
 
-let docs_in_shard t shard =
-  List.filter (fun d -> d.shard = shard) (docs t)
-
 let find t name = with_lock t (fun () -> Hashtbl.find_opt t.docs name)
 
 (* Forcing one suspension from two domains at once raises

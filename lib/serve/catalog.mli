@@ -73,9 +73,6 @@ val load_dir : t -> string -> (doc list, string) result
 val docs : t -> doc list
 (** Loaded documents, in load order. *)
 
-val docs_in_shard : t -> int -> doc list
-(** The documents of one shard, in load order. *)
-
 val find : t -> string -> doc option
 
 val dataguide : t -> doc -> Wp_stats.Dataguide.t

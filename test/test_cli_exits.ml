@@ -76,6 +76,48 @@ let test_query_load () =
       check_exit "query on a WPDOC file exits 2" 2
         [ "query"; file; "-q"; "/book[./title]" ])
 
+(* A non-positive [-k] or [--batch] is a usage error on every
+   subcommand and backend: exit 2 with one line naming the option,
+   before any document loads, never an engine exception. *)
+let test_positive_counts () =
+  let books = Lazy.force books_file in
+  let q = "/book[./title]" in
+  let stderr_of args =
+    let err = Filename.temp_file "wp_cli" ".err" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove err)
+      (fun () ->
+        let code =
+          Sys.command
+            (Filename.quote_command wp_cli ~stdout:Filename.null ~stderr:err
+               args)
+        in
+        (code, In_channel.with_open_bin err In_channel.input_lines))
+  in
+  List.iter
+    (fun (option, args) ->
+      let what = String.concat " " args in
+      match stderr_of args with
+      | 2, [ line ] ->
+          Alcotest.(check bool)
+            (what ^ ": usage line names " ^ option)
+            true
+            (String.starts_with ~prefix:(option ^ " must be >= 1") line)
+      | code, lines ->
+          Alcotest.failf "%s: exit %d, stderr %S" what code
+            (String.concat "\n" lines))
+    ([
+       ("-k", [ "query"; books; "-q"; q; "-k"; "0" ]);
+       ("-k", [ "query"; books; "-q"; q; "-k-3"; "--threshold"; "0.5" ]);
+       ("-k", [ "profile"; books; "-q"; q; "-k"; "0" ]);
+       ("--batch", [ "profile"; books; "-q"; q; "--batch"; "0" ]);
+       ("-k", [ "race"; "-q"; q; books; "-k"; "0" ]);
+     ]
+    @ List.map
+        (fun algo ->
+          ("-k", [ "query"; books; "-q"; q; "-k"; "0"; "--algo"; algo ]))
+        [ "lockstep"; "lockstep-noprun"; "twig"; "whirlpool-m" ])
+
 (* [profile --json] on stdout, parsed; the exit code comes back too. *)
 let profile_json args =
   let out = Filename.temp_file "wp_profile" ".json" in
@@ -154,4 +196,5 @@ let suite =
     Alcotest.test_case "query load errors" `Quick test_query_load;
     Alcotest.test_case "check exit codes" `Quick test_check;
     Alcotest.test_case "profile exit codes and events" `Quick test_profile;
+    Alcotest.test_case "non-positive -k and --batch" `Quick test_positive_counts;
   ]

@@ -31,6 +31,43 @@ let test_batch_reduces_decisions () =
     (fun () ->
       ignore (Engine.run ~config:Engine.Config.(default |> with_batch 0) plan ~k:5))
 
+(* Bulk adaptivity's counters on Q2 at k=15, pinned exactly: each
+   batch width reuses decisions for the same pops, so only
+   [routing_decisions] moves. *)
+let test_batch_counters () =
+  let plan = Run.compile idx (parse Fixtures.q2) in
+  List.iter
+    (fun (batch, decisions, ops, created, pruned) ->
+      let r =
+        Engine.run ~config:Engine.Config.(default |> with_batch batch) plan ~k:15
+      in
+      let check what expected actual =
+        Alcotest.(check int) (Printf.sprintf "batch=%d %s" batch what) expected actual
+      in
+      check "routing_decisions" decisions r.stats.routing_decisions;
+      check "server_ops" ops r.stats.server_ops;
+      check "matches_created" created r.stats.matches_created;
+      check "matches_pruned" pruned r.stats.matches_pruned)
+    [
+      (1, 237, 238, 1538, 121);
+      (4, 155, 238, 1538, 121);
+      (16, 145, 238, 1538, 121);
+      (64, 145, 238, 1538, 121);
+    ];
+  (* One [batch] span per routing decision. *)
+  let obs = Wp_obs.Obs.create () in
+  let r =
+    Engine.run
+      ~config:Engine.Config.(default |> with_batch 16 |> with_obs obs)
+      plan ~k:15
+  in
+  Alcotest.(check int) "batch spans = routing decisions"
+    r.stats.routing_decisions
+    (List.length
+       (List.filter
+          (fun (s : Wp_obs.Obs.span_record) -> s.name = "batch")
+          (Wp_obs.Obs.spans obs)))
+
 let test_run_above_matches_noprun () =
   let plan = Run.compile idx (parse Fixtures.q1) in
   (* Reference: all completed matches of the no-pruning run, filtered
@@ -141,6 +178,7 @@ let suite =
   [
     Alcotest.test_case "batch answers" `Quick test_batch_same_answers;
     Alcotest.test_case "batch reduces decisions" `Quick test_batch_reduces_decisions;
+    Alcotest.test_case "batch counters" `Quick test_batch_counters;
     Alcotest.test_case "run_above vs noprun" `Quick test_run_above_matches_noprun;
     Alcotest.test_case "run_above extremes" `Quick test_run_above_extremes;
     Alcotest.test_case "run_above sorted" `Quick test_run_above_sorted;

@@ -44,14 +44,6 @@ let test_max_weight () =
     Alcotest.(check (float 1e-9)) "sparse max weight" 1.0 (Plan.max_weight plan s)
   done
 
-let test_sample_bound () =
-  (* A tiny sample still yields a usable plan. *)
-  let plan =
-    Plan.compile ~sample:1 idx Wp_relax.Relaxation.all (parse Fixtures.q2)
-  in
-  let r = Engine.run plan ~k:5 in
-  Alcotest.(check bool) "answers found" true (List.length r.answers > 0)
-
 let test_oversized_pattern_rejected () =
   let rec deep n =
     if n = 0 then Wp_pattern.Pattern.n "x" []
@@ -69,6 +61,5 @@ let suite =
     Alcotest.test_case "root candidates" `Quick test_root_candidates;
     Alcotest.test_case "estimates sane" `Quick test_estimates_sane;
     Alcotest.test_case "max weight" `Quick test_max_weight;
-    Alcotest.test_case "sample bound" `Quick test_sample_bound;
     Alcotest.test_case "oversized pattern" `Quick test_oversized_pattern_rejected;
   ]

@@ -90,27 +90,33 @@ let prop_scores_bounded =
         (fun (e : Topk_set.entry) -> e.score >= 0.0 && e.score <= bound)
         (Engine.run plan ~k:5).answers)
 
+(* Threshold mode returns exactly the no-pruning answers above the
+   bar, under the default and the exact configuration: the same roots
+   in the same order, scores equal up to reassociation noise. *)
 let prop_run_above_consistent_with_top_k =
   QCheck2.Test.make ~name:"run_above agrees with top-k filtering" ~count:80
     (QCheck2.Gen.pair gen_doc Test_matcher.small_pattern_gen)
     (fun (doc, pat) ->
       let idx = Wp_xml.Index.build doc in
-      let plan = Run.compile idx pat in
-      let everything = Lockstep.run ~prune:false plan ~k:10_000 in
-      let threshold =
-        match Fixtures.sorted_scores everything.answers with
-        | _ :: s :: _ -> s -. 1e-9
-        | _ -> 0.0
-      in
-      let above = Engine.run_above plan ~threshold in
-      let expected =
-        List.filter
-          (fun (e : Topk_set.entry) -> e.score > threshold)
-          everything.answers
-      in
-      close
-        (Fixtures.sorted_scores above.answers)
-        (Fixtures.sorted_scores expected))
+      List.for_all
+        (fun config ->
+          let plan = Run.compile ~config idx pat in
+          let everything = Lockstep.run ~prune:false plan ~k:10_000 in
+          let threshold =
+            match Fixtures.sorted_scores everything.answers with
+            | _ :: s :: _ -> s -. 1e-9
+            | _ -> 0.0
+          in
+          let above = (Engine.run_above plan ~threshold).answers in
+          let expected =
+            List.filter
+              (fun (e : Topk_set.entry) -> e.score > threshold)
+              everything.answers
+          in
+          let roots = List.map (fun (e : Topk_set.entry) -> e.root) in
+          let scores = List.map (fun (e : Topk_set.entry) -> e.score) in
+          roots above = roots expected && close (scores above) (scores expected))
+        [ Wp_relax.Relaxation.all; Wp_relax.Relaxation.exact ])
 
 let suite =
   List.map QCheck_alcotest.to_alcotest

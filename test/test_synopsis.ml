@@ -99,30 +99,6 @@ let prop_exact_below_cap =
         tags;
       !ok)
 
-let test_plan_integration () =
-  let idx = Lazy.force Fixtures.xmark_index in
-  let pat = Fixtures.parse Fixtures.q2 in
-  let sampled = Whirlpool.Run.compile idx pat in
-  let synopsis =
-    Whirlpool.Plan.compile ~estimator:Whirlpool.Plan.Synopsis idx
-      Wp_relax.Relaxation.all pat
-  in
-  (* Both estimators must produce sane numbers and comparable fan-outs. *)
-  for s = 1 to sampled.n_servers - 1 do
-    Alcotest.(check bool) "fanout non-negative" true
-      (synopsis.est_fanout.(s) >= 0.0);
-    Alcotest.(check bool) "p_exact in range" true
-      (synopsis.est_p_exact.(s) >= 0.0 && synopsis.est_p_exact.(s) <= 1.0);
-    Alcotest.(check bool) "p_empty in range" true
-      (synopsis.est_p_empty.(s) >= 0.0 && synopsis.est_p_empty.(s) <= 1.0)
-  done;
-  (* And the engine returns the same answers under either estimator. *)
-  let a = Whirlpool.Engine.run sampled ~k:10 in
-  let b = Whirlpool.Engine.run synopsis ~k:10 in
-  Fixtures.check_scores_equal ~msg:"same answers under both estimators"
-    (Fixtures.sorted_scores a.answers)
-    (Fixtures.sorted_scores b.answers)
-
 let suite =
   [
     Alcotest.test_case "tag counts" `Quick test_tag_counts;
@@ -131,5 +107,4 @@ let suite =
     Alcotest.test_case "coverage and emptiness" `Quick test_coverage_and_emptiness;
     Alcotest.test_case "depth cap" `Quick test_deep_documents_bucket;
     QCheck_alcotest.to_alcotest prop_exact_below_cap;
-    Alcotest.test_case "plan integration" `Quick test_plan_integration;
   ]
