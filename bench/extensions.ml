@@ -2,8 +2,6 @@
 
    - [batching]: the paper's Section 6.3.3 future work (bulk adaptivity)
      — routing decisions amortized over batches of queue heads.
-   - [threads]: the paper's Section 7 future work — several worker
-     threads per server.
    - [quality]: the paper's deferred scoring validation — precision and
      nDCG of the engine ranking against relaxation-distance relevance. *)
 
@@ -32,33 +30,6 @@ let batching (scale : Common.scale) =
   Printf.printf
     "\nBatching trades decision count against decision quality: larger\n\
      batches reuse stale routing choices but amortize the overhead.\n"
-
-let threads (scale : Common.scale) =
-  Common.header "Ablation: threads per server (Whirlpool-M, Q3)";
-  let plan = Common.plan_for ~size:scale.default_size Common.q3 in
-  let k = scale.default_k in
-  let widths = [ 10; 14; 12; 12 ] in
-  Common.print_row widths [ "threads"; "time"; "ops"; "created" ];
-  List.iter
-    (fun threads_per_server ->
-      let (r : Whirlpool.Engine.result), dt =
-        Common.timed_runs (fun () ->
-            Whirlpool.Engine_mt.run
-              ~config:
-                Whirlpool.Engine.Config.(
-                  default |> with_threads_per_server threads_per_server)
-              plan ~k)
-      in
-      Common.print_row widths
-        [
-          Common.fint threads_per_server; Common.fsec dt;
-          Common.fint r.stats.server_ops;
-          Common.fint r.stats.matches_created;
-        ])
-    [ 1; 2; 4 ];
-  Printf.printf
-    "\nPaper Section 7: \"increasing the number of threads per server for\n\
-     maximal parallelism\" — useful once a single hot server saturates.\n"
 
 let quality (scale : Common.scale) =
   Common.header

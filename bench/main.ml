@@ -20,7 +20,6 @@ let exhibits =
     ("scoring", Scoring.run);
     ("queues", Queues.run);
     ("batching", Extensions.batching);
-    ("threads", Extensions.threads);
     ("quality", Extensions.quality);
     ("fagin", Fagin_bench.run);
     ("corpus", Corpus.run);
@@ -89,7 +88,7 @@ let names =
     & info [] ~docv:"EXHIBIT"
         ~doc:
           "Exhibits to run: fig3 fig5 fig6 fig7 fig8 fig9 fig10 fig11 table2 \
-           scoring queues batching threads quality fagin corpus content micro.  \
+           scoring queues batching quality fagin corpus content micro.  \
            Default: all.")
 
 let cmd =

@@ -58,8 +58,9 @@ let parse_query q =
       prerr_endline ("cannot parse query: " ^ q);
       exit 2
 
-(* Counts the engines need positive ([-k], [--batch]): the serve
-   tier's [Service.resolve_k]/[resolve_batch] rule, as a usage error. *)
+(* Counts that must be positive ([-k], [--batch], [--schedules]): the
+   serve tier's [Service.resolve_k]/[resolve_batch] rule, as a usage
+   error. *)
 let require_positive name v =
   if v < 1 then begin
     Printf.eprintf "%s must be >= 1 (got %d)\n" name v;
@@ -585,8 +586,9 @@ let lint_cmd =
 
 (* --- race --- *)
 
-let race q path k schedules seed threads_per_server routing exact inject json =
+let race q path k schedules seed routing exact inject json =
   require_positive "-k" k;
+  require_positive "--schedules" schedules;
   let idx = load_index path in
   let pattern = parse_query q in
   let routing =
@@ -614,8 +616,7 @@ let race q path k schedules seed threads_per_server routing exact inject json =
   in
   let plan = Whirlpool.Run.compile ~config idx pattern in
   let report =
-    Whirlpool.Race.check ~schedules ~seed ~threads_per_server ~routing ~faults
-      plan ~k
+    Whirlpool.Race.check ~schedules ~seed ~routing ~faults plan ~k
   in
   if json then
     Format.printf "%a@." Wp_json.Json.pp
@@ -655,12 +656,6 @@ let race_cmd =
       value & opt int 0
       & info [ "seed" ] ~doc:"Base seed numbering the schedules.")
   in
-  let threads_per_server =
-    Arg.(
-      value & opt int 2
-      & info [ "threads-per-server" ] ~docv:"T"
-          ~doc:"Worker threads per server in the explored engine.")
-  in
   let routing =
     Arg.(
       value & opt string "min_alive"
@@ -699,8 +694,8 @@ let race_cmd =
          ]
        ())
     Term.(
-      const race $ query_arg $ path $ k $ schedules $ seed
-      $ threads_per_server $ routing $ exact $ inject $ json)
+      const race $ query_arg $ path $ k $ schedules $ seed $ routing $ exact
+      $ inject $ json)
 
 (* --- check (the Sentinel static checks) --- *)
 
@@ -1119,7 +1114,7 @@ let ctl_cmd =
 
 (* Local run under an enabled observability context: exact per-server
    cost attribution plus the query's span tree. *)
-let profile_run path q k algo routing batch threads use_cache exact
+let profile_run path q k algo routing batch use_cache exact
     show_spans json =
   require_positive "-k" k;
   require_positive "--batch" batch;
@@ -1150,8 +1145,7 @@ let profile_run path q k algo routing batch threads use_cache exact
   let config =
     Whirlpool.Engine.Config.(
       default |> with_algo algo |> with_routing routing |> with_batch batch
-      |> with_threads_per_server threads |> with_use_cache use_cache
-      |> with_obs obs)
+      |> with_use_cache use_cache |> with_obs obs)
   in
   let r = Wp_twig.Backend.run ~config plan ~k in
   let algo_name = Whirlpool.Engine.Config.algo_to_string algo in
@@ -1225,12 +1219,6 @@ let profile_cmd =
       & info [ "batch" ] ~docv:"B"
           ~doc:"Partial matches routed per iteration (whirlpool-s).")
   in
-  let threads =
-    Arg.(
-      value & opt int 1
-      & info [ "threads-per-server" ] ~docv:"T"
-          ~doc:"Worker threads per server (whirlpool-m).")
-  in
   let no_cache =
     Arg.(
       value & flag
@@ -1268,7 +1256,7 @@ let profile_cmd =
        ())
     Term.(
       const profile_run $ path $ query_arg $ k $ algo $ routing $ batch
-      $ threads $ Term.app (const not) no_cache $ exact $ spans $ json)
+      $ Term.app (const not) no_cache $ exact $ spans $ json)
 
 (* --- loadgen --- *)
 

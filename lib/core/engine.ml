@@ -45,7 +45,6 @@ module Config = struct
     queue_policy : Strategy.queue_policy;
     batch : int;
     use_cache : bool;
-    threads_per_server : int;
     should_stop : unit -> bool;
     obs : Obs.t;
     cache : Candidate_cache.t option;
@@ -61,7 +60,6 @@ module Config = struct
       queue_policy = Strategy.Max_final_score;
       batch = 1;
       use_cache = true;
-      threads_per_server = 1;
       should_stop = never_stop;
       obs = Obs.disabled;
       cache = None;
@@ -76,7 +74,6 @@ module Config = struct
   let with_batch batch t = { t with batch }
   let with_use_cache use_cache t = { t with use_cache }
   let with_cache cache t = { t with cache }
-  let with_threads_per_server threads_per_server t = { t with threads_per_server }
   let with_should_stop should_stop t = { t with should_stop }
   let with_prune_bound prune_bound t = { t with prune_bound }
   let with_publish_threshold publish_threshold t = { t with publish_threshold }

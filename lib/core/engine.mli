@@ -80,9 +80,6 @@ module Config : sig
         (** bulk-adaptivity width, default 1 (paper Section 6.3.3) *)
     use_cache : bool;
         (** per-(server, root) candidate memoization, default true *)
-    threads_per_server : int;
-        (** Whirlpool-M only, default 1 (paper Section 7); ignored by
-            the single-threaded engine *)
     should_stop : unit -> bool;
         (** cooperative-cancellation hook, default {!never_stop} *)
     obs : Wp_obs.Obs.t;
@@ -133,7 +130,6 @@ module Config : sig
   val with_queue_policy : Strategy.queue_policy -> t -> t
   val with_batch : int -> t -> t
   val with_use_cache : bool -> t -> t
-  val with_threads_per_server : int -> t -> t
   val with_should_stop : (unit -> bool) -> t -> t
   val with_obs : Wp_obs.Obs.t -> t -> t
   val with_cache : Candidate_cache.t option -> t -> t

@@ -101,7 +101,7 @@ module Make (S : Sync.S) = struct
     plan : Plan.t;
     routing : Strategy.routing;
     queue_policy : Strategy.queue_policy;
-    cache : Candidate_cache.t;  (* shared, guarded by its own S.mutex *)
+    cache : Candidate_cache.t option;  (* shared, guarded by its own S.mutex *)
     topk : Topk_set.t;
     topk_mutex : S.mutex;
     router_queue : Partial_match.t Shared_queue.t;
@@ -284,7 +284,7 @@ module Make (S : Sync.S) = struct
             and h0 = stats.cache_hits
             and m0 = stats.cache_misses in
             let { Server.extensions; died } =
-              Server.process ~cache:shared.cache shared.plan stats ~next_id pm
+              Server.process ?cache:shared.cache shared.plan stats ~next_id pm
                 ~server
             in
             if shared.obs_on then begin
@@ -404,7 +404,7 @@ module Make (S : Sync.S) = struct
     let {
       Engine.Config.routing;
       queue_policy;
-      threads_per_server;
+      use_cache;
       should_stop;
       obs;
       prune_bound;
@@ -413,8 +413,6 @@ module Make (S : Sync.S) = struct
     } =
       config
     in
-    if threads_per_server < 1 then
-      invalid_arg "Engine_mt.run: threads_per_server >= 1";
     Engine.validate_plan plan;
     let t0 = Clock.now_ns () in
     let obs_on = Obs.enabled obs in
@@ -429,24 +427,28 @@ module Make (S : Sync.S) = struct
             Certify.Alive.create () )
     in
     let main_stats = Stats.create () in
-    let cache_mutex = S.mutex Candidate_cache.mutex_name in
     let shared =
       {
         plan;
         routing;
         queue_policy;
         cache =
-          (* An externally supplied cache (the serve tier's persistent
+          (* As in [Engine.run]: no cache when [use_cache] is off.  An
+             externally supplied cache (the serve tier's persistent
              per-shard cache) brings its own lock hooks; otherwise the
              run creates a private one under this sync layer's mutex. *)
-          (match config.Engine.Config.cache with
-          | Some cache -> cache
-          | None ->
-              Candidate_cache.create
-                ~lock:(fun () -> S.lock cache_mutex)
-                ~unlock:(fun () -> S.unlock cache_mutex)
-                ~note:(fun () -> S.note_write Candidate_cache.state_loc)
-                ());
+          (if not use_cache then None
+           else
+             match config.Engine.Config.cache with
+             | Some _ as c -> c
+             | None ->
+                 let cache_mutex = S.mutex Candidate_cache.mutex_name in
+                 Some
+                   (Candidate_cache.create
+                      ~lock:(fun () -> S.lock cache_mutex)
+                      ~unlock:(fun () -> S.unlock cache_mutex)
+                      ~note:(fun () -> S.note_write Candidate_cache.state_loc)
+                      ()));
         topk =
           Topk_set.create ~k ~admit_partial:(Plan.admits_partial_answers plan);
         topk_mutex = S.mutex "topk.mutex";
@@ -517,28 +519,19 @@ module Make (S : Sync.S) = struct
     end;
     let router_stats = Stats.create () in
     let server_stats =
-      Array.init
-        (plan.n_servers * threads_per_server)
-        (fun _ -> Stats.create ())
+      Array.init (plan.n_servers - 1) (fun _ -> Stats.create ())
     in
     let router_handle =
       S.spawn "router" (fun () -> router_loop shared router_stats)
     in
-    (* One or more worker domains per server, all draining that server's
-       queue. *)
+    (* One domain per non-root server, draining that server's queue. *)
     let server_handles =
-      List.concat_map
-        (fun i ->
+      List.init (plan.n_servers - 1) (fun i ->
           let s = i + 1 in
-          List.init threads_per_server (fun t ->
-              let stats = server_stats.(((s - 1) * threads_per_server) + t) in
-              S.spawn
-                (Printf.sprintf "server.%d.%d" s t)
-                (fun () ->
-                  server_loop shared s
-                    ~stats_loc:(Printf.sprintf "stats.server.%d.%d" s t)
-                    stats)))
-        (List.init (plan.n_servers - 1) Fun.id)
+          S.spawn (Printf.sprintf "server.%d" s) (fun () ->
+              server_loop shared s
+                ~stats_loc:(Printf.sprintf "stats.server.%d" s)
+                server_stats.(i)))
     in
     S.join router_handle;
     List.iter S.join server_handles;

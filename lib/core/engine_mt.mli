@@ -1,9 +1,10 @@
 (** Whirlpool-M — the multi-threaded adaptive engine.
 
-    Mirrors the paper's architecture (Figure 4): one thread per server,
-    each with its own priority queue of partial matches, plus a router
-    thread with the router queue; the number of threads is therefore the
-    query size + 2 counting the coordinating main thread.  Threads are
+    Mirrors the paper's architecture (Figure 4): one thread per non-root
+    server, each with its own priority queue of partial matches, plus a
+    router thread with the router queue.  The coordinating main thread
+    builds the root server's initial matches, so a query of [n] nodes
+    spawns [n - 1] server threads and one router thread.  Threads are
     OCaml 5 domains, so available cores give true parallelism.  The
     top-k set is shared under a mutex; termination is detected by an
     atomic count of in-flight partial matches.
@@ -61,12 +62,6 @@ end
 val run : ?config:Engine.Config.t -> Plan.t -> k:int -> Engine.result
 (** Run under [config] (default {!Engine.Config.default}).
 
-    [config.threads_per_server] (default 1) implements the paper's
-    future-work extension of Section 7 ("increasing the number of
-    threads per server for maximal parallelism"): each server's queue
-    is drained by that many domains, so a single hot server no longer
-    serializes the system.
-
     [config.should_stop] (default: never) is the cooperative-cancellation
     hook of {!Engine.run}: router and server threads test it once per
     popped match; the first thread that observes it raises the global
@@ -82,9 +77,10 @@ val run : ?config:Engine.Config.t -> Plan.t -> k:int -> Engine.result
     two multi-threaded runs' streams comparably even though per-domain
     emission order is nondeterministic.
 
-    [config.batch] and [config.use_cache] do not apply: the
-    multi-threaded engine always shares one candidate cache and routes
-    match-at-a-time.
+    [config.batch] does not apply: the multi-threaded engine routes
+    match-at-a-time.  When [config.use_cache] holds, every thread shares
+    one candidate cache ([config.cache] if given, else a run-local
+    one).
 
     [config.on_certified] streams certified answers exactly as in
     {!Engine.run}; alive-set bookkeeping rides the existing top-k

@@ -26,14 +26,12 @@ let scores_equal xs ys =
   List.length xs = List.length ys
   && List.for_all2 (fun a b -> Float.abs (a -. b) < 1e-9) xs ys
 
-let check ?(schedules = 200) ?(seed = 0) ?(threads_per_server = 1)
-    ?(routing = Strategy.Min_alive)
+let check ?(schedules = 200) ?(seed = 0) ?(routing = Strategy.Min_alive)
     ?(queue_policy = Strategy.Max_final_score) ?(faults = [])
     ?(max_steps = 1_000_000) (plan : Plan.t) ~k =
   let config =
     Engine.Config.(
-      default |> with_routing routing |> with_queue_policy queue_policy
-      |> with_threads_per_server threads_per_server)
+      default |> with_routing routing |> with_queue_policy queue_policy)
   in
   let oracle = Engine.run ~config plan ~k in
   let expected = sorted_scores oracle.Engine.answers in

@@ -37,7 +37,6 @@ val lock_rank : string -> int option
 val check :
   ?schedules:int ->
   ?seed:int ->
-  ?threads_per_server:int ->
   ?routing:Strategy.routing ->
   ?queue_policy:Strategy.queue_policy ->
   ?faults:Engine_mt.Fault.t list ->
@@ -47,8 +46,8 @@ val check :
   report
 (** Explore [schedules] (default 200) seeded-random schedules
     ([seed] default 0 numbers them) of [Engine_mt.run] on the plan.
-    [threads_per_server] (default 1), [routing] and [queue_policy] are
-    passed to the engine; [faults] (default none) injects defects;
-    [max_steps] (default 1_000_000) bounds each schedule. *)
+    [routing] and [queue_policy] are passed to the engine; [faults]
+    (default none) injects defects; [max_steps] (default 1_000_000)
+    bounds each schedule. *)
 
 val pp_report : Format.formatter -> report -> unit

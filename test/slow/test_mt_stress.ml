@@ -1,5 +1,5 @@
 (* Whirlpool-M coordination stress: many repeated runs, a full sweep of
-   worker counts x routing strategies x documents, and deep Raceway
+   queue policies x routing strategies x documents, and deep Raceway
    schedule exploration must all terminate and agree with the
    single-threaded reference.  Adverse schedules let queues grow and
    interleavings vary, so this is the suite's main flakiness and
@@ -19,23 +19,10 @@ let test_repeated_runs_terminate () =
       (Fixtures.sorted_scores m.answers)
   done
 
-let test_multi_worker_runs () =
-  let plan = Run.compile idx (parse Fixtures.q2) in
-  let reference = Fixtures.sorted_scores (Engine.run plan ~k:10).answers in
-  for _ = 1 to 5 do
-    let m =
-      Engine_mt.run
-        ~config:Engine.Config.(default |> with_threads_per_server 2)
-        plan ~k:10
-    in
-    Fixtures.check_scores_equal ~msg:"2-worker W-M run" reference
-      (Fixtures.sorted_scores m.answers)
-  done
-
-(* Sweep worker count x routing strategy x document seed: every
-   combination must agree with Engine.run on the same plan.  The Static
-   routing order is the identity permutation over the plan's non-root
-   servers. *)
+(* Sweep queue policy x routing strategy x document seed: every
+   combination must agree with Engine.run under the same config.  The
+   Static routing order is the identity permutation over the plan's
+   non-root servers. *)
 let test_sweep () =
   List.iter
     (fun gen_seed ->
@@ -53,30 +40,26 @@ let test_sweep () =
       in
       List.iter
         (fun routing ->
-          let reference =
-            Fixtures.sorted_scores
-              (Engine.run
-                 ~config:Engine.Config.(default |> with_routing routing)
-                 plan ~k:5)
-                .answers
-          in
           List.iter
-            (fun threads_per_server ->
-              let m =
-                Engine_mt.run
-                  ~config:
-                    Engine.Config.(
-                      default |> with_routing routing
-                      |> with_threads_per_server threads_per_server)
-                  plan ~k:5
+            (fun queue_policy ->
+              let config =
+                Engine.Config.(
+                  default |> with_routing routing
+                  |> with_queue_policy queue_policy)
               in
+              let reference =
+                Fixtures.sorted_scores (Engine.run ~config plan ~k:5).answers
+              in
+              let m = Engine_mt.run ~config plan ~k:5 in
               Fixtures.check_scores_equal
                 ~msg:
-                  (Format.asprintf "doc seed %d, %a, %d worker(s)" gen_seed
-                     Strategy.pp_routing routing threads_per_server)
+                  (Format.asprintf "doc seed %d, %a, %a" gen_seed
+                     Strategy.pp_routing routing Strategy.pp_queue_policy
+                     queue_policy)
                 reference
                 (Fixtures.sorted_scores m.answers))
-            [ 1; 2; 4 ])
+            Strategy.
+              [ Fifo; Current_score; Max_next_score; Max_final_score ])
         routings)
     [ 11; 23; 47 ]
 
@@ -85,7 +68,7 @@ let test_sweep () =
    answers (the per-query depth the checker is specified at). *)
 let test_race_deep () =
   let plan = Run.compile idx (parse Fixtures.q1) in
-  let r = Race.check ~schedules:200 ~threads_per_server:2 plan ~k:5 in
+  let r = Race.check ~schedules:200 plan ~k:5 in
   Alcotest.(check (list string))
     "200 schedules, no findings" []
     (List.map
@@ -96,7 +79,6 @@ let suite =
   [
     Alcotest.test_case "repeated runs terminate" `Slow
       test_repeated_runs_terminate;
-    Alcotest.test_case "multi-worker runs" `Slow test_multi_worker_runs;
-    Alcotest.test_case "worker x routing x seed sweep" `Slow test_sweep;
+    Alcotest.test_case "queue policy x routing x seed sweep" `Slow test_sweep;
     Alcotest.test_case "raceway: 200 schedules clean" `Slow test_race_deep;
   ]

@@ -35,12 +35,18 @@ let test_race () =
   let books = Lazy.force books_file in
   let q = "/book[.//title = 'wodehouse' and .//publisher/name = 'psmith']" in
   check_exit "clean schedules exit 0" 0
-    [ "race"; "-q"; q; books; "--schedules"; "5"; "--threads-per-server"; "2" ];
+    [ "race"; "-q"; q; books; "--schedules"; "5" ];
   check_exit "detected race exits 1" 1
     [
-      "race"; "-q"; q; books; "--schedules"; "60"; "--threads-per-server"; "2";
-      "-k"; "3"; "--inject"; "drop-topk-lock";
+      "race"; "-q"; q; books; "--schedules"; "60"; "-k"; "3"; "--inject";
+      "drop-topk-lock";
     ];
+  check_exit "--schedules 0 exits 2" 2
+    [
+      "race"; "-q"; q; books; "--schedules"; "0"; "--inject"; "drop-topk-lock";
+    ];
+  check_exit "--schedules -3 exits 2" 2
+    [ "race"; "-q"; q; books; "--schedules=-3" ];
   check_exit "unknown fault exits 2" 2
     [ "race"; "-q"; q; books; "--inject"; "no-such-fault" ]
 
@@ -170,9 +176,7 @@ let test_profile () =
     [
       ("whirlpool-s", [ "--algo"; "whirlpool-s" ], "whirlpool-s");
       ("ws", [ "--algo"; "ws" ], "whirlpool-s");
-      ( "whirlpool-m",
-        [ "--algo"; "whirlpool-m"; "--threads-per-server"; "2" ],
-        "whirlpool-m" );
+      ("whirlpool-m", [ "--algo"; "whirlpool-m" ], "whirlpool-m");
     ];
   check_exit "profile --algo twig exits 2" 2
     [ "profile"; books; "-q"; q; "--algo"; "twig" ];

@@ -1,5 +1,5 @@
 (* Tests for the extension features: bulk routing (batch), threshold
-   queries, multiple threads per server, and wildcard steps. *)
+   queries and wildcard steps. *)
 
 open Whirlpool
 
@@ -111,29 +111,6 @@ let test_run_above_sorted () =
     (fun s -> Alcotest.(check bool) "above threshold" true (s > 3.0))
     scores
 
-let test_threads_per_server () =
-  let plan = Run.compile idx (parse Fixtures.q2) in
-  let reference = Fixtures.sorted_scores (Engine.run plan ~k:10).answers in
-  List.iter
-    (fun threads_per_server ->
-      let r =
-        Engine_mt.run
-          ~config:
-            Engine.Config.(default |> with_threads_per_server threads_per_server)
-          plan ~k:10
-      in
-      Fixtures.check_scores_equal
-        ~msg:(Printf.sprintf "%d threads per server" threads_per_server)
-        reference
-        (Fixtures.sorted_scores r.answers))
-    [ 1; 2; 3 ];
-  Alcotest.check_raises "threads >= 1"
-    (Invalid_argument "Engine_mt.run: threads_per_server >= 1") (fun () ->
-      ignore
-        (Engine_mt.run
-           ~config:Engine.Config.(default |> with_threads_per_server 0)
-           plan ~k:5))
-
 let test_wildcard_parsing () =
   let p = parse "//item[./*]" in
   Alcotest.(check string) "wildcard tag" "*" (Wp_pattern.Pattern.tag p 1);
@@ -182,7 +159,6 @@ let suite =
     Alcotest.test_case "run_above vs noprun" `Quick test_run_above_matches_noprun;
     Alcotest.test_case "run_above extremes" `Quick test_run_above_extremes;
     Alcotest.test_case "run_above sorted" `Quick test_run_above_sorted;
-    Alcotest.test_case "threads per server" `Quick test_threads_per_server;
     Alcotest.test_case "wildcard parsing" `Quick test_wildcard_parsing;
     Alcotest.test_case "wildcard matching" `Quick test_wildcard_matching;
     Alcotest.test_case "wildcard engine" `Quick test_wildcard_engine;

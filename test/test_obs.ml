@@ -316,8 +316,7 @@ let test_mt_events_ordered () =
   let obs = Obs.create () in
   ignore
     (Engine_mt.run
-       ~config:
-         Engine.Config.(default |> with_obs obs |> with_threads_per_server 2)
+       ~config:Engine.Config.(default |> with_obs obs)
        plan ~k:5);
   let events = Obs.events obs in
   Alcotest.(check bool) "events collected" true (events <> []);

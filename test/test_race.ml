@@ -37,30 +37,32 @@ let check_clean msg (r : Race.report) =
 (* --- clean engine --- *)
 
 let test_clean_books () =
-  check_clean "books q2c, 1 worker"
-    (Race.check ~schedules:60 (books_plan Fixtures.q2c) ~k:3);
-  check_clean "books q2c, 2 workers"
-    (Race.check ~schedules:40 ~threads_per_server:2
-       (books_plan Fixtures.q2c) ~k:3)
+  check_clean "books q2c"
+    (Race.check ~schedules:60 (books_plan Fixtures.q2c) ~k:3)
 
 let test_clean_routings () =
   List.iter
     (fun routing ->
       check_clean "clean under every routing strategy"
         (Race.check ~schedules:25 ~routing (books_plan Fixtures.q2d) ~k:3))
-    [ Strategy.Min_alive; Strategy.Max_score; Strategy.Min_score ]
+    [ Strategy.Min_alive; Strategy.Max_score; Strategy.Min_score ];
+  List.iter
+    (fun queue_policy ->
+      check_clean
+        (Format.asprintf "clean under queue policy %a"
+           Strategy.pp_queue_policy queue_policy)
+        (Race.check ~schedules:40 ~queue_policy (books_plan Fixtures.q2d) ~k:3))
+    Strategy.[ Fifo; Current_score; Max_next_score; Max_final_score ]
 
 let test_clean_xmark () =
   check_clean "tiny xmark q1"
-    (Race.check ~schedules:40 ~threads_per_server:2
-       (tiny_plan Fixtures.q1) ~k:5)
+    (Race.check ~schedules:40 (tiny_plan Fixtures.q1) ~k:5)
 
 (* --- injected defects: each must be caught by a detector --- *)
 
 let test_inject_drop_topk_lock () =
   let r =
-    Race.check ~schedules:60 ~threads_per_server:2
-      ~faults:[ Engine_mt.Fault.Drop_topk_lock ]
+    Race.check ~schedules:60 ~faults:[ Engine_mt.Fault.Drop_topk_lock ]
       (books_plan Fixtures.q2c) ~k:3
   in
   Alcotest.(check bool) "unsynchronized topk.set access detected" true
