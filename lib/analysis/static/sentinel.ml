@@ -229,6 +229,8 @@ let lock_name ~unit_name text =
     | "Whirlpool__Engine_mt", "t.mutex" -> Some "queue.*.mutex"
     | "Wp_obs__Obs", "st.mutex" -> Some Wp_obs.Obs.mutex_name
     | "Wp_obs__Registry", "t.mutex" -> Some Wp_obs.Registry.mutex_name
+    | "Wp_score__Component_table", "t.mutex" ->
+        Some Wp_score.Component_table.mutex_name
     | _ -> None
 
 (* [with_lock]-style helpers open a section around their last argument;
@@ -243,6 +245,7 @@ let helper_lock ~unit_name name =
       | "Wp_serve__Pool" -> Some "serve.pool.mutex"
       | "Wp_obs__Obs" -> Some Wp_obs.Obs.mutex_name
       | "Wp_obs__Registry" -> Some Wp_obs.Registry.mutex_name
+      | "Wp_score__Component_table" -> Some Wp_score.Component_table.mutex_name
       | _ -> None)
   | _ -> None
 

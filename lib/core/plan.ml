@@ -3,6 +3,7 @@ module Relaxation = Wp_relax.Relaxation
 module Relation = Wp_relax.Relation
 module Server_spec = Wp_relax.Server_spec
 module Score_table = Wp_score.Score_table
+module Component_table = Wp_score.Component_table
 module Index = Wp_xml.Index
 module Doc = Wp_xml.Doc
 
@@ -31,19 +32,29 @@ let value_ok config doc value n =
 
 (* Candidates for the pattern root: nodes with the right tag/value whose
    relation to the document root satisfies the (possibly relaxed) root
-   edge, in document order. *)
-let root_candidates config idx (specs : Server_spec.t array) =
+   edge, in document order.  Content acceptance reads only the
+   configuration's [value_relaxation], so that completes the key. *)
+let root_candidates memo config idx (specs : Server_spec.t array) =
   let doc = Index.doc idx in
   let spec = specs.(0) in
   let rel = Server_spec.candidate_relation spec in
-  let doc_root_depth = Doc.depth doc (Doc.root doc) in
-  Array.to_list (Index.ids idx spec.tag)
-  |> List.filter (fun n ->
-         n <> Doc.root doc
-         && Relation.test_depths rel ~anc_depth:doc_root_depth
-              ~desc_depth:(Doc.depth doc n)
-         && value_ok config doc spec.value n)
-  |> Array.of_list
+  let key =
+    {
+      Component_table.tag = spec.tag;
+      value = spec.value;
+      relation = rel;
+      value_relaxation = config.Relaxation.value_relaxation;
+    }
+  in
+  Component_table.roots memo key ~compute:(fun () ->
+      let doc_root_depth = Doc.depth doc (Doc.root doc) in
+      Array.to_list (Index.ids idx spec.tag)
+      |> List.filter (fun n ->
+             n <> Doc.root doc
+             && Relation.test_depths rel ~anc_depth:doc_root_depth
+                  ~desc_depth:(Doc.depth doc n)
+             && value_ok config doc spec.value n)
+      |> Array.of_list)
 
 (* Root candidates inspected for the routing estimates. *)
 let sample = 100
@@ -91,13 +102,14 @@ let estimate config idx (specs : Server_spec.t array) roots =
     done;
   (est_fanout, est_p_exact, est_p_empty)
 
-let compile ?(normalization = Wp_score.Score_table.Sparse) idx config pat =
+let compile ?(normalization = Wp_score.Score_table.Sparse)
+    ?(memo = Component_table.create ()) idx config pat =
   let n_servers = Pattern.size pat in
   if n_servers > Sys.int_size - 2 then
     invalid_arg "Plan.compile: pattern too large for bitmask bookkeeping";
   let specs = Server_spec.build config pat in
-  let scores = Score_table.build idx pat config normalization in
-  let roots = root_candidates config idx specs in
+  let scores = Score_table.build ~memo idx pat config normalization in
+  let roots = root_candidates memo config idx specs in
   let est_fanout, est_p_exact, est_p_empty = estimate config idx specs roots in
   {
     pattern = pat;

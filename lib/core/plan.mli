@@ -16,7 +16,9 @@ type t = {
   roots : Wp_xml.Doc.node_id array;
       (** document nodes matching the pattern root's tag, value and
           (relaxed) root edge, in document order — the tuples the root
-          server generates *)
+          server generates.  Read-only: plans compiled through one
+          {!Wp_score.Component_table} share this array, so no engine
+          may write it. *)
   n_servers : int;  (** = pattern size; server ids are pattern node ids *)
   full_mask : int;  (** bitmask with one bit per server *)
   est_fanout : float array;
@@ -29,13 +31,17 @@ type t = {
 
 val compile :
   ?normalization:Wp_score.Score_table.normalization ->
+  ?memo:Wp_score.Component_table.t ->
   Wp_xml.Index.t ->
   Wp_relax.Relaxation.config ->
   Wp_pattern.Pattern.t ->
   t
 (** [compile idx config pat] builds a plan.  [normalization] defaults to
     [Sparse]; the routing estimates sample the first 100 root
-    candidates. *)
+    candidates.  The idf counts and the root candidates are read
+    through [memo], the document's component table (default: a fresh,
+    empty one); it must belong to [idx]'s document.  The plan is the
+    same whether the memo is warm or empty. *)
 
 val admits_partial_answers : t -> bool
 (** Whether the top-k set may hold partial matches: true as soon as leaf

@@ -53,11 +53,11 @@ let make_rng seed =
 
 let uniform rng lo hi = lo +. ((hi -. lo) *. rng ())
 
-let raw_entries idx pat config =
+let raw_entries memo idx pat config =
   let components = Component.of_pattern pat in
   Array.map
     (fun c ->
-      let exact_weight = Tfidf.idf idx c in
+      let exact_weight = Tfidf.idf ~memo idx c in
       let relaxed_c = Component.relaxed config c in
       (* The relaxed level differs when the structural relation widened,
          or when content relaxation weakens a value predicate. *)
@@ -68,7 +68,7 @@ let raw_entries idx pat config =
         || (relaxed_c.Component.value_tokens && c.Component.target_value <> None)
       in
       let relaxed_weight =
-        if distinct then Tfidf.idf idx relaxed_c else exact_weight
+        if distinct then Tfidf.idf ~memo idx relaxed_c else exact_weight
       in
       { node = c.Component.node; exact_weight; relaxed_weight })
     components
@@ -115,12 +115,12 @@ let random_entries pat ~sparse seed =
         let exact_weight = uniform rng 0.45 0.55 in
         { node; exact_weight; relaxed_weight = exact_weight *. uniform rng 0.85 1.0 })
 
-let build idx pat config normalization =
+let build ?(memo = Component_table.create ()) idx pat config normalization =
   let entries =
     match normalization with
-    | Raw -> raw_entries idx pat config
-    | Sparse -> normalize_sparse (raw_entries idx pat config)
-    | Dense -> normalize_dense (raw_entries idx pat config)
+    | Raw -> raw_entries memo idx pat config
+    | Sparse -> normalize_sparse (raw_entries memo idx pat config)
+    | Dense -> normalize_dense (raw_entries memo idx pat config)
     | Random_sparse seed -> random_entries pat ~sparse:true seed
     | Random_dense seed -> random_entries pat ~sparse:false seed
   in

@@ -41,8 +41,13 @@ type entry = {
 type t
 
 val build :
+  ?memo:Component_table.t ->
   Wp_xml.Index.t -> Wp_pattern.Pattern.t -> Wp_relax.Relaxation.config ->
   normalization -> t
+(** The idf counts behind the raw weights are read through [memo]
+    (default: a fresh, empty table), which must belong to the index's
+    document.  Counts are integers, so a table built through a warm
+    memo is bit-identical to one built through an empty one. *)
 
 val of_entries : entry array -> t
 (** Hand-built table (tests and the motivating example). *)

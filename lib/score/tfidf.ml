@@ -86,11 +86,14 @@ let satisfying_roots idx (c : Component.t) =
     done;
     !count
 
-let idf idx (c : Component.t) =
+let idf ?(memo = Component_table.create ()) idx (c : Component.t) =
   let total = if c.from_doc_root then 1 else Index.count idx c.root_tag in
   if total = 0 then 0.0
   else
-    let satisfying = satisfying_roots idx c in
+    let satisfying =
+      Component_table.satisfying_roots memo c ~compute:(fun () ->
+          satisfying_roots idx c)
+    in
     if satisfying = 0 then log (float_of_int (total + 1))
     else log (float_of_int total /. float_of_int satisfying)
 

@@ -41,9 +41,11 @@ val satisfying_roots : Wp_xml.Index.t -> Component.t -> int
     their shared subtrees, never more than a full per-source count
     would. *)
 
-val idf : Wp_xml.Index.t -> Component.t -> float
+val idf : ?memo:Component_table.t -> Wp_xml.Index.t -> Component.t -> float
 (** Definition 4.2, with the degenerate-count conventions above; the
-    [q0] count is {!Wp_xml.Index.count} (1 for the root component). *)
+    [q0] count is {!Wp_xml.Index.count} (1 for the root component).
+    The {!satisfying_roots} count is read through [memo] (default: a
+    fresh, empty table), which must belong to the index's document. *)
 
 val score : Wp_xml.Index.t -> Component.t array -> root:Wp_xml.Doc.node_id -> float
 (** Definition 4.4: [Σ idf·tf] over the query's component predicates for

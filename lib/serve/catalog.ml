@@ -5,6 +5,7 @@ type doc = {
   nodes : int;
   shard : int;
   dataguide : Wp_stats.Dataguide.t Lazy.t;
+  memo : Wp_score.Component_table.t;
 }
 
 (* A compiled plan travels with its own candidate cache: cache entries
@@ -92,10 +93,15 @@ let load_file t ?name path =
       let doc =
         { name; path; index; nodes = Wp_xml.Doc.size (Wp_xml.Index.doc index);
           shard = shard_of t name;
-          dataguide = lazy (Wp_stats.Dataguide.build (Wp_xml.Index.doc index)) }
+          dataguide = lazy (Wp_stats.Dataguide.build (Wp_xml.Index.doc index));
+          memo = Wp_score.Component_table.create () }
       in
+      (* A reload drops the name's plans: they were compiled against
+         the old index. *)
       with_lock t (fun () ->
-          if not (Hashtbl.mem t.docs name) then t.order <- name :: t.order;
+          if Hashtbl.mem t.docs name then
+            Lru.filter t.plans (fun (_, n) _ -> not (String.equal n name))
+          else t.order <- name :: t.order;
           Hashtbl.replace t.docs name doc);
       Ok doc
 
@@ -143,7 +149,7 @@ let compile t doc query =
   match Wp_pattern.Xpath_parser.parse_opt query with
   | None -> Error (Bad_query (Printf.sprintf "cannot parse query: %s" query))
   | Some pattern -> (
-      match Whirlpool.Plan.compile doc.index t.config pattern with
+      match Whirlpool.Plan.compile ~memo:doc.memo doc.index t.config pattern with
       | plan -> (
           (* The engines re-lint at entry; reject here so a bad plan
              never occupies a cache slot. *)
@@ -165,17 +171,28 @@ let compile t doc query =
       | exception Invalid_argument m ->
           Error (Bad_query (Printf.sprintf "cannot compile query: %s" m)))
 
+(* Under the catalog mutex: is [doc] still the entry for its name? *)
+let is_current t doc =
+  match Hashtbl.find_opt t.docs doc.name with
+  | Some d -> d == doc
+  | None -> false
+
 (* Look up under the lock, compile without it, and insert under it
    again.  A concurrent miss on the same key may compile the plan
    twice, but only the first insert is kept and every caller gets that
-   entry, so requests still share one candidate cache. *)
+   entry, so requests still share one candidate cache.  A plan is only
+   served for the index it was compiled against, and a compile for a
+   document that was reloaded meanwhile is returned uncached. *)
 let plan_for t doc query =
   let key = (query, doc.name) in
   match with_lock t (fun () -> Lru.find t.plans key) with
-  | Some cached -> Ok cached
-  | None ->
+  | Some cached when cached.plan.index == doc.index -> Ok cached
+  | Some _ | None ->
       Result.map
-        (fun cached -> with_lock t (fun () -> Lru.add_absent t.plans key cached))
+        (fun cached ->
+          with_lock t (fun () ->
+              if is_current t doc then Lru.add_absent t.plans key cached
+              else cached))
         (compile t doc query)
 
 let plan_cache_stats t =
@@ -188,3 +205,14 @@ let plan_cache_stats t =
         evictions = Lru.evictions t.plans;
         hit_rate = Lru.hit_rate t.plans;
       })
+
+(* Each document's table has its own lock; none is taken under the
+   catalog mutex. *)
+let component_table_stats t =
+  List.fold_left
+    (fun (acc : Wp_score.Component_table.stats) doc ->
+      let s = Wp_score.Component_table.stats doc.memo in
+      { hits = acc.hits + s.hits; misses = acc.misses + s.misses;
+        size = acc.size + s.size })
+    { hits = 0; misses = 0; size = 0 }
+    (docs t)

@@ -8,7 +8,9 @@
     the process and memoizes compiled plans — each with a persistent
     {!Whirlpool.Candidate_cache} shared by every request that reuses
     the plan — in a bounded {!Lru} cache keyed by (query text, document
-    name).
+    name).  A miss still reuses earlier work: each document carries a
+    {!Wp_score.Component_table} of the idf counts and root candidates
+    its compiles have computed.
 
     Documents are statically partitioned into [shards] shards by a hash
     of their name; {!Wp_serve.Service} runs a query as a scatter over
@@ -35,6 +37,10 @@ type doc = {
           index for the life of the catalog entry.  Force it only
           through {!dataguide}: two domains forcing it at once raise
           [CamlinternalLazy.Undefined]. *)
+  memo : Wp_score.Component_table.t;
+      (** the document's idf counts and root candidates, created empty
+          at load and filled by the compiles of its plans; a reload
+          brings a fresh one *)
 }
 
 type t
@@ -63,7 +69,8 @@ val read_index : string -> (Wp_xml.Index.t, string) result
 
 val load_file : t -> ?name:string -> string -> (doc, string) result
 (** Load one document into the corpus.  [name] defaults to the file's
-    basename; reloading an existing name replaces the document. *)
+    basename; reloading an existing name replaces the document and
+    drops every cached plan compiled for it. *)
 
 val load_dir : t -> string -> (doc list, string) result
 (** Load every [*.xml] and [*.wpidx] file of a directory, in name
@@ -106,7 +113,9 @@ val plan_for : t -> doc -> string -> (cached_plan, plan_error) result
     string against a document, served from the plan cache when warm;
     rejected plans are not cached.  Each call counts one plan-cache
     lookup (hit or miss); a miss compiles without holding the catalog
-    mutex. *)
+    mutex, through the document's {!doc.memo}.  A plan is served only
+    for the index it was compiled against: a [doc] that a reload has
+    replaced gets a fresh plan, and that plan is not cached. *)
 
 type cache_stats = {
   size : int;
@@ -118,3 +127,8 @@ type cache_stats = {
 }
 
 val plan_cache_stats : t -> cache_stats
+
+val component_table_stats : t -> Wp_score.Component_table.stats
+(** Hits, misses and size of every loaded document's component table,
+    summed.  A reload replaces a document's table, so its counts leave
+    the sum. *)

@@ -59,6 +59,14 @@ let create ?(default_k = 10) ?default_deadline_ms ?(max_k = 1000)
   Registry.pull_counter registry ~help:"compiled-plan cache misses"
     "wp_plan_cache_misses_total" (fun () ->
       float_of_int (Catalog.plan_cache_stats catalog).misses);
+  Registry.pull_counter registry
+    ~help:"component-table lookups answered from memo, all documents"
+    "wp_component_table_hits_total" (fun () ->
+      float_of_int (Catalog.component_table_stats catalog).hits);
+  Registry.pull_counter registry
+    ~help:"component-table lookups that swept the document, all documents"
+    "wp_component_table_misses_total" (fun () ->
+      float_of_int (Catalog.component_table_stats catalog).misses);
   {
     catalog;
     metrics;
@@ -449,6 +457,7 @@ let metrics_json t =
   let docs = Catalog.docs t.catalog in
   let nodes = List.fold_left (fun a (d : Catalog.doc) -> a + d.nodes) 0 docs in
   let pc = Catalog.plan_cache_stats t.catalog in
+  let ct = Catalog.component_table_stats t.catalog in
   let ech, ecm, slow =
     with_state t (fun () ->
         (t.totals.cache_hits, t.totals.cache_misses, List.length t.slow_log))
@@ -476,6 +485,13 @@ let metrics_json t =
               ("misses", Int pc.misses);
               ("evictions", Int pc.evictions);
               ("hit_rate", Float pc.hit_rate);
+            ] );
+        ( "component_table",
+          Obj
+            [
+              ("hits", Int ct.hits);
+              ("misses", Int ct.misses);
+              ("size", Int ct.size);
             ] );
         ( "engine_cache",
           Obj

@@ -1,33 +1,26 @@
 module Doc = Wp_xml.Doc
 module Relation = Wp_relax.Relation
-module String_set = Set.Make (String)
 
 let depth_cap = 16
 
 (* Per ordered tag pair: histogram of (ancestor, descendant) pair counts
-   by depth difference (capped), plus the number of distinct ancestor
-   nodes covered (having >= 1 such descendant at any depth). *)
-type pair_stats = {
-  by_depth : int array;  (* length depth_cap; last bucket is >= cap *)
-  mutable covered_ancestors : int;
-}
-
+   by depth difference; length depth_cap, the last bucket is >= cap. *)
 type t = {
   total_nodes : int;
   tag_counts : (string, int) Hashtbl.t;
-  pairs : (string * string, pair_stats) Hashtbl.t;
+  pairs : (string * string, int array) Hashtbl.t;
 }
 
 let wildcard = Wp_xml.Index.wildcard
 let bucket d = if d >= depth_cap then depth_cap - 1 else d
 
-let pair_stats t key =
+let by_depth t key =
   match Hashtbl.find_opt t.pairs key with
-  | Some ps -> ps
+  | Some h -> h
   | None ->
-      let ps = { by_depth = Array.make depth_cap 0; covered_ancestors = 0 } in
-      Hashtbl.add t.pairs key ps;
-      ps
+      let h = Array.make depth_cap 0 in
+      Hashtbl.add t.pairs key h;
+      h
 
 let build doc =
   let t =
@@ -46,34 +39,21 @@ let build doc =
       anc_tags := bigger
     end
   in
-  (* Returns the set of tags occurring in the subtree rooted at [node]
-     (node included). *)
   let rec visit node depth =
     let tag = Doc.tag doc node in
     Hashtbl.replace t.tag_counts tag
       (1 + Option.value (Hashtbl.find_opt t.tag_counts tag) ~default:0);
     (* One (ancestor, this) pair per ancestor, bucketed by depth gap. *)
     for i = 0 to depth - 1 do
-      let ps = pair_stats t ((!anc_tags).(i), tag) in
+      let h = by_depth t ((!anc_tags).(i), tag) in
       let b = bucket (depth - i - 1) in
-      ps.by_depth.(b) <- ps.by_depth.(b) + 1
+      h.(b) <- h.(b) + 1
     done;
     ensure depth;
     (!anc_tags).(depth) <- tag;
-    let below =
-      List.fold_left
-        (fun acc c -> String_set.union acc (visit c (depth + 1)))
-        String_set.empty (Doc.children doc node)
-    in
-    (* Coverage: this node has >= 1 descendant of each tag in [below]. *)
-    String_set.iter
-      (fun d ->
-        let ps = pair_stats t (tag, d) in
-        ps.covered_ancestors <- ps.covered_ancestors + 1)
-      below;
-    String_set.add tag below
+    List.iter (fun c -> visit c (depth + 1)) (Doc.children doc node)
   in
-  ignore (visit (Doc.root doc) 0);
+  visit (Doc.root doc) 0;
   t
 
 let tag_count t tag =
@@ -83,7 +63,7 @@ let tag_count t tag =
 let pair_raw t ~anc ~desc ~depth =
   match Hashtbl.find_opt t.pairs (anc, desc) with
   | None -> 0
-  | Some ps -> ps.by_depth.(bucket depth)
+  | Some h -> h.(bucket depth)
 
 let all_tags t = Hashtbl.fold (fun tag _ acc -> tag :: acc) t.tag_counts []
 
@@ -100,7 +80,7 @@ let pair_count t ~anc ~desc ~depth =
         (fun acc d -> acc + pair_raw t ~anc ~desc:d ~depth)
         0 (all_tags t)
   | true, true ->
-      Hashtbl.fold (fun _ ps acc -> acc + ps.by_depth.(depth)) t.pairs 0
+      Hashtbl.fold (fun _ h acc -> acc + h.(depth)) t.pairs 0
 
 let pairs_in_relation t ~anc ~desc (r : Relation.t) =
   (* Depths beyond the cap share the last bucket, so both bounds clamp
@@ -115,35 +95,6 @@ let pairs_in_relation t ~anc ~desc (r : Relation.t) =
     total := !total + pair_count t ~anc ~desc ~depth:(d - 1)
   done;
   !total
-
-let expected_related t ~anc ~desc r =
-  let ancestors = tag_count t anc in
-  if ancestors = 0 then 0.0
-  else float_of_int (pairs_in_relation t ~anc ~desc r) /. float_of_int ancestors
-
-let coverage t ~anc ~desc =
-  let ancestors = tag_count t anc in
-  if ancestors = 0 then 0.0
-  else if String.equal desc wildcard || String.equal anc wildcard then
-    (* Wildcard coverage is not tracked pairwise; approximate with the
-       Poisson bound on the expected count. *)
-    1.0 -. exp (-.expected_related t ~anc ~desc Relation.descendant)
-  else
-    let covered =
-      match Hashtbl.find_opt t.pairs (anc, desc) with
-      | Some ps -> ps.covered_ancestors
-      | None -> 0
-    in
-    float_of_int covered /. float_of_int ancestors
-
-let p_empty t ~anc ~desc r =
-  let base = 1.0 -. coverage t ~anc ~desc in
-  match r.Relation.max_depth with
-  | None when r.Relation.min_depth = 1 -> base
-  | _ ->
-      (* Depth-restricted: Poisson approximation on the expected count,
-         never more optimistic than the unbounded emptiness. *)
-      Float.max base (exp (-.expected_related t ~anc ~desc r))
 
 let distinct_tags t = List.sort String.compare (all_tags t)
 

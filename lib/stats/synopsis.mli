@@ -1,16 +1,13 @@
 (** Structural selectivity synopsis.
 
-    The paper's size-based routing strategy needs, per server, estimates
-    of the number of candidate extensions and of how often a partial
-    match finds none; it notes these "could be obtained by using work on
-    selectivity estimation for XML".  This module is that substrate: a
-    one-pass synopsis of a document recording, for every pair of element
-    tags (a, d), how many (ancestor, descendant) node pairs exist at
-    each depth difference, plus per-tag populations and coverage counts.
-    From it, the expected number of [d]-tagged nodes standing in any
-    depth-bounded relation below an [a]-tagged node — exactly the
-    relations tree-pattern servers test — is answered in O(depth cap),
-    without sampling the document.
+    A one-pass synopsis of a document recording, for every pair of
+    element tags (a, d), how many (ancestor, descendant) node pairs
+    exist at each depth difference, plus per-tag populations.  From it,
+    the number of node pairs standing in any depth-bounded relation —
+    exactly the relations tree-pattern servers test — is answered in
+    O(depth cap) without touching the document.  The static analyzer
+    uses it for vocabulary, satisfiability and score-bound checks
+    ({!Wp_analysis.Lint}, {!Wp_analysis.Score_bound}).
 
     Depth differences are capped at {!depth_cap}; deeper pairs are
     accumulated in the final bucket, which keeps the synopsis size
@@ -39,24 +36,6 @@ val pairs_in_relation : t -> anc:string -> desc:string -> Wp_relax.Relation.t ->
     {!depth_cap} are included conservatively).  Zero means no node pair
     in the document can satisfy a structural predicate carrying this
     relation — the satisfiability test the static analyzer performs. *)
-
-val expected_related :
-  t -> anc:string -> desc:string -> Wp_relax.Relation.t -> float
-(** Expected number of [desc]-tagged nodes related to one [anc]-tagged
-    node by the relation — the fan-out estimate for a server whose
-    structural predicate is that relation. *)
-
-val coverage : t -> anc:string -> desc:string -> float
-(** Fraction of [anc]-tagged nodes with at least one [desc]-tagged
-    proper descendant (at any depth) — an upper bound on the
-    non-emptiness probability of any depth-restricted variant. *)
-
-val p_empty : t -> anc:string -> desc:string -> Wp_relax.Relation.t -> float
-(** Estimated probability that an [anc]-tagged node has {e no}
-    [desc]-tagged node under the relation.  Computed from [1 - coverage]
-    for unbounded relations and from a Poisson approximation of the
-    expected count for depth-restricted ones, floored by the unbounded
-    emptiness. *)
 
 val distinct_tags : t -> string list
 val pp : Format.formatter -> t -> unit

@@ -75,10 +75,47 @@ let test_race_deep () =
        (fun (d : Wp_analysis.Diagnostic.t) -> d.Wp_analysis.Diagnostic.code)
        r.Race.diagnostics)
 
+(* Concurrent first fills of one component table, many times over:
+   each round gives four domains a fresh table and the ad-hoc patterns
+   in rotated orders.  Every plan must carry a fresh table's
+   statistics and the table one entry per distinct key.  Under TSan
+   this covers the table's mutex. *)
+let test_memo_fill_rounds () =
+  let queries = Array.of_list Fixtures.adhoc_queries in
+  let n = Array.length queries in
+  let compile ?memo q =
+    Plan.compile ?memo idx Wp_relax.Relaxation.all (parse queries.(q))
+  in
+  let reference = Array.init n (fun q -> compile q) in
+  let warm = Wp_score.Component_table.create () in
+  Array.iteri (fun q _ -> ignore (compile ~memo:warm q)) queries;
+  let distinct_keys = (Wp_score.Component_table.stats warm).size in
+  for round = 1 to 100 do
+    let memo = Wp_score.Component_table.create () in
+    let plans =
+      Fixtures.on_domains 4 (fun i ->
+          List.init n (fun j ->
+              let q = ((round * i) + j) mod n in
+              (q, compile ~memo q)))
+    in
+    List.iter
+      (List.iter (fun (q, plan) ->
+           Fixtures.check_same_statistics
+             ~msg:(Printf.sprintf "round %d, %s" round queries.(q))
+             reference.(q) plan))
+      plans;
+    Alcotest.(check int)
+      (Printf.sprintf "round %d: one entry per key" round)
+      distinct_keys
+      (Wp_score.Component_table.stats memo).size
+  done
+
 let suite =
   [
     Alcotest.test_case "repeated runs terminate" `Slow
       test_repeated_runs_terminate;
     Alcotest.test_case "queue policy x routing x seed sweep" `Slow test_sweep;
     Alcotest.test_case "raceway: 200 schedules clean" `Slow test_race_deep;
+    Alcotest.test_case "component table: concurrent fill rounds" `Slow
+      test_memo_fill_rounds;
   ]

@@ -80,3 +80,48 @@ let run_algo algo plan ~k =
   Wp_twig.Backend.run
     ~config:Whirlpool.Engine.Config.(default |> with_algo algo)
     plan ~k
+
+(* Ad-hoc XMark patterns that share component predicates and root
+   tags, as an exploratory session's do. *)
+let adhoc_queries =
+  [
+    "//item[./name]";
+    "//item[./name and ./location]";
+    "//item[./location and ./quantity]";
+    "//item[./payment and ./shipping and ./name]";
+    "//item[./mailbox/mail[./from and ./to]]";
+    "//item[./mailbox/mail/text[./keyword] and ./name]";
+    "//item[.//keyword = 'antique' and ./name]";
+    "//mail[./from and ./text/keyword]";
+    q1;
+    q2;
+    q3;
+  ]
+
+(* Run [f 0] .. [f (n - 1)] on [n] domains released together; results
+   in domain order. *)
+let on_domains n f =
+  let ready = Atomic.make 0 in
+  let go i =
+    Atomic.incr ready;
+    while Atomic.get ready < n do
+      Domain.cpu_relax ()
+    done;
+    f i
+  in
+  let others = List.init (n - 1) (fun i -> Domain.spawn (fun () -> go (i + 1))) in
+  let mine = go 0 in
+  mine :: List.map Domain.join others
+
+(* Two plans carry bit-identical score tables and equal root
+   candidates. *)
+let check_same_statistics ~msg (expected : Whirlpool.Plan.t)
+    (actual : Whirlpool.Plan.t) =
+  let bits t =
+    Array.init (Wp_score.Score_table.size t) (fun node ->
+        let e = Wp_score.Score_table.entry t node in
+        (Int64.bits_of_float e.exact_weight, Int64.bits_of_float e.relaxed_weight))
+  in
+  Alcotest.(check (array (pair int64 int64)))
+    (msg ^ ": score table") (bits expected.scores) (bits actual.scores);
+  Alcotest.(check (array int)) (msg ^ ": roots") expected.roots actual.roots

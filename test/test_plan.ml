@@ -44,6 +44,25 @@ let test_max_weight () =
     Alcotest.(check (float 1e-9)) "sparse max weight" 1.0 (Plan.max_weight plan s)
   done
 
+(* A warm component table answers every statistic of a repeated
+   compile, and the plan is the one an empty table gives. *)
+let test_memo_second_compile () =
+  let memo = Wp_score.Component_table.create () in
+  let compile () = Plan.compile ~memo idx Wp_relax.Relaxation.all (parse Fixtures.q3) in
+  let first = compile () in
+  let after_first = Wp_score.Component_table.stats memo in
+  Alcotest.(check bool) "first compile fills" true (after_first.misses > 0);
+  let second = compile () in
+  let after_second = Wp_score.Component_table.stats memo in
+  Alcotest.(check int) "no miss on the second compile" after_first.misses
+    after_second.misses;
+  Alcotest.(check bool) "hits instead" true (after_second.hits > after_first.hits);
+  Alcotest.(check int) "no new entries" after_first.size after_second.size;
+  Alcotest.(check bool) "roots shared" true (first.roots == second.roots);
+  Fixtures.check_same_statistics ~msg:"warm memo"
+    (Plan.compile idx Wp_relax.Relaxation.all (parse Fixtures.q3))
+    second
+
 let test_oversized_pattern_rejected () =
   let rec deep n =
     if n = 0 then Wp_pattern.Pattern.n "x" []
@@ -61,5 +80,7 @@ let suite =
     Alcotest.test_case "root candidates" `Quick test_root_candidates;
     Alcotest.test_case "estimates sane" `Quick test_estimates_sane;
     Alcotest.test_case "max weight" `Quick test_max_weight;
+    Alcotest.test_case "warm memo second compile" `Quick
+      test_memo_second_compile;
     Alcotest.test_case "oversized pattern" `Quick test_oversized_pattern_rejected;
   ]

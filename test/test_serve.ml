@@ -45,6 +45,17 @@ let test_lru_hit_rate () =
   | _ -> Alcotest.fail "capacity 0 accepted"
   | exception Invalid_argument _ -> ())
 
+let test_lru_filter () =
+  let c = Lru.create ~capacity:4 in
+  List.iter (fun k -> Lru.add c k (k * 10)) [ 1; 2; 3; 4 ];
+  Lru.filter c (fun k _ -> k mod 2 = 0);
+  Alcotest.(check (list int)) "odd keys dropped, order kept" [ 4; 2 ] (Lru.keys c);
+  Alcotest.(check int) "no eviction counted" 0 (Lru.evictions c);
+  Lru.add c 5 50;
+  Lru.add c 6 60;
+  Lru.add c 7 70;
+  Alcotest.(check (list int)) "recency list still sound" [ 7; 6; 5; 4 ] (Lru.keys c)
+
 (* --- Protocol --- *)
 
 let roundtrip_request req =
@@ -389,17 +400,9 @@ let query id ?doc ?k ?deadline_ms ?algo q =
 (* Run [f 0] on this domain and [f 1] on a second one, released
    together by a spin barrier so both reach the catalog at once. *)
 let on_two_domains f =
-  let ready = Atomic.make 0 in
-  let go i =
-    Atomic.incr ready;
-    while Atomic.get ready < 2 do
-      Domain.cpu_relax ()
-    done;
-    f i
-  in
-  let other = Domain.spawn (fun () -> go 1) in
-  let mine = go 0 in
-  (mine, Domain.join other)
+  match Fixtures.on_domains 2 f with
+  | [ mine; other ] -> (mine, other)
+  | _ -> assert false
 
 let with_xmark_dir f =
   with_corpus_dir (fun dir ->
@@ -434,7 +437,9 @@ let test_concurrent_first_twig () =
    whose only matching <b> is the deepest, so each idf sweep rescans
    the shared subtrees and a compile takes tens of milliseconds: long
    enough that the two domains' lookups fall inside each other's
-   compile even when they share one core. *)
+   compile even when they share one core.  Each query asks for its own
+   value, so no compile finds its sweep in the document's component
+   table. *)
 let test_concurrent_plan_for () =
   let rec chain d n =
     let b = Wp_xml.Tree.leaf "b" (if d = n then "x" else "y") in
@@ -452,8 +457,7 @@ let test_concurrent_plan_for () =
       in
       (* Distinct texts (the cache key) of equally slow queries. *)
       let queries =
-        List.init 4 (fun i ->
-            Printf.sprintf "//a[./b = 'x'%s]" (String.make i ' '))
+        List.init 4 (fun i -> Printf.sprintf "//a[./b = '%s']" (String.make (i + 1) 'x'))
       in
       List.iter
         (fun q ->
@@ -471,6 +475,89 @@ let test_concurrent_plan_for () =
       Alcotest.(check int) "one lookup per call" ((3 * n) + 2) (s.hits + s.misses);
       Alcotest.(check int) "cached plans" (n + 2) s.size;
       Alcotest.(check bool) "a miss per plan" true (s.misses >= n + 2))
+
+let plan_exn catalog doc q =
+  match Catalog.plan_for catalog doc q with
+  | Ok p -> p.Catalog.plan
+  | Error e -> Alcotest.failf "plan_for %s: %s" q (Catalog.plan_error_message e)
+
+(* Reloading a name must not serve the plans compiled for the file it
+   replaced. *)
+let test_catalog_reload_drops_plans () =
+  with_corpus_dir (fun dir ->
+      let path = Filename.concat dir "d.xml" in
+      write_tree path (Wp_xml.Tree.el "r" [ Wp_xml.Tree.el "a" [ Wp_xml.Tree.leaf "b" "x" ] ]);
+      let catalog = Catalog.create () in
+      let load () =
+        match Catalog.load_file catalog path with
+        | Ok d -> d
+        | Error m -> Alcotest.failf "load_file: %s" m
+      in
+      let old_doc = load () in
+      let q = "//a[./b]" in
+      let old_plan = plan_exn catalog old_doc q in
+      write_tree path
+        (Wp_xml.Tree.el "r"
+           (List.init 3 (fun _ -> Wp_xml.Tree.el "a" [ Wp_xml.Tree.leaf "b" "y" ])));
+      let doc = load () in
+      Alcotest.(check int) "stale plans dropped" 0
+        (Catalog.plan_cache_stats catalog).size;
+      Alcotest.(check bool) "fresh memo" true (doc.memo != old_doc.memo);
+      let plan = plan_exn catalog doc q in
+      Alcotest.(check bool) "new plan" true (plan != old_plan);
+      Alcotest.(check bool) "compiled against the new index" true
+        (plan.index == doc.index);
+      Alcotest.(check int) "new roots" 3 (Array.length plan.roots);
+      (* A caller still holding the replaced document gets a plan for
+         its own index, and that plan does not displace the new one. *)
+      let stale = plan_exn catalog old_doc q in
+      Alcotest.(check bool) "stale caller, own index" true
+        (stale.index == old_doc.index);
+      Alcotest.(check bool) "cache keeps the new plan" true
+        (plan_exn catalog doc q == plan))
+
+(* Domains compiling overlapping ad-hoc patterns against one document
+   fill its component table at once.  Every plan must carry the
+   statistics a fresh table gives, and the table must hold exactly one
+   entry per distinct key. *)
+let test_concurrent_memo_fills () =
+  with_xmark_dir (fun dir ->
+      let queries = Array.of_list Fixtures.adhoc_queries in
+      let n = Array.length queries in
+      let fresh = Wp_score.Component_table.create () in
+      let doc0 = Option.get (Catalog.find (loaded_catalog dir) "x.xml") in
+      let reference =
+        Array.map
+          (fun q ->
+            ignore
+              (Whirlpool.Plan.compile ~memo:fresh doc0.index
+                 Wp_relax.Relaxation.all (Fixtures.parse q));
+            Whirlpool.Plan.compile doc0.index Wp_relax.Relaxation.all
+              (Fixtures.parse q))
+          queries
+      in
+      let distinct_keys = (Wp_score.Component_table.stats fresh).size in
+      List.iter
+        (fun domains ->
+          let catalog = loaded_catalog dir in
+          let doc = Option.get (Catalog.find catalog "x.xml") in
+          let plans =
+            Fixtures.on_domains domains (fun i ->
+                List.init n (fun j ->
+                    let q = (i + j) mod n in
+                    (q, plan_exn catalog doc queries.(q))))
+          in
+          List.iter
+            (List.iter (fun (q, plan) ->
+                 Fixtures.check_same_statistics
+                   ~msg:(Printf.sprintf "%d domains, %s" domains queries.(q))
+                   reference.(q) plan))
+            plans;
+          Alcotest.(check int)
+            (Printf.sprintf "%d domains: one entry per key" domains)
+            distinct_keys
+            (Wp_score.Component_table.stats doc.memo).size)
+        [ 2; 3; 4 ])
 
 let test_service_matches_engine () =
   (* The acceptance property: a request without a deadline returns
@@ -799,6 +886,20 @@ let test_service_metrics_json () =
       let pc = member_exn "plan_cache" snap in
       Alcotest.(check bool) "plan cache misses" true
         (member_exn "misses" pc = Json.Int 2);
+      let table () = member_exn "component_table" (Service.metrics_json service) in
+      let int_field name j =
+        match member_exn name j with Json.Int i -> i | _ -> Alcotest.fail name
+      in
+      let before = table () in
+      Alcotest.(check bool) "component table filled" true
+        (int_field "misses" before > 0 && int_field "size" before > 0);
+      (* A second query sharing the title component reads it from the
+         memo. *)
+      ignore
+        (Service.handle_query service
+           (query 2 ~k:2 "/book[./title and ./price]"));
+      Alcotest.(check bool) "shared component hits" true
+        (int_field "hits" (table ()) > int_field "hits" before);
       let s = Json.to_string snap in
       Alcotest.(check bool) "snapshot finite" false
         (Test_stats.contains ~needle:"nan" s))
@@ -823,6 +924,8 @@ let test_service_prometheus () =
           "wp_engine_server_ops_total";
           "wp_corpus_documents 2";
           "wp_plan_cache_misses_total";
+          "wp_component_table_hits_total";
+          "wp_component_table_misses_total";
         ])
 
 let test_slow_query_log () =
@@ -1553,6 +1656,7 @@ let suite =
     Alcotest.test_case "lru basics" `Quick test_lru_basics;
     Alcotest.test_case "lru find_or_add" `Quick test_lru_find_or_add;
     Alcotest.test_case "lru hit rate" `Quick test_lru_hit_rate;
+    Alcotest.test_case "lru filter" `Quick test_lru_filter;
     Alcotest.test_case "protocol request roundtrip" `Quick
       test_protocol_request_roundtrip;
     Alcotest.test_case "protocol response roundtrip" `Quick
@@ -1563,6 +1667,10 @@ let suite =
     Alcotest.test_case "catalog load dir" `Quick test_catalog_load_dir;
     Alcotest.test_case "catalog load errors" `Quick test_catalog_load_errors;
     Alcotest.test_case "catalog plan cache" `Quick test_catalog_plan_cache;
+    Alcotest.test_case "catalog reload drops plans" `Quick
+      test_catalog_reload_drops_plans;
+    Alcotest.test_case "concurrent component-table fills" `Quick
+      test_concurrent_memo_fills;
     Alcotest.test_case "concurrent first twig queries" `Quick
       test_concurrent_first_twig;
     Alcotest.test_case "concurrent plan compiles" `Quick

@@ -4,8 +4,6 @@ open Wp_relax
 let books = Fixtures.books_doc
 let syn = Synopsis.build books
 
-let float_eq = Alcotest.(check (float 1e-9))
-
 let test_tag_counts () =
   Alcotest.(check int) "books" 3 (Synopsis.tag_count syn "book");
   Alcotest.(check int) "titles" 3 (Synopsis.tag_count syn "title");
@@ -27,29 +25,14 @@ let test_pair_histograms () =
   Alcotest.(check int) "name at depth 2" 1
     (Synopsis.pair_count syn ~anc:"book" ~desc:"name" ~depth:1)
 
-let test_expected_related () =
-  float_eq "title children per book" (2.0 /. 3.0)
-    (Synopsis.expected_related syn ~anc:"book" ~desc:"title" Relation.child);
-  float_eq "title descendants per book" 1.0
-    (Synopsis.expected_related syn ~anc:"book" ~desc:"title" Relation.descendant);
+let test_pairs_in_relation () =
+  let pairs = Synopsis.pairs_in_relation syn ~anc:"book" in
+  Alcotest.(check int) "title children" 2 (pairs ~desc:"title" Relation.child);
+  Alcotest.(check int) "title descendants" 3
+    (pairs ~desc:"title" Relation.descendant);
   let depth2 = Relation.of_edges [ Wp_pattern.Pattern.Pc; Wp_pattern.Pattern.Pc ] in
-  float_eq "publisher at depth 2 per book" (1.0 /. 3.0)
-    (Synopsis.expected_related syn ~anc:"book" ~desc:"publisher" depth2);
-  float_eq "absent tag" 0.0
-    (Synopsis.expected_related syn ~anc:"book" ~desc:"zzz" Relation.descendant)
-
-let test_coverage_and_emptiness () =
-  float_eq "all books have a title somewhere" 1.0
-    (Synopsis.coverage syn ~anc:"book" ~desc:"title");
-  float_eq "two books have a publisher" (2.0 /. 3.0)
-    (Synopsis.coverage syn ~anc:"book" ~desc:"publisher");
-  float_eq "unbounded emptiness" (1.0 /. 3.0)
-    (Synopsis.p_empty syn ~anc:"book" ~desc:"publisher" Relation.descendant);
-  (* Depth-restricted emptiness is at least the unbounded one. *)
-  let depth1 = Relation.child in
-  Alcotest.(check bool) "restricted >= unbounded" true
-    (Synopsis.p_empty syn ~anc:"book" ~desc:"publisher" depth1
-    >= Synopsis.p_empty syn ~anc:"book" ~desc:"publisher" Relation.descendant)
+  Alcotest.(check int) "publishers at depth 2" 1 (pairs ~desc:"publisher" depth2);
+  Alcotest.(check int) "absent tag" 0 (pairs ~desc:"zzz" Relation.descendant)
 
 let test_deep_documents_bucket () =
   (* A path deeper than the cap still lands in the last bucket. *)
@@ -62,8 +45,8 @@ let test_deep_documents_bucket () =
   Alcotest.(check int) "leaf seen from top in the capped bucket" 1
     (Synopsis.pair_count s ~anc:"top" ~desc:"leaf"
        ~depth:(Synopsis.depth_cap + 10));
-  float_eq "expected via unbounded relation" 1.0
-    (Synopsis.expected_related s ~anc:"top" ~desc:"leaf" Relation.descendant)
+  Alcotest.(check int) "counted by the unbounded relation" 1
+    (Synopsis.pairs_in_relation s ~anc:"top" ~desc:"leaf" Relation.descendant)
 
 (* The synopsis is exact for depths below the cap: check against a naive
    count on random documents. *)
@@ -103,8 +86,7 @@ let suite =
   [
     Alcotest.test_case "tag counts" `Quick test_tag_counts;
     Alcotest.test_case "pair histograms" `Quick test_pair_histograms;
-    Alcotest.test_case "expected related" `Quick test_expected_related;
-    Alcotest.test_case "coverage and emptiness" `Quick test_coverage_and_emptiness;
+    Alcotest.test_case "pairs in relation" `Quick test_pairs_in_relation;
     Alcotest.test_case "depth cap" `Quick test_deep_documents_bucket;
     QCheck_alcotest.to_alcotest prop_exact_below_cap;
   ]
