@@ -5,14 +5,14 @@
      dune exec bench/report.exe -- --quick --check BENCH_core.json
 
    Emits one JSON object per exhibit (fig6/fig8-style workloads, a
-   cache sweep over k x document size x routing strategy, a
-   sharded-serve exhibit measuring cross-shard bound pushing over
-   memory-mapped .wpidx shards, and wall-only exhibits for the
-   dataguide build and for compiling ad-hoc plans) with the engine's
-   wall time and its machine-independent operation counters,
-   and — for every exhibit — the same workload re-run with the
-   per-(server, root) candidate cache disabled, so the committed
-   baseline itself documents what the cache buys.
+   backend comparison, a sharded-serve exhibit measuring cross-shard
+   bound pushing over memory-mapped .wpidx shards, and wall-only
+   exhibits for the dataguide build and for compiling ad-hoc plans)
+   with the engine's wall time and its machine-independent operation
+   counters.  The A/B exhibits (bound pushing on/off, dataguide build
+   vs a cold query, shared vs fresh compile memo) also carry their
+   second arm under ["uncached"] and the ratio of the two wall times
+   under ["speedup"].
 
    [--check baseline.json] re-runs the exhibits and exits nonzero when
    any comparison/ops/matches count regresses (those are deterministic
@@ -27,7 +27,6 @@ type measurement = {
   comparisons : int;
   server_ops : int;
   matches_created : int;
-  cache_hit_rate : float;
 }
 
 let of_stats (s : Whirlpool.Stats.t) =
@@ -36,7 +35,6 @@ let of_stats (s : Whirlpool.Stats.t) =
     comparisons = s.comparisons;
     server_ops = s.server_ops;
     matches_created = s.matches_created;
-    cache_hit_rate = Whirlpool.Stats.cache_hit_rate s;
   }
 
 (* Median-by-wall-time of [runs] runs (the first run warms the document
@@ -62,17 +60,14 @@ let wall_only ~runs f =
     comparisons = 0;
     server_ops = 0;
     matches_created = 0;
-    cache_hit_rate = 0.0;
   }
 
-type exhibit = { name : string; cached : measurement; uncached : measurement }
+(* [ab] is the second arm of an A/B exhibit, [None] elsewhere. *)
+type exhibit = { name : string; m : measurement; ab : measurement option }
 
 let run_workload ~runs ~trace ~routing plan ~k =
-  let go use_cache () =
-    let config =
-      Whirlpool.Engine.Config.(
-        default |> with_routing routing |> with_use_cache use_cache)
-    in
+  let go () =
+    let config = Whirlpool.Engine.Config.(default |> with_routing routing) in
     let config =
       (* --trace: a fresh enabled observability context per run — the
          gate then also proves tracing leaves every counter unchanged. *)
@@ -82,21 +77,22 @@ let run_workload ~runs ~trace ~routing plan ~k =
     in
     (Whirlpool.Engine.run ~config plan ~k).Whirlpool.Engine.stats
   in
-  let cached = measure ~runs (go true) in
-  let uncached = measure ~runs (go false) in
-  (cached, uncached)
+  measure ~runs go
 
 let exhibits (scale : Common.scale) ~runs ~trace =
   let k = scale.default_k in
   let out = ref [] in
-  let add name (cached, uncached) =
-    Printf.printf "  %-40s wall=%.4fs cmp=%d hit=%.2f (uncached %.4fs cmp=%d)\n%!"
-      name
-      (float_of_int cached.wall_ns /. 1e9)
-      cached.comparisons cached.cache_hit_rate
-      (float_of_int uncached.wall_ns /. 1e9)
-      uncached.comparisons;
-    out := { name; cached; uncached } :: !out
+  let add ?ab name m =
+    Printf.printf "  %-40s wall=%.4fs cmp=%d%s\n%!" name
+      (float_of_int m.wall_ns /. 1e9)
+      m.comparisons
+      (match ab with
+      | None -> ""
+      | Some b ->
+          Printf.sprintf " (vs %.4fs cmp=%d)"
+            (float_of_int b.wall_ns /. 1e9)
+            b.comparisons);
+    out := { name; m; ab } :: !out
   in
   (* fig6-style: the paper's three XMark queries under adaptive routing
      at the default size and k. *)
@@ -123,18 +119,15 @@ let exhibits (scale : Common.scale) ~runs ~trace =
      fig8-style workload.  k is pinned to the twig join's exact-match
      count, so its whole answer set is in range, and every backend must
      return the top-k the checks below demand (the harness aborts on any
-     disagreement).  The [uncached] slot holds the cache-off re-run. *)
+     disagreement). *)
   Printf.printf "backend comparison (whirlpool vs lockstep vs twig)\n%!";
   List.iter
     (fun (qname, q) ->
       let plan = Common.plan_for ~size:scale.default_size q in
       let m = Wp_twig.Twig_join.match_count plan in
       let k = max 1 m in
-      let go algo use_cache () =
-        let config =
-          Whirlpool.Engine.Config.(
-            default |> with_algo algo |> with_use_cache use_cache)
-        in
+      let go algo () =
+        let config = Whirlpool.Engine.Config.(default |> with_algo algo) in
         (Wp_twig.Backend.run ~config plan ~k).Whirlpool.Engine.stats
       in
       let entries (r : Whirlpool.Engine.result) =
@@ -174,36 +167,13 @@ let exhibits (scale : Common.scale) ~runs ~trace =
                   qname aname));
           add
             (Printf.sprintf "backend/%s/%s" qname aname)
-            (measure ~runs (go algo true), measure ~runs (go algo false)))
+            (measure ~runs (go algo)))
         [
           ("whirlpool", Whirlpool.Engine.Config.Whirlpool);
           ("lockstep", Whirlpool.Engine.Config.Lockstep);
           ("twig", Whirlpool.Engine.Config.Twig);
         ])
     Common.queries;
-  (* cache exhibit: k x document size x routing strategy over Q2. *)
-  Printf.printf "cache sweep (Q2, k x size x routing)\n%!";
-  List.iter
-    (fun (size_label, size) ->
-      let plan = Common.plan_for ~size Common.q2 in
-      let routings =
-        [
-          ("min_alive", Whirlpool.Strategy.Min_alive);
-          ( "static",
-            Whirlpool.Strategy.Static
-              (Whirlpool.Strategy.default_static_order plan) );
-        ]
-      in
-      List.iter
-        (fun k ->
-          List.iter
-            (fun (rname, routing) ->
-              add
-                (Printf.sprintf "cache/Q2/k=%d/%s/%s" k size_label rname)
-                (run_workload ~runs ~trace ~routing plan ~k))
-            routings)
-        scale.ks)
-    scale.sizes;
   (* sharded-serve exhibit: the cross-shard bound-pushing protocol.
      Several XMark documents are written as .wpidx files and
      memory-mapped back (the serving path), then every document's
@@ -213,7 +183,7 @@ let exhibits (scale : Common.scale) ~runs ~trace =
      single-catalog serve path.  Sequential execution keeps the
      counters deterministic for the gate (the served scatter is
      threaded; its wall-clock story lives in BENCH_serve.json): the
-     [cached]/[uncached] slots here hold push-on/push-off. *)
+     two arms are push-on and push-off. *)
   let n_docs = 4 in
   let bytes_per_doc = scale.default_size / 8 in
   Printf.printf
@@ -300,15 +270,15 @@ let exhibits (scale : Common.scale) ~runs ~trace =
           in
           let pushed = measure ~runs (go true) in
           let independent = measure ~runs (go false) in
-          add (Printf.sprintf "serve/bound-push/%s" qname)
-            (pushed, independent))
+          add ~ab:independent (Printf.sprintf "serve/bound-push/%s" qname)
+            pushed)
         serve_queries;
       (* dataguide build vs one cold query over the same mapped corpus:
          the twig backend's catalog cost.  Counters are meaningless
-         here; the [cached] slot holds the per-corpus dataguide build
-         wall time and [uncached] one uncached Q2 pass over every
-         shard, so [speedup] reads "cold queries per dataguide build"
-         and the acceptance bar is a value above 1. *)
+         here; the first arm is the per-corpus dataguide build wall
+         time and the second one Q2 pass over every shard, so
+         [speedup] reads "cold queries per dataguide build" and the
+         acceptance bar is a value above 1. *)
       let build () =
         List.iter
           (fun idx ->
@@ -327,19 +297,16 @@ let exhibits (scale : Common.scale) ~runs ~trace =
       let cold () =
         List.iter
           (fun plan ->
-            let config =
-              Whirlpool.Engine.Config.(default |> with_use_cache false)
-            in
-            ignore (Sys.opaque_identity (Whirlpool.Engine.run ~config plan ~k)))
+            ignore (Sys.opaque_identity (Whirlpool.Engine.run plan ~k)))
           q2_plans
       in
-      add "serve/dataguide/build-vs-cold-query"
-        (wall_only ~runs build, wall_only ~runs cold));
+      add ~ab:(wall_only ~runs cold) "serve/dataguide/build-vs-cold-query"
+        (wall_only ~runs build));
   (* plan compile: what every plan-cache miss pays before an engine
      runs.  Wall time only: every ad-hoc pattern compiled against the
-     1 MB document under all relaxations.  The [cached] slot shares one
+     1 MB document under all relaxations.  The first arm shares one
      component table across a run's patterns, fresh for each run, as
-     the serve catalog shares one per document; [uncached] gives every
+     the serve catalog shares one per document; the second gives every
      pattern an empty table. *)
   let idx = Common.index_for 1_000_000 in
   let patterns = List.map Wp_pattern.Xpath_parser.parse Common.adhoc_patterns in
@@ -357,8 +324,10 @@ let exhibits (scale : Common.scale) ~runs ~trace =
              (Whirlpool.Plan.compile ~memo idx Wp_relax.Relaxation.all pat)))
       patterns
   in
-  add "plan/compile/adhoc"
-    (wall_only ~runs (compile ~shared:true), wall_only ~runs (compile ~shared:false));
+  add
+    ~ab:(wall_only ~runs (compile ~shared:false))
+    "plan/compile/adhoc"
+    (wall_only ~runs (compile ~shared:true));
   List.rev !out
 
 let measurement_to_json m =
@@ -368,13 +337,12 @@ let measurement_to_json m =
       ("comparisons", Json.Int m.comparisons);
       ("server_ops", Json.Int m.server_ops);
       ("matches_created", Json.Int m.matches_created);
-      ("cache_hit_rate", Json.Float m.cache_hit_rate);
     ]
 
 let to_json ~quick exhibits =
-  let speedup e =
-    if e.cached.wall_ns <= 0 then 0.0
-    else float_of_int e.uncached.wall_ns /. float_of_int e.cached.wall_ns
+  let speedup a b =
+    if a.wall_ns <= 0 then 0.0
+    else float_of_int b.wall_ns /. float_of_int a.wall_ns
   in
   Json.Obj
     [
@@ -385,15 +353,15 @@ let to_json ~quick exhibits =
           (List.map
              (fun e ->
                ( e.name,
-                 match measurement_to_json e.cached with
-                 | Json.Obj fields ->
+                 match (measurement_to_json e.m, e.ab) with
+                 | Json.Obj fields, Some b ->
                      Json.Obj
                        (fields
                        @ [
-                           ("uncached", measurement_to_json e.uncached);
-                           ("speedup", Json.Float (speedup e));
+                           ("uncached", measurement_to_json b);
+                           ("speedup", Json.Float (speedup e.m b));
                          ])
-                 | other -> other ))
+                 | j, _ -> j ))
              exhibits) );
     ]
 
@@ -434,29 +402,29 @@ let check ~warn_wall ~wall_tolerance baseline exhibits =
                 if current > b then
                   fail "%s: %s regressed %d -> %d" e.name field b current
           in
-          count "comparisons" e.cached.comparisons;
-          count "server_ops" e.cached.server_ops;
-          count "matches_created" e.cached.matches_created;
+          count "comparisons" e.m.comparisons;
+          count "server_ops" e.m.server_ops;
+          count "matches_created" e.m.matches_created;
           (match int_member "wall_ns" base with
           | None -> warn "%s: baseline lacks \"wall_ns\"" e.name
           | Some b when b > 0 ->
-              let ratio = float_of_int e.cached.wall_ns /. float_of_int b in
+              let ratio = float_of_int e.m.wall_ns /. float_of_int b in
               (* Sub-millisecond exhibits jitter well past any relative
                  tolerance; require an absolute 1ms excess too. *)
               if
                 ratio > 1.0 +. (wall_tolerance /. 100.0)
-                && e.cached.wall_ns - b > 1_000_000
+                && e.m.wall_ns - b > 1_000_000
               then
                 if warn_wall then
                   warn "%s: wall time %.2fx the baseline (%.4fs -> %.4fs)"
                     e.name ratio
                     (float_of_int b /. 1e9)
-                    (float_of_int e.cached.wall_ns /. 1e9)
+                    (float_of_int e.m.wall_ns /. 1e9)
                 else
                   fail "%s: wall time %.2fx the baseline (%.4fs -> %.4fs)"
                     e.name ratio
                     (float_of_int b /. 1e9)
-                    (float_of_int e.cached.wall_ns /. 1e9)
+                    (float_of_int e.m.wall_ns /. 1e9)
           | Some _ -> ()))
     exhibits;
   List.iter

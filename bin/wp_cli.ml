@@ -58,14 +58,22 @@ let parse_query q =
       prerr_endline ("cannot parse query: " ^ q);
       exit 2
 
-(* Counts that must be positive ([-k], [--batch], [--schedules]): the
-   serve tier's [Service.resolve_k]/[resolve_batch] rule, as a usage
-   error. *)
+(* Counts that must be positive ([-k], [--batch], [--schedules], the
+   serve sizes): the serve tier's [Service.resolve_k]/[resolve_batch]
+   rule, as a usage error. *)
 let require_positive name v =
   if v < 1 then begin
     Printf.eprintf "%s must be >= 1 (got %d)\n" name v;
     exit 2
   end
+
+(* [--deadline-ms]: the service's rule for a request's [deadline_ms],
+   as a usage error. *)
+let require_deadline = function
+  | Some ms when ms < 0.0 || not (Float.is_finite ms) ->
+      Printf.eprintf "--deadline-ms must be finite and >= 0 (got %g)\n" ms;
+      exit 2
+  | _ -> ()
 
 (* Documents load from XML or from a mapped index (.wpidx), detected by
    content — via the catalog's loader, so CLI and server read documents
@@ -265,6 +273,7 @@ let local_query path q k threshold algo routing exact explain json =
 let query_run connect path q k threshold deadline_ms algo routing doc stream
     exact explain json =
   require_positive "-k" k;
+  require_deadline deadline_ms;
   match connect with
   | Some socket ->
       if threshold <> None || exact || explain then begin
@@ -880,10 +889,12 @@ let relax_config relax_content =
 
 let serve_run corpus socket http workers queue_depth default_k deadline_ms
     plan_cache slow_query_ms shards relax_content algo =
-  if shards < 1 then begin
-    prerr_endline "--shards must be >= 1";
-    exit 2
-  end;
+  require_positive "--shards" shards;
+  require_positive "--plan-cache" plan_cache;
+  require_positive "--queue-depth" queue_depth;
+  require_positive "--default-k" default_k;
+  Option.iter (require_positive "--workers") workers;
+  require_deadline deadline_ms;
   let algo =
     match Whirlpool.Engine.Config.algo_of_string algo with
     | Some a -> a
@@ -1114,8 +1125,7 @@ let ctl_cmd =
 
 (* Local run under an enabled observability context: exact per-server
    cost attribution plus the query's span tree. *)
-let profile_run path q k algo routing batch use_cache exact
-    show_spans json =
+let profile_run path q k algo routing batch exact show_spans json =
   require_positive "-k" k;
   require_positive "--batch" batch;
   let idx = load_index path in
@@ -1145,7 +1155,7 @@ let profile_run path q k algo routing batch use_cache exact
   let config =
     Whirlpool.Engine.Config.(
       default |> with_algo algo |> with_routing routing |> with_batch batch
-      |> with_use_cache use_cache |> with_obs obs)
+      |> with_obs obs)
   in
   let r = Wp_twig.Backend.run ~config plan ~k in
   let algo_name = Whirlpool.Engine.Config.algo_to_string algo in
@@ -1169,8 +1179,8 @@ let profile_run path q k algo routing batch use_cache exact
         Printf.printf "%3d. node %-10d score %.4f\n" (i + 1) e.root e.score)
       r.answers;
     Printf.printf "\nper-server cost breakdown:\n";
-    Printf.printf "  %-6s %-14s %10s %12s %10s %8s %10s\n" "server" "tag"
-      "visits" "comparisons" "hit rate" "time ms" "ms/visit";
+    Printf.printf "  %-6s %-14s %10s %12s %8s %10s\n" "server" "tag"
+      "visits" "comparisons" "time ms" "ms/visit";
     List.iter
       (fun (server, (c : Wp_obs.Obs.server_cost)) ->
         let tag =
@@ -1178,15 +1188,10 @@ let profile_run path q k algo routing batch use_cache exact
           then plan.Whirlpool.Plan.specs.(server).Wp_relax.Server_spec.tag
           else "?"
         in
-        let lookups = c.cache_hits + c.cache_misses in
-        let hit_rate =
-          if lookups = 0 then 0.0
-          else float_of_int c.cache_hits /. float_of_int lookups
-        in
         let ms = Int64.to_float c.time_ns /. 1e6 in
         let per_visit = if c.visits = 0 then 0.0 else ms /. float_of_int c.visits in
-        Printf.printf "  %-6d %-14s %10d %12d %9.1f%% %8.2f %10.4f\n" server
-          tag c.visits c.comparisons (100.0 *. hit_rate) ms per_visit)
+        Printf.printf "  %-6d %-14s %10d %12d %8.2f %10.4f\n" server tag
+          c.visits c.comparisons ms per_visit)
       (Wp_obs.Obs.per_server obs);
     Printf.printf "\n%s\n" (Format.asprintf "%a" Whirlpool.Stats.pp r.stats);
     if show_spans then begin
@@ -1219,11 +1224,6 @@ let profile_cmd =
       & info [ "batch" ] ~docv:"B"
           ~doc:"Partial matches routed per iteration (whirlpool-s).")
   in
-  let no_cache =
-    Arg.(
-      value & flag
-      & info [ "no-cache" ] ~doc:"Disable the candidate cache.")
-  in
   let exact =
     Arg.(value & flag & info [ "exact" ] ~doc:"Disable relaxations.")
   in
@@ -1249,14 +1249,13 @@ let profile_cmd =
               context: every server visit is timed and attributed, and \
               the run's span tree (query, iteration batches, server \
               visits with their trace events) is collected.  The \
-              breakdown shows, per server, the visits, comparisons, \
-              candidate-cache hit rate and wall time — where the \
-              query's cost actually went.";
+              breakdown shows, per server, the visits, comparisons \
+              and wall time — where the query's cost actually went.";
          ]
        ())
     Term.(
       const profile_run $ path $ query_arg $ k $ algo $ routing $ batch
-      $ Term.app (const not) no_cache $ exact $ spans $ json)
+      $ exact $ spans $ json)
 
 (* --- loadgen --- *)
 
@@ -1264,9 +1263,10 @@ let obj_fields = function Wp_json.Json.Obj fields -> fields | j -> [ ("value", j
 
 (* One spawned point.  A fresh catalog (its load time is the point's
    cold-open cost) and a fresh service per point, so every point starts
-   with empty candidate caches and its metrics snapshot is its own.
-   The point is measured twice back-to-back against the same service:
-   the first window starts cold, the second reuses the caches (warm). *)
+   with an empty plan cache and its metrics snapshot is its own.  The
+   point is measured twice back-to-back against the same service: the
+   first window starts cold, the second reuses the compiled plans
+   (warm). *)
 let loadgen_point ~corpus ~socket ~queries ~clients ~duration ~relax_content
     ~algo ~ttfa_query (shards, push, workers, queue_depth) =
   let catalog =

@@ -17,9 +17,8 @@
    - [lock-leak]: a lock acquisition whose release is not guarded by
      [Fun.protect ~finally] — an exception in the section would leave
      the mutex held.  A function whose entire body is the acquisition
-     (a lock combinator such as the closures handed to
-     [Candidate_cache.create]) is exempt: the discipline applies at
-     its call sites.
+     (a lock callback such as [fun () -> Mutex.lock m]) is exempt:
+     the discipline applies at its call sites.
    - [wire-total]: a closed nullary variant with a [_to_string] /
      [_of_string] pair (or [to_string]/[of_string] for a type [t])
      must round-trip every constructor through distinct wire strings.
@@ -120,7 +119,7 @@ let contains s sub =
   m = 0 || go 0
 
 (* Render the receiver of a lock operation for identity resolution and
-   messages: [t.mutex], [shared.topk_mutex], [cache_mutex], ... *)
+   messages: [t.mutex], [shared.topk_mutex], [queue_mutex], ... *)
 let rec render (e : expression) =
   match e.exp_desc with
   | Texp_ident (p, _, _) -> Path.last p
@@ -221,7 +220,6 @@ let with_allows ctx (attrs : Parsetree.attributes) f =
 let lock_name ~unit_name text =
   if contains text "topk" then Some "topk.mutex"
   else if contains text "queue" then Some "queue.*.mutex"
-  else if contains text "cache" then Some Whirlpool.Candidate_cache.mutex_name
   else if contains text "pool" then Some "serve.pool.mutex"
   else
     match (unit_name, text) with

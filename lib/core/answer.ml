@@ -122,9 +122,6 @@ let result_to_json (plan : Plan.t) (result : Engine.result) =
             ("matches_died", Int stats.matches_died);
             ("routing_decisions", Int stats.routing_decisions);
             ("completed", Int stats.completed);
-            ("cache_hits", Int stats.cache_hits);
-            ("cache_misses", Int stats.cache_misses);
-            ("cache_hit_rate", Float (Stats.cache_hit_rate stats));
             ("wall_seconds", Float (Stats.wall_seconds stats));
           ] );
     ]

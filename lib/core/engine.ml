@@ -44,10 +44,8 @@ module Config = struct
     routing : Strategy.routing;
     queue_policy : Strategy.queue_policy;
     batch : int;
-    use_cache : bool;
     should_stop : unit -> bool;
     obs : Obs.t;
-    cache : Candidate_cache.t option;
     prune_bound : unit -> float;
     publish_threshold : float -> unit;
     on_certified : Topk_set.entry -> unit;
@@ -59,10 +57,8 @@ module Config = struct
       routing = Strategy.Min_alive;
       queue_policy = Strategy.Max_final_score;
       batch = 1;
-      use_cache = true;
       should_stop = never_stop;
       obs = Obs.disabled;
-      cache = None;
       prune_bound = no_bound;
       publish_threshold = no_publish;
       on_certified = no_certify;
@@ -72,13 +68,12 @@ module Config = struct
   let with_routing routing t = { t with routing }
   let with_queue_policy queue_policy t = { t with queue_policy }
   let with_batch batch t = { t with batch }
-  let with_use_cache use_cache t = { t with use_cache }
-  let with_cache cache t = { t with cache }
   let with_should_stop should_stop t = { t with should_stop }
   let with_prune_bound prune_bound t = { t with prune_bound }
   let with_publish_threshold publish_threshold t = { t with publish_threshold }
   let with_on_certified on_certified t = { t with on_certified }
   let with_obs obs t = { t with obs }
+  let with_cache (_ : unit option) t = t
 end
 
 (* Static gate: a plan whose pattern or predicate sequences carry
@@ -94,7 +89,6 @@ let run ?(config = Config.default) (plan : Plan.t) ~k =
     Config.routing;
     queue_policy;
     batch;
-    use_cache;
     should_stop;
     obs;
     prune_bound;
@@ -105,13 +99,6 @@ let run ?(config = Config.default) (plan : Plan.t) ~k =
   in
   if batch < 1 then invalid_arg "Engine.run: batch >= 1";
   validate_plan plan;
-  (* [config.cache] lets a caller share one (plan-scoped) candidate
-     cache across runs — the serve tier's cross-request cache; absent,
-     each run memoizes privately as before. *)
-  let cache =
-    if not use_cache then None
-    else match config.cache with Some _ as c -> c | None -> Some (Candidate_cache.create ())
-  in
   let stats = Stats.create () in
   let t0 = now_ns () in
   (* Observability: a root span for the run, a child per iteration
@@ -207,7 +194,7 @@ let run ?(config = Config.default) (plan : Plan.t) ~k =
   certify ();
   let process_here (pm : Partial_match.t) server =
     let { Server.extensions; died } =
-      Server.process ?cache plan stats ~next_id pm ~server
+      Server.process plan stats ~next_id pm ~server
     in
     if checking then
       List.iter (Invariants.check_extension plan ~parent:pm) extensions;
@@ -247,14 +234,10 @@ let run ?(config = Config.default) (plan : Plan.t) ~k =
       let saved = !cur_span in
       if vspan <> None then cur_span := vspan;
       let v0 = now_ns () in
-      let c0 = stats.comparisons
-      and h0 = stats.cache_hits
-      and m0 = stats.cache_misses in
+      let c0 = stats.comparisons in
       process_here pm server;
       Obs.visit obs ~server
         ~comparisons:(stats.comparisons - c0)
-        ~cache_hits:(stats.cache_hits - h0)
-        ~cache_misses:(stats.cache_misses - m0)
         ~ns:(Int64.sub (now_ns ()) v0);
       Obs.attr obs vspan "server" (float_of_int server);
       Obs.finish obs vspan;

@@ -78,8 +78,6 @@ module Config : sig
     queue_policy : Strategy.queue_policy;  (** default [Max_final_score] *)
     batch : int;
         (** bulk-adaptivity width, default 1 (paper Section 6.3.3) *)
-    use_cache : bool;
-        (** per-(server, root) candidate memoization, default true *)
     should_stop : unit -> bool;
         (** cooperative-cancellation hook, default {!never_stop} *)
     obs : Wp_obs.Obs.t;
@@ -88,14 +86,6 @@ module Config : sig
             the engines' only event channel.  A disabled context leaves
             the run's counters and answers bit-identical and builds no
             event *)
-    cache : Candidate_cache.t option;
-        (** an external candidate cache to use instead of a fresh
-            run-local one, default [None].  The serve tier passes its
-            per-(shard, document) cache here so memoized candidate
-            derivations persist across requests; honored only when
-            [use_cache] is true.  The caller owns synchronization (the
-            cache's [lock]/[unlock] hooks) when the same cache is
-            shared across threads. *)
     prune_bound : unit -> float;
         (** an external score floor read at every prune decision,
             default a constant [neg_infinity] (never prunes).  Scatter–
@@ -129,13 +119,16 @@ module Config : sig
   val with_routing : Strategy.routing -> t -> t
   val with_queue_policy : Strategy.queue_policy -> t -> t
   val with_batch : int -> t -> t
-  val with_use_cache : bool -> t -> t
   val with_should_stop : (unit -> bool) -> t -> t
   val with_obs : Wp_obs.Obs.t -> t -> t
-  val with_cache : Candidate_cache.t option -> t -> t
   val with_prune_bound : (unit -> float) -> t -> t
   val with_publish_threshold : (float -> unit) -> t -> t
   val with_on_certified : (Topk_set.entry -> unit) -> t -> t
+
+  val with_cache : unit option -> t -> t
+  (** Returns [t] unchanged: the candidate cache it configured is gone.
+      It stays only because perfbench's replay still calls it, and goes
+      with the next change to the benchmark's protocol. *)
 end
 
 val validate_plan : Plan.t -> unit
@@ -161,11 +154,6 @@ val run : ?config:Config.t -> Plan.t -> k:int -> result
     consecutive queue heads that have visited the same set of servers,
     amortizing the decision overhead when server operations are cheap.
     A pop with a different visited set ends the batch.
-
-    [config.use_cache] memoizes per-(server, root) candidate derivation
-    through a run-local {!Candidate_cache}; disabling it recomputes
-    candidates on every server operation — the reference behaviour
-    [bench/report] measures the cache against.
 
     [config.obs], when enabled, collects a span tree (a root span for
     the run, a child per iteration batch, a grandchild per server

@@ -3,11 +3,9 @@
    deterministic instrumented scheduler (Sched) for race detection and
    schedule exploration.
 
-   Lock hierarchy (checked by Race): cache.mutex and the queue mutexes
-   (rank 0) below topk.mutex (rank 1); in fact no thread ever holds two
-   locks at once — the candidate-cache mutex in particular is leaf-only,
-   taken and released inside Candidate_cache.find with no other lock
-   held.  The observability context's mutex is a real [Mutex.t] (never
+   Lock hierarchy (checked by Race): the queue mutexes (rank 0) below
+   topk.mutex (rank 1); in fact no thread ever holds two locks at
+   once.  The observability context's mutex is a real [Mutex.t] (never
    S.mutex): it is leaf-only, taken with no S-operation inside the
    critical section, so it cannot participate in a Sched-visible
    deadlock and stays invisible to schedule exploration.  It also
@@ -101,7 +99,6 @@ module Make (S : Sync.S) = struct
     plan : Plan.t;
     routing : Strategy.routing;
     queue_policy : Strategy.queue_policy;
-    cache : Candidate_cache.t option;  (* shared, guarded by its own S.mutex *)
     topk : Topk_set.t;
     topk_mutex : S.mutex;
     router_queue : Partial_match.t Shared_queue.t;
@@ -280,18 +277,13 @@ module Make (S : Sync.S) = struct
               else None
             in
             let v0 = if shared.obs_on then Clock.now_ns () else 0L in
-            let c0 = stats.comparisons
-            and h0 = stats.cache_hits
-            and m0 = stats.cache_misses in
+            let c0 = stats.comparisons in
             let { Server.extensions; died } =
-              Server.process ?cache:shared.cache shared.plan stats ~next_id pm
-                ~server
+              Server.process shared.plan stats ~next_id pm ~server
             in
             if shared.obs_on then begin
               Obs.visit shared.obs ~server
                 ~comparisons:(stats.comparisons - c0)
-                ~cache_hits:(stats.cache_hits - h0)
-                ~cache_misses:(stats.cache_misses - m0)
                 ~ns:(Int64.sub (Clock.now_ns ()) v0);
               Obs.attr shared.obs vspan "server" (float_of_int server);
               Obs.finish shared.obs vspan
@@ -404,7 +396,6 @@ module Make (S : Sync.S) = struct
     let {
       Engine.Config.routing;
       queue_policy;
-      use_cache;
       should_stop;
       obs;
       prune_bound;
@@ -432,23 +423,6 @@ module Make (S : Sync.S) = struct
         plan;
         routing;
         queue_policy;
-        cache =
-          (* As in [Engine.run]: no cache when [use_cache] is off.  An
-             externally supplied cache (the serve tier's persistent
-             per-shard cache) brings its own lock hooks; otherwise the
-             run creates a private one under this sync layer's mutex. *)
-          (if not use_cache then None
-           else
-             match config.Engine.Config.cache with
-             | Some _ as c -> c
-             | None ->
-                 let cache_mutex = S.mutex Candidate_cache.mutex_name in
-                 Some
-                   (Candidate_cache.create
-                      ~lock:(fun () -> S.lock cache_mutex)
-                      ~unlock:(fun () -> S.unlock cache_mutex)
-                      ~note:(fun () -> S.note_write Candidate_cache.state_loc)
-                      ()));
         topk =
           Topk_set.create ~k ~admit_partial:(Plan.admits_partial_answers plan);
         topk_mutex = S.mutex "topk.mutex";

@@ -78,9 +78,7 @@ val run : ?config:Engine.Config.t -> Plan.t -> k:int -> Engine.result
     emission order is nondeterministic.
 
     [config.batch] does not apply: the multi-threaded engine routes
-    match-at-a-time.  When [config.use_cache] holds, every thread shares
-    one candidate cache ([config.cache] if given, else a run-local
-    one).
+    match-at-a-time.
 
     [config.on_certified] streams certified answers exactly as in
     {!Engine.run}; alive-set bookkeeping rides the existing top-k

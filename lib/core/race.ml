@@ -5,8 +5,6 @@ type report = { schedules : int; steps : int; diagnostics : D.t list }
 
 let lock_rank name =
   if String.starts_with ~prefix:"queue." name then Some 0
-  else if String.equal name Candidate_cache.mutex_name then Some 0
-    (* leaf-only: never held together with a queue mutex *)
   else if String.equal name Wp_score.Component_table.mutex_name then Some 0
     (* leaf-only: held for one LRU lookup or insert during plan compile *)
   else if

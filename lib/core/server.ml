@@ -100,92 +100,101 @@ let needs_deletion_branch (plan : Plan.t) (spec : Server_spec.t) =
   && (not plan.config.subtree_promotion)
   && spec.conditionals <> []
 
-let process ?cache (plan : Plan.t) (stats : Stats.t) ~next_id
-    (pm : Partial_match.t) ~server =
+let process (plan : Plan.t) (stats : Stats.t) ~next_id (pm : Partial_match.t)
+    ~server =
   if server = 0 then invalid_arg "Server.process: the root server runs first";
   if Partial_match.visited pm server then
     invalid_arg "Server.process: server already visited";
   let spec = plan.specs.(server) in
   let doc = Index.doc plan.index in
-  let server_max = (Score_table.entry plan.scores server).exact_weight in
+  let score = Score_table.entry plan.scores server in
+  let server_max = score.exact_weight in
   stats.server_ops <- stats.server_ops + 1;
-  (* The (server, root)-only work — index slice, structural relation,
-     content level, exactness, weight — comes from the candidate cache
-     (or is computed in place when running uncached); only the
-     match-dependent conditional checks below run per partial match. *)
-  let candidates =
-    if under_deleted_ancestor plan pm ~server then [||]
-    else
+  (* One pass over the index slice below the match's root binding:
+     the content test, the candidate relation and the hard conditionals
+     together, charging every examined candidate to [comparisons].
+     Survivors are kept as [node * 2 + exact]; walking the slice
+     backwards leaves them in document order. *)
+  let survivors =
+    if under_deleted_ancestor plan pm ~server then []
+    else begin
       let root = Partial_match.root_binding pm in
-      match cache with
-      | Some c ->
-          (Candidate_cache.find c plan stats ~server ~root
-          [@wp.allow
-            "hot-alloc the cache allocates only on a (server, root) miss; \
-             steady state is hit-only"])
-      | None ->
-          let entries, examined =
-            (Candidate_cache.compute plan ~server ~root
-            [@wp.allow
-              "hot-alloc uncached mode recomputes the entry array per \
-               visit by design; it exists to measure exactly that cost"])
+      let root_depth = Doc.depth doc root in
+      let rel = Server_spec.candidate_relation spec in
+      let postings = Index.postings plan.index spec.tag in
+      let lo, hi = Index.subtree_slice plan.index spec.tag ~root in
+      stats.comparisons <- stats.comparisons + (hi - lo);
+      let acc = ref [] in
+      for i = hi - 1 downto lo do
+        let node = Index.posting postings i in
+        let content = content_level plan.config doc spec.value node in
+        let depth = Doc.depth doc node in
+        if
+          content <> Relaxation.Content_reject
+          && Relation.test_depths rel ~anc_depth:root_depth ~desc_depth:depth
+          && hard_conditionals_ok doc spec pm node
+        then begin
+          let exact =
+            content = Relaxation.Content_exact
+            && Relation.test_depths spec.to_root.exact ~anc_depth:root_depth
+                 ~desc_depth:depth
           in
-          stats.comparisons <- stats.comparisons + examined;
-          entries
+          acc := ((node * 2) + Bool.to_int exact) :: !acc
+        end
+      done;
+      !acc
+    end
   in
-  let survivors = ref [] in
-  Array.iter
-    (fun (e : Candidate_cache.entry) ->
-      if hard_conditionals_ok doc spec pm e.node then survivors := e :: !survivors)
-    candidates;
   (* Extensions copy the parent's bindings array: one allocation per
      partial match created is the engine's unit of work, not an
      accident — [extend_last] transfers instead of copying where the
      parent is consumed. *)
-  let unbound_extension ~last =
+  let extension ~last ~binding ~weight =
     ((if last then Partial_match.extend_last else Partial_match.extend)
-       pm ~id:(next_id ()) ~server ~binding:None ~weight:0.0 ~server_max
+       pm ~id:(next_id ()) ~server ~binding ~weight ~server_max
     [@wp.allow "hot-alloc extensions allocate one bindings array each"])
   in
-  match !survivors with
+  let bound_extension ~last s =
+    let weight =
+      if s land 1 = 1 then score.exact_weight else score.relaxed_weight
+    in
+    extension ~last ~binding:(Some (s lsr 1)) ~weight
+  in
+  match survivors with
   | [] ->
       if spec.optional && deletion_ok plan pm ~server then begin
         stats.matches_created <- stats.matches_created + 1;
-        { extensions = [ unbound_extension ~last:true ]; died = false }
+        {
+          extensions = [ extension ~last:true ~binding:None ~weight:0.0 ];
+          died = false;
+        }
       end
       else begin
         stats.matches_died <- stats.matches_died + 1;
         { extensions = []; died = true }
       end
-  | rev_survivors ->
+  | _ ->
       let deletion_branch =
         needs_deletion_branch plan spec && deletion_ok plan pm ~server
       in
       let extensions =
-        match (rev_survivors, deletion_branch) with
-        | [ e ], false ->
+        match (survivors, deletion_branch) with
+        | [ s ], false ->
             (* Sole extension: transfer the parent's bindings array
                instead of copying it — the parent is consumed here. *)
-            [
-              Partial_match.extend_last pm ~id:(next_id ()) ~server
-                ~binding:(Some e.node) ~weight:e.weight ~server_max;
-            ]
+            [ bound_extension ~last:true s ]
         | _ ->
             (* Bound extensions in document order, deletion branch last
                (ids follow creation order): cons everything onto an
                accumulator and reverse once — no O(n) append. *)
             let rev_exts =
               List.fold_left
-                (fun acc (e : Candidate_cache.entry) ->
-                  (Partial_match.extend pm ~id:(next_id ()) ~server
-                     ~binding:(Some e.node) ~weight:e.weight ~server_max
-                  [@wp.allow
-                    "hot-alloc extensions allocate one bindings array each"])
-                  :: acc)
-                [] (List.rev rev_survivors)
+                (fun acc s -> bound_extension ~last:false s :: acc)
+                [] survivors
             in
             List.rev
-              (if deletion_branch then unbound_extension ~last:false :: rev_exts
+              (if deletion_branch then
+                 extension ~last:false ~binding:None ~weight:0.0 :: rev_exts
                else rev_exts)
       in
       stats.matches_created <- stats.matches_created + List.length extensions;

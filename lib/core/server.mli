@@ -33,15 +33,14 @@ val initial_matches :
     binding (the paper's "book server" step). *)
 
 val process :
-  ?cache:Candidate_cache.t -> Plan.t -> Stats.t -> next_id:(unit -> int) ->
-  Partial_match.t -> server:int -> outcome
+  Plan.t -> Stats.t -> next_id:(unit -> int) -> Partial_match.t ->
+  server:int -> outcome
 (** Process a partial match at a non-root server it has not visited.
 
-    When [cache] is given, the (server, root)-only candidate derivation
-    is memoized through it ({!Candidate_cache}); without it every call
-    recomputes the candidates — the reference behaviour the cached path
-    is tested against.  Either way only the conditional-predicate checks
-    depend on the partial match itself.
+    One pass over the index slice below the match's root binding
+    applies the content test, the candidate relation and the hard
+    conditionals together; every slice entry counts as one of
+    [stats.comparisons].
 
     @raise Invalid_argument on the root server or an already-visited
     one. *)

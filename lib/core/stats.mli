@@ -13,10 +13,6 @@ type t = {
   mutable matches_died : int;  (** dropped for (in)validity, e.g. exact-mode empty joins *)
   mutable routing_decisions : int;  (** adaptive/static router choices made *)
   mutable completed : int;  (** matches that visited every server *)
-  mutable cache_hits : int;
-      (** candidate-cache lookups answered from a cached (server, root)
-          entry array *)
-  mutable cache_misses : int;  (** lookups that had to compute the array *)
   mutable wall_ns : int64;  (** elapsed monotonic time *)
 }
 
@@ -29,15 +25,13 @@ val add : t -> t -> unit
 
 val wall_seconds : t -> float
 
-val cache_hit_rate : t -> float
-(** Fraction of candidate-cache lookups served from the cache, in
-    [0, 1]; [0.] when no lookup happened (e.g. the uncached engines). *)
-
 val pp : Format.formatter -> t -> unit
 
 val to_json : t -> Wp_json.Json.t
-(** Every counter plus the derived cache-hit rate and wall seconds —
-    the object {!Wp_serve} attaches to query replies. *)
+(** Every counter plus wall seconds — the object {!Wp_serve} attaches
+    to query replies.  It also carries ["cache_hits"] and
+    ["cache_misses"], always 0, which perfbench's repeat test still
+    requires. *)
 
 val register : ?prefix:string -> t -> Wp_obs.Registry.t -> unit
 (** Register each counter as a pull-style Prometheus counter named

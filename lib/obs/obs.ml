@@ -37,16 +37,12 @@ type span = {
 type server_cost = {
   visits : int;
   comparisons : int;
-  cache_hits : int;
-  cache_misses : int;
   time_ns : int64;
 }
 
 type cost_acc = {
   mutable a_visits : int;
   mutable a_comparisons : int;
-  mutable a_cache_hits : int;
-  mutable a_cache_misses : int;
   mutable a_time_ns : int64;
 }
 
@@ -170,7 +166,7 @@ let finish t sp =
       with_lock st (fun () ->
           if Int64.equal s.end_ns s.start_ns then s.end_ns <- Clock.now_ns ())
 
-let visit t ~server ~comparisons ~cache_hits ~cache_misses ~ns =
+let visit t ~server ~comparisons ~ns =
   match t with
   | Disabled -> ()
   | Enabled st ->
@@ -179,22 +175,12 @@ let visit t ~server ~comparisons ~cache_hits ~cache_misses ~ns =
             match Hashtbl.find_opt st.costs server with
             | Some a -> a
             | None ->
-                let a =
-                  {
-                    a_visits = 0;
-                    a_comparisons = 0;
-                    a_cache_hits = 0;
-                    a_cache_misses = 0;
-                    a_time_ns = 0L;
-                  }
-                in
+                let a = { a_visits = 0; a_comparisons = 0; a_time_ns = 0L } in
                 Hashtbl.add st.costs server a;
                 a
           in
           acc.a_visits <- acc.a_visits + 1;
           acc.a_comparisons <- acc.a_comparisons + comparisons;
-          acc.a_cache_hits <- acc.a_cache_hits + cache_hits;
-          acc.a_cache_misses <- acc.a_cache_misses + cache_misses;
           acc.a_time_ns <- Int64.add acc.a_time_ns ns)
 
 let per_server t =
@@ -209,8 +195,6 @@ let per_server t =
                   {
                     visits = a.a_visits;
                     comparisons = a.a_comparisons;
-                    cache_hits = a.a_cache_hits;
-                    cache_misses = a.a_cache_misses;
                     time_ns = a.a_time_ns;
                   } )
                 :: acc)
@@ -319,18 +303,11 @@ let profile_json t =
   Json.List
     (List.map
        (fun (server, c) ->
-         let lookups = c.cache_hits + c.cache_misses in
          Json.Obj
            [
              ("server", Json.Int server);
              ("visits", Json.Int c.visits);
              ("comparisons", Json.Int c.comparisons);
-             ("cache_hits", Json.Int c.cache_hits);
-             ("cache_misses", Json.Int c.cache_misses);
-             ( "cache_hit_rate",
-               Json.Float
-                 (if lookups = 0 then 0.0
-                  else float_of_int c.cache_hits /. float_of_int lookups) );
              ("time_ms", Json.Float (Int64.to_float c.time_ns /. 1e6));
            ])
        rows)

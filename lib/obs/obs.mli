@@ -91,19 +91,10 @@ val finish : t -> span option -> unit
 type server_cost = {
   visits : int;  (** partial matches processed at the server *)
   comparisons : int;
-  cache_hits : int;
-  cache_misses : int;
   time_ns : int64;  (** wall time spent inside the server's joins *)
 }
 
-val visit :
-  t ->
-  server:int ->
-  comparisons:int ->
-  cache_hits:int ->
-  cache_misses:int ->
-  ns:int64 ->
-  unit
+val visit : t -> server:int -> comparisons:int -> ns:int64 -> unit
 (** Attribute one server operation's cost.  Exact (never sampled);
     no-op on a disabled context. *)
 
@@ -138,4 +129,4 @@ val span_tree_json : t -> Wp_json.Json.t
 
 val profile_json : t -> Wp_json.Json.t
 (** The per-server cost table as JSON (one object per server with
-    visits, comparisons, cache hits/misses/rate and milliseconds). *)
+    visits, comparisons and milliseconds). *)

@@ -8,24 +8,17 @@ type doc = {
   memo : Wp_score.Component_table.t;
 }
 
-(* A compiled plan travels with its own candidate cache: cache entries
-   are keyed (server, root) and their contents depend on the plan's
-   specs and score table, so the cache is sound exactly at plan
-   granularity — (query, document), which also pins it to one shard.
-   The cache carries a real mutex of its own (rank 0, leaf-only, the
-   same discipline as an engine-private cache) because concurrent
-   requests for the same warm plan share it. *)
-type cached_plan = {
-  plan : Whirlpool.Plan.t;
-  cache : Whirlpool.Candidate_cache.t;
-}
+(* [cache] carries nothing: it stays only because perfbench's replay
+   still reads the field, and goes with the next change to the
+   benchmark's protocol. *)
+type cached_plan = { plan : Whirlpool.Plan.t; cache : unit }
 
 type t = {
   mutex : Mutex.t;
   shards : int;
   docs : (string, doc) Hashtbl.t;
   mutable order : string list;  (* newest first *)
-  plans : (string * string, cached_plan) Lru.t;  (* (query, doc name) *)
+  plans : (string * string, Whirlpool.Plan.t) Lru.t;  (* (query, doc name) *)
   config : Wp_relax.Relaxation.config;
 }
 
@@ -154,15 +147,7 @@ let compile t doc query =
           (* The engines re-lint at entry; reject here so a bad plan
              never occupies a cache slot. *)
           match Whirlpool.Engine.validate_plan plan with
-          | () ->
-              let m = Mutex.create () in
-              let cache =
-                Whirlpool.Candidate_cache.create
-                  ~lock:(fun () -> Mutex.lock m)
-                  ~unlock:(fun () -> Mutex.unlock m)
-                  ()
-              in
-              Ok { plan; cache }
+          | () -> Ok plan
           | exception Wp_analysis.Lint.Rejected diags ->
               Error
                 (Rejected
@@ -180,19 +165,23 @@ let is_current t doc =
 (* Look up under the lock, compile without it, and insert under it
    again.  A concurrent miss on the same key may compile the plan
    twice, but only the first insert is kept and every caller gets that
-   entry, so requests still share one candidate cache.  A plan is only
-   served for the index it was compiled against, and a compile for a
-   document that was reloaded meanwhile is returned uncached. *)
+   entry.  A plan is only served for the index it was compiled against,
+   and a compile for a document that was reloaded meanwhile is returned
+   uncached. *)
 let plan_for t doc query =
   let key = (query, doc.name) in
   match with_lock t (fun () -> Lru.find t.plans key) with
-  | Some cached when cached.plan.index == doc.index -> Ok cached
+  | Some (plan : Whirlpool.Plan.t) when plan.index == doc.index ->
+      Ok { plan; cache = () }
   | Some _ | None ->
       Result.map
-        (fun cached ->
+        (fun plan ->
           with_lock t (fun () ->
-              if is_current t doc then Lru.add_absent t.plans key cached
-              else cached))
+              let plan =
+                if is_current t doc then Lru.add_absent t.plans key plan
+                else plan
+              in
+              { plan; cache = () }))
         (compile t doc query)
 
 let plan_cache_stats t =

@@ -5,12 +5,10 @@
     memory-mapping a compacted [.wpidx] index), and compiling the
     (query, document) plan with its sampled routing estimates.  The
     catalog keeps every document's {!Wp_xml.Index} warm for the life of
-    the process and memoizes compiled plans — each with a persistent
-    {!Whirlpool.Candidate_cache} shared by every request that reuses
-    the plan — in a bounded {!Lru} cache keyed by (query text, document
-    name).  A miss still reuses earlier work: each document carries a
-    {!Wp_score.Component_table} of the idf counts and root candidates
-    its compiles have computed.
+    the process and memoizes compiled plans in a bounded {!Lru} cache
+    keyed by (query text, document name).  A miss still reuses earlier
+    work: each document carries a {!Wp_score.Component_table} of the
+    idf counts and root candidates its compiles have computed.
 
     Documents are statically partitioned into [shards] shards by a hash
     of their name; {!Wp_serve.Service} runs a query as a scatter over
@@ -97,19 +95,13 @@ type plan_error =
 
 val plan_error_message : plan_error -> string
 
-(** A memoized plan and the candidate cache that persists with it
-    across requests.  Cache entries are (server, root)-keyed and
-    plan-dependent, so plan granularity — (query, document) — is
-    exactly the scope at which sharing them is sound; the cache
-    synchronizes itself (own leaf-rank mutex) for concurrent requests
-    on the same warm plan. *)
-type cached_plan = {
-  plan : Whirlpool.Plan.t;
-  cache : Whirlpool.Candidate_cache.t;
-}
+(** A memoized plan.  [cache] carries nothing: it stays only because
+    perfbench's replay still reads the field, and goes with the next
+    change to the benchmark's protocol. *)
+type cached_plan = { plan : Whirlpool.Plan.t; cache : unit }
 
 val plan_for : t -> doc -> string -> (cached_plan, plan_error) result
-(** Compiled plan (and its persistent candidate cache) for a query
+(** Compiled plan for a query
     string against a document, served from the plan cache when warm;
     rejected plans are not cached.  Each call counts one plan-cache
     lookup (hit or miss); a miss compiles without holding the catalog

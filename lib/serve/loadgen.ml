@@ -187,7 +187,7 @@ let ttfa_probe ?algo ?k ?doc ~socket ~query () =
           algo;
           routing = None;
           batch = None;
-          use_cache = Some false;
+          use_cache = None;
           bound_push = None;
         }
     in

@@ -37,7 +37,10 @@ type query = {
       (** bulk-adaptivity width ({!Whirlpool.Engine.Config.t}[.batch]);
           [None] = service default *)
   use_cache : bool option;
-      (** candidate-cache toggle; [None] = service default *)
+      (** toggled the removed candidate cache: a request carrying it
+          is a [bad_request].  The field stays because perfbench builds
+          the record; it goes with the next change to the benchmark's
+          protocol. *)
   bound_push : bool option;
       (** cross-shard bound pushing toggle for scattered queries;
           [None] = on (the scatter-only baseline is [Some false]) *)

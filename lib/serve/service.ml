@@ -47,12 +47,6 @@ let create ?(default_k = 10) ?default_deadline_ms ?(max_k = 1000)
       float_of_int (List.length (Catalog.docs catalog)));
   Registry.pull_gauge registry ~help:"catalog shards"
     "wp_corpus_shards" (fun () -> float_of_int (Catalog.shards catalog));
-  Registry.pull_gauge registry
-    ~help:"candidate-cache hit rate across served requests"
-    "wp_engine_cache_hit_rate" (fun () ->
-      let h = float_of_int totals.cache_hits
-      and m = float_of_int totals.cache_misses in
-      if h +. m = 0.0 then 0.0 else h /. (h +. m));
   Registry.pull_counter registry ~help:"compiled-plan cache hits"
     "wp_plan_cache_hits_total" (fun () ->
       float_of_int (Catalog.plan_cache_stats catalog).hits);
@@ -145,19 +139,35 @@ let resolve_batch (q : Protocol.query) =
   | Some b when b < 1 -> bad (Printf.sprintf "batch must be >= 1 (got %d)" b)
   | other -> Result.Ok other
 
+(* The candidate cache that [use_cache] toggled is gone; a request that
+   still carries the knob is refused rather than silently ignored. *)
+let resolve_use_cache (q : Protocol.query) =
+  match q.use_cache with
+  | None -> Result.Ok ()
+  | Some _ ->
+      bad "use_cache is no longer accepted: the candidate cache was removed"
+
 (* The per-request deadline, as the engines' cooperative-cancellation
    hook: checked at iteration boundaries, so expiry yields the current
-   top-k flagged partial instead of an unbounded run. *)
+   top-k flagged partial instead of an unbounded run.  0 has already
+   expired; a deadline past the int64 nanosecond clock's range
+   saturates to none at all. *)
 let deadline_hook t (q : Protocol.query) ~t0 =
   match
     match q.deadline_ms with
     | Some ms -> Some ms
     | None -> t.default_deadline_ms
   with
-  | None -> Whirlpool.Engine.never_stop
+  | None -> Result.Ok Whirlpool.Engine.never_stop
+  | Some ms when ms < 0.0 || not (Float.is_finite ms) ->
+      bad (Printf.sprintf "deadline_ms must be finite and >= 0 (got %g)" ms)
   | Some ms ->
-      let deadline = Int64.add t0 (Int64.of_float (ms *. 1e6)) in
-      fun () -> Int64.compare (now_ns ()) deadline >= 0
+      let ns = ms *. 1e6 in
+      if ns >= Int64.to_float (Int64.sub Int64.max_int t0) then
+        Result.Ok Whirlpool.Engine.never_stop
+      else
+        let deadline = Int64.add t0 (Int64.of_float ns) in
+        Result.Ok (fun () -> Int64.compare (now_ns ()) deadline >= 0)
 
 let note_totals t (stats : Whirlpool.Stats.t) =
   with_state t (fun () -> Whirlpool.Stats.add t.totals stats)
@@ -165,21 +175,14 @@ let note_totals t (stats : Whirlpool.Stats.t) =
 (* The per-request engine configuration: service defaults overridden by
    the request's knobs, plus the deadline hook and (when the slow-query
    log is armed) a fresh observability context. *)
-let request_config t (q : Protocol.query) ~routing ~batch ~should_stop ~obs =
+let request_config t ~routing ~batch ~should_stop ~obs =
   let open Whirlpool.Engine.Config in
   let c = t.base_config in
   let c = match routing with None -> c | Some r -> with_routing r c in
   let c = match batch with None -> c | Some b -> with_batch b c in
-  let c =
-    match q.Protocol.use_cache with
-    | None -> c
-    | Some u -> with_use_cache u c
-  in
   c |> with_should_stop should_stop |> with_obs obs
 
-(* One engine run over one document: resolve the memoized plan — which
-   travels with its persistent candidate cache, wired into the engine
-   so memoized candidate derivations survive across requests — and
+(* One engine run over one document: resolve the memoized plan and
    run. *)
 let run_doc t ~config ~algo ~k (doc : Catalog.doc) (q : Protocol.query) =
   let* cached =
@@ -189,10 +192,7 @@ let run_doc t ~config ~algo ~k (doc : Catalog.doc) (q : Protocol.query) =
         | Catalog.Rejected m -> (Protocol.Lint_rejected, m))
       (Catalog.plan_for t.catalog doc q.query)
   in
-  let config =
-    Whirlpool.Engine.Config.(
-      config |> with_cache (Some cached.Catalog.cache) |> with_algo algo)
-  in
+  let config = Whirlpool.Engine.Config.with_algo algo config in
   (* The twig backend reads the catalog's per-document guide (built on
      the first twig query, shared thereafter); the other engines never
      build it. *)
@@ -323,7 +323,8 @@ let run_query t (q : Protocol.query) ~t0 ~obs ~cancelled ~on_entry =
   let* algo = resolve_algo t q in
   let* routing = resolve_routing q in
   let* batch = resolve_batch q in
-  let deadline = deadline_hook t q ~t0 in
+  let* () = resolve_use_cache q in
+  let* deadline = deadline_hook t q ~t0 in
   (* The run must also stop when the client is gone: a vanished
      connection cancels its in-flight query at the next iteration
      boundary instead of burning a worker to completion. *)
@@ -332,7 +333,7 @@ let run_query t (q : Protocol.query) ~t0 ~obs ~cancelled ~on_entry =
     | None -> deadline
     | Some gone -> fun () -> deadline () || gone ()
   in
-  let config = request_config t q ~routing ~batch ~should_stop ~obs in
+  let config = request_config t ~routing ~batch ~should_stop ~obs in
   (* Streaming is sound only when one document answers the query: a
      merged or scattered top-k can displace one document's certified
      entry with another's, so those stay buffered. *)
@@ -458,14 +459,7 @@ let metrics_json t =
   let nodes = List.fold_left (fun a (d : Catalog.doc) -> a + d.nodes) 0 docs in
   let pc = Catalog.plan_cache_stats t.catalog in
   let ct = Catalog.component_table_stats t.catalog in
-  let ech, ecm, slow =
-    with_state t (fun () ->
-        (t.totals.cache_hits, t.totals.cache_misses, List.length t.slow_log))
-  in
-  let cache_rate hits misses =
-    let total = hits + misses in
-    if total = 0 then 0.0 else float_of_int hits /. float_of_int total
-  in
+  let slow = with_state t (fun () -> List.length t.slow_log) in
   Metrics.snapshot t.metrics
     ~extra:
       [
@@ -492,13 +486,6 @@ let metrics_json t =
               ("hits", Int ct.hits);
               ("misses", Int ct.misses);
               ("size", Int ct.size);
-            ] );
-        ( "engine_cache",
-          Obj
-            [
-              ("hits", Int ech);
-              ("misses", Int ecm);
-              ("hit_rate", Float (cache_rate ech ecm));
             ] );
         ("slow_queries", Int slow);
       ]

@@ -4,15 +4,18 @@
     pool runs per request: resolve the document(s), fetch the compiled
     plan from the catalog cache, run the engine under the request's
     {!Whirlpool.Engine.Config.t} (service defaults overridden by the
-    request's [routing], [batch] and [use_cache] knobs, plus the
-    deadline hook), and merge per-document top-k lists when the query
-    spans the corpus.  Deadline semantics: the engine's [should_stop]
-    hook fires once the request's deadline passes, the run stops at the
-    next iteration boundary and the reply carries the current top-k
-    flagged [Partial] with code [deadline_expired] — a served query
-    never hangs, it degrades.  A request whose hook never fires returns
-    answers entry-identical to a direct {!Whirlpool.Engine.run} on the
-    same (document, plan, k).
+    request's [routing] and [batch] knobs, plus the deadline hook),
+    and merge per-document top-k lists when the query spans the
+    corpus.  Deadline semantics: the engine's [should_stop] hook fires
+    once the request's deadline passes, the run stops at the next
+    iteration boundary and the reply carries the current top-k flagged
+    [Partial] with code [deadline_expired] — a served query never
+    hangs, it degrades.  A deadline of 0 has already expired; one too
+    far out to represent in nanoseconds is no deadline; a negative or
+    non-finite one is a [bad_request].  So is a request that carries
+    [use_cache]: the candidate cache it toggled is gone.  A request
+    whose hook never fires returns answers entry-identical to a direct
+    {!Whirlpool.Engine.run} on the same (document, plan, k).
 
     Failures are classified into the closed {!Protocol.error_code}
     vocabulary: resolution failures are [bad_request], static-analysis
@@ -84,7 +87,7 @@ val handle_query_stream :
 val metrics_json : t -> Wp_json.Json.t
 (** Service-level snapshot: request counters and latency percentiles
     ({!Metrics.snapshot}) plus corpus size, plan-cache and
-    candidate-cache hit rates and the slow-query count. *)
+    component-table figures and the slow-query count. *)
 
 val prometheus : t -> string
 (** The registry as a Prometheus text-exposition page (format 0.0.4):

@@ -82,36 +82,49 @@ let test_query_load () =
       check_exit "query on a WPDOC file exits 2" 2
         [ "query"; file; "-q"; "/book[./title]" ])
 
-(* A non-positive [-k] or [--batch] is a usage error on every
-   subcommand and backend: exit 2 with one line naming the option,
-   before any document loads, never an engine exception. *)
+(* Exit code and stderr lines of one run. *)
+let stderr_of args =
+  let err = Filename.temp_file "wp_cli" ".err" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove err)
+    (fun () ->
+      let code =
+        Sys.command
+          (Filename.quote_command wp_cli ~stdout:Filename.null ~stderr:err
+             args)
+      in
+      (code, In_channel.with_open_bin err In_channel.input_lines))
+
+(* Exit 2 with exactly one stderr line starting with [prefix]. *)
+let check_usage_line ~prefix args =
+  let what = String.concat " " args in
+  match stderr_of args with
+  | 2, [ line ] ->
+      Alcotest.(check bool)
+        (what ^ ": usage line " ^ prefix)
+        true
+        (String.starts_with ~prefix line)
+  | code, lines ->
+      Alcotest.failf "%s: exit %d, stderr %S" what code
+        (String.concat "\n" lines)
+
+(* The corpus of the [serve] cases does not exist: a check that ran
+   after the load would report the load error instead, and none of them
+   can leave a server running. *)
+let missing_corpus = "/nonexistent/wp-cli-exits-corpus"
+
+(* A non-positive count is a usage error on every subcommand and
+   backend: exit 2 with one line naming the option, before any document
+   loads, never an engine exception. *)
 let test_positive_counts () =
   let books = Lazy.force books_file in
   let q = "/book[./title]" in
-  let stderr_of args =
-    let err = Filename.temp_file "wp_cli" ".err" in
-    Fun.protect
-      ~finally:(fun () -> Sys.remove err)
-      (fun () ->
-        let code =
-          Sys.command
-            (Filename.quote_command wp_cli ~stdout:Filename.null ~stderr:err
-               args)
-        in
-        (code, In_channel.with_open_bin err In_channel.input_lines))
+  let serve opt =
+    [ "serve"; missing_corpus; "--socket"; "/nonexistent/wp.sock"; opt ^ "=0" ]
   in
   List.iter
     (fun (option, args) ->
-      let what = String.concat " " args in
-      match stderr_of args with
-      | 2, [ line ] ->
-          Alcotest.(check bool)
-            (what ^ ": usage line names " ^ option)
-            true
-            (String.starts_with ~prefix:(option ^ " must be >= 1") line)
-      | code, lines ->
-          Alcotest.failf "%s: exit %d, stderr %S" what code
-            (String.concat "\n" lines))
+      check_usage_line ~prefix:(option ^ " must be >= 1") args)
     ([
        ("-k", [ "query"; books; "-q"; q; "-k"; "0" ]);
        ("-k", [ "query"; books; "-q"; q; "-k-3"; "--threshold"; "0.5" ]);
@@ -122,7 +135,33 @@ let test_positive_counts () =
     @ List.map
         (fun algo ->
           ("-k", [ "query"; books; "-q"; q; "-k"; "0"; "--algo"; algo ]))
-        [ "lockstep"; "lockstep-noprun"; "twig"; "whirlpool-m" ])
+        [ "lockstep"; "lockstep-noprun"; "twig"; "whirlpool-m" ]
+    @ List.map
+        (fun opt -> (opt, serve opt))
+        [
+          "--plan-cache"; "--queue-depth"; "--default-k"; "--workers";
+          "--shards";
+        ])
+
+(* A negative or non-finite [--deadline-ms] is a usage error on [serve]
+   and [query] (local or [--connect]), before anything loads or
+   connects; 0 is a valid, already expired deadline. *)
+let test_deadline_ms () =
+  let books = Lazy.force books_file in
+  let q = "/book[./title]" in
+  List.iter
+    (fun v ->
+      let opt = "--deadline-ms=" ^ v in
+      List.iter
+        (check_usage_line ~prefix:"--deadline-ms must be finite and >= 0")
+        [
+          [ "serve"; missing_corpus; "--socket"; "/nonexistent/wp.sock"; opt ];
+          [ "query"; books; "-q"; q; opt ];
+          [ "query"; "--connect"; "/nonexistent/wp.sock"; "-q"; q; opt ];
+        ])
+    [ "-1"; "inf"; "nan"; "1e400" ];
+  check_exit "query --deadline-ms=0 runs" 0
+    [ "query"; books; "-q"; q; "--deadline-ms=0" ]
 
 (* [profile --json] on stdout, parsed; the exit code comes back too. *)
 let profile_json args =
@@ -201,4 +240,5 @@ let suite =
     Alcotest.test_case "check exit codes" `Quick test_check;
     Alcotest.test_case "profile exit codes and events" `Quick test_profile;
     Alcotest.test_case "non-positive -k and --batch" `Quick test_positive_counts;
+    Alcotest.test_case "bad --deadline-ms" `Quick test_deadline_ms;
   ]

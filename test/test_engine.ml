@@ -191,9 +191,8 @@ let test_deterministic_runs () =
 
 (* Streaming certification must be nearly free: a streamed Whirlpool-S
    run allocates at most 1.25x the minor words of the same run without
-   [on_certified].  Both runs use one warm private candidate cache, so
-   the words measured are the engine's own.  A single-domain run's
-   [Gc.minor_words] is deterministic. *)
+   [on_certified].  A single-domain run's [Gc.minor_words] is
+   deterministic. *)
 let test_streaming_allocation_bound () =
   let minor_words f =
     let w0 = Gc.minor_words () in
@@ -205,8 +204,7 @@ let test_streaming_allocation_bound () =
       let plan = Run.compile idx (parse q) in
       List.iter
         (fun k ->
-          let cache = Candidate_cache.create () in
-          let plain = Engine.Config.(default |> with_cache (Some cache)) in
+          let plain = Engine.Config.default in
           let streamed = ref 0 in
           let streaming =
             Engine.Config.with_on_certified (fun _ -> incr streamed) plain
@@ -228,10 +226,10 @@ let test_streaming_allocation_bound () =
 
 (* A default run builds no engine event: with observability disabled,
    the event sites are skipped before any record is allocated.  Minor
-   words per created match on a warm private cache, bounded at the
-   value measured once events were gated (x86-64, OCaml 5 without
-   flambda) plus 3% headroom; building an event per site costs ~8-14%
-   more on these runs and fails every row. *)
+   words per created match, bounded at the value measured once events
+   were gated (x86-64, OCaml 5 without flambda) plus 3% headroom;
+   building an event per site costs ~8-14% more on these runs and fails
+   every row. *)
 let test_default_run_allocates_no_events () =
   let bounds =
     [
@@ -243,9 +241,7 @@ let test_default_run_allocates_no_events () =
   List.iter
     (fun ((q, k), measured) ->
       let plan = Run.compile idx (parse q) in
-      let config =
-        Engine.Config.(default |> with_cache (Some (Candidate_cache.create ())))
-      in
+      let config = Engine.Config.default in
       ignore (Engine.run ~config plan ~k : Engine.result);
       let w0 = Gc.minor_words () in
       let r = Engine.run ~config plan ~k in

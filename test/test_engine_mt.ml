@@ -54,26 +54,10 @@ let test_routing_strategies () =
     [ Strategy.Max_score; Strategy.Min_score;
       Strategy.Static (Strategy.default_static_order plan) ]
 
-(* [use_cache = false] turns the shared candidate cache off, as in
-   Engine.run: no lookups at all, and the same answers. *)
-let test_cache_off () =
-  let plan = Run.compile idx (parse Fixtures.q2) in
-  let reference = Fixtures.sorted_scores (Engine.run plan ~k:10).answers in
-  let m =
-    Engine_mt.run
-      ~config:Engine.Config.(default |> with_use_cache false)
-      plan ~k:10
-  in
-  Alcotest.(check (pair int int)) "no cache hits or misses" (0, 0)
-    (m.stats.cache_hits, m.stats.cache_misses);
-  Fixtures.check_scores_equal ~msg:"cache-off W-M = W-S" reference
-    (Fixtures.sorted_scores m.answers)
-
 let suite =
   [
     Alcotest.test_case "answers match W-S" `Quick test_matches_single_threaded_answers;
     Alcotest.test_case "exact mode" `Quick test_exact_mode;
     Alcotest.test_case "stats merged" `Quick test_stats_are_merged;
     Alcotest.test_case "routing strategies" `Quick test_routing_strategies;
-    Alcotest.test_case "cache off" `Quick test_cache_off;
   ]

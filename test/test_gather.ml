@@ -215,8 +215,8 @@ let test_lock_rank_extension () =
     (Gather.lock_rank Wp_serve.Pool.mutex_name);
   Alcotest.(check (option int)) "topk rank preserved" (Some 1)
     (Gather.lock_rank "topk.mutex");
-  Alcotest.(check (option int)) "cache rank preserved" (Some 0)
-    (Gather.lock_rank "cache.mutex");
+  Alcotest.(check (option int)) "queue rank preserved" (Some 0)
+    (Gather.lock_rank "queue.router");
   Alcotest.(check (option int)) "unknown unranked" None
     (Gather.lock_rank "mystery.lock")
 

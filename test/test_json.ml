@@ -67,7 +67,7 @@ let test_parse_roundtrip () =
       Json.Obj
         [
           ("wall_ns", Json.Int 123456789);
-          ("cache_hit_rate", Json.Float 0.75);
+          ("hit_rate", Json.Float 0.75);
           ("nested", Json.Obj [ ("xs", Json.List [ Json.Bool true; Json.Null ]) ]);
         ];
     ]

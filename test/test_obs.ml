@@ -128,8 +128,7 @@ let test_disabled_is_inert () =
   let obs = Obs.disabled in
   Alcotest.(check bool) "disabled" false (Obs.enabled obs);
   Alcotest.(check bool) "no root span" true (Obs.root obs "query" = None);
-  Obs.visit obs ~server:0 ~comparisons:3 ~cache_hits:1 ~cache_misses:1
-    ~ns:5L;
+  Obs.visit obs ~server:0 ~comparisons:3 ~ns:5L;
   Alcotest.(check int) "no profile" 0 (List.length (Obs.per_server obs));
   Alcotest.(check int) "no spans" 0 (List.length (Obs.spans obs))
 
@@ -185,10 +184,6 @@ let test_profile_matches_stats () =
   let attributed = sum (fun c -> c.Obs.comparisons) in
   Alcotest.(check bool) "comparisons attributed" true
     (attributed > 0 && attributed <= r.stats.comparisons);
-  Alcotest.(check int) "cache hits attributed" r.stats.cache_hits
-    (sum (fun c -> c.Obs.cache_hits));
-  Alcotest.(check int) "cache misses attributed" r.stats.cache_misses
-    (sum (fun c -> c.Obs.cache_misses));
   List.iter
     (fun (server, _) ->
       Alcotest.(check bool) "server id in plan" true
@@ -253,8 +248,7 @@ let test_span_events_carry_trace () =
 
 let stats_counters (s : Stats.t) =
   ( s.server_ops, s.comparisons, s.matches_created, s.matches_pruned,
-    s.matches_died, s.routing_decisions, s.completed, s.cache_hits,
-    s.cache_misses )
+    s.matches_died, s.routing_decisions, s.completed )
 
 let test_obs_does_not_change_runs () =
   List.iter
@@ -295,7 +289,7 @@ let test_config_default_is_old_default () =
           default
           |> with_routing Strategy.Min_alive
           |> with_queue_policy Strategy.Max_final_score
-          |> with_batch 1 |> with_use_cache true
+          |> with_batch 1
           |> with_should_stop Engine.never_stop
           |> with_on_certified Engine.no_certify
           |> with_obs obs_b)

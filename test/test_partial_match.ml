@@ -64,6 +64,25 @@ let test_score_monotonicity () =
   Alcotest.(check bool) "max non-increasing" true
     (ext.max_possible <= pm.max_possible)
 
+(* --- popcount ------------------------------------------------------- *)
+
+let naive_popcount m =
+  let rec go m acc = if m = 0 then acc else go (m lsr 1) (acc + (m land 1)) in
+  go m 0
+
+let prop_popcount =
+  QCheck2.Test.make ~name:"Bits.popcount = naive bit loop" ~count:500
+    QCheck2.Gen.(int_bound max_int)
+    (fun m -> Bits.popcount m = naive_popcount m)
+
+let test_popcount_edges () =
+  Alcotest.(check int) "zero" 0 (Bits.popcount 0);
+  Alcotest.(check int) "one" 1 (Bits.popcount 1);
+  Alcotest.(check int) "byte" 8 (Bits.popcount 0xff);
+  Alcotest.(check int) "max_int" 62 (Bits.popcount max_int);
+  Alcotest.check_raises "negative" (Invalid_argument
+    "Bits.popcount: negative mask") (fun () -> ignore (Bits.popcount (-1)))
+
 let suite =
   [
     Alcotest.test_case "create_root" `Quick test_create_root;
@@ -71,4 +90,6 @@ let suite =
     Alcotest.test_case "extend unbound" `Quick test_extend_unbound;
     Alcotest.test_case "completion" `Quick test_completion;
     Alcotest.test_case "monotonicity" `Quick test_score_monotonicity;
+    Alcotest.test_case "popcount edge cases" `Quick test_popcount_edges;
+    QCheck_alcotest.to_alcotest prop_popcount;
   ]

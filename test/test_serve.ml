@@ -431,15 +431,14 @@ let test_concurrent_first_twig () =
       done)
 
 (* Concurrent misses compile outside the catalog lock.  Identical
-   queries must still end up sharing one cached plan (and so one
-   candidate cache), distinct ones get their own, and every call counts
-   exactly one lookup.  The document is a chain of nested <a> nodes
-   whose only matching <b> is the deepest, so each idf sweep rescans
-   the shared subtrees and a compile takes tens of milliseconds: long
-   enough that the two domains' lookups fall inside each other's
-   compile even when they share one core.  Each query asks for its own
-   value, so no compile finds its sweep in the document's component
-   table. *)
+   queries must still end up sharing one cached plan, distinct ones
+   get their own, and every call counts exactly one lookup.  The
+   document is a chain of nested <a> nodes whose only matching <b> is
+   the deepest, so each idf sweep rescans the shared subtrees and a
+   compile takes tens of milliseconds: long enough that the two
+   domains' lookups fall inside each other's compile even when they
+   share one core.  Each query asks for its own value, so no compile
+   finds its sweep in the document's component table. *)
 let test_concurrent_plan_for () =
   let rec chain d n =
     let b = Wp_xml.Tree.leaf "b" (if d = n then "x" else "y") in
@@ -451,7 +450,7 @@ let test_concurrent_plan_for () =
       let doc = Option.get (Catalog.find catalog "chain.xml") in
       let plan q =
         match Catalog.plan_for catalog doc q with
-        | Ok p -> p
+        | Ok p -> p.Catalog.plan
         | Error e ->
             Alcotest.failf "plan_for %s: %s" q (Catalog.plan_error_message e)
       in
@@ -703,35 +702,48 @@ let test_sharded_matches_unsharded () =
             [ None; Some true; Some false ])
         shard_queries)
 
-(* The persistent per-plan candidate cache: a repeated request hits. *)
-let test_persistent_cache_hits () =
-  with_xmark_corpus_dir 2 (fun dir ->
-      let service = service_with dir ~shards:1 in
-      let q = query 1 ~k:5 "//item[./name and ./incategory]" in
-      let r1 = Service.handle_query service q in
-      Alcotest.(check bool) "first ok" true (r1.status = Protocol.Ok);
-      let r2 = Service.handle_query service q in
-      Alcotest.(check bool) "second ok" true (r2.status = Protocol.Ok);
-      let hits_of (r : Protocol.response) =
-        match r.stats with
-        | Some s -> (
-            match Json.member "cache_hits" s with
-            | Some (Json.Int h) -> h
-            | _ -> Alcotest.fail "stats lack cache_hits")
-        | None -> Alcotest.fail "no stats"
+(* A deadline too far out for the int64 nanosecond clock is no
+   deadline at all, not an expired one; 0 has already expired; a
+   negative or non-finite one (JSON 1e400 parses to infinity) is a
+   typed bad_request. *)
+let test_service_deadline_range () =
+  with_corpus_dir (fun dir ->
+      let service = Service.create ~catalog:(loaded_catalog dir) () in
+      let ask deadline_ms =
+        Service.handle_query service
+          (query 1 ~doc:"a.xml" ?deadline_ms "/book[./title]")
       in
-      (* The second request reuses the first one's memoized candidate
-         derivations: its own run begins with a warm cache. *)
-      Alcotest.(check bool) "second request hits warm cache" true
-        (hits_of r2 > hits_of r1);
-      (* And the service-level metrics surface a nonzero hit rate. *)
-      match Json.member "engine_cache" (Service.metrics_json service) with
-      | Some ec -> (
-          match Json.member "hit_rate" ec with
-          | Some (Json.Float rate) ->
-              Alcotest.(check bool) "hit_rate > 0" true (rate > 0.0)
-          | _ -> Alcotest.fail "engine_cache lacks hit_rate")
-      | None -> Alcotest.fail "metrics lack engine_cache")
+      let unbounded = ask None in
+      Alcotest.(check bool) "no deadline ok" true
+        (unbounded.status = Protocol.Ok);
+      List.iter
+        (fun ms ->
+          let r = ask (Some ms) in
+          Alcotest.(check bool) (Printf.sprintf "%g ok" ms) true
+            (r.status = Protocol.Ok);
+          Alcotest.(check int)
+            (Printf.sprintf "%g answers" ms)
+            (List.length unbounded.answers)
+            (List.length r.answers))
+        [ 1e6; 1e13; Float.max_float ];
+      Alcotest.(check bool) "0 expired" true
+        ((ask (Some 0.0)).status = Protocol.Partial);
+      List.iter
+        (fun ms ->
+          let r = ask (Some ms) in
+          Alcotest.(check bool) (Printf.sprintf "%g bad_request" ms) true
+            (r.status = Protocol.Error && r.code = Some Protocol.Bad_request))
+        [ -1.0; Float.infinity; Float.neg_infinity; Float.nan ];
+      match
+        Protocol.parse_request
+          {|{"op":"query","id":9,"query":"/book","deadline_ms":1e400}|}
+      with
+      | Ok (Protocol.Query q) ->
+          let r = Service.handle_query service q in
+          Alcotest.(check bool) "JSON 1e400 bad_request" true
+            (r.code = Some Protocol.Bad_request)
+      | Ok _ -> Alcotest.fail "not a query"
+      | Error m -> Alcotest.failf "1e400 does not parse: %s" m)
 
 (* Sharded serving over a mapped (.wpidx) corpus: build index files,
    load them, and compare against the same corpus parsed from XML. *)
@@ -1051,6 +1063,41 @@ let test_wire_frame_roundtrip () =
       match Wire.read_frame r with
       | Ok p -> Alcotest.(check string) "frame payload" payload p
       | Error e -> Alcotest.failf "read: %s" e)
+
+(* [use_cache] toggled the candidate cache, which is gone: a request
+   still carrying it, either way, is a typed bad_request that names the
+   cache, in process and over the socket. *)
+let test_use_cache_rejected () =
+  with_corpus_dir (fun dir ->
+      let service = Service.create ~catalog:(loaded_catalog dir) () in
+      let check how (r : Protocol.response) =
+        Alcotest.(check bool) (how ^ ": error reply") true
+          (r.status = Protocol.Error);
+        Alcotest.(check bool) (how ^ ": typed bad_request") true
+          (r.code = Some Protocol.Bad_request);
+        Alcotest.(check bool) (how ^ ": names the cache") true
+          (Test_stats.contains ~needle:"cache"
+             (Option.value r.error ~default:""))
+      in
+      let carrying u = { (query 1 "/book[./title]") with use_cache = Some u } in
+      List.iter
+        (fun u ->
+          check
+            (Printf.sprintf "handle_query use_cache=%b" u)
+            (Service.handle_query service (carrying u)))
+        [ true; false ];
+      let socket = temp_socket () in
+      let _server, thread = start_event_server ~socket ~service () in
+      let client = connect_exn socket in
+      List.iter
+        (fun u ->
+          check
+            (Printf.sprintf "socket use_cache=%b" u)
+            (call_exn client (Protocol.Query (carrying u))))
+        [ true; false ];
+      ignore (Client.call client (Protocol.Stop { id = 3 }));
+      Client.close client;
+      Thread.join thread)
 
 (* --- the algo axis over the service and the wire --- *)
 
@@ -1689,8 +1736,9 @@ let suite =
       test_service_merged_corpus;
     Alcotest.test_case "sharded matches unsharded" `Quick
       test_sharded_matches_unsharded;
-    Alcotest.test_case "persistent cache hits" `Quick
-      test_persistent_cache_hits;
+    Alcotest.test_case "use_cache rejected" `Quick test_use_cache_rejected;
+    Alcotest.test_case "service deadline range" `Quick
+      test_service_deadline_range;
     Alcotest.test_case "sharded mapped corpus" `Quick
       test_sharded_mapped_corpus;
     Alcotest.test_case "mapped equal-size docs" `Quick

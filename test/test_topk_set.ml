@@ -167,6 +167,99 @@ let prop_certify_matches_sorting =
           !gated = !sorted)
         events)
 
+(* --- Topk_set threshold differential ------------------------------- *)
+
+(* Fold-over-entries oracle the heap replaced: k-th best score, or
+   -inf while the set is under capacity. *)
+let oracle_threshold t =
+  if Topk_set.cardinality t < Topk_set.k t then neg_infinity
+  else
+    List.fold_left
+      (fun acc (e : Topk_set.entry) -> Float.min acc e.score)
+      infinity (Topk_set.entries t)
+
+(* Script steps: a match is created with one of a few roots and a
+   weight, optionally extended (progress 2 instead of 1), considered;
+   or an earlier match is retracted. *)
+type step = { root : int; weight : float; extend : bool; code : int }
+
+let gen_steps =
+  QCheck2.Gen.(
+    list_size (int_range 1 60)
+      (map3
+         (fun root w code ->
+           { root; weight = float_of_int w /. 8.0; extend = code mod 2 = 0; code })
+         (int_bound 4) (int_bound 80) (int_bound 9)))
+
+let prop_threshold_equals_fold_oracle =
+  QCheck2.Test.make ~name:"heap threshold = fold oracle (random consider/retract)"
+    ~count:300
+    QCheck2.Gen.(pair (int_range 1 4) gen_steps)
+    (fun (k, steps) ->
+      let t = Topk_set.create ~k ~admit_partial:true in
+      let considered = ref [||] in
+      let id = ref 0 in
+      let ok = ref true in
+      List.iter
+        (fun { root; weight; extend; code } ->
+          (if code = 9 && Array.length !considered > 0 then
+             (* retract an earlier match (possibly a stale owner) *)
+             let victim =
+               !considered.(int_of_float (weight *. 8.0)
+                            mod Array.length !considered)
+             in
+             Topk_set.retract t victim
+           else begin
+             let pm =
+               Partial_match.create_root ~plan_servers:2 ~id:!id ~root ~weight
+                 ~max_rest:1.0
+             in
+             incr id;
+             let pm =
+               if extend then begin
+                 let pm' =
+                   Partial_match.extend pm ~id:!id ~server:1
+                     ~binding:(Some (root + 1)) ~weight:0.5 ~server_max:1.0
+                 in
+                 incr id;
+                 pm'
+               end
+               else pm
+             in
+             Topk_set.consider t ~complete:extend pm;
+             considered := Array.append !considered [| pm |]
+           end);
+          if Topk_set.threshold t <> oracle_threshold t then ok := false)
+        steps;
+      !ok)
+
+(* should_prune must stay consistent with the reported threshold at
+   every point: never prune a match that can strictly beat it, always
+   prune one that cannot even reach it. *)
+let prop_should_prune_consistent =
+  QCheck2.Test.make ~name:"should_prune agrees with threshold" ~count:200
+    QCheck2.Gen.(pair (int_range 1 4) gen_steps)
+    (fun (k, steps) ->
+      let t = Topk_set.create ~k ~admit_partial:true in
+      let id = ref 0 in
+      List.for_all
+        (fun { root; weight; extend = _; code = _ } ->
+          let pm =
+            Partial_match.create_root ~plan_servers:2 ~id:!id ~root ~weight
+              ~max_rest:1.0
+          in
+          incr id;
+          let theta = Topk_set.threshold t in
+          let pruned = Topk_set.should_prune t pm in
+          let agreed =
+            if pm.max_possible > theta then not pruned
+            else if pm.max_possible < theta then pruned
+            else true
+          in
+          Topk_set.consider t ~complete:false pm;
+          agreed)
+        steps)
+
 let suite =
   [
     Alcotest.test_case "fill and threshold" `Quick test_fill_and_threshold;
@@ -179,4 +272,6 @@ let suite =
     Alcotest.test_case "certify gate" `Quick test_certify_gate;
     QCheck_alcotest.to_alcotest prop_threshold_monotone;
     QCheck_alcotest.to_alcotest prop_certify_matches_sorting;
+    QCheck_alcotest.to_alcotest prop_threshold_equals_fold_oracle;
+    QCheck_alcotest.to_alcotest prop_should_prune_consistent;
   ]
