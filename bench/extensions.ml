@@ -1,35 +1,5 @@
-(* Ablations for the extension features.
-
-   - [batching]: the paper's Section 6.3.3 future work (bulk adaptivity)
-     — routing decisions amortized over batches of queue heads.
-   - [quality]: the paper's deferred scoring validation — precision and
-     nDCG of the engine ranking against relaxation-distance relevance. *)
-
-let batching (scale : Common.scale) =
-  Common.header "Ablation: bulk adaptivity (batch routing, Q2, Whirlpool-S)";
-  let plan = Common.plan_for ~size:scale.default_size Common.q2 in
-  let k = scale.default_k in
-  let widths = [ 8; 14; 12; 12; 12 ] in
-  Common.print_row widths [ "batch"; "time"; "decisions"; "ops"; "created" ];
-  List.iter
-    (fun batch ->
-      let (r : Whirlpool.Engine.result), dt =
-        Common.timed_runs (fun () ->
-            Whirlpool.Engine.run
-              ~config:Whirlpool.Engine.Config.(default |> with_batch batch)
-              plan ~k)
-      in
-      Common.print_row widths
-        [
-          Common.fint batch; Common.fsec dt;
-          Common.fint r.stats.routing_decisions;
-          Common.fint r.stats.server_ops;
-          Common.fint r.stats.matches_created;
-        ])
-    [ 1; 4; 16; 64; 256 ];
-  Printf.printf
-    "\nBatching trades decision count against decision quality: larger\n\
-     batches reuse stale routing choices but amortize the overhead.\n"
+(* [quality]: the paper's deferred scoring validation — precision and
+   nDCG of the engine ranking against relaxation-distance relevance. *)
 
 let quality (scale : Common.scale) =
   Common.header

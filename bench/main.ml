@@ -19,7 +19,6 @@ let exhibits =
     ("table2", Table2.run);
     ("scoring", Scoring.run);
     ("queues", Queues.run);
-    ("batching", Extensions.batching);
     ("quality", Extensions.quality);
     ("fagin", Fagin_bench.run);
     ("corpus", Corpus.run);
@@ -88,7 +87,7 @@ let names =
     & info [] ~docv:"EXHIBIT"
         ~doc:
           "Exhibits to run: fig3 fig5 fig6 fig7 fig8 fig9 fig10 fig11 table2 \
-           scoring queues batching quality fagin corpus content micro.  \
+           scoring queues quality fagin corpus content micro.  \
            Default: all.")
 
 let cmd =

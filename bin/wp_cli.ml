@@ -58,9 +58,9 @@ let parse_query q =
       prerr_endline ("cannot parse query: " ^ q);
       exit 2
 
-(* Counts that must be positive ([-k], [--batch], [--schedules], the
-   serve sizes): the serve tier's [Service.resolve_k]/[resolve_batch]
-   rule, as a usage error. *)
+(* Counts that must be positive ([-k], [--schedules], the serve
+   sizes): the serve tier's [Service.resolve_k] rule, as a usage
+   error. *)
 let require_positive name v =
   if v < 1 then begin
     Printf.eprintf "%s must be >= 1 (got %d)\n" name v;
@@ -1125,9 +1125,8 @@ let ctl_cmd =
 
 (* Local run under an enabled observability context: exact per-server
    cost attribution plus the query's span tree. *)
-let profile_run path q k algo routing batch exact show_spans json =
+let profile_run path q k algo routing exact show_spans json =
   require_positive "-k" k;
-  require_positive "--batch" batch;
   let idx = load_index path in
   let pattern = parse_query q in
   let algo =
@@ -1154,8 +1153,7 @@ let profile_run path q k algo routing batch exact show_spans json =
   let obs = Wp_obs.Obs.create () in
   let config =
     Whirlpool.Engine.Config.(
-      default |> with_algo algo |> with_routing routing |> with_batch batch
-      |> with_obs obs)
+      default |> with_algo algo |> with_routing routing |> with_obs obs)
   in
   let r = Wp_twig.Backend.run ~config plan ~k in
   let algo_name = Whirlpool.Engine.Config.algo_to_string algo in
@@ -1218,12 +1216,6 @@ let profile_cmd =
       value & opt string "min_alive"
       & info [ "routing" ] ~doc:"min_alive, max_score or min_score.")
   in
-  let batch =
-    Arg.(
-      value & opt int 1
-      & info [ "batch" ] ~docv:"B"
-          ~doc:"Partial matches routed per iteration (whirlpool-s).")
-  in
   let exact =
     Arg.(value & flag & info [ "exact" ] ~doc:"Disable relaxations.")
   in
@@ -1247,15 +1239,15 @@ let profile_cmd =
            `P
              "Runs the query locally with an enabled observability \
               context: every server visit is timed and attributed, and \
-              the run's span tree (query, iteration batches, server \
-              visits with their trace events) is collected.  The \
+              the run's span tree (the query root and one child per \
+              server visit, with their trace events) is collected.  The \
               breakdown shows, per server, the visits, comparisons \
               and wall time — where the query's cost actually went.";
          ]
        ())
     Term.(
-      const profile_run $ path $ query_arg $ k $ algo $ routing $ batch
-      $ exact $ spans $ json)
+      const profile_run $ path $ query_arg $ k $ algo $ routing $ exact
+      $ spans $ json)
 
 (* --- loadgen --- *)
 

@@ -43,7 +43,6 @@ module Config = struct
     algo : algo;
     routing : Strategy.routing;
     queue_policy : Strategy.queue_policy;
-    batch : int;
     should_stop : unit -> bool;
     obs : Obs.t;
     prune_bound : unit -> float;
@@ -56,7 +55,6 @@ module Config = struct
       algo = Whirlpool;
       routing = Strategy.Min_alive;
       queue_policy = Strategy.Max_final_score;
-      batch = 1;
       should_stop = never_stop;
       obs = Obs.disabled;
       prune_bound = no_bound;
@@ -67,7 +65,6 @@ module Config = struct
   let with_algo algo t = { t with algo }
   let with_routing routing t = { t with routing }
   let with_queue_policy queue_policy t = { t with queue_policy }
-  let with_batch batch t = { t with batch }
   let with_should_stop should_stop t = { t with should_stop }
   let with_prune_bound prune_bound t = { t with prune_bound }
   let with_publish_threshold publish_threshold t = { t with publish_threshold }
@@ -88,7 +85,6 @@ let run ?(config = Config.default) (plan : Plan.t) ~k =
   let {
     Config.routing;
     queue_policy;
-    batch;
     should_stop;
     obs;
     prune_bound;
@@ -97,15 +93,13 @@ let run ?(config = Config.default) (plan : Plan.t) ~k =
   } =
     config
   in
-  if batch < 1 then invalid_arg "Engine.run: batch >= 1";
   validate_plan plan;
   let stats = Stats.create () in
   let t0 = now_ns () in
-  (* Observability: a root span for the run, a child per iteration
-     batch, a grandchild per server visit; engine events attach to the
-     innermost open span.  All of it reads the counters without writing
-     them, so a disabled (or unsampled) context leaves the run
-     bit-identical.  Every event site tests [tracing ()] first, so a run
+  (* Observability: a root span for the run and a child per server
+     visit; engine events attach to the innermost open span.  All of it
+     reads the counters without writing them, so a disabled (or
+     unsampled) context leaves the run bit-identical.  Every event site tests [tracing ()] first, so a run
      without a live span builds no event. *)
   let obs_on = Obs.enabled obs in
   let qspan = if obs_on then Obs.root obs "query" else None in
@@ -230,8 +224,7 @@ let run ?(config = Config.default) (plan : Plan.t) ~k =
   let process_at (pm : Partial_match.t) server =
     if not obs_on then process_here pm server
     else begin
-      let vspan = Obs.child obs ~parent:!cur_span "visit" in
-      let saved = !cur_span in
+      let vspan = Obs.child obs ~parent:qspan "visit" in
       if vspan <> None then cur_span := vspan;
       let v0 = now_ns () in
       let c0 = stats.comparisons in
@@ -241,21 +234,6 @@ let run ?(config = Config.default) (plan : Plan.t) ~k =
         ~ns:(Int64.sub (now_ns ()) v0);
       Obs.attr obs vspan "server" (float_of_int server);
       Obs.finish obs vspan;
-      cur_span := saved
-    end
-  in
-  (* Bulk adaptivity (paper Section 6.3.3): a routing decision made for
-     a popped match is reused for up to [batch - 1] following pops that
-     have visited the same servers (and so admit the same choice).  Any
-     other pop ends the batch.  Plain ints, so deciding allocates
-     nothing. *)
-  let batch_server = ref 0 and batch_mask = ref 0 and batch_left = ref 0 in
-  let bspan = ref None in
-  let end_batch () =
-    batch_left := 0;
-    if obs_on then begin
-      Obs.finish obs !bspan;
-      bspan := None;
       cur_span := qspan
     end
   in
@@ -270,8 +248,6 @@ let run ?(config = Config.default) (plan : Plan.t) ~k =
         stopped := true
     | Some pm ->
         cert_remove pm;
-        let in_batch = !batch_left > 0 && pm.visited_mask = !batch_mask in
-        if in_batch then decr batch_left else end_batch ();
         if tracing () then
           emit
             (Obs.Popped
@@ -281,30 +257,19 @@ let run ?(config = Config.default) (plan : Plan.t) ~k =
           stats.matches_pruned <- stats.matches_pruned + 1
         end
         else begin
-          if not in_batch then begin
-            batch_server :=
-              Strategy.choose_next routing plan
-                ~threshold:(Topk_set.threshold topk) pm;
-            batch_mask := pm.visited_mask;
-            batch_left := batch - 1;
-            stats.routing_decisions <- stats.routing_decisions + 1
-          end;
-          let server = !batch_server in
+          let server =
+            Strategy.choose_next routing plan
+              ~threshold:(Topk_set.threshold topk) pm
+          in
+          stats.routing_decisions <- stats.routing_decisions + 1;
           if tracing () then emit (Obs.Routed { id = pm.id; server });
-          if obs_on && not in_batch then begin
-            bspan := Obs.child obs ~parent:qspan "batch";
-            Obs.attr obs !bspan "server" (float_of_int server);
-            if !bspan <> None then cur_span := !bspan
-          end;
           process_at pm server
         end;
-        if !batch_left = 0 then end_batch ();
         publish ();
         certify ();
         loop ()
   in
   loop ();
-  end_batch ();
   (* A drained run holds no alive matches: everything left is final.
      A stopped run emits nothing more — its remaining answers travel
      only in the buffered (partial) reply. *)

@@ -42,7 +42,7 @@ val no_certify : Topk_set.entry -> unit
     {[
       let config =
         Engine.Config.(
-          default |> with_routing Strategy.Max_score |> with_batch 16)
+          default |> with_routing Strategy.Max_score |> with_queue_policy Strategy.Fifo)
       in
       Engine.run ~config plan ~k:10
     ]} *)
@@ -76,8 +76,6 @@ module Config : sig
     algo : algo;  (** default [Whirlpool] *)
     routing : Strategy.routing;  (** default [Min_alive] *)
     queue_policy : Strategy.queue_policy;  (** default [Max_final_score] *)
-    batch : int;
-        (** bulk-adaptivity width, default 1 (paper Section 6.3.3) *)
     should_stop : unit -> bool;
         (** cooperative-cancellation hook, default {!never_stop} *)
     obs : Wp_obs.Obs.t;
@@ -118,7 +116,6 @@ module Config : sig
   val with_algo : algo -> t -> t
   val with_routing : Strategy.routing -> t -> t
   val with_queue_policy : Strategy.queue_policy -> t -> t
-  val with_batch : int -> t -> t
   val with_should_stop : (unit -> bool) -> t -> t
   val with_obs : Wp_obs.Obs.t -> t -> t
   val with_prune_bound : (unit -> float) -> t -> t
@@ -148,18 +145,15 @@ val run : ?config:Config.t -> Plan.t -> k:int -> result
     leaves the run — and its answers — bit-identical to one without the
     hook.  {!Wp_serve} uses it to enforce per-request deadlines.
 
-    [config.batch] implements the paper's bulk-adaptivity extension
-    (Section 6.3.3: route tuples "in bulk, by grouping tuples based on
-    similarity"): one routing decision is reused for up to [batch]
-    consecutive queue heads that have visited the same set of servers,
-    amortizing the decision overhead when server operations are cheap.
-    A pop with a different visited set ends the batch.
+    Every popped match that survives the threshold re-check gets its
+    own routing decision ([config.routing]); the paper's bulk routing
+    (Section 6.3.3, future work) is not implemented.
 
-    [config.obs], when enabled, collects a span tree (a root span for
-    the run, a child per iteration batch, a grandchild per server
-    visit, each {!Wp_obs.Obs.event} attached to the innermost open
-    span) and an exact per-server cost profile; the run's counters and
-    answers are never affected. *)
+    [config.obs], when enabled, collects a span tree (a root [query]
+    span for the run with a [visit] child per server visit, each
+    {!Wp_obs.Obs.event} attached to the innermost open span — the shape
+    {!Engine_mt.run} records) and an exact per-server cost profile; the
+    run's counters and answers are never affected. *)
 
 val run_above : ?config:Config.t -> Plan.t -> threshold:float -> result
 (** Threshold variant (the mode of the paper's predecessor system,
@@ -172,5 +166,5 @@ val run_above : ?config:Config.t -> Plan.t -> threshold:float -> result
     least 1), so the top-k set holds one entry per root, and
     [config.prune_bound] is fixed at [threshold]; the answers are those
     entries scoring above it.  Every other knob of [config] applies as
-    in {!run}, [batch] and [obs] included; [config.publish_threshold]
+    in {!run}, [obs] included; [config.publish_threshold]
     and [config.on_certified] are ignored. *)

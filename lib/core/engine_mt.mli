@@ -77,9 +77,6 @@ val run : ?config:Engine.Config.t -> Plan.t -> k:int -> Engine.result
     two multi-threaded runs' streams comparably even though per-domain
     emission order is nondeterministic.
 
-    [config.batch] does not apply: the multi-threaded engine routes
-    match-at-a-time.
-
     [config.on_certified] streams certified answers exactly as in
     {!Engine.run}; alive-set bookkeeping rides the existing top-k
     critical sections, and only the router thread invokes the callback

@@ -7,8 +7,9 @@
     probabilistic {e sampling} and the {e span cap}) and the profile
     table aggregates exact per-server costs regardless of sampling.
 
-    Span model: one {e root} span per query run, child spans per
-    iteration batch and per server visit.  Spans carry typed engine
+    Span model: one {e root} span ([query]) per engine run, with one
+    [visit] child per server visit — the same shape under Whirlpool-S
+    and Whirlpool-M.  Spans carry typed engine
     {!event}s — one per router or server action, stamped and sequenced
     at receipt — and numeric attributes.  This is the engines' only
     event channel.  All operations are thread-safe: Whirlpool-M server

@@ -36,6 +36,14 @@ let with_lock m f =
 
 type conn_kind = Wire_conn | Http_conn
 
+(* An HTTP connection's one request: its head is parsed once, when the
+   blank line arrives, so body chunks are only counted until the
+   declared length is in. *)
+type http_state =
+  | Reading_head
+  | Reading_body of { request_line : string; body_start : int; length : int }
+  | Dispatched
+
 type conn = {
   fd : Unix.file_descr;
   kind : conn_kind;
@@ -47,7 +55,7 @@ type conn = {
   mutable close_after_flush : bool;  (* HTTP: one reply, then close *)
   mutable version : int;  (* negotiated protocol version; loop thread *)
   mutable gone : bool;  (* loop thread: fd closed, slot held until drain *)
-  mutable http_dispatched : bool;  (* loop thread *)
+  mutable http : http_state;  (* loop thread *)
 }
 
 type server = {
@@ -289,57 +297,74 @@ let find_crlfcrlf s =
   scan 0
 [@@wp.bounded "scan advances one byte per step over a finite string"]
 
+(* The declared body length: 0 without a Content-Length header, an
+   error for a value that is not a plain decimal number.  Digits too
+   many for an int are as oversized as any other length past the cap. *)
 let content_length headers =
   List.fold_left
     (fun acc line ->
-      match String.index_opt line ':' with
-      | Some i
+      match (acc, String.index_opt line ':') with
+      | Ok _, Some i
         when String.lowercase_ascii (String.sub line 0 i) = "content-length"
-        -> (
-          match
-            int_of_string_opt
-              (String.trim
-                 (String.sub line (i + 1) (String.length line - i - 1)))
-          with
-          | Some n when n >= 0 -> n
-          | _ -> acc)
+        ->
+          let v =
+            String.trim (String.sub line (i + 1) (String.length line - i - 1))
+          in
+          if v <> "" && String.for_all (fun c -> c >= '0' && c <= '9') v then
+            Ok (Option.value (int_of_string_opt v) ~default:max_int)
+          else Error (Printf.sprintf "bad Content-Length %S" v)
       | _ -> acc)
-    0 headers
+    (Ok 0) headers
 
 let http_max_head = 64 * 1024
 
-let http_process server conn =
-  if not conn.http_dispatched then begin
-    let s = Buffer.contents conn.rbuf in
-    match find_crlfcrlf s with
-    | None ->
-        if String.length s > http_max_head then begin
-          conn.http_dispatched <- true;
-          http_error conn ~status:"431 Request Header Fields Too Large"
-            "headers too large"
-        end
-    | Some hdr_end -> (
-        let head = String.sub s 0 hdr_end in
-        match String.split_on_char '\r' head |> List.concat_map (fun part ->
-                  String.split_on_char '\n' part)
-              |> List.filter (fun l -> l <> "")
-        with
-        | [] ->
-            conn.http_dispatched <- true;
-            http_error conn ~status:"400 Bad Request" "empty request"
-        | request_line :: headers -> (
-            let body_start = hdr_end + 4 in
-            let clen = content_length headers in
-            if String.length s >= body_start + clen then begin
-              conn.http_dispatched <- true;
-              let body = String.sub s body_start clen in
-              match String.split_on_char ' ' request_line with
-              | meth :: path :: _ -> http_route server conn ~meth ~path ~body
-              | _ ->
-                  http_error conn ~status:"400 Bad Request"
-                    "malformed request line"
-            end))
+(* Route the request once its whole body is buffered. *)
+let http_dispatch_when_complete server conn ~request_line ~body_start ~length =
+  if Buffer.length conn.rbuf >= body_start + length then begin
+    conn.http <- Dispatched;
+    let body = Buffer.sub conn.rbuf body_start length in
+    match String.split_on_char ' ' request_line with
+    | meth :: path :: _ -> http_route server conn ~meth ~path ~body
+    | _ -> http_error conn ~status:"400 Bad Request" "malformed request line"
   end
+
+(* A body is refused before it is read when its declared length is
+   malformed or past [Wire.max_frame], the cap wire frames share. *)
+let http_process server conn =
+  match conn.http with
+  | Dispatched -> ()
+  | Reading_body { request_line; body_start; length } ->
+      http_dispatch_when_complete server conn ~request_line ~body_start ~length
+  | Reading_head -> (
+      let s = Buffer.contents conn.rbuf in
+      let fail ~status msg =
+        conn.http <- Dispatched;
+        http_error conn ~status msg
+      in
+      match find_crlfcrlf s with
+      | None ->
+          if String.length s > http_max_head then
+            fail ~status:"431 Request Header Fields Too Large"
+              "headers too large"
+      | Some hdr_end -> (
+          let head = String.sub s 0 hdr_end in
+          match
+            String.split_on_char '\r' head
+            |> List.concat_map (String.split_on_char '\n')
+            |> List.filter (fun l -> l <> "")
+          with
+          | [] -> fail ~status:"400 Bad Request" "empty request"
+          | request_line :: headers -> (
+              match content_length headers with
+              | Error msg -> fail ~status:"400 Bad Request" msg
+              | Ok length when length > Wire.max_frame ->
+                  fail ~status:"413 Payload Too Large"
+                    (Printf.sprintf "body exceeds %d bytes" Wire.max_frame)
+              | Ok length ->
+                  let body_start = hdr_end + 4 in
+                  conn.http <- Reading_body { request_line; body_start; length };
+                  http_dispatch_when_complete server conn ~request_line
+                    ~body_start ~length)))
 
 (* --- reading (loop thread) --- *)
 
@@ -371,11 +396,18 @@ let process_wire server conn =
 let read_conn server conn =
   match Unix.read conn.fd read_chunk 0 (Bytes.length read_chunk) with
   | 0 -> disconnect conn
-  | n ->
-      Buffer.add_subbytes conn.rbuf read_chunk 0 n;
-      (match conn.kind with
-      | Wire_conn -> process_wire server conn
-      | Http_conn -> http_process server conn)
+  | n -> (
+      match conn.kind with
+      | Wire_conn ->
+          Buffer.add_subbytes conn.rbuf read_chunk 0 n;
+          process_wire server conn
+      | Http_conn -> (
+          (* One request per connection: bytes after it are dropped. *)
+          match conn.http with
+          | Dispatched -> ()
+          | Reading_head | Reading_body _ ->
+              Buffer.add_subbytes conn.rbuf read_chunk 0 n;
+              http_process server conn))
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
     ->
       ()
@@ -431,7 +463,7 @@ let accept_conns server lfd kind =
               close_after_flush = false;
               version = 1;
               gone = false;
-              http_dispatched = false;
+              http = Reading_head;
             }
           in
           with_lock server.mutex (fun () ->

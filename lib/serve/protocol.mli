@@ -34,8 +34,10 @@ type query = {
           Unknown names are a typed [Bad_request]. *)
   routing : string option;  (** as {!Whirlpool.Strategy.routing_of_string} *)
   batch : int option;
-      (** bulk-adaptivity width ({!Whirlpool.Engine.Config.t}[.batch]);
-          [None] = service default *)
+      (** set the removed bulk-routing width: a request carrying it (any
+          value) is a [bad_request].  The field stays because perfbench
+          builds the record; it goes with the next change to the
+          benchmark's protocol. *)
   use_cache : bool option;
       (** toggled the removed candidate cache: a request carrying it
           is a [bad_request].  The field stays because perfbench builds

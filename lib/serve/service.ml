@@ -134,18 +134,16 @@ let resolve_routing (q : Protocol.query) =
       | Some r -> Result.Ok (Some r)
       | None -> bad (Printf.sprintf "unknown routing %S" s))
 
-let resolve_batch (q : Protocol.query) =
-  match q.batch with
-  | Some b when b < 1 -> bad (Printf.sprintf "batch must be >= 1 (got %d)" b)
-  | other -> Result.Ok other
-
-(* The candidate cache that [use_cache] toggled is gone; a request that
-   still carries the knob is refused rather than silently ignored. *)
-let resolve_use_cache (q : Protocol.query) =
-  match q.use_cache with
-  | None -> Result.Ok ()
-  | Some _ ->
-      bad "use_cache is no longer accepted: the candidate cache was removed"
+(* Knobs whose mechanism is gone: a request that still carries one is
+   refused, naming the field, rather than silently ignored. *)
+let reject_removed_knobs (q : Protocol.query) =
+  let removed field what =
+    bad (Printf.sprintf "%s is no longer accepted: %s was removed" field what)
+  in
+  match q with
+  | { use_cache = Some _; _ } -> removed "use_cache" "the candidate cache"
+  | { batch = Some _; _ } -> removed "batch" "bulk routing"
+  | _ -> Result.Ok ()
 
 (* The per-request deadline, as the engines' cooperative-cancellation
    hook: checked at iteration boundaries, so expiry yields the current
@@ -175,11 +173,10 @@ let note_totals t (stats : Whirlpool.Stats.t) =
 (* The per-request engine configuration: service defaults overridden by
    the request's knobs, plus the deadline hook and (when the slow-query
    log is armed) a fresh observability context. *)
-let request_config t ~routing ~batch ~should_stop ~obs =
+let request_config t ~routing ~should_stop ~obs =
   let open Whirlpool.Engine.Config in
   let c = t.base_config in
   let c = match routing with None -> c | Some r -> with_routing r c in
-  let c = match batch with None -> c | Some b -> with_batch b c in
   c |> with_should_stop should_stop |> with_obs obs
 
 (* One engine run over one document: resolve the memoized plan and
@@ -322,8 +319,7 @@ let run_query t (q : Protocol.query) ~t0 ~obs ~cancelled ~on_entry =
   let* k = resolve_k t q in
   let* algo = resolve_algo t q in
   let* routing = resolve_routing q in
-  let* batch = resolve_batch q in
-  let* () = resolve_use_cache q in
+  let* () = reject_removed_knobs q in
   let* deadline = deadline_hook t q ~t0 in
   (* The run must also stop when the client is gone: a vanished
      connection cancels its in-flight query at the next iteration
@@ -333,7 +329,7 @@ let run_query t (q : Protocol.query) ~t0 ~obs ~cancelled ~on_entry =
     | None -> deadline
     | Some gone -> fun () -> deadline () || gone ()
   in
-  let config = request_config t ~routing ~batch ~should_stop ~obs in
+  let config = request_config t ~routing ~should_stop ~obs in
   (* Streaming is sound only when one document answers the query: a
      merged or scattered top-k can displace one document's certified
      entry with another's, so those stay buffered. *)

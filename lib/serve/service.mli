@@ -4,7 +4,7 @@
     pool runs per request: resolve the document(s), fetch the compiled
     plan from the catalog cache, run the engine under the request's
     {!Whirlpool.Engine.Config.t} (service defaults overridden by the
-    request's [routing] and [batch] knobs, plus the deadline hook),
+    request's [routing] knob, plus the deadline hook),
     and merge per-document top-k lists when the query spans the
     corpus.  Deadline semantics: the engine's [should_stop] hook fires
     once the request's deadline passes, the run stops at the next
@@ -13,7 +13,8 @@
     hangs, it degrades.  A deadline of 0 has already expired; one too
     far out to represent in nanoseconds is no deadline; a negative or
     non-finite one is a [bad_request].  So is a request that carries
-    [use_cache]: the candidate cache it toggled is gone.  A request
+    [use_cache] or [batch]: the candidate cache and bulk routing they
+    toggled are gone.  A request
     whose hook never fires returns answers entry-identical to a direct
     {!Whirlpool.Engine.run} on the same (document, plan, k).
 

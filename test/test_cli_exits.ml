@@ -129,7 +129,6 @@ let test_positive_counts () =
        ("-k", [ "query"; books; "-q"; q; "-k"; "0" ]);
        ("-k", [ "query"; books; "-q"; q; "-k-3"; "--threshold"; "0.5" ]);
        ("-k", [ "profile"; books; "-q"; q; "-k"; "0" ]);
-       ("--batch", [ "profile"; books; "-q"; q; "--batch"; "0" ]);
        ("-k", [ "race"; "-q"; q; books; "-k"; "0" ]);
      ]
     @ List.map
@@ -222,7 +221,18 @@ let test_profile () =
   check_exit "profile --algo lockstep exits 2" 2
     [ "profile"; books; "-q"; q; "--algo"; "lockstep" ];
   check_exit "profile unknown algo exits 2" 2
-    [ "profile"; books; "-q"; q; "--algo"; "quicksort" ]
+    [ "profile"; books; "-q"; q; "--algo"; "quicksort" ];
+  (* [--batch] went with bulk routing: cmdliner's unknown-option usage
+     error, folded to exit 2. *)
+  match stderr_of [ "profile"; books; "-q"; q; "--batch"; "4" ] with
+  | 2, lines ->
+      Alcotest.(check bool) "profile --batch: unknown option" true
+        (List.exists
+           (fun l ->
+             Test_stats.contains ~needle:"unknown option" l
+             && Test_stats.contains ~needle:"--batch" l)
+           lines)
+  | code, _ -> Alcotest.failf "profile --batch 4: exit %d, expected 2" code
 
 let test_check () =
   check_exit "clean tree exits 0" 0 [ "check"; "--root"; build_root ];
@@ -239,6 +249,6 @@ let suite =
     Alcotest.test_case "query load errors" `Quick test_query_load;
     Alcotest.test_case "check exit codes" `Quick test_check;
     Alcotest.test_case "profile exit codes and events" `Quick test_profile;
-    Alcotest.test_case "non-positive -k and --batch" `Quick test_positive_counts;
+    Alcotest.test_case "non-positive counts" `Quick test_positive_counts;
     Alcotest.test_case "bad --deadline-ms" `Quick test_deadline_ms;
   ]

@@ -189,6 +189,24 @@ let test_deterministic_runs () =
     (List.map (fun (e : Topk_set.entry) -> e.root) r1.answers)
     (List.map (fun (e : Topk_set.entry) -> e.root) r2.answers)
 
+(* Whirlpool-S's counters on Q2 at k=15 under the default config,
+   pinned exactly: one routing decision per surviving pop, each traced
+   as one [visit] span. *)
+let test_default_counters () =
+  let plan = Run.compile idx (parse Fixtures.q2) in
+  let obs = Wp_obs.Obs.create () in
+  let r = Engine.run ~config:Engine.Config.(default |> with_obs obs) plan ~k:15 in
+  Alcotest.(check int) "routing_decisions" 237 r.stats.routing_decisions;
+  Alcotest.(check int) "server_ops" 238 r.stats.server_ops;
+  Alcotest.(check int) "matches_created" 1538 r.stats.matches_created;
+  Alcotest.(check int) "matches_pruned" 121 r.stats.matches_pruned;
+  Alcotest.(check int) "visit spans = routing decisions"
+    r.stats.routing_decisions
+    (List.length
+       (List.filter
+          (fun (s : Wp_obs.Obs.span_record) -> s.name = "visit")
+          (Wp_obs.Obs.spans obs)))
+
 (* Streaming certification must be nearly free: a streamed Whirlpool-S
    run allocates at most 1.25x the minor words of the same run without
    [on_certified].  A single-domain run's [Gc.minor_words] is
@@ -269,6 +287,7 @@ let suite =
     Alcotest.test_case "single-node query" `Quick test_single_node_query;
     Alcotest.test_case "no matches" `Quick test_no_matches;
     Alcotest.test_case "deterministic" `Quick test_deterministic_runs;
+    Alcotest.test_case "Q2 default counters" `Quick test_default_counters;
     Alcotest.test_case "streaming allocation bound" `Quick
       test_streaming_allocation_bound;
     Alcotest.test_case "default run allocates no events" `Quick

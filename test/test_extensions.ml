@@ -1,72 +1,10 @@
-(* Tests for the extension features: bulk routing (batch), threshold
-   queries and wildcard steps. *)
+(* Tests for the extension features: threshold queries and wildcard
+   steps. *)
 
 open Whirlpool
 
 let idx = Lazy.force Fixtures.xmark_index
 let parse = Fixtures.parse
-
-let test_batch_same_answers () =
-  let plan = Run.compile idx (parse Fixtures.q2) in
-  let reference = Fixtures.sorted_scores (Engine.run plan ~k:10).answers in
-  List.iter
-    (fun batch ->
-      let r = Engine.run ~config:Engine.Config.(default |> with_batch batch) plan ~k:10 in
-      Fixtures.check_scores_equal
-        ~msg:(Printf.sprintf "batch=%d answers" batch)
-        reference
-        (Fixtures.sorted_scores r.answers))
-    [ 1; 2; 8; 64; 1024 ]
-
-let test_batch_reduces_decisions () =
-  let plan = Run.compile idx (parse Fixtures.q2) in
-  let r1 = Engine.run ~config:Engine.Config.(default |> with_batch 1) plan ~k:15 in
-  let r64 = Engine.run ~config:Engine.Config.(default |> with_batch 64) plan ~k:15 in
-  Alcotest.(check bool)
-    (Printf.sprintf "decisions drop (%d -> %d)" r1.stats.routing_decisions
-       r64.stats.routing_decisions)
-    true
-    (r64.stats.routing_decisions < r1.stats.routing_decisions);
-  Alcotest.check_raises "batch >= 1" (Invalid_argument "Engine.run: batch >= 1")
-    (fun () ->
-      ignore (Engine.run ~config:Engine.Config.(default |> with_batch 0) plan ~k:5))
-
-(* Bulk adaptivity's counters on Q2 at k=15, pinned exactly: each
-   batch width reuses decisions for the same pops, so only
-   [routing_decisions] moves. *)
-let test_batch_counters () =
-  let plan = Run.compile idx (parse Fixtures.q2) in
-  List.iter
-    (fun (batch, decisions, ops, created, pruned) ->
-      let r =
-        Engine.run ~config:Engine.Config.(default |> with_batch batch) plan ~k:15
-      in
-      let check what expected actual =
-        Alcotest.(check int) (Printf.sprintf "batch=%d %s" batch what) expected actual
-      in
-      check "routing_decisions" decisions r.stats.routing_decisions;
-      check "server_ops" ops r.stats.server_ops;
-      check "matches_created" created r.stats.matches_created;
-      check "matches_pruned" pruned r.stats.matches_pruned)
-    [
-      (1, 237, 238, 1538, 121);
-      (4, 155, 238, 1538, 121);
-      (16, 145, 238, 1538, 121);
-      (64, 145, 238, 1538, 121);
-    ];
-  (* One [batch] span per routing decision. *)
-  let obs = Wp_obs.Obs.create () in
-  let r =
-    Engine.run
-      ~config:Engine.Config.(default |> with_batch 16 |> with_obs obs)
-      plan ~k:15
-  in
-  Alcotest.(check int) "batch spans = routing decisions"
-    r.stats.routing_decisions
-    (List.length
-       (List.filter
-          (fun (s : Wp_obs.Obs.span_record) -> s.name = "batch")
-          (Wp_obs.Obs.spans obs)))
 
 let test_run_above_matches_noprun () =
   let plan = Run.compile idx (parse Fixtures.q1) in
@@ -153,9 +91,6 @@ let test_wildcard_scores () =
 
 let suite =
   [
-    Alcotest.test_case "batch answers" `Quick test_batch_same_answers;
-    Alcotest.test_case "batch reduces decisions" `Quick test_batch_reduces_decisions;
-    Alcotest.test_case "batch counters" `Quick test_batch_counters;
     Alcotest.test_case "run_above vs noprun" `Quick test_run_above_matches_noprun;
     Alcotest.test_case "run_above extremes" `Quick test_run_above_extremes;
     Alcotest.test_case "run_above sorted" `Quick test_run_above_sorted;

@@ -132,40 +132,42 @@ let test_disabled_is_inert () =
   Alcotest.(check int) "no profile" 0 (List.length (Obs.per_server obs));
   Alcotest.(check int) "no spans" 0 (List.length (Obs.spans obs))
 
+(* Both engines trace one way: a single [query] root whose every other
+   span is a [visit] child of it. *)
 let test_span_tree_shape () =
-  let obs = Obs.create () in
   let plan = Run.compile idx (parse Fixtures.q2) in
-  let r = Engine.run ~config:Engine.Config.(default |> with_obs obs) plan ~k:5 in
-  Alcotest.(check bool) "answers" true (r.answers <> []);
-  let spans = Obs.spans obs in
-  let roots = List.filter (fun s -> s.Obs.parent = None) spans in
-  (match roots with
-  | [ root ] ->
-      Alcotest.(check string) "root is the query span" "query" root.Obs.name;
-      Alcotest.(check bool) "root closed" true
-        (Int64.compare root.Obs.end_ns root.Obs.start_ns >= 0);
-      Alcotest.(check bool) "k attribute" true
-        (List.assoc_opt "k" root.Obs.attrs = Some 5.0)
-  | _ -> Alcotest.fail "expected exactly one root span");
-  let names = List.map (fun s -> s.Obs.name) spans in
-  Alcotest.(check bool) "has batch spans" true (List.mem "batch" names);
-  Alcotest.(check bool) "has visit spans" true (List.mem "visit" names);
-  (* Visits sit under batches, batches under the root. *)
-  let by_sid =
-    List.fold_left (fun m s -> (s.Obs.sid, s) :: m) [] spans
-  in
   List.iter
-    (fun s ->
-      match (s.Obs.name, s.Obs.parent) with
-      | "visit", Some p ->
-          Alcotest.(check string) "visit parent" "batch"
-            (List.assoc p by_sid).Obs.name
-      | "visit", None -> Alcotest.fail "visit span without parent"
-      | "batch", Some p ->
-          Alcotest.(check string) "batch parent" "query"
-            (List.assoc p by_sid).Obs.name
-      | _ -> ())
-    spans
+    (fun (engine, run) ->
+      let msg what = engine ^ ": " ^ what in
+      let obs = Obs.create () in
+      let (r : Engine.result) = run Engine.Config.(default |> with_obs obs) in
+      Alcotest.(check bool) (msg "answers") true (r.answers <> []);
+      let spans = Obs.spans obs in
+      let root =
+        match List.filter (fun s -> s.Obs.parent = None) spans with
+        | [ root ] -> root
+        | _ -> Alcotest.fail (msg "expected exactly one root span")
+      in
+      Alcotest.(check string) (msg "root is the query span") "query" root.Obs.name;
+      Alcotest.(check bool) (msg "root closed") true
+        (Int64.compare root.Obs.end_ns root.Obs.start_ns >= 0);
+      Alcotest.(check bool) (msg "k attribute") true
+        (List.assoc_opt "k" root.Obs.attrs = Some 5.0);
+      let names = List.map (fun s -> s.Obs.name) spans in
+      Alcotest.(check bool) (msg "has visit spans") true (List.mem "visit" names);
+      Alcotest.(check bool) (msg "no batch span") false (List.mem "batch" names);
+      List.iter
+        (fun s ->
+          if s != root then begin
+            Alcotest.(check string) (msg "child is a visit") "visit" s.Obs.name;
+            Alcotest.(check (option int)) (msg "visit parent is the root")
+              (Some root.Obs.sid) s.Obs.parent
+          end)
+        spans)
+    [
+      ("whirlpool-s", fun config -> Engine.run ~config plan ~k:5);
+      ("whirlpool-m", fun config -> Engine_mt.run ~config plan ~k:5);
+    ]
 
 let test_profile_matches_stats () =
   let obs = Obs.create () in
@@ -289,7 +291,6 @@ let test_config_default_is_old_default () =
           default
           |> with_routing Strategy.Min_alive
           |> with_queue_policy Strategy.Max_final_score
-          |> with_batch 1
           |> with_should_stop Engine.never_stop
           |> with_on_certified Engine.no_certify
           |> with_obs obs_b)

@@ -863,7 +863,7 @@ let test_service_errors () =
       err (query 3 ~k:0 "/book");
       err { (query 4 "/book") with algo = Some "quicksort" };
       err { (query 5 "/book") with routing = Some "psychic" };
-      err { (query 7 "/book") with batch = Some 0 };
+      err { (query 7 "/book") with batch = Some 1 };
       (* Every resolution failure is classified bad_request. *)
       List.iter
         (fun q ->
@@ -873,7 +873,7 @@ let test_service_errors () =
         [
           query 8 ~doc:"missing.xml" "/book";
           query 9 "][garbage";
-          { (query 10 "/book") with batch = Some (-1) };
+          { (query 10 "/book") with batch = Some 4 };
         ];
       (* And an empty corpus is a typed error, not a crash. *)
       let empty = Service.create ~catalog:(Catalog.create ()) () in
@@ -1064,10 +1064,10 @@ let test_wire_frame_roundtrip () =
       | Ok p -> Alcotest.(check string) "frame payload" payload p
       | Error e -> Alcotest.failf "read: %s" e)
 
-(* [use_cache] toggled the candidate cache, which is gone: a request
-   still carrying it, either way, is a typed bad_request that names the
-   cache, in process and over the socket. *)
-let test_use_cache_rejected () =
+(* A removed request knob — [use_cache] toggled the candidate cache,
+   [batch] set the bulk-routing width — is a typed bad_request naming
+   the field, whatever its value, in process and over the socket. *)
+let check_removed_knob ~field carrying values =
   with_corpus_dir (fun dir ->
       let service = Service.create ~catalog:(loaded_catalog dir) () in
       let check how (r : Protocol.response) =
@@ -1075,29 +1075,32 @@ let test_use_cache_rejected () =
           (r.status = Protocol.Error);
         Alcotest.(check bool) (how ^ ": typed bad_request") true
           (r.code = Some Protocol.Bad_request);
-        Alcotest.(check bool) (how ^ ": names the cache") true
-          (Test_stats.contains ~needle:"cache"
+        Alcotest.(check bool) (how ^ ": names " ^ field) true
+          (Test_stats.contains ~needle:field
              (Option.value r.error ~default:""))
       in
-      let carrying u = { (query 1 "/book[./title]") with use_cache = Some u } in
-      List.iter
-        (fun u ->
-          check
-            (Printf.sprintf "handle_query use_cache=%b" u)
-            (Service.handle_query service (carrying u)))
-        [ true; false ];
       let socket = temp_socket () in
       let _server, thread = start_event_server ~socket ~service () in
       let client = connect_exn socket in
       List.iter
-        (fun u ->
-          check
-            (Printf.sprintf "socket use_cache=%b" u)
-            (call_exn client (Protocol.Query (carrying u))))
-        [ true; false ];
+        (fun (label, v) ->
+          let q = carrying v in
+          check ("handle_query " ^ label) (Service.handle_query service q);
+          check ("socket " ^ label) (call_exn client (Protocol.Query q)))
+        values;
       ignore (Client.call client (Protocol.Stop { id = 3 }));
       Client.close client;
       Thread.join thread)
+
+let test_use_cache_rejected () =
+  check_removed_knob ~field:"use_cache"
+    (fun u -> { (query 1 "/book[./title]") with use_cache = Some u })
+    [ ("use_cache=true", true); ("use_cache=false", false) ]
+
+let test_batch_rejected () =
+  check_removed_knob ~field:"batch"
+    (fun b -> { (query 1 "/book[./title]") with batch = Some b })
+    [ ("batch=1", 1); ("batch=4", 4) ]
 
 (* --- the algo axis over the service and the wire --- *)
 
@@ -1595,17 +1598,25 @@ let test_event_killed_client_reclaims () =
 
 (* --- HTTP gateway on the event loop --- *)
 
-let http_request ~port ~meth ~path ?(body = "") () =
+(* One request and its reply.  [content_length] overrides the header's
+   value (default: the body's length); a server that never answers
+   leaves [None] for the status once the read times out. *)
+let http_request ~port ~meth ~path ?(body = "") ?content_length () =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
       Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+      let content_length =
+        Option.value content_length
+          ~default:(string_of_int (String.length body))
+      in
       let req =
         Printf.sprintf
-          "%s %s HTTP/1.1\r\nHost: localhost\r\nContent-Length: %d\r\n\
+          "%s %s HTTP/1.1\r\nHost: localhost\r\nContent-Length: %s\r\n\
            Connection: close\r\n\r\n%s"
-          meth path (String.length body) body
+          meth path content_length body
       in
       let (_ : int) = Unix.write_substring fd req 0 (String.length req) in
       let buf = Buffer.create 1024 in
@@ -1616,6 +1627,9 @@ let http_request ~port ~meth ~path ?(body = "") () =
         | n ->
             Buffer.add_subbytes buf chunk 0 n;
             drain ()
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+          ->
+            ()
       in
       drain ();
       let s = Buffer.contents buf in
@@ -1692,6 +1706,34 @@ let test_http_gateway () =
          http_request ~port ~meth:"POST" ~path:"/query" ~body:"not json" ()
        in
        Alcotest.(check (option int)) "400 on bad body" (Some 400) status);
+      (* A body past the wire cap is refused on its declared length,
+         before any of it is sent. *)
+      (let status, _ =
+         http_request ~port ~meth:"POST" ~path:"/query"
+           ~content_length:"99999999999" ()
+       in
+       Alcotest.(check (option int)) "413 on oversized Content-Length"
+         (Some 413) status);
+      (* A length that is not a plain decimal is a bad request, not 0. *)
+      List.iter
+        (fun (meth, path, content_length) ->
+          let status, body =
+            http_request ~port ~meth ~path ~content_length ()
+          in
+          Alcotest.(check (option int))
+            (Printf.sprintf "400 on Content-Length %S" content_length)
+            (Some 400) status;
+          Alcotest.(check bool) "error names Content-Length" true
+            (Test_stats.contains ~needle:"Content-Length" body))
+        [ ("POST", "/query", "abc"); ("GET", "/healthz", "-1") ];
+      (* A removed request knob is a typed bad_request over HTTP too. *)
+      (let status, body =
+         http_request ~port ~meth:"POST" ~path:"/query"
+           ~body:"{\"query\":\"/book\",\"batch\":4}" ()
+       in
+       Alcotest.(check (option int)) "400 on batch" (Some 400) status;
+       Alcotest.(check bool) "names batch" true
+         (Test_stats.contains ~needle:"batch" body));
       (* Wire and HTTP share one loop: stop over the wire ends both. *)
       let client = connect_exn socket in
       ignore (Client.call client (Protocol.Stop { id = 1 }));
@@ -1737,6 +1779,7 @@ let suite =
     Alcotest.test_case "sharded matches unsharded" `Quick
       test_sharded_matches_unsharded;
     Alcotest.test_case "use_cache rejected" `Quick test_use_cache_rejected;
+    Alcotest.test_case "batch rejected" `Quick test_batch_rejected;
     Alcotest.test_case "service deadline range" `Quick
       test_service_deadline_range;
     Alcotest.test_case "sharded mapped corpus" `Quick

@@ -27,7 +27,7 @@ let test_events_flow () =
 
 let test_route_follows_pop () =
   (* Every Routed event must be immediately preceded by a Popped of the
-     same match (batching aside, which also pops first). *)
+     same match. *)
   let _, _, events = traced_run Fixtures.q2 in
   let rec check = function
     | [] | [ _ ] -> ()
