@@ -5,12 +5,11 @@
      dune exec bench/report.exe -- --quick --check BENCH_core.json
 
    Emits one JSON object per exhibit (fig6/fig8-style workloads, a
-   backend comparison, a sharded-serve exhibit measuring cross-shard
-   bound pushing over memory-mapped .wpidx shards, and wall-only
-   exhibits for the dataguide build and for compiling ad-hoc plans)
+   backend comparison, and wall-only exhibits for the dataguide build
+   over memory-mapped .wpidx documents and for compiling ad-hoc plans)
    with the engine's wall time and its machine-independent operation
-   counters.  The A/B exhibits (bound pushing on/off, dataguide build
-   vs a cold query, shared vs fresh compile memo) also carry their
+   counters.  The A/B exhibits (dataguide build vs a cold query,
+   shared vs fresh compile memo) also carry their
    second arm under ["uncached"] and the ratio of the two wall times
    under ["speedup"].
 
@@ -174,28 +173,15 @@ let exhibits (scale : Common.scale) ~runs ~trace =
           ("twig", Whirlpool.Engine.Config.Twig);
         ])
     Common.queries;
-  (* sharded-serve exhibit: the cross-shard bound-pushing protocol.
-     Several XMark documents are written as .wpidx files and
-     memory-mapped back (the serving path), then every document's
-     engine run is wired to one Gather — each publishes its evolving
-     threshold and prunes against the merged k-th — versus the same
-     sequence with the gather inert, which is exactly the
-     single-catalog serve path.  Sequential execution keeps the
-     counters deterministic for the gate (the served scatter is
-     threaded; its wall-clock story lives in BENCH_serve.json): the
-     two arms are push-on and push-off. *)
+  (* A mapped serve corpus: several XMark documents written as .wpidx
+     files and memory-mapped back (the serving path).  Document 0 is
+     content-rich (deep parlists, full mailboxes) and the rest are
+     sparse. *)
   let n_docs = 4 in
   let bytes_per_doc = scale.default_size / 8 in
-  Printf.printf
-    "sharded serve (bound pushing over %d mapped %d-byte shards, k=%d)\n%!"
+  Printf.printf "mapped serve corpus (%d mapped %d-byte documents, k=%d)\n%!"
     n_docs bytes_per_doc k;
-  (* A skewed corpus: shard 0 is content-rich (deep parlists, full
-     mailboxes) and dominates the merged top-k; the remaining shards
-     are sparse.  The gather's floor, established on the rich shard,
-     then prunes most of the sparse shards' speculative matches — the
-     realistic win case for cross-shard pushing (a uniform corpus ties
-     every shard's k-th and the floor buys nothing). *)
-  let shard_paths =
+  let doc_paths =
     List.init n_docs (fun i ->
         let profile =
           if i = 0 then Wp_xmark.Generator.rich_profile
@@ -205,15 +191,13 @@ let exhibits (scale : Common.scale) ~runs ~trace =
           Wp_xmark.Generator.generate_doc ~profile ~seed:(500 + i)
             ~target_bytes:bytes_per_doc ()
         in
-        let path = Filename.temp_file "wp-bench-shard" ".wpidx" in
+        let path = Filename.temp_file "wp-bench-doc" ".wpidx" in
         let (_ : int) = Wp_storage.Index_file.write path doc in
         path)
   in
   Fun.protect
     ~finally:(fun () ->
-      List.iter
-        (fun p -> try Sys.remove p with Sys_error _ -> ())
-        shard_paths)
+      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) doc_paths)
     (fun () ->
       let indexes =
         List.map
@@ -221,62 +205,12 @@ let exhibits (scale : Common.scale) ~runs ~trace =
             match Wp_storage.Index_file.open_index p with
             | Ok h -> Wp_storage.Index_file.index h
             | Error e -> failwith (Wp_storage.Index_file.error_message e))
-          shard_paths
+          doc_paths
       in
-      (* QC adds a content predicate: token-relaxed keyword equality
-         earns fractional tf-idf weights, spreading the score lattice
-         (the structural queries' integer scores leave no band between
-         a sparse shard's local k-th and the merged floor). *)
-      let serve_queries =
-        Common.queries
-        @ [
-            ( "QC",
-              "//item[./mailbox/mail/text[./keyword = 'vintage'] and ./name \
-               and ./incategory]" );
-          ]
-      in
-      List.iter
-        (fun (qname, q) ->
-          let pattern = Wp_pattern.Xpath_parser.parse q in
-          let plans =
-            List.map
-              (fun idx ->
-                Whirlpool.Run.compile
-                  ~config:Wp_relax.Relaxation.with_content idx pattern)
-              indexes
-          in
-          let go push () =
-            let gather = Wp_serve.Gather.create ~push ~k () in
-            let agg = Whirlpool.Stats.create () in
-            let t0 = Whirlpool.Clock.now_ns () in
-            List.iter
-              (fun plan ->
-                let config =
-                  Whirlpool.Engine.Config.(
-                    default
-                    |> with_prune_bound (Wp_serve.Gather.bound_reader gather)
-                    |> with_publish_threshold (Wp_serve.Gather.publish gather))
-                in
-                let r = Whirlpool.Engine.run ~config plan ~k in
-                Wp_serve.Gather.note_scores gather
-                  (List.map
-                     (fun (e : Whirlpool.Topk_set.entry) -> e.score)
-                     r.answers);
-                Whirlpool.Stats.add agg r.stats)
-              plans;
-            agg.Whirlpool.Stats.wall_ns <-
-              Int64.sub (Whirlpool.Clock.now_ns ()) t0;
-            agg
-          in
-          let pushed = measure ~runs (go true) in
-          let independent = measure ~runs (go false) in
-          add ~ab:independent (Printf.sprintf "serve/bound-push/%s" qname)
-            pushed)
-        serve_queries;
       (* dataguide build vs one cold query over the same mapped corpus:
          the twig backend's catalog cost.  Counters are meaningless
          here; the first arm is the per-corpus dataguide build wall
-         time and the second one Q2 pass over every shard, so
+         time and the second one Q2 pass over every document, so
          [speedup] reads "cold queries per dataguide build" and the
          acceptance bar is a value above 1. *)
       let build () =

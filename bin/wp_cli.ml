@@ -75,6 +75,37 @@ let require_deadline = function
       exit 2
   | _ -> ()
 
+(* [--algo] and [--routing], parsed once: an unknown value is
+   cmdliner's usage error. *)
+let enum_conv ~what of_string pp =
+  Arg.conv'
+    ( (fun s ->
+        match of_string s with
+        | Some v -> Ok v
+        | None -> Error (Printf.sprintf "unknown %s %S" what s)),
+      pp )
+
+let algo_conv =
+  enum_conv ~what:"algorithm" Whirlpool.Engine.Config.algo_of_string
+    (fun ppf a ->
+      Format.pp_print_string ppf (Whirlpool.Engine.Config.algo_to_string a))
+
+let routing_conv =
+  enum_conv ~what:"routing" Whirlpool.Strategy.routing_of_string
+    Whirlpool.Strategy.pp_routing
+
+let algo_arg ~doc =
+  Arg.(
+    value
+    & opt algo_conv Whirlpool.Engine.Config.Whirlpool
+    & info [ "algo" ] ~docv:"ALGO" ~doc)
+
+let routing_arg =
+  Arg.(
+    value
+    & opt routing_conv Whirlpool.Strategy.Min_alive
+    & info [ "routing" ] ~docv:"ROUTING" ~doc:"min_alive, max_score or min_score.")
+
 (* Documents load from XML or from a mapped index (.wpidx), detected by
    content — via the catalog's loader, so CLI and server read documents
    identically.  The load line goes to stderr, so a [--json] command's
@@ -129,8 +160,8 @@ let generate_cmd =
           ~doc:
             "Item-structure profile: $(b,default), $(b,rich) \
              (content-dense items that dominate a merged top-k) or \
-             $(b,sparse) (structure-poor shard filler) — mix them to \
-             build skewed corpora for the sharding benchmarks.")
+             $(b,sparse) (structure-poor filler) — mix them to build \
+             skewed corpora.")
   in
   Cmd.v
     (cmd_info "generate" ~doc:"generate an XMark-style benchmark document" ())
@@ -162,8 +193,9 @@ let remote_query socket q k deadline_ms algo routing doc stream json =
         doc;
         k = Some k;
         deadline_ms;
-        algo = Some algo;
-        routing = Some routing;
+        algo = Some (Whirlpool.Engine.Config.algo_to_string algo);
+        routing =
+          Some (Format.asprintf "%a" Whirlpool.Strategy.pp_routing routing);
         batch = None;
         use_cache = None;
         bound_push = None;
@@ -214,26 +246,12 @@ let remote_query socket q k deadline_ms algo routing doc stream json =
           end)
 
 let local_query path q k threshold algo routing exact explain json =
-  let algo =
-    match Whirlpool.Engine.Config.algo_of_string algo with
-    | Some a -> a
-    | None ->
-        prerr_endline ("unknown algorithm: " ^ algo);
-        exit 2
-  in
   if threshold <> None && algo <> Whirlpool.Engine.Config.Whirlpool then begin
     prerr_endline "--threshold runs whirlpool-s only";
     exit 2
   end;
   let idx = load_index path in
   let pattern = parse_query q in
-  let routing =
-    match Whirlpool.Strategy.routing_of_string routing with
-    | Some r -> r
-    | None ->
-        prerr_endline ("unknown routing: " ^ routing);
-        exit 2
-  in
   let config =
     if exact then Wp_relax.Relaxation.exact else Wp_relax.Relaxation.all
   in
@@ -332,17 +350,8 @@ let query_cmd =
              top-k is merged across the whole corpus.")
   in
   let algo =
-    Arg.(
-      value & opt string "whirlpool-s"
-      & info [ "algo" ]
-          ~doc:
-            "whirlpool-s, whirlpool-m, lockstep, lockstep-noprun or \
-             twig.")
-  in
-  let routing =
-    Arg.(
-      value & opt string "min_alive"
-      & info [ "routing" ] ~doc:"min_alive, max_score or min_score.")
+    algo_arg
+      ~doc:"whirlpool-s, whirlpool-m, lockstep, lockstep-noprun or twig."
   in
   let exact =
     Arg.(value & flag & info [ "exact" ] ~doc:"Disable relaxations.")
@@ -383,7 +392,7 @@ let query_cmd =
        ())
     Term.(
       const query_run $ connect_arg $ path $ query_arg $ k $ threshold
-      $ deadline_ms $ algo $ routing $ doc_name $ stream $ exact $ explain
+      $ deadline_ms $ algo $ routing_arg $ doc_name $ stream $ exact $ explain
       $ json)
 
 (* --- index --- *)
@@ -600,13 +609,6 @@ let race q path k schedules seed routing exact inject json =
   require_positive "--schedules" schedules;
   let idx = load_index path in
   let pattern = parse_query q in
-  let routing =
-    match Whirlpool.Strategy.routing_of_string routing with
-    | Some r -> r
-    | None ->
-        prerr_endline ("unknown routing: " ^ routing);
-        exit 2
-  in
   let faults =
     List.map
       (fun name ->
@@ -665,11 +667,6 @@ let race_cmd =
       value & opt int 0
       & info [ "seed" ] ~doc:"Base seed numbering the schedules.")
   in
-  let routing =
-    Arg.(
-      value & opt string "min_alive"
-      & info [ "routing" ] ~doc:"min_alive, max_score or min_score.")
-  in
   let exact =
     Arg.(value & flag & info [ "exact" ] ~doc:"Disable relaxations.")
   in
@@ -703,7 +700,7 @@ let race_cmd =
          ]
        ())
     Term.(
-      const race $ query_arg $ path $ k $ schedules $ seed $ routing $ exact
+      const race $ query_arg $ path $ k $ schedules $ seed $ routing_arg $ exact
       $ inject $ json)
 
 (* --- check (the Sentinel static checks) --- *)
@@ -888,23 +885,14 @@ let relax_config relax_content =
   else Wp_relax.Relaxation.all
 
 let serve_run corpus socket http workers queue_depth default_k deadline_ms
-    plan_cache slow_query_ms shards relax_content algo =
-  require_positive "--shards" shards;
+    plan_cache slow_query_ms relax_content algo =
   require_positive "--plan-cache" plan_cache;
   require_positive "--queue-depth" queue_depth;
   require_positive "--default-k" default_k;
   Option.iter (require_positive "--workers") workers;
   require_deadline deadline_ms;
-  let algo =
-    match Whirlpool.Engine.Config.algo_of_string algo with
-    | Some a -> a
-    | None ->
-        prerr_endline ("unknown algorithm: " ^ algo);
-        exit 2
-  in
   let catalog =
-    Wp_serve.Catalog.create ~shards ~plan_cache
-      ~config:(relax_config relax_content) ()
+    Wp_serve.Catalog.create ~plan_cache ~config:(relax_config relax_content) ()
   in
   load_corpus catalog corpus;
   let service =
@@ -998,16 +986,6 @@ let serve_cmd =
             "Arm the slow-query log: requests at or above this latency \
              record their full span tree and per-server cost profile.")
   in
-  let shards =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Partition the corpus into N shards (by document-name \
-             hash); merged queries scatter one thread per non-empty \
-             shard and gather their top-k, pushing the merged k-th \
-             score back to running shards as a prune bound.")
-  in
   let relax_content =
     Arg.(
       value & flag
@@ -1018,12 +996,10 @@ let serve_cmd =
              rejected, spreading the score distribution.")
   in
   let algo =
-    Arg.(
-      value & opt string "whirlpool-s"
-      & info [ "algo" ] ~docv:"ALGO"
-          ~doc:
-            "Default backend for requests that omit one: whirlpool-s, \
-             whirlpool-m, lockstep, lockstep-noprun or twig.")
+    algo_arg
+      ~doc:
+        "Default backend for requests that omit one: whirlpool-s, \
+         whirlpool-m, lockstep, lockstep-noprun or twig."
   in
   Cmd.v
     (cmd_info "serve"
@@ -1046,7 +1022,7 @@ let serve_cmd =
     Term.(
       const serve_run $ corpus $ socket_arg $ http $ workers
       $ queue_depth $ default_k $ deadline_ms $ plan_cache $ slow_query_ms
-      $ shards $ relax_content $ algo)
+      $ relax_content $ algo)
 
 (* --- ctl --- *)
 
@@ -1129,23 +1105,11 @@ let profile_run path q k algo routing exact show_spans json =
   require_positive "-k" k;
   let idx = load_index path in
   let pattern = parse_query q in
-  let algo =
-    match Whirlpool.Engine.Config.algo_of_string algo with
-    | Some (Whirlpool.Engine.Config.(Whirlpool | Whirlpool_mt) as a) -> a
-    | Some _ ->
-        prerr_endline "profile supports whirlpool-s and whirlpool-m";
-        exit 2
-    | None ->
-        prerr_endline ("unknown algorithm: " ^ algo);
-        exit 2
-  in
-  let routing =
-    match Whirlpool.Strategy.routing_of_string routing with
-    | Some r -> r
-    | None ->
-        prerr_endline ("unknown routing: " ^ routing);
-        exit 2
-  in
+  (match algo with
+  | Whirlpool.Engine.Config.(Whirlpool | Whirlpool_mt) -> ()
+  | _ ->
+      prerr_endline "profile supports whirlpool-s and whirlpool-m";
+      exit 2);
   let relax =
     if exact then Wp_relax.Relaxation.exact else Wp_relax.Relaxation.all
   in
@@ -1206,16 +1170,7 @@ let profile_cmd =
       & info [] ~docv:"FILE" ~doc:"XML document or .wpidx index.")
   in
   let k = Arg.(value & opt int 10 & info [ "k" ] ~doc:"Answers to return.") in
-  let algo =
-    Arg.(
-      value & opt string "whirlpool-s"
-      & info [ "algo" ] ~doc:"whirlpool-s or whirlpool-m.")
-  in
-  let routing =
-    Arg.(
-      value & opt string "min_alive"
-      & info [ "routing" ] ~doc:"min_alive, max_score or min_score.")
-  in
+  let algo = algo_arg ~doc:"whirlpool-s or whirlpool-m." in
   let exact =
     Arg.(value & flag & info [ "exact" ] ~doc:"Disable relaxations.")
   in
@@ -1246,7 +1201,7 @@ let profile_cmd =
          ]
        ())
     Term.(
-      const profile_run $ path $ query_arg $ k $ algo $ routing $ exact
+      const profile_run $ path $ query_arg $ k $ algo $ routing_arg $ exact
       $ spans $ json)
 
 (* --- loadgen --- *)
@@ -1260,9 +1215,9 @@ let obj_fields = function Wp_json.Json.Obj fields -> fields | j -> [ ("value", j
    first window starts cold, the second reuses the compiled plans
    (warm). *)
 let loadgen_point ~corpus ~socket ~queries ~clients ~duration ~relax_content
-    ~algo ~ttfa_query (shards, push, workers, queue_depth) =
+    ~algo ~ttfa_query (workers, queue_depth) =
   let catalog =
-    Wp_serve.Catalog.create ~shards ~config:(relax_config relax_content) ()
+    Wp_serve.Catalog.create ~config:(relax_config relax_content) ()
   in
   let t0 = Whirlpool.Clock.now_ns () in
   load_corpus catalog corpus;
@@ -1277,10 +1232,9 @@ let loadgen_point ~corpus ~socket ~queries ~clients ~duration ~relax_content
         prerr_endline e;
         exit 2
   in
-  let bound_push = if push then None else Some false in
   let window () =
-    Wp_serve.Loadgen.run ?algo ?bound_push ~socket ~queries ~clients
-      ~duration_s:duration ()
+    Wp_serve.Loadgen.run ?algo ~socket ~queries ~clients ~duration_s:duration
+      ()
   in
   let cold = window () in
   let warm = Result.bind cold (fun _ -> window ()) in
@@ -1307,11 +1261,11 @@ let loadgen_point ~corpus ~socket ~queries ~clients ~duration ~relax_content
       exit 2
   | Ok cold, Ok warm ->
       Printf.printf
-        "shards=%d push=%b workers=%d queue_depth=%d: cold %.0f req/s p50 \
-         %.2fms p99 %.2fms | warm %.0f req/s p50 %.2fms p99 %.2fms  (%d ok, \
-         %d partial, %d shed, %d errors)\n\
+        "workers=%d queue_depth=%d: cold %.0f req/s p50 %.2fms p99 %.2fms \
+         | warm %.0f req/s p50 %.2fms p99 %.2fms  (%d ok, %d partial, %d \
+         shed, %d errors)\n\
          %!"
-        shards push workers queue_depth cold.throughput cold.p50_ms
+        workers queue_depth cold.throughput cold.p50_ms
         cold.p99_ms warm.throughput warm.p50_ms warm.p99_ms
         (cold.ok + warm.ok)
         (cold.partial + warm.partial)
@@ -1319,9 +1273,7 @@ let loadgen_point ~corpus ~socket ~queries ~clients ~duration ~relax_content
         (cold.errors + warm.errors);
       let open Wp_json.Json in
       [
-        ("shards", Int shards);
         ("algo", String (Option.value algo ~default:"whirlpool-s"));
-        ("bound_push", Bool push);
         ("workers", Int workers);
         ("queue_depth", Int queue_depth);
         ("corpus_open_ms", Float open_ms);
@@ -1332,20 +1284,15 @@ let loadgen_point ~corpus ~socket ~queries ~clients ~duration ~relax_content
       @ [ ("server_metrics", Wp_serve.Service.metrics_json service) ]
 
 let loadgen_run connect corpus queries clients duration workers_list
-    queue_depths shards_list push_list relax_content algo ttfa_query out =
+    queue_depths relax_content algo ttfa_query out =
   if queries = [] then begin
     prerr_endline "at least one -q query is required";
     exit 2
   end;
-  (match algo with
-  | Some a when Whirlpool.Engine.Config.algo_of_string a = None ->
-      prerr_endline ("unknown algorithm: " ^ a);
-      exit 2
-  | _ -> ());
-  if List.exists (fun s -> s < 1) shards_list then begin
-    prerr_endline "--shards must be >= 1";
-    exit 2
-  end;
+  require_positive "--clients" clients;
+  List.iter (require_positive "--workers") workers_list;
+  List.iter (require_positive "--queue-depth") queue_depths;
+  let algo = Option.map Whirlpool.Engine.Config.algo_to_string algo in
   let points =
     match connect with
     | Some socket -> (
@@ -1369,14 +1316,11 @@ let loadgen_run connect corpus queries clients duration workers_list
             (Filename.get_temp_dir_name ())
             (Printf.sprintf "wp-loadgen-%d.sock" (Unix.getpid ()))
         in
-        (* One point per (shards x push x workers x queue-depth). *)
-        let ( let* ) l f = List.concat_map f l in
+        (* One point per (workers x queue-depth). *)
         let grid =
-          let* shards = shards_list in
-          let* push = push_list in
-          let* workers = workers_list in
-          let* queue_depth = queue_depths in
-          [ (shards, push, workers, queue_depth) ]
+          List.concat_map
+            (fun workers -> List.map (fun qd -> (workers, qd)) queue_depths)
+            workers_list
         in
         List.map
           (loadgen_point ~corpus ~socket ~queries ~clients ~duration
@@ -1451,24 +1395,6 @@ let loadgen_cmd =
       & info [ "queue-depth" ] ~docv:"N"
           ~doc:"Admission bound to sweep (repeatable; spawn mode).")
   in
-  let shards_list =
-    Arg.(
-      value & opt_all int [ 1 ]
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Catalog shard count to sweep (repeatable; spawn mode). \
-             Multi-shard points scatter each request across the shard \
-             groups and gather a merged top-k.")
-  in
-  let push_list =
-    Arg.(
-      value & opt_all bool [ true ]
-      & info [ "push" ] ~docv:"BOOL"
-          ~doc:
-            "Cross-shard bound pushing on/off to sweep (repeatable; \
-             spawn mode).  $(b,--push true --push false) measures the \
-             pushing win against the scatter-only baseline.")
-  in
   let relax_content =
     Arg.(
       value & flag
@@ -1493,7 +1419,7 @@ let loadgen_cmd =
   let algo =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some algo_conv) None
       & info [ "algo" ] ~docv:"ALGO"
           ~doc:
             "Backend sent with every request (whirlpool-s, whirlpool-m, \
@@ -1517,8 +1443,8 @@ let loadgen_cmd =
        ())
     Term.(
       const loadgen_run $ connect $ corpus $ queries $ clients $ duration
-      $ workers_list $ queue_depths $ shards_list $ push_list
-      $ relax_content $ algo $ ttfa_query $ out)
+      $ workers_list $ queue_depths $ relax_content $ algo $ ttfa_query
+      $ out)
 
 let () =
   let doc = "adaptive top-k XPath matching (Whirlpool)" in

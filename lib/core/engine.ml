@@ -10,8 +10,6 @@ let never_stop () = false
 
 let now_ns = Clock.now_ns
 
-let no_bound () = Float.neg_infinity
-let no_publish (_ : float) = ()
 let no_certify (_ : Topk_set.entry) = ()
 
 module Config = struct
@@ -45,8 +43,6 @@ module Config = struct
     queue_policy : Strategy.queue_policy;
     should_stop : unit -> bool;
     obs : Obs.t;
-    prune_bound : unit -> float;
-    publish_threshold : float -> unit;
     on_certified : Topk_set.entry -> unit;
   }
 
@@ -57,8 +53,6 @@ module Config = struct
       queue_policy = Strategy.Max_final_score;
       should_stop = never_stop;
       obs = Obs.disabled;
-      prune_bound = no_bound;
-      publish_threshold = no_publish;
       on_certified = no_certify;
     }
 
@@ -66,8 +60,6 @@ module Config = struct
   let with_routing routing t = { t with routing }
   let with_queue_policy queue_policy t = { t with queue_policy }
   let with_should_stop should_stop t = { t with should_stop }
-  let with_prune_bound prune_bound t = { t with prune_bound }
-  let with_publish_threshold publish_threshold t = { t with publish_threshold }
   let with_on_certified on_certified t = { t with on_certified }
   let with_obs obs t = { t with obs }
   let with_cache (_ : unit option) t = t
@@ -81,18 +73,11 @@ let validate_plan (plan : Plan.t) =
     plan.pattern;
   if Invariants.enabled () then Invariants.check_table plan.scores
 
-let run ?(config = Config.default) (plan : Plan.t) ~k =
-  let {
-    Config.routing;
-    queue_policy;
-    should_stop;
-    obs;
-    prune_bound;
-    publish_threshold;
-    _;
-  } =
-    config
-  in
+(* The pop loop behind [run] and [run_above]: [floor] is a fixed score
+   bar, and a match whose [max_possible] is strictly below it is pruned
+   ([neg_infinity] for [run], which never prunes). *)
+let run_with_floor ~floor (config : Config.t) (plan : Plan.t) ~k =
+  let { Config.routing; queue_policy; should_stop; obs; _ } = config in
   validate_plan plan;
   let stats = Stats.create () in
   let t0 = now_ns () in
@@ -159,20 +144,7 @@ let run ?(config = Config.default) (plan : Plan.t) ~k =
       (Strategy.priority queue_policy plan ~seq:!seq ~server:None pm)
       pm
   in
-  (* External bound pushing (scatter–gather): [prune_bound] is a floor
-     published by the other shards' gathered top-k — a match that cannot
-     strictly beat it can never enter the merged answer, so the strict
-     [<] keeps ties alive and sharded answers identical to unsharded.
-     [publish] reports this run's own threshold whenever it tightens. *)
-  let xpruned (pm : Partial_match.t) = pm.max_possible < prune_bound () in
-  let published = ref Float.neg_infinity in
-  let publish () =
-    let th = Topk_set.threshold topk in
-    if th > !published then begin
-      published := th;
-      publish_threshold th
-    end
-  in
+  let below_floor (pm : Partial_match.t) = pm.max_possible < floor in
   let single_node = plan.n_servers = 1 in
   let checking = Invariants.enabled () in
   List.iter
@@ -180,11 +152,10 @@ let run ?(config = Config.default) (plan : Plan.t) ~k =
       if checking then Invariants.check_root plan pm;
       Topk_set.consider topk ~complete:single_node pm;
       if single_node then stats.completed <- stats.completed + 1
-      else if Topk_set.should_prune topk pm || xpruned pm then
+      else if Topk_set.should_prune topk pm || below_floor pm then
         stats.matches_pruned <- stats.matches_pruned + 1
       else enqueue pm)
     (Server.initial_matches plan stats ~next_id);
-  publish ();
   certify ();
   let process_here (pm : Partial_match.t) server =
     let { Server.extensions; died } =
@@ -214,7 +185,7 @@ let run ?(config = Config.default) (plan : Plan.t) ~k =
             emit (Obs.Completed { id = ext.id; score = ext.score });
           stats.completed <- stats.completed + 1
         end
-        else if Topk_set.should_prune topk ext || xpruned ext then begin
+        else if Topk_set.should_prune topk ext || below_floor ext then begin
           if tracing () then emit (Obs.Pruned { id = ext.id });
           stats.matches_pruned <- stats.matches_pruned + 1
         end
@@ -252,7 +223,7 @@ let run ?(config = Config.default) (plan : Plan.t) ~k =
           emit
             (Obs.Popped
                { id = pm.id; score = pm.score; max_possible = pm.max_possible });
-        if Topk_set.should_prune topk pm || xpruned pm then begin
+        if Topk_set.should_prune topk pm || below_floor pm then begin
           if tracing () then emit (Obs.Pruned { id = pm.id });
           stats.matches_pruned <- stats.matches_pruned + 1
         end
@@ -265,7 +236,6 @@ let run ?(config = Config.default) (plan : Plan.t) ~k =
           if tracing () then emit (Obs.Routed { id = pm.id; server });
           process_at pm server
         end;
-        publish ();
         certify ();
         loop ()
   in
@@ -286,20 +256,19 @@ let run ?(config = Config.default) (plan : Plan.t) ~k =
   end;
   { answers; stats; partial = !stopped }
 
-(* Threshold mode is [run] with the bar as a fixed external prune
-   bound and room for every root: the top-k set keeps one entry per
-   root, and the strict [<] prune never drops a match that could still
-   score above the bar. *)
+let run ?(config = Config.default) plan ~k =
+  run_with_floor ~floor:Float.neg_infinity config plan ~k
+
+(* Threshold mode is the pop loop with the bar as its floor and room
+   for every root: the top-k set keeps one entry per root, and the
+   strict [<] prune never drops a match that could still score above
+   the bar. *)
 let run_above ?(config = Config.default) (plan : Plan.t) ~threshold =
-  let config =
-    {
-      config with
-      prune_bound = (fun () -> threshold);
-      publish_threshold = no_publish;
-      on_certified = no_certify;
-    }
+  let config = { config with on_certified = no_certify } in
+  let r =
+    run_with_floor ~floor:threshold config plan
+      ~k:(max 1 (Array.length plan.roots))
   in
-  let r = run ~config plan ~k:(max 1 (Array.length plan.roots)) in
   {
     r with
     answers =

@@ -84,20 +84,6 @@ module Config : sig
             the engines' only event channel.  A disabled context leaves
             the run's counters and answers bit-identical and builds no
             event *)
-    prune_bound : unit -> float;
-        (** an external score floor read at every prune decision,
-            default a constant [neg_infinity] (never prunes).  Scatter–
-            gather serving publishes the merged top-k's k-th score
-            here: a partial match whose [max_possible] is {e strictly}
-            below the floor can never enter the merged answer, so
-            pruning against it with [<] leaves sharded answers
-            identical to unsharded.  Must be cheap and monotone
-            non-decreasing; a stale read is always sound. *)
-    publish_threshold : float -> unit;
-        (** called (outside any engine lock) whenever this run's own
-            top-k threshold tightens, with the new threshold; default a
-            no-op.  The scatter–gather layer feeds it back into the
-            other shards' [prune_bound]. *)
     on_certified : Topk_set.entry -> unit;
         (** called (outside any engine lock) the moment an answer is
             {e certified} — no alive partial match's maximum possible
@@ -118,8 +104,6 @@ module Config : sig
   val with_queue_policy : Strategy.queue_policy -> t -> t
   val with_should_stop : (unit -> bool) -> t -> t
   val with_obs : Wp_obs.Obs.t -> t -> t
-  val with_prune_bound : (unit -> float) -> t -> t
-  val with_publish_threshold : (float -> unit) -> t -> t
   val with_on_certified : (Topk_set.entry -> unit) -> t -> t
 
   val with_cache : unit option -> t -> t
@@ -162,9 +146,9 @@ val run_above : ?config:Config.t -> Plan.t -> threshold:float -> result
     whose maximum possible final score cannot beat it.  The cardinality
     of the answer set is data-dependent rather than fixed at [k].
 
-    A wrapper over {!run}: [k] is the number of root candidates (at
-    least 1), so the top-k set holds one entry per root, and
-    [config.prune_bound] is fixed at [threshold]; the answers are those
+    It runs {!run}'s pop loop with [k] the number of root candidates
+    (at least 1), so the top-k set holds one entry per root, and with
+    [threshold] as a fixed floor: a partial match whose maximum
+    possible score is strictly below it is pruned.  The answers are the
     entries scoring above it.  Every other knob of [config] applies as
-    in {!run}, [obs] included; [config.publish_threshold]
-    and [config.on_certified] are ignored. *)
+    in {!run}, [obs] included; [config.on_certified] is ignored. *)

@@ -107,9 +107,6 @@ module Make (S : Sync.S) = struct
     stop : S.atomic_int;
     partial : S.atomic_int;  (* set when should_stop cut the run short *)
     should_stop : unit -> bool;
-    prune_bound : unit -> float;  (* external score floor; read outside locks *)
-    publish_threshold : float -> unit;  (* invoked outside the topk lock *)
-    mutable published : float;  (* last published threshold; topk_mutex *)
     cert : (Certify.t * Certify.Alive.t) option;
         (* streaming certification; the per-server queues hide the
            alive set's maximum, so it is tracked in an [Alive] heap.
@@ -194,15 +191,9 @@ module Make (S : Sync.S) = struct
                    score = pm.score;
                    max_possible = pm.max_possible;
                  });
-          (* External bound read before (outside) the topk lock: the
-             bound is monotone, so a stale read only under-prunes. *)
-          let xb = shared.prune_bound () in
           let pruned, threshold, certified =
             with_topk shared (fun topk ->
-                let pruned =
-                  Topk_set.should_prune topk pm
-                  || pm.Partial_match.max_possible < xb
-                in
+                let pruned = Topk_set.should_prune topk pm in
                 let certified =
                   match shared.cert with
                   | Some (c, alive) ->
@@ -251,13 +242,9 @@ module Make (S : Sync.S) = struct
       | Some _ when check_deadline shared -> loop ()
       | Some pm ->
           S.note_write stats_loc;
-          let xb = shared.prune_bound () in
           let pruned =
             with_topk shared (fun topk ->
-                let pruned =
-                  pm.Partial_match.max_possible < xb
-                  || Topk_set.should_prune topk pm
-                in
+                let pruned = Topk_set.should_prune topk pm in
                 (match shared.cert with
                 | Some (_, alive) when pruned ->
                     Certify.Alive.remove alive pm.Partial_match.id
@@ -313,39 +300,22 @@ module Make (S : Sync.S) = struct
                            server;
                            bound = Partial_match.bound ext server <> None;
                          });
-                  let keep, to_publish =
+                  (* A surviving extension enters the certification
+                     alive set under the same lock as the keep
+                     decision. *)
+                  let keep =
                     with_topk shared (fun topk ->
                         Topk_set.consider topk ~complete ext;
-                        (* The external-bound filter sits inside the
-                           lock so a surviving extension enters the
-                           certification alive set atomically with the
-                           keep decision ([xb] itself was read outside;
-                           a stale value only under-prunes). *)
                         let keep =
                           (not complete)
-                          && (not (Topk_set.should_prune topk ext))
-                          && not (ext.Partial_match.max_possible < xb)
+                          && not (Topk_set.should_prune topk ext)
                         in
                         (match shared.cert with
                         | Some (_, alive) when keep ->
                             Certify.Alive.add alive ext
                         | Some _ | None -> ());
-                        let th = Topk_set.threshold topk in
-                        let pub =
-                          if th > shared.published then begin
-                            shared.published <- th;
-                            Some th
-                          end
-                          else None
-                        in
-                        (keep, pub))
+                        keep)
                   in
-                  (* Publish after releasing the topk lock: the gather
-                     side takes its own lock and must stay below rank 1
-                     territory held here. *)
-                  (match to_publish with
-                  | Some th -> shared.publish_threshold th
-                  | None -> ());
                   if complete then begin
                     if tracing shared then
                       emit shared
@@ -398,8 +368,6 @@ module Make (S : Sync.S) = struct
       queue_policy;
       should_stop;
       obs;
-      prune_bound;
-      publish_threshold;
       _;
     } =
       config
@@ -434,9 +402,6 @@ module Make (S : Sync.S) = struct
         stop = S.atomic "stop" 0;
         partial = S.atomic "partial" 0;
         should_stop;
-        prune_bound;
-        publish_threshold;
-        published = Float.neg_infinity;
         cert;
         next_id = S.atomic "next_id" 1;
         obs;
@@ -450,9 +415,8 @@ module Make (S : Sync.S) = struct
     let next_id () = S.fetch_and_add shared.next_id 1 in
     let initial = Server.initial_matches plan main_stats ~next_id in
     let single_node = plan.n_servers = 1 in
-    (* Pre-spawn: single-threaded, so the topk set and [published] are
-       touched without the mutex here. *)
-    let xb0 = prune_bound () in
+    (* Pre-spawn: single-threaded, so the topk set is touched without
+       the mutex here. *)
     let to_route =
       List.filter_map
         (fun pm ->
@@ -462,10 +426,7 @@ module Make (S : Sync.S) = struct
             main_stats.completed <- main_stats.completed + 1;
             None
           end
-          else if
-            Topk_set.should_prune shared.topk pm
-            || pm.Partial_match.max_possible < xb0
-          then begin
+          else if Topk_set.should_prune shared.topk pm then begin
             main_stats.matches_pruned <- main_stats.matches_pruned + 1;
             None
           end
@@ -477,11 +438,6 @@ module Make (S : Sync.S) = struct
           end)
         initial
     in
-    let th0 = Topk_set.threshold shared.topk in
-    if th0 > shared.published then begin
-      shared.published <- th0;
-      publish_threshold th0
-    end;
     if to_route = [] then S.set shared.stop 1
     else begin
       S.set shared.pending (List.length to_route);

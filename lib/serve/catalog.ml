@@ -3,7 +3,6 @@ type doc = {
   path : string;
   index : Wp_xml.Index.t;
   nodes : int;
-  shard : int;
   dataguide : Wp_stats.Dataguide.t Lazy.t;
   memo : Wp_score.Component_table.t;
 }
@@ -15,7 +14,6 @@ type cached_plan = { plan : Whirlpool.Plan.t; cache : unit }
 
 type t = {
   mutex : Mutex.t;
-  shards : int;
   docs : (string, doc) Hashtbl.t;
   mutable order : string list;  (* newest first *)
   plans : (string * string, Whirlpool.Plan.t) Lru.t;  (* (query, doc name) *)
@@ -31,23 +29,14 @@ type cache_stats = {
   hit_rate : float;
 }
 
-let create ?(shards = 1) ?(plan_cache = 128) ?(config = Wp_relax.Relaxation.all)
-    () =
-  if shards < 1 then invalid_arg "Catalog.create: shards >= 1";
+let create ?(plan_cache = 128) ?(config = Wp_relax.Relaxation.all) () =
   {
     mutex = Mutex.create ();
-    shards;
     docs = Hashtbl.create 16;
     order = [];
     plans = Lru.create ~capacity:plan_cache;
     config;
   }
-
-let shards t = t.shards
-
-(* Stable shard assignment by document name: the same corpus loads into
-   the same shards in any order, and a reload lands where it was. *)
-let shard_of t name = Hashtbl.hash name mod t.shards
 
 let with_lock t f =
   Mutex.lock t.mutex;
@@ -85,7 +74,6 @@ let load_file t ?name path =
   | Ok index ->
       let doc =
         { name; path; index; nodes = Wp_xml.Doc.size (Wp_xml.Index.doc index);
-          shard = shard_of t name;
           dataguide = lazy (Wp_stats.Dataguide.build (Wp_xml.Index.doc index));
           memo = Wp_score.Component_table.create () }
       in

@@ -10,11 +10,8 @@
     work: each document carries a {!Wp_score.Component_table} of the
     idf counts and root candidates its compiles have computed.
 
-    Documents are statically partitioned into [shards] shards by a hash
-    of their name; {!Wp_serve.Service} runs a query as a scatter over
-    the non-empty shards and a gather that merges their top-k answers
-    (pushing the merged k-th score back to still-running shards as a
-    prune bound).
+    A query that names no document runs over every loaded document, in
+    load order, and {!Wp_serve.Service} merges their top-k answers.
 
     All operations are thread-safe: worker domains resolve documents
     and plans concurrently under the catalog's internal mutex.  A plan
@@ -28,7 +25,6 @@ type doc = {
   path : string;
   index : Wp_xml.Index.t;
   nodes : int;
-  shard : int;  (** [Hashtbl.hash name mod shards] — stable across loads *)
   dataguide : Wp_stats.Dataguide.t Lazy.t;
       (** the document's annotated strong dataguide, built on first
           force (a twig-backend query) and cached next to the warm
@@ -44,21 +40,9 @@ type doc = {
 type t
 
 val create :
-  ?shards:int ->
-  ?plan_cache:int ->
-  ?config:Wp_relax.Relaxation.config ->
-  unit ->
-  t
-(** [shards] (default 1) partitions the corpus for scatter–gather
-    serving; [plan_cache] (default 128) bounds the compiled-plan LRU;
-    [config] (default all relaxations) applies to every compiled plan.
-    @raise Invalid_argument if [shards < 1]. *)
-
-val shards : t -> int
-
-val shard_of : t -> string -> int
-(** The shard a document of the given name belongs (or would belong)
-    to. *)
+  ?plan_cache:int -> ?config:Wp_relax.Relaxation.config -> unit -> t
+(** [plan_cache] (default 128) bounds the compiled-plan LRU; [config]
+    (default all relaxations) applies to every compiled plan. *)
 
 val read_index : string -> (Wp_xml.Index.t, string) result
 (** Load and index a document from an XML file or a [.wpidx] on-disk

@@ -316,6 +316,21 @@ let content_length headers =
       | _ -> acc)
     (Ok 0) headers
 
+(* [Expect: 100-continue]: the client holds the body back until an
+   interim [100 Continue] (or a final status) arrives. *)
+let expects_continue headers =
+  List.exists
+    (fun line ->
+      match String.index_opt line ':' with
+      | Some i ->
+          String.lowercase_ascii (String.sub line 0 i) = "expect"
+          && String.lowercase_ascii
+               (String.trim
+                  (String.sub line (i + 1) (String.length line - i - 1)))
+             = "100-continue"
+      | None -> false)
+    headers
+
 let http_max_head = 64 * 1024
 
 (* Route the request once its whole body is buffered. *)
@@ -329,7 +344,9 @@ let http_dispatch_when_complete server conn ~request_line ~body_start ~length =
   end
 
 (* A body is refused before it is read when its declared length is
-   malformed or past [Wire.max_frame], the cap wire frames share. *)
+   malformed or past [Wire.max_frame], the cap wire frames share; a
+   refused head gets only its final status.  An accepted one that asks
+   for it gets [100 Continue] before its body is awaited. *)
 let http_process server conn =
   match conn.http with
   | Dispatched -> ()
@@ -361,6 +378,10 @@ let http_process server conn =
                   fail ~status:"413 Payload Too Large"
                     (Printf.sprintf "body exceeds %d bytes" Wire.max_frame)
               | Ok length ->
+                  if expects_continue headers then
+                    with_lock conn.omutex (fun () ->
+                        Buffer.add_string conn.outbox
+                          "HTTP/1.1 100 Continue\r\n\r\n");
                   let body_start = hdr_end + 4 in
                   conn.http <- Reading_body { request_line; body_start; length };
                   http_dispatch_when_complete server conn ~request_line
@@ -542,10 +563,7 @@ let listen_http port =
     (try Unix.close listener with Unix.Unix_error _ -> ());
     raise e
 
-let serve ?workers ?(queue_depth = 64) ?http ?on_ready ~socket ~service () =
-  let workers =
-    match workers with Some w -> max 1 w | None -> default_workers ()
-  in
+let run_server ~workers ~queue_depth ?http ?on_ready ~socket ~service () =
   (match Sys.signal Sys.sigpipe Sys.Signal_ignore with
   | _ -> ()
   | exception Invalid_argument _ -> () (* no sigpipe on this platform *));
@@ -662,6 +680,17 @@ let serve ?workers ?(queue_depth = 64) ?http ?on_ready ~socket ~service () =
           (try Unix.unlink socket with Unix.Unix_error _ -> ());
           Result.Ok ())
 
+(* The pool sizes are checked before anything binds: a refused size
+   leaves no listener and no socket file. *)
+let serve ?workers ?(queue_depth = 64) ?http ?on_ready ~socket ~service () =
+  let workers = Option.value workers ~default:(default_workers ()) in
+  if workers < 1 then
+    Result.Error (Printf.sprintf "workers must be >= 1 (got %d)" workers)
+  else if queue_depth < 1 then
+    Result.Error
+      (Printf.sprintf "queue_depth must be >= 1 (got %d)" queue_depth)
+  else run_server ~workers ~queue_depth ?http ?on_ready ~socket ~service ()
+
 let spawn ?workers ?queue_depth ?http ~socket ~service () =
   let m = Mutex.create () and c = Condition.create () in
   let started = ref None in
@@ -670,6 +699,8 @@ let spawn ?workers ?queue_depth ?http ~socket ~service () =
         started := Some r;
         Condition.signal c)
   in
+  (* An exception before the listeners are up is a startup error: the
+     caller is still waiting for one. *)
   let thread =
     Thread.create
       (fun () ->
@@ -679,7 +710,10 @@ let spawn ?workers ?queue_depth ?http ~socket ~service () =
             ~socket ~service ()
         with
         | Result.Ok () -> ()
-        | Result.Error e -> set (Result.Error e))
+        | Result.Error e -> set (Result.Error e)
+        | exception exn ->
+            if with_lock m (fun () -> Option.is_some !started) then raise exn
+            else set (Result.Error (Printexc.to_string exn)))
       ()
   in
   let started =

@@ -17,7 +17,9 @@
       /healthz], [GET /metrics] (Prometheus exposition), [GET
       /metrics.json] and [POST /query] (the wire query object, [op] and
       [id] optional), one request per connection, [503] when the pool
-      sheds.
+      sheds; a head carrying [Expect: 100-continue] whose length is
+      accepted gets an interim [100 Continue] before its body is
+      read.
 
     Control operations (ping, metrics, hello, stop) are answered inline
     by the loop thread through {!Service.handle}, so a saturated pool
@@ -44,9 +46,10 @@ val serve :
     listeners are up, before the loop starts.  [http] additionally
     binds the HTTP/JSON gateway on [127.0.0.1:http] ([0] picks an
     ephemeral port — read it back with {!http_port}).  [workers]
-    (default [Domain.recommended_domain_count - 1]) and [queue_depth]
-    (default 64) size the pool.  [Error] when a listener cannot be
-    bound. *)
+    (default [Domain.recommended_domain_count - 1], at least 1) and
+    [queue_depth] (default 64) size the pool.  [Error] when [workers]
+    or [queue_depth] is below 1 (checked before anything binds) or
+    when a listener cannot be bound. *)
 
 val spawn :
   ?workers:int ->
@@ -58,7 +61,8 @@ val spawn :
   (server * Thread.t, string) result
 (** {!serve} on a fresh thread: returns once the listeners are up, with
     the server and the thread to join after {!request_stop}, or with
-    the bind error once that thread has exited. *)
+    the startup error once that thread has exited.  An exception
+    raised before the listeners are up is a startup error too. *)
 
 val request_stop : server -> unit
 (** Begin a graceful shutdown from any thread (idempotent): stop

@@ -25,7 +25,7 @@ type worker_acc = {
 
 let now_ns = Whirlpool.Clock.now_ns
 
-let client_loop client queries ~algo ~bound_push ~t_end acc =
+let client_loop client queries ~algo ~t_end acc =
   let nq = Array.length queries in
   let i = ref 0 in
   let id = ref 0 in
@@ -46,7 +46,7 @@ let client_loop client queries ~algo ~bound_push ~t_end acc =
           routing = None;
           batch = None;
           use_cache = None;
-          bound_push;
+          bound_push = None;
         }
     in
     let t0 = now_ns () in
@@ -68,7 +68,7 @@ let client_loop client queries ~algo ~bound_push ~t_end acc =
 
 (* Latency windows speak protocol v1: one buffered reply per request,
    with no Hello round-trip and no stream frames to drain. *)
-let run ?algo ?bound_push ~socket ~queries ~clients ~duration_s () =
+let run ?algo ~socket ~queries ~clients ~duration_s () =
   if queries = [] then Result.Error "no queries to issue"
   else if clients < 1 then Result.Error "need at least one client"
   else begin
@@ -99,7 +99,7 @@ let run ?algo ?bound_push ~socket ~queries ~clients ~duration_s () =
           List.map2
             (fun client acc ->
               Thread.create
-                (fun () -> client_loop client queries ~algo ~bound_push ~t_end acc)
+                (fun () -> client_loop client queries ~algo ~t_end acc)
                 ())
             conns accs
         in

@@ -25,7 +25,6 @@ type point = {
 
 val run :
   ?algo:string ->
-  ?bound_push:bool ->
   socket:string ->
   queries:string list ->
   clients:int ->
@@ -35,10 +34,7 @@ val run :
 (** [Error] when no client can connect or [queries] is empty.
     [algo] is the backend wire name forwarded on every request
     (omitted when [None], leaving the server's default).
-    [bound_push] is forwarded on every request (omitted when [None]):
-    [Some false] turns cross-shard bound pushing off server-side, the
-    scatter-only baseline for the sharding benchmarks.  Every
-    connection speaks protocol v1, so each request costs exactly one
+    Every connection speaks protocol v1, so each request costs exactly one
     buffered reply. *)
 
 val ttfa_probe :

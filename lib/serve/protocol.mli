@@ -44,8 +44,10 @@ type query = {
           the record; it goes with the next change to the benchmark's
           protocol. *)
   bound_push : bool option;
-      (** cross-shard bound pushing toggle for scattered queries;
-          [None] = on (the scatter-only baseline is [Some false]) *)
+      (** toggled the removed cross-shard bound pushing: a request
+          carrying it (any value) is a [bad_request].  The field stays
+          because perfbench builds the record; it goes with the next
+          change to the benchmark's protocol. *)
 }
 
 type metrics_format = Json_format | Prometheus

@@ -45,8 +45,6 @@ let create ?(default_k = 10) ?default_deadline_ms ?(max_k = 1000)
   Registry.pull_gauge registry ~help:"documents in the corpus"
     "wp_corpus_documents" (fun () ->
       float_of_int (List.length (Catalog.docs catalog)));
-  Registry.pull_gauge registry ~help:"catalog shards"
-    "wp_corpus_shards" (fun () -> float_of_int (Catalog.shards catalog));
   Registry.pull_counter registry ~help:"compiled-plan cache hits"
     "wp_plan_cache_hits_total" (fun () ->
       float_of_int (Catalog.plan_cache_stats catalog).hits);
@@ -143,6 +141,7 @@ let reject_removed_knobs (q : Protocol.query) =
   match q with
   | { use_cache = Some _; _ } -> removed "use_cache" "the candidate cache"
   | { batch = Some _; _ } -> removed "batch" "bulk routing"
+  | { bound_push = Some _; _ } -> removed "bound_push" "sharding"
   | _ -> Result.Ok ()
 
 (* The per-request deadline, as the engines' cooperative-cancellation
@@ -204,22 +203,9 @@ let run_doc t ~config ~algo ~k (doc : Catalog.doc) (q : Protocol.query) =
   note_totals t result.stats;
   Result.Ok result
 
-(* Sequentially run a list of documents (one shard's slice, or the
-   whole corpus when unsharded), folding answers tagged with their
-   document.  [gather] is [None] on the unsharded path; on a shard
-   thread it wires the cross-shard bound into every run and feeds each
-   run's answer scores back. *)
-let run_docs t ~config ~algo ~k ~should_stop ~gather docs
-    (q : Protocol.query) =
-  let config =
-    match gather with
-    | None -> config
-    | Some g ->
-        let open Whirlpool.Engine.Config in
-        config
-        |> with_prune_bound (Gather.bound_reader g)
-        |> with_publish_threshold (fun th -> Gather.publish g th)
-  in
+(* Run the resolved documents one after another in catalog order,
+   folding answers tagged with their document. *)
+let run_docs t ~config ~algo ~k ~should_stop docs (q : Protocol.query) =
   let stats = Whirlpool.Stats.create () in
   let partial = ref false in
   let* tagged =
@@ -236,13 +222,6 @@ let run_docs t ~config ~algo ~k ~should_stop ~gather docs
           let* result = run_doc t ~config ~algo ~k doc q in
           if result.Whirlpool.Engine.partial then partial := true;
           Whirlpool.Stats.add stats result.stats;
-          (match gather with
-          | Some g ->
-              Gather.note_scores g
-                (List.map
-                   (fun (e : Whirlpool.Topk_set.entry) -> e.score)
-                   result.answers)
-          | None -> ());
           Result.Ok
             (List.rev_append
                (List.map (fun e -> (doc, e)) result.answers)
@@ -250,59 +229,6 @@ let run_docs t ~config ~algo ~k ~should_stop ~gather docs
       (Result.Ok []) docs
   in
   Result.Ok (tagged, stats, !partial)
-
-(* Scatter–gather: one thread per non-empty shard, each running its
-   documents sequentially; the gather merges their answers and — when
-   bound pushing is on — republishes the merged k-th score so a shard
-   still running prunes against what the others already found.  Slots
-   are written by exactly one thread each and read only after the
-   joins; the shared bound lives behind the gather's own mutex. *)
-let scatter_gather t ~config ~algo ~k ~should_stop ~push groups
-    (q : Protocol.query) =
-  let gather = Gather.create ~push ~k () in
-  let n = List.length groups in
-  let slots = Array.make n (Result.Ok ([], Whirlpool.Stats.create (), false)) in
-  let run_group i docs =
-    slots.(i) <-
-      (match
-         run_docs t ~config ~algo ~k ~should_stop ~gather:(Some gather) docs q
-       with
-      | r -> r
-      | exception exn ->
-          Result.Error
-            ( Protocol.Internal,
-              Printf.sprintf "internal error: %s" (Printexc.to_string exn) ))
-  in
-  let threads =
-    List.mapi (fun i docs -> Thread.create (fun () -> run_group i docs) ())
-      groups
-  in
-  List.iter Thread.join threads;
-  let stats = Whirlpool.Stats.create () in
-  let partial = ref false in
-  let* tagged =
-    Array.fold_left
-      (fun acc slot ->
-        let* acc = acc in
-        let* group_tagged, group_stats, group_partial = slot in
-        Whirlpool.Stats.add stats group_stats;
-        if group_partial then partial := true;
-        Result.Ok (List.rev_append group_tagged acc))
-      (Result.Ok []) slots
-  in
-  Result.Ok (tagged, stats, !partial)
-
-(* Group the resolved documents by shard, in shard order; a stable
-   partition so the merged answer order stays deterministic. *)
-let shard_groups docs =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (d : Catalog.doc) ->
-      Hashtbl.replace tbl d.shard (d :: Option.value (Hashtbl.find_opt tbl d.shard) ~default:[]))
-    docs;
-  Hashtbl.fold (fun shard ds acc -> (shard, List.rev ds) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  |> List.map snd
 
 let entry_answer (doc : Catalog.doc) (e : Whirlpool.Topk_set.entry) =
   let d = Wp_xml.Index.doc doc.Catalog.index in
@@ -331,22 +257,16 @@ let run_query t (q : Protocol.query) ~t0 ~obs ~cancelled ~on_entry =
   in
   let config = request_config t ~routing ~should_stop ~obs in
   (* Streaming is sound only when one document answers the query: a
-     merged or scattered top-k can displace one document's certified
-     entry with another's, so those stay buffered. *)
+     merged top-k can displace one document's certified entry with
+     another's, so merged queries stay buffered. *)
   let config =
     match (on_entry, docs) with
     | Some emit, [ (doc : Catalog.doc) ] ->
         Whirlpool.Engine.Config.with_on_certified (emit doc) config
     | _ -> config
   in
-  let groups = shard_groups docs in
   let* tagged, stats, partial =
-    match groups with
-    | [] | [ _ ] ->
-        run_docs t ~config ~algo ~k ~should_stop ~gather:None docs q
-    | _ :: _ :: _ ->
-        let push = Option.value q.bound_push ~default:true in
-        scatter_gather t ~config ~algo ~k ~should_stop ~push groups q
+    run_docs t ~config ~algo ~k ~should_stop docs q
   in
   (* Merge across documents: best scores first, ties by document name
      then root id for a deterministic order. *)
@@ -464,7 +384,6 @@ let metrics_json t =
             [
               ("documents", Int (List.length docs));
               ("nodes", Int nodes);
-              ("shards", Int (Catalog.shards t.catalog));
             ] );
         ( "plan_cache",
           Obj

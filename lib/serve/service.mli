@@ -13,8 +13,9 @@
     hangs, it degrades.  A deadline of 0 has already expired; one too
     far out to represent in nanoseconds is no deadline; a negative or
     non-finite one is a [bad_request].  So is a request that carries
-    [use_cache] or [batch]: the candidate cache and bulk routing they
-    toggled are gone.  A request
+    [use_cache], [batch] or [bound_push]: the candidate cache, bulk
+    routing and sharding they toggled are gone.  A merged query runs
+    its documents one after another, in catalog order.  A request
     whose hook never fires returns answers entry-identical to a direct
     {!Whirlpool.Engine.run} on the same (document, plan, k).
 
@@ -72,7 +73,7 @@ val handle_query_stream :
 (** As {!handle_query}, plus streaming: when [on_part] is given and the
     query resolves to a single document, each answer is passed to it
     the instant the engine certifies it as final (see
-    [Engine.Config.on_certified]); merged and scattered queries never
+    [Engine.Config.on_certified]); merged queries never
     stream — their per-document answers are not final until the merge.
     Returns the buffered response (its [answers] {e include} the
     streamed prefix, in the same order) and the number of answers

@@ -7,7 +7,7 @@
     a checksummed fixed header.  [wp_cli index build] writes it;
     {!open_index} validates the header and section table and then
     memory-maps the columns with [Unix.map_file], so opening a
-    multi-hundred-megabyte shard is O(1) — pages fault in on demand as
+    multi-hundred-megabyte index is O(1) — pages fault in on demand as
     queries touch them.
 
     The mapped view is presented as an ordinary {!Wp_xml.Index.t} (over

@@ -42,13 +42,9 @@ let default_profile =
     people_per_item = 0.4;
   }
 
-(* Skewed profiles for the sharding benchmarks: a corpus mixing one
-   [rich_profile] shard with several [sparse_profile] shards gives the
-   cross-shard bound real work to do — the rich shard dominates the
-   merged top-k and its threshold prunes the sparse shards' speculative
-   matches.  A uniform corpus ties every shard's k-th score (the
-   structural queries' integer score lattice) and the bound buys
-   nothing. *)
+(* Skewed profiles: a corpus mixing one [rich_profile] document with
+   several [sparse_profile] documents has one document that dominates
+   the merged top-k. *)
 let rich_profile =
   {
     default_profile with

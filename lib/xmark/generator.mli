@@ -46,12 +46,10 @@ val default_profile : profile
 
 val rich_profile : profile
 (** Content-dense items (deep parlists, full mailboxes, frequent
-    keywords): the shard that dominates a merged top-k in the sharding
-    benchmarks. *)
+    keywords): a document of them dominates a merged top-k. *)
 
 val sparse_profile : profile
-(** Structure-poor items: shards whose speculative matches the
-    cross-shard bound prunes. *)
+(** Structure-poor items: filler documents for a skewed corpus. *)
 
 val profile_of_string : string -> profile option
 (** ["default"], ["rich"] or ["sparse"]. *)

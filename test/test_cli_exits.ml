@@ -122,6 +122,7 @@ let test_positive_counts () =
   let serve opt =
     [ "serve"; missing_corpus; "--socket"; "/nonexistent/wp.sock"; opt ^ "=0" ]
   in
+  let loadgen opt = [ "loadgen"; missing_corpus; opt ^ "=0" ] in
   List.iter
     (fun (option, args) ->
       check_usage_line ~prefix:(option ^ " must be >= 1") args)
@@ -137,10 +138,43 @@ let test_positive_counts () =
         [ "lockstep"; "lockstep-noprun"; "twig"; "whirlpool-m" ]
     @ List.map
         (fun opt -> (opt, serve opt))
-        [
-          "--plan-cache"; "--queue-depth"; "--default-k"; "--workers";
-          "--shards";
-        ])
+        [ "--plan-cache"; "--queue-depth"; "--default-k"; "--workers" ]
+    @ List.map
+        (fun opt -> (opt, loadgen opt))
+        [ "--workers"; "--queue-depth"; "--clients" ])
+
+(* An unknown [--algo] or [--routing] is cmdliner's usage error (exit
+   2, naming the value) on every subcommand that takes the option. *)
+let test_unknown_enums () =
+  let books = Lazy.force books_file in
+  let q = "/book[./title]" in
+  let check ~needle args =
+    let what = String.concat " " args in
+    match stderr_of args with
+    | 2, lines ->
+        Alcotest.(check bool) (what ^ ": " ^ needle) true
+          (List.exists (Test_stats.contains ~needle) lines)
+    | code, _ -> Alcotest.failf "%s: exit %d, expected 2" what code
+  in
+  List.iter
+    (check ~needle:"unknown algorithm")
+    (List.map
+       (fun args -> args @ [ "--algo"; "quicksort" ])
+       [
+         [ "query"; books; "-q"; q ];
+         [ "profile"; books; "-q"; q ];
+         [ "serve"; missing_corpus; "--socket"; "/nonexistent/wp.sock" ];
+         [ "loadgen"; missing_corpus ];
+       ]);
+  List.iter
+    (check ~needle:"unknown routing")
+    (List.map
+       (fun args -> args @ [ "--routing"; "fastest" ])
+       [
+         [ "query"; books; "-q"; q ];
+         [ "profile"; books; "-q"; q ];
+         [ "race"; "-q"; q; books ];
+       ])
 
 (* A negative or non-finite [--deadline-ms] is a usage error on [serve]
    and [query] (local or [--connect]), before anything loads or
@@ -250,5 +284,7 @@ let suite =
     Alcotest.test_case "check exit codes" `Quick test_check;
     Alcotest.test_case "profile exit codes and events" `Quick test_profile;
     Alcotest.test_case "non-positive counts" `Quick test_positive_counts;
+    Alcotest.test_case "unknown --algo and --routing" `Quick
+      test_unknown_enums;
     Alcotest.test_case "bad --deadline-ms" `Quick test_deadline_ms;
   ]

@@ -622,15 +622,15 @@ let test_service_merged_corpus () =
       Alcotest.(check bool) "sorted desc" true
         (List.sort (fun a b -> Float.compare b a) scores = scores))
 
-(* --- sharding: scatter–gather equals the single-catalog answers --- *)
+(* --- merged queries over a larger corpus --- *)
 
-(* A larger multi-document corpus (xmark slices) so the shard split is
-   non-trivial and the merged top-k spans documents. *)
+(* A larger multi-document corpus (xmark slices) so the merged top-k
+   spans documents. *)
 let with_xmark_corpus_dir n f =
   let dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
-      (Printf.sprintf "wp-shard-test-%d-%d" (Unix.getpid ()) (Random.int 100000))
+      (Printf.sprintf "wp-xmark-test-%d-%d" (Unix.getpid ()) (Random.int 100000))
   in
   Unix.mkdir dir 0o700;
   for i = 1 to n do
@@ -647,11 +647,11 @@ let with_xmark_corpus_dir n f =
       try Unix.rmdir dir with Unix.Unix_error _ -> ())
     (fun () -> f dir)
 
-let shard_queries =
+let merged_queries =
   [ "//item[./name]"; "//item[./description/parlist]"; "//keyword" ]
 
-let service_with dir ~shards =
-  let catalog = Catalog.create ~shards () in
+let service_with dir =
+  let catalog = Catalog.create () in
   (match Catalog.load_dir catalog dir with
   | Ok _ -> ()
   | Error m -> Alcotest.failf "load_dir: %s" m);
@@ -661,46 +661,6 @@ let answer_list (r : Protocol.response) =
   List.map
     (fun (a : Protocol.answer) -> (a.doc, a.root, a.score, a.dewey))
     r.answers
-
-let test_sharded_matches_unsharded () =
-  with_xmark_corpus_dir 5 (fun dir ->
-      (* Pick a shard count that actually splits these document names. *)
-      let shards =
-        List.find
-          (fun s ->
-            let c = Catalog.create ~shards:s () in
-            List.length
-              (List.sort_uniq compare
-                 (List.init 5 (fun i ->
-                      Catalog.shard_of c (Printf.sprintf "doc%d.xml" (i + 1)))))
-            > 1)
-          [ 2; 3; 4; 5 ]
-      in
-      let single = service_with dir ~shards:1 in
-      let sharded = service_with dir ~shards in
-      List.iter
-        (fun q ->
-          let base = Service.handle_query single (query 1 ~k:8 q) in
-          Alcotest.(check bool) (q ^ " single ok") true
-            (base.status = Protocol.Ok);
-          (* Bound pushing on (default) and off must both reproduce the
-             single-catalog answers exactly — pushing only removes
-             work, never answers (strict-< floor keeps ties). *)
-          List.iter
-            (fun bound_push ->
-              let r =
-                Service.handle_query sharded
-                  { (query 2 ~k:8 q) with bound_push }
-              in
-              Alcotest.(check bool) (q ^ " sharded ok") true
-                (r.status = Protocol.Ok);
-              Alcotest.(check bool)
-                (Printf.sprintf "%s sharded answers (push=%b)" q
-                   (bound_push <> Some false))
-                true
-                (answer_list base = answer_list r))
-            [ None; Some true; Some false ])
-        shard_queries)
 
 (* A deadline too far out for the int64 nanosecond clock is no
    deadline at all, not an expired one; 0 has already expired; a
@@ -745,9 +705,9 @@ let test_service_deadline_range () =
       | Ok _ -> Alcotest.fail "not a query"
       | Error m -> Alcotest.failf "1e400 does not parse: %s" m)
 
-(* Sharded serving over a mapped (.wpidx) corpus: build index files,
+(* Merged serving over a mapped (.wpidx) corpus: build index files,
    load them, and compare against the same corpus parsed from XML. *)
-let test_sharded_mapped_corpus () =
+let test_merged_mapped_corpus () =
   with_xmark_corpus_dir 3 (fun dir ->
       let mapped_dir = Filename.concat dir "mapped" in
       Unix.mkdir mapped_dir 0o700;
@@ -771,15 +731,15 @@ let test_sharded_mapped_corpus () =
                   Filename.concat mapped_dir
                     (Filename.remove_extension f ^ ".xml")
                 in
-                (* Keep the catalog names identical (.xml) so shard
-                   assignment and answer tagging line up; content
-                   sniffing, not the extension, picks the loader. *)
+                (* Keep the catalog names identical (.xml) so answer
+                   tagging lines up; content sniffing, not the
+                   extension, picks the loader. *)
                 let (_ : int) = Wp_storage.Index_file.write out d in
                 ()
               end)
             (Array.to_list (Sys.readdir dir));
-          let xml_service = service_with dir ~shards:2 in
-          let mapped_service = service_with mapped_dir ~shards:2 in
+          let xml_service = service_with dir in
+          let mapped_service = service_with mapped_dir in
           List.iter
             (fun q ->
               let a = Service.handle_query xml_service (query 1 ~k:6 q) in
@@ -790,7 +750,7 @@ let test_sharded_mapped_corpus () =
                 (b.status = Protocol.Ok);
               Alcotest.(check bool) (q ^ " identical answers") true
                 (answer_list a = answer_list b))
-            shard_queries))
+            merged_queries))
 
 (* Two mapped documents of equal node count but distinct content in
    one catalog: per-document memos (dataguide, synopsis) are keyed by
@@ -835,7 +795,7 @@ let test_mapped_equal_size_docs () =
           in
           ())
         [ ("a.wpidx", a); ("b.wpidx", b) ];
-      let service = service_with dir ~shards:1 in
+      let service = service_with dir in
       List.iter
         (fun (doc, expected) ->
           let r =
@@ -1032,6 +992,45 @@ let call_exn client req =
   | Ok r -> r
   | Error e -> Alcotest.failf "call: %s" (Client.error_to_string e)
 
+(* A pool size below 1 is refused before anything binds: [spawn]
+   returns [Error] at once (a 10 s watchdog stands in for a hang) and
+   leaves no socket file behind. *)
+let test_spawn_rejects_empty_pool () =
+  with_corpus_dir (fun dir ->
+      let service = Service.create ~catalog:(loaded_catalog dir) () in
+      List.iter
+        (fun (label, workers, queue_depth) ->
+          let socket = temp_socket () in
+          let outcome = Atomic.make None in
+          let (_ : Thread.t) =
+            Thread.create
+              (fun () ->
+                Atomic.set outcome
+                  (Some (Event.spawn ~workers ~queue_depth ~socket ~service ())))
+              ()
+          in
+          let deadline = Unix.gettimeofday () +. 10.0 in
+          let rec wait () =
+            match Atomic.get outcome with
+            | Some r -> r
+            | None when Unix.gettimeofday () > deadline ->
+                Alcotest.failf "%s: spawn still blocked after 10 s" label
+            | None ->
+                Thread.delay 0.01;
+                wait ()
+          in
+          (match wait () with
+          | Error e ->
+              Alcotest.(check bool) (label ^ ": names the size") true
+                (Test_stats.contains ~needle:">= 1" e)
+          | Ok (server, thread) ->
+              Event.request_stop server;
+              Thread.join thread;
+              Alcotest.failf "%s: spawn started a server" label);
+          Alcotest.(check bool) (label ^ ": no socket file") false
+            (Sys.file_exists socket))
+        [ ("queue_depth=0", 1, 0); ("workers=0", 0, 8); ("workers=-1", -1, 8) ])
+
 (* Pinned to v1: the single buffered reply carries the partial flag. *)
 let test_wire_deadline_over_socket () =
   with_corpus_dir (fun dir ->
@@ -1064,9 +1063,68 @@ let test_wire_frame_roundtrip () =
       | Ok p -> Alcotest.(check string) "frame payload" payload p
       | Error e -> Alcotest.failf "read: %s" e)
 
+(* One request and its reply.  [content_length] overrides the header's
+   value (default: the body's length); a server that never answers
+   leaves [None] for the status once the read times out. *)
+let http_request ~port ~meth ~path ?(body = "") ?content_length () =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+      let content_length =
+        Option.value content_length
+          ~default:(string_of_int (String.length body))
+      in
+      let req =
+        Printf.sprintf
+          "%s %s HTTP/1.1\r\nHost: localhost\r\nContent-Length: %s\r\n\
+           Connection: close\r\n\r\n%s"
+          meth path content_length body
+      in
+      let (_ : int) = Unix.write_substring fd req 0 (String.length req) in
+      let buf = Buffer.create 1024 in
+      let chunk = Bytes.create 4096 in
+      let rec drain () =
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> ()
+        | n ->
+            Buffer.add_subbytes buf chunk 0 n;
+            drain ()
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+          ->
+            ()
+      in
+      drain ();
+      let s = Buffer.contents buf in
+      let hdr_end =
+        let rec scan i =
+          if i + 3 >= String.length s then String.length s
+          else if
+            s.[i] = '\r' && s.[i + 1] = '\n' && s.[i + 2] = '\r'
+            && s.[i + 3] = '\n'
+          then i
+          else scan (i + 1)
+        in
+        scan 0
+      in
+      let status =
+        match String.split_on_char ' ' s with
+        | _ :: code :: _ -> int_of_string_opt code
+        | _ -> None
+      in
+      let body =
+        if hdr_end + 4 <= String.length s then
+          String.sub s (hdr_end + 4) (String.length s - hdr_end - 4)
+        else ""
+      in
+      (status, body))
+
 (* A removed request knob — [use_cache] toggled the candidate cache,
-   [batch] set the bulk-routing width — is a typed bad_request naming
-   the field, whatever its value, in process and over the socket. *)
+   [batch] set the bulk-routing width, [bound_push] toggled cross-shard
+   bound pushing — is a typed bad_request naming the field, whatever
+   its value, in process, over the socket and over HTTP. *)
 let check_removed_knob ~field carrying values =
   with_corpus_dir (fun dir ->
       let service = Service.create ~catalog:(loaded_catalog dir) () in
@@ -1080,13 +1138,28 @@ let check_removed_knob ~field carrying values =
              (Option.value r.error ~default:""))
       in
       let socket = temp_socket () in
-      let _server, thread = start_event_server ~socket ~service () in
+      let server, thread = start_event_server ~http:0 ~socket ~service () in
+      let port =
+        match Event.http_port server with
+        | Some p -> p
+        | None -> Alcotest.fail "no http port bound"
+      in
       let client = connect_exn socket in
       List.iter
         (fun (label, v) ->
           let q = carrying v in
           check ("handle_query " ^ label) (Service.handle_query service q);
-          check ("socket " ^ label) (call_exn client (Protocol.Query q)))
+          check ("socket " ^ label) (call_exn client (Protocol.Query q));
+          let status, body =
+            http_request ~port ~meth:"POST" ~path:"/query"
+              ~body:(Json.to_string (Protocol.request_to_json (Protocol.Query q)))
+              ()
+          in
+          Alcotest.(check (option int)) ("http " ^ label ^ ": 400") (Some 400)
+            status;
+          match Protocol.parse_response body with
+          | Ok r -> check ("http " ^ label) r
+          | Error e -> Alcotest.failf "http %s: not a response: %s" label e)
         values;
       ignore (Client.call client (Protocol.Stop { id = 3 }));
       Client.close client;
@@ -1101,6 +1174,11 @@ let test_batch_rejected () =
   check_removed_knob ~field:"batch"
     (fun b -> { (query 1 "/book[./title]") with batch = Some b })
     [ ("batch=1", 1); ("batch=4", 4) ]
+
+let test_bound_push_rejected () =
+  check_removed_knob ~field:"bound_push"
+    (fun b -> { (query 1 "/book[./title]") with bound_push = Some b })
+    [ ("bound_push=true", true); ("bound_push=false", false) ]
 
 (* --- the algo axis over the service and the wire --- *)
 
@@ -1561,7 +1639,7 @@ let test_event_deadline_mid_stream () =
 let test_event_killed_client_reclaims () =
   with_xmark_corpus_dir 1 (fun dir ->
       let socket = temp_socket () in
-      let service = service_with dir ~shards:1 in
+      let service = service_with dir in
       let server, thread = start_event_server ~socket ~service () in
       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       Unix.connect fd (Unix.ADDR_UNIX socket);
@@ -1598,63 +1676,54 @@ let test_event_killed_client_reclaims () =
 
 (* --- HTTP gateway on the event loop --- *)
 
-(* One request and its reply.  [content_length] overrides the header's
-   value (default: the body's length); a server that never answers
-   leaves [None] for the status once the read times out. *)
-let http_request ~port ~meth ~path ?(body = "") ?content_length () =
+(* A head carrying [Expect: 100-continue], sent without its body: the
+   interim [100 Continue] must arrive within 2 s, and once the body
+   follows, the final 200. *)
+let check_expect_continue ~port =
+  let body = "{\"query\":\"/book[./title]\",\"k\":3}" in
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
       Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
-      let content_length =
-        Option.value content_length
-          ~default:(string_of_int (String.length body))
+      let send text =
+        let (_ : int) = Unix.write_substring fd text 0 (String.length text) in
+        ()
       in
-      let req =
-        Printf.sprintf
-          "%s %s HTTP/1.1\r\nHost: localhost\r\nContent-Length: %s\r\n\
-           Connection: close\r\n\r\n%s"
-          meth path content_length body
-      in
-      let (_ : int) = Unix.write_substring fd req 0 (String.length req) in
-      let buf = Buffer.create 1024 in
       let chunk = Bytes.create 4096 in
-      let rec drain () =
-        match Unix.read fd chunk 0 (Bytes.length chunk) with
-        | 0 -> ()
-        | n ->
-            Buffer.add_subbytes buf chunk 0 n;
-            drain ()
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-          ->
-            ()
-      in
-      drain ();
-      let s = Buffer.contents buf in
-      let hdr_end =
-        let rec scan i =
-          if i + 3 >= String.length s then String.length s
-          else if
-            s.[i] = '\r' && s.[i + 1] = '\n' && s.[i + 2] = '\r'
-            && s.[i + 3] = '\n'
-          then i
-          else scan (i + 1)
+      (* Read until [stop] holds of what arrived, EOF, or the timeout. *)
+      let read_until ~timeout stop =
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout;
+        let buf = Buffer.create 256 in
+        let rec go () =
+          if not (stop (Buffer.contents buf)) then
+            match Unix.read fd chunk 0 (Bytes.length chunk) with
+            | 0 -> ()
+            | n ->
+                Buffer.add_subbytes buf chunk 0 n;
+                go ()
+            | exception
+                Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+                ()
         in
-        scan 0
+        go ();
+        Buffer.contents buf
       in
-      let status =
-        match String.split_on_char ' ' s with
-        | _ :: code :: _ -> int_of_string_opt code
-        | _ -> None
+      send
+        (Printf.sprintf
+           "POST /query HTTP/1.1\r\nHost: localhost\r\nContent-Length: \
+            %d\r\nExpect: 100-Continue\r\nConnection: close\r\n\r\n"
+           (String.length body));
+      let interim = "HTTP/1.1 100 Continue\r\n\r\n" in
+      let got =
+        read_until ~timeout:2.0 (fun s ->
+            String.length s >= String.length interim)
       in
-      let body =
-        if hdr_end + 4 <= String.length s then
-          String.sub s (hdr_end + 4) (String.length s - hdr_end - 4)
-        else ""
-      in
-      (status, body))
+      Alcotest.(check string) "100 Continue before the body" interim got;
+      send body;
+      let final = read_until ~timeout:10.0 (fun _ -> false) in
+      Alcotest.(check bool) "200 after the body" true
+        (String.starts_with ~prefix:"HTTP/1.1 200" final))
 
 let test_http_gateway () =
   with_corpus_dir (fun dir ->
@@ -1714,6 +1783,7 @@ let test_http_gateway () =
        in
        Alcotest.(check (option int)) "413 on oversized Content-Length"
          (Some 413) status);
+      check_expect_continue ~port;
       (* A length that is not a plain decimal is a bad request, not 0. *)
       List.iter
         (fun (meth, path, content_length) ->
@@ -1776,14 +1846,13 @@ let suite =
       test_service_expired_deadline_partial;
     Alcotest.test_case "service merged corpus" `Quick
       test_service_merged_corpus;
-    Alcotest.test_case "sharded matches unsharded" `Quick
-      test_sharded_matches_unsharded;
     Alcotest.test_case "use_cache rejected" `Quick test_use_cache_rejected;
     Alcotest.test_case "batch rejected" `Quick test_batch_rejected;
+    Alcotest.test_case "bound_push rejected" `Quick test_bound_push_rejected;
     Alcotest.test_case "service deadline range" `Quick
       test_service_deadline_range;
-    Alcotest.test_case "sharded mapped corpus" `Quick
-      test_sharded_mapped_corpus;
+    Alcotest.test_case "merged mapped corpus" `Quick
+      test_merged_mapped_corpus;
     Alcotest.test_case "mapped equal-size docs" `Quick
       test_mapped_equal_size_docs;
     Alcotest.test_case "service errors" `Quick test_service_errors;
@@ -1793,6 +1862,8 @@ let suite =
     Alcotest.test_case "slow query log" `Quick test_slow_query_log;
     Alcotest.test_case "pool sheds when full" `Quick test_pool_sheds_when_full;
     Alcotest.test_case "pool runs jobs" `Quick test_pool_runs_jobs;
+    Alcotest.test_case "spawn rejects an empty pool" `Quick
+      test_spawn_rejects_empty_pool;
     Alcotest.test_case "wire frame roundtrip" `Quick test_wire_frame_roundtrip;
     Alcotest.test_case "wire deadline over socket" `Quick
       test_wire_deadline_over_socket;
