@@ -13,11 +13,14 @@
    second arm under ["uncached"] and the ratio of the two wall times
    under ["speedup"].
 
-   [--check baseline.json] re-runs the exhibits and exits nonzero when
-   any comparison/ops/matches count regresses (those are deterministic
+   [--check baseline.json] re-runs the exhibits and exits 1 when any
+   comparison/ops/matches count regresses (those are deterministic
    and machine-independent) or when wall time regresses by more than
    the tolerance (15% by default; [--warn-wall] demotes wall-time
-   regressions to warnings for noisy CI machines). *)
+   regressions to warnings for noisy CI machines).  The baseline is
+   read before anything runs; a checking run writes a report only
+   where [-o] names one, and refuses (exit 2) to write it over the
+   baseline. *)
 
 module Json = Wp_json.Json
 
@@ -305,16 +308,15 @@ let int_member name j =
   match Json.member name j with Some (Json.Int i) -> Some i | _ -> None
 
 let baseline_exhibits path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  match Json.of_string text with
-  | Error m -> Error (Printf.sprintf "%s: unparseable baseline: %s" path m)
-  | Ok j -> (
-      match Json.member "exhibits" j with
-      | Some (Json.Obj fields) -> Ok fields
-      | _ -> Error (Printf.sprintf "%s: no \"exhibits\" object" path))
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error m -> Error m
+  | text -> (
+      match Json.of_string text with
+      | Error m -> Error (Printf.sprintf "%s: unparseable baseline: %s" path m)
+      | Ok j -> (
+          match Json.member "exhibits" j with
+          | Some (Json.Obj fields) -> Ok fields
+          | _ -> Error (Printf.sprintf "%s: no \"exhibits\" object" path)))
 
 type verdict = { failures : string list; warnings : string list }
 
@@ -370,24 +372,41 @@ let check ~warn_wall ~wall_tolerance baseline exhibits =
     fail "no exhibit matched the baseline (quick vs full scale mismatch?)";
   { failures = List.rev !failures; warnings = List.rev !warnings }
 
-let main quick runs trace output baseline_path warn_wall wall_tolerance =
+let same_file a b =
+  match (Unix.stat a, Unix.stat b) with
+  | sa, sb -> sa.Unix.st_dev = sb.Unix.st_dev && sa.Unix.st_ino = sb.Unix.st_ino
+  | exception Unix.Unix_error _ -> false
+
+let write_report ~quick output exhibits =
+  let oc = open_out output in
+  output_string oc (Format.asprintf "%a@." Json.pp (to_json ~quick exhibits));
+  close_out oc;
+  Printf.printf "wrote %s (%d exhibits)\n%!" output (List.length exhibits)
+
+let run_exhibits quick runs trace =
   let scale = if quick then Common.quick_scale else Common.full_scale in
   Printf.printf "Whirlpool perf report — %s scale, %d run(s) per point\n%!"
     scale.Common.label runs;
-  let exhibits = exhibits scale ~runs ~trace in
-  let json = to_json ~quick exhibits in
-  let oc = open_out output in
-  output_string oc (Format.asprintf "%a@." Json.pp json);
-  close_out oc;
-  Printf.printf "wrote %s (%d exhibits)\n%!" output (List.length exhibits);
+  exhibits scale ~runs ~trace
+
+let main quick runs trace output baseline_path warn_wall wall_tolerance =
   match baseline_path with
-  | None -> 0
+  | None ->
+      let exhibits = run_exhibits quick runs trace in
+      write_report ~quick (Option.value output ~default:"BENCH_core.json")
+        exhibits;
+      0
   | Some path -> (
-      match baseline_exhibits path with
-      | Error m ->
+      match (baseline_exhibits path, output) with
+      | Error m, _ ->
           prerr_endline m;
-          1
-      | Ok baseline ->
+          2
+      | Ok _, Some o when same_file o path ->
+          Printf.eprintf "-o %s would overwrite the baseline %s\n" o path;
+          2
+      | Ok baseline, _ ->
+          let exhibits = run_exhibits quick runs trace in
+          Option.iter (fun o -> write_report ~quick o exhibits) output;
           let { failures; warnings } =
             check ~warn_wall ~wall_tolerance baseline exhibits
           in
@@ -428,8 +447,11 @@ let trace =
 let output =
   Arg.(
     value
-    & opt string "BENCH_core.json"
-    & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Where to write the JSON report.")
+    & opt (some string) None
+    & info [ "o"; "output" ] ~docv:"FILE"
+        ~doc:
+          "Where to write the JSON report (default: BENCH_core.json; with \
+           $(b,--check), no report unless this is given).")
 
 let check_path =
   Arg.(

@@ -51,28 +51,29 @@ let query_arg =
     & opt (some string) None
     & info [ "q"; "query" ] ~docv:"XPATH" ~doc:"Tree-pattern query.")
 
+(* Usage, parse and I/O errors: one line on stderr, exit 2. *)
+let die fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 2) fmt
+let or_exit = function Ok v -> v | Error e -> die "%s" e
+
+let client_or_exit r =
+  or_exit (Result.map_error Wp_serve.Client.error_to_string r)
+
 let parse_query q =
   match Wp_pattern.Xpath_parser.parse_opt q with
   | Some p -> p
-  | None ->
-      prerr_endline ("cannot parse query: " ^ q);
-      exit 2
+  | None -> die "cannot parse query: %s" q
 
 (* Counts that must be positive ([-k], [--schedules], the serve
    sizes): the serve tier's [Service.resolve_k] rule, as a usage
    error. *)
 let require_positive name v =
-  if v < 1 then begin
-    Printf.eprintf "%s must be >= 1 (got %d)\n" name v;
-    exit 2
-  end
+  if v < 1 then die "%s must be >= 1 (got %d)" name v
 
 (* [--deadline-ms]: the service's rule for a request's [deadline_ms],
    as a usage error. *)
 let require_deadline = function
   | Some ms when ms < 0.0 || not (Float.is_finite ms) ->
-      Printf.eprintf "--deadline-ms must be finite and >= 0 (got %g)\n" ms;
-      exit 2
+      die "--deadline-ms must be finite and >= 0 (got %g)" ms
   | _ -> ()
 
 (* [--algo] and [--routing], parsed once: an unknown value is
@@ -106,21 +107,43 @@ let routing_arg =
     & opt routing_conv Whirlpool.Strategy.Min_alive
     & info [ "routing" ] ~docv:"ROUTING" ~doc:"min_alive, max_score or min_score.")
 
+(* Terms several subcommands share; help text that differs per command
+   is the [~doc] argument. *)
+let file_arg ~doc =
+  Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
+
+let opt_file_arg ~doc =
+  Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
+
+let k_arg default =
+  Arg.(value & opt int default & info [ "k" ] ~doc:"Answers to return.")
+
+let exact_arg ?(doc = "Disable relaxations.") () =
+  Arg.(value & flag & info [ "exact" ] ~doc)
+
+let json_arg ~doc = Arg.(value & flag & info [ "json" ] ~doc)
+
 (* Documents load from XML or from a mapped index (.wpidx), detected by
    content — via the catalog's loader, so CLI and server read documents
    identically.  The load line goes to stderr, so a [--json] command's
    stdout is one JSON document. *)
 let load_index path =
   let t0 = Whirlpool.Clock.now () in
-  match Wp_serve.Catalog.read_index path with
-  | Error m ->
-      prerr_endline m;
-      exit 2
-  | Ok idx ->
-      Printf.eprintf "Loaded %s: %d nodes in %.2fs\n" path
-        (Wp_xml.Doc.size (Wp_xml.Index.doc idx))
-        (Whirlpool.Clock.now () -. t0);
-      idx
+  let idx = or_exit (Wp_serve.Catalog.read_index path) in
+  Printf.eprintf "Loaded %s: %d nodes in %.2fs\n" path
+    (Wp_xml.Doc.size (Wp_xml.Index.doc idx))
+    (Whirlpool.Clock.now () -. t0);
+  idx
+
+let relaxations ~exact =
+  if exact then Wp_relax.Relaxation.exact else Wp_relax.Relaxation.all
+
+(* The local-run path of [query], [explain], [race] and [profile]:
+   parse the query, load the document, compile the plan. *)
+let compile_local ?(exact = false) path q =
+  let pattern = parse_query q in
+  let idx = load_index path in
+  (idx, pattern, Whirlpool.Run.compile ~config:(relaxations ~exact) idx pattern)
 
 (* --- generate --- *)
 
@@ -128,9 +151,7 @@ let generate out size seed profile =
   let profile =
     match Wp_xmark.Generator.profile_of_string profile with
     | Some p -> p
-    | None ->
-        Printf.eprintf "unknown profile %S (default, rich or sparse)\n" profile;
-        exit 2
+    | None -> die "unknown profile %S (default, rich or sparse)" profile
   in
   let tree = Wp_xmark.Generator.generate ~profile ~seed ~target_bytes:size () in
   let oc = open_out out in
@@ -175,13 +196,7 @@ let generate_cmd =
    prints the moment its Part frame arrives, ahead of the final
    summary. *)
 let remote_query socket q k deadline_ms algo routing doc stream json =
-  let client =
-    match Wp_serve.Client.connect socket with
-    | Ok c -> c
-    | Error e ->
-        prerr_endline (Wp_serve.Client.error_to_string e);
-        exit 2
-  in
+  let client = client_or_exit (Wp_serve.Client.connect socket) in
   if stream && Wp_serve.Client.version client < 2 then
     prerr_endline
       "note: server negotiated protocol v1; nothing will stream";
@@ -210,52 +225,41 @@ let remote_query socket q k deadline_ms algo routing doc stream json =
   in
   let reply = Wp_serve.Client.stream client ~on_part req in
   Wp_serve.Client.close client;
-  match reply with
-  | Error e ->
-      prerr_endline (Wp_serve.Client.error_to_string e);
+  let r = client_or_exit reply in
+  if json then
+    Format.printf "%a@." Wp_json.Json.pp
+      (Wp_serve.Protocol.response_to_json r);
+  match r.status with
+  | Wp_serve.Protocol.Error ->
+      if not json then
+        Printf.eprintf "error: %s\n"
+          (Option.value r.error ~default:"unknown server error");
       exit 2
-  | Ok r -> (
-      if json then
-        Format.printf "%a@." Wp_json.Json.pp
-          (Wp_serve.Protocol.response_to_json r);
-      match r.status with
-      | Wp_serve.Protocol.Error ->
-          if not json then
-            Printf.eprintf "error: %s\n"
-              (Option.value r.error ~default:"unknown server error");
-          exit 2
-      | Wp_serve.Protocol.Overloaded ->
-          if not json then prerr_endline "overloaded: request was shed";
-          exit 1
-      | Wp_serve.Protocol.Ok | Wp_serve.Protocol.Partial ->
-          if not json then begin
-            Printf.printf "Top-%d for %s%s:\n" k q
-              (if r.status = Wp_serve.Protocol.Partial then
-                 " (partial: deadline hit)"
-               else "");
-            List.iteri
-              (fun i (a : Wp_serve.Protocol.answer) ->
-                Printf.printf "%3d. %-20s %-16s score %.4f\n" (i + 1) a.doc
-                  a.dewey a.score)
-              r.answers;
-            if stream && !streamed > 0 then
-              Printf.printf "\n%d of %d answers streamed before the run \
-                             finished\n"
-                !streamed (List.length r.answers);
-            Printf.printf "\nserver elapsed %.2f ms\n" r.elapsed_ms
-          end)
+  | Wp_serve.Protocol.Overloaded ->
+      if not json then prerr_endline "overloaded: request was shed";
+      exit 1
+  | Wp_serve.Protocol.Ok | Wp_serve.Protocol.Partial ->
+      if not json then begin
+        Printf.printf "Top-%d for %s%s:\n" k q
+          (if r.status = Wp_serve.Protocol.Partial then
+             " (partial: deadline hit)"
+           else "");
+        List.iteri
+          (fun i (a : Wp_serve.Protocol.answer) ->
+            Printf.printf "%3d. %-20s %-16s score %.4f\n" (i + 1) a.doc
+              a.dewey a.score)
+          r.answers;
+        if stream && !streamed > 0 then
+          Printf.printf "\n%d of %d answers streamed before the run \
+                         finished\n"
+            !streamed (List.length r.answers);
+        Printf.printf "\nserver elapsed %.2f ms\n" r.elapsed_ms
+      end
 
 let local_query path q k threshold algo routing exact explain json =
-  if threshold <> None && algo <> Whirlpool.Engine.Config.Whirlpool then begin
-    prerr_endline "--threshold runs whirlpool-s only";
-    exit 2
-  end;
-  let idx = load_index path in
-  let pattern = parse_query q in
-  let config =
-    if exact then Wp_relax.Relaxation.exact else Wp_relax.Relaxation.all
-  in
-  let plan = Whirlpool.Run.compile ~config idx pattern in
+  if threshold <> None && algo <> Whirlpool.Engine.Config.Whirlpool then
+    die "--threshold runs whirlpool-s only";
+  let idx, pattern, plan = compile_local ~exact path q in
   let engine_config =
     Whirlpool.Engine.Config.(
       default |> with_routing routing |> with_algo algo)
@@ -294,23 +298,15 @@ let query_run connect path q k threshold deadline_ms algo routing doc stream
   require_deadline deadline_ms;
   match connect with
   | Some socket ->
-      if threshold <> None || exact || explain then begin
-        prerr_endline
-          "--threshold, --exact and --explain do not apply with --connect";
-        exit 2
-      end;
+      if threshold <> None || exact || explain then
+        die "--threshold, --exact and --explain do not apply with --connect";
       remote_query socket q k deadline_ms algo routing doc stream json
   | None ->
-      if stream then begin
-        prerr_endline "--stream requires --connect";
-        exit 2
-      end;
+      if stream then die "--stream requires --connect";
       let path =
         match path with
         | Some p -> p
-        | None ->
-            prerr_endline "a document FILE is required without --connect";
-            exit 2
+        | None -> die "a document FILE is required without --connect"
       in
       local_query path q k threshold algo routing exact explain json
 
@@ -324,13 +320,8 @@ let connect_arg =
 
 let query_cmd =
   let path =
-    Arg.(
-      value
-      & pos 0 (some string) None
-      & info [] ~docv:"FILE"
-          ~doc:"XML document (required unless --connect is given).")
+    opt_file_arg ~doc:"XML document (required unless --connect is given)."
   in
-  let k = Arg.(value & opt int 10 & info [ "k" ] ~doc:"Answers to return.") in
   let deadline_ms =
     Arg.(
       value
@@ -353,9 +344,6 @@ let query_cmd =
     algo_arg
       ~doc:"whirlpool-s, whirlpool-m, lockstep, lockstep-noprun or twig."
   in
-  let exact =
-    Arg.(value & flag & info [ "exact" ] ~doc:"Disable relaxations.")
-  in
   let threshold =
     Arg.(
       value
@@ -369,11 +357,6 @@ let query_cmd =
       value & flag
       & info [ "explain" ]
           ~doc:"Show per-binding detail (which nodes matched, how exactly).")
-  in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the answers and statistics as JSON.")
   in
   let stream =
     Arg.(
@@ -391,9 +374,10 @@ let query_cmd =
           a running server (--connect)"
        ())
     Term.(
-      const query_run $ connect_arg $ path $ query_arg $ k $ threshold
-      $ deadline_ms $ algo $ routing_arg $ doc_name $ stream $ exact $ explain
-      $ json)
+      const query_run $ connect_arg $ path $ query_arg $ k_arg 10 $ threshold
+      $ deadline_ms $ algo $ routing_arg $ doc_name $ stream $ exact_arg ()
+      $ explain
+      $ json_arg ~doc:"Emit the answers and statistics as JSON.")
 
 (* --- index --- *)
 
@@ -408,9 +392,7 @@ let index_build path out =
 
 let index_info path =
   match Wp_storage.Index_file.open_index path with
-  | Error e ->
-      prerr_endline (Wp_storage.Index_file.error_message e);
-      exit 2
+  | Error e -> die "%s" (Wp_storage.Index_file.error_message e)
   | Ok h ->
       let i = Wp_storage.Index_file.info h in
       Printf.printf "%s: wpidx v%d\n" path Wp_storage.Index_file.version;
@@ -422,12 +404,6 @@ let index_info path =
       Printf.printf "  file bytes        %d\n" i.file_bytes
 
 let index_build_cmd =
-  let path =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"FILE" ~doc:"XML document.")
-  in
   let out =
     Arg.(
       value & opt string "doc.wpidx"
@@ -436,18 +412,12 @@ let index_build_cmd =
   Cmd.v
     (cmd_info "build"
        ~doc:"compact a document into a memory-mappable .wpidx index" ())
-    Term.(const index_build $ path $ out)
+    Term.(const index_build $ file_arg ~doc:"XML document." $ out)
 
 let index_info_cmd =
-  let path =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"FILE" ~doc:".wpidx index file.")
-  in
   Cmd.v
     (cmd_info "info" ~doc:"validate a .wpidx header and print its counts" ())
-    Term.(const index_info $ path)
+    Term.(const index_info $ file_arg ~doc:".wpidx index file.")
 
 let index_cmd =
   Cmd.group
@@ -470,23 +440,15 @@ let index_cmd =
 (* --- explain --- *)
 
 let explain path q =
-  let idx = load_index path in
-  let pattern = parse_query q in
-  let plan = Whirlpool.Run.compile idx pattern in
+  let _, _, plan = compile_local path q in
   Format.printf "%a@." Whirlpool.Plan.pp plan;
   Format.printf "@[<v>score table:@,%a@]@." Wp_score.Score_table.pp
     plan.scores
 
 let explain_cmd =
-  let path =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"FILE" ~doc:"XML document.")
-  in
   Cmd.v
     (cmd_info "explain" ~doc:"print the compiled plan for a query" ())
-    Term.(const explain $ path $ query_arg)
+    Term.(const explain $ file_arg ~doc:"XML document." $ query_arg)
 
 (* --- relax --- *)
 
@@ -525,9 +487,7 @@ let diagnostic_to_json (d : Wp_analysis.Diagnostic.t) =
 
 let lint q path exact max_lattice json =
   let pattern = parse_query q in
-  let config =
-    if exact then Wp_relax.Relaxation.exact else Wp_relax.Relaxation.all
-  in
+  let config = relaxations ~exact in
   let synopsis =
     Option.map
       (fun p ->
@@ -561,18 +521,11 @@ let lint q path exact max_lattice json =
 
 let lint_cmd =
   let path =
-    Arg.(
-      value
-      & pos 0 (some file) None
-      & info [] ~docv:"FILE"
-          ~doc:
-            "XML document or .wpidx index; when given, the analyzer also \
-             checks the query's tag vocabulary, structural \
-             satisfiability and static score bound against it.")
-  in
-  let exact =
-    Arg.(value & flag & info [ "exact" ] ~doc:"Lint against the exact \
-                                               (no-relaxation) plan.")
+    opt_file_arg
+      ~doc:
+        "XML document or .wpidx index; when given, the analyzer also \
+         checks the query's tag vocabulary, structural satisfiability \
+         and static score bound against it."
   in
   let max_lattice =
     Arg.(
@@ -581,9 +534,6 @@ let lint_cmd =
           ~doc:
             "Skip the relaxation-lattice cross-check when the lattice \
              exceeds N labeled patterns.")
-  in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit diagnostics as JSON.")
   in
   Cmd.v
     (cmd_info "lint"
@@ -600,32 +550,30 @@ let lint_cmd =
               findings make the engines refuse the plan.";
          ]
        ())
-    Term.(const lint $ query_arg $ path $ exact $ max_lattice $ json)
+    Term.(
+      const lint $ query_arg $ path
+      $ exact_arg ~doc:"Lint against the exact (no-relaxation) plan." ()
+      $ max_lattice
+      $ json_arg ~doc:"Emit diagnostics as JSON.")
 
 (* --- race --- *)
 
 let race q path k schedules seed routing exact inject json =
   require_positive "-k" k;
   require_positive "--schedules" schedules;
-  let idx = load_index path in
-  let pattern = parse_query q in
   let faults =
     List.map
       (fun name ->
         match Whirlpool.Engine_mt.Fault.of_string name with
         | Some f -> f
         | None ->
-            Printf.eprintf "unknown fault: %s (known: %s)\n" name
+            die "unknown fault: %s (known: %s)" name
               (String.concat ", "
                  (List.map Whirlpool.Engine_mt.Fault.to_string
-                    Whirlpool.Engine_mt.Fault.all));
-            exit 2)
+                    Whirlpool.Engine_mt.Fault.all)))
       inject
   in
-  let config =
-    if exact then Wp_relax.Relaxation.exact else Wp_relax.Relaxation.all
-  in
-  let plan = Whirlpool.Run.compile ~config idx pattern in
+  let _, pattern, plan = compile_local ~exact path q in
   let report =
     Whirlpool.Race.check ~schedules ~seed ~routing ~faults plan ~k
   in
@@ -649,13 +597,6 @@ let race q path k schedules seed routing exact inject json =
   if report.diagnostics <> [] then exit 1
 
 let race_cmd =
-  let path =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"FILE" ~doc:"XML document or .wpidx index.")
-  in
-  let k = Arg.(value & opt int 5 & info [ "k" ] ~doc:"Answers to return.") in
   let schedules =
     Arg.(
       value & opt int 200
@@ -667,9 +608,6 @@ let race_cmd =
       value & opt int 0
       & info [ "seed" ] ~doc:"Base seed numbering the schedules.")
   in
-  let exact =
-    Arg.(value & flag & info [ "exact" ] ~doc:"Disable relaxations.")
-  in
   let inject =
     Arg.(
       value & opt_all string []
@@ -678,9 +616,6 @@ let race_cmd =
             "Inject a known concurrency defect (drop-topk-lock, \
              retire-early, skip-pending-incr) to demonstrate detection; \
              repeatable.")
-  in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON.")
   in
   Cmd.v
     (cmd_info "race"
@@ -700,8 +635,10 @@ let race_cmd =
          ]
        ())
     Term.(
-      const race $ query_arg $ path $ k $ schedules $ seed $ routing_arg $ exact
-      $ inject $ json)
+      const race $ query_arg
+      $ file_arg ~doc:"XML document or .wpidx index."
+      $ k_arg 5 $ schedules $ seed $ routing_arg $ exact_arg () $ inject
+      $ json_arg ~doc:"Emit the report as JSON.")
 
 (* --- check (the Sentinel static checks) --- *)
 
@@ -733,22 +670,17 @@ let certificate_to_json (c : Wp_analysis.Prove.certificate) =
              c.P.obligations) );
     ]
 
-let check_run root dirs interproc prove json =
+let check_run root dirs json =
   let root =
     match root with
     | Some r -> r
     | None ->
         if Sys.file_exists "_build/default" then "_build/default" else "."
   in
-  let report = Wp_sentinel.Sentinel.run ?dirs ~interproc ~root () in
-  if report.units = 0 && report.load_errors = [] then begin
-    Printf.eprintf "check: no .cmt files under %s (build the tree first)\n"
-      root;
-    exit 2
-  end;
-  let certificates =
-    if prove then Wp_analysis.Prove.check_shipped () else []
-  in
+  let report = Wp_sentinel.Sentinel.run ?dirs ~root () in
+  if report.units = 0 && report.load_errors = [] then
+    die "check: no .cmt files under %s (build the tree first)" root;
+  let certificates = Wp_analysis.Prove.check_shipped () in
   let findings =
     List.sort Wp_sentinel.Sentinel.compare_findings
       (report.diagnostics @ Wp_analysis.Prove.diagnostics certificates)
@@ -756,32 +688,25 @@ let check_run root dirs interproc prove json =
   if json then
     Format.printf "%a@." Wp_json.Json.pp
       (Wp_json.Json.Obj
-         ([
-            ("units", Wp_json.Json.Int report.units);
-            ("findings", Wp_json.Json.List (List.map diagnostic_to_json findings));
-            ( "load_errors",
-              Wp_json.Json.List
-                (List.map (fun e -> Wp_json.Json.String e) report.load_errors)
-            );
-          ]
-         @
-         if prove then
-           [
-             ( "certificates",
-               Wp_json.Json.List (List.map certificate_to_json certificates) );
-           ]
-         else []))
+         [
+           ("units", Wp_json.Json.Int report.units);
+           ("findings", Wp_json.Json.List (List.map diagnostic_to_json findings));
+           ( "load_errors",
+             Wp_json.Json.List
+               (List.map (fun e -> Wp_json.Json.String e) report.load_errors) );
+           ( "certificates",
+             Wp_json.Json.List (List.map certificate_to_json certificates) );
+         ])
   else begin
     List.iter (fun e -> Printf.eprintf "check: %s\n" e) report.load_errors;
     List.iter
       (fun d -> Format.printf "%a@." Wp_analysis.Diagnostic.pp d)
       findings;
-    if prove then
-      List.iter
-        (fun (c : Wp_analysis.Prove.certificate) ->
-          Printf.printf "check: prove %s: %s\n" c.subject
-            (if Wp_analysis.Prove.certified c then "certified" else "REFUTED"))
-        certificates;
+    List.iter
+      (fun (c : Wp_analysis.Prove.certificate) ->
+        Printf.printf "check: prove %s: %s\n" c.subject
+          (if Wp_analysis.Prove.certified c then "certified" else "REFUTED"))
+      certificates;
     Printf.printf "check: %d finding(s) in %d unit(s)\n" (List.length findings)
       report.units
   end;
@@ -803,33 +728,8 @@ let check_cmd =
       & opt (some (list string)) None
       & info [ "dirs" ] ~docv:"D1,D2"
           ~doc:
-            "Subdirectories of the root to scan (default: lib, bin, tools, \
+            "Subdirectories of the root to scan (default: lib, bin, \
              examples, bench).")
-  in
-  let interproc =
-    Arg.(
-      value & flag
-      & info [ "interproc" ]
-          ~doc:
-            "Add the interprocedural stages: call-graph propagation of \
-             blocking, allocation and lock-rank facts (a helper that \
-             blocks is flagged at every call site holding a lock), and \
-             the cancellation-totality rule (every suspect loop on a \
-             serve path must consult should_stop or be statically \
-             bounded).")
-  in
-  let prove =
-    Arg.(
-      value & flag
-      & info [ "prove-bounds" ]
-          ~doc:
-            "Prove prune-soundness of every shipped scoring \
-             configuration: Score_bound's upper bounds stay admissible \
-             and every relaxation edge is score-monotone.  Non-provable \
-             configurations become sentinel/prune-unsound findings.")
-  in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit findings as JSON.")
   in
   Cmd.v
     (cmd_info "check"
@@ -843,37 +743,31 @@ let check_cmd =
               monotonic-clock discipline, hot-path allocation hygiene \
               ([@@wp.hot] functions), exception-safe lock sections \
               (Fun.protect) and wire-string totality of closed variants.  \
-              $(b,--interproc) re-grounds the lock and allocation rules \
-              on call-graph summaries and adds cancellation totality; \
-              $(b,--prove-bounds) certifies prune-soundness of the \
-              shipped scoring configs.  Findings are ordered by (file, \
-              line, rule), so $(b,--json) output diffs are stable.  Exits \
-              1 on any finding, 2 when cmts cannot be read.  Suppressions \
-              require [@wp.allow \"rule justification\"].";
+              The lock and allocation rules also follow call-graph \
+              summaries, cancellation totality is checked on every serve \
+              path, and the prune-soundness of every shipped scoring \
+              config is proved (non-provable ones are \
+              sentinel/prune-unsound findings).  Findings are ordered by \
+              (file, line, rule), so $(b,--json) output diffs are stable.  \
+              Exits 1 on any finding, 2 when cmts cannot be read.  \
+              Suppressions require [@wp.allow \"rule justification\"].";
          ]
        ())
-    Term.(const check_run $ root $ dirs $ interproc $ prove $ json)
+    Term.(
+      const check_run $ root $ dirs $ json_arg ~doc:"Emit findings as JSON.")
 
 (* --- serve --- *)
 
 let load_corpus catalog paths =
   List.iter
     (fun path ->
-      let r =
-        if Sys.is_directory path then
-          Result.map ignore (Wp_serve.Catalog.load_dir catalog path)
-        else Result.map ignore (Wp_serve.Catalog.load_file catalog path)
-      in
-      match r with
-      | Ok () -> ()
-      | Error m ->
-          prerr_endline m;
-          exit 2)
+      or_exit
+        (if Sys.is_directory path then
+           Result.map ignore (Wp_serve.Catalog.load_dir catalog path)
+         else Result.map ignore (Wp_serve.Catalog.load_file catalog path)))
     paths;
   match Wp_serve.Catalog.docs catalog with
-  | [] ->
-      prerr_endline "empty corpus: no documents loaded";
-      exit 2
+  | [] -> die "empty corpus: no documents loaded"
   | docs ->
       Printf.printf "Corpus: %d document(s), %d nodes\n" (List.length docs)
         (List.fold_left
@@ -910,14 +804,10 @@ let serve_run corpus socket http workers queue_depth default_k deadline_ms
       | Some p -> Printf.sprintf " (http on 127.0.0.1:%d)" p
       | None -> "")
   in
-  match
-    Wp_serve.Event.serve ?workers ~queue_depth ?http ~on_ready ~socket ~service
-      ()
-  with
-  | Ok () -> print_endline "Server stopped."
-  | Error m ->
-      prerr_endline m;
-      exit 2
+  or_exit
+    (Wp_serve.Event.serve ?workers ~queue_depth ?http ~on_ready ~socket
+       ~service ());
+  print_endline "Server stopped."
 
 let socket_arg =
   Arg.(
@@ -1030,50 +920,36 @@ let ctl_run socket op format json =
   let format =
     match Wp_serve.Protocol.metrics_format_of_string format with
     | Some f -> f
-    | None ->
-        Printf.eprintf "unknown metrics format %S (known: json, prometheus)\n"
-          format;
-        exit 2
+    | None -> die "unknown metrics format %S (known: json, prometheus)" format
   in
   let req =
     match op with
     | "ping" -> Wp_serve.Protocol.Ping { id = 1 }
     | "metrics" -> Wp_serve.Protocol.Metrics { id = 1; format }
     | "stop" -> Wp_serve.Protocol.Stop { id = 1 }
-    | other ->
-        Printf.eprintf "unknown operation %S (known: ping, metrics, stop)\n"
-          other;
-        exit 2
+    | other -> die "unknown operation %S (known: ping, metrics, stop)" other
   in
   let client =
     (* Control ops have buffered replies; v1 skips the Hello
        round-trip. *)
-    match Wp_serve.Client.connect ~version:1 socket with
-    | Ok c -> c
-    | Error e ->
-        prerr_endline (Wp_serve.Client.error_to_string e);
-        exit 2
+    client_or_exit (Wp_serve.Client.connect ~version:1 socket)
   in
   let reply = Wp_serve.Client.call client req in
   Wp_serve.Client.close client;
-  match reply with
-  | Error e ->
-      prerr_endline (Wp_serve.Client.error_to_string e);
-      exit 2
-  | Ok r -> (
-      match (r.metrics_text, r.metrics) with
-      | Some text, _ when op = "metrics" ->
-          (* Prometheus exposition text: print raw, ready to scrape. *)
-          print_string text
-      | _, Some m when op = "metrics" ->
-          Format.printf "%a@." Wp_json.Json.pp m
-      | _ ->
-          if json then
-            Format.printf "%a@." Wp_json.Json.pp
-              (Wp_serve.Protocol.response_to_json r)
-          else
-            Printf.printf "%s: %s\n" op
-              (Wp_serve.Protocol.status_to_string r.status))
+  let r = client_or_exit reply in
+  match (r.metrics_text, r.metrics) with
+  | Some text, _ when op = "metrics" ->
+      (* Prometheus exposition text: print raw, ready to scrape. *)
+      print_string text
+  | _, Some m when op = "metrics" ->
+      Format.printf "%a@." Wp_json.Json.pp m
+  | _ ->
+      if json then
+        Format.printf "%a@." Wp_json.Json.pp
+          (Wp_serve.Protocol.response_to_json r)
+      else
+        Printf.printf "%s: %s\n" op
+          (Wp_serve.Protocol.status_to_string r.status)
 
 let ctl_cmd =
   let op =
@@ -1090,12 +966,11 @@ let ctl_cmd =
             "Metrics encoding: json (structured snapshot) or prometheus \
              (text exposition, printed raw).")
   in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the raw reply as JSON.")
-  in
   Cmd.v
     (cmd_info "ctl" ~doc:"control a running server (ping, metrics, stop)" ())
-    Term.(const ctl_run $ socket_arg $ op $ format $ json)
+    Term.(
+      const ctl_run $ socket_arg $ op $ format
+      $ json_arg ~doc:"Emit the raw reply as JSON.")
 
 (* --- profile --- *)
 
@@ -1103,17 +978,10 @@ let ctl_cmd =
    cost attribution plus the query's span tree. *)
 let profile_run path q k algo routing exact show_spans json =
   require_positive "-k" k;
-  let idx = load_index path in
-  let pattern = parse_query q in
   (match algo with
   | Whirlpool.Engine.Config.(Whirlpool | Whirlpool_mt) -> ()
-  | _ ->
-      prerr_endline "profile supports whirlpool-s and whirlpool-m";
-      exit 2);
-  let relax =
-    if exact then Wp_relax.Relaxation.exact else Wp_relax.Relaxation.all
-  in
-  let plan = Whirlpool.Run.compile ~config:relax idx pattern in
+  | _ -> die "profile supports whirlpool-s and whirlpool-m");
+  let _, pattern, plan = compile_local ~exact path q in
   let obs = Wp_obs.Obs.create () in
   let config =
     Whirlpool.Engine.Config.(
@@ -1163,27 +1031,11 @@ let profile_run path q k algo routing exact show_spans json =
   end
 
 let profile_cmd =
-  let path =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"FILE" ~doc:"XML document or .wpidx index.")
-  in
-  let k = Arg.(value & opt int 10 & info [ "k" ] ~doc:"Answers to return.") in
   let algo = algo_arg ~doc:"whirlpool-s or whirlpool-m." in
-  let exact =
-    Arg.(value & flag & info [ "exact" ] ~doc:"Disable relaxations.")
-  in
   let spans =
     Arg.(
       value & flag
       & info [ "spans" ] ~doc:"Also print the query's span tree.")
-  in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Emit stats, per-server profile and span tree as JSON.")
   in
   Cmd.v
     (cmd_info "profile"
@@ -1201,20 +1053,45 @@ let profile_cmd =
          ]
        ())
     Term.(
-      const profile_run $ path $ query_arg $ k $ algo $ routing_arg $ exact
-      $ spans $ json)
+      const profile_run
+      $ file_arg ~doc:"XML document or .wpidx index."
+      $ query_arg $ k_arg 10 $ algo $ routing_arg $ exact_arg () $ spans
+      $ json_arg ~doc:"Emit stats, per-server profile and span tree as JSON.")
 
 (* --- loadgen --- *)
 
-let obj_fields = function Wp_json.Json.Obj fields -> fields | j -> [ ("value", j) ]
+(* Measure one point against the server on [socket]: the windows, the
+   TTFA probe and the metrics snapshot ({!Wp_serve.Loadgen.measure}),
+   summarized on stdout as [label]. *)
+let loadgen_measure ~label ~socket ~queries ~clients ~duration ~algo
+    ~ttfa_query ?ttfa_doc () =
+  match
+    Wp_serve.Loadgen.measure ?algo ?ttfa_query ?ttfa_doc ~socket ~queries
+      ~clients ~duration_s:duration ()
+  with
+  | Error e -> Error e
+  | Ok m ->
+      let cold = m.cold and warm = m.warm in
+      Printf.printf
+        "%s: cold %.0f req/s p50 %.2fms p99 %.2fms | warm %.0f req/s p50 \
+         %.2fms p99 %.2fms  (%d ok, %d partial, %d shed, %d errors)\n\
+         %!"
+        label cold.throughput cold.p50_ms cold.p99_ms warm.throughput
+        warm.p50_ms warm.p99_ms (cold.ok + warm.ok)
+        (cold.partial + warm.partial)
+        (cold.overloaded + warm.overloaded)
+        (cold.errors + warm.errors);
+      Ok
+        (( "algo",
+           Wp_json.Json.String (Option.value algo ~default:"whirlpool-s") )
+        :: Wp_serve.Loadgen.measured_fields m)
 
 (* One spawned point.  A fresh catalog (its load time is the point's
    cold-open cost) and a fresh service per point, so every point starts
-   with an empty plan cache and its metrics snapshot is its own.  The
-   point is measured twice back-to-back against the same service: the
+   with an empty plan cache and its metrics snapshot is its own: the
    first window starts cold, the second reuses the compiled plans
    (warm). *)
-let loadgen_point ~corpus ~socket ~queries ~clients ~duration ~relax_content
+let loadgen_spawned ~corpus ~socket ~queries ~clients ~duration ~relax_content
     ~algo ~ttfa_query (workers, queue_depth) =
   let catalog =
     Wp_serve.Catalog.create ~config:(relax_config relax_content) ()
@@ -1226,106 +1103,63 @@ let loadgen_point ~corpus ~socket ~queries ~clients ~duration ~relax_content
   in
   let service = Wp_serve.Service.create ~catalog () in
   let server, thread =
-    match Wp_serve.Event.spawn ~workers ~queue_depth ~socket ~service () with
-    | Ok st -> st
-    | Error e ->
-        prerr_endline e;
-        exit 2
+    or_exit (Wp_serve.Event.spawn ~workers ~queue_depth ~socket ~service ())
   in
-  let window () =
-    Wp_serve.Loadgen.run ?algo ~socket ~queries ~clients ~duration_s:duration
-      ()
+  (* Only single-document runs stream mid-query: the TTFA probe pins
+     the first document. *)
+  let ttfa_doc =
+    match Wp_serve.Catalog.docs catalog with
+    | d :: _ -> Some d.Wp_serve.Catalog.name
+    | [] -> None
   in
-  let cold = window () in
-  let warm = Result.bind cold (fun _ -> window ()) in
-  (* Streamed time-to-first-answer over protocol v2.  Pin the first
-     document: only single-document runs stream mid-query. *)
-  let ttfa =
-    Option.bind ttfa_query (fun query ->
-        let doc =
-          match Wp_serve.Catalog.docs catalog with
-          | d :: _ -> Some d.Wp_serve.Catalog.name
-          | [] -> None
-        in
-        match Wp_serve.Loadgen.ttfa_probe ?algo ?doc ~socket ~query () with
-        | Ok j -> Some j
-        | Error e ->
-            Printf.eprintf "ttfa probe: %s\n" e;
-            None)
+  let fields =
+    loadgen_measure
+      ~label:(Printf.sprintf "workers=%d queue_depth=%d" workers queue_depth)
+      ~socket ~queries ~clients ~duration ~algo ~ttfa_query ?ttfa_doc ()
   in
   Wp_serve.Event.request_stop server;
   Thread.join thread;
-  match (cold, warm) with
-  | Error e, _ | _, Error e ->
-      prerr_endline e;
-      exit 2
-  | Ok cold, Ok warm ->
-      Printf.printf
-        "workers=%d queue_depth=%d: cold %.0f req/s p50 %.2fms p99 %.2fms \
-         | warm %.0f req/s p50 %.2fms p99 %.2fms  (%d ok, %d partial, %d \
-         shed, %d errors)\n\
-         %!"
-        workers queue_depth cold.throughput cold.p50_ms
-        cold.p99_ms warm.throughput warm.p50_ms warm.p99_ms
-        (cold.ok + warm.ok)
-        (cold.partial + warm.partial)
-        (cold.overloaded + warm.overloaded)
-        (cold.errors + warm.errors);
-      let open Wp_json.Json in
-      [
-        ("algo", String (Option.value algo ~default:"whirlpool-s"));
-        ("workers", Int workers);
-        ("queue_depth", Int queue_depth);
-        ("corpus_open_ms", Float open_ms);
-        ("cold", Wp_serve.Loadgen.point_to_json cold);
-        ("warm", Wp_serve.Loadgen.point_to_json warm);
-      ]
-      @ (match ttfa with Some j -> [ ("ttfa", j) ] | None -> [])
-      @ [ ("server_metrics", Wp_serve.Service.metrics_json service) ]
+  Wp_json.Json.
+    [
+      ("workers", Int workers);
+      ("queue_depth", Int queue_depth);
+      ("corpus_open_ms", Float open_ms);
+    ]
+  @ or_exit fields
 
 let loadgen_run connect corpus queries clients duration workers_list
     queue_depths relax_content algo ttfa_query out =
-  if queries = [] then begin
-    prerr_endline "at least one -q query is required";
-    exit 2
-  end;
+  if queries = [] then die "at least one -q query is required";
   require_positive "--clients" clients;
   List.iter (require_positive "--workers") workers_list;
   List.iter (require_positive "--queue-depth") queue_depths;
   let algo = Option.map Whirlpool.Engine.Config.algo_to_string algo in
   let points =
     match connect with
-    | Some socket -> (
+    | Some socket ->
         (* External server: one point, its pool shape is whatever the
            server was started with. *)
-        match
-          Wp_serve.Loadgen.report ?algo ~socket ~queries
-            ~client_counts:[ clients ] ~duration_s:duration ()
-        with
-        | Ok report -> [ obj_fields report ]
-        | Error e ->
-            prerr_endline e;
-            exit 2)
+        [
+          or_exit
+            (loadgen_measure ~label:socket ~socket ~queries ~clients
+               ~duration ~algo ~ttfa_query ());
+        ]
     | None ->
-        if corpus = [] then begin
-          prerr_endline "a CORPUS is required without --connect";
-          exit 2
-        end;
+        if corpus = [] then die "a CORPUS is required without --connect";
         let socket =
           Filename.concat
             (Filename.get_temp_dir_name ())
             (Printf.sprintf "wp-loadgen-%d.sock" (Unix.getpid ()))
         in
         (* One point per (workers x queue-depth). *)
-        let grid =
-          List.concat_map
-            (fun workers -> List.map (fun qd -> (workers, qd)) queue_depths)
-            workers_list
-        in
-        List.map
-          (loadgen_point ~corpus ~socket ~queries ~clients ~duration
-             ~relax_content ~algo ~ttfa_query)
-          grid
+        List.concat_map
+          (fun workers ->
+            List.map
+              (fun qd ->
+                loadgen_spawned ~corpus ~socket ~queries ~clients ~duration
+                  ~relax_content ~algo ~ttfa_query (workers, qd))
+              queue_depths)
+          workers_list
   in
   let report =
     Wp_json.Json.Obj

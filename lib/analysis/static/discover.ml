@@ -8,7 +8,7 @@
    [test/] is deliberately out so known-bad fixture modules never count
    against the clean-tree gate. *)
 
-let default_dirs = [ "lib"; "bin"; "tools"; "examples"; "bench" ]
+let default_dirs = [ "lib"; "bin"; "examples"; "bench" ]
 
 let is_dir path = try Sys.is_directory path with Sys_error _ -> false
 

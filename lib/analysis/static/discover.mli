@@ -2,7 +2,7 @@
 
 val default_dirs : string list
 (** The production source trees scanned by default:
-    [lib bin tools examples bench] — never [test]. *)
+    [lib bin examples bench] — never [test]. *)
 
 val find_cmts : ?dirs:string list -> string -> string list
 (** [find_cmts root] walks [root/<dir>] for every [dir] in [dirs]

@@ -22,16 +22,15 @@
    - [wire-total]: a closed nullary variant with a [_to_string] /
      [_of_string] pair (or [to_string]/[of_string] for a type [t])
      must round-trip every constructor through distinct wire strings.
-   - [cancel-total] (interprocedural runs only): suspect loops on a
-     path reachable from [Wp_serve.Service] request handling must
-     consult the cooperative-stop signal or be statically bounded.
+   - [cancel-total]: suspect loops on a path reachable from
+     [Wp_serve.Service] request handling must consult the
+     cooperative-stop signal or be statically bounded.
 
-   Intraprocedural by default: a section's footprint is what is
-   written inside it.  With interprocedural summaries enabled
-   ({!Summary}), the lock-rank, blocking and hot-alloc rules also
-   chase calls — a callee that transitively blocks, allocates or
-   acquires a lower-ranked lock is flagged at the call site with a
-   witness chain.
+   A section's footprint is what is written inside it plus what its
+   calls reach: through the call-graph summaries ({!Summary}) the
+   lock-rank, blocking and hot-alloc rules chase calls — a callee that
+   transitively blocks, allocates or acquires a lower-ranked lock is
+   flagged at the call site with a witness chain.
 
    Findings are suppressed by [[@wp.allow "rule justification"]] on an
    enclosing expression or binding; the justification is mandatory and
@@ -178,7 +177,7 @@ let has_hot (attrs : Parsetree.attributes) =
 type ctx = {
   source : string;
   unit_name : string;
-  db : Summary.db option;  (* interprocedural summaries, when enabled *)
+  db : Summary.db;  (* call-graph summaries *)
   mutable diags : D.t list;
   mutable allowed : string list;  (* rules suppressed in current scope *)
   mutable held : (string * int option) list;  (* innermost first *)
@@ -366,52 +365,49 @@ let scan_expressions ctx (str : structure) =
                  (fst (List.hd ctx.held)));
           (* Interprocedural: the same three context rules through the
              callee's transitive summary. *)
-          match ctx.db with
-          | None -> ()
-          | Some db when ctx.hot || ctx.held <> [] -> (
-              match Summary.resolve db ~unit_name:ctx.unit_name n with
-              | None -> ()
-              | Some g ->
-                  if ctx.hot && not (List.mem n allocators) then
+          if ctx.hot || ctx.held <> [] then
+            match Summary.resolve ctx.db ~unit_name:ctx.unit_name n with
+            | None -> ()
+            | Some g ->
+                if ctx.hot && not (List.mem n allocators) then
+                  Option.iter
+                    (fun w ->
+                      report ctx ~loc:e.exp_loc rule_hot_alloc
+                        (Printf.sprintf
+                           "call %s may allocate inside a [@@wp.hot] \
+                            function (%s)"
+                           n w))
+                    g.Summary.t_allocs;
+                if ctx.held <> [] then begin
+                  if not (List.mem n blocking_calls) then
                     Option.iter
                       (fun w ->
-                        report ctx ~loc:e.exp_loc rule_hot_alloc
+                        report ctx ~loc:e.exp_loc rule_blocking
                           (Printf.sprintf
-                             "call %s may allocate inside a [@@wp.hot] \
-                              function (%s)"
-                             n w))
-                      g.Summary.t_allocs;
-                  if ctx.held <> [] then begin
-                    if not (List.mem n blocking_calls) then
-                      Option.iter
-                        (fun w ->
-                          report ctx ~loc:e.exp_loc rule_blocking
-                            (Printf.sprintf
-                               "call %s may block while holding %s (%s)" n
-                               (fst (List.hd ctx.held))
-                               w))
-                        g.Summary.t_blocks;
-                    List.iter
-                      (fun (lname, rank) ->
-                        match rank with
-                        | None -> ()
-                        | Some r ->
-                            List.iter
-                              (fun (held_name, held_rank) ->
-                                match held_rank with
-                                | Some hr when r <= hr ->
-                                    report ctx ~loc:e.exp_loc rule_lock_rank
-                                      (Printf.sprintf
-                                         "call %s acquires %s (rank %d) \
-                                          while %s (rank %d) is held; locks \
-                                          must be taken in increasing rank \
-                                          order"
-                                         n lname r held_name hr)
-                                | _ -> ())
-                              ctx.held)
-                      g.Summary.t_acquires
-                  end)
-          | Some _ -> ()
+                             "call %s may block while holding %s (%s)" n
+                             (fst (List.hd ctx.held))
+                             w))
+                      g.Summary.t_blocks;
+                  List.iter
+                    (fun (lname, rank) ->
+                      match rank with
+                      | None -> ()
+                      | Some r ->
+                          List.iter
+                            (fun (held_name, held_rank) ->
+                              match held_rank with
+                              | Some hr when r <= hr ->
+                                  report ctx ~loc:e.exp_loc rule_lock_rank
+                                    (Printf.sprintf
+                                       "call %s acquires %s (rank %d) \
+                                        while %s (rank %d) is held; locks \
+                                        must be taken in increasing rank \
+                                        order"
+                                       n lname r held_name hr)
+                              | _ -> ())
+                            ctx.held)
+                    g.Summary.t_acquires
+                end
         end
     | Texp_function { cases; _ } ->
         (* A function whose whole body is a lock (or unlock) call is a
@@ -796,7 +792,7 @@ let summary_tables : Summary.tables =
     rank_of = lock_rank;
   }
 
-let check_unit_db ?db (u : Discover.unit_info) =
+let check_unit_db db (u : Discover.unit_info) =
   let ctx =
     {
       source = u.Discover.source;
@@ -813,11 +809,9 @@ let check_unit_db ?db (u : Discover.unit_info) =
   check_rule5 ctx u.Discover.structure;
   sort_findings (List.rev ctx.diags)
 
-let check_unit ?(interproc = false) (u : Discover.unit_info) =
-  if not interproc then check_unit_db u
-  else
-    let db = Summary.build summary_tables [ u ] in
-    sort_findings (check_unit_db ~db u @ totality_findings db)
+let check_unit (u : Discover.unit_info) =
+  let db = Summary.build summary_tables [ u ] in
+  sort_findings (check_unit_db db u @ totality_findings db)
 
 type report = {
   units : int;
@@ -825,7 +819,7 @@ type report = {
   load_errors : string list;
 }
 
-let run ?dirs ?(interproc = false) ~root () =
+let run ?dirs ~root () =
   let cmts = Discover.find_cmts ?dirs root in
   let units = ref [] and errors = ref [] in
   List.iter
@@ -835,10 +829,9 @@ let run ?dirs ?(interproc = false) ~root () =
       | Error e -> errors := e :: !errors)
     cmts;
   let units = List.rev !units in
-  let db = if interproc then Some (Summary.build summary_tables units) else None in
-  let diags = List.concat_map (fun u -> check_unit_db ?db u) units in
+  let db = Summary.build summary_tables units in
   let diags =
-    match db with Some db -> diags @ totality_findings db | None -> diags
+    List.concat_map (check_unit_db db) units @ totality_findings db
   in
   {
     units = List.length units;

@@ -18,19 +18,17 @@
     - [sentinel/wire-total] — closed nullary variants with
       [_to_string]/[_of_string] pairs must round-trip every
       constructor through distinct wire strings.
-    - [sentinel/cancel-total] (interprocedural only) — every suspect
-      loop ([while], or a self-recursion whose self-calls never change
-      an argument) reachable from [Wp_serve.Service] request handling
-      (or a [[@@wp.serve_entry]]-tagged root) must consult the
+    - [sentinel/cancel-total] — every suspect loop ([while], or a
+      self-recursion whose self-calls never change an argument)
+      reachable from [Wp_serve.Service] request handling (or a
+      [[@@wp.serve_entry]]-tagged root) must consult the
       cooperative-stop signal or be statically bounded
       ([[@wp.bounded "why"]]).
 
-    With [~interproc:true], the lock-rank, blocking-under-lock and
-    hot-alloc rules are additionally re-grounded on call-graph
-    summaries ({!Summary}): a call whose callee transitively blocks,
-    allocates, or acquires a lower-ranked lock is flagged at the call
-    site, with a witness chain in the message.  Without it the checker
-    stays lexical and intra-procedural, as in its first release.
+    The lock-rank, blocking-under-lock and hot-alloc rules also run on
+    call-graph summaries ({!Summary}): a call whose callee transitively
+    blocks, allocates, or acquires a lower-ranked lock is flagged at the
+    call site, with a witness chain in the message.
 
     [[@wp.allow "rule justification"]] on an enclosing expression or
     binding suppresses a rule in its scope (at a fact's origin it also
@@ -43,12 +41,11 @@
 
 val all_rules : string list
 
-val check_unit :
-  ?interproc:bool -> Discover.unit_info -> Wp_analysis.Diagnostic.t list
-(** All findings for one unit, deterministically ordered.  With
-    [~interproc:true] the unit is summarized on its own, so
-    cross-call rules see intra-unit helpers (used by the fixture
-    tests); whole-tree scans should use {!run}. *)
+val check_unit : Discover.unit_info -> Wp_analysis.Diagnostic.t list
+(** All findings for one unit, deterministically ordered.  The unit is
+    summarized on its own, so cross-call rules see intra-unit helpers
+    only (used by the fixture tests); whole-tree scans should use
+    {!run}. *)
 
 val compare_findings :
   Wp_analysis.Diagnostic.t -> Wp_analysis.Diagnostic.t -> int
@@ -61,8 +58,6 @@ type report = {
   load_errors : string list;  (** unreadable / non-implementation cmts *)
 }
 
-val run : ?dirs:string list -> ?interproc:bool -> root:string -> unit -> report
+val run : ?dirs:string list -> root:string -> unit -> report
 (** Discover (see {!Discover.find_cmts}), load and check every unit
-    under [root].  [~interproc:true] builds whole-program summaries
-    first and adds the interprocedural rules and the
-    cancellation-totality check. *)
+    under [root], on whole-program summaries built first. *)

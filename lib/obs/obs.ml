@@ -48,9 +48,7 @@ type cost_acc = {
 
 type state = {
   mutex : Mutex.t;
-  sample : float;
   max_spans : int;
-  mutable rng : int64;
   mutable next_sid : int;
   mutable next_seq : int;
   mutable collected : int;
@@ -64,16 +62,12 @@ type t = Disabled | Enabled of state
 let disabled = Disabled
 let enabled = function Disabled -> false | Enabled _ -> true
 
-let create ?(sample = 1.0) ?(seed = 0) ?(max_spans = 4096) () =
-  if not (Float.is_finite sample) || sample < 0.0 || sample > 1.0 then
-    invalid_arg "Obs.create: sample must be in [0, 1]";
+let create ?(max_spans = 4096) () =
   if max_spans < 1 then invalid_arg "Obs.create: max_spans >= 1";
   Enabled
     {
       mutex = Mutex.create ();
-      sample;
       max_spans;
-      rng = Int64.of_int seed;
       next_sid = 0;
       next_seq = 0;
       collected = 0;
@@ -85,21 +79,6 @@ let create ?(sample = 1.0) ?(seed = 0) ?(max_spans = 4096) () =
 let with_lock st f =
   Mutex.lock st.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock st.mutex) f
-
-(* splitmix64: deterministic per-seed sampling decisions. *)
-let next_uniform st =
-  st.rng <- Int64.add st.rng 0x9E3779B97F4A7C15L;
-  let z = st.rng in
-  let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
-      0xBF58476D1CE4E5B9L
-  in
-  let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
-      0x94D049BB133111EBL
-  in
-  let z = Int64.logxor z (Int64.shift_right_logical z 31) in
-  Int64.to_float (Int64.shift_right_logical z 11) *. (1.0 /. 9007199254740992.0)
 
 let alloc_span st ~parent name =
   if st.collected >= st.max_spans then begin
@@ -130,10 +109,7 @@ let root t name =
   match t with
   | Disabled -> None
   | Enabled st ->
-      with_lock st (fun () ->
-          if st.sample >= 1.0 || next_uniform st < st.sample then
-            alloc_span st ~parent:None name
-          else None)
+      with_lock st (fun () -> alloc_span st ~parent:None name)
 
 let child t ~parent name =
   match (t, parent) with

@@ -3,9 +3,9 @@
 
     A context is either {!disabled} — a shared, allocation-free no-op
     every engine accepts by default — or created with {!create}, in
-    which case span constructors return [Some span] (subject to
-    probabilistic {e sampling} and the {e span cap}) and the profile
-    table aggregates exact per-server costs regardless of sampling.
+    which case span constructors return [Some span] (subject to the
+    {e span cap}) and the profile table aggregates exact per-server
+    costs whether or not a span was collected.
 
     Span model: one {e root} span ([query]) per engine run, with one
     [visit] child per server visit — the same shape under Whirlpool-S
@@ -29,14 +29,10 @@ val disabled : t
     recording operation is a cheap early return, and the engines'
     counters and answers are bit-identical to a run without it. *)
 
-val create : ?sample:float -> ?seed:int -> ?max_spans:int -> unit -> t
-(** An enabled context.  [sample] (default [1.0]) is the probability
-    that a root span — and therefore its whole subtree — is collected;
-    the decision is made per {!root} call with a deterministic
-    generator seeded by [seed] (default 0), so sampled runs are
-    reproducible.  [max_spans] (default [4096]) caps collected spans;
-    beyond it new spans are dropped (counted by {!dropped_spans}) while
-    the profile table keeps aggregating. *)
+val create : ?max_spans:int -> unit -> t
+(** An enabled context.  [max_spans] (default [4096]) caps collected
+    spans; beyond it new spans are dropped (counted by
+    {!dropped_spans}) while the profile table keeps aggregating. *)
 
 val enabled : t -> bool
 
@@ -69,16 +65,16 @@ type stamped = { ts_ns : int64; seq : int; event : event }
 (** {1 Spans} *)
 
 val root : t -> string -> span option
-(** Open a root span ([None] when disabled, unsampled, or capped). *)
+(** Open a root span ([None] when disabled or capped). *)
 
 val child : t -> parent:span option -> string -> span option
-(** Open a child span; [None] propagates from an absent parent, so an
-    unsampled subtree costs nothing. *)
+(** Open a child span; [None] propagates from an absent parent, so a
+    dropped subtree costs nothing. *)
 
 val emit : t -> span option -> event -> unit
 (** Record a stamped event on the span; a no-op when the span is
     absent.  Callers on a hot path test the span before building the
-    event, so a disabled or unsampled run allocates none.  Rendering is
+    event, so a disabled or capped run allocates none.  Rendering is
     deferred to export. *)
 
 val attr : t -> span option -> string -> float -> unit
@@ -96,8 +92,8 @@ type server_cost = {
 }
 
 val visit : t -> server:int -> comparisons:int -> ns:int64 -> unit
-(** Attribute one server operation's cost.  Exact (never sampled);
-    no-op on a disabled context. *)
+(** Attribute one server operation's cost.  Exact (independent of the
+    span cap); no-op on a disabled context. *)
 
 val per_server : t -> (int * server_cost) list
 (** Aggregated costs, sorted by server id. *)

@@ -222,24 +222,31 @@ let ttfa_probe ?algo ?k ?doc ~socket ~query () =
          ])
   end
 
-let report ?algo ~socket ~queries ~client_counts ~duration_s () =
-  let* points =
-    List.fold_left
-      (fun acc clients ->
-        let* acc = acc in
-        let* p = run ?algo ~socket ~queries ~clients ~duration_s () in
-        Result.Ok (p :: acc))
-      (Result.Ok []) client_counts
+type measured = {
+  cold : point;
+  warm : point;
+  ttfa : Json.t option;
+  server_metrics : Json.t;
+}
+
+let measure ?algo ?ttfa_query ?ttfa_doc ~socket ~queries ~clients ~duration_s
+    () =
+  let window () = run ?algo ~socket ~queries ~clients ~duration_s () in
+  let* cold = window () in
+  let* warm = window () in
+  let ttfa =
+    Option.map
+      (fun query ->
+        match ttfa_probe ?algo ?doc:ttfa_doc ~socket ~query () with
+        | Result.Ok j -> j
+        | Result.Error e ->
+            Json.Obj [ ("query", Json.String query); ("error", Json.String e) ])
+      ttfa_query
   in
-  let points = List.rev points in
   let* server_metrics = fetch_metrics ~socket in
-  let open Json in
-  Result.Ok
-    (Obj
-       [
-         ("benchmark", String "whirlpool-serve-loadgen");
-         ("queries", List (List.map (fun q -> String q) queries));
-         ("duration_s_per_point", Float duration_s);
-         ("points", List (List.map point_to_json points));
-         ("server_metrics", server_metrics);
-       ])
+  Result.Ok { cold; warm; ttfa; server_metrics }
+
+let measured_fields m =
+  [ ("cold", point_to_json m.cold); ("warm", point_to_json m.warm) ]
+  @ (match m.ttfa with Some j -> [ ("ttfa", j) ] | None -> [])
+  @ [ ("server_metrics", m.server_metrics) ]

@@ -3,10 +3,9 @@
     [clients] threads each hold one connection and issue queries
     back-to-back (round-robin over the query list) for [duration_s]
     seconds, then the per-status counts and client-side latency
-    samples are merged into one {!point}.  [wp_cli loadgen] boots a
-    server per point and calls {!run} for its cold and warm windows;
-    {!report} measures an already-listening server instead
-    ([loadgen --connect]). *)
+    samples are merged into one {!point}.  {!measure} is one
+    [wp_cli loadgen] point, whether the server was spawned for it or
+    is already listening ([--connect]). *)
 
 type point = {
   clients : int;
@@ -53,16 +52,30 @@ val ttfa_probe :
     corpus.  [Error] when the server negotiates the connection down to
     v1, since nothing can stream there. *)
 
-val point_to_json : point -> Wp_json.Json.t
+type measured = {
+  cold : point;  (** first window *)
+  warm : point;  (** second window, reusing the plans the first compiled *)
+  ttfa : Wp_json.Json.t option;
+      (** the {!ttfa_probe} report, or [{"query", "error"}] when the probe
+          failed; [None] when no probe was asked for *)
+  server_metrics : Wp_json.Json.t;  (** the server's JSON metrics snapshot *)
+}
 
-val report :
+val measure :
   ?algo:string ->
+  ?ttfa_query:string ->
+  ?ttfa_doc:string ->
   socket:string ->
   queries:string list ->
-  client_counts:int list ->
+  clients:int ->
   duration_s:float ->
   unit ->
-  (Wp_json.Json.t, string) result
-(** Run one {!point} per entry of [client_counts] sequentially and
-    wrap them with the sweep parameters, plus the server's own metrics
-    snapshot fetched after the last point. *)
+  (measured, string) result
+(** One load point against the server on [socket]: two back-to-back
+    {!run} windows, then (with [ttfa_query]) one {!ttfa_probe} pinned to
+    [ttfa_doc], then the server's metrics snapshot.  [Error] when a
+    window or the metrics fetch fails. *)
+
+val measured_fields : measured -> (string * Wp_json.Json.t) list
+(** [cold], [warm], [ttfa] (when probed) and [server_metrics], as the
+    fields of a point object. *)

@@ -273,7 +273,46 @@ let test_check () =
   check_exit "fixture findings exit 1" 1
     [ "check"; "--root"; build_root; "--dirs"; "test/sentinel_fixtures" ];
   check_exit "missing tree exits 2" 2
-    [ "check"; "--root"; "/nonexistent/whirlpool" ]
+    [ "check"; "--root"; "/nonexistent/whirlpool" ];
+  (* One mode: a run with no flags includes the call-graph stages, so
+     the cancellation-totality fixture is reported. *)
+  let out = Filename.temp_file "wp_check" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove out)
+    (fun () ->
+      let code =
+        Sys.command
+          (Filename.quote_command wp_cli ~stdout:out ~stderr:Filename.null
+             [
+               "check"; "--root"; build_root; "--dirs"; "test/sentinel_fixtures";
+               "--json";
+             ])
+      in
+      Alcotest.(check int) "fixture scan exits 1" 1 code;
+      let findings =
+        match
+          Result.map
+            (Wp_json.Json.member "findings")
+            (Wp_json.Json.of_string
+               (In_channel.with_open_bin out In_channel.input_all))
+        with
+        | Ok (Some (Wp_json.Json.List fs)) -> fs
+        | _ -> Alcotest.fail "check --json: no findings list"
+      in
+      let field key f =
+        match Wp_json.Json.member key f with
+        | Some (Wp_json.Json.String s) -> s
+        | _ -> ""
+      in
+      Alcotest.(check bool) "fix_unbounded_loop.ml: sentinel/cancel-total"
+        true
+        (List.exists
+           (fun f ->
+             field "code" f = "sentinel/cancel-total"
+             && String.starts_with
+                  ~prefix:"test/sentinel_fixtures/fix_unbounded_loop.ml:"
+                  (field "message" f))
+           findings))
 
 let suite =
   [

@@ -192,28 +192,17 @@ let test_profile_matches_stats () =
         (server >= 0 && server < plan.Plan.n_servers))
     profile
 
-let test_sampling_deterministic () =
-  let pattern ~sample ~seed n =
-    let obs = Obs.create ~sample ~seed () in
-    List.init n (fun i ->
-        let sp = Obs.root obs (Printf.sprintf "q%d" i) in
-        Obs.finish obs sp;
-        sp <> None)
-  in
-  let a = pattern ~sample:0.5 ~seed:11 64 in
-  let b = pattern ~sample:0.5 ~seed:11 64 in
-  Alcotest.(check (list bool)) "same seed, same decisions" a b;
-  Alcotest.(check bool) "sampling actually drops some" true
-    (List.mem false a && List.mem true a);
-  let none = pattern ~sample:0.0 ~seed:3 16 in
-  Alcotest.(check bool) "sample 0 collects nothing" true
-    (List.for_all not none)
-
-let test_unsampled_still_profiles () =
-  let obs = Obs.create ~sample:0.0 () in
+(* With the span cap already exhausted the run collects no spans, yet
+   its per-server profile stays exact. *)
+let test_profile_exact_without_spans () =
+  let obs = Obs.create ~max_spans:1 () in
+  Obs.finish obs (Obs.root obs "filler");
   let plan = Run.compile idx (parse Fixtures.q1) in
   let r = Engine.run ~config:Engine.Config.(default |> with_obs obs) plan ~k:3 in
-  Alcotest.(check int) "no spans collected" 0 (List.length (Obs.spans obs));
+  Alcotest.(check (list string)) "no engine spans collected" [ "filler" ]
+    (List.map (fun (s : Obs.span_record) -> s.name) (Obs.spans obs));
+  Alcotest.(check bool) "the run's spans were dropped" true
+    (Obs.dropped_spans obs > 0);
   let visits =
     List.fold_left (fun a (_, c) -> a + c.Obs.visits) 0 (Obs.per_server obs)
   in
@@ -335,10 +324,8 @@ let suite =
     Alcotest.test_case "disabled is inert" `Quick test_disabled_is_inert;
     Alcotest.test_case "span tree shape" `Quick test_span_tree_shape;
     Alcotest.test_case "profile matches stats" `Quick test_profile_matches_stats;
-    Alcotest.test_case "sampling deterministic" `Quick
-      test_sampling_deterministic;
-    Alcotest.test_case "unsampled still profiles" `Quick
-      test_unsampled_still_profiles;
+    Alcotest.test_case "profile exact without spans" `Quick
+      test_profile_exact_without_spans;
     Alcotest.test_case "max spans cap" `Quick test_max_spans_cap;
     Alcotest.test_case "span events carry trace" `Quick
       test_span_events_carry_trace;

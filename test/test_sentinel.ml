@@ -1,7 +1,7 @@
 (* Sentinel static-checker tests: every known-bad fixture in
    test/sentinel_fixtures produces exactly its expected diagnostic(s)
-   — the interprocedural fixtures only under ~interproc:true, where
-   they are clean intra-procedurally — the live production tree is
+   — the interprocedural ones through the call-graph stage — the
+   live production tree is
    clean under the full rule set, and the obs clock fix is pinned by a
    regression pair (current unit clean, old implementation — preserved
    verbatim in Fix_wall_clock — flagged). *)
@@ -19,15 +19,15 @@ let fixture_cmt name =
     ("test/sentinel_fixtures/.sentinel_fixtures.objs/byte/sentinel_fixtures__"
    ^ name ^ ".cmt")
 
-let check_fixture ?interproc name =
+let check_fixture name =
   match Discover.load (fixture_cmt name) with
   | Error e -> Alcotest.failf "cannot load fixture %s: %s" name e
-  | Ok u -> Sentinel.check_unit ?interproc u
+  | Ok u -> Sentinel.check_unit u
 
 let codes ds = List.map (fun (d : D.t) -> d.D.code) ds
 
-let expect_codes ?interproc name expected () =
-  let ds = check_fixture ?interproc name in
+let expect_codes name expected () =
+  let ds = check_fixture name in
   Alcotest.(check (list string))
     (name ^ " produces exactly " ^ String.concat ", " expected)
     expected (codes ds);
@@ -37,8 +37,7 @@ let expect_codes ?interproc name expected () =
         (d.D.severity = D.Error))
     ds
 
-let expect_exactly ?interproc name code =
-  expect_codes ?interproc name [ code ]
+let expect_exactly name code = expect_codes name [ code ]
 
 let test_lock_order = expect_exactly "Fix_lock_order" "sentinel/lock-rank"
 let test_wall_clock = expect_exactly "Fix_wall_clock" "sentinel/clock"
@@ -58,29 +57,19 @@ let test_blocking_net =
       "sentinel/blocking-under-lock";
     ]
 
-(* The interprocedural fixtures: clean intra-procedurally, exactly one
-   finding each under the call-graph stage. *)
+(* The interprocedural fixtures: each body is clean on its own, and
+   the call-graph stage finds exactly one defect through a call. *)
 let test_interproc_block =
-  expect_exactly ~interproc:true "Fix_interproc_block"
-    "sentinel/blocking-under-lock"
+  expect_exactly "Fix_interproc_block" "sentinel/blocking-under-lock"
 
 let test_interproc_alloc =
-  expect_exactly ~interproc:true "Fix_interproc_alloc" "sentinel/hot-alloc"
+  expect_exactly "Fix_interproc_alloc" "sentinel/hot-alloc"
 
 let test_interproc_rank =
-  expect_exactly ~interproc:true "Fix_interproc_rank" "sentinel/lock-rank"
+  expect_exactly "Fix_interproc_rank" "sentinel/lock-rank"
 
 let test_unbounded_loop =
-  expect_exactly ~interproc:true "Fix_unbounded_loop" "sentinel/cancel-total"
-
-let test_interproc_fixtures_clean_intra () =
-  List.iter
-    (fun name ->
-      Alcotest.(check (list string))
-        (name ^ " is clean without the call-graph stage")
-        []
-        (codes (check_fixture name)))
-    [ "Fix_interproc_block"; "Fix_interproc_alloc"; "Fix_interproc_rank" ]
+  expect_exactly "Fix_unbounded_loop" "sentinel/cancel-total"
 
 (* The messages carry enough to act on: source, line, and the offending
    name — interprocedural ones also the witness chain. *)
@@ -90,8 +79,8 @@ let test_messages () =
     let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
     go 0
   in
-  let msg ?interproc name =
-    match check_fixture ?interproc name with
+  let msg name =
+    match check_fixture name with
     | [ d ] -> d.D.message
     | ds -> Alcotest.failf "%s: expected one finding, got %d" name (List.length ds)
   in
@@ -106,20 +95,19 @@ let test_messages () =
   Alcotest.(check bool) "blocking message names the syscall" true
     (contains (msg "Fix_blocking") "Unix.sleepf");
   Alcotest.(check bool) "interproc blocking message carries the witness" true
-    (contains (msg ~interproc:true "Fix_interproc_block") "Unix.sleepf");
+    (contains (msg "Fix_interproc_block") "Unix.sleepf");
   Alcotest.(check bool) "interproc alloc message carries the witness" true
-    (contains (msg ~interproc:true "Fix_interproc_alloc") "Array.copy");
+    (contains (msg "Fix_interproc_alloc") "Array.copy");
   Alcotest.(check bool) "interproc rank message names both locks" true
-    (contains (msg ~interproc:true "Fix_interproc_rank") "topk.mutex"
-    && contains (msg ~interproc:true "Fix_interproc_rank") "serve.pool.mutex");
+    (contains (msg "Fix_interproc_rank") "topk.mutex"
+    && contains (msg "Fix_interproc_rank") "serve.pool.mutex");
   Alcotest.(check bool) "totality message suggests the annotation" true
-    (contains (msg ~interproc:true "Fix_unbounded_loop") "wp.bounded")
+    (contains (msg "Fix_unbounded_loop") "wp.bounded")
 
-(* The committed tree has zero findings — under the full rule set,
-   interprocedural stages included: this is the same scan the
-   @sentinel alias and `wp_cli check --interproc` run in CI. *)
+(* The committed tree has zero findings under the full rule set: this
+   is the same scan the @sentinel alias runs in CI. *)
 let test_clean_tree () =
-  let report = Sentinel.run ~interproc:true ~root:build_root () in
+  let report = Sentinel.run ~root:build_root () in
   Alcotest.(check (list string)) "no load errors" [] report.Sentinel.load_errors;
   Alcotest.(check bool) "scanned at least the libraries" true
     (report.Sentinel.units > 0);
@@ -133,7 +121,7 @@ let test_clean_tree () =
 let test_deterministic_order () =
   let ds =
     check_fixture "Fix_blocking_net" @ check_fixture "Fix_wall_clock"
-    @ check_fixture ~interproc:true "Fix_interproc_rank"
+    @ check_fixture "Fix_interproc_rank"
   in
   let sorted = List.sort Sentinel.compare_findings ds in
   let shuffled = List.sort Sentinel.compare_findings (List.rev ds) in
@@ -181,8 +169,6 @@ let suite =
     Alcotest.test_case "interproc alloc fixture" `Quick test_interproc_alloc;
     Alcotest.test_case "interproc rank fixture" `Quick test_interproc_rank;
     Alcotest.test_case "unbounded-loop fixture" `Quick test_unbounded_loop;
-    Alcotest.test_case "interproc fixtures clean intra" `Quick
-      test_interproc_fixtures_clean_intra;
     Alcotest.test_case "finding messages" `Quick test_messages;
     Alcotest.test_case "deterministic order" `Quick test_deterministic_order;
     Alcotest.test_case "clean tree" `Quick test_clean_tree;

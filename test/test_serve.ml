@@ -1009,11 +1009,11 @@ let test_spawn_rejects_empty_pool () =
                   (Some (Event.spawn ~workers ~queue_depth ~socket ~service ())))
               ()
           in
-          let deadline = Unix.gettimeofday () +. 10.0 in
+          let deadline = Whirlpool.Clock.now () +. 10.0 in
           let rec wait () =
             match Atomic.get outcome with
             | Some r -> r
-            | None when Unix.gettimeofday () > deadline ->
+            | None when Whirlpool.Clock.now () > deadline ->
                 Alcotest.failf "%s: spawn still blocked after 10 s" label
             | None ->
                 Thread.delay 0.01;
@@ -1500,6 +1500,53 @@ let test_stream_emission_timing () =
 
 (* --- the server: sockets end to end --- *)
 
+(* One loadgen point end to end against an in-process event server:
+   each window's accounting adds up with no errors, its percentiles are
+   ordered, and the streamed TTFA probe sees its first answer before
+   the run completes. *)
+let test_loadgen_measure () =
+  with_corpus_dir (fun dir ->
+      let socket = temp_socket () in
+      let service = Service.create ~catalog:(loaded_catalog dir) () in
+      let server, thread = start_event_server ~socket ~service () in
+      let m =
+        Fun.protect
+          ~finally:(fun () ->
+            Event.request_stop server;
+            Thread.join thread)
+          (fun () ->
+            match
+              Loadgen.measure ~ttfa_query:"/book[./title]" ~ttfa_doc:"a.xml"
+                ~socket
+                ~queries:[ "/book[./title]"; "/book[./isbn]" ]
+                ~clients:2 ~duration_s:0.2 ()
+            with
+            | Ok m -> m
+            | Error e -> Alcotest.failf "measure: %s" e)
+      in
+      List.iter
+        (fun (w, (p : Loadgen.point)) ->
+          Alcotest.(check int) (w ^ ": no errors") 0 p.errors;
+          Alcotest.(check int)
+            (w ^ ": requests = ok + partial + overloaded + errors")
+            p.requests
+            (p.ok + p.partial + p.overloaded + p.errors);
+          Alcotest.(check bool) (w ^ ": p50 <= p95 <= p99 <= max") true
+            (p.p50_ms <= p.p95_ms && p.p95_ms <= p.p99_ms
+           && p.p99_ms <= p.max_ms);
+          Alcotest.(check bool) (w ^ ": throughput > 0") true
+            (p.throughput > 0.0))
+        [ ("cold", m.cold); ("warm", m.warm) ];
+      let ttfa key = Option.bind m.ttfa (Json.member key) in
+      (match ttfa "streamed" with
+      | Some (Json.Int n) ->
+          Alcotest.(check bool) "ttfa probe streamed an answer" true (n >= 1)
+      | _ -> Alcotest.fail "ttfa report lacks streamed");
+      Alcotest.(check bool) "first answer before done" true
+        (ttfa "ttfa_before_done" = Some (Json.Bool true));
+      Alcotest.(check bool) "server metrics snapshot" true
+        (Json.member "plan_cache" m.server_metrics <> None))
+
 let test_event_end_to_end () =
   with_corpus_dir (fun dir ->
       let socket = temp_socket () in
@@ -1878,6 +1925,7 @@ let suite =
     Alcotest.test_case "stream emission timing" `Quick
       test_stream_emission_timing;
     Alcotest.test_case "event tier end to end" `Quick test_event_end_to_end;
+    Alcotest.test_case "loadgen point" `Quick test_loadgen_measure;
     Alcotest.test_case "event deadline mid-stream" `Quick
       test_event_deadline_mid_stream;
     Alcotest.test_case "event killed client reclaims" `Quick
