@@ -398,9 +398,7 @@ let index_info path =
       Printf.printf "%s: wpidx v%d\n" path Wp_storage.Index_file.version;
       Printf.printf "  nodes             %d\n" i.nodes;
       Printf.printf "  tags              %d\n" i.tags;
-      Printf.printf "  content terms     %d\n" i.terms;
       Printf.printf "  value bytes       %d\n" i.value_bytes;
-      Printf.printf "  content postings  %d\n" i.content_postings;
       Printf.printf "  file bytes        %d\n" i.file_bytes
 
 let index_build_cmd =
@@ -1064,9 +1062,9 @@ let profile_cmd =
    TTFA probe and the metrics snapshot ({!Wp_serve.Loadgen.measure}),
    summarized on stdout as [label]. *)
 let loadgen_measure ~label ~socket ~queries ~clients ~duration ~algo
-    ~ttfa_query ?ttfa_doc () =
+    ~ttfa_query =
   match
-    Wp_serve.Loadgen.measure ?algo ?ttfa_query ?ttfa_doc ~socket ~queries
+    Wp_serve.Loadgen.measure ?algo ?ttfa_query ~socket ~queries
       ~clients ~duration_s:duration ()
   with
   | Error e -> Error e
@@ -1105,17 +1103,10 @@ let loadgen_spawned ~corpus ~socket ~queries ~clients ~duration ~relax_content
   let server, thread =
     or_exit (Wp_serve.Event.spawn ~workers ~queue_depth ~socket ~service ())
   in
-  (* Only single-document runs stream mid-query: the TTFA probe pins
-     the first document. *)
-  let ttfa_doc =
-    match Wp_serve.Catalog.docs catalog with
-    | d :: _ -> Some d.Wp_serve.Catalog.name
-    | [] -> None
-  in
   let fields =
     loadgen_measure
       ~label:(Printf.sprintf "workers=%d queue_depth=%d" workers queue_depth)
-      ~socket ~queries ~clients ~duration ~algo ~ttfa_query ?ttfa_doc ()
+      ~socket ~queries ~clients ~duration ~algo ~ttfa_query
   in
   Wp_serve.Event.request_stop server;
   Thread.join thread;
@@ -1142,7 +1133,7 @@ let loadgen_run connect corpus queries clients duration workers_list
         [
           or_exit
             (loadgen_measure ~label:socket ~socket ~queries ~clients
-               ~duration ~algo ~ttfa_query ());
+               ~duration ~algo ~ttfa_query);
         ]
     | None ->
         if corpus = [] then die "a CORPUS is required without --connect";

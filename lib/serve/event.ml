@@ -95,26 +95,24 @@ let request_stop server =
 
 (* --- enqueueing output --- *)
 
-let frame_string payload =
-  let n = String.length payload in
-  let buf = Bytes.create (4 + n) in
-  Bytes.set buf 0 (Char.chr ((n lsr 24) land 0xff));
-  Bytes.set buf 1 (Char.chr ((n lsr 16) land 0xff));
-  Bytes.set buf 2 (Char.chr ((n lsr 8) land 0xff));
-  Bytes.set buf 3 (Char.chr (n land 0xff));
-  Bytes.blit_string payload 0 buf 4 n;
-  Bytes.unsafe_to_string buf
+(* Append reply bytes to the outbox; an HTTP connection carries one
+   reply and closes once it is flushed.  Caller holds [conn.omutex]. *)
+let append_reply conn text =
+  Buffer.add_string conn.outbox text;
+  if conn.kind = Http_conn then conn.close_after_flush <- true
 
-(* Append one wire frame to the connection's outbox.  Callable from any
-   thread; the caller wakes the loop when not already on it. *)
-let enqueue_json conn json =
+(* Callable from any thread; the caller wakes the loop when not already
+   on it. *)
+let enqueue conn text = with_lock conn.omutex (fun () -> append_reply conn text)
+
+(* One wire frame.  A payload past [Wire.max_frame] is dropped: no
+   client could read it. *)
+let wire_frame json =
   let payload = Json.to_string json in
-  if String.length payload <= Wire.max_frame then
-    let framed = frame_string payload in
-    with_lock conn.omutex (fun () -> Buffer.add_string conn.outbox framed)
+  if String.length payload <= Wire.max_frame then Wire.frame payload else ""
 
 let send_response conn resp =
-  enqueue_json conn (Protocol.response_to_json resp)
+  enqueue conn (wire_frame (Protocol.response_to_json resp))
 
 (* --- disconnect / reclaim --- *)
 
@@ -125,50 +123,64 @@ let disconnect conn =
     (try Unix.close conn.fd with Unix.Unix_error _ -> ())
   end
 
+(* --- query admission (loop thread) --- *)
+
+(* Admit one query from either front end: shed it while the server is
+   stopping or when the pool is full, else run it on a worker.  [reply]
+   frames the finished (or shed) response for this connection. *)
+let submit_query server conn ?on_part ~reply (q : Protocol.query) =
+  let shed () =
+    Service.record_shed server.service;
+    enqueue conn (reply (Protocol.overloaded_response ~id:q.id))
+  in
+  if with_lock server.mutex (fun () -> server.stopping) then shed ()
+  else begin
+    with_lock conn.omutex (fun () -> conn.inflight <- conn.inflight + 1);
+    let job () =
+      let cancelled () = Atomic.get conn.cancelled in
+      let resp, _streamed =
+        Service.handle_query_stream server.service ~cancelled ?on_part q
+      in
+      let text = reply resp in
+      with_lock conn.omutex (fun () ->
+          append_reply conn text;
+          conn.inflight <- conn.inflight - 1);
+      wake server
+    in
+    if not (Pool.Real.submit server.pool job) then begin
+      with_lock conn.omutex (fun () -> conn.inflight <- conn.inflight - 1);
+      shed ()
+    end
+  end
+
 (* --- wire dispatch (loop thread) --- *)
 
-let submit_query server conn (q : Protocol.query) =
-  let version = conn.version in
-  with_lock conn.omutex (fun () -> conn.inflight <- conn.inflight + 1);
+(* A v2 connection streams certified answers as [Part] frames and ends
+   with a [Done] frame; a v1 connection gets one bare response. *)
+let submit_wire_query server conn (q : Protocol.query) =
+  let streamed = conn.version >= 2 in
   let on_part =
-    if version >= 2 then begin
+    if streamed then begin
       let seq = ref 0 in
       Some
         (fun answer ->
           let frame = Protocol.Part { id = q.id; seq = !seq; answer } in
           incr seq;
-          enqueue_json conn (Protocol.frame_to_json frame);
+          enqueue conn (wire_frame (Protocol.frame_to_json frame));
           wake server)
     end
     else None
   in
-  let job () =
-    let cancelled () = Atomic.get conn.cancelled in
-    let resp, _streamed =
-      Service.handle_query_stream server.service ~cancelled ?on_part q
-    in
-    enqueue_json conn
-      (if version >= 2 then Protocol.frame_to_json (Protocol.Done resp)
-       else Protocol.response_to_json resp);
-    with_lock conn.omutex (fun () -> conn.inflight <- conn.inflight - 1);
-    wake server
-  in
-  if not (Pool.Real.submit server.pool job) then begin
-    with_lock conn.omutex (fun () -> conn.inflight <- conn.inflight - 1);
-    Service.record_shed server.service;
-    send_response conn (Protocol.overloaded_response ~id:q.id)
-  end
+  submit_query server conn ?on_part q ~reply:(fun resp ->
+      wire_frame
+        (if streamed then Protocol.frame_to_json (Protocol.Done resp)
+         else Protocol.response_to_json resp))
 
 let dispatch_wire server conn payload =
   match Protocol.parse_request payload with
   | Result.Error msg ->
       send_response conn (Protocol.error_response ~id:0 ("bad request: " ^ msg))
-  | Result.Ok (Protocol.Query q) ->
-      if with_lock server.mutex (fun () -> server.stopping) then begin
-        Service.record_shed server.service;
-        send_response conn (Protocol.overloaded_response ~id:q.id)
-      end
-      else submit_query server conn q
+  | Result.Ok (Protocol.Query q) -> submit_wire_query server conn q
   | Result.Ok req -> (
       match Service.handle server.service req with
       | `Reply r ->
@@ -189,10 +201,7 @@ let http_response_text ~status ~content_type body =
     status content_type (String.length body) body
 
 let http_reply conn ~status ~content_type body =
-  let text = http_response_text ~status ~content_type body in
-  with_lock conn.omutex (fun () ->
-      Buffer.add_string conn.outbox text;
-      conn.close_after_flush <- true)
+  enqueue conn (http_response_text ~status ~content_type body)
 
 let http_reply_json conn ~status json =
   http_reply conn ~status ~content_type:"application/json"
@@ -208,30 +217,10 @@ let http_status_of (resp : Protocol.response) =
           "400 Bad Request"
       | Some _ | None -> "500 Internal Server Error")
 
-let http_submit_query server conn (q : Protocol.query) =
-  with_lock conn.omutex (fun () -> conn.inflight <- conn.inflight + 1);
-  let job () =
-    let cancelled () = Atomic.get conn.cancelled in
-    let resp, _streamed =
-      Service.handle_query_stream server.service ~cancelled q
-    in
-    let body = Json.to_string (Protocol.response_to_json resp) in
-    let text =
-      http_response_text ~status:(http_status_of resp)
-        ~content_type:"application/json" body
-    in
-    with_lock conn.omutex (fun () ->
-        Buffer.add_string conn.outbox text;
-        conn.close_after_flush <- true;
-        conn.inflight <- conn.inflight - 1);
-    wake server
-  in
-  if not (Pool.Real.submit server.pool job) then begin
-    with_lock conn.omutex (fun () -> conn.inflight <- conn.inflight - 1);
-    Service.record_shed server.service;
-    http_reply_json conn ~status:"503 Service Unavailable"
-      (Protocol.response_to_json (Protocol.overloaded_response ~id:0))
-  end
+let http_query_reply resp =
+  http_response_text ~status:(http_status_of resp)
+    ~content_type:"application/json"
+    (Json.to_string (Protocol.response_to_json resp))
 
 let http_error conn ~status msg =
   http_reply_json conn ~status
@@ -271,13 +260,7 @@ let http_route server conn ~meth ~path ~body =
       match http_query_request body with
       | Result.Error msg -> http_error conn ~status:"400 Bad Request" msg
       | Result.Ok (Protocol.Query q) ->
-          if with_lock server.mutex (fun () -> server.stopping) then begin
-            Service.record_shed server.service;
-            http_reply_json conn ~status:"503 Service Unavailable"
-              (Protocol.response_to_json
-                 (Protocol.overloaded_response ~id:q.id))
-          end
-          else http_submit_query server conn q
+          submit_query server conn q ~reply:http_query_reply
       | Result.Ok _ ->
           http_error conn ~status:"400 Bad Request"
             "only op \"query\" is served over HTTP")
@@ -391,28 +374,35 @@ let http_process server conn =
 
 let read_chunk = Bytes.create 65536
 
-(* Drain every complete frame out of the connection's read buffer. *)
+(* Dispatch every complete frame in the connection's read buffer,
+   consuming them by offset, then keep the unread tail once: a read
+   that carries many pipelined frames copies each payload and the tail
+   once, never the remaining buffer per frame. *)
 let process_wire server conn =
-  let rec frames () =
-    let len = Buffer.length conn.rbuf in
-    if len >= 4 then begin
-      let b i = Char.code (Buffer.nth conn.rbuf i) in
-      let n = (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3 in
-      if n > Wire.max_frame then disconnect conn
-      else if len >= 4 + n then begin
-        let payload = Buffer.sub conn.rbuf 4 n in
-        let rest = Buffer.sub conn.rbuf (4 + n) (len - 4 - n) in
-        Buffer.clear conn.rbuf;
-        Buffer.add_string conn.rbuf rest;
-        dispatch_wire server conn payload;
-        frames ()
+  let len = Buffer.length conn.rbuf in
+  let rec frames pos =
+    if len - pos < 4 then pos
+    else
+      let n = Wire.payload_length (fun i -> Buffer.nth conn.rbuf (pos + i)) in
+      if n > Wire.max_frame then begin
+        disconnect conn;
+        len
       end
-    end
+      else if len - pos < 4 + n then pos
+      else begin
+        dispatch_wire server conn (Buffer.sub conn.rbuf (pos + 4) n);
+        frames (pos + 4 + n)
+      end
   in
-  frames ()
+  let pos = frames 0 in
+  if pos > 0 then begin
+    let rest = Buffer.sub conn.rbuf pos (len - pos) in
+    Buffer.clear conn.rbuf;
+    Buffer.add_string conn.rbuf rest
+  end
 [@@wp.bounded
-  "each iteration removes one complete frame (>= 4 bytes) from the read \
-   buffer, which only the loop thread refills between select rounds"]
+  "each iteration consumes one complete frame (>= 4 bytes) of the read \
+   buffer's fixed length"]
 
 let read_conn server conn =
   match Unix.read conn.fd read_chunk 0 (Bytes.length read_chunk) with

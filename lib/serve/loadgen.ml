@@ -229,19 +229,30 @@ type measured = {
   server_metrics : Json.t;
 }
 
-let measure ?algo ?ttfa_query ?ttfa_doc ~socket ~queries ~clients ~duration_s
-    () =
+(* The first document the server's metrics list: only single-document
+   queries stream mid-query, so the TTFA probe pins it. *)
+let first_document metrics =
+  match Option.bind (Json.member "corpus" metrics) (Json.member "names") with
+  | Some (Json.List (Json.String name :: _)) -> Some name
+  | _ -> None
+
+let measure ?algo ?ttfa_query ~socket ~queries ~clients ~duration_s () =
   let window () = run ?algo ~socket ~queries ~clients ~duration_s () in
   let* cold = window () in
   let* warm = window () in
-  let ttfa =
-    Option.map
-      (fun query ->
-        match ttfa_probe ?algo ?doc:ttfa_doc ~socket ~query () with
-        | Result.Ok j -> j
-        | Result.Error e ->
-            Json.Obj [ ("query", Json.String query); ("error", Json.String e) ])
-      ttfa_query
+  let* ttfa =
+    match ttfa_query with
+    | None -> Result.Ok None
+    | Some query ->
+        let* metrics = fetch_metrics ~socket in
+        let doc = first_document metrics in
+        Result.Ok
+          (Some
+             (match ttfa_probe ?algo ?doc ~socket ~query () with
+             | Result.Ok j -> j
+             | Result.Error e ->
+                 Json.Obj
+                   [ ("query", Json.String query); ("error", Json.String e) ]))
   in
   let* server_metrics = fetch_metrics ~socket in
   Result.Ok { cold; warm; ttfa; server_metrics }

@@ -64,7 +64,6 @@ type measured = {
 val measure :
   ?algo:string ->
   ?ttfa_query:string ->
-  ?ttfa_doc:string ->
   socket:string ->
   queries:string list ->
   clients:int ->
@@ -73,8 +72,9 @@ val measure :
   (measured, string) result
 (** One load point against the server on [socket]: two back-to-back
     {!run} windows, then (with [ttfa_query]) one {!ttfa_probe} pinned to
-    [ttfa_doc], then the server's metrics snapshot.  [Error] when a
-    window or the metrics fetch fails. *)
+    the first document the server's metrics list under
+    [corpus.names], then the server's metrics snapshot.  [Error] when a
+    window or a metrics fetch fails. *)
 
 val measured_fields : measured -> (string * Wp_json.Json.t) list
 (** [cold], [warm], [ttfa] (when probed) and [server_metrics], as the

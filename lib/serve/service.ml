@@ -383,6 +383,8 @@ let metrics_json t =
           Obj
             [
               ("documents", Int (List.length docs));
+              ( "names",
+                List (List.map (fun (d : Catalog.doc) -> String d.name) docs) );
               ("nodes", Int nodes);
             ] );
         ( "plan_cache",

@@ -13,30 +13,33 @@ let rec read_all fd buf pos len =
     | 0 -> false
     | n -> read_all fd buf (pos + n) (len - n)
 
+let frame payload =
+  let n = String.length payload in
+  let buf = Bytes.create (4 + n) in
+  Bytes.set_int32_be buf 0 (Int32.of_int n);
+  Bytes.blit_string payload 0 buf 4 n;
+  Bytes.unsafe_to_string buf
+
+let payload_length byte =
+  let b i = Char.code (byte i) in
+  (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3
+
 let write_frame fd payload =
   let n = String.length payload in
   if n > max_frame then
     Result.Error (Printf.sprintf "frame too large (%d bytes)" n)
-  else begin
-    let buf = Bytes.create (4 + n) in
-    Bytes.set buf 0 (Char.chr ((n lsr 24) land 0xff));
-    Bytes.set buf 1 (Char.chr ((n lsr 16) land 0xff));
-    Bytes.set buf 2 (Char.chr ((n lsr 8) land 0xff));
-    Bytes.set buf 3 (Char.chr (n land 0xff));
-    Bytes.blit_string payload 0 buf 4 n;
-    match write_all fd buf 0 (4 + n) with
+  else
+    match write_all fd (Bytes.unsafe_of_string (frame payload)) 0 (4 + n) with
     | () -> Result.Ok ()
     | exception Unix.Unix_error (e, _, _) ->
         Result.Error (Unix.error_message e)
-  end
 
 let read_frame fd =
   let hdr = Bytes.create 4 in
   match read_all fd hdr 0 4 with
   | false -> Result.Error "connection closed"
   | true ->
-      let b i = Char.code (Bytes.get hdr i) in
-      let n = (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3 in
+      let n = payload_length (Bytes.get hdr) in
       if n > max_frame then
         Result.Error (Printf.sprintf "frame too large (%d bytes)" n)
       else begin

@@ -16,7 +16,7 @@ let test doc axis ~from ~target =
   | Parent -> Doc.is_parent doc ~parent:target ~child:from
   | Ancestor -> Doc.is_ancestor doc ~anc:target ~desc:from
   | Following_sibling ->
-      Dewey.is_following_sibling (Doc.dewey doc target) (Doc.dewey doc from)
+      from < target && Option.equal Int.equal (Doc.parent doc from) (Doc.parent doc target)
 
 let select idx axis ~from ~tag =
   let doc = Index.doc idx in

@@ -1,81 +1,108 @@
 type node_id = int
 
-(* Two physical representations behind one interface:
+module A = Bigarray.Array1
 
-   - [Mem]: the classical frozen arrays, built by [of_tree] and friends —
-     everything materialized, including Dewey labels.
-   - [Ext]: an externally-backed view (in practice: a memory-mapped
-     on-disk index from [Wp_storage]); per-node facts are fetched through
-     accessor closures over the mapped columns, and Dewey labels are
-     reconstructed on demand from the stored child ranks.  Nothing here
-     depends on how the backing store is implemented, which keeps this
-     library free of [Unix] and lets tests back a document with plain
-     functions. *)
+type int32_column = (int32, Bigarray.int32_elt, Bigarray.c_layout) A.t
 
-type ext = {
-  ext_size : int;
-  ext_tag : int -> string;
-  ext_value : int -> string option;
-  ext_parent : int -> int;  (* -1 for the root *)
-  ext_subtree_end : int -> int;  (* exclusive *)
-  ext_depth : int -> int;
-  ext_rank : int -> int;  (* 1-based child rank; 0 for the root *)
-  ext_tags : string list;  (* distinct tags, first-occurrence order *)
-}
+type char_column =
+  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) A.t
 
-type mem = {
+(* One representation for every document: the columns of a [.wpidx]
+   file, built in memory by [of_tree] or mapped in place by
+   [Wp_storage].  Nothing here depends on how a column is backed, which
+   keeps this library free of [Unix]. *)
+type columns = {
   tags : string array;
-  values : string option array;
-  deweys : Dewey.t array;
-  parents : int array;  (* -1 for the root *)
-  subtree_ends : int array;  (* exclusive *)
+  tag_ids : int32_column;
+  parents : int32_column;
+  subtree_ends : int32_column;
+  depths : int32_column;
+  ranks : int32_column;
+  val_pos : int32_column;
+  val_len : int32_column;
+  value_bytes : char_column;
 }
 
-type t = Mem of mem | Ext of ext
+type t = columns
+
+let max_u32 = 0x7FFF_FFFF
+let int32_column n : int32_column = A.create Bigarray.int32 Bigarray.c_layout n
+let[@inline] get (c : int32_column) i = Int32.to_int (A.get c i)
+let[@inline] set (c : int32_column) i v = A.unsafe_set c i (Int32.of_int v)
+
+let of_columns c =
+  let n = A.dim c.tag_ids in
+  if n < 1 then invalid_arg "Doc.of_columns: empty document";
+  List.iter
+    (fun col ->
+      if A.dim col <> n then invalid_arg "Doc.of_columns: column length mismatch")
+    [ c.parents; c.subtree_ends; c.depths; c.ranks; c.val_pos; c.val_len ];
+  c
+
+let columns t = t
 
 let of_tree tree =
   let n = Tree.size tree in
-  let tags = Array.make n "" in
-  let values = Array.make n None in
-  let deweys = Array.make n Dewey.root in
-  let parents = Array.make n (-1) in
-  let subtree_ends = Array.make n 0 in
+  if n > max_u32 then invalid_arg "Doc.of_tree: too many nodes";
+  let tag_ids = int32_column n and parents = int32_column n in
+  let subtree_ends = int32_column n and depths = int32_column n in
+  let ranks = int32_column n and val_pos = int32_column n in
+  let val_len = int32_column n in
+  let tag_id = Hashtbl.create 64 and tags = ref [] in
+  let values = Buffer.create 4096 in
   (* Preorder numbering; [next] is the next free id. *)
   let next = ref 0 in
-  let rec assign parent dewey (node : Tree.t) =
+  let rec assign ~parent ~depth ~rank (node : Tree.t) =
     let id = !next in
     incr next;
-    tags.(id) <- Tree.tag node;
-    values.(id) <- Tree.value node;
-    deweys.(id) <- dewey;
-    parents.(id) <- parent;
+    let tag = Tree.tag node in
+    set tag_ids id
+      (match Hashtbl.find_opt tag_id tag with
+      | Some t -> t
+      | None ->
+          let t = Hashtbl.length tag_id in
+          Hashtbl.add tag_id tag t;
+          tags := tag :: !tags;
+          t);
+    set parents id (parent + 1);
+    set depths id depth;
+    set ranks id rank;
+    (match Tree.value node with
+    | None ->
+        set val_pos id 0;
+        set val_len id 0
+    | Some v ->
+        if Buffer.length values + String.length v >= max_u32 then
+          invalid_arg "Doc.of_tree: too many value bytes";
+        set val_pos id (Buffer.length values + 1);
+        set val_len id (String.length v);
+        Buffer.add_string values v);
     List.iteri
-      (fun i child -> assign id (Dewey.child dewey (i + 1)) child)
+      (fun i child -> assign ~parent:id ~depth:(depth + 1) ~rank:(i + 1) child)
       (Tree.children node);
-    subtree_ends.(id) <- !next
+    set subtree_ends id !next
   in
-  assign (-1) Dewey.root tree;
-  Mem { tags; values; deweys; parents; subtree_ends }
+  assign ~parent:(-1) ~depth:0 ~rank:0 tree;
+  let value_bytes = A.create Bigarray.char Bigarray.c_layout (Buffer.length values) in
+  String.iteri (A.unsafe_set value_bytes) (Buffer.contents values);
+  of_columns
+    {
+      tags = Array.of_list (List.rev !tags);
+      tag_ids;
+      parents;
+      subtree_ends;
+      depths;
+      ranks;
+      val_pos;
+      val_len;
+      value_bytes;
+    }
 
 let of_forest ?(root_tag = "doc-root") trees =
   of_tree (Tree.el root_tag trees)
 
-let of_ext ~size ~tag ~value ~parent ~subtree_end ~depth ~rank ~distinct_tags =
-  if size < 1 then invalid_arg "Doc.of_ext: empty document";
-  Ext
-    {
-      ext_size = size;
-      ext_tag = tag;
-      ext_value = value;
-      ext_parent = parent;
-      ext_subtree_end = subtree_end;
-      ext_depth = depth;
-      ext_rank = rank;
-      ext_tags = distinct_tags;
-    }
-
 let root _ = 0
-let size = function Mem d -> Array.length d.tags | Ext e -> e.ext_size
+let size t = A.dim t.tag_ids
 
 module Tbl = Hashtbl.Make (struct
   type nonrec t = t
@@ -84,36 +111,41 @@ module Tbl = Hashtbl.Make (struct
   let hash d = Hashtbl.hash (size d)
 end)
 
-let tag t i = match t with Mem d -> d.tags.(i) | Ext e -> e.ext_tag i
-let value t i = match t with Mem d -> d.values.(i) | Ext e -> e.ext_value i
+let tag t i = t.tags.(get t.tag_ids i)
 
-(* Reconstruct a mapped node's Dewey label by collecting child ranks up
-   the parent chain — O(depth), only paid on answer rendering and axis
-   diagnostics, never in the engines' structural hot path (which uses
-   [depth]/[subtree_end]/[is_ancestor]). *)
-let ext_dewey e i =
-  let d = e.ext_depth i in
-  let ranks = Array.make d 0 in
+let value t i =
+  let p = get t.val_pos i in
+  if p = 0 then None
+  else
+    let len = get t.val_len i in
+    if p < 0 || len < 0 || p - 1 + len > A.dim t.value_bytes then
+      invalid_arg "Doc.value: value out of range";
+    let b = Bytes.create len in
+    for j = 0 to len - 1 do
+      Bytes.unsafe_set b j (A.unsafe_get t.value_bytes (p - 1 + j))
+    done;
+    Some (Bytes.unsafe_to_string b)
+
+let depth t i = get t.depths i
+let subtree_end t i = get t.subtree_ends i
+
+(* A Dewey label is the child ranks up the parent chain, collected in
+   O(depth): only answer rendering and [Axis] read labels, never the
+   engines' structural hot path (which uses [depth]/[subtree_end]). *)
+let dewey t i =
+  let ranks = Array.make (depth t i) 0 in
   let rec fill j lvl =
     if lvl >= 0 then begin
-      ranks.(lvl) <- e.ext_rank j;
-      fill (e.ext_parent j) (lvl - 1)
+      ranks.(lvl) <- get t.ranks j;
+      fill (get t.parents j - 1) (lvl - 1)
     end
   in
-  fill i (d - 1);
+  fill i (Array.length ranks - 1);
   Dewey.of_array ranks
 
-let dewey t i = match t with Mem d -> d.deweys.(i) | Ext e -> ext_dewey e i
-
 let parent t i =
-  let p = match t with Mem d -> d.parents.(i) | Ext e -> e.ext_parent i in
+  let p = get t.parents i - 1 in
   if p < 0 then None else Some p
-
-let depth t i =
-  match t with Mem d -> Dewey.depth d.deweys.(i) | Ext e -> e.ext_depth i
-
-let subtree_end t i =
-  match t with Mem d -> d.subtree_ends.(i) | Ext e -> e.ext_subtree_end i
 
 let children t i =
   let stop = subtree_end t i in
@@ -122,9 +154,7 @@ let children t i =
   in
   loop (i + 1) []
 
-let is_parent t ~parent:p ~child:c =
-  (match t with Mem d -> d.parents.(c) | Ext e -> e.ext_parent c) = p
-
+let is_parent t ~parent:p ~child:c = get t.parents c - 1 = p
 let is_ancestor t ~anc ~desc = anc < desc && desc < subtree_end t anc
 
 let rec to_tree t i =
@@ -138,19 +168,7 @@ let fold f t acc =
   done;
   !r
 
-let distinct_tags = function
-  | Ext e -> e.ext_tags
-  | Mem d ->
-      let seen = Hashtbl.create 16 in
-      let out = ref [] in
-      Array.iter
-        (fun t ->
-          if not (Hashtbl.mem seen t) then begin
-            Hashtbl.add seen t ();
-            out := t :: !out
-          end)
-        d.tags;
-      List.rev !out
+let distinct_tags t = Array.to_list t.tags
 
 let pp_node t ppf i =
   Format.fprintf ppf "%s[%a]" (tag t i) Dewey.pp (dewey t i);

@@ -1,44 +1,61 @@
-(** Frozen, array-based XML documents.
+(** Frozen, columnar XML documents.
 
     A [Doc.t] stores element nodes in document (pre)order, so that node
     identifiers double as preorder ranks: the descendants of node [i] are
     exactly the identifiers in the half-open interval
-    [(i, subtree_end doc i)].  Together with per-node Dewey labels this
-    supports constant-time structural predicates and contiguous-range
-    subtree scans, the two operations the Whirlpool servers rely on. *)
+    [(i, subtree_end doc i)].  This supports constant-time structural
+    predicates and contiguous-range subtree scans, the two operations the
+    Whirlpool servers rely on.
+
+    Every document has one representation, the columns of a [.wpidx]
+    file: {!of_tree} fills them in memory in one preorder pass, and
+    [Wp_storage] maps them from a file in place through {!of_columns}.
+    Dewey labels are not stored; {!dewey} rebuilds one from the child
+    ranks in O(depth). *)
 
 type node_id = int
 (** Preorder rank of a node; the (possibly synthetic) root is [0]. *)
 
+type int32_column =
+  (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+type char_column =
+  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+type columns = {
+  tags : string array;  (** distinct tags, first-occurrence order *)
+  tag_ids : int32_column;  (** per node: index into [tags] *)
+  parents : int32_column;  (** per node: parent id + 1; [0] for the root *)
+  subtree_ends : int32_column;  (** per node: one past its last descendant *)
+  depths : int32_column;  (** per node: [0] for the root *)
+  ranks : int32_column;  (** per node: 1-based child rank; [0] for the root *)
+  val_pos : int32_column;
+      (** per node: 1 + offset of its value in [value_bytes]; [0] when
+          the node has no value *)
+  val_len : int32_column;  (** per node: value length in bytes *)
+  value_bytes : char_column;  (** every value, concatenated in preorder *)
+}
+(** The per-node columns, one element per node. *)
+
 type t
 
 val of_tree : Tree.t -> t
-(** Freeze a single tree; its root becomes node [0]. *)
+(** Freeze a single tree; its root becomes node [0].
+    @raise Invalid_argument beyond [2^31 - 1] nodes or value bytes. *)
 
 val of_forest : ?root_tag:string -> Tree.t list -> t
 (** Freeze a forest under a synthetic root (default tag ["doc-root"]),
     matching the paper's data model of "a forest of node labeled trees". *)
 
-val of_ext :
-  size:int ->
-  tag:(node_id -> string) ->
-  value:(node_id -> string option) ->
-  parent:(node_id -> node_id) ->
-  subtree_end:(node_id -> node_id) ->
-  depth:(node_id -> int) ->
-  rank:(node_id -> int) ->
-  distinct_tags:string list ->
-  t
-(** An externally-backed document view: every per-node fact is fetched
-    through the given accessors instead of materialized arrays.
-    [Wp_storage] uses this to present a memory-mapped on-disk index as
-    a [Doc.t] without loading it — pages fault in on demand.  [parent]
-    must return [-1] for the root, [rank] the 1-based child rank ([0]
-    for the root); Dewey labels are reconstructed on demand from
-    [rank]/[parent] in O(depth).  The accessors must describe a valid
-    preorder encoding — this constructor performs no validation beyond
-    [size >= 1]; the storage layer validates before mapping.
-    @raise Invalid_argument if [size < 1]. *)
+val of_columns : columns -> t
+(** A document over existing columns, without copying them.  Only the
+    column lengths are checked: the columns must describe a valid
+    preorder encoding, as {!of_tree} writes it.
+    @raise Invalid_argument on an empty document or on node columns of
+    different lengths. *)
+
+val columns : t -> columns
+(** The document's own columns (no copy); they must not be mutated. *)
 
 val root : t -> node_id
 val size : t -> int
@@ -46,12 +63,16 @@ val size : t -> int
 module Tbl : Hashtbl.S with type key = t
 (** Hash tables keyed by document identity (physical equality), for
     per-document memos.  A structural key would compare two documents
-    array by array, and raises on mapped ones, whose accessors are
-    closures. *)
+    column by column. *)
 
 val tag : t -> node_id -> string
+
 val value : t -> node_id -> string option
+(** A fresh copy of the node's value bytes. *)
+
 val dewey : t -> node_id -> Dewey.t
+(** Rebuilt from the child ranks up the parent chain, in O(depth). *)
+
 val parent : t -> node_id -> node_id option
 val depth : t -> node_id -> int
 

@@ -1,97 +1,110 @@
-(* Postings live either in ordinary [int array]s (built by {!build})
-   or as a window into one shared [Int32] bigarray — the tag-extent
-   section of a memory-mapped on-disk index ({!of_mapped}).  All range
-   machinery below works uniformly over both, so the engines see
-   identical slices (and charge identical counters) regardless of the
-   backing store. *)
+(* One postings form for every index: a column of node ids grouped by
+   tag id (document order within each tag) plus an (offset, length)
+   extent per tag — the [.wpidx] sections, built in memory by {!build}
+   or mapped in place by [Wp_storage]. *)
 
-type int32_view =
-  (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+module A = Bigarray.Array1
 
-type postings =
-  | P_mem of int array
-  | P_map of { base : int32_view; off : int; len : int }
+type columns = { postings : Doc.int32_column; extents : Doc.int32_column }
+type postings = { base : Doc.int32_column; off : int; len : int }
 
 type t = {
   doc : Doc.t;
+  columns : columns;
   by_tag : (string, postings) Hashtbl.t;
-  mutable all_ids : int array option;  (* lazily built for "*" lookups *)
+  mutable all_ids : Doc.int32_column option;  (* lazily built for "*" *)
 }
 
 let wildcard = "*"
+let int32_column n : Doc.int32_column = A.create Bigarray.int32 Bigarray.c_layout n
 
-let plen = function P_mem a -> Array.length a | P_map { len; _ } -> len
+let of_columns doc columns =
+  let tags = (Doc.columns doc).tags in
+  let n = Doc.size doc in
+  if A.dim columns.postings <> n then
+    invalid_arg "Index.of_columns: postings length mismatch";
+  if A.dim columns.extents <> 2 * Array.length tags then
+    invalid_arg "Index.of_columns: extents length mismatch";
+  let by_tag = Hashtbl.create (2 * Array.length tags) in
+  let total = ref 0 in
+  Array.iteri
+    (fun id tag ->
+      let off = Int32.to_int (A.get columns.extents (2 * id)) in
+      let len = Int32.to_int (A.get columns.extents ((2 * id) + 1)) in
+      if off < 0 || len < 0 || off > n || len > n - off then
+        invalid_arg "Index.of_columns: tag extent out of range";
+      total := !total + len;
+      Hashtbl.replace by_tag tag { base = columns.postings; off; len })
+    tags;
+  if !total <> n then
+    invalid_arg "Index.of_columns: tag extents do not cover the postings";
+  { doc; columns; by_tag; all_ids = None }
 
-let pget p i =
-  match p with
-  | P_mem a -> Array.unsafe_get a i
-  | P_map { base; off; _ } -> Int32.to_int (Bigarray.Array1.unsafe_get base (off + i))
-
+(* A counting pass sizes each tag's extent, a second pass fills it. *)
 let build doc =
-  let buckets : (string, int list ref) Hashtbl.t = Hashtbl.create 64 in
-  for i = Doc.size doc - 1 downto 0 do
-    let tag = Doc.tag doc i in
-    match Hashtbl.find_opt buckets tag with
-    | Some l -> l := i :: !l
-    | None -> Hashtbl.add buckets tag (ref [ i ])
+  let c = Doc.columns doc in
+  let n = Doc.size doc and ntags = Array.length c.tags in
+  let tag_id i = Int32.to_int (A.get c.tag_ids i) in
+  let next = Array.make ntags 0 in
+  for i = 0 to n - 1 do
+    let t = tag_id i in
+    next.(t) <- next.(t) + 1
   done;
-  let by_tag = Hashtbl.create (Hashtbl.length buckets) in
-  Hashtbl.iter
-    (fun tag l -> Hashtbl.add by_tag tag (P_mem (Array.of_list !l)))
-    buckets;
-  { doc; by_tag; all_ids = None }
-
-let of_mapped ~doc ~postings ~extents =
-  let total = Bigarray.Array1.dim postings in
-  let by_tag = Hashtbl.create (List.length extents * 2) in
-  List.iter
-    (fun (tag, off, len) ->
-      if off < 0 || len < 0 || off + len > total then
-        invalid_arg "Index.of_mapped: extent out of range";
-      Hashtbl.replace by_tag tag (P_map { base = postings; off; len }))
-    extents;
-  { doc; by_tag; all_ids = None }
+  let extents = int32_column (2 * ntags) in
+  let pos = ref 0 in
+  for t = 0 to ntags - 1 do
+    let count = next.(t) in
+    extents.{2 * t} <- Int32.of_int !pos;
+    extents.{(2 * t) + 1} <- Int32.of_int count;
+    next.(t) <- !pos;
+    pos := !pos + count
+  done;
+  let postings = int32_column n in
+  for i = 0 to n - 1 do
+    let t = tag_id i in
+    postings.{next.(t)} <- Int32.of_int i;
+    next.(t) <- next.(t) + 1
+  done;
+  of_columns doc { postings; extents }
 
 let doc t = t.doc
-let empty = P_mem [||]
-let empty_ids = [||]
+let columns t = t.columns
 
 let all t =
   match t.all_ids with
   | Some a -> a
   | None ->
       (* Identity postings for "*": every node, in document order.  A
-         racing second builder computes the same array; the last
+         racing second builder computes the same column; the last
          single-field write wins harmlessly. *)
-      let a = Array.init (Doc.size t.doc) Fun.id in
+      let n = Doc.size t.doc in
+      let a = int32_column n in
+      for i = 0 to n - 1 do
+        a.{i} <- Int32.of_int i
+      done;
       t.all_ids <- Some a;
       a
 
+let empty = { base = int32_column 0; off = 0; len = 0 }
+
 let postings t tag =
-  if String.equal tag wildcard then P_mem (all t)
+  if String.equal tag wildcard then
+    let base = all t in
+    { base; off = 0; len = A.dim base }
   else Option.value (Hashtbl.find_opt t.by_tag tag) ~default:empty
 
-let ids t tag =
-  if String.equal tag wildcard then all t
-  else
-    match Hashtbl.find_opt t.by_tag tag with
-    | None -> empty_ids
-    | Some (P_mem a) -> a
-    | Some (P_map _ as p) ->
-        let n = plen p in
-        Array.init n (fun i -> pget p i)
+let postings_length p = p.len
+let[@inline] pget p i = Int32.to_int (A.unsafe_get p.base (p.off + i))
 
-let count t tag = plen (postings t tag)
-let postings_length = plen
-
-(* One dispatch per read: the sweeps in [Wp_score.Tfidf] call this once
-   per posting. *)
 let[@inline] posting p i =
-  match p with
-  | P_mem a -> a.(i)
-  | P_map { base; off; len } ->
-      if i < 0 || i >= len then invalid_arg "Index.posting: out of range";
-      Int32.to_int (Bigarray.Array1.unsafe_get base (off + i))
+  if i < 0 || i >= p.len then invalid_arg "Index.posting: out of range";
+  pget p i
+
+let ids t tag =
+  let p = postings t tag in
+  Array.init p.len (pget p)
+
+let count t tag = (postings t tag).len
 
 (* First position in [p] whose value is >= [v]. *)
 let lower_bound p v =
@@ -101,7 +114,7 @@ let lower_bound p v =
       let mid = (lo + hi) / 2 in
       if pget p mid < v then go (mid + 1) hi else go lo mid
   in
-  go 0 (plen p)
+  go 0 p.len
 
 let slice t tag ~root =
   let p = postings t tag in

@@ -14,43 +14,41 @@ val wildcard : string
     accept it. *)
 
 val build : Doc.t -> t
+(** Group the document's nodes by tag: a counting pass sizes each tag's
+    extent, a second pass fills the postings column. *)
 
-type int32_view =
-  (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
-(** The element type of a memory-mapped postings section. *)
+type columns = {
+  postings : Doc.int32_column;
+      (** every node id once, grouped by tag id (the order of
+          {!Doc.distinct_tags}), document order within each tag *)
+  extents : Doc.int32_column;
+      (** per tag id, the (offset, length) of its window in [postings] *)
+}
 
-val of_mapped :
-  doc:Doc.t ->
-  postings:int32_view ->
-  extents:(string * int * int) list ->
-  t
-(** An index whose per-tag postings are [(offset, length)] windows into
-    one shared [Int32] bigarray — the postings section of a
-    memory-mapped on-disk index ([Wp_storage]).  Lookups read the
-    mapped pages directly; {!ids} materializes an [int array] copy per
-    call on this backend ({!postings} and the range functions below
-    never do).  Each
-    extent's window must hold that tag's node ids in document order —
-    the storage layer guarantees this; only window bounds are checked
-    here.
-    @raise Invalid_argument if an extent exceeds the postings view. *)
+val of_columns : Doc.t -> columns -> t
+(** An index over existing columns, without copying them — the postings
+    sections of a memory-mapped [.wpidx] file ([Wp_storage]).  The
+    extents are checked to lie inside the postings and to sum to its
+    length; each window must hold its tag's node ids in document order,
+    which is not checked.
+    @raise Invalid_argument if a column has the wrong length or an
+    extent leaves the postings. *)
+
+val columns : t -> columns
+(** The index's own columns (no copy); they must not be mutated. *)
 
 val doc : t -> Doc.t
 (** The document this index was built from. *)
 
 val ids : t -> string -> int array
 (** All nodes with the given tag, in document order; empty for tags
-    absent from the document.  On the in-memory backend the array is
-    owned by the index and must not be mutated; on a mapped backend it
-    is a fresh copy per call — prefer {!postings} or the range
-    functions below on hot paths. *)
+    absent from the document.  A fresh copy per call — prefer
+    {!postings} or the range functions below on hot paths. *)
 
 val count : t -> string -> int
 
 type postings
-(** One tag's postings read in place: the index's own array on the
-    in-memory backend, the mapped window on a [.wpidx] backend — no
-    copy on either. *)
+(** One tag's window of the postings column, read in place. *)
 
 val postings : t -> string -> postings
 (** The postings of a tag ({!wildcard} included); empty for tags absent

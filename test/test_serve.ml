@@ -1516,8 +1516,7 @@ let test_loadgen_measure () =
             Thread.join thread)
           (fun () ->
             match
-              Loadgen.measure ~ttfa_query:"/book[./title]" ~ttfa_doc:"a.xml"
-                ~socket
+              Loadgen.measure ~ttfa_query:"/book[./title]" ~socket
                 ~queries:[ "/book[./title]"; "/book[./isbn]" ]
                 ~clients:2 ~duration_s:0.2 ()
             with
@@ -1680,6 +1679,49 @@ let test_event_deadline_mid_stream () =
       ignore (Client.call client (Protocol.Stop { id = 2 }));
       Client.close client;
       Thread.join thread)
+
+(* Frames pipelined into one write are all answered, in order, and a
+   frame split across two writes is reassembled from the kept tail. *)
+let test_event_pipelined_frames () =
+  with_corpus_dir (fun dir ->
+      let socket = temp_socket () in
+      let service = Service.create ~catalog:(loaded_catalog dir) () in
+      let server, thread = start_event_server ~socket ~service () in
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () ->
+          (try Unix.close fd with Unix.Unix_error _ -> ());
+          Event.request_stop server;
+          Thread.join thread)
+        (fun () ->
+          Unix.connect fd (Unix.ADDR_UNIX socket);
+          let frames = 40 in
+          let bytes =
+            String.concat ""
+              (List.init frames (fun i ->
+                   Wire.frame
+                     (Json.to_string
+                        (Protocol.request_to_json
+                           (Protocol.Ping { id = i + 1 })))))
+          in
+          let split = String.length bytes - 3 in
+          let send s =
+            let n = Unix.write_substring fd s 0 (String.length s) in
+            Alcotest.(check int) "whole write" (String.length s) n
+          in
+          send (String.sub bytes 0 split);
+          send (String.sub bytes split 3);
+          for i = 1 to frames do
+            match Wire.read_frame fd with
+            | Error e -> Alcotest.failf "reply %d: %s" i e
+            | Ok reply -> (
+                match Protocol.parse_response reply with
+                | Error e -> Alcotest.failf "reply %d unparsable: %s" i e
+                | Ok r ->
+                    Alcotest.(check int) "replies in request order" i r.id;
+                    Alcotest.(check bool) "ping ok" true
+                      (r.status = Protocol.Ok))
+          done))
 
 (* Abnormal disconnect: a client that vanishes mid-query must not leak
    its socket or connection slot, and the in-flight run is cancelled. *)
@@ -1930,5 +1972,7 @@ let suite =
       test_event_deadline_mid_stream;
     Alcotest.test_case "event killed client reclaims" `Quick
       test_event_killed_client_reclaims;
+    Alcotest.test_case "event pipelined frames" `Quick
+      test_event_pipelined_frames;
     Alcotest.test_case "http gateway" `Quick test_http_gateway;
   ]

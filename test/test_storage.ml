@@ -35,6 +35,27 @@ let open_ok path =
   | Ok h -> h
   | Error e -> Alcotest.failf "open_index: %s" (If.error_message e)
 
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_file path contents =
+  let oc = open_out_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () -> output_string oc contents)
+
+(* The version-2 header (see the Index_file docs): the 8-byte magic
+   block, five u64 fields (nodes, tags, value bytes, file size,
+   checksum), then one 16-byte (offset, length) slot per section. *)
+let known_sections = 11
+let file_size_slot = 8 + (8 * 3)
+let checksum_slot = 8 + (8 * 4)
+let table_offset = 8 + (8 * 5)
+let header_bytes = table_offset + (16 * known_sections)
+
 let gen_doc seed =
   Wp_xmark.Generator.generate_doc ~seed ~target_bytes:60_000 ()
 
@@ -121,43 +142,32 @@ let test_roundtrip_engine () =
             mem mapped))
     [ 3; 11 ]
 
-(* --- term dictionary --- *)
+(* --- the writer dumps what it is given --- *)
 
-let test_lookup_term () =
-  let doc = gen_doc 5 in
-  with_written doc (fun path ->
-      let h = open_ok path in
-      (* Every node's full value must be findable through the term
-         dictionary, and the posting list must contain the node. *)
-      let checked = ref 0 in
-      for i = 0 to Doc.size doc - 1 do
-        match Doc.value doc i with
-        | Some v when v <> "" && !checked < 50 ->
-            incr checked;
-            let hits = If.lookup_term h v in
-            Alcotest.(check bool)
-              (Printf.sprintf "node %d findable by its value" i)
-              true
-              (Array.exists (fun n -> n = i) hits)
-        | _ -> ()
-      done;
-      Alcotest.(check bool) "some values checked" true (!checked > 0);
-      Alcotest.(check (array int)) "unknown term empty" [||]
-        (If.lookup_term h "no-such-term-xyzzy"))
+(* Writing a mapped index's document reproduces its file byte for
+   byte: the mapped columns are the document's own, and the writer
+   derives nothing the document or its index does not already hold. *)
+let test_rewrite_mapped () =
+  List.iter
+    (fun seed ->
+      with_written (gen_doc seed) (fun path ->
+          let original = read_file path in
+          let h = open_ok path in
+          let again = temp_wpidx () in
+          Fun.protect
+            ~finally:(fun () -> Sys.remove again)
+            (fun () ->
+              let bytes = If.write again (Index.doc (If.index h)) in
+              Alcotest.(check int)
+                (Printf.sprintf "seed %d size" seed)
+                (String.length original) bytes;
+              Alcotest.(check bool)
+                (Printf.sprintf "seed %d bytes identical" seed)
+                true
+                (String.equal original (read_file again)))))
+    [ 2; 13 ]
 
 (* --- corruption fixtures --- *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let write_file path contents =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc contents)
 
 let expect_error ~what path pred =
   match If.open_index path with
@@ -182,10 +192,15 @@ let test_corrupt_headers () =
       expect_error ~what:"bad magic" path (function
         | If.Not_index_file _ -> true
         | _ -> false);
-      (* Version skew. *)
+      (* Version skew, from the future and from the past: a version-1
+         file (which carried a content-term dictionary) is not read. *)
       mutate (fun b -> Bytes.set b 5 (Char.chr 99));
       expect_error ~what:"version skew" path (function
         | If.Version_skew { found = 99; _ } -> true
+        | _ -> false);
+      mutate (fun b -> Bytes.set b 5 (Char.chr 1));
+      expect_error ~what:"version-1 file" path (function
+        | If.Version_skew { found = 1; expected = 2; _ } -> true
         | _ -> false);
       (* Truncations at every section of the layout. *)
       List.iter
@@ -206,8 +221,7 @@ let test_corrupt_headers () =
         | _ -> false);
       (* A section offset pointing past the end of the file. *)
       mutate (fun b ->
-          (* First section-table slot lives at offset 72. *)
-          Bytes.set_int64_le b 72 0x7FFFFF00L);
+          Bytes.set_int64_le b table_offset 0x7FFFFF00L);
       expect_error ~what:"out-of-range section" path (function
         | If.Corrupt _ | If.Truncated _ -> true
         | _ -> false);
@@ -222,8 +236,6 @@ let test_corrupt_headers () =
    opened, never another exception.  Column bytes past the header are
    not checksummed, so changes there are out of scope. *)
 
-(* The header at the baseline section count (see the Index_file docs). *)
-let header_bytes = 312
 
 let books_wpidx = with_written Fixtures.books_doc read_file
 
@@ -268,35 +280,30 @@ let fnv64 bytes =
    payload appended past the old end, and the checksum is recomputed
    over the whole grown header. *)
 let with_sections ~sections valid =
-  let old_header = 312 in
-  let grow = (sections - 15) * 16 in
-  let new_header = old_header + grow in
+  let grow = (sections - known_sections) * 16 in
+  let new_header = header_bytes + grow in
   let old_size = String.length valid in
   let dummy_len = 8 in
-  let extra = max 0 (sections - 15) in
+  let extra = max 0 (sections - known_sections) in
   let new_size = old_size + grow + (extra * dummy_len) in
   let b = Bytes.make new_size 'D' in
-  Bytes.blit_string valid 0 b 0 8;
+  Bytes.blit_string valid 0 b 0 table_offset;
   Bytes.set_uint16_le b 6 sections;
-  Bytes.blit_string valid 8 b 8 64;
-  Bytes.set_int64_le b (8 + (8 * 6)) (Int64.of_int new_size);
-  for i = 0 to min 14 (sections - 1) do
-    Bytes.set_int64_le b
-      (72 + (16 * i))
-      (Int64.add (String.get_int64_le valid (72 + (16 * i))) (Int64.of_int grow));
-    Bytes.set_int64_le b
-      (72 + (16 * i) + 8)
-      (String.get_int64_le valid (72 + (16 * i) + 8))
+  Bytes.set_int64_le b file_size_slot (Int64.of_int new_size);
+  for i = 0 to min (known_sections - 1) (sections - 1) do
+    let slot = table_offset + (16 * i) in
+    Bytes.set_int64_le b slot
+      (Int64.add (String.get_int64_le valid slot) (Int64.of_int grow));
+    Bytes.set_int64_le b (slot + 8) (String.get_int64_le valid (slot + 8))
   done;
   for e = 0 to extra - 1 do
-    Bytes.set_int64_le b
-      (72 + (16 * (15 + e)))
-      (Int64.of_int (old_size + grow + (e * dummy_len)));
-    Bytes.set_int64_le b (72 + (16 * (15 + e)) + 8) (Int64.of_int dummy_len)
+    let slot = table_offset + (16 * (known_sections + e)) in
+    Bytes.set_int64_le b slot (Int64.of_int (old_size + grow + (e * dummy_len)));
+    Bytes.set_int64_le b (slot + 8) (Int64.of_int dummy_len)
   done;
-  Bytes.blit_string valid old_header b new_header (old_size - old_header);
-  Bytes.set_int64_le b (8 + (8 * 7)) 0L;
-  Bytes.set_int64_le b (8 + (8 * 7)) (fnv64 (Bytes.sub b 0 new_header));
+  Bytes.blit_string valid header_bytes b new_header (old_size - header_bytes);
+  Bytes.set_int64_le b checksum_slot 0L;
+  Bytes.set_int64_le b checksum_slot (fnv64 (Bytes.sub b 0 new_header));
   Bytes.to_string b
 
 let test_forward_compat () =
@@ -304,17 +311,17 @@ let test_forward_compat () =
   let mem = run_all (Index.build doc) in
   with_written doc (fun path ->
       let valid = read_file path in
-      (* A 16-section file from a future writer opens, skips the entry
+      (* A 12-section file from a future writer opens, skips the entry
          it does not know, and answers every query identically. *)
-      write_file path (with_sections ~sections:16 valid);
+      write_file path (with_sections ~sections:12 valid);
       let h = open_ok path in
-      Alcotest.(check int) "16-section node count" (Doc.size doc)
+      Alcotest.(check int) "12-section node count" (Doc.size doc)
         (If.info h).If.nodes;
       List.iter2
         (fun (q, (m : Whirlpool.Engine.result))
              (_, (p : Whirlpool.Engine.result)) ->
           Alcotest.(check (list (pair int (float 0.0))))
-            (q ^ " answers via 16-section file")
+            (q ^ " answers via 12-section file")
             (List.map
                (fun (e : Whirlpool.Topk_set.entry) -> (e.root, e.score))
                m.answers)
@@ -324,18 +331,17 @@ let test_forward_compat () =
         mem
         (run_all (If.index h));
       (* Fewer sections than this build requires cannot be valid. *)
-      write_file path (with_sections ~sections:14 valid);
-      expect_error ~what:"14-section table" path (function
+      write_file path (with_sections ~sections:10 valid);
+      expect_error ~what:"10-section table" path (function
         | If.Corrupt _ | If.Truncated _ -> true
         | _ -> false);
       (* An unknown entry pointing past the end of the file is still
          corruption, not something to silently ignore. *)
-      let grown = Bytes.of_string (with_sections ~sections:16 valid) in
-      Bytes.set_int64_le grown (72 + (16 * 15)) 0x7FFFFF00L;
-      Bytes.set_int64_le grown (8 + (8 * 7)) 0L;
-      Bytes.set_int64_le grown
-        (8 + (8 * 7))
-        (fnv64 (Bytes.sub grown 0 328));
+      let grown = Bytes.of_string (with_sections ~sections:12 valid) in
+      Bytes.set_int64_le grown (table_offset + (16 * known_sections)) 0x7FFFFF00L;
+      Bytes.set_int64_le grown checksum_slot 0L;
+      Bytes.set_int64_le grown checksum_slot
+        (fnv64 (Bytes.sub grown 0 (header_bytes + 16)));
       write_file path (Bytes.to_string grown);
       expect_error ~what:"out-of-range unknown section" path (function
         | If.Corrupt _ | If.Truncated _ -> true
@@ -346,7 +352,8 @@ let suite =
     Alcotest.test_case "structure round-trip" `Quick test_roundtrip_structure;
     Alcotest.test_case "engine differential (answers + counters)" `Quick
       test_roundtrip_engine;
-    Alcotest.test_case "content-term lookup" `Quick test_lookup_term;
+    Alcotest.test_case "re-writing a mapped document reproduces its file"
+      `Quick test_rewrite_mapped;
     Alcotest.test_case "corrupt files rejected" `Quick test_corrupt_headers;
     QCheck_alcotest.to_alcotest prop_truncation_fails_cleanly;
     QCheck_alcotest.to_alcotest prop_header_corruption_rejected;

@@ -160,8 +160,8 @@ let print_case (tree, cs) =
     (Format.pp_print_list Component.pp)
     cs
 
-(* Both index backends: built in memory, and written to a .wpidx file
-   and memory-mapped back. *)
+(* Both load paths: built in memory, and written to a .wpidx file and
+   memory-mapped back. *)
 let with_both_indexes doc f =
   f "mem" (Wp_xml.Index.build doc);
   let path = Filename.temp_file "wp-tfidf-test" ".wpidx" in
