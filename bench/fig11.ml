@@ -1,13 +1,16 @@
 (* Figure 11 — execution time vs document size (log scale in the paper):
    Whirlpool-S and Whirlpool-M for Q1-Q3 over the 1Mb/10Mb/50Mb sweep,
-   k = 15. *)
+   k = 15, with the root candidates and the seeds Whirlpool-S built. *)
 
 let run (scale : Common.scale) =
   Common.header "Figure 11: execution time vs document size (k = 15)";
   let k = scale.default_k in
-  let widths = [ 8; 8; 14; 14; 12; 12 ] in
+  let widths = [ 8; 8; 14; 14; 12; 12; 10; 10 ] in
   Common.print_row widths
-    [ "query"; "doc"; "Whirlpool-S"; "Whirlpool-M"; "W-S ops"; "W-M ops" ];
+    [
+      "query"; "doc"; "Whirlpool-S"; "Whirlpool-M"; "W-S ops"; "W-M ops";
+      "roots"; "W-S seeds";
+    ];
   List.iter
     (fun (qname, q) ->
       List.iter
@@ -23,6 +26,8 @@ let run (scale : Common.scale) =
             [
               qname; slabel; Common.fsec ts; Common.fsec tm;
               Common.fint rs.stats.server_ops; Common.fint rm.stats.server_ops;
+              Common.fint (Array.length plan.roots);
+              Common.fint rs.stats.seeds_materialized;
             ])
         scale.sizes)
     Common.queries;

@@ -4,8 +4,8 @@
      dune exec bench/report.exe -- -o BENCH_core.json   # write the baseline
      dune exec bench/report.exe -- --quick --check BENCH_core.json
 
-   Emits one JSON object per exhibit (fig6/fig8-style workloads, a
-   backend comparison, and wall-only exhibits for the dataguide build
+   Emits one JSON object per exhibit (fig6/fig8-style workloads, the
+   fig6 workload under dense scoring, a backend comparison, and wall-only exhibits for the dataguide build
    over memory-mapped .wpidx documents and for compiling ad-hoc plans)
    with the engine's wall time and its machine-independent operation
    counters.  The A/B exhibits (dataguide build vs a cold query,
@@ -14,7 +14,7 @@
    under ["speedup"].
 
    [--check baseline.json] re-runs the exhibits and exits 1 when any
-   comparison/ops/matches count regresses (those are deterministic
+   comparison/ops/matches/seeds count regresses (those are deterministic
    and machine-independent) or when wall time regresses by more than
    the tolerance (15% by default; [--warn-wall] demotes wall-time
    regressions to warnings for noisy CI machines).  The baseline is
@@ -29,6 +29,7 @@ type measurement = {
   comparisons : int;
   server_ops : int;
   matches_created : int;
+  seeds_materialized : int;
 }
 
 let of_stats (s : Whirlpool.Stats.t) =
@@ -37,6 +38,7 @@ let of_stats (s : Whirlpool.Stats.t) =
     comparisons = s.comparisons;
     server_ops = s.server_ops;
     matches_created = s.matches_created;
+    seeds_materialized = s.seeds_materialized;
   }
 
 (* Median-by-wall-time of [runs] runs (the first run warms the document
@@ -62,6 +64,7 @@ let wall_only ~runs f =
     comparisons = 0;
     server_ops = 0;
     matches_created = 0;
+    seeds_materialized = 0;
   }
 
 (* [ab] is the second arm of an A/B exhibit, [None] elsewhere. *)
@@ -104,6 +107,20 @@ let exhibits (scale : Common.scale) ~runs ~trace =
       let plan = Common.plan_for ~size:scale.default_size q in
       add
         (Printf.sprintf "fig6/%s" qname)
+        (run_workload ~runs ~trace ~routing:Whirlpool.Strategy.Min_alive plan ~k))
+    Common.queries;
+  (* The same workload under dense scoring (§6.3.5): final scores bunch
+     together, so pruning bites late and the seed bounds carry most of
+     it. *)
+  Printf.printf "dense scoring (adaptive routing, default size, k=%d)\n%!" k;
+  List.iter
+    (fun (qname, q) ->
+      let plan =
+        Common.plan_for ~normalization:Wp_score.Score_table.Dense
+          ~size:scale.default_size q
+      in
+      add
+        (Printf.sprintf "scoring/dense/%s" qname)
         (run_workload ~runs ~trace ~routing:Whirlpool.Strategy.Min_alive plan ~k))
     Common.queries;
   (* fig8-style: adaptivity overhead — the same workload under the
@@ -274,6 +291,7 @@ let measurement_to_json m =
       ("comparisons", Json.Int m.comparisons);
       ("server_ops", Json.Int m.server_ops);
       ("matches_created", Json.Int m.matches_created);
+      ("seeds_materialized", Json.Int m.seeds_materialized);
     ]
 
 let to_json ~quick exhibits =
@@ -341,6 +359,7 @@ let check ~warn_wall ~wall_tolerance baseline exhibits =
           count "comparisons" e.m.comparisons;
           count "server_ops" e.m.server_ops;
           count "matches_created" e.m.matches_created;
+          count "seeds_materialized" e.m.seeds_materialized;
           (match int_member "wall_ns" base with
           | None -> warn "%s: baseline lacks \"wall_ns\"" e.name
           | Some b when b > 0 ->

@@ -994,6 +994,7 @@ let profile_run path q k algo routing exact show_spans json =
            ("query", Wp_json.Json.String (Wp_pattern.Pattern.to_string pattern));
            ("algorithm", Wp_json.Json.String algo_name);
            ("answers", Wp_json.Json.Int (List.length r.answers));
+           ("seed_classes", Wp_json.Json.Int (Whirlpool.Plan.n_classes plan));
            ("stats", Whirlpool.Stats.to_json r.stats);
            ("profile", Wp_obs.Obs.profile_json obs);
            ("spans", Wp_obs.Obs.span_tree_json obs);
@@ -1022,6 +1023,10 @@ let profile_run path q k algo routing exact show_spans json =
           c.visits c.comparisons ms per_visit)
       (Wp_obs.Obs.per_server obs);
     Printf.printf "\n%s\n" (Format.asprintf "%a" Whirlpool.Stats.pp r.stats);
+    Printf.printf "seeds: %d built of %d live roots (%d root candidates) in \
+                   %d bound classes\n"
+      r.stats.seeds_materialized (Whirlpool.Plan.n_seeds plan)
+      (Array.length plan.roots) (Whirlpool.Plan.n_classes plan);
     if show_spans then begin
       Printf.printf "\nspan tree:\n";
       Format.printf "%a@." Wp_json.Json.pp (Wp_obs.Obs.span_tree_json obs)

@@ -38,12 +38,9 @@ let binding_of (plan : Plan.t) ~root query_node = function
         if query_node = Pattern.root plan.pattern then Doc.root doc else root
       in
       let content_exact =
-        match spec.value with
-        | None -> true
-        | Some query ->
-            Wp_relax.Relaxation.content_level plan.config ~query
-              ~actual:(Doc.value doc node)
-            = Wp_relax.Relaxation.Content_exact
+        Wp_relax.Relaxation.content_level_at plan.config ~value:spec.value doc
+          node
+        = Wp_relax.Relaxation.Content_exact
       in
       let exact =
         content_exact && Relation.test doc spec.to_root.exact ~anc ~desc:node

@@ -119,6 +119,27 @@ let run_with_floor ~floor (config : Config.t) (plan : Plan.t) ~k =
     match alive with Some a -> Certify.Alive.remove a pm.id | None -> ()
   in
   let queue : Partial_match.t Pqueue.t = Pqueue.create () in
+  (* Seeds.  Under the max-final-score policy every live root waits in
+     its bound class (Plan.seeds) and its seed is built only when the
+     class's next root would win a pop: the classes are in the order
+     the queue would pop the seeds, and a seed beats any queued match of
+     equal priority and tie, having been (logically) queued first.
+     Other policies order the queue by something other than the bound,
+     so every live seed is queued up front.  [cls] is the head class
+     (past the last when none is left), [left] its unopened roots and
+     [next] where the scan for its next root (in document order)
+     resumes. *)
+  let seeds = plan.seeds in
+  let n_classes = Array.length seeds.class_bounds in
+  let lazy_seeds = queue_policy = Strategy.Max_final_score in
+  let cls = ref (if lazy_seeds then 0 else n_classes) in
+  let left = ref (if !cls < n_classes then seeds.class_sizes.(0) else 0) in
+  let next = ref 0 in
+  let next_class () =
+    incr cls;
+    next := 0;
+    if !cls < n_classes then left := seeds.class_sizes.(!cls)
+  in
   let certify () =
     match cert with
     | None -> ()
@@ -126,7 +147,13 @@ let run_with_floor ~floor (config : Config.t) (plan : Plan.t) ~k =
         let bound =
           match alive with
           | Some a -> Certify.Alive.bound a
-          | None -> Pqueue.max_priority queue
+          | None ->
+              (* The unopened classes are alive too; the head one
+                 bounds them all. *)
+              if !cls < n_classes then
+                Float.max (Pqueue.max_priority queue)
+                  seeds.class_bounds.(!cls)
+              else Pqueue.max_priority queue
         in
         Certify.flush c topk ~bound
   in
@@ -147,15 +174,25 @@ let run_with_floor ~floor (config : Config.t) (plan : Plan.t) ~k =
   let below_floor (pm : Partial_match.t) = pm.max_possible < floor in
   let single_node = plan.n_servers = 1 in
   let checking = Invariants.enabled () in
-  List.iter
-    (fun pm ->
-      if checking then Invariants.check_root plan pm;
-      Topk_set.consider topk ~complete:single_node pm;
-      if single_node then stats.completed <- stats.completed + 1
-      else if Topk_set.should_prune topk pm || below_floor pm then
-        stats.matches_pruned <- stats.matches_pruned + 1
-      else enqueue pm)
-    (Server.initial_matches plan stats ~next_id);
+  (* A fresh seed enters the top-k set; true when it stays alive. *)
+  let admit_seed pm =
+    if checking then Invariants.check_root plan pm;
+    Topk_set.consider topk ~complete:single_node pm;
+    if single_node then begin
+      stats.completed <- stats.completed + 1;
+      false
+    end
+    else if Topk_set.should_prune topk pm || below_floor pm then begin
+      stats.matches_pruned <- stats.matches_pruned + 1;
+      false
+    end
+    else true
+  in
+  if lazy_seeds then Server.open_roots plan stats
+  else
+    List.iter
+      (fun pm -> if admit_seed pm then enqueue pm)
+      (Server.initial_matches plan stats ~next_id);
   certify ();
   let process_here (pm : Partial_match.t) server =
     let { Server.extensions; died } =
@@ -209,35 +246,79 @@ let run_with_floor ~floor (config : Config.t) (plan : Plan.t) ~k =
     end
   in
   let stopped = ref false in
+  (* A popped match: re-check it against the threshold, route it and
+     process it. *)
+  let visit (pm : Partial_match.t) =
+    cert_remove pm;
+    if tracing () then
+      emit
+        (Obs.Popped
+           { id = pm.id; score = pm.score; max_possible = pm.max_possible });
+    if Topk_set.should_prune topk pm || below_floor pm then begin
+      if tracing () then emit (Obs.Pruned { id = pm.id });
+      stats.matches_pruned <- stats.matches_pruned + 1
+    end
+    else begin
+      let server =
+        Strategy.choose_next routing plan ~threshold:(Topk_set.threshold topk) pm
+      in
+      stats.routing_decisions <- stats.routing_decisions + 1;
+      if tracing () then emit (Obs.Routed { id = pm.id; server });
+      process_at pm server
+    end
+  in
+  (* Does the head class's next root win the next pop? *)
+  let seed_wins () =
+    !cls < n_classes
+    &&
+    let b = seeds.class_bounds.(!cls) and p = Pqueue.max_priority queue in
+    b > p || (b = p && seeds.class_weights.(!cls) >= Pqueue.max_tie queue)
+  in
+  (* Pop the head class's next root.  No unopened root is in the top-k
+     set, so the class's bound can at best tie the threshold for each of
+     them: once [should_prune] would drop the bound, the whole class
+     dies at once, its roots counted as pruned. *)
+  let open_seed () =
+    let bound = seeds.class_bounds.(!cls) in
+    if bound <= Topk_set.threshold topk || bound < floor then begin
+      stats.matches_pruned <- stats.matches_pruned + !left;
+      next_class ()
+    end
+    else begin
+      (while Plan.seed_class plan !next <> !cls do
+         incr next
+       done)
+      [@wp.bounded
+        "[!next] only advances, and [!left > 0] roots of the head class \
+         lie at or after it"];
+      let pm = Server.seed plan stats ~next_id !next in
+      incr next;
+      decr left;
+      if !left = 0 then next_class ();
+      if admit_seed pm then visit pm
+    end
+  in
   let rec loop () =
-    match Pqueue.pop queue with
-    | None -> ()
-    | Some _ when should_stop () ->
-        (* Deadline / cancellation: abandon the popped match and the
-           rest of the queue — the top-k set already holds the best
-           answers known so far, returned flagged [partial]. *)
-        stopped := true
-    | Some pm ->
-        cert_remove pm;
-        if tracing () then
-          emit
-            (Obs.Popped
-               { id = pm.id; score = pm.score; max_possible = pm.max_possible });
-        if Topk_set.should_prune topk pm || below_floor pm then begin
-          if tracing () then emit (Obs.Pruned { id = pm.id });
-          stats.matches_pruned <- stats.matches_pruned + 1
-        end
-        else begin
-          let server =
-            Strategy.choose_next routing plan
-              ~threshold:(Topk_set.threshold topk) pm
-          in
-          stats.routing_decisions <- stats.routing_decisions + 1;
-          if tracing () then emit (Obs.Routed { id = pm.id; server });
-          process_at pm server
-        end;
+    if seed_wins () then begin
+      if should_stop () then stopped := true
+      else begin
+        open_seed ();
         certify ();
         loop ()
+      end
+    end
+    else
+      match Pqueue.pop queue with
+      | None -> ()
+      | Some _ when should_stop () ->
+          (* Deadline / cancellation: abandon the popped match and the
+             rest of the queue — the top-k set already holds the best
+             answers known so far, returned flagged [partial]. *)
+          stopped := true
+      | Some pm ->
+          visit pm;
+          certify ();
+          loop ()
   in
   loop ();
   (* A drained run holds no alive matches: everything left is final.

@@ -1,9 +1,3 @@
-module Doc = Wp_xml.Doc
-module Index = Wp_xml.Index
-module Relation = Wp_relax.Relation
-module Server_spec = Wp_relax.Server_spec
-module Score_table = Wp_score.Score_table
-
 type lists = {
   n_lists : int;
   (* per list: (root, score) sorted by score desc, root asc on ties *)
@@ -12,38 +6,6 @@ type lists = {
   random : (int, float) Hashtbl.t array;
 }
 
-let content_level config doc value n =
-  match value with
-  | None -> Wp_relax.Relaxation.Content_exact
-  | Some query ->
-      Wp_relax.Relaxation.content_level config ~query ~actual:(Doc.value doc n)
-
-(* Best weight any binding of [server] can earn under [root]. *)
-let best_weight (plan : Plan.t) ~root ~server =
-  let spec = plan.specs.(server) in
-  let entry = Score_table.entry plan.scores server in
-  let doc = Index.doc plan.index in
-  let root_depth = Doc.depth doc root in
-  let rel = Server_spec.candidate_relation spec in
-  let best = ref neg_infinity in
-  Index.iter_descendants plan.index spec.tag ~root (fun n ->
-      let content = content_level plan.config doc spec.value n in
-      if
-        content <> Wp_relax.Relaxation.Content_reject
-        && Relation.test_depths rel ~anc_depth:root_depth
-             ~desc_depth:(Doc.depth doc n)
-      then begin
-        let exact =
-          content = Wp_relax.Relaxation.Content_exact
-          && Relation.test_depths spec.to_root.exact ~anc_depth:root_depth
-               ~desc_depth:(Doc.depth doc n)
-        in
-        let w = if exact then entry.exact_weight else entry.relaxed_weight in
-        if w > !best then best := w
-      end);
-  if !best = neg_infinity then 0.0 (* deleted node contributes nothing *)
-  else !best
-
 let build_lists (plan : Plan.t) =
   if not Wp_relax.Relaxation.(
        plan.config.edge_generalization && plan.config.leaf_deletion
@@ -51,24 +13,16 @@ let build_lists (plan : Plan.t) =
   then
     invalid_arg
       "Fagin.build_lists: per-node independence requires all relaxations";
-  let doc = Index.doc plan.index in
-  let entry0 = Score_table.entry plan.scores 0 in
-  let spec0 = plan.specs.(0) in
-  let doc_root_depth = Doc.depth doc (Doc.root doc) in
-  let root_weight root =
-    if
-      Relation.test_depths spec0.to_root.exact ~anc_depth:doc_root_depth
-        ~desc_depth:(Doc.depth doc root)
-    then entry0.exact_weight
-    else entry0.relaxed_weight
-  in
+  (* A root's per-node score is its seed bound's term for the node:
+     the root weight, or the best weight a binding below it can earn
+     (the server's cap; 0 when nothing binds, the node deleted). *)
   let list_for server =
     let scored =
       Array.map
         (fun root ->
           ( root,
-            if server = 0 then root_weight root
-            else best_weight plan ~root ~server ))
+            if server = 0 then Plan.root_weight plan root
+            else Plan.seed_cap plan ~root server ))
         plan.roots
     in
     Array.sort

@@ -29,7 +29,17 @@ let check_bounds plan (pm : Partial_match.t) =
     fail "match %d: max_possible %.6f exceeds the static score bound %.6f"
       pm.id pm.max_possible bound
 
-let check_root plan pm = check_bounds plan pm
+let check_seed plan (pm : Partial_match.t) =
+  let root = Partial_match.root_binding pm in
+  let bound = Plan.bound_of_root plan ~root in
+  if not (le pm.score bound) then
+    fail "match %d: score %.6f exceeds root %d's seed bound %.6f (seed \
+          pruning is unsound)"
+      pm.id pm.score root bound
+
+let check_root plan pm =
+  check_bounds plan pm;
+  check_seed plan pm
 
 let check_extension plan ~parent (ext : Partial_match.t) =
   let p : Partial_match.t = parent in
@@ -40,7 +50,8 @@ let check_extension plan ~parent (ext : Partial_match.t) =
     fail "match %d -> %d: max_possible increased %.6f -> %.6f along an \
           extension (pruning is unsound)"
       p.id ext.id p.max_possible ext.max_possible;
-  check_bounds plan ext
+  check_bounds plan ext;
+  check_seed plan ext
 
 (* Concrete cross-check of the prune-soundness certificate
    ([Wp_analysis.Prove]): the invariants above only hold when the score

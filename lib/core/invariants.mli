@@ -22,13 +22,21 @@ val enabled : unit -> bool
 val set_enabled : bool -> unit
 (** Programmatic override of the environment variable (tests). *)
 
+val check_seed : Plan.t -> Partial_match.t -> unit
+(** The match scores no more than its root's seed bound
+    ({!Plan.bound_of_root}): the per-root bound the seed classes prune
+    by is sound for every match the root spawns, completed and stored
+    ones included.  A node that is not a root candidate is not
+    checked. *)
+
 val check_root : Plan.t -> Partial_match.t -> unit
-(** A fresh root match: [score <= max_possible <= static bound]. *)
+(** A fresh root match: [score <= max_possible <= static bound], and
+    {!check_seed}. *)
 
 val check_extension : Plan.t -> parent:Partial_match.t -> Partial_match.t -> unit
 (** An extension produced by a server from [parent]: score monotonically
-    non-decreasing, [max_possible] monotonically non-increasing, and the
-    root-match bounds. *)
+    non-decreasing, [max_possible] monotonically non-increasing, the
+    root-match bounds and {!check_seed}. *)
 
 val check_table : Wp_score.Score_table.t -> unit
 (** The score table about to drive pruning: every entry satisfies

@@ -7,6 +7,48 @@
     of exact-level extensions, fraction of empty joins) that feed the
     size-based and score-based routing strategies. *)
 
+(** Root candidates grouped by seed bound — the lazy seed cursors of
+    Whirlpool-S.  A root's {e seed bound} is its own weight plus, per
+    non-root server, its {e cap}: the exact weight when the root's
+    subtree holds an exact-level candidate, else the relaxed weight
+    when it holds an accepted one, else 0 for an optional server.  A
+    required server with no candidate kills the root: it is in no
+    class.  No match of a root can score above its seed bound.
+
+    Classes are ordered the way a max-final-score queue holding every
+    seed would pop the seeds: by bound, then by root weight (the
+    queue's tie-break on current score), then in document order
+    (insertion order). *)
+type seeds = {
+  class_ids : Bytes.t;
+      (** per root, its class in [id_width] bytes — read it with
+          {!seed_class} *)
+  id_width : int;  (** 1, 2 or 4: the fewest bytes that number the classes *)
+  class_sizes : int array;  (** live roots per class *)
+  class_bounds : float array;
+      (** per class, the seed bound all its roots share, descending *)
+  class_weights : float array;
+      (** per class, the root weight all its roots share: classes of one
+          bound follow each other by descending root weight *)
+}
+
+(** What a server can add to a root's seed bound, its {e cap}: the
+    exact weight when bit [pos] of [exact] is set (the root at
+    posting [pos] of its tag holds an exact-level candidate below it),
+    else the relaxed weight when bit [pos] of [accepted] is set (it
+    holds any accepted candidate), else [none_weight].  The bitsets
+    are the sweeps of the server's exact and relaxed components
+    ({!Wp_score.Tfidf.sweep}), shared through the component table. *)
+type cap = {
+  exact : Bytes.t;
+  accepted : Bytes.t;
+  exact_weight : float;
+  relaxed_weight : float;
+  none_weight : float;
+      (** 0 for an optional server, [neg_infinity] for a required one:
+          a required server with no candidate kills the root *)
+}
+
 type t = {
   pattern : Wp_pattern.Pattern.t;
   config : Wp_relax.Relaxation.config;
@@ -19,6 +61,11 @@ type t = {
           server generates.  Read-only: plans compiled through one
           {!Wp_score.Component_table} share this array, so no engine
           may write it. *)
+  root_positions : int array;
+      (** per root, its index in the postings of the root's tag: its bit
+          in the sweeps below *)
+  caps : cap array;  (** per server; index 0 (the root server) unused *)
+  seeds : seeds;
   n_servers : int;  (** = pattern size; server ids are pattern node ids *)
   full_mask : int;  (** bitmask with one bit per server *)
   est_fanout : float array;
@@ -38,10 +85,43 @@ val compile :
   t
 (** [compile idx config pat] builds a plan.  [normalization] defaults to
     [Sparse]; the routing estimates sample the first 100 root
-    candidates.  The idf counts and the root candidates are read
-    through [memo], the document's component table (default: a fresh,
+    candidates.  The idf counts, the sweeps behind the seed bounds and
+    the root candidates are read through [memo], the document's component table (default: a fresh,
     empty one); it must belong to [idx]'s document.  The plan is the
     same whether the memo is warm or empty. *)
+
+val root_weight : t -> Wp_xml.Doc.node_id -> float
+(** The root server's weight for a root binding: exact when the root
+    edge and value hold exactly, relaxed otherwise. *)
+
+val seed_rest : t -> int -> float
+(** [seed_rest t i]: the caps of root [roots.(i)] summed over the
+    non-root servers in server order, [neg_infinity] when a required
+    server kills the root. *)
+
+val seed_bound : t -> int -> float
+(** [root_weight t roots.(i) +. seed_rest t i] — the seed bound of root
+    [i], the [max_possible] its seed starts with. *)
+
+val bound_of_root : t -> root:Wp_xml.Doc.node_id -> float
+(** {!seed_bound} of a root binding; [infinity] for a node that is not
+    a root candidate. *)
+
+val seed_cap : t -> root:Wp_xml.Doc.node_id -> int -> float
+(** The cap of a server for a root binding — what an extension there
+    subtracts from [max_possible] before adding its weight, since the
+    seed bound counted that much for the server.  The server's exact
+    weight for a node that is not a root candidate. *)
+
+val seed_class : t -> int -> int
+(** [seed_class t i]: the class of root [roots.(i)], [-1] when a
+    required server kills it.  A class's roots, in document order, are
+    the [i] with that class in increasing order. *)
+
+val n_classes : t -> int
+val n_seeds : t -> int
+(** Bound classes, and roots in them (root candidates minus killed
+    ones). *)
 
 val admits_partial_answers : t -> bool
 (** Whether the top-k set may hold partial matches: true as soon as leaf

@@ -72,6 +72,8 @@ let peek q = if q.size = 0 then None else Some q.heap.(0).value
 let max_priority q =
   if q.size = 0 then Float.neg_infinity else q.heap.(0).priority
 
+let max_tie q = if q.size = 0 then Float.neg_infinity else q.heap.(0).tie
+
 let clear q = q.size <- 0
 
 let drain q =

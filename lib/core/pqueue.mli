@@ -20,6 +20,10 @@ val peek : 'a t -> 'a option
 val max_priority : 'a t -> float
 (** The top priority, [neg_infinity] when empty; allocation-free. *)
 
+val max_tie : 'a t -> float
+(** The top element's tie-break key, [neg_infinity] when empty;
+    allocation-free. *)
+
 val clear : 'a t -> unit
 
 val drain : 'a t -> 'a list

@@ -9,43 +9,28 @@ module Relaxation = Wp_relax.Relaxation
 
 type outcome = { extensions : Partial_match.t list; died : bool }
 
-let content_level config doc value n =
-  match value with
-  | None -> Relaxation.Content_exact
-  | Some query ->
-      Relaxation.content_level config ~query ~actual:(Doc.value doc n)
+let open_roots (plan : Plan.t) (stats : Stats.t) =
+  let n = Array.length plan.roots in
+  stats.server_ops <- stats.server_ops + 1;
+  stats.comparisons <- stats.comparisons + n;
+  stats.matches_created <- stats.matches_created + n;
+  stats.matches_died <- stats.matches_died + (n - Plan.n_seeds plan)
+
+let seed (plan : Plan.t) (stats : Stats.t) ~next_id i =
+  let root = plan.roots.(i) in
+  stats.seeds_materialized <- stats.seeds_materialized + 1;
+  Partial_match.create_root ~plan_servers:plan.n_servers ~id:(next_id ())
+    ~root ~weight:(Plan.root_weight plan root) ~max_rest:(Plan.seed_rest plan i)
 
 let initial_matches (plan : Plan.t) (stats : Stats.t) ~next_id =
-  let entry = Score_table.entry plan.scores 0 in
-  let spec = plan.specs.(0) in
-  let doc = Index.doc plan.index in
-  let max_rest =
-    List.fold_left
-      (fun acc s -> acc +. Plan.max_weight plan s)
-      0.0
-      (List.init (plan.n_servers - 1) (fun i -> i + 1))
-  in
-  stats.server_ops <- stats.server_ops + 1;
-  let doc_root_depth = Doc.depth doc (Doc.root doc) in
-  let matches =
-    Array.map
-      (fun root ->
-        stats.comparisons <- stats.comparisons + 1;
-        let exact =
-          Relation.test_depths spec.to_root.exact ~anc_depth:doc_root_depth
-            ~desc_depth:(Doc.depth doc root)
-          && content_level plan.config doc spec.value root
-             = Relaxation.Content_exact
-        in
-        let weight =
-          if exact then entry.exact_weight else entry.relaxed_weight
-        in
-        Partial_match.create_root ~plan_servers:plan.n_servers
-          ~id:(next_id ()) ~root ~weight ~max_rest)
-      plan.roots
-  in
-  stats.matches_created <- stats.matches_created + Array.length matches;
-  Array.to_list matches
+  open_roots plan stats;
+  let seeds = ref [] in
+  Array.iteri
+    (fun i _ ->
+      if Plan.seed_class plan i >= 0 then
+        seeds := seed plan stats ~next_id i :: !seeds)
+    plan.roots;
+  List.rev !seeds
 
 (* A conditional predicate holds when its exact relation holds, or its
    relaxed relation (if any) does. *)
@@ -108,7 +93,12 @@ let process (plan : Plan.t) (stats : Stats.t) ~next_id (pm : Partial_match.t)
   let spec = plan.specs.(server) in
   let doc = Index.doc plan.index in
   let score = Score_table.entry plan.scores server in
-  let server_max = score.exact_weight in
+  (* The root's cap here, not the server's exact weight: the seed bound
+     counted only the cap for this server, so subtracting more would
+     under-estimate [max_possible] and make pruning unsound. *)
+  let server_max =
+    Plan.seed_cap plan ~root:(Partial_match.root_binding pm) server
+  in
   stats.server_ops <- stats.server_ops + 1;
   (* One pass over the index slice below the match's root binding:
      the content test, the candidate relation and the hard conditionals
@@ -127,7 +117,9 @@ let process (plan : Plan.t) (stats : Stats.t) ~next_id (pm : Partial_match.t)
       let acc = ref [] in
       for i = hi - 1 downto lo do
         let node = Index.posting postings i in
-        let content = content_level plan.config doc spec.value node in
+        let content =
+          Relaxation.content_level_at plan.config ~value:spec.value doc node
+        in
         let depth = Doc.depth doc node in
         if
           content <> Relaxation.Content_reject

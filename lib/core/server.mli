@@ -27,10 +27,22 @@ type outcome = {
           descendant is already bound while promotion is disabled) *)
 }
 
+val open_roots : Plan.t -> Stats.t -> unit
+(** Charge the root server's evaluation (the paper's "book server"
+    step): one server op, one comparison and one created match per root
+    candidate, and one died match per root a required server kills
+    ({!Plan.seeds}). *)
+
+val seed : Plan.t -> Stats.t -> next_id:(unit -> int) -> int -> Partial_match.t
+(** [seed plan stats ~next_id i] builds the seed match of live root
+    [plan.roots.(i)]: its root weight as score, its seed bound
+    ({!Plan.seed_bound}) as [max_possible].  Counts one
+    [seeds_materialized]. *)
+
 val initial_matches :
   Plan.t -> Stats.t -> next_id:(unit -> int) -> Partial_match.t list
-(** Evaluate the root server: one fresh partial match per candidate root
-    binding (the paper's "book server" step). *)
+(** {!open_roots}, then every live root's {!seed}, in document order —
+    the eager seeding of Whirlpool-M, LockStep and the simulator. *)
 
 val process :
   Plan.t -> Stats.t -> next_id:(unit -> int) -> Partial_match.t ->
@@ -40,7 +52,9 @@ val process :
     One pass over the index slice below the match's root binding
     applies the content test, the candidate relation and the hard
     conditionals together; every slice entry counts as one of
-    [stats.comparisons].
+    [stats.comparisons].  An extension lowers [max_possible] by the
+    root's cap at the server ({!Plan.seed_cap}) and raises it by its
+    weight.
 
     @raise Invalid_argument on the root server or an already-visited
     one. *)

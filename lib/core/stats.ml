@@ -2,6 +2,7 @@ type t = {
   mutable server_ops : int;
   mutable comparisons : int;
   mutable matches_created : int;
+  mutable seeds_materialized : int;
   mutable matches_pruned : int;
   mutable matches_died : int;
   mutable routing_decisions : int;
@@ -14,6 +15,7 @@ let create () =
     server_ops = 0;
     comparisons = 0;
     matches_created = 0;
+    seeds_materialized = 0;
     matches_pruned = 0;
     matches_died = 0;
     routing_decisions = 0;
@@ -25,6 +27,7 @@ let reset t =
   t.server_ops <- 0;
   t.comparisons <- 0;
   t.matches_created <- 0;
+  t.seeds_materialized <- 0;
   t.matches_pruned <- 0;
   t.matches_died <- 0;
   t.routing_decisions <- 0;
@@ -35,6 +38,7 @@ let add acc x =
   acc.server_ops <- acc.server_ops + x.server_ops;
   acc.comparisons <- acc.comparisons + x.comparisons;
   acc.matches_created <- acc.matches_created + x.matches_created;
+  acc.seeds_materialized <- acc.seeds_materialized + x.seeds_materialized;
   acc.matches_pruned <- acc.matches_pruned + x.matches_pruned;
   acc.matches_died <- acc.matches_died + x.matches_died;
   acc.routing_decisions <- acc.routing_decisions + x.routing_decisions;
@@ -45,9 +49,10 @@ let wall_seconds t = Int64.to_float t.wall_ns /. 1e9
 
 let pp ppf t =
   Format.fprintf ppf
-    "ops=%d cmp=%d created=%d pruned=%d died=%d routed=%d completed=%d \
-     wall=%.4fs"
-    t.server_ops t.comparisons t.matches_created t.matches_pruned
+    "ops=%d cmp=%d created=%d seeds=%d pruned=%d died=%d routed=%d \
+     completed=%d wall=%.4fs"
+    t.server_ops t.comparisons t.matches_created t.seeds_materialized
+    t.matches_pruned
     t.matches_died t.routing_decisions t.completed (wall_seconds t)
 
 (* ["cache_hits"] and ["cache_misses"] are constant zeros left from the
@@ -61,6 +66,7 @@ let to_json t =
       ("server_ops", Int t.server_ops);
       ("comparisons", Int t.comparisons);
       ("matches_created", Int t.matches_created);
+      ("seeds_materialized", Int t.seeds_materialized);
       ("matches_pruned", Int t.matches_pruned);
       ("matches_died", Int t.matches_died);
       ("routing_decisions", Int t.routing_decisions);
@@ -85,6 +91,8 @@ let register ?(prefix = "wp_engine_") t reg =
   c "comparisons_total" "candidate nodes examined" (fun () -> t.comparisons);
   c "matches_created_total" "partial matches spawned" (fun () ->
       t.matches_created);
+  c "seeds_materialized_total" "root seed matches actually built"
+    (fun () -> t.seeds_materialized);
   c "matches_pruned_total" "matches dropped by top-k score pruning"
     (fun () -> t.matches_pruned);
   c "matches_died_total" "matches dropped for invalidity" (fun () ->

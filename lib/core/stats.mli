@@ -8,9 +8,19 @@
 type t = {
   mutable server_ops : int;  (** partial matches processed by servers *)
   mutable comparisons : int;  (** candidate nodes examined (join predicate comparisons) *)
-  mutable matches_created : int;  (** partial matches spawned, root tuples included *)
-  mutable matches_pruned : int;  (** dropped by top-k score pruning *)
-  mutable matches_died : int;  (** dropped for (in)validity, e.g. exact-mode empty joins *)
+  mutable matches_created : int;
+      (** partial matches spawned, root tuples included: every root
+          candidate counts once, whether or not its seed is built *)
+  mutable seeds_materialized : int;
+      (** root seed matches actually built — Whirlpool-S builds a seed
+          only when its bound class is popped, the other engines build
+          every live root's seed up front *)
+  mutable matches_pruned : int;
+      (** dropped by top-k score pruning, the roots of a seed class that
+          dies unopened included *)
+  mutable matches_died : int;
+      (** dropped for (in)validity, e.g. exact-mode empty joins, and
+          roots a required server with no candidate kills at seed time *)
   mutable routing_decisions : int;  (** adaptive/static router choices made *)
   mutable completed : int;  (** matches that visited every server *)
   mutable wall_ns : int64;  (** elapsed monotonic time *)

@@ -102,19 +102,31 @@ let create ~k ~admit_partial =
 let k t = t.k
 let cardinality t = Hashtbl.length t.by_root
 
-(* The live minimum entry: pop stale heap items until the top one
-   matches a current table entry.  Every live entry's current score was
-   pushed when it was set, so the first live item is the true minimum. *)
+(* Lookups return this sentinel (compared physically) instead of an
+   option: the prune path runs once per extension and must not
+   allocate. *)
+let no_entry =
+  { root = -1; score = Float.nan; match_id = -1; bindings = [||]; progress = 0 }
+
+let find t root =
+  match Hashtbl.find t.by_root root with
+  | e -> e
+  | exception Not_found -> no_entry
+[@@wp.hot]
+
+(* The live minimum entry, [no_entry] when the set is empty: pop stale
+   heap items until the top one matches a current table entry.  Every
+   live entry's current score was pushed when it was set, so the first
+   live item is the true minimum. *)
 let rec min_entry t =
-  if t.heap.Min_heap.size = 0 then None
+  if t.heap.Min_heap.size = 0 then no_entry
   else
-    let score = t.heap.Min_heap.scores.(0)
-    and root = t.heap.Min_heap.roots.(0) in
-    match Hashtbl.find_opt t.by_root root with
-    | Some e when e.score = score -> Some e
-    | Some _ | None ->
-        Min_heap.drop_min t.heap;
-        min_entry t
+    let e = find t t.heap.Min_heap.roots.(0) in
+    if e != no_entry && e.score = t.heap.Min_heap.scores.(0) then e
+    else begin
+      Min_heap.drop_min t.heap;
+      min_entry t
+    end
 [@@wp.hot]
 [@@wp.bounded
   "each recursive step drops one stale heap item; the heap size strictly \
@@ -122,7 +134,9 @@ let rec min_entry t =
 
 let threshold t =
   if Hashtbl.length t.by_root < t.k then neg_infinity
-  else match min_entry t with None -> neg_infinity | Some e -> e.score
+  else
+    let e = min_entry t in
+    if e == no_entry then neg_infinity else e.score
 [@@wp.hot]
 
 (* Entries are built only on the branches that store them: under
@@ -147,34 +161,34 @@ let consider t ~complete (pm : Partial_match.t) =
       if Invariants.enabled () then Some (threshold t) else None
     in
     let root = Partial_match.root_binding pm in
-    (match Hashtbl.find_opt t.by_root root with
-    | Some existing ->
-        (* Equal scores prefer the more-processed match, so the reported
-           bindings reflect a maximal match rather than an early partial
-           snapshot. *)
-        if pm.score > existing.score then begin
-          store t pm root;
-          Min_heap.push t.heap pm.score root
-        end
-        else if
-          pm.score = existing.score
-          && Partial_match.n_visited pm > existing.progress
-        then
-          (* Same score: the existing heap item stays valid. *)
-          store t pm root
-    | None ->
-        if Hashtbl.length t.by_root < t.k then begin
-          store t pm root;
-          Min_heap.push t.heap pm.score root
-        end
-        else begin
-          match min_entry t with
-          | Some m when pm.score > m.score ->
-              Hashtbl.remove t.by_root m.root;
-              store t pm root;
-              Min_heap.push t.heap pm.score root
-          | Some _ | None -> ()
-        end);
+    let existing = find t root in
+    (if existing != no_entry then begin
+       (* Equal scores prefer the more-processed match, so the reported
+          bindings reflect a maximal match rather than an early partial
+          snapshot. *)
+       if pm.score > existing.score then begin
+         store t pm root;
+         Min_heap.push t.heap pm.score root
+       end
+       else if
+         pm.score = existing.score
+         && Partial_match.n_visited pm > existing.progress
+       then
+         (* Same score: the existing heap item stays valid. *)
+         store t pm root
+     end
+     else if Hashtbl.length t.by_root < t.k then begin
+       store t pm root;
+       Min_heap.push t.heap pm.score root
+     end
+     else begin
+       let m = min_entry t in
+       if m != no_entry && pm.score > m.score then begin
+         Hashtbl.remove t.by_root m.root;
+         store t pm root;
+         Min_heap.push t.heap pm.score root
+       end
+     end);
     match threshold_before with
     | Some before -> Invariants.check_threshold ~before ~after:(threshold t)
     | None -> ()
@@ -188,16 +202,14 @@ let should_prune t (pm : Partial_match.t) =
     (* A match that can at best tie the threshold can still improve the
        entry holding its own root, but cannot displace any other
        entry. *)
-    match Hashtbl.find_opt t.by_root (Partial_match.root_binding pm) with
-    | Some e -> pm.max_possible <= e.score && e.match_id <> pm.id
-    | None -> true
+    let e = find t (Partial_match.root_binding pm) in
+    e == no_entry || (pm.max_possible <= e.score && e.match_id <> pm.id)
 [@@wp.hot]
 
 let retract t (pm : Partial_match.t) =
   let root = Partial_match.root_binding pm in
-  match Hashtbl.find_opt t.by_root root with
-  | Some e when e.match_id = pm.id -> Hashtbl.remove t.by_root root
-  | Some _ | None -> ()
+  let e = find t root in
+  if e != no_entry && e.match_id = pm.id then Hashtbl.remove t.by_root root
 
 let best_since_mark t = t.best_since_mark
 let mark t = t.best_since_mark <- Float.neg_infinity

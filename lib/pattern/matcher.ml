@@ -9,8 +9,7 @@ let axis_of_edge = function Pattern.Pc -> Axis.Child | Pattern.Ad -> Axis.Descen
 let value_ok doc pat i n =
   match Pattern.value pat i with
   | None -> true
-  | Some v -> (
-      match Doc.value doc n with Some v' -> String.equal v v' | None -> false)
+  | Some v -> Doc.value_equals doc n v
 
 (* Candidate document nodes for pattern node [i], given the document node
    its pattern parent is bound to. *)

@@ -41,6 +41,15 @@ let content_level config ~query ~actual =
         Content_relaxed
       else Content_reject
 
+let content_level_at config ~value doc n =
+  match value with
+  | None -> Content_exact
+  | Some query ->
+      if Wp_xml.Doc.value_equals doc n query then Content_exact
+      else if config.value_relaxation && Wp_xml.Doc.value_has_token doc n query
+      then Content_relaxed
+      else Content_reject
+
 let pp_config ppf c =
   let flags =
     List.filter_map

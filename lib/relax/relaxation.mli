@@ -42,6 +42,14 @@ val content_level : config -> query:string -> actual:string option -> content_le
     content containing the query as a whitespace-delimited token is
     relaxed; anything else rejects the candidate. *)
 
+val content_level_at :
+  config -> value:string option -> Wp_xml.Doc.t -> Wp_xml.Doc.node_id ->
+  content_level
+(** {!content_level} of a document node's value against a server's
+    value predicate, read in place ({!Wp_xml.Doc.value_equals},
+    {!Wp_xml.Doc.value_has_token}); no predicate ([value = None]) is
+    exact. *)
+
 val pp_config : Format.formatter -> config -> unit
 
 val relax_to_root : config -> Relation.t -> Relation.t

@@ -47,6 +47,11 @@ let relaxed config c =
     { c with relation = Relaxation.relax_internal config c.relation; value_tokens }
   else { c with relation = Relaxation.relax_to_root config c.relation; value_tokens }
 
+let relaxed_differs config c =
+  let r = relaxed config c in
+  (not (Relation.equal r.relation c.relation))
+  || (r.value_tokens && c.target_value <> None)
+
 let pp ppf c =
   Format.fprintf ppf "%s[%a::%s%s]" c.root_tag Relation.pp c.relation
     c.target_tag

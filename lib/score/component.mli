@@ -34,4 +34,9 @@ val relaxed : Wp_relax.Relaxation.config -> t -> t
 (** The component with its relation relaxed as far as [config] allows
     (used to score bindings that satisfy only the relaxed level). *)
 
+val relaxed_differs : Wp_relax.Relaxation.config -> t -> bool
+(** Whether {!relaxed} accepts more than the component itself: its
+    relation widened, or content relaxation weakens a value predicate.
+    When it does not, the relaxed level is the exact one. *)
+
 val pp : Format.formatter -> t -> unit

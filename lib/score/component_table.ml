@@ -8,10 +8,23 @@ type roots_key = {
   value_relaxation : bool;
 }
 
+type sweep = { count : int; bits : Bytes.t }
+
+let sweep_create n = Bytes.make ((n + 7) / 8) '\000'
+
+let sweep_set bits i =
+  Bytes.set bits (i lsr 3)
+    (Char.unsafe_chr (Char.code (Bytes.get bits (i lsr 3)) lor (1 lsl (i land 7))))
+
+let sweep_mem bits i =
+  Char.code (Bytes.get bits (i lsr 3)) land (1 lsl (i land 7)) <> 0
+
+type roots = { nodes : Wp_xml.Doc.node_id array; positions : int array }
+
 type t = {
   mutex : Mutex.t;
-  counts : (Component.t, int) Lru.t;
-  roots : (roots_key, Wp_xml.Doc.node_id array) Lru.t;
+  counts : (Component.t, sweep) Lru.t;
+  roots : (roots_key, roots) Lru.t;
 }
 
 type stats = { hits : int; misses : int; size : int }
@@ -39,7 +52,7 @@ let memo t table key ~compute =
 
 (* The sweep never reads [node], so components that differ only there
    share one entry. *)
-let satisfying_roots t (c : Component.t) ~compute =
+let sweep t (c : Component.t) ~compute =
   memo t t.counts { c with node = 0 } ~compute
 
 let roots t key ~compute = memo t t.roots key ~compute

@@ -5,9 +5,12 @@
     need not re-sweep the document.  The table holds two bounded
     {!Lru} maps, filled lazily by compiles:
 
-    - satisfying-root counts ({!Tfidf.satisfying_roots}, the idf
-      denominator), keyed by the component with its query node erased;
-    - root-candidate arrays ([Plan.roots]), keyed by the root spec's
+    - sweeps ({!Tfidf.sweep}): the satisfying-root count (the idf
+      denominator) and a bitset over the source postings marking which
+      of them satisfy, keyed by the component with its query node
+      erased — about one bit per root-tag posting per component;
+    - root-candidate arrays ([Plan.roots], with each root's position
+      in its tag's postings), keyed by the root spec's
       tag, value and candidate relation plus the configuration's
       [value_relaxation].
 
@@ -30,9 +33,27 @@ type t
 val create : unit -> t
 (** An empty table. *)
 
-val satisfying_roots : t -> Component.t -> compute:(unit -> int) -> int
-(** The memoized count for the component, or [compute ()] inserted on
-    a miss.  If [compute] raises, nothing is inserted. *)
+type sweep = {
+  count : int;  (** source postings with a satisfying target *)
+  bits : Bytes.t;
+      (** bit [i] (byte [i / 8], bit [i mod 8]) is set when the [i]-th
+          posting of the component's [q0] tag (the document root alone,
+          for the root component) has a satisfying target *)
+}
+
+val sweep_create : int -> Bytes.t
+(** An all-clear bitset over [n] postings. *)
+
+val sweep_set : Bytes.t -> int -> unit
+(** Set bit [i]. *)
+
+val sweep_mem : Bytes.t -> int -> bool
+(** Whether bit [i] is set. *)
+
+val sweep : t -> Component.t -> compute:(unit -> sweep) -> sweep
+(** The memoized sweep for the component, or [compute ()] inserted on
+    a miss.  If [compute] raises, nothing is inserted.  The bitset is
+    shared: callers must not mutate it. *)
 
 type roots_key = {
   tag : string;
@@ -41,12 +62,18 @@ type roots_key = {
   value_relaxation : bool;
 }
 
-val roots :
-  t -> roots_key -> compute:(unit -> Wp_xml.Doc.node_id array) ->
-  Wp_xml.Doc.node_id array
+type roots = {
+  nodes : Wp_xml.Doc.node_id array;  (** document order *)
+  positions : int array;
+      (** per node, its index in the postings of the key's tag — the
+          bit that stands for it in a {!sweep} of a component whose
+          [q0] tag is that tag *)
+}
+
+val roots : t -> roots_key -> compute:(unit -> roots) -> roots
 (** The memoized root candidates, or [compute ()] inserted on a miss.
-    The array is shared by every plan that asks for the same key:
-    callers must not mutate it. *)
+    The arrays are shared by every plan that asks for the same key:
+    callers must not mutate them. *)
 
 type stats = { hits : int; misses : int; size : int }
 (** Lookups that found an entry, lookups that did not, and entries

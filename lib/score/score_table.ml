@@ -58,17 +58,10 @@ let raw_entries memo idx pat config =
   Array.map
     (fun c ->
       let exact_weight = Tfidf.idf ~memo idx c in
-      let relaxed_c = Component.relaxed config c in
-      (* The relaxed level differs when the structural relation widened,
-         or when content relaxation weakens a value predicate. *)
-      let distinct =
-        (not
-           (Wp_relax.Relation.equal relaxed_c.Component.relation
-              c.Component.relation))
-        || (relaxed_c.Component.value_tokens && c.Component.target_value <> None)
-      in
       let relaxed_weight =
-        if distinct then Tfidf.idf ~memo idx relaxed_c else exact_weight
+        if Component.relaxed_differs config c then
+          Tfidf.idf ~memo idx (Component.relaxed config c)
+        else exact_weight
       in
       { node = c.Component.node; exact_weight; relaxed_weight })
     components

@@ -6,13 +6,9 @@ module Pattern = Wp_pattern.Pattern
 let value_ok doc (c : Component.t) target =
   match c.target_value with
   | None -> true
-  | Some v -> (
-      match Doc.value doc target with
-      | Some v' ->
-          String.equal v v'
-          || (c.value_tokens
-             && List.exists (String.equal v) (String.split_on_char ' ' v'))
-      | None -> false)
+  | Some v ->
+      Doc.value_equals doc target v
+      || (c.value_tokens && Doc.value_has_token doc target v)
 
 let source idx (c : Component.t) ~root =
   if c.from_doc_root then Doc.root (Index.doc idx) else root
@@ -67,33 +63,43 @@ let satisfied doc c targets ~len src i =
 
 (* One forward merge of the (preorder-sorted) source and target
    postings: the target cursor only advances, and each source scans its
-   own subtree interval from it until the first satisfying target. *)
-let satisfying_roots idx (c : Component.t) =
+   own subtree interval from it until the first satisfying target,
+   setting the source's bit when it finds one. *)
+let compute_sweep idx (c : Component.t) =
   let doc = Index.doc idx in
   let targets = Index.postings idx c.target_tag in
   let len = Index.postings_length targets in
-  if c.from_doc_root then
+  if c.from_doc_root then begin
     let root = Doc.root doc in
-    if satisfied doc c targets ~len root (first_after targets ~len root 0) then 1
-    else 0
-  else
+    let bits = Component_table.sweep_create 1 in
+    let ok = satisfied doc c targets ~len root (first_after targets ~len root 0) in
+    if ok then Component_table.sweep_set bits 0;
+    { Component_table.count = Bool.to_int ok; bits }
+  end
+  else begin
     let sources = Index.postings idx c.root_tag in
+    let n = Index.postings_length sources in
+    let bits = Component_table.sweep_create n in
     let count = ref 0 and cursor = ref 0 in
-    for s = 0 to Index.postings_length sources - 1 do
+    for s = 0 to n - 1 do
       let src = Index.posting sources s in
       cursor := first_after targets ~len src !cursor;
-      if satisfied doc c targets ~len src !cursor then incr count
+      if satisfied doc c targets ~len src !cursor then begin
+        incr count;
+        Component_table.sweep_set bits s
+      end
     done;
-    !count
+    { Component_table.count = !count; bits }
+  end
 
-let idf ?(memo = Component_table.create ()) idx (c : Component.t) =
+let sweep ?(memo = Component_table.create ()) idx c =
+  Component_table.sweep memo c ~compute:(fun () -> compute_sweep idx c)
+
+let idf ?memo idx (c : Component.t) =
   let total = if c.from_doc_root then 1 else Index.count idx c.root_tag in
   if total = 0 then 0.0
   else
-    let satisfying =
-      Component_table.satisfying_roots memo c ~compute:(fun () ->
-          satisfying_roots idx c)
-    in
+    let satisfying = (sweep ?memo idx c).count in
     if satisfying = 0 then log (float_of_int (total + 1))
     else log (float_of_int total /. float_of_int satisfying)
 

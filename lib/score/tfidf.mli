@@ -28,8 +28,15 @@ val satisfies :
 val tf : Wp_xml.Index.t -> Component.t -> root:Wp_xml.Doc.node_id -> int
 (** Definition 4.3. *)
 
-val satisfying_roots : Wp_xml.Index.t -> Component.t -> int
-(** [|{n : tag(n) = q0 and ∃ n' : p(n, n')}|] — the idf denominator.
+val sweep :
+  ?memo:Component_table.t -> Wp_xml.Index.t -> Component.t ->
+  Component_table.sweep
+(** Which [q0] nodes have a satisfying target: bit [i] is set when the
+    [i]-th posting of [q0]'s tag does (bit 0, the document root, for the
+    root component), and the count of set bits,
+    [|{n : tag(n) = q0 and ∃ n' : p(n, n')}|], is the idf denominator.
+    Read through [memo] (default: a fresh, empty table), which must
+    belong to the index's document.
 
     Computed by one forward merge sweep over the [q0] and [qi] postings
     (both in preorder, read in place on either index backend): the
@@ -44,8 +51,8 @@ val satisfying_roots : Wp_xml.Index.t -> Component.t -> int
 val idf : ?memo:Component_table.t -> Wp_xml.Index.t -> Component.t -> float
 (** Definition 4.2, with the degenerate-count conventions above; the
     [q0] count is {!Wp_xml.Index.count} (1 for the root component).
-    The {!satisfying_roots} count is read through [memo] (default: a
-    fresh, empty table), which must belong to the index's document. *)
+    The satisfying count is read off {!sweep} through [memo] (default:
+    a fresh, empty table), which must belong to the index's document. *)
 
 val score : Wp_xml.Index.t -> Component.t array -> root:Wp_xml.Doc.node_id -> float
 (** Definition 4.4: [Σ idf·tf] over the query's component predicates for

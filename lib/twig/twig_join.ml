@@ -63,9 +63,7 @@ let build_stream ~(stats : Stats.t) ~doc ~idx ~pat ~(sel : Dataguide.selection)
             | None -> true
             | Some v -> (
                 stats.comparisons <- stats.comparisons + 1;
-                match Doc.value doc x with
-                | Some actual -> String.equal actual v
-                | None -> false)
+                Doc.value_equals doc x v)
           in
           if ok then begin
             out.(!n_out) <- x;

@@ -113,18 +113,57 @@ end)
 
 let tag t i = t.tags.(get t.tag_ids i)
 
-let value t i =
+(* Offset of node [i]'s value in [value_bytes], [-1] when the node has
+   none; its length is [get t.val_len i].  Returned as an int, not a
+   pair, so the in-place tests below allocate nothing. *)
+let value_offset t i =
   let p = get t.val_pos i in
-  if p = 0 then None
+  if p = 0 then -1
   else
     let len = get t.val_len i in
     if p < 0 || len < 0 || p - 1 + len > A.dim t.value_bytes then
-      invalid_arg "Doc.value: value out of range";
+      invalid_arg "Doc.value: value out of range"
+    else p - 1
+
+let value t i =
+  let off = value_offset t i in
+  if off < 0 then None
+  else begin
+    let len = get t.val_len i in
     let b = Bytes.create len in
     for j = 0 to len - 1 do
-      Bytes.unsafe_set b j (A.unsafe_get t.value_bytes (p - 1 + j))
+      Bytes.unsafe_set b j (A.unsafe_get t.value_bytes (off + j))
     done;
     Some (Bytes.unsafe_to_string b)
+  end
+
+(* Does [value_bytes.[off + j, off + String.length s)] spell the rest
+   of [s] from [j]?  The helpers here are top-level recursions, not
+   local closures, so a test allocates nothing. *)
+let rec bytes_equal t off s j =
+  j >= String.length s
+  || (A.unsafe_get t.value_bytes (off + j) = String.unsafe_get s j
+     && bytes_equal t off s (j + 1))
+
+let value_equals t i s =
+  let off = value_offset t i in
+  off >= 0 && get t.val_len i = String.length s && bytes_equal t off s 0
+
+let rec token_end t ~stop j =
+  if j < stop && A.unsafe_get t.value_bytes j <> ' ' then
+    token_end t ~stop (j + 1)
+  else j
+
+(* Tokens are the maximal runs between single spaces, empty runs
+   included — what [String.split_on_char ' '] returns. *)
+let rec has_token t ~stop s start =
+  let e = token_end t ~stop start in
+  (e - start = String.length s && bytes_equal t start s 0)
+  || (e < stop && has_token t ~stop s (e + 1))
+
+let value_has_token t i s =
+  let off = value_offset t i in
+  off >= 0 && has_token t ~stop:(off + get t.val_len i) s off
 
 let depth t i = get t.depths i
 let subtree_end t i = get t.subtree_ends i

@@ -68,7 +68,17 @@ module Tbl : Hashtbl.S with type key = t
 val tag : t -> node_id -> string
 
 val value : t -> node_id -> string option
-(** A fresh copy of the node's value bytes. *)
+(** A fresh copy of the node's value bytes.  Value tests on hot paths
+    use {!value_equals} and {!value_has_token}, which read the value
+    column in place. *)
+
+val value_equals : t -> node_id -> string -> bool
+(** [value_equals d i s] is [value d i = Some s], without a copy. *)
+
+val value_has_token : t -> node_id -> string -> bool
+(** Whether [s] is one of the tokens [String.split_on_char ' '] cuts
+    the node's value into (false when the node has no value), without
+    a copy. *)
 
 val dewey : t -> node_id -> Dewey.t
 (** Rebuilt from the child ranks up the parent chain, in O(depth). *)

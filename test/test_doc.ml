@@ -98,6 +98,33 @@ let prop_size =
   QCheck2.Test.make ~name:"Doc.size = Tree.size" ~count:200 gen_tree
     (fun t -> Doc.size (Doc.of_tree t) = Tree.size t)
 
+(* The in-place value tests agree with a copy of the value: equality,
+   and membership among [String.split_on_char ' '] tokens (empty tokens
+   included), over values of zero to three tokens with stray spaces. *)
+let prop_value_tests_in_place =
+  let open QCheck2.Gen in
+  let token = oneofl [ ""; "a"; "b"; "ab"; "ba"; "a b" ] in
+  let value = opt (map (String.concat " ") (list_size (int_bound 3) token)) in
+  let tree =
+    map
+      (fun vs ->
+        Tree.el "r"
+          (List.map (fun v -> { Tree.tag = "c"; value = v; children = [] }) vs))
+      (list_size (int_range 1 6) value)
+  in
+  QCheck2.Test.make ~name:"value_equals / value_has_token = on a copy"
+    ~count:300 (pair tree token) (fun (t, s) ->
+      let d = Doc.of_tree t in
+      List.for_all
+        (fun i ->
+          let copy = Doc.value d i in
+          Doc.value_equals d i s = (copy = Some s)
+          && Doc.value_has_token d i s
+             = (match copy with
+               | Some v -> List.mem s (String.split_on_char ' ' v)
+               | None -> false))
+        (List.init (Doc.size d) Fun.id))
+
 let suite =
   [
     Alcotest.test_case "layout" `Quick test_layout;
@@ -110,4 +137,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_preorder_roundtrip;
     QCheck_alcotest.to_alcotest prop_intervals_match_dewey;
     QCheck_alcotest.to_alcotest prop_size;
+    QCheck_alcotest.to_alcotest prop_value_tests_in_place;
   ]

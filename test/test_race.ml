@@ -14,7 +14,10 @@ let books_plan q = Run.compile Fixtures.books_index (Fixtures.parse q)
 (* A small document where the premature-shutdown window of
    [Retire_early] is wide: near the end of the run the last in-flight
    match still has server hops left, so retiring it before re-enqueueing
-   lets the stop flag fire with work outstanding. *)
+   lets the stop flag fire with work outstanding.  The window needs
+   enough answers in flight: with per-root seed bounds, Q1 at k=5 ends
+   with no hop outstanding in every one of 100 schedules, at k=10 it
+   does not. *)
 let tiny_idx =
   lazy
     (Wp_xml.Index.build
@@ -88,7 +91,7 @@ let test_inject_retire_early () =
   let r =
     Race.check ~schedules:100
       ~faults:[ Engine_mt.Fault.Retire_early ]
-      (tiny_plan Fixtures.q1) ~k:5
+      (tiny_plan Fixtures.q1) ~k:10
   in
   Alcotest.(check bool)
     "early shutdown detected (missing answers or leaked pending)" true

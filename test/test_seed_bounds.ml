@@ -1,0 +1,310 @@
+(* Seed-time bounds: every root candidate starts with a per-root upper
+   bound read off the component table's sweep bitsets, and Whirlpool-S
+   opens roots class by class instead of seeding a match per root.
+
+   - The bitset-derived bound equals the brute-force one (a per-root
+     slice scan, the definition spelled out), and no match a root spawns
+     scores above it — under every shipped relaxation configuration and
+     score normalization.
+   - Whirlpool-S's top-k scores still equal the no-pruning reference's.
+   - Streaming: the streamed answers are the final answers, and no entry
+     certifies while a root whose seed bound exceeds its score is still
+     unopened, under all four queue policies. *)
+
+open Whirlpool
+module Doc = Wp_xml.Doc
+module Index = Wp_xml.Index
+module Relation = Wp_relax.Relation
+module Relaxation = Wp_relax.Relaxation
+module Server_spec = Wp_relax.Server_spec
+module Score_table = Wp_score.Score_table
+module Pattern = Wp_pattern.Pattern
+module Prove = Wp_analysis.Prove
+
+(* Values of one or two space-separated tokens, so that content
+   relaxation (token containment) has something to accept. *)
+let gen_tree =
+  let open QCheck2.Gen in
+  let tag = map (fun i -> Printf.sprintf "t%d" i) (int_bound 4) in
+  let token = map (fun i -> Printf.sprintf "v%d" i) (int_bound 4) in
+  let value =
+    opt
+      (oneof
+         [ token; map2 (fun a b -> a ^ " " ^ b) token token ])
+  in
+  sized
+  @@ fix (fun self n ->
+         if n = 0 then
+           map2
+             (fun t v -> { Wp_xml.Tree.tag = t; value = v; children = [] })
+             tag value
+         else
+           map3
+             (fun t v cs -> { Wp_xml.Tree.tag = t; value = v; children = cs })
+             tag value
+             (list_size (int_bound 3) (self (n / 4))))
+
+let gen_pattern =
+  let open QCheck2.Gen in
+  let tag = map (fun i -> Printf.sprintf "t%d" i) (int_bound 4) in
+  let value =
+    frequency
+      [ (3, return None); (1, map (fun i -> Some (Printf.sprintf "v%d" i)) (int_bound 4)) ]
+  in
+  let edge = map (fun b -> if b then Pattern.Pc else Pattern.Ad) bool in
+  let spec =
+    fix
+      (fun self depth ->
+        if depth = 0 then map2 (fun t value -> Pattern.n ?value t []) tag value
+        else
+          map3
+            (fun t value cs -> Pattern.n ?value t cs)
+            tag value
+            (list_size (int_bound 2)
+               (map2 (fun e s -> (e, s)) edge (self (depth - 1)))))
+      2
+  in
+  map2 (fun e s -> Pattern.of_spec ~root_edge:e s) edge spec
+
+let gen_inputs =
+  QCheck2.Gen.pair (QCheck2.Gen.map Doc.of_tree gen_tree) gen_pattern
+
+(* Every shipped configuration and normalization, compiled over one
+   shared component table, as a catalog document's plans are. *)
+let plans doc pat =
+  let idx = Index.build doc in
+  let memo = Wp_score.Component_table.create () in
+  List.concat_map
+    (fun config ->
+      List.map
+        (fun normalization ->
+          Plan.compile ~normalization ~memo idx config pat)
+        Prove.shipped_normalizations)
+    Prove.shipped_configs
+
+let content plan value n =
+  match value with
+  | None -> Relaxation.Content_exact
+  | Some query ->
+      Relaxation.content_level plan.Plan.config ~query
+        ~actual:(Doc.value (Index.doc plan.Plan.index) n)
+
+(* The seed bound by brute force: scan each server's candidates below
+   the root, as [Server.process] would, and keep the best weight. *)
+let brute_bound (plan : Plan.t) root =
+  let doc = Index.doc plan.index in
+  let e0 = Score_table.entry plan.scores 0 in
+  let spec0 = plan.specs.(0) in
+  let root_exact =
+    Relation.test doc spec0.to_root.exact ~anc:(Doc.root doc) ~desc:root
+    && content plan spec0.value root = Relaxation.Content_exact
+  in
+  let rest = ref 0.0 in
+  for s = 1 to plan.n_servers - 1 do
+    let spec = plan.specs.(s) in
+    let e = Score_table.entry plan.scores s in
+    let accepted = ref false and exact = ref false in
+    List.iter
+      (fun n ->
+        let c = content plan spec.value n in
+        if
+          c <> Relaxation.Content_reject
+          && Relation.test doc (Server_spec.candidate_relation spec) ~anc:root
+               ~desc:n
+        then begin
+          accepted := true;
+          if
+            c = Relaxation.Content_exact
+            && Relation.test doc spec.to_root.exact ~anc:root ~desc:n
+          then exact := true
+        end)
+      (Index.descendants plan.index spec.tag ~root);
+    let cap =
+      if !exact then e.exact_weight
+      else if !accepted then e.relaxed_weight
+      else if spec.optional then 0.0
+      else Float.neg_infinity
+    in
+    rest := !rest +. cap
+  done;
+  (if root_exact then e0.exact_weight else e0.relaxed_weight) +. !rest
+
+let prop_bitset_bound_equals_scan =
+  QCheck2.Test.make ~name:"bitset seed bound = per-root slice scan" ~count:100
+    gen_inputs (fun (doc, pat) ->
+      List.for_all
+        (fun (plan : Plan.t) ->
+          let live = ref 0 in
+          Array.iteri
+            (fun i root ->
+              let want = brute_bound plan root in
+              let got = Plan.seed_bound plan i in
+              if want > Float.neg_infinity then incr live;
+              if got <> want then
+                QCheck2.Test.fail_reportf "%s (%a): root %d bound %h, scan %h"
+                  (Pattern.to_string pat) Relaxation.pp_config plan.config
+                  root got want)
+            plan.roots;
+          (* The classes hold exactly the live roots, each with its own
+             bound and weight, in descending order. *)
+          let seeds = plan.seeds in
+          let consistent = ref true in
+          Array.iteri
+            (fun i root ->
+              let c = Plan.seed_class plan i in
+              if (c < 0) <> (brute_bound plan root = Float.neg_infinity) then
+                consistent := false;
+              if
+                c >= 0
+                && (seeds.class_bounds.(c) <> Plan.seed_bound plan i
+                   || seeds.class_weights.(c) <> Plan.root_weight plan root)
+              then consistent := false)
+            plan.roots;
+          Array.iteri
+            (fun c b ->
+              if
+                c > 0
+                && (b > seeds.class_bounds.(c - 1)
+                   || b = seeds.class_bounds.(c - 1)
+                      && seeds.class_weights.(c) >= seeds.class_weights.(c - 1))
+              then consistent := false)
+            seeds.class_bounds;
+          Plan.n_seeds plan = !live && !consistent)
+        (plans doc pat))
+
+(* Every entry of a threshold-free run (one per root that has a match)
+   scores within its root's seed bound, and Whirlpool-S's top-k scores
+   equal the no-pruning reference's. *)
+let close a b =
+  List.length a = List.length b
+  && List.for_all2 (fun x y -> Float.abs (x -. y) < 1e-9) a b
+
+let prop_bound_covers_matches =
+  QCheck2.Test.make ~name:"seed bound >= every match score; W-S = NoPrun"
+    ~count:100 gen_inputs (fun (doc, pat) ->
+      List.for_all
+        (fun (plan : Plan.t) ->
+          match Engine.run_above plan ~threshold:Float.neg_infinity with
+          | exception Wp_analysis.Lint.Rejected _ -> true
+          | all ->
+              List.for_all
+                (fun (e : Topk_set.entry) ->
+                  e.score <= Plan.bound_of_root plan ~root:e.root +. 1e-9)
+                all.answers
+              && close
+                   (Fixtures.sorted_scores (Engine.run plan ~k:3).answers)
+                   (Fixtures.sorted_scores
+                      (Lockstep.run ~prune:false plan ~k:3).answers))
+        (plans doc pat))
+
+let policies =
+  Strategy.
+    [
+      ("fifo", Fifo);
+      ("current", Current_score);
+      ("max_next", Max_next_score);
+      ("max_final", Max_final_score);
+    ]
+
+let queries = [ ("Q1", Fixtures.q1); ("Q2", Fixtures.q2); ("Q3", Fixtures.q3) ]
+
+(* Live roots whose seed bound is strictly above [score]. *)
+let roots_above (plan : Plan.t) score =
+  let seeds = plan.seeds in
+  let n = ref 0 in
+  Array.iteri
+    (fun c b -> if b > score then n := !n + seeds.class_sizes.(c))
+    seeds.class_bounds;
+  !n
+
+(* Streams every certified entry with the number of engine events seen
+   before it, then replays the event log: a popped match that no
+   [Extended] event created is a seed, and its [max_possible] is its
+   root's seed bound.  When an entry certifies, every live root whose
+   bound exceeds the entry's score must already have been popped. *)
+let test_streaming_with_lazy_seeds () =
+  let idx = Lazy.force Fixtures.xmark_index in
+  List.iter
+    (fun (qname, q) ->
+      let plan = Run.compile idx (Fixtures.parse q) in
+      List.iter
+        (fun k ->
+          List.iter
+            (fun (pname, policy) ->
+              let label = Printf.sprintf "%s k=%d %s" qname k pname in
+              let obs = Wp_obs.Obs.create ~max_spans:1 () in
+              let events () =
+                List.concat_map
+                  (fun (s : Wp_obs.Obs.span_record) -> s.events)
+                  (Wp_obs.Obs.spans obs)
+              in
+              let streamed = ref [] in
+              let config =
+                Engine.Config.(
+                  default |> with_queue_policy policy |> with_obs obs
+                  |> with_on_certified (fun e ->
+                         streamed := (e, List.length (events ())) :: !streamed))
+              in
+              let r = Engine.run ~config plan ~k in
+              let streamed = List.rev !streamed in
+              Alcotest.(check (list (pair int (float 0.0))))
+                (label ^ ": streamed = answers")
+                (List.map
+                   (fun (e : Topk_set.entry) -> (e.root, e.score))
+                   r.answers)
+                (List.map
+                   (fun ((e : Topk_set.entry), _) -> (e.root, e.score))
+                   streamed);
+              let log =
+                Array.of_list
+                  (List.sort
+                     (fun (a : Wp_obs.Obs.stamped) b -> Int.compare a.seq b.seq)
+                     (events ()))
+              in
+              let children = Hashtbl.create 1024 in
+              Array.iter
+                (fun (e : Wp_obs.Obs.stamped) ->
+                  match e.event with
+                  | Wp_obs.Obs.Extended { id; _ } -> Hashtbl.replace children id ()
+                  | _ -> ())
+                log;
+              List.iter
+                (fun ((e : Topk_set.entry), seen) ->
+                  let opened = Hashtbl.create 64 in
+                  for i = 0 to seen - 1 do
+                    match log.(i).event with
+                    | Wp_obs.Obs.Popped { id; max_possible; _ }
+                      when (not (Hashtbl.mem children id))
+                           && max_possible > e.score ->
+                        Hashtbl.replace opened id ()
+                    | _ -> ()
+                  done;
+                  Alcotest.(check int)
+                    (Printf.sprintf "%s: roots above %.3f opened before root %d certified"
+                       label e.score e.root)
+                    (roots_above plan e.score) (Hashtbl.length opened))
+                streamed;
+              if policy = Strategy.Max_final_score then
+                Alcotest.(check bool)
+                  (label ^ ": lazy seeds build fewer seeds than live roots")
+                  true
+                  (r.stats.seeds_materialized < Plan.n_seeds plan)
+              else
+                Alcotest.(check int)
+                  (label ^ ": eager seeds build every live root")
+                  (Plan.n_seeds plan) r.stats.seeds_materialized;
+              Alcotest.(check bool)
+                (label ^ ": every root counts as created")
+                true
+                (r.stats.matches_created >= Array.length plan.roots))
+            policies)
+        [ 10; 75 ])
+    queries
+
+let suite =
+  [
+    QCheck_alcotest.to_alcotest prop_bitset_bound_equals_scan;
+    QCheck_alcotest.to_alcotest prop_bound_covers_matches;
+    Alcotest.test_case "streaming with lazy seeds" `Quick
+      test_streaming_with_lazy_seeds;
+  ]

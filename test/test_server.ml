@@ -66,7 +66,15 @@ let test_relaxed_binding_scores_less () =
   let relaxed_w = (Wp_score.Score_table.entry plan.scores 1).relaxed_weight in
   Alcotest.(check (float 1e-9)) "relaxed weight earned" (pm_c.score +. relaxed_w)
     ext.score;
-  Alcotest.(check bool) "max dropped" true (ext.max_possible < pm_c.max_possible)
+  (* Book (c)'s seed bound already counts only the relaxed weight for
+     the title server, so the binding leaves [max_possible] where it
+     was, below the loose all-exact bound. *)
+  Alcotest.(check (float 1e-9)) "max unchanged" pm_c.max_possible
+    ext.max_possible;
+  Alcotest.(check bool) "seed bound below the all-exact bound" true
+    (pm_c.max_possible
+    < pm_c.score +. Wp_score.Score_table.max_total plan.scores
+      -. (Wp_score.Score_table.entry plan.scores 0).exact_weight)
 
 let test_optional_unbound_extension () =
   let plan = make_plan Fixtures.q2a in
@@ -88,8 +96,18 @@ let test_optional_unbound_extension () =
 let test_exact_mode_death () =
   let plan = make_plan ~config:Wp_relax.Relaxation.exact Fixtures.q2a in
   let stats = Stats.create () in
+  (* Book (c) has no publisher, so the required publisher server kills
+     it at seed time: it gets no seed and counts as died. *)
+  let seeded = Server.initial_matches plan stats ~next_id:(id_gen ()) in
+  Alcotest.(check bool) "book (c) not seeded" false
+    (List.exists (fun pm -> Partial_match.root_binding pm = book_c) seeded);
+  Alcotest.(check int) "killed roots recorded as died"
+    (3 - List.length seeded) stats.matches_died;
+  Stats.reset stats;
+  (* A match for it built by hand still dies at the server. *)
   let pm_c =
-    List.find (fun pm -> Partial_match.root_binding pm = book_c) (initial plan)
+    Partial_match.create_root ~plan_servers:plan.n_servers ~id:1 ~root:book_c
+      ~weight:1.0 ~max_rest:(float_of_int (plan.n_servers - 1))
   in
   let { Server.extensions; died } =
     Server.process plan stats ~next_id:(id_gen ()) pm_c ~server:3

@@ -97,14 +97,17 @@ let test_rank_scores_match_score () =
    satisfies the component iff its tf is positive, and idf divides the
    source count by the number of satisfying sources. *)
 
-let reference_satisfying_roots ix (c : Component.t) =
+let reference_satisfying ix (c : Component.t) =
   let sources =
     if c.from_doc_root then [| Wp_xml.Doc.root (Wp_xml.Index.doc ix) |]
     else Wp_xml.Index.ids ix c.root_tag
   in
+  Array.map (fun n -> Tfidf.tf ix c ~root:n > 0) sources
+
+let reference_satisfying_roots ix c =
   Array.fold_left
-    (fun acc n -> if Tfidf.tf ix c ~root:n > 0 then acc + 1 else acc)
-    0 sources
+    (fun acc ok -> if ok then acc + 1 else acc)
+    0 (reference_satisfying ix c)
 
 let reference_idf ix (c : Component.t) =
   let total =
@@ -181,11 +184,18 @@ let prop_sweep_matches_definition =
       with_both_indexes (Wp_xml.Doc.of_tree tree) (fun backend ix ->
           List.iter
             (fun c ->
-              let got = Tfidf.satisfying_roots ix c
+              let sweep = Tfidf.sweep ix c in
+              let got = sweep.count
               and want = reference_satisfying_roots ix c in
               if got <> want then
-                QCheck2.Test.fail_reportf "%s: satisfying_roots %d, want %d"
+                QCheck2.Test.fail_reportf "%s: satisfying count %d, want %d"
                   backend got want;
+              Array.iteri
+                (fun i ok ->
+                  if Wp_score.Component_table.sweep_mem sweep.bits i <> ok then
+                    QCheck2.Test.fail_reportf "%s: bit %d is %b, want %b"
+                      backend i (not ok) ok)
+                (reference_satisfying ix c);
               let got = Tfidf.idf ix c and want = reference_idf ix c in
               if not (Float.equal got want) then
                 QCheck2.Test.fail_reportf "%s: idf %h, want %h" backend got
