@@ -13,24 +13,25 @@ let run (scale : Common.scale) =
   (* Pick the most frequent first word of item names as the query
      constant, so the exhibit is deterministic but data-driven. *)
   let counts = Hashtbl.create 64 in
-  Array.iter
-    (fun n ->
-      let is_item_name =
-        match Wp_xml.Doc.parent doc n with
-        | Some p -> String.equal (Wp_xml.Doc.tag doc p) "item"
-        | None -> false
-      in
-      match (is_item_name, Wp_xml.Doc.value doc n) with
-      | true, Some v -> (
-          match String.split_on_char ' ' v with
-          | w :: _ :: _ ->
-              (* multi-word names only: these are token, not exact,
-                 matches *)
-              Hashtbl.replace counts w
-                (1 + Option.value (Hashtbl.find_opt counts w) ~default:0)
-          | _ -> ())
-      | _ -> ())
-    (Wp_xml.Index.ids idx "name");
+  let names = Wp_xml.Index.postings idx "name" in
+  for i = 0 to Wp_xml.Index.postings_length names - 1 do
+    let n = Wp_xml.Index.posting names i in
+    let is_item_name =
+      match Wp_xml.Doc.parent doc n with
+      | Some p -> String.equal (Wp_xml.Doc.tag doc p) "item"
+      | None -> false
+    in
+    match (is_item_name, Wp_xml.Doc.value doc n) with
+    | true, Some v -> (
+        match String.split_on_char ' ' v with
+        | w :: _ :: _ ->
+            (* multi-word names only: these are token, not exact,
+               matches *)
+            Hashtbl.replace counts w
+              (1 + Option.value (Hashtbl.find_opt counts w) ~default:0)
+        | _ -> ())
+    | _ -> ()
+  done;
   let word, _ =
     Hashtbl.fold
       (fun w c ((_, best) as acc) -> if c > best then (w, c) else acc)

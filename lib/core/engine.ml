@@ -127,18 +127,23 @@ let run_with_floor ~floor (config : Config.t) (plan : Plan.t) ~k =
      Other policies order the queue by something other than the bound,
      so every live seed is queued up front.  [cls] is the head class
      (past the last when none is left), [left] its unopened roots and
-     [next] where the scan for its next root (in document order)
-     resumes. *)
+     [next] the posting position where the scan for its next root (in
+     document order) resumes. *)
   let seeds = plan.seeds in
-  let n_classes = Array.length seeds.class_bounds in
+  let n_classes = Array.length seeds in
   let lazy_seeds = queue_policy = Strategy.Max_final_score in
   let cls = ref (if lazy_seeds then 0 else n_classes) in
-  let left = ref (if !cls < n_classes then seeds.class_sizes.(0) else 0) in
-  let next = ref 0 in
+  let left = ref 0 and next = ref 0 in
+  let start_class () =
+    if !cls < n_classes then begin
+      left := seeds.(!cls).size;
+      next := seeds.(!cls).first_word * 64
+    end
+  in
+  start_class ();
   let next_class () =
     incr cls;
-    next := 0;
-    if !cls < n_classes then left := seeds.class_sizes.(!cls)
+    start_class ()
   in
   let certify () =
     match cert with
@@ -151,8 +156,7 @@ let run_with_floor ~floor (config : Config.t) (plan : Plan.t) ~k =
               (* The unopened classes are alive too; the head one
                  bounds them all. *)
               if !cls < n_classes then
-                Float.max (Pqueue.max_priority queue)
-                  seeds.class_bounds.(!cls)
+                Float.max (Pqueue.max_priority queue) seeds.(!cls).bound
               else Pqueue.max_priority queue
         in
         Certify.flush c topk ~bound
@@ -271,28 +275,24 @@ let run_with_floor ~floor (config : Config.t) (plan : Plan.t) ~k =
   let seed_wins () =
     !cls < n_classes
     &&
-    let b = seeds.class_bounds.(!cls) and p = Pqueue.max_priority queue in
-    b > p || (b = p && seeds.class_weights.(!cls) >= Pqueue.max_tie queue)
+    let c = seeds.(!cls) and p = Pqueue.max_priority queue in
+    c.bound > p || (c.bound = p && c.weight >= Pqueue.max_tie queue)
   in
   (* Pop the head class's next root.  No unopened root is in the top-k
      set, so the class's bound can at best tie the threshold for each of
      them: once [should_prune] would drop the bound, the whole class
      dies at once, its roots counted as pruned. *)
   let open_seed () =
-    let bound = seeds.class_bounds.(!cls) in
-    if bound <= Topk_set.threshold topk || bound < floor then begin
+    let c = seeds.(!cls) in
+    if c.bound <= Topk_set.threshold topk || c.bound < floor then begin
       stats.matches_pruned <- stats.matches_pruned + !left;
       next_class ()
     end
     else begin
-      (while Plan.seed_class plan !next <> !cls do
-         incr next
-       done)
-      [@wp.bounded
-        "[!next] only advances, and [!left > 0] roots of the head class \
-         lie at or after it"];
-      let pm = Server.seed plan stats ~next_id !next in
-      incr next;
+      let pos = Plan.next_root plan c.signatures !next in
+      if checking then Invariants.check_class plan c pos;
+      let pm = Server.seed plan stats ~next_id pos in
+      next := pos + 1;
       decr left;
       if !left = 0 then next_class ();
       if admit_seed pm then visit pm

@@ -37,6 +37,19 @@ let check_seed plan (pm : Partial_match.t) =
           pruning is unsound)"
       pm.id pm.score root bound
 
+let check_class plan (c : Plan.seed_class) pos =
+  if pos < 0 then
+    fail "a class of bound %h and root weight %h ran out of roots before \
+          its size %d (a signature mask is wrong)"
+      c.bound c.weight c.size;
+  let root = Wp_xml.Index.posting plan.Plan.root_postings pos in
+  let bound = Plan.bound_of_root plan ~root
+  and weight = Plan.root_weight plan root in
+  if bound <> c.bound || weight <> c.weight then
+    fail "root %d (seed bound %h, root weight %h) opened from a class of \
+          bound %h and root weight %h (a signature mask is wrong)"
+      root bound weight c.bound c.weight
+
 let check_root plan pm =
   check_bounds plan pm;
   check_seed plan pm

@@ -7,12 +7,15 @@ module Component_table = Wp_score.Component_table
 module Index = Wp_xml.Index
 module Doc = Wp_xml.Doc
 
-type seeds = {
-  class_ids : Bytes.t;
-  id_width : int;
-  class_sizes : int array;
-  class_bounds : float array;
-  class_weights : float array;
+type literal = { bits : Bytes.t; negated : bool }
+type signature = literal array
+
+type seed_class = {
+  bound : float;
+  weight : float;
+  size : int;
+  first_word : int;
+  signatures : signature array;
 }
 
 type cap = {
@@ -30,9 +33,10 @@ type t = {
   scores : Score_table.t;
   index : Index.t;
   roots : Doc.node_id array;
-  root_positions : int array;
+  root_postings : Index.postings;
+  root_candidates : Bytes.t;
   caps : cap array;
-  seeds : seeds;
+  seeds : seed_class array;
   n_servers : int;
   full_mask : int;
   est_fanout : float array;
@@ -40,13 +44,10 @@ type t = {
   est_p_empty : float array;
 }
 
-(* Content acceptance under the configuration. *)
-let value_ok config doc value n =
-  Relaxation.content_level_at config ~value doc n <> Relaxation.Content_reject
-
 (* Candidates for the pattern root: nodes with the right tag/value whose
    relation to the document root satisfies the (possibly relaxed) root
-   edge, in document order, with their positions in the tag's postings.
+   edge, in document order, with bitsets over the tag's postings marking
+   them, the ones at depth 1 and the ones whose value matches exactly.
    Content acceptance reads only the configuration's
    [value_relaxation], so that completes the key. *)
 let root_candidates memo config idx (specs : Server_spec.t array) =
@@ -64,20 +65,35 @@ let root_candidates memo config idx (specs : Server_spec.t array) =
   Component_table.roots memo key ~compute:(fun () ->
       let doc_root_depth = Doc.depth doc (Doc.root doc) in
       let postings = Index.postings idx spec.tag in
+      let n = Index.postings_length postings in
+      let candidates = Component_table.sweep_create n
+      and depth1 = Component_table.sweep_create n
+      and content_exact = Component_table.sweep_create n in
       let keep = ref [] in
-      for i = Index.postings_length postings - 1 downto 0 do
-        let n = Index.posting postings i in
+      for i = n - 1 downto 0 do
+        let node = Index.posting postings i in
+        let depth = Doc.depth doc node in
         if
-          n <> Doc.root doc
-          && Relation.test_depths rel ~anc_depth:doc_root_depth
-               ~desc_depth:(Doc.depth doc n)
-          && value_ok config doc spec.value n
-        then keep := i :: !keep
+          node <> Doc.root doc
+          && Relation.test_depths rel ~anc_depth:doc_root_depth ~desc_depth:depth
+        then begin
+          let content =
+            Relaxation.content_level_at config ~value:spec.value doc node
+          in
+          if content <> Relaxation.Content_reject then begin
+            keep := node :: !keep;
+            Component_table.sweep_set candidates i;
+            if depth = 1 then Component_table.sweep_set depth1 i;
+            if content = Relaxation.Content_exact then
+              Component_table.sweep_set content_exact i
+          end
+        end
       done;
-      let positions = Array.of_list !keep in
       {
-        Component_table.nodes = Array.map (Index.posting postings) positions;
-        positions;
+        Component_table.nodes = Array.of_list !keep;
+        candidates;
+        depth1;
+        content_exact;
       })
 
 (* Exact when the root edge holds exactly below the document root
@@ -102,132 +118,223 @@ let cap_at c ~pos =
   else c.none_weight
 
 (* The caps summed in server order, the one order every seed bound is
-   summed in.  Inlined, so that [group_seeds] boxes no float per root. *)
-let[@inline] seed_rest t i =
-  let pos = t.root_positions.(i) in
+   summed in. *)
+let seed_rest t pos =
   let acc = ref 0.0 in
   for s = 1 to t.n_servers - 1 do
     acc := !acc +. cap_at t.caps.(s) ~pos
   done;
   !acc
 
-let seed_bound t i = root_weight t t.roots.(i) +. seed_rest t i
+let seed_bound t pos =
+  root_weight t (Index.posting t.root_postings pos) +. seed_rest t pos
 
-(* Index of [root] in [roots] (sorted), or -1. *)
-let rec find_root roots root lo hi =
-  if lo >= hi then -1
-  else
-    let mid = (lo + hi) / 2 in
-    let r = roots.(mid) in
-    if r = root then mid
-    else if r < root then find_root roots root (mid + 1) hi
-    else find_root roots root lo mid
-
-let seed_cap t ~root s =
-  let i = find_root t.roots root 0 (Array.length t.roots) in
-  if i < 0 then t.caps.(s).exact_weight
-  else Float.max 0.0 (cap_at t.caps.(s) ~pos:t.root_positions.(i))
-
-(* Per-root class ids, [id_width] bytes each (little-endian), the
-   all-ones value marking a killed root: a plan keeps one or two bytes
-   per root, not a word. *)
-let killed_id width = (1 lsl (8 * width)) - 1
-
-let get_id ids width i =
-  match width with
-  | 1 -> Bytes.get_uint8 ids i
-  | 2 -> Bytes.get_uint16_le ids (2 * i)
-  | _ -> Int32.to_int (Bytes.get_int32_le ids (4 * i)) land 0xFFFF_FFFF
-
-let set_id ids width i v =
-  match width with
-  | 1 -> Bytes.set_uint8 ids i v
-  | 2 -> Bytes.set_uint16_le ids (2 * i) v
-  | _ -> Bytes.set_int32_le ids (4 * i) (Int32.of_int v)
-
-let seed_class t i =
-  let { class_ids; id_width; _ } = t.seeds in
-  let c = get_id class_ids id_width i in
-  if c = killed_id id_width then -1 else c
-
-(* Group the live roots (those no required server kills) by seed bound
-   and then root weight, both descending — the order a max-final-score
-   queue holding every seed would pop them in (priority, then tie =
-   score, then insertion, which is document order).  One pass finds
-   each root's key among the few distinct ones, then only the keys are
-   sorted. *)
-let group_seeds t =
-  let n = Array.length t.roots in
-  let kb = ref (Array.make 8 0.0) and kw = ref (Array.make 8 0.0) in
-  let d = ref 0 in
-  let prev = ref (-1) in
-  (* The key of root [i], found among the distinct ones (most often its
-     predecessor's), added when new; -1 for a killed root. *)
-  let key_of i =
-    let w = root_weight t t.roots.(i) in
-    let b = w +. seed_rest t i in
-    if b = Float.neg_infinity then -1
-    else begin
-      let c = ref (-1) in
-      if !prev >= 0 && !kb.(!prev) = b && !kw.(!prev) = w then c := !prev
-      else begin
-        let j = ref 0 in
-        (while !c < 0 && !j < !d do
-           if !kb.(!j) = b && !kw.(!j) = w then c := !j;
-           incr j
-         done)
-        [@wp.bounded "[!j] counts up to the number of distinct keys"]
-      end;
-      if !c < 0 then begin
-        if !d = Array.length !kb then begin
-          kb := Array.append !kb !kb;
-          kw := Array.append !kw !kw
-        end;
-        !kb.(!d) <- b;
-        !kw.(!d) <- w;
-        c := !d;
-        incr d
-      end;
-      prev := !c;
-      !c
-    end
-  in
-  let key = Array.init n key_of in
-  let ranked = Array.init !d Fun.id in
-  Array.sort
-    (fun a b ->
-      match Float.compare !kb.(b) !kb.(a) with
-      | 0 -> Float.compare !kw.(b) !kw.(a)
-      | c -> c)
-    ranked;
-  let rank = Array.make !d 0 in
-  Array.iteri (fun r c -> rank.(c) <- r) ranked;
-  let id_width = if !d < 0xFF then 1 else if !d < 0xFFFF then 2 else 4 in
-  let class_ids = Bytes.create (id_width * n) in
-  let class_sizes = Array.make !d 0 in
-  Array.iteri
-    (fun i c ->
-      if c < 0 then set_id class_ids id_width i (killed_id id_width)
-      else begin
-        let r = rank.(c) in
-        set_id class_ids id_width i r;
-        class_sizes.(r) <- class_sizes.(r) + 1
-      end)
-    key;
-  {
-    class_ids;
-    id_width;
-    class_sizes;
-    class_bounds = Array.map (fun c -> !kb.(c)) ranked;
-    class_weights = Array.map (fun c -> !kw.(c)) ranked;
-  }
+(* The posting position of [root] when it is a root candidate, or -1. *)
+let position t root =
+  let pos = Index.lower_bound t.root_postings root in
+  if
+    pos < Index.postings_length t.root_postings
+    && Index.posting t.root_postings pos = root
+    && Component_table.sweep_mem t.root_candidates pos
+  then pos
+  else -1
 
 let bound_of_root t ~root =
-  let i = find_root t.roots root 0 (Array.length t.roots) in
-  if i < 0 then Float.infinity else seed_bound t i
+  let pos = position t root in
+  if pos < 0 then Float.infinity else seed_bound t pos
 
-let n_classes t = Array.length t.seeds.class_bounds
-let n_seeds t = Array.fold_left ( + ) 0 t.seeds.class_sizes
+let seed_cap t ~root s =
+  let pos = position t root in
+  if pos < 0 then t.caps.(s).exact_weight
+  else Float.max 0.0 (cap_at t.caps.(s) ~pos)
+
+(* Word [w] of a bitset: its postings [64 * w] to [64 * w + 63]. *)
+let[@inline] word bits w = Bytes.get_int64_le bits (w lsl 3)
+
+(* Word [w] of a signature's postings: the AND of its literals. *)
+let[@inline] signature_word (sg : signature) w =
+  let x = ref (-1L) in
+  for j = 0 to Array.length sg - 1 do
+    let l = sg.(j) in
+    let v = word l.bits w in
+    x := Int64.logand !x (if l.negated then Int64.lognot v else v)
+  done;
+  !x
+
+(* Word [w] of the postings of any of [sigs]. *)
+let[@inline] union_word (sigs : signature array) w =
+  let x = ref 0L in
+  for j = 0 to Array.length sigs - 1 do
+    x := Int64.logor !x (signature_word sigs.(j) w)
+  done;
+  !x
+
+(* Set bits of a word, SWAR: [Bits.popcount]'s byte table, called on
+   the two halves, made warm compiles a third slower. *)
+let[@inline] popcount64 x =
+  let open Int64 in
+  let x = sub x (logand (shift_right_logical x 1) 0x5555555555555555L) in
+  let x =
+    add (logand x 0x3333333333333333L)
+      (logand (shift_right_logical x 2) 0x3333333333333333L)
+  in
+  let x = logand (add x (shift_right_logical x 4)) 0x0F0F0F0F0F0F0F0FL in
+  to_int (shift_right_logical (mul x 0x0101010101010101L) 56)
+
+(* The position of the lowest set bit of a nonzero word. *)
+let[@inline] lowest_bit x = popcount64 (Int64.pred (Int64.logand x (Int64.neg x)))
+
+let n_words t = Bytes.length t.root_candidates lsr 3
+
+let next_root t sigs pos =
+  let w = ref (pos lsr 6) and found = ref (-1) in
+  (while !found < 0 && !w < n_words t do
+     let m = union_word sigs !w in
+     let m =
+       if !w = pos lsr 6 then Int64.logand m (Int64.shift_left (-1L) (pos land 63))
+       else m
+     in
+     if m <> 0L then found := (!w lsl 6) + lowest_bit m else incr w
+   done)
+  [@wp.bounded "[!w] advances one word per empty step, up to the last word"];
+  !found
+
+(* Word [w] of the live roots: the candidates no required server kills
+   — the union of every level signature's postings. *)
+let[@inline] live_word t w =
+  let x = ref (word t.root_candidates w) in
+  for s = 1 to t.n_servers - 1 do
+    let c = t.caps.(s) in
+    if c.none_weight = Float.neg_infinity then
+      x := Int64.logand !x (Int64.logor (word c.exact w) (word c.accepted w))
+  done;
+  !x
+
+let iter_live t f =
+  for w = 0 to n_words t - 1 do
+    let m = ref (live_word t w) in
+    (while !m <> 0L do
+       f ((w lsl 6) + lowest_bit !m);
+       m := Int64.logand !m (Int64.pred !m)
+     done)
+    [@wp.bounded "every step clears one of the word's 64 bits"]
+  done
+
+(* The levels a root can take at server [s], each with the literals
+   that select its postings and the weight it earns there: for the root
+   server, the root's own exactness (the root edge and the value holding
+   exactly, as [root_weight] tests them); for the others, an exact-level
+   candidate below the root, else a relaxed one, else none — the three
+   cases of [cap_at].  A required server has no "none" level: the roots
+   there die. *)
+let levels t (r : Component_table.roots) s =
+  let is bits = { bits; negated = false } and isnt bits = { bits; negated = true } in
+  let c = t.caps.(s) in
+  if s = 0 then
+    match Pattern.root_edge t.pattern with
+    | Pattern.Ad ->
+        [
+          ([| is r.content_exact |], c.exact_weight);
+          ([| isnt r.content_exact |], c.relaxed_weight);
+        ]
+    | Pattern.Pc ->
+        [
+          ([| is r.content_exact; is r.depth1 |], c.exact_weight);
+          ([| isnt r.content_exact |], c.relaxed_weight);
+          ([| is r.content_exact; isnt r.depth1 |], c.relaxed_weight);
+        ]
+  else
+    (([| is c.exact |], c.exact_weight)
+    :: (if c.accepted == c.exact then []
+        else [ ([| is c.accepted; isnt c.exact |], c.relaxed_weight) ]))
+    @
+    if c.none_weight = Float.neg_infinity then []
+    else [ ([| isnt c.exact; isnt c.accepted |], c.none_weight) ]
+
+(* Partition refinement over the root candidates' postings, one word
+   at a time: split the candidates on the root's exactness, then every
+   group on each server's levels in turn, dropping the groups that come
+   out empty.  A group at depth [s] keeps only its nonzero words
+   ([words.(s)], 8 bytes each) with their positions ([at.(s)]), so a
+   split reads no word where the group has no root, and ANDs the
+   level's literals alone into the rest.  The refinement is depth
+   first, so one buffer per depth serves every group there.  Each
+   surviving group is one level signature, with its root weight and its
+   bound summed as [seed_bound] sums them. *)
+let signature_classes t (r : Component_table.roots) =
+  let n = n_words t and depth = t.n_servers in
+  let levels = Array.init depth (levels t r) in
+  let at =
+    Array.init depth (fun s -> if s = 0 then Array.init n Fun.id else Array.make n 0)
+  and words =
+    Array.init depth (fun s -> if s = 0 then r.candidates else Bytes.create (n lsl 3))
+  in
+  let rec split s sg len weight rest acc =
+    List.fold_left
+      (fun acc (level, w) ->
+        let weight, rest = if s = 0 then (w, 0.0) else (weight, rest +. w) in
+        (* The last split needs only the counts, not the words. *)
+        let last = s + 1 = depth in
+        let m = ref 0 and size = ref 0 and first = ref (-1) in
+        for j = 0 to len - 1 do
+          let i = at.(s).(j) in
+          let x = Int64.logand (word words.(s) j) (signature_word level i) in
+          if x <> 0L then begin
+            if !first < 0 then first := i;
+            size := !size + popcount64 x;
+            if not last then begin
+              at.(s + 1).(!m) <- i;
+              Bytes.set_int64_le words.(s + 1) (!m lsl 3) x;
+              incr m
+            end
+          end
+        done;
+        if !size = 0 then acc
+        else
+          let sg = Array.append sg level in
+          if last then
+            {
+              bound = weight +. rest;
+              weight;
+              size = !size;
+              first_word = !first;
+              signatures = [| sg |];
+            }
+            :: acc
+          else split (s + 1) sg !m weight rest acc)
+      acc levels.(s)
+  in
+  split 0 [| { bits = r.candidates; negated = false } |] n 0.0 0.0 []
+
+(* The classes in the order a max-final-score queue holding every seed
+   would pop them (priority, then tie = score, then insertion, which is
+   document order): signatures sorted by bound and then root weight,
+   both descending, those with equal ones merged into one class. *)
+let seed_classes t r =
+  let rec merge = function
+    | a :: b :: rest when a.bound = b.bound && a.weight = b.weight ->
+        merge
+          ({
+             a with
+             size = a.size + b.size;
+             first_word = min a.first_word b.first_word;
+             signatures = Array.append a.signatures b.signatures;
+           }
+          :: rest)
+    | a :: rest -> a :: merge rest
+    | [] -> []
+  in
+  Array.of_list
+    (merge
+       (List.sort
+          (fun a b ->
+            match Float.compare b.bound a.bound with
+            | 0 -> Float.compare b.weight a.weight
+            | c -> c)
+          (signature_classes t r)))
+
+let n_classes t = Array.length t.seeds
+let n_seeds t = Array.fold_left (fun n c -> n + c.size) 0 t.seeds
 
 (* Each non-root server's cap inputs: the sweeps of its exact and
    relaxed components, read through the memo, and its weights; index 0
@@ -269,7 +376,10 @@ let caps memo idx config pat specs scores =
 let sample = 100
 
 (* Estimate fan-out, exactness and emptiness of each server over the
-   first [sample] root candidates. *)
+   first [sample] root candidates: one forward walk over the server's
+   postings (the roots are in document order, so each root's slice
+   starts at or after the previous one's start), testing every
+   candidate's depth and content once. *)
 let estimate config idx (specs : Server_spec.t array) roots =
   let doc = Index.doc idx in
   let n = Array.length specs in
@@ -277,33 +387,38 @@ let estimate config idx (specs : Server_spec.t array) roots =
   let est_p_exact = Array.make n 1.0 in
   let est_p_empty = Array.make n 0.0 in
   let n_sampled = min sample (Array.length roots) in
-  let sampled = Array.sub roots 0 n_sampled in
   if n_sampled > 0 then
     for s = 1 to n - 1 do
       let spec = specs.(s) in
       let rel = Server_spec.candidate_relation spec in
-      let total = ref 0 and exact = ref 0 and empty = ref 0 in
-      Array.iter
-        (fun root ->
-          let root_depth = Doc.depth doc root in
-          let here = ref 0 in
-          Index.iter_descendants idx spec.tag ~root (fun c ->
-              if
-                Relation.test_depths rel ~anc_depth:root_depth
-                  ~desc_depth:(Doc.depth doc c)
-                && value_ok config doc spec.value c
-              then begin
-                incr here;
-                if
-                  Relation.test_depths spec.to_root.exact ~anc_depth:root_depth
-                    ~desc_depth:(Doc.depth doc c)
-                  && Relaxation.content_level_at config ~value:spec.value doc c
-                     = Relaxation.Content_exact
-                then incr exact
-              end);
-          total := !total + !here;
-          if !here = 0 then incr empty)
-        sampled;
+      let postings = Index.postings idx spec.tag in
+      let len = Index.postings_length postings in
+      let total = ref 0 and exact = ref 0 and empty = ref 0 and lo = ref 0 in
+      for r = 0 to n_sampled - 1 do
+        let root = roots.(r) in
+        let anc_depth = Doc.depth doc root and stop = Doc.subtree_end doc root in
+        let here = ref 0 in
+        lo := Index.lower_bound_from postings ~from:!lo (root + 1);
+        let i = ref !lo in
+        (while !i < len && Index.posting postings !i < stop do
+           let c = Index.posting postings !i in
+           let desc_depth = Doc.depth doc c in
+           (if Relation.test_depths rel ~anc_depth ~desc_depth then
+              match Relaxation.content_level_at config ~value:spec.value doc c with
+              | Relaxation.Content_reject -> ()
+              | level ->
+                  incr here;
+                  if
+                    level = Relaxation.Content_exact
+                    && Relation.test_depths spec.to_root.exact ~anc_depth
+                         ~desc_depth
+                  then incr exact);
+           incr i
+         done)
+        [@wp.bounded "[!i] advances to the end of the root's subtree"];
+        total := !total + !here;
+        if !here = 0 then incr empty
+      done;
       est_fanout.(s) <- float_of_int !total /. float_of_int n_sampled;
       est_p_exact.(s) <-
         (if !total = 0 then 1.0 else float_of_int !exact /. float_of_int !total);
@@ -318,11 +433,11 @@ let compile ?(normalization = Wp_score.Score_table.Sparse)
     invalid_arg "Plan.compile: pattern too large for bitmask bookkeeping";
   let specs = Server_spec.build config pat in
   let scores = Score_table.build ~memo idx pat config normalization in
-  let { Component_table.nodes = roots; positions } =
-    root_candidates memo config idx specs
-  in
+  let r = root_candidates memo config idx specs in
   let caps = caps memo idx config pat specs scores in
-  let est_fanout, est_p_exact, est_p_empty = estimate config idx specs roots in
+  let est_fanout, est_p_exact, est_p_empty =
+    estimate config idx specs r.nodes
+  in
   let t =
     {
       pattern = pat;
@@ -330,17 +445,11 @@ let compile ?(normalization = Wp_score.Score_table.Sparse)
       specs;
       scores;
       index = idx;
-      roots;
-      root_positions = positions;
+      roots = r.nodes;
+      root_postings = Index.postings idx specs.(0).tag;
+      root_candidates = r.candidates;
       caps;
-      seeds =
-        {
-          class_ids = Bytes.empty;
-          id_width = 1;
-          class_sizes = [||];
-          class_bounds = [||];
-          class_weights = [||];
-        };
+      seeds = [||];
       n_servers;
       full_mask = (1 lsl n_servers) - 1;
       est_fanout;
@@ -348,7 +457,7 @@ let compile ?(normalization = Wp_score.Score_table.Sparse)
       est_p_empty;
     }
   in
-  { t with seeds = group_seeds t }
+  { t with seeds = seed_classes t r }
 
 let admits_partial_answers t =
   t.config.leaf_deletion || t.config.subtree_promotion

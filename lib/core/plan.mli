@@ -7,6 +7,14 @@
     of exact-level extensions, fraction of empty joins) that feed the
     size-based and score-based routing strategies. *)
 
+(** A level signature: whether the root is exact, and per non-root
+    server whether the root's subtree holds an exact-level candidate
+    there, only relaxed ones, or none — as a conjunction of bitsets
+    over the postings of the root's tag (the root candidates, the
+    exact roots and the servers' {!cap} sweeps), some negated.  Every
+    root of one signature has one seed bound. *)
+type signature
+
 (** Root candidates grouped by seed bound — the lazy seed cursors of
     Whirlpool-S.  A root's {e seed bound} is its own weight plus, per
     non-root server, its {e cap}: the exact weight when the root's
@@ -18,18 +26,16 @@
     Classes are ordered the way a max-final-score queue holding every
     seed would pop the seeds: by bound, then by root weight (the
     queue's tie-break on current score), then in document order
-    (insertion order). *)
-type seeds = {
-  class_ids : Bytes.t;
-      (** per root, its class in [id_width] bytes — read it with
-          {!seed_class} *)
-  id_width : int;  (** 1, 2 or 4: the fewest bytes that number the classes *)
-  class_sizes : int array;  (** live roots per class *)
-  class_bounds : float array;
-      (** per class, the seed bound all its roots share, descending *)
-  class_weights : float array;
-      (** per class, the root weight all its roots share: classes of one
-          bound follow each other by descending root weight *)
+    (insertion order).  A class holds the signatures that share its
+    bound and root weight, not its roots: {!next_root} finds them. *)
+type seed_class = {
+  bound : float;  (** the seed bound all its roots share *)
+  weight : float;  (** the root weight all its roots share *)
+  size : int;  (** live roots in the class *)
+  first_word : int;
+      (** the 64-posting word holding its first root: its roots lie at
+          postings [64 * first_word] and after *)
+  signatures : signature array;
 }
 
 (** What a server can add to a root's seed bound, its {e cap}: the
@@ -61,11 +67,14 @@ type t = {
           server generates.  Read-only: plans compiled through one
           {!Wp_score.Component_table} share this array, so no engine
           may write it. *)
-  root_positions : int array;
-      (** per root, its index in the postings of the root's tag: its bit
-          in the sweeps below *)
+  root_postings : Wp_xml.Index.postings;
+      (** the postings of the root's tag: a root's {e position} there is
+          its bit in every bitset of a plan *)
+  root_candidates : Bytes.t;  (** the roots' positions, as a bitset *)
   caps : cap array;  (** per server; index 0 (the root server) unused *)
-  seeds : seeds;
+  seeds : seed_class array;
+      (** computed word by word from the bitsets when the plan is
+          compiled, with no per-root work *)
   n_servers : int;  (** = pattern size; server ids are pattern node ids *)
   full_mask : int;  (** bitmask with one bit per server *)
   est_fanout : float array;
@@ -95,13 +104,14 @@ val root_weight : t -> Wp_xml.Doc.node_id -> float
     edge and value hold exactly, relaxed otherwise. *)
 
 val seed_rest : t -> int -> float
-(** [seed_rest t i]: the caps of root [roots.(i)] summed over the
-    non-root servers in server order, [neg_infinity] when a required
-    server kills the root. *)
+(** [seed_rest t pos]: the caps of the root at position [pos] of
+    [root_postings] summed over the non-root servers in server order,
+    [neg_infinity] when a required server kills the root. *)
 
 val seed_bound : t -> int -> float
-(** [root_weight t roots.(i) +. seed_rest t i] — the seed bound of root
-    [i], the [max_possible] its seed starts with. *)
+(** [seed_bound t pos]: the root weight of the root at position [pos]
+    plus its {!seed_rest} — its seed bound, the [max_possible] its seed
+    starts with. *)
 
 val bound_of_root : t -> root:Wp_xml.Doc.node_id -> float
 (** {!seed_bound} of a root binding; [infinity] for a node that is not
@@ -113,10 +123,16 @@ val seed_cap : t -> root:Wp_xml.Doc.node_id -> int -> float
     seed bound counted that much for the server.  The server's exact
     weight for a node that is not a root candidate. *)
 
-val seed_class : t -> int -> int
-(** [seed_class t i]: the class of root [roots.(i)], [-1] when a
-    required server kills it.  A class's roots, in document order, are
-    the [i] with that class in increasing order. *)
+val next_root : t -> signature array -> int -> int
+(** [next_root t sigs pos]: the first position at or after [pos] of a
+    root with one of the signatures [sigs] (those of a class, say), or
+    [-1].  Scans 64 positions per step. *)
+
+val iter_live : t -> (int -> unit) -> unit
+(** [iter_live t f] calls [f] on the position of every live root (a
+    root of some class: a candidate no required server kills), in
+    document order, reading the candidates and the required servers'
+    cap bitsets a word at a time. *)
 
 val n_classes : t -> int
 val n_seeds : t -> int

@@ -16,20 +16,17 @@ let open_roots (plan : Plan.t) (stats : Stats.t) =
   stats.matches_created <- stats.matches_created + n;
   stats.matches_died <- stats.matches_died + (n - Plan.n_seeds plan)
 
-let seed (plan : Plan.t) (stats : Stats.t) ~next_id i =
-  let root = plan.roots.(i) in
+let seed (plan : Plan.t) (stats : Stats.t) ~next_id pos =
+  let root = Index.posting plan.root_postings pos in
   stats.seeds_materialized <- stats.seeds_materialized + 1;
   Partial_match.create_root ~plan_servers:plan.n_servers ~id:(next_id ())
-    ~root ~weight:(Plan.root_weight plan root) ~max_rest:(Plan.seed_rest plan i)
+    ~root ~weight:(Plan.root_weight plan root)
+    ~max_rest:(Plan.seed_rest plan pos)
 
 let initial_matches (plan : Plan.t) (stats : Stats.t) ~next_id =
   open_roots plan stats;
   let seeds = ref [] in
-  Array.iteri
-    (fun i _ ->
-      if Plan.seed_class plan i >= 0 then
-        seeds := seed plan stats ~next_id i :: !seeds)
-    plan.roots;
+  Plan.iter_live plan (fun pos -> seeds := seed plan stats ~next_id pos :: !seeds);
   List.rev !seeds
 
 (* A conditional predicate holds when its exact relation holds, or its

@@ -34,15 +34,16 @@ val open_roots : Plan.t -> Stats.t -> unit
     ({!Plan.seeds}). *)
 
 val seed : Plan.t -> Stats.t -> next_id:(unit -> int) -> int -> Partial_match.t
-(** [seed plan stats ~next_id i] builds the seed match of live root
-    [plan.roots.(i)]: its root weight as score, its seed bound
-    ({!Plan.seed_bound}) as [max_possible].  Counts one
-    [seeds_materialized]. *)
+(** [seed plan stats ~next_id pos] builds the seed match of the live
+    root at position [pos] of [plan.root_postings]: its root weight as
+    score, its seed bound ({!Plan.seed_bound}) as [max_possible].
+    Counts one [seeds_materialized]. *)
 
 val initial_matches :
   Plan.t -> Stats.t -> next_id:(unit -> int) -> Partial_match.t list
-(** {!open_roots}, then every live root's {!seed}, in document order —
-    the eager seeding of Whirlpool-M, LockStep and the simulator. *)
+(** {!open_roots}, then every live root's {!seed} ({!Plan.iter_live}),
+    in document order — the eager seeding of Whirlpool-M, LockStep and
+    the simulator. *)
 
 val process :
   Plan.t -> Stats.t -> next_id:(unit -> int) -> Partial_match.t ->

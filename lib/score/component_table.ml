@@ -10,7 +10,7 @@ type roots_key = {
 
 type sweep = { count : int; bits : Bytes.t }
 
-let sweep_create n = Bytes.make ((n + 7) / 8) '\000'
+let sweep_create n = Bytes.make (((n + 63) / 64) * 8) '\000'
 
 let sweep_set bits i =
   Bytes.set bits (i lsr 3)
@@ -19,7 +19,12 @@ let sweep_set bits i =
 let sweep_mem bits i =
   Char.code (Bytes.get bits (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
-type roots = { nodes : Wp_xml.Doc.node_id array; positions : int array }
+type roots = {
+  nodes : Wp_xml.Doc.node_id array;
+  candidates : Bytes.t;
+  depth1 : Bytes.t;
+  content_exact : Bytes.t;
+}
 
 type t = {
   mutex : Mutex.t;

@@ -9,10 +9,9 @@
       denominator) and a bitset over the source postings marking which
       of them satisfy, keyed by the component with its query node
       erased — about one bit per root-tag posting per component;
-    - root-candidate arrays ([Plan.roots], with each root's position
-      in its tag's postings), keyed by the root spec's
-      tag, value and candidate relation plus the configuration's
-      [value_relaxation].
+    - root candidates ([Plan.roots], with bitsets over the root tag's
+      postings), keyed by the root spec's tag, value and candidate
+      relation plus the configuration's [value_relaxation].
 
     A table belongs to one document: nothing in a key names the
     document, so it must only ever be filled from one index.  Keys carry
@@ -42,7 +41,10 @@ type sweep = {
 }
 
 val sweep_create : int -> Bytes.t
-(** An all-clear bitset over [n] postings. *)
+(** An all-clear bitset over [n] postings, padded to whole 64-bit
+    words so that it can be read a word at a time
+    ([Bytes.get_int64_le] at [8 * w] holds bits [64 * w] to
+    [64 * w + 63]).  Bitsets over the same postings have one length. *)
 
 val sweep_set : Bytes.t -> int -> unit
 (** Set bit [i]. *)
@@ -62,18 +64,24 @@ type roots_key = {
   value_relaxation : bool;
 }
 
+(** The root candidates of a key, and the two per-root facts a seed
+    class needs that no {!sweep} holds.  Each bitset is over the
+    postings of the key's tag, bit [i] standing for its [i]-th posting
+    as in a {!sweep} of a component whose [q0] tag is that tag; its
+    bits are set only at candidates. *)
 type roots = {
-  nodes : Wp_xml.Doc.node_id array;  (** document order *)
-  positions : int array;
-      (** per node, its index in the postings of the key's tag — the
-          bit that stands for it in a {!sweep} of a component whose
-          [q0] tag is that tag *)
+  nodes : Wp_xml.Doc.node_id array;  (** the candidates, in document order *)
+  candidates : Bytes.t;  (** the candidates' postings *)
+  depth1 : Bytes.t;  (** candidates that are children of the document root *)
+  content_exact : Bytes.t;
+      (** candidates whose value matches the key's value exactly (every
+          candidate when the key has no value) *)
 }
 
 val roots : t -> roots_key -> compute:(unit -> roots) -> roots
 (** The memoized root candidates, or [compute ()] inserted on a miss.
-    The arrays are shared by every plan that asks for the same key:
-    callers must not mutate them. *)
+    The array and the bitsets are shared by every plan that asks for
+    the same key: callers must not mutate them. *)
 
 type stats = { hits : int; misses : int; size : int }
 (** Lookups that found an entry, lookups that did not, and entries

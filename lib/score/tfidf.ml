@@ -46,12 +46,6 @@ let rec satisfied_from doc (c : Component.t) targets ~len ~anc_depth ~stop i =
       && value_ok doc c n)
      || satisfied_from doc c targets ~len ~anc_depth ~stop (i + 1))
 
-(* First position at or after [i] whose target lies past [src]. *)
-let rec first_after targets ~len src i =
-  if i < len && Index.posting targets i <= src then
-    first_after targets ~len src (i + 1)
-  else i
-
 (* [i] is the first target past [src]; most sources of a selective
    component have no target in their subtree at all, so that case is
    settled before reading the source's depth. *)
@@ -62,7 +56,8 @@ let satisfied doc c targets ~len src i =
   && satisfied_from doc c targets ~len ~anc_depth:(Doc.depth doc src) ~stop i
 
 (* One forward merge of the (preorder-sorted) source and target
-   postings: the target cursor only advances, and each source scans its
+   postings: the target cursor only advances (galloping past the targets
+   outside every source's subtree), and each source scans its
    own subtree interval from it until the first satisfying target,
    setting the source's bit when it finds one. *)
 let compute_sweep idx (c : Component.t) =
@@ -72,7 +67,8 @@ let compute_sweep idx (c : Component.t) =
   if c.from_doc_root then begin
     let root = Doc.root doc in
     let bits = Component_table.sweep_create 1 in
-    let ok = satisfied doc c targets ~len root (first_after targets ~len root 0) in
+    let first = Index.lower_bound targets (root + 1) in
+    let ok = satisfied doc c targets ~len root first in
     if ok then Component_table.sweep_set bits 0;
     { Component_table.count = Bool.to_int ok; bits }
   end
@@ -83,7 +79,7 @@ let compute_sweep idx (c : Component.t) =
     let count = ref 0 and cursor = ref 0 in
     for s = 0 to n - 1 do
       let src = Index.posting sources s in
-      cursor := first_after targets ~len src !cursor;
+      cursor := Index.lower_bound_from targets ~from:!cursor (src + 1);
       if satisfied doc c targets ~len src !cursor then begin
         incr count;
         Component_table.sweep_set bits s

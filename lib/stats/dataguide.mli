@@ -10,7 +10,7 @@
     Each guide node is annotated with the extent of the document nodes
     on its path: their count and their minimum/maximum preorder ids.
     Because preorder ids order the per-tag streams served by
-    {!Wp_xml.Index.ids}, these id windows let a twig join skip whole
+    {!Wp_xml.Index.postings}, these id windows let a twig join skip whole
     runs of a tag stream whose label paths cannot participate in a
     pattern — the stream-skipping half of the holistic join.
 

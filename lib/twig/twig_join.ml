@@ -20,17 +20,18 @@ let lower_bound (xs : int array) target =
   [@wp.bounded "bisection halves the [lo, hi) interval every pass"];
   !lo
 
-(* The per-pattern-node input stream: the tag's preorder-sorted id list,
-   clipped to the dataguide windows (runs outside any window are skipped
-   without being examined) and filtered by admissible depth, root-edge
-   depth and exact content value.  Output stays preorder-sorted. *)
+(* The per-pattern-node input stream: the tag's postings, read in
+   place, clipped to the dataguide windows (each window's first posting
+   is found by bisection; runs outside any window are skipped without
+   being examined) and filtered by admissible depth, root-edge depth and
+   exact content value.  Output stays preorder-sorted. *)
 let build_stream ~(stats : Stats.t) ~doc ~idx ~pat ~(sel : Dataguide.selection)
     q =
   let wins = sel.windows.(q) in
   if Array.length wins = 0 then [||]
   else begin
-    let ids = Index.ids idx (Pattern.tag pat q) in
-    let n = Array.length ids in
+    let postings = Index.postings idx (Pattern.tag pat q) in
+    let n = Index.postings_length postings in
     let dok = sel.depth_ok.(q) in
     let value = Pattern.value pat q in
     let is_root = q = 0 in
@@ -39,9 +40,9 @@ let build_stream ~(stats : Stats.t) ~doc ~idx ~pat ~(sel : Dataguide.selection)
     let n_out = ref 0 in
     Array.iter
       (fun (lo, hi) ->
-        let i = ref (lower_bound ids lo) in
-        (while !i < n && ids.(!i) <= hi do
-          let x = ids.(!i) in
+        let i = ref (Index.lower_bound postings lo) in
+        (while !i < n && Index.posting postings !i <= hi do
+          let x = Index.posting postings !i in
           incr i;
           stats.server_ops <- stats.server_ops + 1;
           stats.comparisons <- stats.comparisons + 1;

@@ -100,21 +100,26 @@ let[@inline] posting p i =
   if i < 0 || i >= p.len then invalid_arg "Index.posting: out of range";
   pget p i
 
-let ids t tag =
-  let p = postings t tag in
-  Array.init p.len (pget p)
-
 let count t tag = (postings t tag).len
 
-(* First position in [p] whose value is >= [v]. *)
-let lower_bound p v =
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if pget p mid < v then go (mid + 1) hi else go lo mid
-  in
-  go 0 p.len
+(* First position in [lo, hi) of [p] whose value is >= [v], or [hi]. *)
+let rec bisect p v lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if pget p mid < v then bisect p v (mid + 1) hi else bisect p v lo mid
+
+let lower_bound p v = bisect p v 0 p.len
+
+(* Gallop from [lo] (every position before it holds a value < [v]) in
+   doubling steps, then bisect the last step. *)
+let rec gallop p v lo step =
+  let probe = lo + step - 1 in
+  if probe >= p.len || pget p probe >= v then bisect p v lo (min (probe + 1) p.len)
+  else gallop p v (probe + 1) (2 * step)
+
+let lower_bound_from p ~from v =
+  if from >= p.len || pget p from >= v then from else gallop p v (from + 1) 1
 
 let slice t tag ~root =
   let p = postings t tag in
@@ -125,12 +130,6 @@ let slice t tag ~root =
 let subtree_slice t tag ~root =
   let _, lo, hi = slice t tag ~root in
   (lo, hi)
-
-let iter_descendants t tag ~root f =
-  let p, lo, hi = slice t tag ~root in
-  for i = lo to hi - 1 do
-    f (pget p i)
-  done
 
 let fold_descendants t tag ~root f acc =
   let p, lo, hi = slice t tag ~root in

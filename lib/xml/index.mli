@@ -40,12 +40,9 @@ val columns : t -> columns
 val doc : t -> Doc.t
 (** The document this index was built from. *)
 
-val ids : t -> string -> int array
-(** All nodes with the given tag, in document order; empty for tags
-    absent from the document.  A fresh copy per call — prefer
-    {!postings} or the range functions below on hot paths. *)
-
 val count : t -> string -> int
+(** The number of nodes with the given tag; 0 for tags absent from the
+    document. *)
 
 type postings
 (** One tag's window of the postings column, read in place. *)
@@ -60,13 +57,20 @@ val posting : postings -> int -> Doc.node_id
 (** [posting p i] is the [i]-th node id of [p] (document order).
     @raise Invalid_argument unless [0 <= i < postings_length p]. *)
 
+val lower_bound : postings -> Doc.node_id -> int
+(** [lower_bound p v]: the first position of [p] whose node id is
+    [>= v] ([postings_length p] when there is none), by bisection. *)
+
+val lower_bound_from : postings -> from:int -> Doc.node_id -> int
+(** [lower_bound_from p ~from v]: {!lower_bound} for a [v] known to
+    lie past every node id before position [from] (the bound of a
+    smaller [v], say), found in time logarithmic in its distance from
+    [from]: a walk over increasing [v]s reads each stretch once. *)
+
 val subtree_slice : t -> string -> root:Doc.node_id -> int * int
 (** [subtree_slice idx tag ~root] is the half-open interval [(lo, hi)]
-    into [ids idx tag] holding the nodes with [tag] that are {e proper}
+    into [postings idx tag] holding the nodes with [tag] that are {e proper}
     descendants of [root]. *)
-
-val iter_descendants : t -> string -> root:Doc.node_id -> (Doc.node_id -> unit) -> unit
-(** Iterate the proper descendants of [root] bearing [tag]. *)
 
 val fold_descendants :
   t -> string -> root:Doc.node_id -> ('a -> Doc.node_id -> 'a) -> 'a -> 'a

@@ -57,6 +57,11 @@ let q3 =
 
 let parse = Wp_pattern.Xpath_parser.parse
 
+(* A tag's postings, copied into an array. *)
+let ids idx tag =
+  let p = Index.postings idx tag in
+  Array.init (Index.postings_length p) (Index.posting p)
+
 (* A small XMark document shared by the heavier suites (built once). *)
 let xmark_doc =
   lazy (Wp_xmark.Generator.generate_doc ~seed:11 ~target_bytes:120_000 ())

@@ -36,12 +36,12 @@ let test_heterogeneous_authors () =
         match Doc.parent doc a with
         | Some p -> Doc.tag doc p <> "authors"
         | None -> false)
-      (Index.ids idx "author")
+      (Fixtures.ids idx "author")
   in
   Alcotest.(check bool) "some direct" true direct
 
 let test_optional_fields () =
-  let articles = Index.ids idx "article" in
+  let articles = Fixtures.ids idx "article" in
   let with_volume =
     Array.fold_left
       (fun acc a ->

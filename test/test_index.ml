@@ -20,10 +20,18 @@ let doc =
 let idx = Index.build doc
 
 let test_ids () =
-  Alcotest.(check (list int)) "a ids" [ 1; 6 ] (Array.to_list (Index.ids idx "a"));
-  Alcotest.(check (list int)) "b ids" [ 2; 3; 5 ] (Array.to_list (Index.ids idx "b"));
-  Alcotest.(check (list int)) "absent tag" [] (Array.to_list (Index.ids idx "zzz"));
-  Alcotest.(check int) "count" 3 (Index.count idx "b")
+  Alcotest.(check (list int)) "a ids" [ 1; 6 ] (Array.to_list (Fixtures.ids idx "a"));
+  Alcotest.(check (list int)) "b ids" [ 2; 3; 5 ] (Array.to_list (Fixtures.ids idx "b"));
+  Alcotest.(check (list int)) "absent tag" [] (Array.to_list (Fixtures.ids idx "zzz"));
+  Alcotest.(check int) "count" 3 (Index.count idx "b");
+  let b = Index.postings idx "b" in
+  Alcotest.(check (list int)) "lower_bound"
+    [ 0; 0; 1; 2; 2; 3 ]
+    (List.map (Index.lower_bound b) [ 0; 2; 3; 4; 5; 6 ]);
+  Alcotest.(check (list int)) "lower_bound_from"
+    [ 0; 0; 1; 2; 2; 3; 1; 2; 2; 3 ]
+    (List.map (fun v -> Index.lower_bound_from b ~from:0 v) [ 0; 2; 3; 4; 5; 6 ]
+    @ List.map (fun v -> Index.lower_bound_from b ~from:1 v) [ 3; 4; 5; 6 ])
 
 let test_descendant_queries () =
   Alcotest.(check (list int)) "b under a(1)" [ 2; 3 ] (Index.descendants idx "b" ~root:1);
@@ -38,9 +46,7 @@ let test_children_queries () =
   Alcotest.(check (list int)) "none" [] (Index.children idx "c" ~parent:2)
 
 let test_iteration_agreement () =
-  let via_iter = ref [] in
-  Index.iter_descendants idx "c" ~root:0 (fun i -> via_iter := i :: !via_iter);
-  Alcotest.(check (list int)) "iter vs list" [ 4; 7 ] (List.rev !via_iter);
+  Alcotest.(check (list int)) "list" [ 4; 7 ] (Index.descendants idx "c" ~root:0);
   let via_fold = Index.fold_descendants idx "c" ~root:0 (fun acc i -> acc + i) 0 in
   Alcotest.(check int) "fold" 11 via_fold
 

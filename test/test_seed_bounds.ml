@@ -6,6 +6,9 @@
      slice scan, the definition spelled out), and no match a root spawns
      scores above it — under every shipped relaxation configuration and
      score normalization.
+   - The classes, drained in order and each in document order, give the
+     live roots in the order a queue holding every seed would pop them,
+     also when two level signatures share a bound and a root weight.
    - Whirlpool-S's top-k scores still equal the no-pruning reference's.
    - Streaming: the streamed answers are the final answers, and no entry
      certifies while a root whose seed bound exceeds its score is still
@@ -135,42 +138,106 @@ let prop_bitset_bound_equals_scan =
       List.for_all
         (fun (plan : Plan.t) ->
           let live = ref 0 in
-          Array.iteri
-            (fun i root ->
+          Array.iter
+            (fun root ->
               let want = brute_bound plan root in
-              let got = Plan.seed_bound plan i in
+              let got = Plan.bound_of_root plan ~root in
               if want > Float.neg_infinity then incr live;
               if got <> want then
                 QCheck2.Test.fail_reportf "%s (%a): root %d bound %h, scan %h"
                   (Pattern.to_string pat) Relaxation.pp_config plan.config
                   root got want)
             plan.roots;
-          (* The classes hold exactly the live roots, each with its own
-             bound and weight, in descending order. *)
-          let seeds = plan.seeds in
-          let consistent = ref true in
-          Array.iteri
-            (fun i root ->
-              let c = Plan.seed_class plan i in
-              if (c < 0) <> (brute_bound plan root = Float.neg_infinity) then
-                consistent := false;
-              if
-                c >= 0
-                && (seeds.class_bounds.(c) <> Plan.seed_bound plan i
-                   || seeds.class_weights.(c) <> Plan.root_weight plan root)
-              then consistent := false)
-            plan.roots;
-          Array.iteri
-            (fun c b ->
-              if
-                c > 0
-                && (b > seeds.class_bounds.(c - 1)
-                   || b = seeds.class_bounds.(c - 1)
-                      && seeds.class_weights.(c) >= seeds.class_weights.(c - 1))
-              then consistent := false)
-            seeds.class_bounds;
-          Plan.n_seeds plan = !live && !consistent)
+          Plan.n_seeds plan = !live)
         (plans doc pat))
+
+(* A class's roots as the engine drains them: from its first word on,
+   one [next_root] at a time, in document order. *)
+let drain (plan : Plan.t) (c : Plan.seed_class) =
+  let rec go pos acc =
+    match Plan.next_root plan c.signatures pos with
+    | -1 -> List.rev acc
+    | p -> go (p + 1) (Index.posting plan.root_postings p :: acc)
+  in
+  go (c.first_word * 64) []
+
+(* The order a max-final-score queue holding every seed pops the live
+   roots in: seed bound, then root weight, both descending, then
+   document order. *)
+let pop_order (plan : Plan.t) =
+  let key root = (Plan.bound_of_root plan ~root, Plan.root_weight plan root) in
+  List.stable_sort
+    (fun a b ->
+      let ba, wa = key a and bb, wb = key b in
+      match Float.compare bb ba with 0 -> Float.compare wb wa | c -> c)
+    (List.filter
+       (fun root -> Plan.bound_of_root plan ~root > Float.neg_infinity)
+       (Array.to_list plan.roots))
+
+(* Draining the classes in order, each in document order, gives exactly
+   the live roots in pop order; every root carries its class's bound and
+   weight, each class's size is the number of roots it drains, and the
+   eager seeds ([iter_live]) are the drained roots. *)
+let prop_drain_order =
+  QCheck2.Test.make ~name:"class drain order = seed pop order" ~count:100
+    gen_inputs (fun (doc, pat) ->
+      List.for_all
+        (fun (plan : Plan.t) ->
+          let drained =
+            List.concat_map
+              (fun (c : Plan.seed_class) ->
+                let roots = drain plan c in
+                if List.length roots <> c.size then
+                  QCheck2.Test.fail_reportf "%s (%a): class of size %d drains %d"
+                    (Pattern.to_string pat) Relaxation.pp_config plan.config
+                    c.size (List.length roots);
+                List.iter
+                  (fun root ->
+                    if
+                      Plan.bound_of_root plan ~root <> c.bound
+                      || Plan.root_weight plan root <> c.weight
+                    then
+                      QCheck2.Test.fail_reportf "%s (%a): root %d in class %h/%h"
+                        (Pattern.to_string pat) Relaxation.pp_config plan.config
+                        root c.bound c.weight)
+                  roots;
+                roots)
+              (Array.to_list plan.seeds)
+          in
+          if drained <> pop_order plan then
+            QCheck2.Test.fail_reportf "%s (%a): drained [%s], pop order [%s]"
+              (Pattern.to_string pat) Relaxation.pp_config plan.config
+              (String.concat " " (List.map string_of_int drained))
+              (String.concat " " (List.map string_of_int (pop_order plan)));
+          (* The eager seeds are the same roots, in document order. *)
+          let live = ref [] in
+          Plan.iter_live plan (fun p ->
+              live := Index.posting plan.root_postings p :: !live);
+          List.rev !live = List.sort Int.compare drained)
+        (plans doc pat))
+
+(* Two signatures with one bound and one root weight make one class:
+   under leaf deletion [x] and [y] are optional servers of equal
+   weight, and the root holding only a [y] (first in the document) and
+   the one holding only an [x] tie.  The class drains them in document
+   order, although the [x]-only signature is found first. *)
+let test_equal_signatures_merge () =
+  let doc =
+    Doc.of_forest ~root_tag:"r"
+      [ Wp_xml.Tree.el "a" [ Wp_xml.Tree.el "y" [] ];
+        Wp_xml.Tree.el "a" [ Wp_xml.Tree.el "x" [] ] ]
+  in
+  let plan =
+    Plan.compile (Index.build doc) Relaxation.all (Fixtures.parse "//a[./x and ./y]")
+  in
+  let weight s = (Score_table.entry plan.scores s).exact_weight in
+  Alcotest.(check (float 0.0)) "x and y weigh the same" (weight 1) (weight 2);
+  Alcotest.(check int) "one class" 1 (Plan.n_classes plan);
+  let c = plan.seeds.(0) in
+  Alcotest.(check int) "two signatures" 2 (Array.length c.signatures);
+  Alcotest.(check int) "two roots" 2 c.size;
+  Alcotest.(check (list int)) "document order" (Array.to_list plan.roots)
+    (drain plan c)
 
 (* Every entry of a threshold-free run (one per root that has a match)
    scores within its root's seed bound, and Whirlpool-S's top-k scores
@@ -210,12 +277,9 @@ let queries = [ ("Q1", Fixtures.q1); ("Q2", Fixtures.q2); ("Q3", Fixtures.q3) ]
 
 (* Live roots whose seed bound is strictly above [score]. *)
 let roots_above (plan : Plan.t) score =
-  let seeds = plan.seeds in
-  let n = ref 0 in
-  Array.iteri
-    (fun c b -> if b > score then n := !n + seeds.class_sizes.(c))
-    seeds.class_bounds;
-  !n
+  Array.fold_left
+    (fun n (c : Plan.seed_class) -> if c.bound > score then n + c.size else n)
+    0 plan.seeds
 
 (* Streams every certified entry with the number of engine events seen
    before it, then replays the event log: a popped match that no
@@ -304,6 +368,8 @@ let test_streaming_with_lazy_seeds () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_bitset_bound_equals_scan;
+    QCheck_alcotest.to_alcotest prop_drain_order;
+    Alcotest.test_case "equal signatures merge" `Quick test_equal_signatures_merge;
     QCheck_alcotest.to_alcotest prop_bound_covers_matches;
     Alcotest.test_case "streaming with lazy seeds" `Quick
       test_streaming_with_lazy_seeds;

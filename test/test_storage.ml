@@ -84,7 +84,7 @@ let check_index_equal ~ctx (a : Index.t) (b : Index.t) =
     (fun tag ->
       Alcotest.(check (array int))
         (Printf.sprintf "%s ids(%s)" ctx tag)
-        (Index.ids a tag) (Index.ids b tag))
+        (Fixtures.ids a tag) (Fixtures.ids b tag))
     (Index.wildcard :: Doc.distinct_tags (Index.doc a))
 
 let test_roundtrip_structure () =

@@ -100,7 +100,7 @@ let test_rank_scores_match_score () =
 let reference_satisfying ix (c : Component.t) =
   let sources =
     if c.from_doc_root then [| Wp_xml.Doc.root (Wp_xml.Index.doc ix) |]
-    else Wp_xml.Index.ids ix c.root_tag
+    else Fixtures.ids ix c.root_tag
   in
   Array.map (fun n -> Tfidf.tf ix c ~root:n > 0) sources
 
@@ -111,7 +111,7 @@ let reference_satisfying_roots ix c =
 
 let reference_idf ix (c : Component.t) =
   let total =
-    if c.from_doc_root then 1 else Array.length (Wp_xml.Index.ids ix c.root_tag)
+    if c.from_doc_root then 1 else Wp_xml.Index.count ix c.root_tag
   in
   if total = 0 then 0.0
   else

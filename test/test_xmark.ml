@@ -47,13 +47,13 @@ let test_recursive_parlist () =
   let nested =
     Array.exists
       (fun p -> Index.count_descendants idx "parlist" ~root:p > 0)
-      (Index.ids idx "parlist")
+      (Fixtures.ids idx "parlist")
   in
   Alcotest.(check bool) "some parlist nests another" true nested
 
 let test_optional_incategory () =
   (* Leaf deletion needs items lacking incategory. *)
-  let items = Index.ids idx "item" in
+  let items = Fixtures.ids idx "item" in
   let with_cat =
     Array.fold_left
       (fun acc i ->
@@ -70,7 +70,7 @@ let test_shared_text () =
   let under tag =
     Array.exists
       (fun p -> Index.count_descendants idx "text" ~root:p > 0)
-      (Index.ids idx tag)
+      (Fixtures.ids idx tag)
   in
   Alcotest.(check bool) "text under mail" true (under "mail");
   Alcotest.(check bool) "text under description" true (under "description")
@@ -92,7 +92,7 @@ let test_profile_knobs () =
   in
   let doc = Wp_xmark.Generator.generate_doc ~profile ~seed:3 ~target_bytes:60_000 () in
   let idx = Index.build doc in
-  let items = Index.ids idx "item" in
+  let items = Fixtures.ids idx "item" in
   Alcotest.(check bool) "items exist" true (Array.length items > 0);
   Array.iter
     (fun i ->
