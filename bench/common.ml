@@ -223,8 +223,8 @@ let measure_decision_costs plan =
     let n = ref 0 in
     fun () -> incr n; !n
   in
-  let pms = Whirlpool.Server.initial_matches plan stats ~next_id in
-  let pm = List.hd pms in
+  let seeds = Whirlpool.Seeds.create plan stats in
+  let pm = Option.get (Whirlpool.Seeds.open_next seeds ~threshold:neg_infinity ~next_id) in
   let iters = 20_000 in
   let time_routing routing =
     let t0 = Whirlpool.Clock.now () in

@@ -1,6 +1,6 @@
 (* Figure 11 — execution time vs document size (log scale in the paper):
    Whirlpool-S and Whirlpool-M for Q1-Q3 over the 1Mb/10Mb/50Mb sweep,
-   k = 15, with the root candidates, the seeds Whirlpool-S built and the
+   k = 15, with the root candidates, the seeds each engine built and the
    time to compile the plan over a warm component table. *)
 
 (* Warm-memo compile time per plan, in milliseconds: the median and the
@@ -23,11 +23,11 @@ let compile_ms ~size q =
 let run (scale : Common.scale) =
   Common.header "Figure 11: execution time vs document size (k = 15)";
   let k = scale.default_k in
-  let widths = [ 8; 8; 14; 14; 12; 12; 10; 10; 18 ] in
+  let widths = [ 8; 8; 14; 14; 12; 12; 10; 10; 10; 18 ] in
   Common.print_row widths
     [
       "query"; "doc"; "Whirlpool-S"; "Whirlpool-M"; "W-S ops"; "W-M ops";
-      "roots"; "W-S seeds"; "compile ms (IQR)";
+      "roots"; "W-S seeds"; "W-M seeds"; "compile ms (IQR)";
     ];
   List.iter
     (fun (qname, q) ->
@@ -47,6 +47,7 @@ let run (scale : Common.scale) =
               Common.fint rs.stats.server_ops; Common.fint rm.stats.server_ops;
               Common.fint (Array.length plan.roots);
               Common.fint rs.stats.seeds_materialized;
+              Common.fint rm.stats.seeds_materialized;
               Printf.sprintf "%.3f (%.3f)" compile iqr;
             ])
         scale.sizes)

@@ -21,7 +21,8 @@ let tests_for (scale : Common.scale) =
     let n = ref 0 in
     fun () -> incr n; !n
   in
-  let pm = List.hd (Whirlpool.Server.initial_matches plan stats ~next_id) in
+  let seeds = Whirlpool.Seeds.create plan stats in
+  let pm = Option.get (Whirlpool.Seeds.open_next seeds ~threshold:neg_infinity ~next_id) in
   let root = Whirlpool.Partial_match.root_binding pm in
   let topk = Whirlpool.Topk_set.create ~k:15 ~admit_partial:true in
   [

@@ -1,7 +1,12 @@
-(** Bit-twiddling helpers shared by the mask-based bookkeeping in
-    {!Partial_match}, {!Topk_set} and the engines. *)
+(** Bit-twiddling helpers for the engines' visited masks and the
+    64-posting word scans over a plan's bitsets. *)
+
+val popcount64 : int64 -> int
+(** Set bits of a word, SWAR. *)
+
+val lowest_bit : int64 -> int
+(** The position of the lowest set bit of a nonzero word. *)
 
 val popcount : int -> int
-(** Number of set bits in a non-negative word, via a byte table (eight
-    lookups per word rather than one loop iteration per bit).
+(** Set bits of a non-negative int.
     @raise Invalid_argument on a negative mask. *)

@@ -97,11 +97,11 @@ let run_with_floor ~floor (config : Config.t) (plan : Plan.t) ~k =
   (* Streaming certification: when the caller installed an
      [on_certified] hook, push entries the moment no alive match can
      beat them.  The physical-equality gate on [no_certify] keeps the
-     default path free.  At every certification point the queue holds
-     exactly the alive matches, so under the default max-final-score
-     policy, whose priority is [max_possible], the queue's top priority
-     is the certification bar; other policies order the queue
-     differently and track the alive set aside. *)
+     default path free.  At every certification point the queue and
+     the seed cursor hold exactly the alive matches, so under the
+     default max-final-score policy, whose priority is [max_possible],
+     the queue's top priority is the certification bar; other policies
+     order the queue differently and track the alive set aside. *)
   let cert =
     if config.on_certified == no_certify then None
     else Some (Certify.create ~emit:config.on_certified)
@@ -119,32 +119,12 @@ let run_with_floor ~floor (config : Config.t) (plan : Plan.t) ~k =
     match alive with Some a -> Certify.Alive.remove a pm.id | None -> ()
   in
   let queue : Partial_match.t Pqueue.t = Pqueue.create () in
-  (* Seeds.  Under the max-final-score policy every live root waits in
-     its bound class (Plan.seeds) and its seed is built only when the
-     class's next root would win a pop: the classes are in the order
-     the queue would pop the seeds, and a seed beats any queued match of
-     equal priority and tie, having been (logically) queued first.
-     Other policies order the queue by something other than the bound,
-     so every live seed is queued up front.  [cls] is the head class
-     (past the last when none is left), [left] its unopened roots and
-     [next] the posting position where the scan for its next root (in
-     document order) resumes. *)
-  let seeds = plan.seeds in
-  let n_classes = Array.length seeds in
-  let lazy_seeds = queue_policy = Strategy.Max_final_score in
-  let cls = ref (if lazy_seeds then 0 else n_classes) in
-  let left = ref 0 and next = ref 0 in
-  let start_class () =
-    if !cls < n_classes then begin
-      left := seeds.(!cls).size;
-      next := seeds.(!cls).first_word * 64
-    end
-  in
-  start_class ();
-  let next_class () =
-    incr cls;
-    start_class ()
-  in
+  (* The root server.  Under the max-final-score policy every live root
+     waits in the cursor until its class beats the queue's top; the
+     other policies order the queue by something other than the bound,
+     so they take every live seed up front. *)
+  let seeds = Seeds.create ~floor plan stats in
+  (* The unopened roots are alive too; the cursor's head bounds them. *)
   let certify () =
     match cert with
     | None -> ()
@@ -152,14 +132,9 @@ let run_with_floor ~floor (config : Config.t) (plan : Plan.t) ~k =
         let bound =
           match alive with
           | Some a -> Certify.Alive.bound a
-          | None ->
-              (* The unopened classes are alive too; the head one
-                 bounds them all. *)
-              if !cls < n_classes then
-                Float.max (Pqueue.max_priority queue) seeds.(!cls).bound
-              else Pqueue.max_priority queue
+          | None -> Pqueue.max_priority queue
         in
-        Certify.flush c topk ~bound
+        Certify.flush c topk ~bound:(Float.max bound (Seeds.head seeds))
   in
   let seq = ref 0 in
   let next_id =
@@ -176,27 +151,11 @@ let run_with_floor ~floor (config : Config.t) (plan : Plan.t) ~k =
       pm
   in
   let below_floor (pm : Partial_match.t) = pm.max_possible < floor in
-  let single_node = plan.n_servers = 1 in
   let checking = Invariants.enabled () in
-  (* A fresh seed enters the top-k set; true when it stays alive. *)
-  let admit_seed pm =
-    if checking then Invariants.check_root plan pm;
-    Topk_set.consider topk ~complete:single_node pm;
-    if single_node then begin
-      stats.completed <- stats.completed + 1;
-      false
-    end
-    else if Topk_set.should_prune topk pm || below_floor pm then begin
-      stats.matches_pruned <- stats.matches_pruned + 1;
-      false
-    end
-    else true
-  in
-  if lazy_seeds then Server.open_roots plan stats
-  else
+  if queue_policy <> Strategy.Max_final_score then
     List.iter
-      (fun pm -> if admit_seed pm then enqueue pm)
-      (Server.initial_matches plan stats ~next_id);
+      (fun pm -> if Seeds.admit seeds topk pm then enqueue pm)
+      (Seeds.drain seeds ~next_id);
   certify ();
   let process_here (pm : Partial_match.t) server =
     let { Server.extensions; died } =
@@ -271,38 +230,15 @@ let run_with_floor ~floor (config : Config.t) (plan : Plan.t) ~k =
       process_at pm server
     end
   in
-  (* Does the head class's next root win the next pop? *)
-  let seed_wins () =
-    !cls < n_classes
-    &&
-    let c = seeds.(!cls) and p = Pqueue.max_priority queue in
-    c.bound > p || (c.bound = p && c.weight >= Pqueue.max_tie queue)
-  in
-  (* Pop the head class's next root.  No unopened root is in the top-k
-     set, so the class's bound can at best tie the threshold for each of
-     them: once [should_prune] would drop the bound, the whole class
-     dies at once, its roots counted as pruned. *)
-  let open_seed () =
-    let c = seeds.(!cls) in
-    if c.bound <= Topk_set.threshold topk || c.bound < floor then begin
-      stats.matches_pruned <- stats.matches_pruned + !left;
-      next_class ()
-    end
-    else begin
-      let pos = Plan.next_root plan c.signatures !next in
-      if checking then Invariants.check_class plan c pos;
-      let pm = Server.seed plan stats ~next_id pos in
-      next := pos + 1;
-      decr left;
-      if !left = 0 then next_class ();
-      if admit_seed pm then visit pm
-    end
-  in
   let rec loop () =
-    if seed_wins () then begin
+    if Seeds.beats seeds queue then begin
       if should_stop () then stopped := true
       else begin
-        open_seed ();
+        (match
+           Seeds.open_next seeds ~threshold:(Topk_set.threshold topk) ~next_id
+         with
+        | Some pm -> if Seeds.admit seeds topk pm then visit pm
+        | None -> ());
         certify ();
         loop ()
       end

@@ -11,10 +11,11 @@
    deadlock and stays invisible to schedule exploration.  It also
    serializes every domain's engine events.
    Shutdown protocol: [pending] counts partial matches alive in queues
-   or in flight; workers increment it for every surviving extension
-   *before* retiring the consumed match, so the count reaches zero
-   exactly when no work remains; the thread that decrements it to zero
-   raises the stop flag and broadcasts all queues awake. *)
+   or in flight, plus a token the router holds until its seed cursor is
+   empty; workers and the router increment it *before* retiring what
+   the increment replaces, so the count reaches zero exactly when no
+   work remains; the thread that decrements it to zero raises the stop
+   flag and broadcasts all queues awake. *)
 
 module Obs = Wp_obs.Obs
 
@@ -77,14 +78,16 @@ module Make (S : Sync.S) = struct
           Pqueue.push t.queue ~tie (priority_of ~seq:t.seq x) x;
           S.signal t.cond)
 
-    let pop t ~stopped =
+    (* [None] without waiting while [yield] holds of the queue (the
+       router's seed cursor beats its top). *)
+    let pop ?(yield = fun _ -> false) t ~stopped =
       with_lock t (fun () ->
           let rec wait () =
             S.note_write t.state_loc;
-            match Pqueue.pop t.queue with
+            match if yield t.queue then None else Pqueue.pop t.queue with
             | Some x -> Some x
             | None ->
-                if stopped () then None
+                if stopped () || yield t.queue then None
                 else begin
                   S.wait t.cond t.mutex;
                   wait ()
@@ -103,7 +106,8 @@ module Make (S : Sync.S) = struct
     topk_mutex : S.mutex;
     router_queue : Partial_match.t Shared_queue.t;
     server_queues : Partial_match.t Shared_queue.t array;  (* index 0 unused *)
-    pending : S.atomic_int;  (* partial matches alive in queues or in flight *)
+    seeds : Seeds.t;  (* the root server; only the router touches it *)
+    pending : S.atomic_int;  (* see the shutdown protocol above *)
     stop : S.atomic_int;
     partial : S.atomic_int;  (* set when should_stop cut the run short *)
     should_stop : unit -> bool;
@@ -176,9 +180,55 @@ module Make (S : Sync.S) = struct
           f shared.topk)
     end
 
+  (* The router owns the seed cursor and the [pending] token.  Under
+     the max-final-score policy it opens the head class's next root
+     whenever that beats its queue's top, and routes the seed at once,
+     as Whirlpool-S pops it; under the other policies it queues every
+     live seed first. *)
   let router_loop shared (stats : Stats.t) =
+    let next_id () = S.fetch_and_add shared.next_id 1 in
+    let holding = ref true in
+    (* Seeds that stay alive join the alive set under the admission
+       lock, and [pending] before the token goes. *)
+    let admit pms =
+      S.note_write "stats.router";
+      let kept =
+        with_topk shared (fun topk ->
+            List.filter
+              (fun pm ->
+                let keep = Seeds.admit shared.seeds topk pm in
+                (match shared.cert with
+                | Some (_, alive) when keep -> Certify.Alive.add alive pm
+                | Some _ | None -> ());
+                keep)
+              pms)
+      in
+      List.iter (fun _ -> S.incr shared.pending) kept;
+      if !holding && Seeds.head shared.seeds = Float.neg_infinity then begin
+        holding := false;
+        retire shared
+      end;
+      kept
+    in
+    (* The queue's top, or the cursor's next root when that beats it. *)
+    let rec next () =
+      let yield q = !holding && Seeds.beats shared.seeds q in
+      match Shared_queue.pop shared.router_queue ~yield ~stopped:(stopped shared) with
+      | None when !holding && not (stopped shared ()) -> (
+          let threshold = with_topk shared Topk_set.threshold in
+          let seed = Seeds.open_next shared.seeds ~threshold ~next_id in
+          match admit (Option.to_list seed) with [ pm ] -> Some pm | _ -> next ())
+      | top -> top
+    in
+    List.iter
+      (fun pm ->
+        Shared_queue.push shared.router_queue ~tie:pm.Partial_match.score
+          ~priority_of:(router_priority shared) pm)
+      (admit
+         (if shared.queue_policy = Strategy.Max_final_score then []
+          else Seeds.drain shared.seeds ~next_id));
     let rec loop () =
-      match Shared_queue.pop shared.router_queue ~stopped:(stopped shared) with
+      match next () with
       | None -> ()
       | Some _ when check_deadline shared -> loop ()
       | Some pm ->
@@ -199,8 +249,11 @@ module Make (S : Sync.S) = struct
                   | Some (c, alive) ->
                       if pruned then
                         Certify.Alive.remove alive pm.Partial_match.id;
+                      (* The unopened roots are alive too. *)
                       Certify.newly_certified c topk
-                        ~bound:(Certify.Alive.bound alive)
+                        ~bound:
+                          (Float.max (Certify.Alive.bound alive)
+                             (Seeds.head shared.seeds))
                   | None -> []
                 in
                 (pruned, Topk_set.threshold topk, certified))
@@ -385,7 +438,7 @@ module Make (S : Sync.S) = struct
           ( Certify.create ~emit:config.Engine.Config.on_certified,
             Certify.Alive.create () )
     in
-    let main_stats = Stats.create () in
+    let router_stats = Stats.create () in
     let shared =
       {
         plan;
@@ -398,7 +451,8 @@ module Make (S : Sync.S) = struct
         server_queues =
           Array.init plan.n_servers (fun i ->
               Shared_queue.create (Printf.sprintf "queue.server.%d" i));
-        pending = S.atomic pending_loc 0;
+        seeds = Seeds.create plan router_stats;
+        pending = S.atomic pending_loc 1 (* the router's token *);
         stop = S.atomic "stop" 0;
         partial = S.atomic "partial" 0;
         should_stop;
@@ -412,42 +466,6 @@ module Make (S : Sync.S) = struct
         skip_pending_incr = List.mem Fault.Skip_pending_incr faults;
       }
     in
-    let next_id () = S.fetch_and_add shared.next_id 1 in
-    let initial = Server.initial_matches plan main_stats ~next_id in
-    let single_node = plan.n_servers = 1 in
-    (* Pre-spawn: single-threaded, so the topk set is touched without
-       the mutex here. *)
-    let to_route =
-      List.filter_map
-        (fun pm ->
-          S.note_write topk_loc;
-          Topk_set.consider shared.topk ~complete:single_node pm;
-          if single_node then begin
-            main_stats.completed <- main_stats.completed + 1;
-            None
-          end
-          else if Topk_set.should_prune shared.topk pm then begin
-            main_stats.matches_pruned <- main_stats.matches_pruned + 1;
-            None
-          end
-          else begin
-            (match cert with
-            | Some (_, alive) -> Certify.Alive.add alive pm
-            | None -> ());
-            Some pm
-          end)
-        initial
-    in
-    if to_route = [] then S.set shared.stop 1
-    else begin
-      S.set shared.pending (List.length to_route);
-      List.iter
-        (fun pm ->
-          Shared_queue.push shared.router_queue ~tie:pm.Partial_match.score
-            ~priority_of:(router_priority shared) pm)
-        to_route
-    end;
-    let router_stats = Stats.create () in
     let server_stats =
       Array.init (plan.n_servers - 1) (fun _ -> Stats.create ())
     in
@@ -473,7 +491,6 @@ module Make (S : Sync.S) = struct
         Certify.flush_all c shared.topk
     | Some _ | None -> ());
     let stats = Stats.create () in
-    Stats.add stats main_stats;
     Stats.add stats router_stats;
     Array.iter (Stats.add stats) server_stats;
     stats.wall_ns <- Int64.sub (Clock.now_ns ()) t0;

@@ -2,9 +2,10 @@
 
     Mirrors the paper's architecture (Figure 4): one thread per non-root
     server, each with its own priority queue of partial matches, plus a
-    router thread with the router queue.  The coordinating main thread
-    builds the root server's initial matches, so a query of [n] nodes
-    spawns [n - 1] server threads and one router thread.  Threads are
+    router thread with the router queue, which owns the root server
+    ({!Seeds}) and opens roots by class as Whirlpool-S does, so a
+    query of [n] nodes spawns [n - 1] server threads and one router
+    thread.  Threads are
     OCaml 5 domains, so available cores give true parallelism.  The
     top-k set is shared under a mutex; termination is detected by an
     atomic count of in-flight partial matches.

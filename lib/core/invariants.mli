@@ -31,7 +31,7 @@ val check_seed : Plan.t -> Partial_match.t -> unit
 
 val check_class : Plan.t -> Plan.seed_class -> int -> unit
 (** The position of a root about to be opened from a class
-    ({!Plan.next_root}): a root candidate, whose seed bound and root
+    ({!Seeds.open_next}): a root candidate, whose seed bound and root
     weight, computed root by root ({!Plan.bound_of_root},
     {!Plan.root_weight}), are exactly the class's.  A class whose
     signatures select a wrong root, or fewer roots than its size, fails

@@ -46,7 +46,7 @@ let run ?order ?(queue_policy = Strategy.Max_final_score) ?(prune = true)
         None
   in
   let current =
-    ref (List.filter_map handle (Server.initial_matches plan stats ~next_id))
+    ref (List.filter_map handle (Seeds.drain (Seeds.create plan stats) ~next_id))
   in
   Array.iter
     (fun server ->

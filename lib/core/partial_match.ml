@@ -51,13 +51,3 @@ let extend_last t ~id ~server ~binding ~weight ~server_max =
 let n_visited t = Bits.popcount t.visited_mask
 
 let bound t s = if t.bindings.(s) = unbound then None else Some t.bindings.(s)
-
-let pp ppf t =
-  Format.fprintf ppf "#%d score=%.4f max=%.4f [" t.id t.score t.max_possible;
-  Array.iteri
-    (fun i b ->
-      if i > 0 then Format.pp_print_char ppf ' ';
-      if b = unbound then Format.pp_print_string ppf "_"
-      else Format.pp_print_int ppf b)
-    t.bindings;
-  Format.pp_print_char ppf ']'

@@ -54,5 +54,3 @@ val n_visited : t -> int
 
 val bound : t -> int -> int option
 (** Binding of a pattern node, if the node is bound. *)
-
-val pp : Format.formatter -> t -> unit

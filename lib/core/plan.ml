@@ -126,9 +126,6 @@ let seed_rest t pos =
   done;
   !acc
 
-let seed_bound t pos =
-  root_weight t (Index.posting t.root_postings pos) +. seed_rest t pos
-
 (* The posting position of [root] when it is a root candidate, or -1. *)
 let position t root =
   let pos = Index.lower_bound t.root_postings root in
@@ -141,7 +138,7 @@ let position t root =
 
 let bound_of_root t ~root =
   let pos = position t root in
-  if pos < 0 then Float.infinity else seed_bound t pos
+  if pos < 0 then Float.infinity else root_weight t root +. seed_rest t pos
 
 let seed_cap t ~root s =
   let pos = position t root in
@@ -169,21 +166,6 @@ let[@inline] union_word (sigs : signature array) w =
   done;
   !x
 
-(* Set bits of a word, SWAR: [Bits.popcount]'s byte table, called on
-   the two halves, made warm compiles a third slower. *)
-let[@inline] popcount64 x =
-  let open Int64 in
-  let x = sub x (logand (shift_right_logical x 1) 0x5555555555555555L) in
-  let x =
-    add (logand x 0x3333333333333333L)
-      (logand (shift_right_logical x 2) 0x3333333333333333L)
-  in
-  let x = logand (add x (shift_right_logical x 4)) 0x0F0F0F0F0F0F0F0FL in
-  to_int (shift_right_logical (mul x 0x0101010101010101L) 56)
-
-(* The position of the lowest set bit of a nonzero word. *)
-let[@inline] lowest_bit x = popcount64 (Int64.pred (Int64.logand x (Int64.neg x)))
-
 let n_words t = Bytes.length t.root_candidates lsr 3
 
 let next_root t sigs pos =
@@ -194,7 +176,7 @@ let next_root t sigs pos =
        if !w = pos lsr 6 then Int64.logand m (Int64.shift_left (-1L) (pos land 63))
        else m
      in
-     if m <> 0L then found := (!w lsl 6) + lowest_bit m else incr w
+     if m <> 0L then found := (!w lsl 6) + Bits.lowest_bit m else incr w
    done)
   [@wp.bounded "[!w] advances one word per empty step, up to the last word"];
   !found
@@ -214,7 +196,7 @@ let iter_live t f =
   for w = 0 to n_words t - 1 do
     let m = ref (live_word t w) in
     (while !m <> 0L do
-       f ((w lsl 6) + lowest_bit !m);
+       f ((w lsl 6) + Bits.lowest_bit !m);
        m := Int64.logand !m (Int64.pred !m)
      done)
     [@wp.bounded "every step clears one of the word's 64 bits"]
@@ -260,7 +242,7 @@ let levels t (r : Component_table.roots) s =
    level's literals alone into the rest.  The refinement is depth
    first, so one buffer per depth serves every group there.  Each
    surviving group is one level signature, with its root weight and its
-   bound summed as [seed_bound] sums them. *)
+   bound summed as [bound_of_root] sums them. *)
 let signature_classes t (r : Component_table.roots) =
   let n = n_words t and depth = t.n_servers in
   let levels = Array.init depth (levels t r) in
@@ -281,7 +263,7 @@ let signature_classes t (r : Component_table.roots) =
           let x = Int64.logand (word words.(s) j) (signature_word level i) in
           if x <> 0L then begin
             if !first < 0 then first := i;
-            size := !size + popcount64 x;
+            size := !size + Bits.popcount64 x;
             if not last then begin
               at.(s + 1).(!m) <- i;
               Bytes.set_int64_le words.(s + 1) (!m lsl 3) x;

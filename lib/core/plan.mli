@@ -15,8 +15,8 @@
     root of one signature has one seed bound. *)
 type signature
 
-(** Root candidates grouped by seed bound — the lazy seed cursors of
-    Whirlpool-S.  A root's {e seed bound} is its own weight plus, per
+(** Root candidates grouped by seed bound, which {!Seeds} opens.  A
+    root's {e seed bound} is its own weight plus, per
     non-root server, its {e cap}: the exact weight when the root's
     subtree holds an exact-level candidate, else the relaxed weight
     when it holds an accepted one, else 0 for an optional server.  A
@@ -108,14 +108,10 @@ val seed_rest : t -> int -> float
     [root_postings] summed over the non-root servers in server order,
     [neg_infinity] when a required server kills the root. *)
 
-val seed_bound : t -> int -> float
-(** [seed_bound t pos]: the root weight of the root at position [pos]
-    plus its {!seed_rest} — its seed bound, the [max_possible] its seed
-    starts with. *)
-
 val bound_of_root : t -> root:Wp_xml.Doc.node_id -> float
-(** {!seed_bound} of a root binding; [infinity] for a node that is not
-    a root candidate. *)
+(** The seed bound of a root binding — its root weight plus its
+    {!seed_rest}, the [max_possible] its seed starts with; [infinity]
+    for a node that is not a root candidate. *)
 
 val seed_cap : t -> root:Wp_xml.Doc.node_id -> int -> float
 (** The cap of a server for a root binding — what an extension there
@@ -125,14 +121,11 @@ val seed_cap : t -> root:Wp_xml.Doc.node_id -> int -> float
 
 val next_root : t -> signature array -> int -> int
 (** [next_root t sigs pos]: the first position at or after [pos] of a
-    root with one of the signatures [sigs] (those of a class, say), or
-    [-1].  Scans 64 positions per step. *)
+    root with one of the signatures [sigs], or [-1], 64 per step. *)
 
 val iter_live : t -> (int -> unit) -> unit
-(** [iter_live t f] calls [f] on the position of every live root (a
-    root of some class: a candidate no required server kills), in
-    document order, reading the candidates and the required servers'
-    cap bitsets a word at a time. *)
+(** [iter_live t f] calls [f] on the position of every live root, in
+    document order, a word at a time. *)
 
 val n_classes : t -> int
 val n_seeds : t -> int

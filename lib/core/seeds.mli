@@ -1,0 +1,33 @@
+(** The root server, as a cursor over a plan's seed classes
+    ({!Plan.seeds}), in the order a max-final-score queue holding every
+    seed would pop them.  Every engine seeds through it. *)
+
+type t
+
+val create : ?floor:float -> Plan.t -> Stats.t -> t
+(** A cursor at the first class.  Charges the root server's work: one
+    op, and one comparison and one created match per root candidate,
+    one died match per root a required server kills.  Classes and
+    seeds below [floor] (default [neg_infinity]) die. *)
+
+val head : t -> float
+(** The head class's bound; [neg_infinity] when no class is left. *)
+
+val beats : t -> 'a Pqueue.t -> bool
+(** Whether the head class's next root wins the next pop from a queue
+    ordered by [max_possible], ties to the higher score: a seed,
+    logically queued first, wins a full tie. *)
+
+val open_next :
+  t -> threshold:float -> next_id:(unit -> int) -> Partial_match.t option
+(** The head class's next root in document order, as a seed counted in
+    [seeds_materialized].  A class whose bound cannot beat [threshold]
+    (no unopened root is in the top-k set, so a tie loses) or the floor
+    dies whole instead, its roots counted as pruned: [None]. *)
+
+val admit : t -> Topk_set.t -> Partial_match.t -> bool
+(** Offer a fresh seed to the top-k set; true when it stays alive. *)
+
+val drain : t -> next_id:(unit -> int) -> Partial_match.t list
+(** Every live root's seed, in document order, leaving no class.
+    @raise Invalid_argument once a class was opened. *)

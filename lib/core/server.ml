@@ -9,26 +9,6 @@ module Relaxation = Wp_relax.Relaxation
 
 type outcome = { extensions : Partial_match.t list; died : bool }
 
-let open_roots (plan : Plan.t) (stats : Stats.t) =
-  let n = Array.length plan.roots in
-  stats.server_ops <- stats.server_ops + 1;
-  stats.comparisons <- stats.comparisons + n;
-  stats.matches_created <- stats.matches_created + n;
-  stats.matches_died <- stats.matches_died + (n - Plan.n_seeds plan)
-
-let seed (plan : Plan.t) (stats : Stats.t) ~next_id pos =
-  let root = Index.posting plan.root_postings pos in
-  stats.seeds_materialized <- stats.seeds_materialized + 1;
-  Partial_match.create_root ~plan_servers:plan.n_servers ~id:(next_id ())
-    ~root ~weight:(Plan.root_weight plan root)
-    ~max_rest:(Plan.seed_rest plan pos)
-
-let initial_matches (plan : Plan.t) (stats : Stats.t) ~next_id =
-  open_roots plan stats;
-  let seeds = ref [] in
-  Plan.iter_live plan (fun pos -> seeds := seed plan stats ~next_id pos :: !seeds);
-  List.rev !seeds
-
 (* A conditional predicate holds when its exact relation holds, or its
    relaxed relation (if any) does. *)
 let conditional_holds doc (c : Server_spec.conditional) ~anc ~desc =

@@ -1,6 +1,7 @@
 (** Server-side join processing.
 
-    One server per pattern node.  Processing a partial match at a server
+    One server per non-root pattern node ({!Seeds} is the root
+    server).  Processing a partial match at a server
     (i) retrieves, through the tag index, the candidate document nodes
     below the match's root binding that satisfy the server's (relaxed)
     structural predicate, (ii) filters them through the conditional
@@ -26,24 +27,6 @@ type outcome = {
           or an optional node that cannot be deleted because a pattern
           descendant is already bound while promotion is disabled) *)
 }
-
-val open_roots : Plan.t -> Stats.t -> unit
-(** Charge the root server's evaluation (the paper's "book server"
-    step): one server op, one comparison and one created match per root
-    candidate, and one died match per root a required server kills
-    ({!Plan.seeds}). *)
-
-val seed : Plan.t -> Stats.t -> next_id:(unit -> int) -> int -> Partial_match.t
-(** [seed plan stats ~next_id pos] builds the seed match of the live
-    root at position [pos] of [plan.root_postings]: its root weight as
-    score, its seed bound ({!Plan.seed_bound}) as [max_possible].
-    Counts one [seeds_materialized]. *)
-
-val initial_matches :
-  Plan.t -> Stats.t -> next_id:(unit -> int) -> Partial_match.t list
-(** {!open_roots}, then every live root's {!seed} ({!Plan.iter_live}),
-    in document order — the eager seeding of Whirlpool-M, LockStep and
-    the simulator. *)
 
 val process :
   Plan.t -> Stats.t -> next_id:(unit -> int) -> Partial_match.t ->

@@ -63,26 +63,25 @@ let simulate_m ?(routing = Strategy.Min_alive)
   let makespan = ref 0.0 in
   let busy_time = ref 0.0 in
   let cost_of thread = if thread = 0 then costs.route_cost else costs.op_cost in
+  (* The root server is the router's seed cursor: the root evaluation
+     itself is charged as one op of lead time. *)
+  let seeds = Seeds.create plan stats in
   let mark_ready t =
     let th = threads.(t) in
-    if (not th.busy) && (not th.in_ready) && not (Pqueue.is_empty th.queue) then begin
+    let seeding = t = 0 && Seeds.head seeds > Float.neg_infinity in
+    if (not th.busy) && (not th.in_ready) && (seeding || not (Pqueue.is_empty th.queue))
+    then begin
       th.in_ready <- true;
       Queue.push t ready
     end
   in
-  let enqueue_router pm =
+  let enqueue t pm =
     incr seq;
-    Pqueue.push threads.(0).queue ~tie:pm.Partial_match.score
-      (Strategy.priority queue_policy plan ~seq:!seq ~server:None pm)
+    let server = if t = 0 then None else Some t in
+    Pqueue.push threads.(t).queue ~tie:pm.Partial_match.score
+      (Strategy.priority queue_policy plan ~seq:!seq ~server pm)
       pm;
-    mark_ready 0
-  in
-  let enqueue_server s pm =
-    incr seq;
-    Pqueue.push threads.(s).queue ~tie:pm.Partial_match.score
-      (Strategy.priority queue_policy plan ~seq:!seq ~server:(Some s) pm)
-      pm;
-    mark_ready s
+    mark_ready t
   in
   (* Pop the next match a thread should actually work on: consulting the
      top-k set is part of picking work up, so matches pruned here cost no
@@ -98,12 +97,23 @@ let simulate_m ?(routing = Strategy.Min_alive)
         end
         else Some pm
   in
+  (* The router opens the head class's next root when that wins the pop,
+     as the engine's router does; seeds that die cost no time. *)
+  let rec pop_router () =
+    if Seeds.beats seeds threads.(0).queue then
+      match
+        Seeds.open_next seeds ~threshold:(Topk_set.threshold topk) ~next_id
+      with
+      | Some pm when Seeds.admit seeds topk pm -> Some pm
+      | Some _ | None -> pop_router ()
+    else pop_alive threads.(0)
+  in
   let dispatch now =
     while !free_cpus > 0 && not (Queue.is_empty ready) do
       let t = Queue.pop ready in
       let th = threads.(t) in
       th.in_ready <- false;
-      match pop_alive th with
+      match if t = 0 then pop_router () else pop_alive th with
       | None -> ()
       | Some pm ->
           th.busy <- true;
@@ -119,7 +129,7 @@ let simulate_m ?(routing = Strategy.Min_alive)
       Strategy.choose_next routing plan ~threshold:(Topk_set.threshold topk) pm
     in
     stats.routing_decisions <- stats.routing_decisions + 1;
-    enqueue_server server pm
+    enqueue server pm
   in
   let handle_server s pm =
     let { Server.extensions; died } =
@@ -133,20 +143,14 @@ let simulate_m ?(routing = Strategy.Min_alive)
         if complete then stats.completed <- stats.completed + 1
         else if Topk_set.should_prune topk ext then
           stats.matches_pruned <- stats.matches_pruned + 1
-        else enqueue_router ext)
+        else enqueue 0 ext)
       extensions
   in
-  (* Seed with the root server's output; the root evaluation itself is
-     charged as one op of lead time. *)
-  let single_node = plan.n_servers = 1 in
-  List.iter
-    (fun pm ->
-      Topk_set.consider topk ~complete:single_node pm;
-      if single_node then stats.completed <- stats.completed + 1
-      else if Topk_set.should_prune topk pm then
-        stats.matches_pruned <- stats.matches_pruned + 1
-      else enqueue_router pm)
-    (Server.initial_matches plan stats ~next_id);
+  if queue_policy <> Strategy.Max_final_score then
+    List.iter
+      (fun pm -> if Seeds.admit seeds topk pm then enqueue 0 pm)
+      (Seeds.drain seeds ~next_id);
+  mark_ready 0;
   makespan := costs.op_cost;
   dispatch !makespan;
   let rec loop () =

@@ -47,4 +47,5 @@ val simulate_m :
   result
 (** Event-driven simulation of the Whirlpool-M architecture on
     [processors] virtual CPUs ([max_int] models the paper's "infinite"
-    machine). *)
+    machine).  Its router opens roots through {!Seeds} as the engine's
+    router does. *)

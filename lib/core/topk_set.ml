@@ -222,10 +222,3 @@ let entries t =
   in
   List.sort compare_entries
     (Hashtbl.fold (fun _ e acc -> e :: acc) t.by_root [])
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>top-%d (threshold %.4f):@," t.k (threshold t);
-  List.iteri
-    (fun i e -> Format.fprintf ppf "%d. root=%d score=%.4f@," (i + 1) e.root e.score)
-    (entries t);
-  Format.fprintf ppf "@]"

@@ -66,5 +66,3 @@ val mark : t -> unit
 
 val entries : t -> entry list
 (** Current entries, best first (ties by root document order). *)
-
-val pp : Format.formatter -> t -> unit

@@ -137,7 +137,7 @@ let agrees (plan : Plan.t) ~pick =
         && stats.comparisons - c0 = examined
         && List.for_all go o.extensions
   in
-  List.for_all go (Server.initial_matches plan stats ~next_id)
+  List.for_all go (Seeds.drain (Seeds.create plan stats) ~next_id)
 
 let picks =
   [

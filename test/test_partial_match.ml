@@ -70,16 +70,33 @@ let naive_popcount m =
   let rec go m acc = if m = 0 then acc else go (m lsr 1) (acc + (m land 1)) in
   go m 0
 
+(* The lowest set bit of a nonzero word, one bit at a time. *)
+let naive_lowest_bit x =
+  let rec go i = if Int64.logand x (Int64.shift_left 1L i) <> 0L then i else go (i + 1) in
+  go 0
+
+(* [Bits.popcount] on non-negative ints, and [Bits.popcount64] and
+   [Bits.lowest_bit] on the full 64-bit word: the int's bits, and the
+   same bits with the top one set. *)
 let prop_popcount =
   QCheck2.Test.make ~name:"Bits.popcount = naive bit loop" ~count:500
     QCheck2.Gen.(int_bound max_int)
-    (fun m -> Bits.popcount m = naive_popcount m)
+    (fun m ->
+      let top = Int64.logor (Int64.of_int m) Int64.min_int in
+      Bits.popcount m = naive_popcount m
+      && Bits.popcount64 (Int64.of_int m) = naive_popcount m
+      && Bits.popcount64 top = naive_popcount m + 1
+      && Bits.lowest_bit top = naive_lowest_bit top
+      && (m = 0 || Bits.lowest_bit (Int64.of_int m) = naive_lowest_bit (Int64.of_int m)))
 
 let test_popcount_edges () =
   Alcotest.(check int) "zero" 0 (Bits.popcount 0);
   Alcotest.(check int) "one" 1 (Bits.popcount 1);
   Alcotest.(check int) "byte" 8 (Bits.popcount 0xff);
   Alcotest.(check int) "max_int" 62 (Bits.popcount max_int);
+  Alcotest.(check int) "all 64 bits" 64 (Bits.popcount64 (-1L));
+  Alcotest.(check int) "lowest of the top bit" 63 (Bits.lowest_bit Int64.min_int);
+  Alcotest.(check int) "lowest of an even word" 3 (Bits.lowest_bit 0x58L);
   Alcotest.check_raises "negative" (Invalid_argument
     "Bits.popcount: negative mask") (fun () -> ignore (Bits.popcount (-1)))
 

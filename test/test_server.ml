@@ -10,8 +10,12 @@ let id_gen () =
   let n = ref 100 in
   fun () -> incr n; !n
 
-let initial plan =
-  Server.initial_matches plan (Stats.create ()) ~next_id:(id_gen ())
+(* The root server's eager output: every live root's seed, in
+   document order. *)
+let drain plan stats =
+  Seeds.drain (Seeds.create plan stats) ~next_id:(id_gen ())
+
+let initial plan = drain plan (Stats.create ())
 
 let book_a, book_b, book_c =
   match Fixtures.book_roots with
@@ -21,7 +25,7 @@ let book_a, book_b, book_c =
 let test_initial_matches () =
   let plan = make_plan Fixtures.q2a in
   let stats = Stats.create () in
-  let ms = Server.initial_matches plan stats ~next_id:(id_gen ()) in
+  let ms = drain plan stats in
   Alcotest.(check int) "one match per book" 3 (List.length ms);
   Alcotest.(check (list int)) "roots in document order" [ book_a; book_b; book_c ]
     (List.map Partial_match.root_binding ms);
@@ -32,6 +36,56 @@ let test_initial_matches () =
       Alcotest.(check bool) "only root visited" true
         (Partial_match.visited pm 0 && not (Partial_match.visited pm 1)))
     ms
+
+(* The cursor opens the head class's roots one at a time, with the
+   class's bound and weight; a class that cannot beat the threshold
+   dies whole, its unopened roots counted as pruned. *)
+let test_seed_cursor () =
+  let plan = make_plan Fixtures.q2a in
+  let stats = Stats.create () in
+  let seeds = Seeds.create plan stats in
+  let next_id = id_gen () in
+  Alcotest.(check int) "one root-server op" 1 stats.server_ops;
+  Alcotest.(check int) "no seed built yet" 0 stats.seeds_materialized;
+  let c = plan.seeds.(0) in
+  Alcotest.(check (float 0.0)) "head = first class's bound" c.bound (Seeds.head seeds);
+  let queue = Pqueue.create () in
+  Alcotest.(check bool) "beats an empty queue" true (Seeds.beats seeds queue);
+  Pqueue.push queue ~tie:(c.weight +. 1.0) c.bound ();
+  Alcotest.(check bool) "loses a tie to a higher score" false (Seeds.beats seeds queue);
+  Pqueue.clear queue;
+  Pqueue.push queue ~tie:c.weight c.bound ();
+  Alcotest.(check bool) "wins a full tie" true (Seeds.beats seeds queue);
+  (match Seeds.open_next seeds ~threshold:Float.neg_infinity ~next_id with
+  | None -> Alcotest.fail "the head class has a root"
+  | Some pm ->
+      Alcotest.(check (float 0.0)) "seed starts at the class bound" c.bound
+        pm.max_possible;
+      Alcotest.(check (float 0.0)) "and scores its root weight" c.weight pm.score;
+      Alcotest.(check bool) "admitted" true
+        (Seeds.admit seeds (Topk_set.create ~k:1 ~admit_partial:true) pm));
+  Alcotest.(check int) "one seed built" 1 stats.seeds_materialized;
+  Alcotest.check_raises "no drain after an open"
+    (Invalid_argument "Seeds.drain: the cursor already opened a class")
+    (fun () -> ignore (Seeds.drain seeds ~next_id));
+  (* Kill every class left: each goes in one call. *)
+  let rec kill n =
+    if Seeds.head seeds = Float.neg_infinity then n
+    else begin
+      Alcotest.(check bool) "a dying class builds nothing" true
+        (Seeds.open_next seeds ~threshold:(Seeds.head seeds) ~next_id = None);
+      kill (n + 1)
+    end
+  in
+  let killed = kill 0 in
+  Alcotest.(check bool) "at most one call per class" true
+    (killed <= Plan.n_classes plan);
+  Alcotest.(check int) "the rest pruned unbuilt" (Plan.n_seeds plan - 1)
+    stats.matches_pruned;
+  Alcotest.(check int) "still one seed built" 1 stats.seeds_materialized;
+  Alcotest.(check bool) "an empty cursor opens nothing" true
+    (Seeds.open_next seeds ~threshold:Float.neg_infinity ~next_id = None);
+  Alcotest.(check bool) "and beats nothing" false (Seeds.beats seeds queue)
 
 let test_extension_binds () =
   let plan = make_plan Fixtures.q2a in
@@ -98,7 +152,7 @@ let test_exact_mode_death () =
   let stats = Stats.create () in
   (* Book (c) has no publisher, so the required publisher server kills
      it at seed time: it gets no seed and counts as died. *)
-  let seeded = Server.initial_matches plan stats ~next_id:(id_gen ()) in
+  let seeded = drain plan stats in
   Alcotest.(check bool) "book (c) not seeded" false
     (List.exists (fun pm -> Partial_match.root_binding pm = book_c) seeded);
   Alcotest.(check int) "killed roots recorded as died"
@@ -212,6 +266,7 @@ let test_rejects_visited_server () =
 let suite =
   [
     Alcotest.test_case "initial matches" `Quick test_initial_matches;
+    Alcotest.test_case "seed cursor" `Quick test_seed_cursor;
     Alcotest.test_case "extension binds" `Quick test_extension_binds;
     Alcotest.test_case "relaxed binding scores less" `Quick test_relaxed_binding_scores_less;
     Alcotest.test_case "optional unbound extension" `Quick test_optional_unbound_extension;

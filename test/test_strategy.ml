@@ -4,7 +4,9 @@ let idx = Lazy.force Fixtures.xmark_index
 let plan = Run.compile idx (Fixtures.parse Fixtures.q2)
 
 let fresh_pm () =
-  match Server.initial_matches plan (Stats.create ()) ~next_id:(fun () -> 1) with
+  match
+    Seeds.drain (Seeds.create plan (Stats.create ())) ~next_id:(fun () -> 1)
+  with
   | pm :: _ -> pm
   | [] -> Alcotest.fail "expected at least one root candidate"
 
