@@ -1,33 +1,38 @@
 (* Figure 11 — execution time vs document size (log scale in the paper):
    Whirlpool-S and Whirlpool-M for Q1-Q3 over the 1Mb/10Mb/50Mb sweep,
-   k = 15, with the root candidates, the seeds each engine built and the
-   time to compile the plan over a warm component table. *)
+   k = 15, with the root candidates, the seeds each engine built, the
+   twig join's time and the time to compile the plan over a warm
+   component table. *)
 
-(* Warm-memo compile time per plan, in milliseconds: the median and the
-   interquartile range of 21 compiles over a component table the first
-   compile filled — what a plan-cache miss costs once the document's
-   statistics are memoized.  A full major collection first, so that the
-   samples do not pay for the garbage of generating the document. *)
+(* The median and the interquartile range of 21 timings of [f], in
+   milliseconds, after one warm-up call and a full major collection, so
+   that the samples do not pay for the garbage of generating the
+   document. *)
+let median_iqr_ms f =
+  ignore (f ());
+  Gc.full_major ();
+  let samples = Array.init 21 (fun _ -> snd (Common.time f) *. 1e3) in
+  Array.sort Float.compare samples;
+  (samples.(10), samples.(15) -. samples.(5))
+
+(* Warm-memo compile time per plan: what a plan-cache miss costs once
+   the document's statistics are memoized (the warm-up compile fills
+   the component table). *)
 let compile_ms ~size q =
   let idx = Common.index_for size and pattern = Wp_pattern.Xpath_parser.parse q in
   let memo = Wp_score.Component_table.create () in
-  let compile () =
-    Whirlpool.Plan.compile ~memo idx Wp_relax.Relaxation.all pattern
-  in
-  ignore (compile ());
-  Gc.full_major ();
-  let samples = Array.init 21 (fun _ -> snd (Common.time compile) *. 1e3) in
-  Array.sort Float.compare samples;
-  (samples.(10), samples.(15) -. samples.(5))
+  median_iqr_ms (fun () ->
+      Whirlpool.Plan.compile ~memo idx Wp_relax.Relaxation.all pattern)
 
 let run (scale : Common.scale) =
   Common.header "Figure 11: execution time vs document size (k = 15)";
   let k = scale.default_k in
-  let widths = [ 8; 8; 14; 14; 12; 12; 10; 10; 10; 18 ] in
+  let widths = [ 8; 8; 14; 14; 12; 12; 10; 10; 10; 18; 10; 18 ] in
   Common.print_row widths
     [
       "query"; "doc"; "Whirlpool-S"; "Whirlpool-M"; "W-S ops"; "W-M ops";
-      "roots"; "W-S seeds"; "W-M seeds"; "compile ms (IQR)";
+      "roots"; "W-S seeds"; "W-M seeds"; "twig ms (IQR)"; "twig ops";
+      "compile ms (IQR)";
     ];
   List.iter
     (fun (qname, q) ->
@@ -40,6 +45,8 @@ let run (scale : Common.scale) =
           let (rm : Whirlpool.Engine.result), tm =
             Common.timed_runs (fun () -> Whirlpool.Engine_mt.run plan ~k)
           in
+          let twig () = Wp_twig.Twig_join.run plan ~k in
+          let twig_ms, twig_iqr = median_iqr_ms twig in
           let compile, iqr = compile_ms ~size q in
           Common.print_row widths
             [
@@ -48,6 +55,8 @@ let run (scale : Common.scale) =
               Common.fint (Array.length plan.roots);
               Common.fint rs.stats.seeds_materialized;
               Common.fint rm.stats.seeds_materialized;
+              Printf.sprintf "%.3f (%.3f)" twig_ms twig_iqr;
+              Common.fint (twig ()).stats.server_ops;
               Printf.sprintf "%.3f (%.3f)" compile iqr;
             ])
         scale.sizes)

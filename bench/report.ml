@@ -135,63 +135,62 @@ let exhibits (scale : Common.scale) ~runs ~trace =
         (run_workload ~runs ~trace ~routing:(Whirlpool.Strategy.Static order) plan ~k))
     Common.queries;
   (* backend comparison: the twig-join competitor over the same
-     fig8-style workload.  k is pinned to the twig join's exact-match
-     count, so its whole answer set is in range, and every backend must
-     return the top-k the checks below demand (the harness aborts on any
+     fig8-style workload.  The first rows pin k to the twig join's
+     exact-match count, so its whole answer set is in range (the one
+     point where a full join is the right plan); the [k10] rows ask a
+     top-k query's k of Whirlpool and twig.  Every backend must return
+     the top-k the checks below demand (the harness aborts on any
      disagreement). *)
   Printf.printf "backend comparison (whirlpool vs lockstep vs twig)\n%!";
+  let whirlpool = ("whirlpool", Whirlpool.Engine.Config.Whirlpool)
+  and lockstep = ("lockstep", Whirlpool.Engine.Config.Lockstep)
+  and twig = ("twig", Whirlpool.Engine.Config.Twig) in
   List.iter
     (fun (qname, q) ->
       let plan = Common.plan_for ~size:scale.default_size q in
       let m = Wp_twig.Twig_join.match_count plan in
-      let k = max 1 m in
-      let go algo () =
-        let config = Whirlpool.Engine.Config.(default |> with_algo algo) in
-        (Wp_twig.Backend.run ~config plan ~k).Whirlpool.Engine.stats
+      let max_total =
+        Wp_score.Score_table.max_total plan.Whirlpool.Plan.scores
       in
       let entries (r : Whirlpool.Engine.result) =
         List.map
           (fun (e : Whirlpool.Topk_set.entry) -> (e.root, e.score))
           r.answers
       in
-      let plain = Whirlpool.Engine.run plan ~k in
-      let max_total = Wp_score.Score_table.max_total plan.Whirlpool.Plan.scores in
-      List.iter
-        (fun (aname, algo) ->
-          let r =
-            Wp_twig.Backend.run
-              ~config:Whirlpool.Engine.Config.(default |> with_algo algo)
-              plan ~k
-          in
-          (* Plain twig is exact-only: zero-penalty relaxations can tie
-             [max_total] and displace exact roots in the relaxed
-             engines' top-k, so the guard for it is exactness (count
-             and score), not entry equality. *)
-          (if algo = Whirlpool.Engine.Config.Twig then begin
-             if List.length r.Whirlpool.Engine.answers <> min k m then
+      let rows ~label ~k algos =
+        let plain = Whirlpool.Engine.run plan ~k in
+        List.iter
+          (fun (aname, algo) ->
+            let config = Whirlpool.Engine.Config.(default |> with_algo algo) in
+            let name = Printf.sprintf "backend/%s%s/%s" qname label aname in
+            let r = Wp_twig.Backend.run ~config plan ~k in
+            (* Plain twig is exact-only: zero-penalty relaxations can tie
+               [max_total] and displace exact roots in the relaxed
+               engines' top-k, so the guard for it is exactness (count
+               and score), not entry equality. *)
+            (if algo = Whirlpool.Engine.Config.Twig then begin
+               if List.length r.Whirlpool.Engine.answers <> min k m then
+                 failwith
+                   (Printf.sprintf "%s: expected %d exact answers" name
+                      (min k m));
+               List.iter
+                 (fun (e : Whirlpool.Topk_set.entry) ->
+                   if e.score <> max_total then
+                     failwith
+                       (Printf.sprintf "%s: non-exact score in answers" name))
+                 r.Whirlpool.Engine.answers
+             end
+             else if m > 0 && entries r <> entries plain then
                failwith
-                 (Printf.sprintf "backend/%s/twig: expected %d exact answers"
-                    qname (min k m));
-             List.iter
-               (fun (e : Whirlpool.Topk_set.entry) ->
-                 if e.score <> max_total then
-                   failwith
-                     (Printf.sprintf
-                        "backend/%s/twig: non-exact score in answers" qname))
-               r.Whirlpool.Engine.answers
-           end
-           else if m > 0 && entries r <> entries plain then
-             failwith
-               (Printf.sprintf "backend/%s/%s: top-k diverged from whirlpool"
-                  qname aname));
-          add
-            (Printf.sprintf "backend/%s/%s" qname aname)
-            (measure ~runs (go algo)))
-        [
-          ("whirlpool", Whirlpool.Engine.Config.Whirlpool);
-          ("lockstep", Whirlpool.Engine.Config.Lockstep);
-          ("twig", Whirlpool.Engine.Config.Twig);
-        ])
+                 (Printf.sprintf "%s: top-k diverged from whirlpool" name));
+            add name
+              (measure ~runs (fun () ->
+                   (Wp_twig.Backend.run ~config plan ~k)
+                     .Whirlpool.Engine.stats)))
+          algos
+      in
+      rows ~label:"" ~k:(max 1 m) [ whirlpool; lockstep; twig ];
+      rows ~label:"/k10" ~k:10 [ whirlpool; twig ])
     Common.queries;
   (* A mapped serve corpus: several XMark documents written as .wpidx
      files and memory-mapped back (the serving path).  Document 0 is

@@ -55,19 +55,23 @@ let push ?(tie = 0.0) q priority value =
   q.size <- q.size + 1;
   sift_up q (q.size - 1)
 
+(* Remove and return the top cell of a non-empty queue. *)
+let take_top q =
+  let top = q.heap.(0) in
+  q.size <- q.size - 1;
+  if q.size > 0 then begin
+    q.heap.(0) <- q.heap.(q.size);
+    sift_down q 0
+  end;
+  top
+
 let pop_with_priority q =
   if q.size = 0 then None
-  else begin
-    let top = q.heap.(0) in
-    q.size <- q.size - 1;
-    if q.size > 0 then begin
-      q.heap.(0) <- q.heap.(q.size);
-      sift_down q 0
-    end;
+  else
+    let top = take_top q in
     Some (top.priority, top.value)
-  end
 
-let pop q = Option.map snd (pop_with_priority q)
+let pop q = if q.size = 0 then None else Some (take_top q).value
 let peek q = if q.size = 0 then None else Some q.heap.(0).value
 let max_priority q =
   if q.size = 0 then Float.neg_infinity else q.heap.(0).priority

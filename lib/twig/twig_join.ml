@@ -20,61 +20,92 @@ let lower_bound (xs : int array) target =
   [@wp.bounded "bisection halves the [lo, hi) interval every pass"];
   !lo
 
-(* The per-pattern-node input stream: the tag's postings, read in
-   place, clipped to the dataguide windows (each window's first posting
-   is found by bisection; runs outside any window are skipped without
-   being examined) and filtered by admissible depth, root-edge depth and
-   exact content value.  Output stays preorder-sorted. *)
-let build_stream ~(stats : Stats.t) ~doc ~idx ~pat ~(sel : Dataguide.selection)
-    q =
-  let wins = sel.windows.(q) in
-  if Array.length wins = 0 then [||]
-  else begin
-    let postings = Index.postings idx (Pattern.tag pat q) in
-    let n = Index.postings_length postings in
-    let dok = sel.depth_ok.(q) in
-    let value = Pattern.value pat q in
-    let is_root = q = 0 in
-    let root_edge = Pattern.root_edge pat in
-    let out = Array.make (max 1 n) 0 in
-    let n_out = ref 0 in
-    Array.iter
-      (fun (lo, hi) ->
-        let i = ref (Index.lower_bound postings lo) in
-        (while !i < n && Index.posting postings !i <= hi do
-          let x = Index.posting postings !i in
-          incr i;
-          stats.server_ops <- stats.server_ops + 1;
-          stats.comparisons <- stats.comparisons + 1;
-          let d = Doc.depth doc x in
-          let ok = d < Array.length dok && dok.(d) in
-          (* The root edge is a pure depth constraint against the
-             document root (depth 0) — enforce it here even when the
-             selection fell back to admit-everything. *)
-          let ok =
-            ok
-            && (not is_root
-               ||
-               match root_edge with Pattern.Pc -> d = 1 | Pattern.Ad -> d >= 1)
-          in
-          let ok =
-            ok
-            &&
-            match value with
-            | None -> true
-            | Some v -> (
-                stats.comparisons <- stats.comparisons + 1;
-                Doc.value_equals doc x v)
-          in
-          if ok then begin
-            out.(!n_out) <- x;
-            incr n_out
-          end
-        done)
-        [@wp.bounded "[!i] strictly advances toward the end of the postings"])
-      wins;
-    Array.sub out 0 !n_out
-  end
+(* A read position in one pattern node's postings, restricted to the
+   node's dataguide windows: [w] is the current window and [i] the next
+   posting position to examine. *)
+type cursor = {
+  postings : Index.postings;
+  wins : (int * int) array;
+  mutable w : int;
+  mutable i : int;
+}
+
+(* A cursor at the first posting [>= lo] inside the windows: the first
+   window ending at or past [lo], then its first posting, each found by
+   bisection. *)
+let cursor_at postings wins lo =
+  let a = ref 0 and b = ref (Array.length wins) in
+  (while !a < !b do
+     let mid = (!a + !b) / 2 in
+     if snd wins.(mid) < lo then a := mid + 1 else b := mid
+   done)
+  [@wp.bounded "bisection halves the [a, b) interval every pass"];
+  let i =
+    if !a < Array.length wins then
+      Index.lower_bound postings (max lo (fst wins.(!a)))
+    else Index.postings_length postings
+  in
+  { postings; wins; w = !a; i }
+
+(* Whether document node [x] may bind pattern node [q]: an admissible
+   depth, the root edge's depth for the root, and the exact content
+   value. *)
+let admits ~(stats : Stats.t) ~doc ~pat ~(sel : Dataguide.selection) q x =
+  let dok = sel.depth_ok.(q) in
+  let d = Doc.depth doc x in
+  d < Array.length dok
+  && dok.(d)
+  (* The root edge is a pure depth constraint against the document root
+     (depth 0) — enforce it here even when the selection fell back to
+     admit-everything. *)
+  && (q <> 0
+     ||
+     match Pattern.root_edge pat with
+     | Pattern.Pc -> d = 1
+     | Pattern.Ad -> d >= 1)
+  &&
+  match Pattern.value pat q with
+  | None -> true
+  | Some v ->
+      stats.comparisons <- stats.comparisons + 1;
+      Doc.value_equals doc x v
+
+(* Read the cursor's postings below node id [stop] into [out], keeping
+   the admitted ones, until [out] is full or the windows run out;
+   returns how many were kept.  Runs between windows are skipped by
+   bisection without being examined.  Output stays preorder-sorted. *)
+let scan ~(stats : Stats.t) ~admit c ~stop out =
+  let n = Index.postings_length c.postings in
+  let nw = Array.length c.wins in
+  let limit = Array.length out in
+  let n_out = ref 0 in
+  let go = ref true in
+  (while !go do
+     if !n_out >= limit || c.w >= nw || c.i >= n then go := false
+     else begin
+       let x = Index.posting c.postings c.i in
+       if x > snd c.wins.(c.w) then begin
+         c.w <- c.w + 1;
+         if c.w < nw then
+           c.i <-
+             Index.lower_bound_from c.postings ~from:c.i (fst c.wins.(c.w))
+       end
+       else if x >= stop then go := false
+       else begin
+         c.i <- c.i + 1;
+         stats.server_ops <- stats.server_ops + 1;
+         stats.comparisons <- stats.comparisons + 1;
+         if admit x then begin
+           out.(!n_out) <- x;
+           incr n_out
+         end
+       end
+     end
+   done)
+  [@wp.bounded "every pass advances [c.i] or [c.w], or ends the scan"];
+  !n_out
+
+let prefix xs n = if n = Array.length xs then xs else Array.sub xs 0 n
 
 (* Stack sweep over two preorder-sorted streams: set [flag.(i)] when
    [xs.(i)] has a proper descendant among [ys].  [stack] holds indices
@@ -168,63 +199,105 @@ let parent_set doc (ys : int array) =
     ps;
   Array.sub ps 0 !out
 
-(* Bottom-up match-set evaluation: msets.(q) is the preorder-sorted set
-   of document nodes heading a complete exact embedding of the pattern
-   subtree rooted at q (the root's set additionally honors the root
-   edge, folded into its stream).  Children are evaluated before
-   parents — pattern ids are preorder ranks, so a reverse-id sweep
-   suffices.  Returns [None] when [should_stop] fired. *)
-let eval ~(stats : Stats.t) ~should_stop ~guide (plan : Plan.t) =
+(* Keep, in place, the nodes of [xs] (pattern node [q]'s stream) that
+   head a complete exact embedding of q's pattern subtree, given the
+   match sets of q's children. *)
+let join_node ~(stats : Stats.t) doc pat (msets : int array array) q xs =
+  match Pattern.children pat q with
+  | [] -> xs
+  | kids ->
+      let nx = Array.length xs in
+      let ok_count = Array.make (max 1 nx) 0 in
+      let flag = Array.make (max 1 nx) false in
+      let scratch = Array.make (max 1 nx) 0 in
+      List.iter
+        (fun c ->
+          Array.fill flag 0 nx false;
+          (match Pattern.edge pat c with
+          | Pattern.Ad ->
+              mark_has_descendant ~stats doc xs msets.(c) flag scratch
+          | Pattern.Pc -> merge_mark ~stats xs (parent_set doc msets.(c)) flag);
+          for i = 0 to nx - 1 do
+            if flag.(i) then ok_count.(i) <- ok_count.(i) + 1
+          done)
+        kids;
+      let nkids = List.length kids in
+      let n_keep = ref 0 in
+      for i = 0 to nx - 1 do
+        if ok_count.(i) = nkids then begin
+          xs.(!n_keep) <- xs.(i);
+          incr n_keep
+        end
+      done;
+      prefix xs !n_keep
+
+(* The windowed join.  The root stream is read in windows in document
+   order: the first holds [first] roots and each later one twice as many
+   as the one before.  Per window, msets.(q) is the preorder-sorted set
+   of nodes heading a complete exact embedding of the pattern subtree at
+   q, evaluated bottom-up (pattern ids are preorder ranks, so a
+   reverse-id sweep puts children first) over streams clipped to
+   [first root, max subtree end over the window's roots).  Roots nest,
+   so the last root's end can fall short of an earlier one's.  A node
+   inside a window root's subtree has its whole subtree in that range,
+   so its match-set membership, and every witness below the root, is
+   what the full join computes.  [on_window msets] sees each window's
+   match sets (msets.(0): its matched roots) and returns true to stop.
+   Returns false when [should_stop] fired before a window. *)
+let join ~(stats : Stats.t) ~should_stop ~guide (plan : Plan.t) ~first
+    ~on_window =
   let doc = Index.doc plan.index in
   let pat = plan.pattern in
   let p = Pattern.size pat in
   let sel = Dataguide.select guide pat in
-  let msets = Array.make p [||] in
-  if not sel.satisfiable then Some msets
+  if not sel.satisfiable then true
   else begin
-    let stopped = ref false in
-    (try
-       for q = p - 1 downto 0 do
-         if should_stop () then begin
-           stopped := true;
-           raise Exit
-         end;
-         let xs = build_stream ~stats ~doc ~idx:plan.index ~pat ~sel q in
-         let res =
-           match Pattern.children pat q with
-           | [] -> xs
-           | kids ->
-               let nx = Array.length xs in
-               let ok_count = Array.make (max 1 nx) 0 in
-               let flag = Array.make (max 1 nx) false in
-               let scratch = Array.make (max 1 nx) 0 in
-               List.iter
-                 (fun c ->
-                   Array.fill flag 0 nx false;
-                   (match Pattern.edge pat c with
-                   | Pattern.Ad ->
-                       mark_has_descendant ~stats doc xs msets.(c) flag scratch
-                   | Pattern.Pc ->
-                       merge_mark ~stats xs (parent_set doc msets.(c)) flag);
-                   for i = 0 to nx - 1 do
-                     if flag.(i) then ok_count.(i) <- ok_count.(i) + 1
-                   done)
-                 kids;
-               let nkids = List.length kids in
-               let n_keep = ref 0 in
-               for i = 0 to nx - 1 do
-                 if ok_count.(i) = nkids then begin
-                   xs.(!n_keep) <- xs.(i);
-                   incr n_keep
-                 end
-               done;
-               Array.sub xs 0 !n_keep
-         in
-         msets.(q) <- res;
-         stats.matches_created <- stats.matches_created + Array.length res
-       done
-     with Exit -> ());
-    if !stopped then None else Some msets
+    let postings =
+      Array.init p (fun q -> Index.postings plan.index (Pattern.tag pat q))
+    in
+    let admit = Array.init p (fun q -> admits ~stats ~doc ~pat ~sel q) in
+    let roots = cursor_at postings.(0) sel.windows.(0) 0 in
+    let msets = Array.make p [||] in
+    let rec window w =
+      if should_stop () then false
+      else begin
+        let left = Index.postings_length postings.(0) - roots.i in
+        let xs = Array.make (max 0 (min w left)) 0 in
+        let n = scan ~stats ~admit:admit.(0) roots ~stop:max_int xs in
+        if n = 0 then true
+        else begin
+          let xs = prefix xs n in
+          let lo = xs.(0) in
+          let hi =
+            Array.fold_left (fun m x -> max m (Doc.subtree_end doc x)) lo xs
+          in
+          (* Every pattern node is required: once one match set is
+             empty, no root of the window matches. *)
+          let dead = ref false in
+          for q = p - 1 downto 1 do
+            if not !dead then begin
+              let c = cursor_at postings.(q) sel.windows.(q) lo in
+              let ys =
+                Array.make (max 0 (Index.lower_bound postings.(q) hi - c.i)) 0
+              in
+              let ys = prefix ys (scan ~stats ~admit:admit.(q) c ~stop:hi ys) in
+              let res = join_node ~stats doc pat msets q ys in
+              msets.(q) <- res;
+              stats.matches_created <- stats.matches_created + Array.length res;
+              if Array.length res = 0 then dead := true
+            end
+          done;
+          let res =
+            if !dead then [||] else join_node ~stats doc pat msets 0 xs
+          in
+          msets.(0) <- res;
+          stats.matches_created <- stats.matches_created + Array.length res;
+          if on_window msets || n < w then true
+          else window (if w > max_int / 2 then max_int else 2 * w)
+        end
+      end
+    in
+    window first
   end
 
 (* One witness embedding under a matched root, found greedily: for each
@@ -263,46 +336,53 @@ let witness ~(stats : Stats.t) doc pat (msets : int array array) root =
   bind 0 root;
   b
 
+let guide_of ?guide (plan : Plan.t) =
+  match guide with Some g -> g | None -> Dataguide.of_index plan.index
+
 let match_count ?guide (plan : Plan.t) =
-  let guide =
-    match guide with Some g -> g | None -> Dataguide.of_index plan.index
-  in
-  let stats = Stats.create () in
-  match eval ~stats ~should_stop:Engine.never_stop ~guide plan with
-  | Some msets -> Array.length msets.(0)
-  | None -> 0
+  let count = ref 0 in
+  ignore
+    (join ~stats:(Stats.create ()) ~should_stop:Engine.never_stop
+       ~guide:(guide_of ?guide plan) plan ~first:max_int
+       ~on_window:(fun msets ->
+         count := !count + Array.length msets.(0);
+         false));
+  !count
 
 let run ?(config = Engine.Config.default) ?guide (plan : Plan.t) ~k =
   if k < 1 then invalid_arg "Twig_join.run: k must be >= 1";
   Engine.validate_plan plan;
   let stats = Stats.create () in
   let t0 = Clock.now_ns () in
-  let guide =
-    match guide with Some g -> g | None -> Dataguide.of_index plan.index
-  in
   let doc = Index.doc plan.index in
   let pat = plan.pattern in
-  match
-    eval ~stats ~should_stop:config.Engine.Config.should_stop ~guide plan
-  with
-  | None ->
-      stats.wall_ns <- Int64.sub (Clock.now_ns ()) t0;
-      { Engine.answers = []; stats; partial = true }
-  | Some msets ->
-      let roots = msets.(0) in
-      stats.completed <- Array.length roots;
-      let score = Score_table.max_total plan.scores in
-      let n_ans = min k (Array.length roots) in
-      let answers =
-        List.init n_ans (fun i ->
-            let root = roots.(i) in
+  let score = Score_table.max_total plan.scores in
+  let answers = ref [] and n_ans = ref 0 in
+  let on_window (msets : int array array) =
+    let roots = msets.(0) in
+    stats.completed <- stats.completed + Array.length roots;
+    Array.iter
+      (fun root ->
+        if !n_ans < k then begin
+          incr n_ans;
+          answers :=
             {
               Topk_set.root;
               score;
-              match_id = i + 1;
+              match_id = !n_ans;
               bindings = witness ~stats doc pat msets root;
               progress = Pattern.size pat;
-            })
-      in
-      stats.wall_ns <- Int64.sub (Clock.now_ns ()) t0;
-      { Engine.answers; stats; partial = false }
+            }
+            :: !answers
+        end)
+      roots;
+    !n_ans >= k
+  in
+  let finished =
+    join ~stats ~should_stop:config.Engine.Config.should_stop
+      ~guide:(guide_of ?guide plan) plan ~first:k ~on_window
+  in
+  stats.wall_ns <- Int64.sub (Clock.now_ns ()) t0;
+  if finished then
+    { Engine.answers = List.rev !answers; stats; partial = false }
+  else { Engine.answers = []; stats; partial = true }

@@ -75,6 +75,37 @@ let prop_matches_stdlib_sort =
       in
       Pqueue.drain q = expected)
 
+(* [pop] hands back the top value in a fresh [Some] and nothing else:
+   at most 2 minor words per pop (the option block) over 10,000 pops,
+   which drain in the queue's order (priority, then tie key, both
+   descending, then insertion). *)
+let test_pop_allocation () =
+  let n = 10_000 in
+  let prio i = float_of_int ((i * 7919) mod 101)
+  and tie i = float_of_int (i mod 3) in
+  let q = Pqueue.create () in
+  for i = 0 to n - 1 do
+    Pqueue.push ~tie:(tie i) q (prio i) i
+  done;
+  let order = Array.make n (-1) in
+  let w0 = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    match Pqueue.pop q with Some v -> order.(i) <- v | None -> ()
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words over %d pops" words n)
+    true
+    (words <= float_of_int (2 * n));
+  let expected = Array.init n Fun.id in
+  Array.stable_sort
+    (fun a b ->
+      match Float.compare (prio b) (prio a) with
+      | 0 -> Float.compare (tie b) (tie a)
+      | c -> c)
+    expected;
+  Alcotest.(check (array int)) "drain order unchanged" expected order
+
 let suite =
   [
     Alcotest.test_case "basic" `Quick test_basic;
@@ -82,6 +113,8 @@ let suite =
     Alcotest.test_case "pop_with_priority" `Quick test_pop_with_priority;
     Alcotest.test_case "clear" `Quick test_clear;
     Alcotest.test_case "interleaved" `Quick test_interleaved;
+    Alcotest.test_case "pop allocates only its option" `Quick
+      test_pop_allocation;
     QCheck_alcotest.to_alcotest prop_sorted_drain;
     QCheck_alcotest.to_alcotest prop_matches_stdlib_sort;
   ]

@@ -19,9 +19,31 @@ module Config = Whirlpool.Engine.Config
 
 let exact = Wp_relax.Relaxation.exact
 
+(* Roots that nest: the outer listitem's text child follows the inner
+   listitems' subtrees, so a window holding both sees the outer one
+   match only if its descendant streams reach the outer root's end. *)
+let nested_index =
+  let module Tree = Wp_xml.Tree in
+  let li = Tree.el "listitem" in
+  Index.build
+    (Doc.of_forest ~root_tag:"site"
+       [
+         li
+           [
+             Tree.el "parlist"
+               [
+                 li [ Tree.leaf "text" "a" ];
+                 li [ li [ Tree.leaf "text" "b" ]; Tree.leaf "text" "c" ];
+               ];
+             Tree.leaf "text" "d";
+           ];
+         li [ Tree.leaf "text" "e" ];
+       ])
+
 let indexes () =
   [
     ("books", Fixtures.books_index);
+    ("nested", nested_index);
     ("xmark-default", Lazy.force Fixtures.xmark_index);
     ( "xmark-rich",
       Index.build
@@ -44,6 +66,10 @@ let queries =
     Fixtures.q2d;
     "//keyword";
     "//item[./name and ./incategory]";
+    (* Roots nest: a window's descendant streams must reach the end of
+       its widest root, not of its last one. *)
+    "//parlist[.//parlist]";
+    "//listitem[.//listitem and ./text]";
   ]
 
 let roots (r : Whirlpool.Engine.result) =
@@ -86,6 +112,46 @@ let test_differential_exact () =
               (Fixtures.sorted_scores wp.answers)
               (Fixtures.sorted_scores tw.answers)
           end)
+        queries)
+    (indexes ())
+
+(* The windowed join returns the full join's first k: the same roots in
+   the same order with the same witness bindings.  A run whose k covers
+   every root posting joins one window over the whole document, which
+   is the full join. *)
+let test_windowed_prefix () =
+  let entries (r : Whirlpool.Engine.result) =
+    List.map
+      (fun (e : Whirlpool.Topk_set.entry) -> (e.root, Array.to_list e.bindings))
+      r.answers
+  in
+  List.iter
+    (fun (name, idx) ->
+      List.iter
+        (fun query ->
+          let pat = Fixtures.parse query in
+          let plan = Whirlpool.Run.compile ~config:exact idx pat in
+          let m = Twig_join.match_count plan in
+          let full =
+            Twig_join.run plan ~k:(max 1 (Index.count idx (Pattern.tag pat 0)))
+          in
+          let c msg = Printf.sprintf "%s %s %s" name query msg in
+          Alcotest.(check int) (c "full join finds every match") m
+            (List.length full.answers);
+          List.iter
+            (fun k ->
+              let r = Twig_join.run plan ~k in
+              let c msg = c (Printf.sprintf "k=%d %s" k msg) in
+              Alcotest.(check (list (pair int (list int))))
+                (c "first k of the full join")
+                (List.filteri (fun i _ -> i < k) (entries full))
+                (entries r);
+              Alcotest.(check bool) (c "not partial") false r.partial;
+              let n = List.length r.answers in
+              if r.stats.completed < n || r.stats.completed > m then
+                Alcotest.failf "%s: completed %d outside [%d, %d]"
+                  (c "completed") r.stats.completed n m)
+            (List.sort_uniq compare [ 1; 2; max 1 (m / 2); max 1 m; m + 3 ]))
         queries)
     (indexes ())
 
@@ -166,6 +232,28 @@ let test_should_stop () =
   Alcotest.(check bool) "partial" true r.partial;
   Alcotest.(check (list int)) "no answers" [] (roots r)
 
+(* A stop between windows abandons the run: the first window of k roots
+   holds fewer than k matches, so a second is needed, and the stop that
+   fires before it leaves a partial run with no answers. *)
+let test_stop_after_first_window () =
+  let idx = Lazy.force Fixtures.xmark_index in
+  let plan =
+    Whirlpool.Run.compile ~config:exact idx (Fixtures.parse Fixtures.q2)
+  in
+  let k = Twig_join.match_count plan in
+  let calls = ref 0 in
+  let config =
+    Config.(
+      default
+      |> with_should_stop (fun () ->
+             incr calls;
+             !calls > 1))
+  in
+  let r = Twig_join.run ~config plan ~k in
+  Alcotest.(check int) "asked before each of two windows" 2 !calls;
+  Alcotest.(check bool) "partial" true r.partial;
+  Alcotest.(check (list int)) "no answers" [] (roots r)
+
 (* Backend dispatch: every algo runs and the axis round-trips through
    its wire names. *)
 let test_backend_dispatch () =
@@ -195,7 +283,11 @@ let suite =
       test_relaxations_ignored;
     Alcotest.test_case "witness bindings are real embeddings" `Quick
       test_witnesses;
+    Alcotest.test_case "windowed join = full join's first k" `Quick
+      test_windowed_prefix;
     Alcotest.test_case "should_stop honored" `Quick test_should_stop;
+    Alcotest.test_case "should_stop between windows" `Quick
+      test_stop_after_first_window;
     Alcotest.test_case "backend dispatch + algo round-trip" `Quick
       test_backend_dispatch;
   ]
