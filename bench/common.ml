@@ -162,6 +162,17 @@ let timed_runs ?(runs = 3) f =
   let dts = List.map snd sorted in
   (r, List.nth dts (List.length dts / 2))
 
+(* The median and the interquartile range of 21 timings of [f], in
+   milliseconds, after one warm-up call and a full major collection, so
+   that the samples do not pay for earlier garbage (generating the
+   document, say). *)
+let median_iqr_ms f =
+  ignore (f ());
+  Gc.full_major ();
+  let samples = Array.init 21 (fun _ -> snd (time f) *. 1e3) in
+  Array.sort Float.compare samples;
+  (samples.(10), samples.(15) -. samples.(5))
+
 (* Optional CSV mirroring: when [csv_dir] is set, every exhibit's rows
    are also appended to <dir>/<exhibit-slug>.csv. *)
 let csv_dir : string option ref = ref None

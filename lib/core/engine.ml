@@ -150,111 +150,53 @@ let run_with_floor ~floor (config : Config.t) (plan : Plan.t) ~k =
       (Strategy.priority queue_policy plan ~seq:!seq ~server:None pm)
       pm
   in
-  let below_floor (pm : Partial_match.t) = pm.max_possible < floor in
-  let checking = Invariants.enabled () in
   if queue_policy <> Strategy.Max_final_score then
     List.iter
       (fun pm -> if Seeds.admit seeds topk pm then enqueue pm)
       (Seeds.drain seeds ~next_id);
-  certify ();
-  let process_here (pm : Partial_match.t) server =
-    let { Server.extensions; died } =
-      Server.process plan stats ~next_id pm ~server
-    in
-    if checking then
-      List.iter (Invariants.check_extension plan ~parent:pm) extensions;
-    if died then begin
-      if tracing () then emit (Obs.Died { id = pm.id; server });
-      Topk_set.retract topk pm
-    end;
-    List.iter
-      (fun (ext : Partial_match.t) ->
-        let complete = Partial_match.is_complete ext ~full_mask:plan.full_mask in
-        if tracing () then
-          emit
-            (Obs.Extended
-               {
-                 parent = pm.id;
-                 id = ext.id;
-                 server;
-                 bound = Partial_match.bound ext server <> None;
-               });
-        Topk_set.consider topk ~complete ext;
-        if complete then begin
-          if tracing () then
-            emit (Obs.Completed { id = ext.id; score = ext.score });
-          stats.completed <- stats.completed + 1
-        end
-        else if Topk_set.should_prune topk ext || below_floor ext then begin
-          if tracing () then emit (Obs.Pruned { id = ext.id });
-          stats.matches_pruned <- stats.matches_pruned + 1
-        end
-        else enqueue ext)
-      extensions
+  let trace = if tracing () then Some emit else None in
+  let visit (pm : Partial_match.t) server =
+    Server.settle plan stats topk ~floor ~trace pm ~server
+      (Server.process plan stats ~next_id pm ~server)
+      ~keep:enqueue
   in
-  let process_at (pm : Partial_match.t) server =
-    if not obs_on then process_here pm server
-    else begin
-      let vspan = Obs.child obs ~parent:qspan "visit" in
-      if vspan <> None then cur_span := vspan;
-      let v0 = now_ns () in
-      let c0 = stats.comparisons in
-      process_here pm server;
-      Obs.visit obs ~server
-        ~comparisons:(stats.comparisons - c0)
-        ~ns:(Int64.sub (now_ns ()) v0);
-      Obs.attr obs vspan "server" (float_of_int server);
-      Obs.finish obs vspan;
-      cur_span := qspan
-    end
+  let visit_at (pm : Partial_match.t) server =
+    if not obs_on then visit pm server
+    else
+      Server.profiled obs ~parent:qspan stats ~server (fun vspan ->
+          if vspan <> None then cur_span := vspan;
+          visit pm server;
+          cur_span := qspan)
   in
+  (* Certification points fall between pops: before each step that has
+     work, where the queue and the cursor hold exactly the alive
+     matches.  Deadline / cancellation is checked there too: a stopped
+     run abandons the queue — the top-k set already holds the best
+     answers known so far, returned flagged [partial]. *)
   let stopped = ref false in
-  (* A popped match: re-check it against the threshold, route it and
-     process it. *)
-  let visit (pm : Partial_match.t) =
+  let stop () =
+    certify ();
+    should_stop () && (stopped := true; true)
+  in
+  let popped (pm : Partial_match.t) =
     cert_remove pm;
     if tracing () then
       emit
         (Obs.Popped
-           { id = pm.id; score = pm.score; max_possible = pm.max_possible });
-    if Topk_set.should_prune topk pm || below_floor pm then begin
-      if tracing () then emit (Obs.Pruned { id = pm.id });
-      stats.matches_pruned <- stats.matches_pruned + 1
-    end
-    else begin
-      let server =
-        Strategy.choose_next routing plan ~threshold:(Topk_set.threshold topk) pm
-      in
-      stats.routing_decisions <- stats.routing_decisions + 1;
-      if tracing () then emit (Obs.Routed { id = pm.id; server });
-      process_at pm server
-    end
+           { id = pm.id; score = pm.score; max_possible = pm.max_possible })
   in
   let rec loop () =
-    if Seeds.beats seeds queue then begin
-      if should_stop () then stopped := true
-      else begin
-        (match
-           Seeds.open_next seeds ~threshold:(Topk_set.threshold topk) ~next_id
-         with
-        | Some pm -> if Seeds.admit seeds topk pm then visit pm
-        | None -> ());
-        certify ();
+    match Seeds.pop seeds topk queue ~next_id ~trace ~stop ~popped with
+    | None -> ()
+    | Some pm ->
+        let server =
+          Strategy.choose_next routing plan
+            ~threshold:(Topk_set.threshold topk) pm
+        in
+        stats.routing_decisions <- stats.routing_decisions + 1;
+        if tracing () then emit (Obs.Routed { id = pm.id; server });
+        visit_at pm server;
         loop ()
-      end
-    end
-    else
-      match Pqueue.pop queue with
-      | None -> ()
-      | Some _ when should_stop () ->
-          (* Deadline / cancellation: abandon the popped match and the
-             rest of the queue — the top-k set already holds the best
-             answers known so far, returned flagged [partial]. *)
-          stopped := true
-      | Some pm ->
-          visit pm;
-          certify ();
-          loop ()
   in
   loop ();
   (* A drained run holds no alive matches: everything left is final.

@@ -113,7 +113,9 @@ module Config : sig
 end
 
 val validate_plan : Plan.t -> unit
-(** Static gate run at every engine entry point: raises
+(** Static gate run at every engine entry point ({!run}, {!run_above},
+    [Engine_mt.run], [Lockstep.run] in both variants and
+    [Sim_exec.simulate_m]): raises
     {!Wp_analysis.Lint.Rejected} when the quick lint pass (structural
     well-formedness plus plan consistency — no lattice enumeration)
     reports an error-severity diagnostic for the plan. *)

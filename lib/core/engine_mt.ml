@@ -180,6 +180,35 @@ module Make (S : Sync.S) = struct
           f shared.topk)
     end
 
+  (* Events raised under topk.mutex wait in a per-thread buffer, emitted
+     by [flush] once the lock is released: the Obs mutex (rank 0) ranks
+     below topk.mutex (rank 1). *)
+  let buffered shared =
+    if not (tracing shared) then (None, ignore)
+    else begin
+      let buf = ref [] in
+      ( Some (fun e -> buf := e :: !buf),
+        fun () ->
+          List.iter (emit shared) (List.rev !buf);
+          buf := [] )
+    end
+
+  (* The certification alive set; both run under topk.mutex. *)
+  let alive_add shared pm =
+    match shared.cert with
+    | Some (_, alive) -> Certify.Alive.add alive pm
+    | None -> ()
+
+  let alive_remove shared (pm : Partial_match.t) =
+    match shared.cert with
+    | Some (_, alive) -> Certify.Alive.remove alive pm.id
+    | None -> ()
+
+  (* Under topk.mutex: a pruned match leaves the alive set too. *)
+  let prune shared stats ~trace pm topk =
+    Server.prune stats topk ~floor:Float.neg_infinity ~trace pm
+    && (alive_remove shared pm; true)
+
   (* The router owns the seed cursor and the [pending] token.  Under
      the max-final-score policy it opens the head class's next root
      whenever that beats its queue's top, and routes the seed at once,
@@ -187,6 +216,7 @@ module Make (S : Sync.S) = struct
      live seed first. *)
   let router_loop shared (stats : Stats.t) =
     let next_id () = S.fetch_and_add shared.next_id 1 in
+    let trace, flush = buffered shared in
     let holding = ref true in
     (* Seeds that stay alive join the alive set under the admission
        lock, and [pending] before the token goes. *)
@@ -196,11 +226,8 @@ module Make (S : Sync.S) = struct
         with_topk shared (fun topk ->
             List.filter
               (fun pm ->
-                let keep = Seeds.admit shared.seeds topk pm in
-                (match shared.cert with
-                | Some (_, alive) when keep -> Certify.Alive.add alive pm
-                | Some _ | None -> ());
-                keep)
+                Seeds.admit shared.seeds topk pm
+                && (alive_add shared pm; true))
               pms)
       in
       List.iter (fun _ -> S.incr shared.pending) kept;
@@ -243,12 +270,10 @@ module Make (S : Sync.S) = struct
                  });
           let pruned, threshold, certified =
             with_topk shared (fun topk ->
-                let pruned = Topk_set.should_prune topk pm in
+                let pruned = prune shared stats ~trace pm topk in
                 let certified =
                   match shared.cert with
                   | Some (c, alive) ->
-                      if pruned then
-                        Certify.Alive.remove alive pm.Partial_match.id;
                       (* The unopened roots are alive too. *)
                       Certify.newly_certified c topk
                         ~bound:
@@ -258,17 +283,13 @@ module Make (S : Sync.S) = struct
                 in
                 (pruned, Topk_set.threshold topk, certified))
           in
+          flush ();
           (* Stream outside the lock: the callback may block on a
              socket.  Only this thread emits, so order is total. *)
           (match shared.cert with
           | Some (c, _) -> List.iter (Certify.emit c) certified
           | None -> ());
-          if pruned then begin
-            if tracing shared then
-              emit shared (Obs.Pruned { id = pm.Partial_match.id });
-            stats.matches_pruned <- stats.matches_pruned + 1;
-            retire shared
-          end
+          if pruned then retire shared
           else begin
             let server =
               Strategy.choose_next shared.routing shared.plan ~threshold pm
@@ -286,6 +307,14 @@ module Make (S : Sync.S) = struct
 
   let server_loop shared server ~stats_loc (stats : Stats.t) =
     let next_id () = S.fetch_and_add shared.next_id 1 in
+    let trace, flush = buffered shared in
+    (* A surviving extension enters the certification alive set under
+       the same lock as the keep decision. *)
+    let kept = ref [] in
+    let keep ext =
+      alive_add shared ext;
+      kept := ext :: !kept
+    in
     let rec loop () =
       match
         Shared_queue.pop shared.server_queues.(server)
@@ -295,108 +324,28 @@ module Make (S : Sync.S) = struct
       | Some _ when check_deadline shared -> loop ()
       | Some pm ->
           S.note_write stats_loc;
-          let pruned =
-            with_topk shared (fun topk ->
-                let pruned = Topk_set.should_prune topk pm in
-                (match shared.cert with
-                | Some (_, alive) when pruned ->
-                    Certify.Alive.remove alive pm.Partial_match.id
-                | Some _ | None -> ());
-                pruned)
-          in
-          if pruned then begin
-            if tracing shared then
-              emit shared (Obs.Pruned { id = pm.Partial_match.id });
-            stats.matches_pruned <- stats.matches_pruned + 1;
-            retire shared
-          end
+          let pruned = with_topk shared (prune shared stats ~trace pm) in
+          flush ();
+          if pruned then retire shared
           else begin
-            let vspan =
-              if shared.obs_on then
-                Obs.child shared.obs ~parent:shared.qspan "visit"
-              else None
+            let outcome =
+              if not shared.obs_on then
+                Server.process shared.plan stats ~next_id pm ~server
+              else
+                Server.profiled shared.obs ~parent:shared.qspan stats ~server
+                  (fun _ -> Server.process shared.plan stats ~next_id pm ~server)
             in
-            let v0 = if shared.obs_on then Clock.now_ns () else 0L in
-            let c0 = stats.comparisons in
-            let { Server.extensions; died } =
-              Server.process shared.plan stats ~next_id pm ~server
-            in
-            if shared.obs_on then begin
-              Obs.visit shared.obs ~server
-                ~comparisons:(stats.comparisons - c0)
-                ~ns:(Int64.sub (Clock.now_ns ()) v0);
-              Obs.attr shared.obs vspan "server" (float_of_int server);
-              Obs.finish shared.obs vspan
-            end;
-            if Invariants.enabled () then
-              List.iter
-                (Invariants.check_extension shared.plan ~parent:pm)
-                extensions;
-            if died then begin
-              if tracing shared then
-                emit shared (Obs.Died { id = pm.Partial_match.id; server });
-              with_topk shared (fun topk -> Topk_set.retract topk pm)
-            end;
-            let alive =
-              List.filter_map
-                (fun ext ->
-                  let complete =
-                    Partial_match.is_complete ext
-                      ~full_mask:shared.plan.full_mask
-                  in
-                  if tracing shared then
-                    emit shared
-                      (Obs.Extended
-                         {
-                           parent = pm.Partial_match.id;
-                           id = ext.Partial_match.id;
-                           server;
-                           bound = Partial_match.bound ext server <> None;
-                         });
-                  (* A surviving extension enters the certification
-                     alive set under the same lock as the keep
-                     decision. *)
-                  let keep =
-                    with_topk shared (fun topk ->
-                        Topk_set.consider topk ~complete ext;
-                        let keep =
-                          (not complete)
-                          && not (Topk_set.should_prune topk ext)
-                        in
-                        (match shared.cert with
-                        | Some (_, alive) when keep ->
-                            Certify.Alive.add alive ext
-                        | Some _ | None -> ());
-                        keep)
-                  in
-                  if complete then begin
-                    if tracing shared then
-                      emit shared
-                        (Obs.Completed
-                           { id = ext.Partial_match.id; score = ext.score });
-                    stats.completed <- stats.completed + 1;
-                    None
-                  end
-                  else if keep then Some ext
-                  else begin
-                    if tracing shared then
-                      emit shared (Obs.Pruned { id = ext.Partial_match.id });
-                    stats.matches_pruned <- stats.matches_pruned + 1;
-                    None
-                  end)
-                extensions
-            in
-            (* The consumed match leaves the certification alive set
-               only after its surviving extensions entered it (above,
-               under the consider lock) — the same
-               register-before-retire discipline as [pending], so the
-               certification bar never dips below a score that a
-               descendant could still reach. *)
-            (match shared.cert with
-            | Some (_, alive) ->
-                with_topk shared (fun _ ->
-                    Certify.Alive.remove alive pm.Partial_match.id)
-            | None -> ());
+            (* One top-k lock per visit.  The consumed match leaves the
+               certification alive set only after its surviving
+               extensions entered it — the same register-before-retire
+               discipline as [pending], so the certification bar never
+               dips below a score that a descendant could still
+               reach. *)
+            with_topk shared (fun topk ->
+                Server.settle shared.plan stats topk
+                  ~floor:Float.neg_infinity ~trace pm ~server outcome ~keep;
+                alive_remove shared pm);
+            flush ();
             (* Register the new in-flight matches before retiring the
                consumed one, so the count never dips to zero early.
                (The Retire_early / Skip_pending_incr faults break
@@ -408,7 +357,8 @@ module Make (S : Sync.S) = struct
                 Shared_queue.push shared.router_queue
                   ~tie:ext.Partial_match.score
                   ~priority_of:(router_priority shared) ext)
-              alive;
+              (List.rev !kept);
+            kept := [];
             if not shared.retire_early then retire shared
           end;
           loop ()

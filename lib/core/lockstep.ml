@@ -9,44 +9,34 @@ let run ?order ?(queue_policy = Strategy.Max_final_score) ?(prune = true)
   in
   if Array.length order <> plan.n_servers - 1 then
     invalid_arg "Lockstep.run: order must cover every non-root server";
+  Engine.validate_plan plan;
   let stats = Stats.create () in
   let t0 = now_ns () in
   let topk = Topk_set.create ~k ~admit_partial:(Plan.admits_partial_answers plan) in
+  let floor = Float.neg_infinity in
   let next_id =
     let n = ref 0 in
     fun () -> incr n; !n
   in
   let seq = ref 0 in
   let stopped = ref false in
-  let consider_and_keep pm =
-    let complete = Partial_match.is_complete pm ~full_mask:plan.full_mask in
-    if prune then Topk_set.consider topk ~complete pm;
-    if complete then begin
-      stats.completed <- stats.completed + 1;
-      None
-    end
-    else if prune && Topk_set.should_prune topk pm then begin
-      stats.matches_pruned <- stats.matches_pruned + 1;
-      None
-    end
-    else Some pm
-  in
+  (* LockStep-NoPrun offers nothing to the top-k set: its completed
+     matches wait for a final sort. *)
   let completed_noprune = ref [] in
-  (* In the no-pruning variant, completed matches are collected and the
-     winners picked by a final sort. *)
-  let collect pm =
-    if Partial_match.is_complete pm ~full_mask:plan.full_mask then
-      completed_noprune := pm :: !completed_noprune
+  let noprune_alive pm =
+    if Partial_match.is_complete pm ~full_mask:plan.full_mask then begin
+      stats.completed <- stats.completed + 1;
+      completed_noprune := pm :: !completed_noprune;
+      false
+    end
+    else true
   in
-  let handle pm =
-    match consider_and_keep pm with
-    | Some alive -> Some alive
-    | None ->
-        if not prune then collect pm;
-        None
-  in
+  let seeds = Seeds.create plan stats in
   let current =
-    ref (List.filter_map handle (Seeds.drain (Seeds.create plan stats) ~next_id))
+    ref
+      (List.filter
+         (if prune then Seeds.admit seeds topk else noprune_alive)
+         (Seeds.drain seeds ~next_id))
   in
   Array.iter
     (fun server ->
@@ -59,6 +49,7 @@ let run ?order ?(queue_policy = Strategy.Max_final_score) ?(prune = true)
             pm)
         !current;
       let survivors = ref [] in
+      let keep ext = survivors := ext :: !survivors in
       (let rec drain () =
         match Pqueue.pop stage with
         | None -> ()
@@ -68,20 +59,17 @@ let run ?order ?(queue_policy = Strategy.Max_final_score) ?(prune = true)
                answers known so far are returned flagged [partial]. *)
             stopped := true
         | Some pm ->
-            if prune && Topk_set.should_prune topk pm then
-              stats.matches_pruned <- stats.matches_pruned + 1
-            else begin
+            if not (prune && Server.prune stats topk ~floor ~trace:None pm)
+            then begin
               stats.routing_decisions <- stats.routing_decisions + 1;
-              let { Server.extensions; died } =
-                Server.process plan stats ~next_id pm ~server
-              in
-              if died && prune then Topk_set.retract topk pm;
-              List.iter
-                (fun ext ->
-                  match handle ext with
-                  | Some alive -> survivors := alive :: !survivors
-                  | None -> ())
-                extensions
+              let outcome = Server.process plan stats ~next_id pm ~server in
+              if prune then
+                Server.settle plan stats topk ~floor ~trace:None pm ~server
+                  outcome ~keep
+              else
+                List.iter
+                  (fun ext -> if noprune_alive ext then keep ext)
+                  outcome.extensions
             end;
             drain ()
       in

@@ -25,4 +25,5 @@ val run :
     to [true].  [should_stop] (default {!Engine.never_stop}) is checked
     at every staged pop, as {!Engine.run} checks it per iteration; once
     it fires no further match is processed in this or any later stage,
-    and the answers known so far are returned with [partial = true]. *)
+    and the answers known so far are returned with [partial = true].
+    @raise Wp_analysis.Lint.Rejected as {!Engine.validate_plan}. *)

@@ -64,12 +64,26 @@ let open_next t ~threshold ~next_id =
    the floor is pruned. *)
 let admit t topk (pm : Partial_match.t) =
   if Invariants.enabled () then Invariants.check_root t.plan pm;
-  let complete = t.plan.n_servers = 1 in
-  Topk_set.consider topk ~complete pm;
-  let pruned = Topk_set.should_prune topk pm || pm.max_possible < t.floor in
-  if complete then t.stats.completed <- t.stats.completed + 1
-  else if pruned then t.stats.matches_pruned <- t.stats.matches_pruned + 1;
-  not (complete || pruned)
+  Server.offer t.plan t.stats topk ~floor:t.floor ~trace:None pm
+
+let rec pop t topk queue ~next_id ~trace ~stop ~popped =
+  if beats t queue then
+    if stop () then None
+    else
+      match open_next t ~threshold:(Topk_set.threshold topk) ~next_id with
+      | Some pm as seed when admit t topk pm ->
+          popped pm;
+          seed
+      | Some _ | None -> pop t topk queue ~next_id ~trace ~stop ~popped
+  else if Pqueue.is_empty queue || stop () then None
+  else
+    match Pqueue.pop queue with
+    | None -> None
+    | Some pm as top ->
+        popped pm;
+        if Server.prune t.stats topk ~floor:t.floor ~trace pm then
+          pop t topk queue ~next_id ~trace ~stop ~popped
+        else top
 
 let drain t ~next_id =
   let seeds = t.plan.seeds in

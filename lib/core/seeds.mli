@@ -1,6 +1,7 @@
 (** The root server, as a cursor over a plan's seed classes
     ({!Plan.seeds}), in the order a max-final-score queue holding every
-    seed would pop them.  Every engine seeds through it. *)
+    seed would pop them.  Every engine seeds through it, and
+    Whirlpool-S and the simulator's router pop through it ({!pop}). *)
 
 type t
 
@@ -26,7 +27,20 @@ val open_next :
     dies whole instead, its roots counted as pruned: [None]. *)
 
 val admit : t -> Topk_set.t -> Partial_match.t -> bool
-(** Offer a fresh seed to the top-k set; true when it stays alive. *)
+(** Offer a fresh seed to the top-k set through {!Server.offer} (the
+    floor is the cursor's); true when it stays alive. *)
+
+val pop :
+  t -> Topk_set.t -> Partial_match.t Pqueue.t -> next_id:(unit -> int) ->
+  trace:Server.trace -> stop:(unit -> bool) ->
+  popped:(Partial_match.t -> unit) -> Partial_match.t option
+(** The next match to visit: the head class's next root ({!open_next},
+    {!admit}) when it {!beats} the queue's top, else the queue's top
+    unless {!Server.prune} drops it under the cursor's floor.  Dead
+    seeds and pruned pops are skipped, re-checking the cursor after
+    each.  [popped] sees each match handed out or pruned, before the
+    prune test; [stop] runs before each step that has work, and true
+    ends the pop.  [None] once nothing is left or [stop] fired. *)
 
 val drain : t -> next_id:(unit -> int) -> Partial_match.t list
 (** Every live root's seed, in document order, leaving no class.

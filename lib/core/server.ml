@@ -4,6 +4,7 @@ module Relation = Wp_relax.Relation
 module Server_spec = Wp_relax.Server_spec
 module Score_table = Wp_score.Score_table
 module Pattern = Wp_pattern.Pattern
+module Obs = Wp_obs.Obs
 
 module Relaxation = Wp_relax.Relaxation
 
@@ -169,3 +170,73 @@ let process (plan : Plan.t) (stats : Stats.t) ~next_id (pm : Partial_match.t)
       stats.matches_created <- stats.matches_created + List.length extensions;
       { extensions; died = false }
 [@@wp.hot]
+
+(* A visit under a [visit] child span, with its cost-profile entry. *)
+let profiled obs ~parent (stats : Stats.t) ~server f =
+  let vspan = Obs.child obs ~parent "visit" in
+  let v0 = Clock.now_ns () and c0 = stats.comparisons in
+  let r = f vspan in
+  Obs.visit obs ~server
+    ~comparisons:(stats.comparisons - c0)
+    ~ns:(Int64.sub (Clock.now_ns ()) v0);
+  Obs.attr obs vspan "server" (float_of_int server);
+  Obs.finish obs vspan;
+  r
+
+(* The visit bookkeeping every engine shares.  Every event site tests
+   [trace] before building the event. *)
+
+type trace = (Obs.event -> unit) option
+
+let prune (stats : Stats.t) topk ~floor ~trace (pm : Partial_match.t) =
+  (Topk_set.should_prune topk pm || pm.max_possible < floor)
+  && begin
+       (match trace with Some f -> f (Obs.Pruned { id = pm.id }) | None -> ());
+       stats.matches_pruned <- stats.matches_pruned + 1;
+       true
+     end
+
+let offer (plan : Plan.t) (stats : Stats.t) topk ~floor ~trace
+    (pm : Partial_match.t) =
+  let complete = Partial_match.is_complete pm ~full_mask:plan.full_mask in
+  Topk_set.consider topk ~complete pm;
+  if complete then begin
+    (match trace with
+    | Some f -> f (Obs.Completed { id = pm.id; score = pm.score })
+    | None -> ());
+    stats.completed <- stats.completed + 1;
+    false
+  end
+  else not (prune stats topk ~floor ~trace pm)
+
+(* A top-level walk rather than [List.iter] over a closure: settling
+   allocates nothing of its own. *)
+let rec settle_each plan stats topk ~floor ~trace ~keep
+    (parent : Partial_match.t) ~server = function
+  | [] -> ()
+  | (ext : Partial_match.t) :: rest ->
+      (match trace with
+      | Some f ->
+          f
+            (Obs.Extended
+               {
+                 parent = parent.id;
+                 id = ext.id;
+                 server;
+                 bound = Partial_match.bound ext server <> None;
+               })
+      | None -> ());
+      if offer plan stats topk ~floor ~trace ext then keep ext;
+      settle_each plan stats topk ~floor ~trace ~keep parent ~server rest
+
+let settle plan stats topk ~floor ~trace (parent : Partial_match.t) ~server
+    { extensions; died } ~keep =
+  if Invariants.enabled () then
+    List.iter (Invariants.check_extension plan ~parent) extensions;
+  if died then begin
+    (match trace with
+    | Some f -> f (Obs.Died { id = parent.id; server })
+    | None -> ());
+    Topk_set.retract topk parent
+  end;
+  settle_each plan stats topk ~floor ~trace ~keep parent ~server extensions

@@ -42,6 +42,8 @@ let simulate_m ?(routing = Strategy.Min_alive)
     ?(queue_policy = Strategy.Max_final_score) ~costs ~processors
     (plan : Plan.t) ~k =
   if processors < 1 then invalid_arg "Sim_exec.simulate_m: processors >= 1";
+  Engine.validate_plan plan;
+  let floor = Float.neg_infinity in
   let stats = Stats.create () in
   let topk = Topk_set.create ~k ~admit_partial:(Plan.admits_partial_answers plan) in
   let next_id =
@@ -86,27 +88,16 @@ let simulate_m ?(routing = Strategy.Min_alive)
   (* Pop the next match a thread should actually work on: consulting the
      top-k set is part of picking work up, so matches pruned here cost no
      simulated time — exactly as the real servers check the set before
-     processing. *)
+     processing.  The router pops through the seed cursor, as
+     Whirlpool-S does; seeds that die cost no time. *)
   let rec pop_alive th =
     match Pqueue.pop th.queue with
-    | None -> None
-    | Some pm ->
-        if Topk_set.should_prune topk pm then begin
-          stats.matches_pruned <- stats.matches_pruned + 1;
-          pop_alive th
-        end
-        else Some pm
+    | Some pm when Server.prune stats topk ~floor ~trace:None pm -> pop_alive th
+    | top -> top
   in
-  (* The router opens the head class's next root when that wins the pop,
-     as the engine's router does; seeds that die cost no time. *)
-  let rec pop_router () =
-    if Seeds.beats seeds threads.(0).queue then
-      match
-        Seeds.open_next seeds ~threshold:(Topk_set.threshold topk) ~next_id
-      with
-      | Some pm when Seeds.admit seeds topk pm -> Some pm
-      | Some _ | None -> pop_router ()
-    else pop_alive threads.(0)
+  let pop_router () =
+    Seeds.pop seeds topk threads.(0).queue ~next_id ~trace:None
+      ~stop:Engine.never_stop ~popped:ignore
   in
   let dispatch now =
     while !free_cpus > 0 && not (Queue.is_empty ready) do
@@ -131,20 +122,10 @@ let simulate_m ?(routing = Strategy.Min_alive)
     stats.routing_decisions <- stats.routing_decisions + 1;
     enqueue server pm
   in
-  let handle_server s pm =
-    let { Server.extensions; died } =
-      Server.process plan stats ~next_id pm ~server:s
-    in
-    if died then Topk_set.retract topk pm;
-    List.iter
-      (fun ext ->
-        let complete = Partial_match.is_complete ext ~full_mask:plan.full_mask in
-        Topk_set.consider topk ~complete ext;
-        if complete then stats.completed <- stats.completed + 1
-        else if Topk_set.should_prune topk ext then
-          stats.matches_pruned <- stats.matches_pruned + 1
-        else enqueue 0 ext)
-      extensions
+  let handle_server server pm =
+    Server.settle plan stats topk ~floor ~trace:None pm ~server
+      (Server.process plan stats ~next_id pm ~server)
+      ~keep:(enqueue 0)
   in
   if queue_policy <> Strategy.Max_final_score then
     List.iter

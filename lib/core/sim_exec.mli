@@ -47,5 +47,6 @@ val simulate_m :
   result
 (** Event-driven simulation of the Whirlpool-M architecture on
     [processors] virtual CPUs ([max_int] models the paper's "infinite"
-    machine).  Its router opens roots through {!Seeds} as the engine's
-    router does. *)
+    machine).  Its router pops through {!Seeds.pop}, as Whirlpool-S
+    does, and its servers settle visits through {!Server.settle}.
+    @raise Wp_analysis.Lint.Rejected as {!Engine.validate_plan}. *)

@@ -263,6 +263,16 @@ let test_engines_reject_corrupted_plan () =
     (rejected (fun () -> ignore (Whirlpool.Engine.run_above bad ~threshold:0.0)));
   Alcotest.(check bool) "Engine_mt.run rejects" true
     (rejected (fun () -> ignore (Whirlpool.Engine_mt.run bad ~k:3)));
+  Alcotest.(check bool) "Lockstep.run rejects" true
+    (rejected (fun () -> ignore (Whirlpool.Lockstep.run bad ~k:3)));
+  Alcotest.(check bool) "Lockstep.run ~prune:false rejects" true
+    (rejected (fun () -> ignore (Whirlpool.Lockstep.run ~prune:false bad ~k:3)));
+  Alcotest.(check bool) "Sim_exec.simulate_m rejects" true
+    (rejected (fun () ->
+         ignore
+           (Whirlpool.Sim_exec.simulate_m
+              ~costs:{ op_cost = 1.0; route_cost = 0.0 }
+              ~processors:2 bad ~k:3)));
   (* The uncorrupted plan still runs. *)
   Alcotest.(check bool) "valid plan accepted" false
     (rejected (fun () -> ignore (Whirlpool.Engine.run plan ~k:3)))

@@ -118,8 +118,119 @@ let prop_run_above_consistent_with_top_k =
           roots above = roots expected && close (scores above) (scores expected))
         [ Wp_relax.Relaxation.all; Wp_relax.Relaxation.exact ])
 
+(* Every created match ends exactly once: killed at the root server by
+   a required server, pruned, completed, or consumed by one non-root
+   server visit.  A drained run of any engine obeys
+   [created = (roots - seeds) + pruned + completed + (server_ops - 1)]
+   over every fixture query, relaxation configuration, k and queue
+   policy. *)
+let test_counter_law () =
+  let bools = [ false; true ] in
+  let configs =
+    List.concat_map
+      (fun edge_generalization ->
+        List.concat_map
+          (fun leaf_deletion ->
+            List.concat_map
+              (fun subtree_promotion ->
+                List.map
+                  (fun value_relaxation ->
+                    {
+                      Wp_relax.Relaxation.edge_generalization;
+                      leaf_deletion;
+                      subtree_promotion;
+                      value_relaxation;
+                    })
+                  bools)
+              bools)
+          bools)
+      bools
+  in
+  let queries =
+    List.map (fun q -> (Fixtures.books_index, q))
+      Fixtures.[ q2a; q2b; q2c; q2d ]
+    @ List.map
+        (fun q -> (Lazy.force Fixtures.xmark_index, q))
+        Fixtures.adhoc_queries
+  in
+  let costs = { Sim_exec.op_cost = 1e-3; route_cost = 1e-5 } in
+  let sim processors ~policy plan ~k =
+    (Sim_exec.simulate_m ~queue_policy:policy ~costs ~processors plan ~k)
+      .engine
+  in
+  let ws ~policy plan ~k =
+    Engine.run ~config:Engine.Config.(default |> with_queue_policy policy) plan ~k
+  in
+  let wm ~policy plan ~k =
+    let config = Engine.Config.(default |> with_queue_policy policy) in
+    match
+      (Sched.run ~choose:(Sched.random ~seed:k) (fun sync ->
+           let module E = Engine_mt.Make ((val sync : Sync.S)) in
+           E.run ~config plan ~k))
+        .value
+    with
+    | Ok r -> r
+    | Error e -> raise e
+  in
+  let lockstep ~prune ~policy plan ~k =
+    Lockstep.run ~queue_policy:policy ~prune plan ~k
+  in
+  (* The cheap engines run the whole grid; the slower ones k = 5 under
+     two policies. *)
+  let every_policy =
+    Strategy.[ Fifo; Current_score; Max_next_score; Max_final_score ]
+  in
+  let full = (every_policy, [ 1; 5; 15 ])
+  and some = (Strategy.[ Fifo; Max_final_score ], [ 5 ]) in
+  let engines =
+    [
+      ("whirlpool-s", full, ws);
+      ("sim 1 cpu", full, sim 1);
+      ("sim 2 cpus", full, sim 2);
+      ("sim inf cpus", full, sim max_int);
+      ("whirlpool-m (sched)", some, wm);
+      ("lockstep", some, lockstep ~prune:true);
+      ("lockstep-noprun", some, lockstep ~prune:false);
+    ]
+  in
+  let failures = ref [] in
+  let check name q (plan : Plan.t) ~k (s : Stats.t) =
+    let ended =
+      Array.length plan.roots - Plan.n_seeds plan
+      + s.matches_pruned + s.completed + (s.server_ops - 1)
+    in
+    if s.matches_created <> ended then
+      failures :=
+        Printf.sprintf "%s %s k=%d: created %d, accounted %d" name q k
+          s.matches_created ended
+        :: !failures
+  in
+  List.iter
+    (fun (idx, q) ->
+      List.iter
+        (fun config ->
+          let plan = Run.compile ~config idx (Fixtures.parse q) in
+          List.iter
+            (fun threshold ->
+              check "run_above" q plan ~k:0
+                (Engine.run_above plan ~threshold).stats)
+            [ 0.0; 1.0 ];
+          List.iter
+            (fun (name, (policies, ks), run) ->
+              List.iter
+                (fun policy ->
+                  List.iter
+                    (fun k -> check name q plan ~k (run ~policy plan ~k).Engine.stats)
+                    ks)
+                policies)
+            engines)
+        configs)
+    queries;
+  Alcotest.(check (list string)) "runs breaking the law" [] (List.rev !failures)
+
 let suite =
-  List.map QCheck_alcotest.to_alcotest
+  Alcotest.test_case "counter law: every engine" `Quick test_counter_law
+  :: List.map QCheck_alcotest.to_alcotest
     [
       prop_engine_equals_noprun;
       prop_lockstep_equals_noprun;

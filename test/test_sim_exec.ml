@@ -72,8 +72,26 @@ let test_invalid_processors () =
     (Invalid_argument "Sim_exec.simulate_m: processors >= 1") (fun () ->
       ignore (Sim_exec.simulate_m ~costs ~processors:0 plan ~k:3))
 
+(* Once the router prunes its queue's top it must check the seed cursor
+   again before popping on: a queue that pruning empties must still open
+   or kill every class left, so every created match is accounted for
+   (the counter law of the properties suite). *)
+let test_router_rechecks_cursor_after_prune () =
+  let plan = Run.compile idx (parse "//item[./payment and ./shipping and ./name]") in
+  List.iter
+    (fun processors ->
+      let s = (Sim_exec.simulate_m ~costs ~processors plan ~k:1).engine.stats in
+      Alcotest.(check int)
+        (Printf.sprintf "%d cpus: created = accounted" processors)
+        s.matches_created
+        (Array.length plan.roots - Plan.n_seeds plan + s.matches_pruned
+       + s.completed + (s.server_ops - 1)))
+    [ 1; 2 ]
+
 let suite =
   [
+    Alcotest.test_case "router re-checks the cursor after a prune" `Quick
+      test_router_rechecks_cursor_after_prune;
     Alcotest.test_case "sequential pricing" `Quick test_sequential_pricing;
     Alcotest.test_case "parallel speedup" `Quick test_parallel_speedup;
     Alcotest.test_case "makespan bounds" `Quick test_makespan_bounds;
