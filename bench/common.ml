@@ -150,18 +150,6 @@ let time f =
   let r = f () in
   (r, Whirlpool.Clock.now () -. t0)
 
-(* Robust wall-clock: median of [runs] runs (first run warms caches). *)
-let timed_runs ?(runs = 3) f =
-  let samples =
-    List.init runs (fun _ ->
-        let r, dt = time f in
-        (r, dt))
-  in
-  let sorted = List.sort (fun (_, a) (_, b) -> Float.compare a b) samples in
-  let r, _ = List.hd sorted in
-  let dts = List.map snd sorted in
-  (r, List.nth dts (List.length dts / 2))
-
 (* The median and the interquartile range of 21 timings of [f], in
    milliseconds, after one warm-up call and a full major collection, so
    that the samples do not pay for earlier garbage (generating the
@@ -223,6 +211,7 @@ let print_row widths cells =
     !csv_channel
 
 let fsec dt = Printf.sprintf "%.4fs" dt
+let fms_iqr (ms, iqr) = Printf.sprintf "%.3f (%.3f)" ms iqr
 let fint = string_of_int
 let fratio r = Printf.sprintf "%.2fx" r
 

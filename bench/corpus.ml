@@ -21,8 +21,8 @@ let run (scale : Common.scale) =
   Common.header "Dataset sensitivity: the DBLP-style corpus";
   let idx = dblp_index scale.default_size in
   let k = scale.default_k in
-  let widths = [ 8; 18; 14; 12; 12 ] in
-  Common.print_row widths [ "query"; "technique"; "time"; "ops"; "created" ];
+  let widths = [ 8; 18; 18; 12; 12 ] in
+  Common.print_row widths [ "query"; "technique"; "ms (IQR)"; "ops"; "created" ];
   List.iter
     (fun (qname, q) ->
       let plan =
@@ -30,10 +30,10 @@ let run (scale : Common.scale) =
       in
       List.iter
         (fun (tname, f) ->
-          let (r : Whirlpool.Engine.result), dt = Common.timed_runs f in
+          let (r : Whirlpool.Engine.result) = f () in
           Common.print_row widths
             [
-              qname; tname; Common.fsec dt;
+              qname; tname; Common.fms_iqr (Common.median_iqr_ms f);
               Common.fint r.stats.server_ops;
               Common.fint r.stats.matches_created;
             ])

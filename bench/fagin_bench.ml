@@ -10,30 +10,29 @@
 let run (scale : Common.scale) =
   Common.header "Baseline: Threshold Algorithm (Fagin) vs Whirlpool-S";
   let k = scale.default_k in
-  let widths = [ 8; 12; 12; 12; 12; 12; 12; 12 ] in
+  let widths = [ 8; 12; 18; 12; 12; 12; 18; 12 ] in
   Common.print_row widths
-    [ "query"; "build"; "TA time"; "sorted"; "random"; "NRA sorted"; "W-S time";
-      "W-S ops" ];
+    [ "query"; "build"; "TA ms (IQR)"; "sorted"; "random"; "NRA sorted";
+      "W-S ms (IQR)"; "W-S ops" ];
   List.iter
     (fun (qname, q) ->
       let plan = Common.plan_for ~size:scale.default_size q in
       let lists, build_dt =
         Common.time (fun () -> Whirlpool.Fagin.build_lists plan)
       in
-      let ta, ta_dt = Common.timed_runs (fun () -> Whirlpool.Fagin.top_k lists ~k) in
+      let run_ta () = Whirlpool.Fagin.top_k lists ~k in
+      let run_ws () = Whirlpool.Engine.run plan ~k in
+      let ta = run_ta () and ws = run_ws () in
       let nra = Whirlpool.Fagin.top_k_nra lists ~k in
-      let (ws : Whirlpool.Engine.result), ws_dt =
-        Common.timed_runs (fun () -> Whirlpool.Engine.run plan ~k)
-      in
       Common.print_row widths
         [
           qname;
           Common.fsec build_dt;
-          Common.fsec ta_dt;
+          Common.fms_iqr (Common.median_iqr_ms run_ta);
           Common.fint ta.sorted_accesses;
           Common.fint ta.random_accesses;
           Common.fint nra.sorted_accesses;
-          Common.fsec ws_dt;
+          Common.fms_iqr (Common.median_iqr_ms run_ws);
           Common.fint ws.stats.server_ops;
         ])
     Common.queries;

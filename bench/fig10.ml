@@ -4,23 +4,22 @@
 
 let run (scale : Common.scale) =
   Common.header "Figure 10: execution time vs k and query size";
-  let widths = [ 8; 6; 14; 14; 12; 12 ] in
+  let widths = [ 8; 6; 18; 18; 12; 12 ] in
   Common.print_row widths
-    [ "query"; "k"; "Whirlpool-S"; "Whirlpool-M"; "W-S ops"; "W-M ops" ];
+    [ "query"; "k"; "W-S ms (IQR)"; "W-M ms (IQR)"; "W-S ops"; "W-M ops" ];
   List.iter
     (fun (qname, q) ->
       let plan = Common.plan_for ~size:scale.default_size q in
       List.iter
         (fun k ->
-          let (rs : Whirlpool.Engine.result), ts =
-            Common.timed_runs (fun () -> Whirlpool.Engine.run plan ~k)
-          in
-          let (rm : Whirlpool.Engine.result), tm =
-            Common.timed_runs (fun () -> Whirlpool.Engine_mt.run plan ~k)
-          in
+          let ws () = Whirlpool.Engine.run plan ~k in
+          let wm () = Whirlpool.Engine_mt.run plan ~k in
+          let rs = ws () and rm = wm () in
           Common.print_row widths
             [
-              qname; Common.fint k; Common.fsec ts; Common.fsec tm;
+              qname; Common.fint k;
+              Common.fms_iqr (Common.median_iqr_ms ws);
+              Common.fms_iqr (Common.median_iqr_ms wm);
               Common.fint rs.stats.server_ops; Common.fint rm.stats.server_ops;
             ])
         scale.ks)

@@ -17,7 +17,6 @@ let run (scale : Common.scale) =
   Common.header "Figure 11: execution time vs document size (k = 15)";
   let k = scale.default_k in
   let widths = [ 8; 8; 16; 16; 10; 10; 10; 10; 10; 16; 10; 18 ] in
-  let ms_iqr (ms, iqr) = Printf.sprintf "%.3f (%.3f)" ms iqr in
   Common.print_row widths
     [
       "query"; "doc"; "W-S ms (IQR)"; "W-M ms (IQR)"; "W-S ops"; "W-M ops";
@@ -36,15 +35,15 @@ let run (scale : Common.scale) =
           Common.print_row widths
             [
               qname; slabel;
-              ms_iqr (Common.median_iqr_ms ws);
-              ms_iqr (Common.median_iqr_ms wm);
+              Common.fms_iqr (Common.median_iqr_ms ws);
+              Common.fms_iqr (Common.median_iqr_ms wm);
               Common.fint rs.stats.server_ops; Common.fint rm.stats.server_ops;
               Common.fint (Array.length plan.roots);
               Common.fint rs.stats.seeds_materialized;
               Common.fint rm.stats.seeds_materialized;
-              ms_iqr (Common.median_iqr_ms twig);
+              Common.fms_iqr (Common.median_iqr_ms twig);
               Common.fint (twig ()).stats.server_ops;
-              ms_iqr (compile_ms ~size q);
+              Common.fms_iqr (compile_ms ~size q);
             ])
         scale.sizes)
     Common.queries;

@@ -14,18 +14,17 @@ let run (scale : Common.scale) =
       ("min_alive_partial_matches", Whirlpool.Strategy.Min_alive);
     ]
   in
-  let widths = [ 28; 14; 12; 12; 12 ] in
-  Common.print_row widths [ "routing"; "engine"; "time"; "ops"; "created" ];
+  let widths = [ 28; 14; 18; 12; 12 ] in
+  Common.print_row widths [ "routing"; "engine"; "ms (IQR)"; "ops"; "created" ];
   List.iter
     (fun (rname, routing) ->
       List.iter
         (fun (ename, run_engine) ->
-          let (r : Whirlpool.Engine.result), dt =
-            Common.timed_runs (fun () -> run_engine routing)
-          in
+          let run () = run_engine routing in
+          let (r : Whirlpool.Engine.result) = run () in
           Common.print_row widths
             [
-              rname; ename; Common.fsec dt;
+              rname; ename; Common.fms_iqr (Common.median_iqr_ms run);
               Common.fint r.stats.server_ops;
               Common.fint r.stats.matches_created;
             ])

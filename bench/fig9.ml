@@ -11,10 +11,10 @@ let run (scale : Common.scale) =
   Common.header "Figure 9: Whirlpool-M / Whirlpool-S time ratio vs processors";
   let k = scale.default_k in
   let processors = [ (1, "1"); (2, "2"); (4, "4"); (100_000, "inf") ] in
-  let widths = [ 8; 10; 10; 10; 10; 12 ] in
+  let widths = [ 8; 10; 10; 10; 10; 12; 18; 18 ] in
   Common.print_row widths
     (("query" :: List.map (fun (_, l) -> l ^ " cpu") processors)
-    @ [ "real wall" ]);
+    @ [ "real wall"; "W-S ms (IQR)"; "W-M ms (IQR)" ]);
   List.iter
     (fun (qname, q) ->
       let plan = Common.plan_for ~size:scale.default_size q in
@@ -32,14 +32,20 @@ let run (scale : Common.scale) =
             Common.fratio (m.makespan /. s.makespan))
           processors
       in
-      (* Real wall-clock ratio on this machine (includes the domain-spawn
-         overhead the paper attributes to threading). *)
-      let _, s_wall = Common.timed_runs (fun () -> Whirlpool.Engine.run plan ~k) in
-      let _, m_wall =
-        Common.timed_runs (fun () -> Whirlpool.Engine_mt.run plan ~k)
+      (* Real wall-clock ratio of the medians on this machine (includes
+         the domain-spawn overhead the paper attributes to threading),
+         with each engine's median and IQR. *)
+      let s_wall = Common.median_iqr_ms (fun () -> Whirlpool.Engine.run plan ~k) in
+      let m_wall =
+        Common.median_iqr_ms (fun () -> Whirlpool.Engine_mt.run plan ~k)
       in
       Common.print_row widths
-        ((qname :: cells) @ [ Common.fratio (m_wall /. s_wall) ]))
+        ((qname :: cells)
+        @ [
+            Common.fratio (fst m_wall /. fst s_wall);
+            Common.fms_iqr s_wall;
+            Common.fms_iqr m_wall;
+          ]))
     Common.queries;
   Printf.printf
     "\n(ratios above 1 mean Whirlpool-M is slower than Whirlpool-S)\n\

@@ -13,9 +13,6 @@ let tests_for (scale : Common.scale) =
   let plan = Common.plan_for ~size Common.q2 in
   let plan_q1 = Common.plan_for ~size Common.q1 in
   let idx = plan.index in
-  let doc = Wp_xml.Index.doc idx in
-  let d1 = Wp_xml.Doc.dewey doc (Wp_xml.Doc.size doc / 3) in
-  let d2 = Wp_xml.Doc.dewey doc (Wp_xml.Doc.size doc / 2) in
   let stats = Whirlpool.Stats.create () in
   let next_id =
     let n = ref 0 in
@@ -59,8 +56,6 @@ let tests_for (scale : Common.scale) =
       (Staged.stage (fun () ->
            Whirlpool.Lockstep.run ~prune:false plan_q1 ~k:15));
     (* Substrate constants. *)
-    Test.make ~name:"substrate/dewey-compare"
-      (Staged.stage (fun () -> Wp_xml.Dewey.compare d1 d2));
     Test.make ~name:"substrate/index-subtree-count"
       (Staged.stage (fun () ->
            Wp_xml.Index.count_descendants idx "text" ~root));

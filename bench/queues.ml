@@ -7,22 +7,22 @@ let run (scale : Common.scale) =
   Common.header "Ablation: queue prioritization policies (Q2, Whirlpool-S)";
   let plan = Common.plan_for ~size:scale.default_size Common.q2 in
   let k = scale.default_k in
-  let widths = [ 22; 14; 12; 12; 12 ] in
-  Common.print_row widths [ "queue policy"; "time"; "ops"; "created"; "pruned" ];
+  let widths = [ 22; 18; 12; 12; 12 ] in
+  Common.print_row widths
+    [ "queue policy"; "ms (IQR)"; "ops"; "created"; "pruned" ];
   List.iter
     (fun queue_policy ->
-      let (r : Whirlpool.Engine.result), dt =
-        Common.timed_runs (fun () ->
-            Whirlpool.Engine.run
-              ~config:
-                Whirlpool.Engine.Config.(
-                  default |> with_queue_policy queue_policy)
-              plan ~k)
+      let run () =
+        Whirlpool.Engine.run
+          ~config:
+            Whirlpool.Engine.Config.(default |> with_queue_policy queue_policy)
+          plan ~k
       in
+      let r = run () in
       Common.print_row widths
         [
           Format.asprintf "%a" Whirlpool.Strategy.pp_queue_policy queue_policy;
-          Common.fsec dt;
+          Common.fms_iqr (Common.median_iqr_ms run);
           Common.fint r.stats.server_ops;
           Common.fint r.stats.matches_created;
           Common.fint r.stats.matches_pruned;

@@ -7,9 +7,9 @@
 let run (scale : Common.scale) =
   Common.header "Scoring functions: sparse vs dense (Q2, default setting)";
   let k = scale.default_k in
-  let widths = [ 20; 14; 14; 12; 12; 12 ] in
+  let widths = [ 20; 14; 18; 12; 12; 12 ] in
   Common.print_row widths
-    [ "scoring"; "engine"; "time"; "ops"; "created"; "pruned" ];
+    [ "scoring"; "engine"; "ms (IQR)"; "ops"; "created"; "pruned" ];
   List.iter
     (fun normalization ->
       let plan =
@@ -17,13 +17,13 @@ let run (scale : Common.scale) =
       in
       List.iter
         (fun (ename, f) ->
-          let (r : Whirlpool.Engine.result), dt = Common.timed_runs f in
+          let (r : Whirlpool.Engine.result) = f () in
           Common.print_row widths
             [
               Format.asprintf "%a" Wp_score.Score_table.pp_normalization
                 normalization;
               ename;
-              Common.fsec dt;
+              Common.fms_iqr (Common.median_iqr_ms f);
               Common.fint r.stats.server_ops;
               Common.fint r.stats.matches_created;
               Common.fint r.stats.matches_pruned;

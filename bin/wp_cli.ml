@@ -139,11 +139,17 @@ let relaxations ~exact =
   if exact then Wp_relax.Relaxation.exact else Wp_relax.Relaxation.all
 
 (* The local-run path of [query], [explain], [race] and [profile]:
-   parse the query, load the document, compile the plan. *)
+   parse the query, load the document, compile the plan.  A query the
+   analyzer refuses has no plan. *)
 let compile_local ?(exact = false) path q =
   let pattern = parse_query q in
   let idx = load_index path in
-  (idx, pattern, Whirlpool.Run.compile ~config:(relaxations ~exact) idx pattern)
+  match Whirlpool.Run.compile ~config:(relaxations ~exact) idx pattern with
+  | plan -> (idx, pattern, plan)
+  | exception Wp_analysis.Lint.Rejected diags ->
+      die "query rejected by lint: %s"
+        (String.concat "; "
+           (List.map (Format.asprintf "%a" Wp_analysis.Diagnostic.pp) diags))
 
 (* --- generate --- *)
 

@@ -63,7 +63,7 @@ val quick :
   specs:Wp_relax.Server_spec.t array ->
   Wp_pattern.Pattern.t ->
   Diagnostic.t list
-(** The cheap always-on subset run by the engines on every plan:
+(** The cheap always-on subset run on every compiled plan:
     {!well_formedness} plus {!plan_consistency}. *)
 
 val check :
@@ -86,4 +86,4 @@ val validate_exn :
   Wp_pattern.Pattern.t ->
   unit
 (** Run {!quick} and raise {!Rejected} if any finding is an error — the
-    gate both engines apply to a plan before executing it. *)
+    gate [Whirlpool.Plan.compile] applies before it builds a plan. *)

@@ -34,8 +34,8 @@
    (proved) or witness (refuted); [diagnostics] turns refuted
    obligations into [sentinel/prune-unsound] errors.  [table_violations]
    is the concrete cross-check on a built table — the runtime
-   [WP_CHECK_INVARIANTS] hook ([Invariants.check_table]) runs it on
-   every validated plan, so a certificate claimed here is re-checked
+   [WP_CHECK_INVARIANTS] hook ([Invariants.check_table]) runs it once
+   per pruning engine run, so a certificate claimed here is re-checked
    against the actual numbers the engine is about to prune with. *)
 
 module Relation = Wp_relax.Relation

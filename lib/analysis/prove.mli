@@ -15,8 +15,8 @@
 
     {!table_violations} is the concrete counterpart on a built table;
     the [WP_CHECK_INVARIANTS] runtime hook
-    ({!Whirlpool.Invariants.check_table}) runs it on every validated
-    plan so the symbolic certificate is cross-checked against the
+    ({!Whirlpool.Invariants.check_table}) runs it once per pruning
+    engine run so the symbolic certificate is cross-checked against the
     actual numbers the engine prunes with. *)
 
 type verdict = Proved | Refuted of string

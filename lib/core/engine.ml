@@ -65,9 +65,7 @@ module Config = struct
   let with_cache (_ : unit option) t = t
 end
 
-(* Static gate: a plan whose pattern or predicate sequences carry
-   error-severity lint findings would silently return wrong answers;
-   refuse to run it (raises {!Wp_analysis.Lint.Rejected}). *)
+(* [Plan.compile]'s gate, run again; only perfbench's oracle calls it. *)
 let validate_plan (plan : Plan.t) =
   Wp_analysis.Lint.validate_exn ~config:plan.config ~specs:plan.specs
     plan.pattern;
@@ -78,7 +76,6 @@ let validate_plan (plan : Plan.t) =
    ([neg_infinity] for [run], which never prunes). *)
 let run_with_floor ~floor (config : Config.t) (plan : Plan.t) ~k =
   let { Config.routing; queue_policy; should_stop; obs; _ } = config in
-  validate_plan plan;
   let stats = Stats.create () in
   let t0 = now_ns () in
   (* Observability: a root span for the run and a child per server

@@ -113,12 +113,14 @@ module Config : sig
 end
 
 val validate_plan : Plan.t -> unit
-(** Static gate run at every engine entry point ({!run}, {!run_above},
-    [Engine_mt.run], [Lockstep.run] in both variants and
-    [Sim_exec.simulate_m]): raises
-    {!Wp_analysis.Lint.Rejected} when the quick lint pass (structural
-    well-formedness plus plan consistency — no lattice enumeration)
-    reports an error-severity diagnostic for the plan. *)
+(** Raises {!Wp_analysis.Lint.Rejected} when the quick lint pass
+    (structural well-formedness plus plan consistency — no lattice
+    enumeration) reports an error-severity diagnostic for the plan,
+    and runs {!Invariants.check_table} when checks are enabled.  No
+    engine calls it: {!Plan.compile} already runs the same gate, so
+    every plan passes it.  It stays only because perfbench's answer
+    oracle still calls it, and goes with the next change to the
+    benchmark's protocol. *)
 
 val run : ?config:Config.t -> Plan.t -> k:int -> result
 (** Run the adaptive top-k engine under [config] (default

@@ -375,7 +375,6 @@ module Make (S : Sync.S) = struct
     } =
       config
     in
-    Engine.validate_plan plan;
     let t0 = Clock.now_ns () in
     let obs_on = Obs.enabled obs in
     let qspan = if obs_on then Obs.root obs "query" else None in

@@ -51,7 +51,8 @@ val check_table : Wp_score.Score_table.t -> unit
     [0 <= relaxed_weight <= exact_weight] (finite) — the premise of
     the static prune-soundness certificate
     ({!Wp_analysis.Prove.table_violations} is the checker). Run by
-    {!Engine.validate_plan} when checks are enabled. *)
+    {!Seeds.create}, once per pruning engine run, when checks are
+    enabled. *)
 
 val check_threshold : before:float -> after:float -> unit
 (** The top-k threshold observed around an insertion: non-decreasing

@@ -1,7 +1,8 @@
 let now_ns = Clock.now_ns
 
-let run ?order ?(queue_policy = Strategy.Max_final_score) ?(prune = true)
-    ?(should_stop = Engine.never_stop) (plan : Plan.t) ~k =
+let run ?order ?(config = Engine.Config.default) ?(prune = true)
+    (plan : Plan.t) ~k =
+  let { Engine.Config.queue_policy; should_stop; _ } = config in
   let order =
     match order with
     | Some o -> o
@@ -9,7 +10,6 @@ let run ?order ?(queue_policy = Strategy.Max_final_score) ?(prune = true)
   in
   if Array.length order <> plan.n_servers - 1 then
     invalid_arg "Lockstep.run: order must cover every non-root server";
-  Engine.validate_plan plan;
   let stats = Stats.create () in
   let t0 = now_ns () in
   let topk = Topk_set.create ~k ~admit_partial:(Plan.admits_partial_answers plan) in

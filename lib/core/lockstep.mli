@@ -15,15 +15,15 @@
 
 val run :
   ?order:int array ->
-  ?queue_policy:Strategy.queue_policy ->
+  ?config:Engine.Config.t ->
   ?prune:bool ->
-  ?should_stop:(unit -> bool) ->
   Plan.t ->
   k:int ->
   Engine.result
 (** [order] is the server sequence (default [1 .. n-1]); [prune] defaults
-    to [true].  [should_stop] (default {!Engine.never_stop}) is checked
+    to [true].  [config] (default {!Engine.Config.default}) supplies the
+    queue policy and the [should_stop] hook; its other fields are
+    unused.  [should_stop] is checked
     at every staged pop, as {!Engine.run} checks it per iteration; once
     it fires no further match is processed in this or any later stage,
-    and the answers known so far are returned with [partial = true].
-    @raise Wp_analysis.Lint.Rejected as {!Engine.validate_plan}. *)
+    and the answers known so far are returned with [partial = true]. *)

@@ -414,6 +414,7 @@ let compile ?(normalization = Wp_score.Score_table.Sparse)
   if n_servers > Sys.int_size - 2 then
     invalid_arg "Plan.compile: pattern too large for bitmask bookkeeping";
   let specs = Server_spec.build config pat in
+  Wp_analysis.Lint.validate_exn ~config ~specs pat;
   let scores = Score_table.build ~memo idx pat config normalization in
   let r = root_candidates memo config idx specs in
   let caps = caps memo idx config pat specs scores in

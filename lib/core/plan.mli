@@ -55,7 +55,7 @@ type cap = {
           a required server with no candidate kills the root *)
 }
 
-type t = {
+type t = private {
   pattern : Wp_pattern.Pattern.t;
   config : Wp_relax.Relaxation.config;
   specs : Wp_relax.Server_spec.t array;  (** by pattern node id *)
@@ -97,7 +97,15 @@ val compile :
     candidates.  The idf counts, the sweeps behind the seed bounds and
     the root candidates are read through [memo], the document's component table (default: a fresh,
     empty one); it must belong to [idx]'s document.  The plan is the
-    same whether the memo is warm or empty. *)
+    same whether the memo is warm or empty.
+
+    The query is checked first: a pattern or predicate sequence with an
+    error-severity finding of {!Wp_analysis.Lint.quick} would return
+    wrong answers, so compile raises {!Wp_analysis.Lint.Rejected}
+    before it reads any postings.  Since {!t} is private, no code
+    outside this module can build or alter a plan, so every plan has
+    passed that check and no engine repeats it.
+    @raise Wp_analysis.Lint.Rejected on a refused query. *)
 
 val root_weight : t -> Wp_xml.Doc.node_id -> float
 (** The root server's weight for a root binding: exact when the root

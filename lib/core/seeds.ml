@@ -15,6 +15,7 @@ let goto t cls =
   end
 
 let create ?(floor = Float.neg_infinity) (plan : Plan.t) (stats : Stats.t) =
+  if Invariants.enabled () then Invariants.check_table plan.scores;
   let n = Array.length plan.roots in
   stats.server_ops <- stats.server_ops + 1;
   stats.comparisons <- stats.comparisons + n;

@@ -15,11 +15,6 @@ let priced (engine : Engine.result) ~costs =
 let simulate_s ?config ~costs plan ~k =
   priced (Engine.run ?config plan ~k) ~costs
 
-let simulate_lockstep ?order ?prune ~costs plan ~k =
-  (* LockStep routing is positional: we charge its stage bookkeeping at
-     the same per-decision price the caller chose. *)
-  priced (Lockstep.run ?order ?prune plan ~k) ~costs
-
 (* --- Event-driven Whirlpool-M simulation. --- *)
 
 module Event_heap = struct
@@ -38,11 +33,10 @@ type thread_state = {
   mutable in_ready : bool;
 }
 
-let simulate_m ?(routing = Strategy.Min_alive)
-    ?(queue_policy = Strategy.Max_final_score) ~costs ~processors
+let simulate_m ?(config = Engine.Config.default) ~costs ~processors
     (plan : Plan.t) ~k =
+  let { Engine.Config.routing; queue_policy; _ } = config in
   if processors < 1 then invalid_arg "Sim_exec.simulate_m: processors >= 1";
-  Engine.validate_plan plan;
   let floor = Float.neg_infinity in
   let stats = Stats.create () in
   let topk = Topk_set.create ~k ~admit_partial:(Plan.admits_partial_answers plan) in

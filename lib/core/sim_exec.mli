@@ -33,13 +33,8 @@ val simulate_s :
 (** Sequential Whirlpool-S under the cost model (runs {!Engine.run} and
     prices its operation counts). *)
 
-val simulate_lockstep :
-  ?order:int array -> ?prune:bool -> costs:costs -> Plan.t -> k:int -> result
-(** LockStep variants under the cost model. *)
-
 val simulate_m :
-  ?routing:Strategy.routing ->
-  ?queue_policy:Strategy.queue_policy ->
+  ?config:Engine.Config.t ->
   costs:costs ->
   processors:int ->
   Plan.t ->
@@ -47,6 +42,7 @@ val simulate_m :
   result
 (** Event-driven simulation of the Whirlpool-M architecture on
     [processors] virtual CPUs ([max_int] models the paper's "infinite"
-    machine).  Its router pops through {!Seeds.pop}, as Whirlpool-S
-    does, and its servers settle visits through {!Server.settle}.
-    @raise Wp_analysis.Lint.Rejected as {!Engine.validate_plan}. *)
+    machine).  [config] (default {!Engine.Config.default}) supplies the
+    routing strategy and queue policy; its other fields are unused.
+    Its router pops through {!Seeds.pop}, as Whirlpool-S
+    does, and its servers settle visits through {!Server.settle}. *)

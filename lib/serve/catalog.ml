@@ -3,7 +3,7 @@ type doc = {
   path : string;
   index : Wp_xml.Index.t;
   nodes : int;
-  dataguide : Wp_stats.Dataguide.t Lazy.t;
+  mutable dataguide : Wp_stats.Dataguide.t option;
   memo : Wp_score.Component_table.t;
 }
 
@@ -74,7 +74,7 @@ let load_file t ?name path =
   | Ok index ->
       let doc =
         { name; path; index; nodes = Wp_xml.Doc.size (Wp_xml.Index.doc index);
-          dataguide = lazy (Wp_stats.Dataguide.build (Wp_xml.Index.doc index));
+          dataguide = None;
           memo = Wp_score.Component_table.create () }
       in
       (* A reload drops the name's plans: they were compiled against
@@ -114,10 +114,20 @@ let docs t =
 
 let find t name = with_lock t (fun () -> Hashtbl.find_opt t.docs name)
 
-(* Forcing one suspension from two domains at once raises
-   [CamlinternalLazy.Undefined]; the catalog mutex makes the first
-   force (the build) exclusive, and later ones return at once. *)
-let dataguide t doc = with_lock t (fun () -> Lazy.force doc.dataguide)
+(* Look up under the lock, build without it, and insert under it
+   again, as [plan_for] does: two domains missing at once may both
+   build, but the first insert wins and both get it. *)
+let dataguide t doc =
+  match with_lock t (fun () -> doc.dataguide) with
+  | Some g -> g
+  | None ->
+      let g = Wp_stats.Dataguide.build (Wp_xml.Index.doc doc.index) in
+      with_lock t (fun () ->
+          match doc.dataguide with
+          | Some g -> g
+          | None ->
+              doc.dataguide <- Some g;
+              g)
 
 type plan_error =
   | Bad_query of string
@@ -125,22 +135,19 @@ type plan_error =
 
 let plan_error_message = function Bad_query m | Rejected m -> m
 
-(* Parse, compile and lint one plan, outside the catalog mutex. *)
+(* Parse and compile one plan, outside the catalog mutex.  Compile
+   lints the plan, so a refused query never occupies a cache slot. *)
 let compile t doc query =
   match Wp_pattern.Xpath_parser.parse_opt query with
   | None -> Error (Bad_query (Printf.sprintf "cannot parse query: %s" query))
   | Some pattern -> (
       match Whirlpool.Plan.compile ~memo:doc.memo doc.index t.config pattern with
-      | plan -> (
-          (* The engines re-lint at entry; reject here so a bad plan
-             never occupies a cache slot. *)
-          match Whirlpool.Engine.validate_plan plan with
-          | () -> Ok plan
-          | exception Wp_analysis.Lint.Rejected diags ->
-              Error
-                (Rejected
-                   (Format.asprintf "query rejected by lint:@ %a"
-                      Wp_analysis.Diagnostic.pp_list diags)))
+      | plan -> Ok plan
+      | exception Wp_analysis.Lint.Rejected diags ->
+          Error
+            (Rejected
+               (Format.asprintf "query rejected by lint:@ %a"
+                  Wp_analysis.Diagnostic.pp_list diags))
       | exception Invalid_argument m ->
           Error (Bad_query (Printf.sprintf "cannot compile query: %s" m)))
 

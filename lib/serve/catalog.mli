@@ -20,17 +20,16 @@
     each compile, but all of them get the one entry that was cached
     first. *)
 
-type doc = {
+type doc = private {
   name : string;  (** corpus-unique name clients address (file basename) *)
   path : string;
   index : Wp_xml.Index.t;
   nodes : int;
-  dataguide : Wp_stats.Dataguide.t Lazy.t;
-      (** the document's annotated strong dataguide, built on first
-          force (a twig-backend query) and cached next to the warm
-          index for the life of the catalog entry.  Force it only
-          through {!dataguide}: two domains forcing it at once raise
-          [CamlinternalLazy.Undefined]. *)
+  mutable dataguide : Wp_stats.Dataguide.t option;
+      (** the document's annotated strong dataguide once {!dataguide}
+          has built it (on a twig-backend query), cached next to the
+          warm index for the life of the catalog entry; read and
+          written under the catalog mutex *)
   memo : Wp_score.Component_table.t;
       (** the document's idf counts and root candidates, created empty
           at load and filled by the compiles of its plans; a reload
@@ -65,13 +64,15 @@ val docs : t -> doc list
 val find : t -> string -> doc option
 
 val dataguide : t -> doc -> Wp_stats.Dataguide.t
-(** The document's dataguide, built under the catalog mutex on first
-    use: safe to call from any number of worker domains at once. *)
+(** The document's dataguide, built on first use outside the catalog
+    mutex, so a build stalls no other lookup.  Safe to call from any
+    number of worker domains at once: concurrent first calls may each
+    build, but all of them get the guide that was cached first. *)
 
 (** Why a query has no plan: [Bad_query] for parse/compile failures
-    (the client's request is malformed), [Rejected] when the static
-    analyzer refused a well-formed query
-    ({!Wp_analysis.Lint.Rejected}) — the service maps them to the
+    (the client's request is malformed), [Rejected] when
+    {!Whirlpool.Plan.compile}'s static check refused a well-formed
+    query ({!Wp_analysis.Lint.Rejected}) — the service maps them to the
     [bad_request] / [lint_rejected] wire codes respectively. *)
 type plan_error =
   | Bad_query of string

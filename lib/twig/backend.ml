@@ -16,12 +16,7 @@ let run ?(config = Config.default) ?guide plan ~k =
   match config.Config.algo with
   | Config.Whirlpool -> Engine.run ~config plan ~k
   | Config.Whirlpool_mt -> Whirlpool.Engine_mt.run ~config plan ~k
-  | Config.Lockstep ->
+  | (Config.Lockstep | Config.Lockstep_noprun) as algo ->
       emit_all ~config
-        (Whirlpool.Lockstep.run ~queue_policy:config.Config.queue_policy
-           ~prune:true ~should_stop:config.Config.should_stop plan ~k)
-  | Config.Lockstep_noprun ->
-      emit_all ~config
-        (Whirlpool.Lockstep.run ~queue_policy:config.Config.queue_policy
-           ~prune:false ~should_stop:config.Config.should_stop plan ~k)
+        (Whirlpool.Lockstep.run ~config ~prune:(algo = Config.Lockstep) plan ~k)
   | Config.Twig -> emit_all ~config (Twig_join.run ~config ?guide plan ~k)

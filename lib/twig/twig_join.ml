@@ -351,7 +351,6 @@ let match_count ?guide (plan : Plan.t) =
 
 let run ?(config = Engine.Config.default) ?guide (plan : Plan.t) ~k =
   if k < 1 then invalid_arg "Twig_join.run: k must be >= 1";
-  Engine.validate_plan plan;
   let stats = Stats.create () in
   let t0 = Clock.now_ns () in
   let doc = Index.doc plan.index in

@@ -1,28 +1,8 @@
-(** XPath structural axes over frozen documents.
+(** The XPath structural axes of tree-pattern edges over frozen
+    documents. *)
 
-    Tree-pattern edges only use {!Child} and {!Descendant}; the remaining
-    axes appear in component predicates of the scoring function (the
-    paper's Section 4 example uses [following-sibling]). *)
-
-type t =
-  | Self
-  | Child
-  | Descendant
-  | Descendant_or_self
-  | Parent
-  | Ancestor
-  | Following_sibling
-
-val test : Doc.t -> t -> from:Doc.node_id -> target:Doc.node_id -> bool
-(** [test doc axis ~from ~target] checks whether [target] is reachable
-    from [from] along [axis] — e.g. [test doc Child ~from ~target] holds
-    iff [target] is a child of [from]. *)
+type t = Child | Descendant
 
 val select : Index.t -> t -> from:Doc.node_id -> tag:string -> Doc.node_id list
 (** All nodes with [tag] reachable from [from] along the axis, in
     document order. *)
-
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string
-
-val equal : t -> t -> bool

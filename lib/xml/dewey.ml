@@ -1,72 +1,18 @@
 type t = int array
 
-let root = [||]
-
-let check_component c =
-  if c < 1 then invalid_arg "Dewey: child ranks are 1-based and positive"
-
-let of_list cs =
-  List.iter check_component cs;
-  Array.of_list cs
-
 let of_array cs =
-  Array.iter check_component cs;
+  Array.iter
+    (fun c ->
+      if c < 1 then invalid_arg "Dewey: child ranks are 1-based and positive")
+    cs;
   Array.copy cs
 
-let to_list = Array.to_list
-
-let child d i =
-  check_component i;
-  let n = Array.length d in
-  let r = Array.make (n + 1) i in
-  Array.blit d 0 r 0 n;
-  r
-
-let parent d =
-  match Array.length d with
-  | 0 -> None
-  | n -> Some (Array.sub d 0 (n - 1))
-
-let depth = Array.length
-let component d i = d.(i)
-
-let compare a b =
-  let la = Array.length a and lb = Array.length b in
-  let rec loop i =
-    if i >= la && i >= lb then 0
-    else if i >= la then -1
-    else if i >= lb then 1
-    else
-      let c = Stdlib.compare a.(i) b.(i) in
-      if c <> 0 then c else loop (i + 1)
-  in
-  loop 0
-
-let equal a b = compare a b = 0
-
-let is_proper_prefix a d =
+let is_ancestor a d =
   let la = Array.length a and ld = Array.length d in
   la < ld
   &&
   let rec loop i = i >= la || (a.(i) = d.(i) && loop (i + 1)) in
   loop 0
-
-let is_ancestor a d = is_proper_prefix a d
-let is_parent p c = Array.length c = Array.length p + 1 && is_proper_prefix p c
-let is_descendant d a = is_proper_prefix a d
-let is_child c p = is_parent p c
-let is_ancestor_or_self a d = equal a d || is_proper_prefix a d
-
-let is_following_sibling b a =
-  let lb = Array.length b in
-  lb = Array.length a && lb > 0
-  && is_proper_prefix (Array.sub a 0 (lb - 1)) b
-  && b.(lb - 1) > a.(lb - 1)
-
-let common_ancestor a b =
-  let n = min (Array.length a) (Array.length b) in
-  let rec len i = if i < n && a.(i) = b.(i) then len (i + 1) else i in
-  Array.sub a 0 (len 0)
 
 let pp ppf d =
   if Array.length d = 0 then Format.pp_print_string ppf "\xce\xb5"
@@ -78,14 +24,3 @@ let pp ppf d =
       d
 
 let to_string d = Format.asprintf "%a" pp d
-
-let of_string s =
-  if s = "" || s = "\xce\xb5" then root
-  else
-    let parts = String.split_on_char '.' s in
-    let comp p =
-      match int_of_string_opt p with
-      | Some c when c >= 1 -> c
-      | Some _ | None -> invalid_arg ("Dewey.of_string: bad component " ^ p)
-    in
-    Array.of_list (List.map comp parts)

@@ -1,77 +1,26 @@
 (** Dewey order encoding of XML node positions.
 
     A Dewey label is the sequence of 1-based child ranks on the path from
-    the document root to a node; the root itself is labeled [[||]].  All
-    XPath structural axes used by tree-pattern queries (parent-child,
-    ancestor-descendant, document order, sibling order) reduce to cheap
-    prefix and lexicographic tests on Dewey labels, which is why the paper
-    stores query-relevant nodes "in indexes along with their Dewey
-    encoding" (Section 6.2.1). *)
+    the document root to a node; the root itself is labeled [[||]].  The
+    paper stores query-relevant nodes "in indexes along with their Dewey
+    encoding" (Section 6.2.1); here {!Doc} answers the structural tests
+    from preorder ids and subtree ends, and labels only render answers. *)
 
 type t = private int array
-(** A Dewey label.  The representation is exposed read-only so that hot
-    loops can index components without a copy; construction goes through
-    the functions below, which enforce that every component is positive. *)
-
-val root : t
-(** Label of the document root: the empty sequence. *)
-
-val of_list : int list -> t
-(** [of_list cs] builds a label from child ranks.
-    @raise Invalid_argument if any rank is [< 1]. *)
+(** A Dewey label.  The representation is exposed read-only; construction
+    goes through {!of_array}, which enforces that every component is
+    positive. *)
 
 val of_array : int array -> t
-(** Same as {!of_list} for arrays.  The array is copied. *)
-
-val to_list : t -> int list
-
-val child : t -> int -> t
-(** [child d i] is the label of the [i]-th (1-based) child of [d].
-    @raise Invalid_argument if [i < 1]. *)
-
-val parent : t -> t option
-(** [parent d] is [None] on the root. *)
-
-val depth : t -> int
-(** Number of components; the root has depth 0. *)
-
-val component : t -> int -> int
-(** [component d i] is the 0-based [i]-th rank on the path. *)
-
-val compare : t -> t -> int
-(** Document (pre)order: lexicographic with prefixes first, so an ancestor
-    sorts immediately before its descendants. *)
-
-val equal : t -> t -> bool
+(** [of_array cs] builds a label from child ranks.  The array is copied.
+    @raise Invalid_argument if any rank is [< 1]. *)
 
 val is_ancestor : t -> t -> bool
 (** [is_ancestor a d] iff [a] is a {e proper} ancestor of [d], i.e. [a] is
     a proper prefix of [d]. *)
-
-val is_parent : t -> t -> bool
-(** [is_parent p c] iff [c] is exactly one level below [p]. *)
-
-val is_descendant : t -> t -> bool
-(** [is_descendant d a] iff [d] is a proper descendant of [a]. *)
-
-val is_child : t -> t -> bool
-(** [is_child c p] iff [p] is the parent of [c]. *)
-
-val is_ancestor_or_self : t -> t -> bool
-
-val is_following_sibling : t -> t -> bool
-(** [is_following_sibling b a] iff [a] and [b] share a parent and [b]
-    comes strictly after [a]. *)
-
-val common_ancestor : t -> t -> t
-(** Longest common prefix of the two labels. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints the conventional dotted form, e.g. [1.3.2]; the root prints as
     [ε]. *)
 
 val to_string : t -> string
-
-val of_string : string -> t
-(** Parses the dotted form produced by {!to_string}.
-    @raise Invalid_argument on malformed input. *)

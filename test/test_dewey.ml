@@ -1,119 +1,48 @@
 open Wp_xml
 
-let d = Dewey.of_list
+let d l = Dewey.of_array (Array.of_list l)
 
 let test_root_properties () =
-  Alcotest.(check int) "root depth" 0 (Dewey.depth Dewey.root);
-  Alcotest.(check bool) "root = root" true (Dewey.equal Dewey.root Dewey.root);
-  Alcotest.(check (option unit))
-    "root has no parent" None
-    (Option.map ignore (Dewey.parent Dewey.root))
+  let root = d [] in
+  Alcotest.(check string) "root prints as epsilon" "\xce\xb5"
+    (Dewey.to_string root);
+  Alcotest.(check bool) "root is an ancestor of a child" true
+    (Dewey.is_ancestor root (d [ 1 ]));
+  Alcotest.(check bool) "root is no ancestor of itself" false
+    (Dewey.is_ancestor root root)
 
 let test_child_and_parent () =
-  let c = Dewey.child Dewey.root 3 in
-  Alcotest.(check int) "depth" 1 (Dewey.depth c);
-  Alcotest.(check int) "component" 3 (Dewey.component c 0);
-  (match Dewey.parent c with
-  | Some p -> Alcotest.(check bool) "parent is root" true (Dewey.equal p Dewey.root)
-  | None -> Alcotest.fail "expected a parent");
+  let c = d [ 3 ] in
+  Alcotest.(check string) "dotted form" "3" (Dewey.to_string c);
+  Alcotest.(check bool) "parent is an ancestor" true
+    (Dewey.is_ancestor (d []) c);
   Alcotest.check_raises "rank 0 rejected" (Invalid_argument
     "Dewey: child ranks are 1-based and positive") (fun () ->
-      ignore (Dewey.child Dewey.root 0))
-
-let test_document_order () =
-  (* Preorder: ancestors before descendants, siblings by rank. *)
-  let cases =
-    [
-      (d [], d [ 1 ], -1);
-      (d [ 1 ], d [ 1; 1 ], -1);
-      (d [ 1; 2 ], d [ 1; 10 ], -1);
-      (d [ 2 ], d [ 1; 5; 9 ], 1);
-      (d [ 1; 2; 3 ], d [ 1; 2; 3 ], 0);
-    ]
-  in
-  List.iter
-    (fun (a, b, expected) ->
-      let sign x = if x < 0 then -1 else if x > 0 then 1 else 0 in
-      Alcotest.(check int)
-        (Printf.sprintf "compare %s %s" (Dewey.to_string a) (Dewey.to_string b))
-        expected
-        (sign (Dewey.compare a b)))
-    cases
+      ignore (d [ 0 ]))
 
 let test_axes () =
   let anc = d [ 1; 2 ] and desc = d [ 1; 2; 3; 4 ] in
   Alcotest.(check bool) "ancestor" true (Dewey.is_ancestor anc desc);
   Alcotest.(check bool) "not ancestor of self" false (Dewey.is_ancestor anc anc);
-  Alcotest.(check bool) "ancestor-or-self of self" true
-    (Dewey.is_ancestor_or_self anc anc);
-  Alcotest.(check bool) "descendant" true (Dewey.is_descendant desc anc);
-  Alcotest.(check bool) "not parent (two levels)" false (Dewey.is_parent anc desc);
-  Alcotest.(check bool) "parent" true (Dewey.is_parent (d [ 1; 2; 3 ]) desc);
-  Alcotest.(check bool) "child" true (Dewey.is_child desc (d [ 1; 2; 3 ]));
-  Alcotest.(check bool) "sibling order" true
-    (Dewey.is_following_sibling (d [ 1; 5 ]) (d [ 1; 2 ]));
-  Alcotest.(check bool) "not sibling across parents" false
-    (Dewey.is_following_sibling (d [ 2; 5 ]) (d [ 1; 2 ]));
-  Alcotest.(check bool) "not preceding sibling" false
-    (Dewey.is_following_sibling (d [ 1; 2 ]) (d [ 1; 5 ]))
-
-let test_common_ancestor () =
-  let lca = Dewey.common_ancestor (d [ 1; 2; 3 ]) (d [ 1; 2; 7; 1 ]) in
-  Alcotest.(check string) "lca" "1.2" (Dewey.to_string lca);
-  Alcotest.(check int) "lca with root" 0
-    (Dewey.depth (Dewey.common_ancestor (d [ 3 ]) (d [ 4 ])))
-
-let test_string_roundtrip () =
-  List.iter
-    (fun label ->
-      let s = Dewey.to_string label in
-      Alcotest.(check bool)
-        (Printf.sprintf "roundtrip %s" s)
-        true
-        (Dewey.equal label (Dewey.of_string s)))
-    [ Dewey.root; d [ 1 ]; d [ 1; 2; 3 ]; d [ 10; 20; 30; 40 ] ];
-  Alcotest.check_raises "bad input" (Invalid_argument
-    "Dewey.of_string: bad component x") (fun () -> ignore (Dewey.of_string "1.x"))
+  Alcotest.(check bool) "descendant is no ancestor" false
+    (Dewey.is_ancestor desc anc);
+  Alcotest.(check bool) "not across siblings" false
+    (Dewey.is_ancestor (d [ 1; 3 ]) desc)
 
 (* Properties over random labels. *)
-let gen_dewey =
-  QCheck2.Gen.(map Dewey.of_list (list_size (int_bound 6) (int_range 1 9)))
-
-let prop_order_total =
-  QCheck2.Test.make ~name:"dewey compare is antisymmetric" ~count:500
-    QCheck2.Gen.(pair gen_dewey gen_dewey)
-    (fun (a, b) ->
-      let c1 = Dewey.compare a b and c2 = Dewey.compare b a in
-      (c1 = 0) = (c2 = 0) && (c1 < 0) = (c2 > 0))
+let gen_ranks = QCheck2.Gen.(list_size (int_bound 6) (int_range 1 9))
 
 let prop_parent_is_ancestor =
-  QCheck2.Test.make ~name:"parent is an ancestor" ~count:500 gen_dewey
-    (fun x ->
-      match Dewey.parent x with
-      | None -> Dewey.depth x = 0
-      | Some p -> Dewey.is_parent p x && Dewey.is_ancestor p x)
-
-let prop_roundtrip =
-  QCheck2.Test.make ~name:"of_string . to_string = id" ~count:500 gen_dewey
-    (fun x -> Dewey.equal x (Dewey.of_string (Dewey.to_string x)))
-
-let prop_ancestor_implies_order =
-  QCheck2.Test.make ~name:"ancestor sorts before descendant" ~count:500
-    QCheck2.Gen.(pair gen_dewey gen_dewey)
-    (fun (a, b) ->
-      QCheck2.assume (Dewey.is_ancestor a b);
-      Dewey.compare a b < 0)
+  QCheck2.Test.make ~name:"parent is an ancestor" ~count:500 gen_ranks
+    (fun ranks ->
+      match List.rev ranks with
+      | [] -> not (Dewey.is_ancestor (d ranks) (d ranks))
+      | _ :: rev_parent -> Dewey.is_ancestor (d (List.rev rev_parent)) (d ranks))
 
 let suite =
   [
     Alcotest.test_case "root properties" `Quick test_root_properties;
     Alcotest.test_case "child and parent" `Quick test_child_and_parent;
-    Alcotest.test_case "document order" `Quick test_document_order;
     Alcotest.test_case "axes" `Quick test_axes;
-    Alcotest.test_case "common ancestor" `Quick test_common_ancestor;
-    Alcotest.test_case "string roundtrip" `Quick test_string_roundtrip;
-    QCheck_alcotest.to_alcotest prop_order_total;
     QCheck_alcotest.to_alcotest prop_parent_is_ancestor;
-    QCheck_alcotest.to_alcotest prop_roundtrip;
-    QCheck_alcotest.to_alcotest prop_ancestor_implies_order;
   ]

@@ -154,15 +154,15 @@ let test_counter_law () =
         Fixtures.adhoc_queries
   in
   let costs = { Sim_exec.op_cost = 1e-3; route_cost = 1e-5 } in
+  let with_policy policy = Engine.Config.(default |> with_queue_policy policy) in
   let sim processors ~policy plan ~k =
-    (Sim_exec.simulate_m ~queue_policy:policy ~costs ~processors plan ~k)
+    (Sim_exec.simulate_m ~config:(with_policy policy) ~costs ~processors plan
+       ~k)
       .engine
   in
-  let ws ~policy plan ~k =
-    Engine.run ~config:Engine.Config.(default |> with_queue_policy policy) plan ~k
-  in
+  let ws ~policy plan ~k = Engine.run ~config:(with_policy policy) plan ~k in
   let wm ~policy plan ~k =
-    let config = Engine.Config.(default |> with_queue_policy policy) in
+    let config = with_policy policy in
     match
       (Sched.run ~choose:(Sched.random ~seed:k) (fun sync ->
            let module E = Engine_mt.Make ((val sync : Sync.S)) in
@@ -173,7 +173,7 @@ let test_counter_law () =
     | Error e -> raise e
   in
   let lockstep ~prune ~policy plan ~k =
-    Lockstep.run ~queue_policy:policy ~prune plan ~k
+    Lockstep.run ~config:(with_policy policy) ~prune plan ~k
   in
   (* The cheap engines run the whole grid; the slower ones k = 5 under
      two policies. *)

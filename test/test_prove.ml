@@ -70,33 +70,6 @@ let test_runtime_cross_check () =
         max_possible under-estimates completions")
     (fun () -> Invariants.check_table bad_table)
 
-let test_validate_plan_rejects () =
-  (* A compiled plan doctored with the bad table fails validation when
-     invariant checks are on, and passes through when they are off. *)
-  let doc = Wp_xml.Doc.of_tree (Wp_xml.Parser.parse_string "<a><b/><b/></a>") in
-  let idx = Wp_xml.Index.build doc in
-  let pat = Wp_pattern.Xpath_parser.parse "/a[./b]" in
-  let plan = Run.compile ~config:Wp_relax.Relaxation.all idx pat in
-  let bad =
-    Score_table.of_entries
-      (Array.init (Score_table.size plan.Plan.scores) (fun node ->
-           let e = Score_table.entry plan.Plan.scores node in
-           { e with Score_table.relaxed_weight = e.Score_table.exact_weight +. 1.0 }))
-  in
-  let doctored = { plan with Plan.scores = bad } in
-  Invariants.set_enabled false;
-  ignore (Engine.run doctored ~k:2);
-  Invariants.set_enabled true;
-  Fun.protect
-    ~finally:(fun () -> Invariants.set_enabled false)
-    (fun () ->
-      Alcotest.(check bool) "validation raises Violation" true
-        (match Engine.run doctored ~k:2 with
-        | _ -> false
-        | exception Invariants.Violation _ -> true);
-      (* The untouched plan still runs with checks on. *)
-      ignore (Engine.run plan ~k:2))
-
 (* --- properties (satellite: prover verdict = empirical verdict) --- *)
 
 (* An independent enumeration of what the engine does with the table:
@@ -188,8 +161,6 @@ let suite =
     Alcotest.test_case "non-monotone table rejected" `Quick
       test_non_monotone_rejected;
     Alcotest.test_case "runtime cross-check" `Quick test_runtime_cross_check;
-    Alcotest.test_case "plan validation rejects bad table" `Quick
-      test_validate_plan_rejects;
     QCheck_alcotest.to_alcotest prop_verdict_matches_empirical;
     QCheck_alcotest.to_alcotest prop_built_tables_sound;
   ]

@@ -80,17 +80,23 @@ let gen_inputs =
   QCheck2.Gen.pair (QCheck2.Gen.map Doc.of_tree gen_tree) gen_pattern
 
 (* Every shipped configuration and normalization, compiled over one
-   shared component table, as a catalog document's plans are. *)
+   shared component table, as a catalog document's plans are.  A
+   pattern the analyzer refuses (a value on an internal node) compiles
+   to no plan. *)
 let plans doc pat =
   let idx = Index.build doc in
   let memo = Wp_score.Component_table.create () in
-  List.concat_map
-    (fun config ->
-      List.map
-        (fun normalization ->
-          Plan.compile ~normalization ~memo idx config pat)
-        Prove.shipped_normalizations)
-    Prove.shipped_configs
+  match
+    List.concat_map
+      (fun config ->
+        List.map
+          (fun normalization ->
+            Plan.compile ~normalization ~memo idx config pat)
+          Prove.shipped_normalizations)
+      Prove.shipped_configs
+  with
+  | plans -> plans
+  | exception Wp_analysis.Lint.Rejected _ -> []
 
 let content plan value n =
   match value with
@@ -301,27 +307,25 @@ let prop_bound_covers_matches =
     ~count:100 gen_inputs (fun (doc, pat) ->
       List.for_all
         (fun (i, (plan : Plan.t)) ->
-          match Engine.run_above plan ~threshold:Float.neg_infinity with
-          | exception Wp_analysis.Lint.Rejected _ -> true
-          | all ->
-              let reference =
-                Fixtures.sorted_scores (Lockstep.run ~prune:false plan ~k:3).answers
-              in
-              List.for_all
-                (fun (e : Topk_set.entry) ->
-                  e.score <= Plan.bound_of_root plan ~root:e.root +. 1e-9)
-                all.answers
-              && List.for_all
-                   (fun (answers : Topk_set.entry list) ->
-                     close reference (Fixtures.sorted_scores answers))
-                   [
-                     (Engine.run plan ~k:3).answers;
-                     (wm_sched ~seed:i plan ~k:3).answers;
-                     (Sim_exec.simulate_m ~costs:sim_costs ~processors:2 plan
-                        ~k:3)
-                       .engine
-                       .answers;
-                   ])
+          let all = Engine.run_above plan ~threshold:Float.neg_infinity in
+          let reference =
+            Fixtures.sorted_scores (Lockstep.run ~prune:false plan ~k:3).answers
+          in
+          List.for_all
+            (fun (e : Topk_set.entry) ->
+              e.score <= Plan.bound_of_root plan ~root:e.root +. 1e-9)
+            all.answers
+          && List.for_all
+               (fun (answers : Topk_set.entry list) ->
+                 close reference (Fixtures.sorted_scores answers))
+               [
+                 (Engine.run plan ~k:3).answers;
+                 (wm_sched ~seed:i plan ~k:3).answers;
+                 (Sim_exec.simulate_m ~costs:sim_costs ~processors:2 plan
+                    ~k:3)
+                   .engine
+                   .answers;
+               ])
         (List.mapi (fun i p -> (i, p)) (plans doc pat)))
 
 let policies =

@@ -412,7 +412,7 @@ let with_xmark_dir f =
 
 (* The first twig query on a document builds its dataguide.  Two of
    them arriving together on a freshly loaded document must both be
-   answered: the guide is forced once, under the catalog lock. *)
+   answered. *)
 let test_concurrent_first_twig () =
   with_xmark_dir (fun dir ->
       for trial = 1 to 20 do
@@ -428,6 +428,22 @@ let test_concurrent_first_twig () =
               Alcotest.failf "trial %d: request %d failed: %s" trial r.id
                 (Option.value r.error ~default:"(no message)"))
           [ r0; r1 ]
+      done)
+
+(* The dataguide is built outside the catalog lock: two domains asking
+   at once on a freshly loaded document get the one guide cached
+   first, and later calls return it too. *)
+let test_concurrent_dataguide () =
+  with_xmark_dir (fun dir ->
+      for trial = 1 to 10 do
+        let catalog = loaded_catalog dir in
+        let doc = Option.get (Catalog.find catalog "x.xml") in
+        let g0, g1 = on_two_domains (fun _ -> Catalog.dataguide catalog doc) in
+        Alcotest.(check bool)
+          (Printf.sprintf "trial %d: one guide" trial) true (g0 == g1);
+        Alcotest.(check bool)
+          (Printf.sprintf "trial %d: cached" trial) true
+          (Catalog.dataguide catalog doc == g0)
       done)
 
 (* Concurrent misses compile outside the catalog lock.  Identical
@@ -1044,6 +1060,33 @@ let test_wire_deadline_over_socket () =
       in
       Alcotest.(check bool) "partial over the wire" true
         (r.status = Protocol.Partial);
+      ignore (Client.call client (Protocol.Stop { id = 2 }));
+      Client.close client;
+      Thread.join thread)
+
+(* A query that parses but puts a value predicate on an internal node
+   is refused by the static analyzer: the catalog says [Rejected],
+   caches nothing, and a served request gets [lint_rejected]. *)
+let test_lint_rejected_served () =
+  with_corpus_dir (fun dir ->
+      let catalog = loaded_catalog dir in
+      let q = "//a[./b[./c] = 'x']" in
+      let doc = Option.get (Catalog.find catalog "a.xml") in
+      let size () = (Catalog.plan_cache_stats catalog).size in
+      let before = size () in
+      (match Catalog.plan_for catalog doc q with
+      | Error (Catalog.Rejected _) -> ()
+      | Error (Catalog.Bad_query m) -> Alcotest.failf "bad, not rejected: %s" m
+      | Ok _ -> Alcotest.fail "compiled a rejected query");
+      Alcotest.(check int) "no plan cached" before (size ());
+      let socket = temp_socket () in
+      let service = Service.create ~catalog () in
+      let _server, thread = start_event_server ~socket ~service () in
+      let client = connect_exn socket in
+      let r = call_exn client (Protocol.Query (query 1 q)) in
+      Alcotest.(check bool) "error status" true (r.status = Protocol.Error);
+      Alcotest.(check bool) "lint_rejected over the wire" true
+        (r.code = Some Protocol.Lint_rejected);
       ignore (Client.call client (Protocol.Stop { id = 2 }));
       Client.close client;
       Thread.join thread)
@@ -1923,6 +1966,7 @@ let suite =
       test_concurrent_memo_fills;
     Alcotest.test_case "concurrent first twig queries" `Quick
       test_concurrent_first_twig;
+    Alcotest.test_case "concurrent dataguide" `Quick test_concurrent_dataguide;
     Alcotest.test_case "concurrent plan compiles" `Quick
       test_concurrent_plan_for;
     Alcotest.test_case "percentile" `Quick test_percentile;
@@ -1958,6 +2002,7 @@ let suite =
     Alcotest.test_case "wire frame roundtrip" `Quick test_wire_frame_roundtrip;
     Alcotest.test_case "wire deadline over socket" `Quick
       test_wire_deadline_over_socket;
+    Alcotest.test_case "lint rejection served" `Quick test_lint_rejected_served;
     Alcotest.test_case "algo axis over the service" `Quick
       test_service_algo_backends;
     Alcotest.test_case "algo axis over the wire" `Quick test_algo_over_wire;

@@ -58,14 +58,6 @@ let test_determinism () =
   Alcotest.(check int) "same ops" a.engine.stats.server_ops
     b.engine.stats.server_ops
 
-let test_lockstep_pricing () =
-  let plan = Run.compile idx (parse Fixtures.q1) in
-  let r = Sim_exec.simulate_lockstep ~costs plan ~k:5 in
-  Alcotest.(check bool) "positive makespan" true (r.makespan > 0.0);
-  let noprun = Sim_exec.simulate_lockstep ~prune:false ~costs plan ~k:5 in
-  Alcotest.(check bool) "noprun costs at least as much" true
-    (noprun.makespan +. 1e-9 >= r.makespan)
-
 let test_invalid_processors () =
   let plan = Run.compile idx (parse Fixtures.q1) in
   Alcotest.check_raises "zero processors"
@@ -97,6 +89,5 @@ let suite =
     Alcotest.test_case "makespan bounds" `Quick test_makespan_bounds;
     Alcotest.test_case "answers correct" `Quick test_answers_are_correct;
     Alcotest.test_case "determinism" `Quick test_determinism;
-    Alcotest.test_case "lockstep pricing" `Quick test_lockstep_pricing;
     Alcotest.test_case "invalid processors" `Quick test_invalid_processors;
   ]
