@@ -4,8 +4,16 @@
    and "infinitely many" processors, for Q1-Q3 (10Mb-class document,
    k = 15).  The paper used machines with up to 54 CPUs; we reproduce
    the sweep on the discrete-event simulator with the paper's ~1.8ms
-   per join operation and the measured routing-decision cost, so the
-   processor count is exact and independent of this container. *)
+   per join operation and a fixed routing-decision cost, so the
+   processor count is exact and the simulated columns do not depend on
+   the host. *)
+
+(* Seconds per adaptive (min_alive) routing decision: the ~0.12 us that
+   fig8 measures with [Common.measure_decision_costs] on the machine
+   EXPERIMENTS.md reports (the micro exhibit reads 130 ns).  Measuring
+   it before each query let a loaded host change the simulated
+   interleaving. *)
+let decision_cost = 0.12e-6
 
 let run (scale : Common.scale) =
   Common.header "Figure 9: Whirlpool-M / Whirlpool-S time ratio vs processors";
@@ -18,9 +26,8 @@ let run (scale : Common.scale) =
   List.iter
     (fun (qname, q) ->
       let plan = Common.plan_for ~size:scale.default_size q in
-      let adaptive_cost, _ = Common.measure_decision_costs plan in
       let costs =
-        { Whirlpool.Sim_exec.op_cost = 1.8e-3; route_cost = adaptive_cost }
+        { Whirlpool.Sim_exec.op_cost = 1.8e-3; route_cost = decision_cost }
       in
       let s = Whirlpool.Sim_exec.simulate_s ~costs plan ~k in
       let cells =

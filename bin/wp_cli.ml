@@ -492,16 +492,10 @@ let diagnostic_to_json (d : Wp_analysis.Diagnostic.t) =
 let lint q path exact max_lattice json =
   let pattern = parse_query q in
   let config = relaxations ~exact in
-  let synopsis =
-    Option.map
-      (fun p ->
-        let idx = load_index p in
-        Wp_stats.Synopsis.build (Wp_xml.Index.doc idx))
-      path
+  let guide =
+    Option.map (fun p -> Wp_stats.Dataguide.of_index (load_index p)) path
   in
-  let diags =
-    Wp_analysis.Lint.check ?synopsis ~max_lattice ~config pattern
-  in
+  let diags = Wp_analysis.Lint.check ?guide ~max_lattice ~config pattern in
   if json then
     Format.printf "%a@." Wp_json.Json.pp
       (Wp_json.Json.Obj

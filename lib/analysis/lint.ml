@@ -2,7 +2,7 @@ module Pattern = Wp_pattern.Pattern
 module Relation = Wp_relax.Relation
 module Relaxation = Wp_relax.Relaxation
 module Server_spec = Wp_relax.Server_spec
-module Synopsis = Wp_stats.Synopsis
+module Dataguide = Wp_stats.Dataguide
 module D = Diagnostic
 
 let wildcard = Wp_xml.Index.wildcard
@@ -443,7 +443,7 @@ let lattice_consistency ?(max_lattice = 2000) ~config pat
 
 (* --- document-dependent checks --- *)
 
-let document_checks ~config syn pat =
+let document_checks ~config guide pat =
   let ds = ref [] in
   let add d = ds := d :: !ds in
   let root = Pattern.root pat in
@@ -454,7 +454,7 @@ let document_checks ~config syn pat =
   (* Severity of a per-node finding: a deletable node degrades the score;
      a mandatory one makes complete answers impossible. *)
   let node_sev = if config.Relaxation.leaf_deletion then D.Warning else D.Error in
-  let root_missing = Synopsis.tag_count syn root_tag = 0 in
+  let root_missing = Dataguide.tag_count guide root_tag = 0 in
   if root_missing then
     report ~node:root D.Error "vocabulary/unknown-tag"
       "tag %S does not occur in the document: the query has no candidate \
@@ -464,7 +464,9 @@ let document_checks ~config syn pat =
     (fun i ->
       if i <> root then begin
         let tag = Pattern.tag pat i in
-        if (not (String.equal tag wildcard)) && Synopsis.tag_count syn tag = 0
+        if
+          (not (String.equal tag wildcard))
+          && Dataguide.tag_count guide tag = 0
         then
           report ~node:i node_sev "vocabulary/unknown-tag"
             "tag %S does not occur in the document%s" tag
@@ -476,15 +478,15 @@ let document_checks ~config syn pat =
           | None -> ()
           | Some exact ->
               let relaxed = Relaxation.relax_to_root config exact in
-              if Synopsis.pairs_in_relation syn ~anc:root_tag ~desc:tag relaxed = 0
-              then
+              let pairs =
+                Dataguide.pairs_in_relation guide ~anc:root_tag ~desc:tag
+              in
+              if pairs relaxed = 0 then
                 report ~node:i node_sev "unsatisfiable/no-pairs"
                   "no (%s, %s) node pair in the document satisfies the \
                    structural predicate even at its most relaxed level %s"
                   root_tag tag (Relation.to_string relaxed)
-              else if
-                Synopsis.pairs_in_relation syn ~anc:root_tag ~desc:tag exact = 0
-              then
+              else if pairs exact = 0 then
                 report ~node:i D.Info "score/exact-level-unreachable"
                   "no (%s, %s) node pair satisfies the exact level %s: every \
                    binding of this node scores at the relaxed weight"
@@ -495,7 +497,7 @@ let document_checks ~config syn pat =
   add
     (D.infof "score/static-bound"
        "static score bound: no answer can exceed Σ idf·tf = %.4f"
-       (Score_bound.of_pattern ~config syn pat));
+       (Score_bound.of_pattern ~config guide pat));
   List.rev !ds
 
 (* --- entry points --- *)
@@ -503,7 +505,7 @@ let document_checks ~config syn pat =
 let quick ~config ~specs pat =
   well_formedness pat @ plan_consistency ~config pat specs
 
-let check ?synopsis ?specs ?max_lattice ~config pat =
+let check ?guide ?specs ?max_lattice ~config pat =
   let specs =
     match specs with Some s -> s | None -> Server_spec.build config pat
   in
@@ -511,8 +513,8 @@ let check ?synopsis ?specs ?max_lattice ~config pat =
     well_formedness pat @ redundancy pat
     @ plan_consistency ~config pat specs
     @ lattice_consistency ?max_lattice ~config pat specs
-    @ match synopsis with
-      | Some syn -> document_checks ~config syn pat
+    @ match guide with
+      | Some guide -> document_checks ~config guide pat
       | None -> []
   in
   D.sort ds

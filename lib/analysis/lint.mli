@@ -20,10 +20,13 @@
       match (error); an admitted relation no lattice member achieves
       means the plan is slacker than the three relaxations justify
       (warning);
-    - {e document checks} (when a {!Wp_stats.Synopsis.t} is supplied) —
-      tag-vocabulary membership, structural satisfiability (a predicate
-      no node pair in the document can satisfy even at its most relaxed
-      level), and the static score bound of {!Score_bound}.
+    - {e document checks} (when the document's {!Wp_stats.Dataguide.t}
+      is supplied) — tag-vocabulary membership, structural
+      satisfiability (a predicate no node pair in the document can
+      satisfy even at its most relaxed level), and the static score
+      bound of {!Score_bound}.  The guide's counts are exact, so a
+      [unsatisfiable/no-pairs] finding is never a false alarm and never
+      missed.
 
     Severity of document-dependent findings follows the configuration:
     a node that can be deleted (leaf deletion enabled) degrades
@@ -54,7 +57,7 @@ val lattice_consistency :
 
 val document_checks :
   config:Wp_relax.Relaxation.config ->
-  Wp_stats.Synopsis.t ->
+  Wp_stats.Dataguide.t ->
   Wp_pattern.Pattern.t ->
   Diagnostic.t list
 
@@ -67,7 +70,7 @@ val quick :
     {!well_formedness} plus {!plan_consistency}. *)
 
 val check :
-  ?synopsis:Wp_stats.Synopsis.t ->
+  ?guide:Wp_stats.Dataguide.t ->
   ?specs:Wp_relax.Server_spec.t array ->
   ?max_lattice:int ->
   config:Wp_relax.Relaxation.config ->
@@ -75,7 +78,7 @@ val check :
   Diagnostic.t list
 (** The full pipeline, sorted by severity.  [specs] defaults to a fresh
     {!Wp_relax.Server_spec.build}; pass a compiled plan's array to vet
-    it instead.  Document checks run only when [synopsis] is given. *)
+    it instead.  Document checks run only when [guide] is given. *)
 
 exception Rejected of Diagnostic.t list
 (** Raised by {!validate_exn}; carries the error-severity findings. *)

@@ -1,4 +1,4 @@
-module Synopsis = Wp_stats.Synopsis
+module Dataguide = Wp_stats.Dataguide
 module Relation = Wp_relax.Relation
 module Relaxation = Wp_relax.Relaxation
 module Pattern = Wp_pattern.Pattern
@@ -9,17 +9,19 @@ module Pattern = Wp_pattern.Pattern
    only in tandem with an everywhere-zero tf.)  tf for one source is at
    most the document-wide pair count, and at most the target tag's
    population. *)
-let component_bound syn ~anc_tag ~target_tag relation =
-  let sources = Synopsis.tag_count syn anc_tag in
+let component_bound guide ~anc_tag ~target_tag relation =
+  let sources = Dataguide.tag_count guide anc_tag in
   if sources = 0 then 0.0
   else
-    let pairs = Synopsis.pairs_in_relation syn ~anc:anc_tag ~desc:target_tag relation in
+    let pairs =
+      Dataguide.pairs_in_relation guide ~anc:anc_tag ~desc:target_tag relation
+    in
     if pairs = 0 then 0.0
     else
-      let tf_bound = min pairs (Synopsis.tag_count syn target_tag) in
+      let tf_bound = min pairs (Dataguide.tag_count guide target_tag) in
       log (float_of_int sources) *. float_of_int tf_bound
 
-let of_pattern ?config syn pat =
+let of_pattern ?config guide pat =
   let root = Pattern.root pat in
   let root_tag = Pattern.tag pat root in
   List.fold_left
@@ -37,6 +39,6 @@ let of_pattern ?config syn pat =
           | None -> exact
         in
         acc
-        +. component_bound syn ~anc_tag:root_tag
+        +. component_bound guide ~anc_tag:root_tag
              ~target_tag:(Pattern.tag pat node) relation)
     0.0 (Pattern.node_ids pat)

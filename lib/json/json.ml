@@ -28,15 +28,15 @@ let float_repr f =
   else if Float.is_integer f && Float.abs f < 1e15 then
     Printf.sprintf "%.1f" f
   else
-    let s = Printf.sprintf "%.17g" f in
-    (* Trim to the shortest representation that round-trips. *)
-    let rec shorten p =
-      if p >= 17 then s
-      else
-        let c = Printf.sprintf "%.*g" p f in
-        if float_of_string c = f then c else shorten (p + 1)
-    in
-    shorten 1
+    (* The first of 15, 16 and 17 significant digits that round-trips
+       (17 always does).  [%g] drops trailing zeros, so for a normal
+       float this is the shortest round-tripping [%g] form: any decimal
+       of at most 15 digits survives a trip through a double. *)
+    let s = Printf.sprintf "%.15g" f in
+    if float_of_string s = f then s
+    else
+      let s = Printf.sprintf "%.16g" f in
+      if float_of_string s = f then s else Printf.sprintf "%.17g" f
 
 let rec to_buffer b = function
   | Null -> Buffer.add_string b "null"

@@ -3,7 +3,6 @@ type doc = {
   path : string;
   index : Wp_xml.Index.t;
   nodes : int;
-  mutable dataguide : Wp_stats.Dataguide.t option;
   memo : Wp_score.Component_table.t;
 }
 
@@ -74,7 +73,6 @@ let load_file t ?name path =
   | Ok index ->
       let doc =
         { name; path; index; nodes = Wp_xml.Doc.size (Wp_xml.Index.doc index);
-          dataguide = None;
           memo = Wp_score.Component_table.create () }
       in
       (* A reload drops the name's plans: they were compiled against
@@ -113,21 +111,6 @@ let docs t =
       List.rev_map (fun name -> Hashtbl.find t.docs name) t.order)
 
 let find t name = with_lock t (fun () -> Hashtbl.find_opt t.docs name)
-
-(* Look up under the lock, build without it, and insert under it
-   again, as [plan_for] does: two domains missing at once may both
-   build, but the first insert wins and both get it. *)
-let dataguide t doc =
-  match with_lock t (fun () -> doc.dataguide) with
-  | Some g -> g
-  | None ->
-      let g = Wp_stats.Dataguide.build (Wp_xml.Index.doc doc.index) in
-      with_lock t (fun () ->
-          match doc.dataguide with
-          | Some g -> g
-          | None ->
-              doc.dataguide <- Some g;
-              g)
 
 type plan_error =
   | Bad_query of string

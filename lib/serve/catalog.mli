@@ -8,7 +8,10 @@
     the process and memoizes compiled plans in a bounded {!Lru} cache
     keyed by (query text, document name).  A miss still reuses earlier
     work: each document carries a {!Wp_score.Component_table} of the
-    idf counts and root candidates its compiles have computed.
+    idf counts and root candidates its compiles have computed.  The
+    dataguide the twig backend reads is not kept here:
+    {!Wp_stats.Dataguide.of_index} memoizes one per live document, so a
+    reloaded document's old guide goes with it.
 
     A query that names no document runs over every loaded document, in
     load order, and {!Wp_serve.Service} merges their top-k answers.
@@ -25,11 +28,6 @@ type doc = private {
   path : string;
   index : Wp_xml.Index.t;
   nodes : int;
-  mutable dataguide : Wp_stats.Dataguide.t option;
-      (** the document's annotated strong dataguide once {!dataguide}
-          has built it (on a twig-backend query), cached next to the
-          warm index for the life of the catalog entry; read and
-          written under the catalog mutex *)
   memo : Wp_score.Component_table.t;
       (** the document's idf counts and root candidates, created empty
           at load and filled by the compiles of its plans; a reload
@@ -62,12 +60,6 @@ val docs : t -> doc list
 (** Loaded documents, in load order. *)
 
 val find : t -> string -> doc option
-
-val dataguide : t -> doc -> Wp_stats.Dataguide.t
-(** The document's dataguide, built on first use outside the catalog
-    mutex, so a build stalls no other lookup.  Safe to call from any
-    number of worker domains at once: concurrent first calls may each
-    build, but all of them get the guide that was cached first. *)
 
 (** Why a query has no plan: [Bad_query] for parse/compile failures
     (the client's request is malformed), [Rejected] when

@@ -189,17 +189,7 @@ let run_doc t ~config ~algo ~k (doc : Catalog.doc) (q : Protocol.query) =
       (Catalog.plan_for t.catalog doc q.query)
   in
   let config = Whirlpool.Engine.Config.with_algo algo config in
-  (* The twig backend reads the catalog's per-document guide (built on
-     the first twig query, shared thereafter); the other engines never
-     build it. *)
-  let result =
-    match algo with
-    | Whirlpool.Engine.Config.Twig ->
-        Wp_twig.Backend.run ~config
-          ~guide:(Catalog.dataguide t.catalog doc)
-          cached.Catalog.plan ~k
-    | _ -> Wp_twig.Backend.run ~config cached.Catalog.plan ~k
-  in
+  let result = Wp_twig.Backend.run ~config cached.Catalog.plan ~k in
   note_totals t result.stats;
   Result.Ok result
 

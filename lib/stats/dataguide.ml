@@ -106,33 +106,79 @@ let build doc =
   { tags; depths; counts; min_ids; max_ids; kids; height = !max_depth;
     doc_nodes = n }
 
-(* One guide per document for the life of the process.  Engines on
-   several domains may ask at once, so the table is only touched under
-   its mutex; a first build holds it, and a concurrent caller for the
-   same document waits for that guide instead of building its own. *)
-let cache : t Doc.Tbl.t = Doc.Tbl.create 4
+(* Guides of live documents, keyed by document identity (a structural
+   key would compare two documents column by column) and held weakly: a
+   dropped or reloaded document is not pinned by its guide, which holds
+   no reference back to it.  Engines on several domains may
+   ask at once, so the table is only touched under its mutex; a build
+   runs outside it, and of two concurrent first builds for one document
+   the first insert wins and both callers get that guide. *)
+module Memo = Ephemeron.K1.Make (struct
+  type t = Doc.t
+
+  let equal = ( == )
+  let hash d = Hashtbl.hash (Doc.size d)
+end)
+
+let cache : t Memo.t = Memo.create 4
 let cache_mutex = Mutex.create ()
+
+let with_cache f =
+  Mutex.lock cache_mutex;
+  Fun.protect ~finally:(fun () -> Mutex.unlock cache_mutex) f
 
 let of_index idx =
   let doc = Wp_xml.Index.doc idx in
-  Mutex.lock cache_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock cache_mutex)
-    (fun () ->
-      match Doc.Tbl.find_opt cache doc with
-      | Some g -> g
-      | None ->
-          let g = build doc in
-          Doc.Tbl.add cache doc g;
-          g)
+  match with_cache (fun () -> Memo.find_opt cache doc) with
+  | Some g -> g
+  | None ->
+      let g = build doc in
+      with_cache (fun () ->
+          match Memo.find_opt cache doc with
+          | Some g -> g
+          | None ->
+              Memo.add cache doc g;
+              g)
+
+let wildcard = Wp_xml.Index.wildcard
+let has_tag t tag g = String.equal tag wildcard || String.equal tag t.tags.(g)
+
+let tag_count t tag =
+  if String.equal tag wildcard then t.doc_nodes
+  else begin
+    let n = ref 0 in
+    Array.iteri
+      (fun g tg -> if String.equal tg tag then n := !n + t.counts.(g))
+      t.tags;
+    !n
+  end
+
+(* Each document node on guide node [g]'s path has exactly one ancestor
+   at every smaller depth, and that ancestor lies on [g]'s guide
+   ancestor at that depth: at a depth gap the relation admits, an
+   ancestor with tag [anc] contributes count(g) pairs.  Guide ids are
+   preorder, so [path.(d)] holds the current node's ancestor at depth
+   [d] when it is visited. *)
+let pairs_in_relation t ~anc ~desc (r : Wp_relax.Relation.t) =
+  let path = Array.make (t.height + 1) 0 in
+  let total = ref 0 in
+  for g = 0 to size t - 1 do
+    let d = t.depths.(g) in
+    path.(d) <- g;
+    if has_tag t desc g then begin
+      let top = match r.max_depth with Some m -> max 0 (d - m) | None -> 0 in
+      for a = top to d - r.min_depth do
+        if has_tag t anc path.(a) then total := !total + t.counts.(g)
+      done
+    end
+  done;
+  !total
 
 type selection = {
   satisfiable : bool;
   depth_ok : bool array array;
   windows : (int * int) array array;
 }
-
-let wildcard = Wp_xml.Index.wildcard
 
 (* Everything is admissible: the fallback when the pattern is too wide
    for the bitmask encoding (> 62 nodes — far beyond the paper's

@@ -14,9 +14,13 @@
     runs of a tag stream whose label paths cannot participate in a
     pattern — the stream-skipping half of the holistic join.
 
+    The same counts answer the static analyzer's document checks
+    exactly ({!tag_count}, {!pairs_in_relation}): every document node on
+    a path has exactly one ancestor at each smaller depth, and that
+    ancestor lies on the path's guide ancestor at that depth.
+
     Building the guide is a single O(nodes) traversal; {!of_index}
-    memoizes one guide per document for the life of the process, under
-    a mutex, so any domain may call it. *)
+    memoizes one guide per live document, so any domain may call it. *)
 
 type t
 
@@ -25,7 +29,11 @@ val build : Wp_xml.Doc.t -> t
 
 val of_index : Wp_xml.Index.t -> t
 (** Memoized {!build} on the index's document: repeated calls for the
-    same document return the same guide (physical equality). *)
+    same document return the same guide (physical equality).  This is
+    the process's one cache of guides.  It holds documents weakly, so a
+    dropped or reloaded document is collected with its guide.  The
+    build runs outside the memo's mutex; concurrent first calls may each
+    build, but all of them get the guide that was cached first. *)
 
 val size : t -> int
 (** Number of guide nodes, i.e. distinct root-to-node label paths. *)
@@ -39,6 +47,18 @@ val doc_nodes : t -> int
 
 val count : t -> int -> int
 (** Number of document nodes on guide node [g]'s path. *)
+
+val tag_count : t -> string -> int
+(** Number of document nodes with the tag ({!Wp_xml.Index.wildcard}
+    counts every node).  Exact; O(guide size). *)
+
+val pairs_in_relation :
+  t -> anc:string -> desc:string -> Wp_relax.Relation.t -> int
+(** Number of (ancestor, descendant) document node pairs with the given
+    tags whose depth difference satisfies the relation; either tag may
+    be {!Wp_xml.Index.wildcard}.  Exact at every depth.  Zero means no
+    node pair in the document can satisfy a structural predicate
+    carrying this relation.  O(guide size · height). *)
 
 (** Result of matching a pattern against the guide: per pattern node,
     which document depths and preorder-id windows can hold a node that

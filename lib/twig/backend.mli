@@ -19,4 +19,4 @@ val run :
     - [Twig] → {!Twig_join.run}
 
     [guide] (used by the twig backend only) defaults to the memoized
-    per-document guide. *)
+    per-document guide, {!Wp_stats.Dataguide.of_index}. *)

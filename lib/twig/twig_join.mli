@@ -43,9 +43,9 @@ val run :
 (** Evaluate the plan's pattern exactly, window by window, and return
     the first [k] matched roots in document order, each carrying score
     [Score_table.max_total plan.scores].  [guide] defaults to the
-    process-wide memoized guide of the plan's document
-    ({!Wp_stats.Dataguide.of_index}); the serve tier passes the
-    catalog's per-document guide.  Reads [config.should_stop] before
-    each window: a stopped run returns [partial = true] with no
-    answers.
+    memoized guide of the plan's document
+    ({!Wp_stats.Dataguide.of_index}), which the CLI and the serve tier
+    both use; pass one to run against a guide built elsewhere.  Reads
+    [config.should_stop] before each window: a stopped run returns
+    [partial = true] with no answers.
     @raise Invalid_argument when [k < 1]. *)

@@ -104,13 +104,6 @@ let of_forest ?(root_tag = "doc-root") trees =
 let root _ = 0
 let size t = A.dim t.tag_ids
 
-module Tbl = Hashtbl.Make (struct
-  type nonrec t = t
-
-  let equal = ( == )
-  let hash d = Hashtbl.hash (size d)
-end)
-
 let tag t i = t.tags.(get t.tag_ids i)
 
 (* Offset of node [i]'s value in [value_bytes], [-1] when the node has

@@ -60,11 +60,6 @@ val columns : t -> columns
 val root : t -> node_id
 val size : t -> int
 
-module Tbl : Hashtbl.S with type key = t
-(** Hash tables keyed by document identity (physical equality), for
-    per-document memos.  A structural key would compare two documents
-    column by column. *)
-
 val tag : t -> node_id -> string
 
 val value : t -> node_id -> string option

@@ -20,6 +20,65 @@ let test_float_roundtrip () =
         f (float_of_string s))
     [ 0.1; 1.5; -3.25; 1e-9; 123456.789; 0.30000000000000004 ]
 
+(* The encoder before it tried three precisions: the shortest of 1 to
+   17 significant digits that round-trips.  Kept as the reference the
+   three-precision encoder must agree with on normal floats. *)
+let shortest_repr f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+  else
+    let rec shorten p =
+      if p >= 17 then Printf.sprintf "%.17g" f
+      else
+        let c = Printf.sprintf "%.*g" p f in
+        if float_of_string c = f then c else shorten (p + 1)
+    in
+    shorten 1
+
+(* Finite floats from every corner the encoder meets: raw bit patterns
+   (subnormals included), scores in [0, 50), neighbours of powers of
+   ten, and signed zeros. *)
+let gen_finite_float =
+  let open QCheck2.Gen in
+  let of_parts ~exponent mantissa =
+    Int64.float_of_bits
+      (Int64.logor
+         (Int64.shift_left (Int64.of_int exponent) 52)
+         (Int64.logand mantissa 0xF_FFFF_FFFF_FFFFL))
+  in
+  (* Any sign, any exponent below 0x7FF (so finite), any mantissa. *)
+  let bits =
+    map3
+      (fun neg exponent mantissa ->
+        of_parts ~exponent:((if neg then 0x800 else 0) + exponent) mantissa)
+      bool (int_bound 0x7FE) int64
+  in
+  let subnormal = map (of_parts ~exponent:0) int64 in
+  let near_power =
+    map3
+      (fun e step neg ->
+        let p = 10. ** float_of_int e in
+        let f = match step with 0 -> Float.pred p | 1 -> p | _ -> Float.succ p in
+        if neg then -.f else f)
+      (int_range (-307) 308) (int_bound 2) bool
+  in
+  let zero = oneofl [ 0.0; -0.0 ] in
+  oneof [ bits; subnormal; float_range 0. 50.; near_power; zero ]
+
+let print_float f = Printf.sprintf "%h" f
+
+let prop_float_bit_exact =
+  QCheck2.Test.make ~name:"float encoding round-trips bit-exactly"
+    ~count:20_000 ~print:print_float gen_finite_float (fun f ->
+      Int64.equal
+        (Int64.bits_of_float (float_of_string (to_s (Json.Float f))))
+        (Int64.bits_of_float f))
+
+let prop_float_shortest =
+  QCheck2.Test.make ~name:"float encoding matches the shortest form"
+    ~count:20_000 ~print:print_float gen_finite_float (fun f ->
+      Float.classify_float f <> FP_normal
+      || String.equal (to_s (Json.Float f)) (shortest_repr f))
+
 let test_string_escaping () =
   Alcotest.(check string) "plain" "\"hello\"" (to_s (Json.String "hello"));
   Alcotest.(check string) "quotes" "\"a\\\"b\"" (to_s (Json.String "a\"b"));
@@ -168,6 +227,8 @@ let suite =
   [
     Alcotest.test_case "scalars" `Quick test_scalars;
     Alcotest.test_case "float roundtrip" `Quick test_float_roundtrip;
+    QCheck_alcotest.to_alcotest prop_float_bit_exact;
+    QCheck_alcotest.to_alcotest prop_float_shortest;
     Alcotest.test_case "string escaping" `Quick test_string_escaping;
     Alcotest.test_case "compound" `Quick test_compound;
     Alcotest.test_case "pp shape" `Quick test_pp_is_reparseable_shape;

@@ -6,7 +6,7 @@ open Wp_analysis
 module Pattern = Wp_pattern.Pattern
 module Relaxation = Wp_relax.Relaxation
 module Server_spec = Wp_relax.Server_spec
-module Synopsis = Wp_stats.Synopsis
+module Dataguide = Wp_stats.Dataguide
 
 let parse = Fixtures.parse
 let all = Relaxation.all
@@ -51,11 +51,11 @@ let test_paper_queries_accepted () =
       Fixtures.q2c; Fixtures.q2d;
     ]
 
-let test_accepted_with_synopsis () =
-  let syn = Synopsis.build (Lazy.force Fixtures.xmark_doc) in
+let test_accepted_with_guide () =
+  let guide = Dataguide.build (Lazy.force Fixtures.xmark_doc) in
   List.iter
     (fun q ->
-      let ds = Lint.check ~synopsis:syn ~config:all (parse q) in
+      let ds = Lint.check ~guide ~config:all (parse q) in
       Alcotest.(check bool) (q ^ " vs document: no errors") false
         (Diagnostic.has_errors ds);
       (* The bound info is always reported. *)
@@ -65,6 +65,46 @@ let test_accepted_with_synopsis () =
            (fun (d : Diagnostic.t) -> d.code = "score/static-bound")
            ds))
     [ Fixtures.q1; Fixtures.q2; Fixtures.q3 ]
+
+(* Every diagnostic of the shipped XMark queries against the XMark
+   fixture, pinned: severity, code, node and message, the static bound's
+   value included.  The --exact variant makes every node mandatory. *)
+let query_file name =
+  In_channel.with_open_text
+    (Filename.concat "../examples/queries" (name ^ ".xpath"))
+    In_channel.input_all
+  |> String.trim
+
+let test_document_checks_pinned () =
+  let guide = Dataguide.build (Lazy.force Fixtures.xmark_doc) in
+  let render (d : Diagnostic.t) =
+    Printf.sprintf "%s %s %s %s"
+      (Diagnostic.severity_label d.severity)
+      d.code
+      (match d.node with Some n -> string_of_int n | None -> "-")
+      d.message
+  in
+  let bound v =
+    "info score/static-bound - static score bound: no answer can exceed \
+     Σ idf·tf = " ^ v
+  in
+  List.iter
+    (fun (name, config, expected) ->
+      Alcotest.(check (list string)) name expected
+        (List.map render
+           (Lint.check ~guide ~config (parse (query_file name)))))
+    [
+      ("xmark-q1", all, [ bound "1649.7519" ]);
+      ("xmark-q2", all, [ bound "5582.3002" ]);
+      ( "xmark-q3",
+        all,
+        [
+          "info plan/lattice-skipped - relaxation lattice exceeds 2000 \
+           patterns; cross-check skipped";
+          bound "7371.1301";
+        ] );
+      ("xmark-q3", exact, [ bound "4167.5420" ]);
+    ]
 
 (* --- defect class 1: ill-formed --- *)
 
@@ -185,16 +225,16 @@ let test_contradictory_depth () =
 let test_unsatisfiable_in_document () =
   (* Titles are leaves in every book: no (title, publisher) pair exists
      at any depth, so the predicate is structurally unsatisfiable. *)
-  let syn = Synopsis.build Fixtures.books_doc in
+  let guide = Dataguide.build Fixtures.books_doc in
   let ds =
-    Lint.check ~synopsis:syn ~config:exact (parse "//title[./publisher]")
+    Lint.check ~guide ~config:exact (parse "//title[./publisher]")
   in
   Alcotest.(check bool) "no-pairs is an error without leaf deletion" true
     (Diagnostic.has_errors ds);
   Alcotest.(check bool) "unsatisfiable class reported" true
     (has_class "unsatisfiable" ds);
   (* With leaf deletion the node can be dropped: degraded, not fatal. *)
-  let ds = Lint.check ~synopsis:syn ~config:all (parse "//title[./publisher]") in
+  let ds = Lint.check ~guide ~config:all (parse "//title[./publisher]") in
   Alcotest.(check bool) "downgraded to a warning with leaf deletion" false
     (Diagnostic.has_errors ds);
   Alcotest.(check bool) "still reported" true (has_class "unsatisfiable" ds)
@@ -202,17 +242,17 @@ let test_unsatisfiable_in_document () =
 (* --- defect class 5: vocabulary --- *)
 
 let test_vocabulary_miss () =
-  let syn = Synopsis.build Fixtures.books_doc in
-  let ds = Lint.check ~synopsis:syn ~config:exact (parse "//book[./zzz]") in
+  let guide = Dataguide.build Fixtures.books_doc in
+  let ds = Lint.check ~guide ~config:exact (parse "//book[./zzz]") in
   Alcotest.(check bool) "unknown tag is an error without leaf deletion" true
     (Diagnostic.has_errors ds);
   Alcotest.(check bool) "vocabulary class reported" true
     (has_class "vocabulary" ds);
-  let ds = Lint.check ~synopsis:syn ~config:all (parse "//book[./zzz]") in
+  let ds = Lint.check ~guide ~config:all (parse "//book[./zzz]") in
   Alcotest.(check bool) "deletable node downgrades to warning" false
     (Diagnostic.has_errors ds);
   (* An unknown root tag is always fatal. *)
-  let ds = Lint.check ~synopsis:syn ~config:all (parse "//zzz[./title]") in
+  let ds = Lint.check ~guide ~config:all (parse "//zzz[./title]") in
   Alcotest.(check bool) "unknown root tag is an error" true
     (Diagnostic.has_errors ds)
 
@@ -267,10 +307,10 @@ let test_compile_rejects () =
 let test_score_bound_dominates_answers () =
   List.iter
     (fun (idx, doc, q) ->
-      let syn = Synopsis.build doc in
+      let guide = Dataguide.build doc in
       let pat = parse q in
       let plan = Whirlpool.Run.compile ~normalization:Wp_score.Score_table.Raw idx pat in
-      let bound = Score_bound.of_pattern ~config:all syn pat in
+      let bound = Score_bound.of_pattern ~config:all guide pat in
       let r = Whirlpool.Engine.run plan ~k:5 in
       List.iter
         (fun (e : Whirlpool.Topk_set.entry) ->
@@ -311,7 +351,8 @@ let test_diagnostic_order () =
 let suite =
   [
     Alcotest.test_case "paper queries accepted" `Quick test_paper_queries_accepted;
-    Alcotest.test_case "accepted with synopsis" `Quick test_accepted_with_synopsis;
+    Alcotest.test_case "accepted with synopsis" `Quick test_accepted_with_guide;
+    Alcotest.test_case "document checks pinned" `Quick test_document_checks_pinned;
     Alcotest.test_case "value on internal node" `Quick test_value_on_internal;
     Alcotest.test_case "bad tag" `Quick test_bad_tag;
     Alcotest.test_case "empty value warns" `Quick test_empty_value_warns;

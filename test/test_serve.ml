@@ -430,22 +430,6 @@ let test_concurrent_first_twig () =
           [ r0; r1 ]
       done)
 
-(* The dataguide is built outside the catalog lock: two domains asking
-   at once on a freshly loaded document get the one guide cached
-   first, and later calls return it too. *)
-let test_concurrent_dataguide () =
-  with_xmark_dir (fun dir ->
-      for trial = 1 to 10 do
-        let catalog = loaded_catalog dir in
-        let doc = Option.get (Catalog.find catalog "x.xml") in
-        let g0, g1 = on_two_domains (fun _ -> Catalog.dataguide catalog doc) in
-        Alcotest.(check bool)
-          (Printf.sprintf "trial %d: one guide" trial) true (g0 == g1);
-        Alcotest.(check bool)
-          (Printf.sprintf "trial %d: cached" trial) true
-          (Catalog.dataguide catalog doc == g0)
-      done)
-
 (* Concurrent misses compile outside the catalog lock.  Identical
    queries must still end up sharing one cached plan, distinct ones
    get their own, and every call counts exactly one lookup.  The
@@ -530,6 +514,37 @@ let test_catalog_reload_drops_plans () =
         (stale.index == old_doc.index);
       Alcotest.(check bool) "cache keeps the new plan" true
         (plan_exn catalog doc q == plan))
+
+(* A twig query after a reload answers from the new document: its
+   guide's id windows are the new document's, not the replaced one's.
+   The old document holds one <a>, the new one three, so a stale guide
+   would clip the root stream to the first. *)
+let test_twig_after_reload () =
+  with_corpus_dir (fun dir ->
+      let path = Filename.concat dir "d.xml" in
+      let write n =
+        write_tree path
+          (Wp_xml.Tree.el "r"
+             (List.init n (fun _ ->
+                  Wp_xml.Tree.el "a" [ Wp_xml.Tree.leaf "b" "x" ])))
+      in
+      let catalog = Catalog.create () in
+      let service = Service.create ~catalog () in
+      let roots n =
+        write n;
+        (match Catalog.load_file catalog path with
+        | Ok _ -> ()
+        | Error m -> Alcotest.failf "load_file: %s" m);
+        let r =
+          Service.handle_query service
+            (query n ~doc:"d.xml" ~k:10 ~algo:"twig" "//a[./b]")
+        in
+        Alcotest.(check bool) "ok" true (r.status = Protocol.Ok);
+        List.sort compare
+          (List.map (fun (a : Protocol.answer) -> a.root) r.answers)
+      in
+      Alcotest.(check (list int)) "first load" [ 1 ] (roots 1);
+      Alcotest.(check (list int)) "after reload" [ 1; 3; 5 ] (roots 3))
 
 (* Domains compiling overlapping ad-hoc patterns against one document
    fill its component table at once.  Every plan must carry the
@@ -769,9 +784,9 @@ let test_merged_mapped_corpus () =
             merged_queries))
 
 (* Two mapped documents of equal node count but distinct content in
-   one catalog: per-document memos (dataguide, synopsis) are keyed by
-   identity, so neither compares the documents' accessor closures nor
-   hands one document's guide to the other. *)
+   one catalog: the guide memo is keyed by document identity, so it
+   neither compares the documents' accessor closures nor hands one
+   document's guide to the other. *)
 let test_mapped_equal_size_docs () =
   let dir =
     Filename.concat
@@ -1228,7 +1243,7 @@ let test_bound_push_rejected () =
 (* Per-document, with k past every exact match, every full backend must
    return the same answer list; plain twig is exact-only, so its
    answers are the exact prefix of the default backend's (the relaxed
-   tail is absent).  The twig backend also forces the catalog's lazy
+   tail is absent).  The twig backend also builds each document's
    dataguide. *)
 let rec is_prefix xs ys =
   match (xs, ys) with
@@ -1962,11 +1977,11 @@ let suite =
     Alcotest.test_case "catalog plan cache" `Quick test_catalog_plan_cache;
     Alcotest.test_case "catalog reload drops plans" `Quick
       test_catalog_reload_drops_plans;
+    Alcotest.test_case "twig after reload" `Quick test_twig_after_reload;
     Alcotest.test_case "concurrent component-table fills" `Quick
       test_concurrent_memo_fills;
     Alcotest.test_case "concurrent first twig queries" `Quick
       test_concurrent_first_twig;
-    Alcotest.test_case "concurrent dataguide" `Quick test_concurrent_dataguide;
     Alcotest.test_case "concurrent plan compiles" `Quick
       test_concurrent_plan_for;
     Alcotest.test_case "percentile" `Quick test_percentile;
