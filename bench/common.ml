@@ -224,7 +224,8 @@ let measure_decision_costs plan =
     fun () -> incr n; !n
   in
   let seeds = Whirlpool.Seeds.create plan stats in
-  let pm = Option.get (Whirlpool.Seeds.open_next seeds ~threshold:neg_infinity ~next_id) in
+  let empty = Whirlpool.Topk_set.create ~k:1 ~admit_partial:true () in
+  let pm = Option.get (Whirlpool.Seeds.open_next seeds empty ~next_id) in
   let iters = 20_000 in
   let time_routing routing =
     let t0 = Whirlpool.Clock.now () in

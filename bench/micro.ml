@@ -19,9 +19,9 @@ let tests_for (scale : Common.scale) =
     fun () -> incr n; !n
   in
   let seeds = Whirlpool.Seeds.create plan stats in
-  let pm = Option.get (Whirlpool.Seeds.open_next seeds ~threshold:neg_infinity ~next_id) in
+  let topk = Whirlpool.Topk_set.create ~k:15 ~admit_partial:true () in
+  let pm = Option.get (Whirlpool.Seeds.open_next seeds topk ~next_id) in
   let root = Whirlpool.Partial_match.root_binding pm in
-  let topk = Whirlpool.Topk_set.create ~k:15 ~admit_partial:true in
   [
     (* Figure 3 — one static plan evaluation of the motivating example. *)
     Test.make ~name:"fig3/join-plan-eval"

@@ -178,6 +178,7 @@ type ctx = {
   source : string;
   unit_name : string;
   db : Summary.db;  (* call-graph summaries *)
+  mutable scope : string list;  (* enclosing module path, outermost first *)
   mutable diags : D.t list;
   mutable allowed : string list;  (* rules suppressed in current scope *)
   mutable held : (string * int option) list;  (* innermost first *)
@@ -366,7 +367,10 @@ let scan_expressions ctx (str : structure) =
           (* Interprocedural: the same three context rules through the
              callee's transitive summary. *)
           if ctx.hot || ctx.held <> [] then
-            match Summary.resolve ctx.db ~unit_name:ctx.unit_name n with
+            match
+              Summary.resolve ctx.db ~unit_name:ctx.unit_name ~scope:ctx.scope
+                n
+            with
             | None -> ()
             | Some g ->
                 if ctx.hot && not (List.mem n allocators) then
@@ -499,6 +503,12 @@ let scan_expressions ctx (str : structure) =
               Fun.protect
                 ~finally:(fun () -> ctx.hot <- saved)
                 (fun () -> default.value_binding it vb)));
+      module_binding =
+        (fun it mb ->
+          let saved = ctx.scope in
+          Option.iter (fun id -> ctx.scope <- saved @ [ Ident.name id ]) mb.mb_id;
+          default.module_binding it mb;
+          ctx.scope <- saved);
     }
   in
   it.structure it str
@@ -742,7 +752,7 @@ let totality_findings (db : Summary.db) =
             let consults_via_call =
               List.exists
                 (fun r ->
-                  match Summary.resolve db ~unit_name:f.Summary.f_unit r with
+                  match Summary.resolve_ref db f r with
                   | Some g -> g.Summary.t_consults
                   | None -> false)
                 l.Summary.l_refs
@@ -798,6 +808,7 @@ let check_unit_db db (u : Discover.unit_info) =
       source = u.Discover.source;
       unit_name = u.Discover.modname;
       db;
+      scope = [];
       diags = [];
       allowed = [];
       held = [];

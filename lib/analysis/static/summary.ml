@@ -512,7 +512,7 @@ let join_units acc comp =
   else if String.ends_with ~suffix:"_" acc then acc ^ comp
   else acc ^ "__" ^ comp
 
-let resolve db ~unit_name name =
+let resolve_global db ~unit_name name =
   let try_key u p = Hashtbl.find_opt db.fns (u, p) in
   let parts = String.split_on_char '.' name in
   let parts =
@@ -544,6 +544,27 @@ let resolve db ~unit_name name =
           in
           guess "" parts)
 
+(* A name spelled inside module [scope] of its unit ([["Make"]] for a
+   functor's body) means the innermost enclosing module that binds
+   it, so [emit] inside [Make] is [Make.emit] and [Shared_queue.push]
+   is [Make.Shared_queue.push]. *)
+let resolve db ~unit_name ~scope name =
+  let rec within = function
+    | [] -> resolve_global db ~unit_name name
+    | _ :: outer as rev_scope -> (
+        let path = String.concat "." (List.rev (name :: rev_scope)) in
+        match Hashtbl.find_opt db.fns (unit_name, path) with
+        | Some f -> Some f
+        | None -> within outer)
+  in
+  within (List.rev scope)
+
+(* A name [f]'s body references, resolved in the module enclosing
+   [f]'s binding. *)
+let resolve_ref db f name =
+  let scope = List.rev (List.tl (List.rev (String.split_on_char '.' f.f_path))) in
+  resolve db ~unit_name:f.f_unit ~scope name
+
 (* --- the fixpoint --- *)
 
 let short_path fn = fn.f_path
@@ -569,7 +590,7 @@ let saturate db =
       (fun _ f ->
         List.iter
           (fun r ->
-            match resolve db ~unit_name:f.f_unit r with
+            match resolve_ref db f r with
             | None -> ()
             | Some g when g == f -> ()
             | Some g ->
@@ -634,7 +655,7 @@ let reachable_from_roots db ~is_root =
       | Some f ->
           List.iter
             (fun r ->
-              match resolve db ~unit_name:f.f_unit r with
+              match resolve_ref db f r with
               | Some g ->
                   let gk = (g.f_unit, g.f_path) in
                   if not (Hashtbl.mem seen gk) then Queue.add gk queue

@@ -75,12 +75,17 @@ type db = {
 val build : tables -> Discover.unit_info list -> db
 (** Harvest every unit and saturate the transitive facts. *)
 
-val resolve : db -> unit_name:string -> string -> fn option
-(** Resolve a referenced name from inside [unit_name] to its summary:
-    bare names in the same unit, nested-module paths, top-level module
-    aliases, and dune wrapped-library spellings
-    ([Whirlpool.Engine.run], [Whirlpool__Server.process],
+val resolve : db -> unit_name:string -> scope:string list -> string -> fn option
+(** Resolve a name referenced inside module path [scope] of [unit_name]
+    (e.g. [["Make"]] in a functor's body) to its summary: a binding of
+    the innermost enclosing module first ([emit] inside [Make] is
+    [Make.emit]), then bare names in the same unit, nested-module
+    paths, top-level module aliases, and dune wrapped-library
+    spellings ([Whirlpool.Engine.run], [Whirlpool__Server.process],
     [Whirlpool__.Server.process]). *)
+
+val resolve_ref : db -> fn -> string -> fn option
+(** {!resolve} a name the summary's body references. *)
 
 val reachable_from_roots :
   db -> is_root:(fn -> bool) -> (string * string, unit) Hashtbl.t

@@ -71,10 +71,9 @@ let validate_plan (plan : Plan.t) =
     plan.pattern;
   if Invariants.enabled () then Invariants.check_table plan.scores
 
-(* The pop loop behind [run] and [run_above]: [floor] is a fixed score
-   bar, and a match whose [max_possible] is strictly below it is pruned
-   ([neg_infinity] for [run], which never prunes). *)
-let run_with_floor ~floor (config : Config.t) (plan : Plan.t) ~k =
+(* The pop loop behind [run] and [run_above], which differ only in the
+   top-k set they hand it. *)
+let run_set (config : Config.t) (plan : Plan.t) topk =
   let { Config.routing; queue_policy; should_stop; obs; _ } = config in
   let stats = Stats.create () in
   let t0 = now_ns () in
@@ -85,12 +84,11 @@ let run_with_floor ~floor (config : Config.t) (plan : Plan.t) ~k =
      without a live span builds no event. *)
   let obs_on = Obs.enabled obs in
   let qspan = if obs_on then Obs.root obs "query" else None in
-  Obs.attr obs qspan "k" (float_of_int k);
+  Obs.attr obs qspan "k" (float_of_int (Topk_set.k topk));
   Obs.attr obs qspan "servers" (float_of_int plan.n_servers);
   let cur_span = ref qspan in
   let tracing () = Option.is_some !cur_span in
   let emit e = Obs.emit obs !cur_span e in
-  let topk = Topk_set.create ~k ~admit_partial:(Plan.admits_partial_answers plan) in
   (* Streaming certification: when the caller installed an
      [on_certified] hook, push entries the moment no alive match can
      beat them.  The physical-equality gate on [no_certify] keeps the
@@ -120,7 +118,7 @@ let run_with_floor ~floor (config : Config.t) (plan : Plan.t) ~k =
      waits in the cursor until its class beats the queue's top; the
      other policies order the queue by something other than the bound,
      so they take every live seed up front. *)
-  let seeds = Seeds.create ~floor plan stats in
+  let seeds = Seeds.create plan stats in
   (* The unopened roots are alive too; the cursor's head bounds them. *)
   let certify () =
     match cert with
@@ -153,7 +151,7 @@ let run_with_floor ~floor (config : Config.t) (plan : Plan.t) ~k =
       (Seeds.drain seeds ~next_id);
   let trace = if tracing () then Some emit else None in
   let visit (pm : Partial_match.t) server =
-    Server.settle plan stats topk ~floor ~trace pm ~server
+    Server.settle plan stats topk ~trace pm ~server
       (Server.process plan stats ~next_id pm ~server)
       ~keep:enqueue
   in
@@ -213,17 +211,20 @@ let run_with_floor ~floor (config : Config.t) (plan : Plan.t) ~k =
   { answers; stats; partial = !stopped }
 
 let run ?(config = Config.default) plan ~k =
-  run_with_floor ~floor:Float.neg_infinity config plan ~k
+  run_set config plan
+    (Topk_set.create ~k ~admit_partial:(Plan.admits_partial_answers plan) ())
 
-(* Threshold mode is the pop loop with the bar as its floor and room
-   for every root: the top-k set keeps one entry per root, and the
-   strict [<] prune never drops a match that could still score above
+(* Threshold mode is the pop loop over a set with the bar as its floor
+   and room for every root: the set keeps one entry per root, and its
+   strict [<] floor never prunes a match that could still score above
    the bar. *)
 let run_above ?(config = Config.default) (plan : Plan.t) ~threshold =
   let config = { config with on_certified = no_certify } in
   let r =
-    run_with_floor ~floor:threshold config plan
-      ~k:(max 1 (Array.length plan.roots))
+    run_set config plan
+      (Topk_set.create ~floor:threshold
+         ~k:(max 1 (Array.length plan.roots))
+         ~admit_partial:(Plan.admits_partial_answers plan) ())
   in
   {
     r with

@@ -31,9 +31,8 @@ val no_certify : Topk_set.entry -> unit
     value, so a run without a hook pays nothing. *)
 
 (** Every engine knob in one record — the single seam through which the
-    CLI, the benches and {!Wp_serve} configure a run, replacing the
-    optional-argument signatures that used to drift between
-    [Engine.run], [Engine.run_above] and [Engine_mt.run].
+    CLI, the benches and {!Wp_serve} configure a run of [Engine.run],
+    [Engine.run_above] or [Engine_mt.run].
 
     [default] reproduces the historical defaults bit-for-bit; the
     [with_*] setters build variations without naming the other fields,
@@ -150,9 +149,9 @@ val run_above : ?config:Config.t -> Plan.t -> threshold:float -> result
     whose maximum possible final score cannot beat it.  The cardinality
     of the answer set is data-dependent rather than fixed at [k].
 
-    It runs {!run}'s pop loop with [k] the number of root candidates
-    (at least 1), so the top-k set holds one entry per root, and with
-    [threshold] as a fixed floor: a partial match whose maximum
-    possible score is strictly below it is pruned.  The answers are the
-    entries scoring above it.  Every other knob of [config] applies as
+    It runs {!run}'s pop loop over a top-k set with [k] the number of
+    root candidates (at least 1), so the set holds one entry per root,
+    and with [threshold] as the set's floor ({!Topk_set.create}): a
+    partial match whose maximum possible score is strictly below it is
+    pruned.  The answers are the entries scoring above it.  Every other knob of [config] applies as
     in {!run}, [obs] included; [config.on_certified] is ignored. *)

@@ -206,7 +206,7 @@ module Make (S : Sync.S) = struct
 
   (* Under topk.mutex: a pruned match leaves the alive set too. *)
   let prune shared stats ~trace pm topk =
-    Server.prune stats topk ~floor:Float.neg_infinity ~trace pm
+    Server.prune stats topk ~trace pm
     && (alive_remove shared pm; true)
 
   (* The router owns the seed cursor and the [pending] token.  Under
@@ -218,9 +218,10 @@ module Make (S : Sync.S) = struct
     let next_id () = S.fetch_and_add shared.next_id 1 in
     let trace, flush = buffered shared in
     let holding = ref true in
-    (* Seeds that stay alive join the alive set under the admission
-       lock, and [pending] before the token goes. *)
-    let admit pms =
+    (* [take] opens seeds inside the top-k section that admits them;
+       those that stay alive join the alive set under it, and [pending]
+       before the token goes. *)
+    let admit take =
       S.note_write "stats.router";
       let kept =
         with_topk shared (fun topk ->
@@ -228,7 +229,7 @@ module Make (S : Sync.S) = struct
               (fun pm ->
                 Seeds.admit shared.seeds topk pm
                 && (alive_add shared pm; true))
-              pms)
+              (take topk))
       in
       List.iter (fun _ -> S.incr shared.pending) kept;
       if !holding && Seeds.head shared.seeds = Float.neg_infinity then begin
@@ -237,23 +238,24 @@ module Make (S : Sync.S) = struct
       end;
       kept
     in
+    let open_next topk =
+      Option.to_list (Seeds.open_next shared.seeds topk ~next_id)
+    in
     (* The queue's top, or the cursor's next root when that beats it. *)
     let rec next () =
       let yield q = !holding && Seeds.beats shared.seeds q in
       match Shared_queue.pop shared.router_queue ~yield ~stopped:(stopped shared) with
       | None when !holding && not (stopped shared ()) -> (
-          let threshold = with_topk shared Topk_set.threshold in
-          let seed = Seeds.open_next shared.seeds ~threshold ~next_id in
-          match admit (Option.to_list seed) with [ pm ] -> Some pm | _ -> next ())
+          match admit open_next with [ pm ] -> Some pm | _ -> next ())
       | top -> top
     in
     List.iter
       (fun pm ->
         Shared_queue.push shared.router_queue ~tie:pm.Partial_match.score
           ~priority_of:(router_priority shared) pm)
-      (admit
-         (if shared.queue_policy = Strategy.Max_final_score then []
-          else Seeds.drain shared.seeds ~next_id));
+      (admit (fun _ ->
+           if shared.queue_policy = Strategy.Max_final_score then []
+           else Seeds.drain shared.seeds ~next_id));
     let rec loop () =
       match next () with
       | None -> ()
@@ -342,8 +344,8 @@ module Make (S : Sync.S) = struct
                dips below a score that a descendant could still
                reach. *)
             with_topk shared (fun topk ->
-                Server.settle shared.plan stats topk
-                  ~floor:Float.neg_infinity ~trace pm ~server outcome ~keep;
+                Server.settle shared.plan stats topk ~trace pm ~server
+                  outcome ~keep;
                 alive_remove shared pm);
             flush ();
             (* Register the new in-flight matches before retiring the
@@ -394,7 +396,7 @@ module Make (S : Sync.S) = struct
         routing;
         queue_policy;
         topk =
-          Topk_set.create ~k ~admit_partial:(Plan.admits_partial_answers plan);
+          Topk_set.create ~k ~admit_partial:(Plan.admits_partial_answers plan) ();
         topk_mutex = S.mutex "topk.mutex";
         router_queue = Shared_queue.create "queue.router";
         server_queues =

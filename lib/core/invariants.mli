@@ -55,5 +55,6 @@ val check_table : Wp_score.Score_table.t -> unit
     enabled. *)
 
 val check_threshold : before:float -> after:float -> unit
-(** The top-k threshold observed around an insertion: non-decreasing
-    (retraction of a died match may lower it and is not checked). *)
+(** The top-k threshold (the k-th score, never the set's floor)
+    observed around an insertion: non-decreasing (retraction of a died
+    match may lower it and is not checked). *)

@@ -12,8 +12,7 @@ let run ?order ?(config = Engine.Config.default) ?(prune = true)
     invalid_arg "Lockstep.run: order must cover every non-root server";
   let stats = Stats.create () in
   let t0 = now_ns () in
-  let topk = Topk_set.create ~k ~admit_partial:(Plan.admits_partial_answers plan) in
-  let floor = Float.neg_infinity in
+  let topk = Topk_set.create ~k ~admit_partial:(Plan.admits_partial_answers plan) () in
   let next_id =
     let n = ref 0 in
     fun () -> incr n; !n
@@ -59,13 +58,13 @@ let run ?order ?(config = Engine.Config.default) ?(prune = true)
                answers known so far are returned flagged [partial]. *)
             stopped := true
         | Some pm ->
-            if not (prune && Server.prune stats topk ~floor ~trace:None pm)
+            if not (prune && Server.prune stats topk ~trace:None pm)
             then begin
               stats.routing_decisions <- stats.routing_decisions + 1;
               let outcome = Server.process plan stats ~next_id pm ~server in
               if prune then
-                Server.settle plan stats topk ~floor ~trace:None pm ~server
-                  outcome ~keep
+                Server.settle plan stats topk ~trace:None pm ~server outcome
+                  ~keep
               else
                 List.iter
                   (fun ext -> if noprune_alive ext then keep ext)
@@ -82,7 +81,7 @@ let run ?order ?(config = Engine.Config.default) ?(prune = true)
   let answers =
     if prune then Topk_set.entries topk
     else begin
-      let final = Topk_set.create ~k ~admit_partial:true in
+      let final = Topk_set.create ~k ~admit_partial:true () in
       List.iter (fun pm -> Topk_set.consider final ~complete:true pm)
         !completed_noprune;
       Topk_set.entries final

@@ -1,7 +1,6 @@
 type t = {
   plan : Plan.t;
   stats : Stats.t;
-  floor : float;
   mutable cls : int;  (* the head class; past the last when none is left *)
   mutable left : int;  (* its unopened roots *)
   mutable next : int;  (* where the scan for its next root resumes *)
@@ -14,14 +13,14 @@ let goto t cls =
     t.next <- t.plan.seeds.(cls).first_word * 64
   end
 
-let create ?(floor = Float.neg_infinity) (plan : Plan.t) (stats : Stats.t) =
+let create (plan : Plan.t) (stats : Stats.t) =
   if Invariants.enabled () then Invariants.check_table plan.scores;
   let n = Array.length plan.roots in
   stats.server_ops <- stats.server_ops + 1;
   stats.comparisons <- stats.comparisons + n;
   stats.matches_created <- stats.matches_created + n;
   stats.matches_died <- stats.matches_died + (n - Plan.n_seeds plan);
-  let t = { plan; stats; floor; cls = 0; left = 0; next = 0 } in
+  let t = { plan; stats; cls = 0; left = 0; next = 0 } in
   goto t 0;
   t
 
@@ -42,11 +41,11 @@ let seed t ~next_id pos =
     ~root ~weight:(Plan.root_weight t.plan root)
     ~max_rest:(Plan.seed_rest t.plan pos)
 
-let open_next t ~threshold ~next_id =
+let open_next t topk ~next_id =
   if t.cls >= Array.length t.plan.seeds then None
   else begin
     let c = t.plan.seeds.(t.cls) in
-    if c.bound <= threshold || c.bound < t.floor then begin
+    if Topk_set.prunes_bound topk c.bound then begin
       t.stats.matches_pruned <- t.stats.matches_pruned + t.left;
       goto t (t.cls + 1);
       None
@@ -61,17 +60,17 @@ let open_next t ~threshold ~next_id =
     end
   end
 
-(* A single-node pattern's seed completes; one below the threshold or
-   the floor is pruned. *)
+(* A single-node pattern's seed completes; one the set prunes counts
+   as pruned. *)
 let admit t topk (pm : Partial_match.t) =
   if Invariants.enabled () then Invariants.check_root t.plan pm;
-  Server.offer t.plan t.stats topk ~floor:t.floor ~trace:None pm
+  Server.offer t.plan t.stats topk ~trace:None pm
 
 let rec pop t topk queue ~next_id ~trace ~stop ~popped =
   if beats t queue then
     if stop () then None
     else
-      match open_next t ~threshold:(Topk_set.threshold topk) ~next_id with
+      match open_next t topk ~next_id with
       | Some pm as seed when admit t topk pm ->
           popped pm;
           seed
@@ -82,7 +81,7 @@ let rec pop t topk queue ~next_id ~trace ~stop ~popped =
     | None -> None
     | Some pm as top ->
         popped pm;
-        if Server.prune t.stats topk ~floor:t.floor ~trace pm then
+        if Server.prune t.stats topk ~trace pm then
           pop t topk queue ~next_id ~trace ~stop ~popped
         else top
 

@@ -5,11 +5,10 @@
 
 type t
 
-val create : ?floor:float -> Plan.t -> Stats.t -> t
+val create : Plan.t -> Stats.t -> t
 (** A cursor at the first class.  Charges the root server's work: one
     op, and one comparison and one created match per root candidate,
-    one died match per root a required server kills.  Classes and
-    seeds below [floor] (default [neg_infinity]) die. *)
+    one died match per root a required server kills. *)
 
 val head : t -> float
 (** The head class's bound; [neg_infinity] when no class is left. *)
@@ -20,15 +19,16 @@ val beats : t -> 'a Pqueue.t -> bool
     logically queued first, wins a full tie. *)
 
 val open_next :
-  t -> threshold:float -> next_id:(unit -> int) -> Partial_match.t option
+  t -> Topk_set.t -> next_id:(unit -> int) -> Partial_match.t option
 (** The head class's next root in document order, as a seed counted in
-    [seeds_materialized].  A class whose bound cannot beat [threshold]
-    (no unopened root is in the top-k set, so a tie loses) or the floor
-    dies whole instead, its roots counted as pruned: [None]. *)
+    [seeds_materialized].  A class whose bound the set prunes
+    ({!Topk_set.prunes_bound}: no unopened root is in the set, so a
+    tie with the threshold loses) dies whole instead, its roots
+    counted as pruned: [None]. *)
 
 val admit : t -> Topk_set.t -> Partial_match.t -> bool
-(** Offer a fresh seed to the top-k set through {!Server.offer} (the
-    floor is the cursor's); true when it stays alive. *)
+(** Offer a fresh seed to the top-k set through {!Server.offer}; true
+    when it stays alive. *)
 
 val pop :
   t -> Topk_set.t -> Partial_match.t Pqueue.t -> next_id:(unit -> int) ->
@@ -36,11 +36,11 @@ val pop :
   popped:(Partial_match.t -> unit) -> Partial_match.t option
 (** The next match to visit: the head class's next root ({!open_next},
     {!admit}) when it {!beats} the queue's top, else the queue's top
-    unless {!Server.prune} drops it under the cursor's floor.  Dead
-    seeds and pruned pops are skipped, re-checking the cursor after
-    each.  [popped] sees each match handed out or pruned, before the
-    prune test; [stop] runs before each step that has work, and true
-    ends the pop.  [None] once nothing is left or [stop] fired. *)
+    unless {!Server.prune} drops it.  Dead seeds and pruned pops are
+    skipped, re-checking the cursor after each.  [popped] sees each
+    match handed out or pruned, before the prune test; [stop] runs
+    before each step that has work, and true ends the pop.  [None]
+    once nothing is left or [stop] fired. *)
 
 val drain : t -> next_id:(unit -> int) -> Partial_match.t list
 (** Every live root's seed, in document order, leaving no class.

@@ -188,15 +188,15 @@ let profiled obs ~parent (stats : Stats.t) ~server f =
 
 type trace = (Obs.event -> unit) option
 
-let prune (stats : Stats.t) topk ~floor ~trace (pm : Partial_match.t) =
-  (Topk_set.should_prune topk pm || pm.max_possible < floor)
+let prune (stats : Stats.t) topk ~trace (pm : Partial_match.t) =
+  Topk_set.should_prune topk pm
   && begin
        (match trace with Some f -> f (Obs.Pruned { id = pm.id }) | None -> ());
        stats.matches_pruned <- stats.matches_pruned + 1;
        true
      end
 
-let offer (plan : Plan.t) (stats : Stats.t) topk ~floor ~trace
+let offer (plan : Plan.t) (stats : Stats.t) topk ~trace
     (pm : Partial_match.t) =
   let complete = Partial_match.is_complete pm ~full_mask:plan.full_mask in
   Topk_set.consider topk ~complete pm;
@@ -207,11 +207,11 @@ let offer (plan : Plan.t) (stats : Stats.t) topk ~floor ~trace
     stats.completed <- stats.completed + 1;
     false
   end
-  else not (prune stats topk ~floor ~trace pm)
+  else not (prune stats topk ~trace pm)
 
 (* A top-level walk rather than [List.iter] over a closure: settling
    allocates nothing of its own. *)
-let rec settle_each plan stats topk ~floor ~trace ~keep
+let rec settle_each plan stats topk ~trace ~keep
     (parent : Partial_match.t) ~server = function
   | [] -> ()
   | (ext : Partial_match.t) :: rest ->
@@ -226,10 +226,10 @@ let rec settle_each plan stats topk ~floor ~trace ~keep
                  bound = Partial_match.bound ext server <> None;
                })
       | None -> ());
-      if offer plan stats topk ~floor ~trace ext then keep ext;
-      settle_each plan stats topk ~floor ~trace ~keep parent ~server rest
+      if offer plan stats topk ~trace ext then keep ext;
+      settle_each plan stats topk ~trace ~keep parent ~server rest
 
-let settle plan stats topk ~floor ~trace (parent : Partial_match.t) ~server
+let settle plan stats topk ~trace (parent : Partial_match.t) ~server
     { extensions; died } ~keep =
   if Invariants.enabled () then
     List.iter (Invariants.check_extension plan ~parent) extensions;
@@ -239,4 +239,4 @@ let settle plan stats topk ~floor ~trace (parent : Partial_match.t) ~server
     | None -> ());
     Topk_set.retract topk parent
   end;
-  settle_each plan stats topk ~floor ~trace ~keep parent ~server extensions
+  settle_each plan stats topk ~trace ~keep parent ~server extensions

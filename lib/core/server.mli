@@ -51,28 +51,24 @@ val profiled :
 
 (** {1 Settling a visit}
 
-    The visit bookkeeping every engine shares.  A match whose
-    [max_possible] is strictly below [floor] is pruned ([neg_infinity]
-    except in [Engine.run_above]).  [trace] receives the engine events;
-    without it none is built. *)
+    The visit bookkeeping every engine shares.  The top-k set decides
+    every prune ({!Topk_set.should_prune}).  [trace] receives the
+    engine events; without it none is built. *)
 
 type trace = (Wp_obs.Obs.event -> unit) option
 
-val prune :
-  Stats.t -> Topk_set.t -> floor:float -> trace:trace -> Partial_match.t -> bool
-(** Whether a popped match can no longer beat the threshold, or falls
-    below [floor]; a pruned match counts in [matches_pruned]. *)
+val prune : Stats.t -> Topk_set.t -> trace:trace -> Partial_match.t -> bool
+(** Whether the set prunes a popped match; a pruned match counts in
+    [matches_pruned]. *)
 
 val offer :
-  Plan.t -> Stats.t -> Topk_set.t -> floor:float -> trace:trace ->
-  Partial_match.t -> bool
+  Plan.t -> Stats.t -> Topk_set.t -> trace:trace -> Partial_match.t -> bool
 (** Offer a fresh match to the top-k set and count it as [completed] or
     pruned ({!prune}); true when it stays alive. *)
 
 val settle :
-  Plan.t -> Stats.t -> Topk_set.t -> floor:float -> trace:trace ->
-  Partial_match.t -> server:int -> outcome -> keep:(Partial_match.t -> unit) ->
-  unit
+  Plan.t -> Stats.t -> Topk_set.t -> trace:trace -> Partial_match.t ->
+  server:int -> outcome -> keep:(Partial_match.t -> unit) -> unit
 (** Settle a match's visit from its {!process} outcome: check each
     extension when [Invariants] are on, retract a parent that died,
     {!offer} each extension in order and pass the survivors to [keep].

@@ -37,9 +37,8 @@ let simulate_m ?(config = Engine.Config.default) ~costs ~processors
     (plan : Plan.t) ~k =
   let { Engine.Config.routing; queue_policy; _ } = config in
   if processors < 1 then invalid_arg "Sim_exec.simulate_m: processors >= 1";
-  let floor = Float.neg_infinity in
   let stats = Stats.create () in
-  let topk = Topk_set.create ~k ~admit_partial:(Plan.admits_partial_answers plan) in
+  let topk = Topk_set.create ~k ~admit_partial:(Plan.admits_partial_answers plan) () in
   let next_id =
     let n = ref 0 in
     fun () -> incr n; !n
@@ -86,7 +85,7 @@ let simulate_m ?(config = Engine.Config.default) ~costs ~processors
      Whirlpool-S does; seeds that die cost no time. *)
   let rec pop_alive th =
     match Pqueue.pop th.queue with
-    | Some pm when Server.prune stats topk ~floor ~trace:None pm -> pop_alive th
+    | Some pm when Server.prune stats topk ~trace:None pm -> pop_alive th
     | top -> top
   in
   let pop_router () =
@@ -117,7 +116,7 @@ let simulate_m ?(config = Engine.Config.default) ~costs ~processors
     enqueue server pm
   in
   let handle_server server pm =
-    Server.settle plan stats topk ~floor ~trace:None pm ~server
+    Server.settle plan stats topk ~trace:None pm ~server
       (Server.process plan stats ~next_id pm ~server)
       ~keep:(enqueue 0)
   in

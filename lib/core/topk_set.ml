@@ -84,16 +84,18 @@ end
 type t = {
   k : int;
   admit_partial : bool;
+  floor : float;  (* fixed score bar: a match below it is pruned *)
   by_root : (int, entry) Hashtbl.t;  (* at most k bindings *)
   heap : Min_heap.t;  (* (score, root) items, lazily pruned *)
   mutable best_since_mark : float;  (* best score stored since [mark] *)
 }
 
-let create ~k ~admit_partial =
+let create ?(floor = Float.neg_infinity) ~k ~admit_partial () =
   if k < 1 then invalid_arg "Topk_set.create: k must be positive";
   {
     k;
     admit_partial;
+    floor;
     by_root = Hashtbl.create (2 * k);
     heap = Min_heap.create (2 * k);
     best_since_mark = Float.neg_infinity;
@@ -195,6 +197,7 @@ let consider t ~complete (pm : Partial_match.t) =
   end
 
 let should_prune t (pm : Partial_match.t) =
+  pm.max_possible < t.floor ||
   let theta = threshold t in
   if pm.max_possible < theta then true
   else if pm.max_possible > theta then false
@@ -205,6 +208,8 @@ let should_prune t (pm : Partial_match.t) =
     let e = find t (Partial_match.root_binding pm) in
     e == no_entry || (pm.max_possible <= e.score && e.match_id <> pm.id)
 [@@wp.hot]
+
+let prunes_bound t bound = bound <= threshold t || bound < t.floor
 
 let retract t (pm : Partial_match.t) =
   let root = Partial_match.root_binding pm in

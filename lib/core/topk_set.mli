@@ -6,7 +6,8 @@
     already present updates that entry when its current score is higher;
     otherwise it competes with the lowest entry.  The threshold (the
     k-th best current score, once the set is full) prunes any match
-    whose maximum possible final score cannot strictly beat it.
+    whose maximum possible final score cannot strictly beat it, and so
+    does a fixed [floor] ([Engine.run_above]'s bar) any match below it.
 
     Whether partial matches are admitted depends on the relaxation
     configuration: with outer-join (relaxed) semantics every partial
@@ -28,14 +29,14 @@ type entry = {
 
 type t
 
-val create : k:int -> admit_partial:bool -> t
+val create : ?floor:float -> k:int -> admit_partial:bool -> unit -> t
 
 val k : t -> int
 val cardinality : t -> int
 
 val threshold : t -> float
 (** The k-th best current score, or [neg_infinity] while the set holds
-    fewer than [k] entries. *)
+    fewer than [k] entries; never the floor. *)
 
 val consider : t -> complete:bool -> Partial_match.t -> unit
 (** Offer a match to the set (no-op for incomplete matches when the set
@@ -43,8 +44,14 @@ val consider : t -> complete:bool -> Partial_match.t -> unit
 
 val should_prune : t -> Partial_match.t -> bool
 (** True when the match's maximum possible final score cannot strictly
-    beat the current threshold — the match can never enter the final
-    top-k. *)
+    beat the current threshold (a tie can still improve the entry
+    holding its own root), or is strictly below the floor — the match
+    can never enter the final top-k. *)
+
+val prunes_bound : t -> float -> bool
+(** True when a match holding no entry, with maximum possible final
+    score [bound], cannot strictly beat the threshold or is below the
+    floor: a seed class dies whole on it ({!Seeds.open_next}). *)
 
 val retract : t -> Partial_match.t -> unit
 (** Remove the entry contributed by this exact match, if it still owns

@@ -57,6 +57,18 @@ let q3 =
 
 let parse = Wp_pattern.Xpath_parser.parse
 
+(* The dune build root ([_build/default]).  The test binary lives in
+   its [test] directory, so the files the tests read (the CLI, the
+   example queries, compiled units) resolve the same from any working
+   directory. *)
+let build_root =
+  let exe =
+    if Filename.is_relative Sys.executable_name then
+      Filename.concat (Sys.getcwd ()) Sys.executable_name
+    else Sys.executable_name
+  in
+  Filename.dirname (Filename.dirname exe)
+
 (* A tag's postings, copied into an array. *)
 let ids idx tag =
   let p = Index.postings idx tag in

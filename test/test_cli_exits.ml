@@ -4,7 +4,7 @@
    errors.  Drives the
    real binary; the dune test stanza depends on ../bin/wp_cli.exe. *)
 
-let build_root = Filename.dirname (Sys.getcwd ())
+let build_root = Fixtures.build_root
 let wp_cli = Filename.concat build_root "bin/wp_cli.exe"
 
 let run args =

@@ -71,7 +71,7 @@ let test_accepted_with_guide () =
    value included.  The --exact variant makes every node mandatory. *)
 let query_file name =
   In_channel.with_open_text
-    (Filename.concat "../examples/queries" (name ^ ".xpath"))
+    (Filename.concat Fixtures.build_root ("examples/queries/" ^ name ^ ".xpath"))
     In_channel.input_all
   |> String.trim
 

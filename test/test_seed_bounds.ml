@@ -178,13 +178,14 @@ let id_gen () =
   let n = ref 0 in
   fun () -> incr n; !n
 
-(* Every seed the cursor opens with no threshold to kill a class, in
-   order, with the cursor's head when it was opened. *)
+(* Every seed the cursor opens against an empty set, which kills no
+   class, in order, with the cursor's head when it was opened. *)
 let opened (plan : Plan.t) =
   let seeds = Seeds.create plan (Stats.create ()) and next_id = id_gen () in
+  let empty = Topk_set.create ~k:1 ~admit_partial:true () in
   let rec go acc =
     let head = Seeds.head seeds in
-    match Seeds.open_next seeds ~threshold:Float.neg_infinity ~next_id with
+    match Seeds.open_next seeds empty ~next_id with
     | None -> List.rev acc
     | Some pm -> go ((head, pm) :: acc)
   in

@@ -10,9 +10,7 @@ module D = Wp_analysis.Diagnostic
 module Discover = Wp_sentinel.Discover
 module Sentinel = Wp_sentinel.Sentinel
 
-(* Tests run in [_build/default/test]; the build tree the cmts live in
-   is one level up. *)
-let build_root = Filename.dirname (Sys.getcwd ())
+let build_root = Fixtures.build_root
 
 let fixture_cmt name =
   Filename.concat build_root
@@ -68,6 +66,10 @@ let test_interproc_alloc =
 let test_interproc_rank =
   expect_exactly "Fix_interproc_rank" "sentinel/lock-rank"
 
+(* A functor-local helper called unqualified: resolving [emit]
+   against the enclosing functor is what finds the call. *)
+let test_functor_rank = expect_exactly "Fix_functor_rank" "sentinel/lock-rank"
+
 let test_unbounded_loop =
   expect_exactly "Fix_unbounded_loop" "sentinel/cancel-total"
 
@@ -101,6 +103,8 @@ let test_messages () =
   Alcotest.(check bool) "interproc rank message names both locks" true
     (contains (msg "Fix_interproc_rank") "topk.mutex"
     && contains (msg "Fix_interproc_rank") "serve.pool.mutex");
+  Alcotest.(check bool) "functor-local rank message names the callee" true
+    (contains (msg "Fix_functor_rank") "call emit acquires queue.*.mutex");
   Alcotest.(check bool) "totality message suggests the annotation" true
     (contains (msg "Fix_unbounded_loop") "wp.bounded")
 
@@ -168,6 +172,7 @@ let suite =
     Alcotest.test_case "interproc blocking fixture" `Quick test_interproc_block;
     Alcotest.test_case "interproc alloc fixture" `Quick test_interproc_alloc;
     Alcotest.test_case "interproc rank fixture" `Quick test_interproc_rank;
+    Alcotest.test_case "functor-local rank fixture" `Quick test_functor_rank;
     Alcotest.test_case "unbounded-loop fixture" `Quick test_unbounded_loop;
     Alcotest.test_case "finding messages" `Quick test_messages;
     Alcotest.test_case "deterministic order" `Quick test_deterministic_order;

@@ -37,6 +37,16 @@ let test_initial_matches () =
         (Partial_match.visited pm 0 && not (Partial_match.visited pm 1)))
     ms
 
+let empty_set () = Topk_set.create ~k:1 ~admit_partial:true ()
+
+(* A full one-entry set whose threshold is [score]. *)
+let set_at score =
+  let t = empty_set () in
+  Topk_set.consider t ~complete:true
+    (Partial_match.create_root ~plan_servers:1 ~id:0 ~root:(-1) ~weight:score
+       ~max_rest:0.0);
+  t
+
 (* The cursor opens the head class's roots one at a time, with the
    class's bound and weight; a class that cannot beat the threshold
    dies whole, its unopened roots counted as pruned. *)
@@ -56,14 +66,14 @@ let test_seed_cursor () =
   Pqueue.clear queue;
   Pqueue.push queue ~tie:c.weight c.bound ();
   Alcotest.(check bool) "wins a full tie" true (Seeds.beats seeds queue);
-  (match Seeds.open_next seeds ~threshold:Float.neg_infinity ~next_id with
+  (match Seeds.open_next seeds (empty_set ()) ~next_id with
   | None -> Alcotest.fail "the head class has a root"
   | Some pm ->
       Alcotest.(check (float 0.0)) "seed starts at the class bound" c.bound
         pm.max_possible;
       Alcotest.(check (float 0.0)) "and scores its root weight" c.weight pm.score;
       Alcotest.(check bool) "admitted" true
-        (Seeds.admit seeds (Topk_set.create ~k:1 ~admit_partial:true) pm));
+        (Seeds.admit seeds (empty_set ()) pm));
   Alcotest.(check int) "one seed built" 1 stats.seeds_materialized;
   Alcotest.check_raises "no drain after an open"
     (Invalid_argument "Seeds.drain: the cursor already opened a class")
@@ -73,7 +83,7 @@ let test_seed_cursor () =
     if Seeds.head seeds = Float.neg_infinity then n
     else begin
       Alcotest.(check bool) "a dying class builds nothing" true
-        (Seeds.open_next seeds ~threshold:(Seeds.head seeds) ~next_id = None);
+        (Seeds.open_next seeds (set_at (Seeds.head seeds)) ~next_id = None);
       kill (n + 1)
     end
   in
@@ -84,8 +94,32 @@ let test_seed_cursor () =
     stats.matches_pruned;
   Alcotest.(check int) "still one seed built" 1 stats.seeds_materialized;
   Alcotest.(check bool) "an empty cursor opens nothing" true
-    (Seeds.open_next seeds ~threshold:Float.neg_infinity ~next_id = None);
+    (Seeds.open_next seeds (empty_set ()) ~next_id = None);
   Alcotest.(check bool) "and beats nothing" false (Seeds.beats seeds queue)
+
+(* The set's floor kills a class whose bound is strictly below it,
+   whole and unbuilt, while a bound equal to it survives; the floor is
+   no part of the threshold. *)
+let test_seed_floor () =
+  let plan = make_plan Fixtures.q2a in
+  let c = plan.seeds.(0) in
+  let floored floor = Topk_set.create ~floor ~k:1 ~admit_partial:true () in
+  let stats = Stats.create () in
+  let seeds = Seeds.create plan stats in
+  let above = floored (Float.succ c.bound) in
+  Alcotest.(check (float 0.0)) "threshold ignores the floor" Float.neg_infinity
+    (Topk_set.threshold above);
+  Alcotest.(check bool) "a class below the floor builds nothing" true
+    (Seeds.open_next seeds above ~next_id:(id_gen ()) = None);
+  Alcotest.(check int) "its roots pruned unbuilt" c.size stats.matches_pruned;
+  Alcotest.(check int) "no seed built" 0 stats.seeds_materialized;
+  Alcotest.(check (float 0.0)) "the cursor moves to the next class"
+    (if Array.length plan.seeds > 1 then plan.seeds.(1).bound
+     else Float.neg_infinity)
+    (Seeds.head seeds);
+  let seeds = Seeds.create plan (Stats.create ()) in
+  Alcotest.(check bool) "a bound equal to the floor opens" true
+    (Seeds.open_next seeds (floored c.bound) ~next_id:(id_gen ()) <> None)
 
 let test_extension_binds () =
   let plan = make_plan Fixtures.q2a in
@@ -267,6 +301,7 @@ let suite =
   [
     Alcotest.test_case "initial matches" `Quick test_initial_matches;
     Alcotest.test_case "seed cursor" `Quick test_seed_cursor;
+    Alcotest.test_case "seed class below the floor" `Quick test_seed_floor;
     Alcotest.test_case "extension binds" `Quick test_extension_binds;
     Alcotest.test_case "relaxed binding scores less" `Quick test_relaxed_binding_scores_less;
     Alcotest.test_case "optional unbound extension" `Quick test_optional_unbound_extension;

@@ -8,7 +8,7 @@ let pm ~id ~root ~score ~max_possible =
   p
 
 let test_fill_and_threshold () =
-  let t = Topk_set.create ~k:2 ~admit_partial:true in
+  let t = Topk_set.create ~k:2 ~admit_partial:true () in
   Alcotest.(check bool) "empty threshold" true
     (Topk_set.threshold t = neg_infinity);
   Topk_set.consider t ~complete:false (pm ~id:1 ~root:10 ~score:0.5 ~max_possible:1.0);
@@ -19,7 +19,7 @@ let test_fill_and_threshold () =
   Alcotest.(check int) "cardinality" 2 (Topk_set.cardinality t)
 
 let test_replacement () =
-  let t = Topk_set.create ~k:2 ~admit_partial:true in
+  let t = Topk_set.create ~k:2 ~admit_partial:true () in
   Topk_set.consider t ~complete:false (pm ~id:1 ~root:10 ~score:0.5 ~max_possible:1.0);
   Topk_set.consider t ~complete:false (pm ~id:2 ~root:20 ~score:0.8 ~max_possible:1.0);
   (* Higher score evicts the min entry. *)
@@ -31,7 +31,7 @@ let test_replacement () =
   Alcotest.(check int) "still two entries" 2 (Topk_set.cardinality t)
 
 let test_per_root_dedup () =
-  let t = Topk_set.create ~k:3 ~admit_partial:true in
+  let t = Topk_set.create ~k:3 ~admit_partial:true () in
   Topk_set.consider t ~complete:false (pm ~id:1 ~root:10 ~score:0.5 ~max_possible:1.0);
   Topk_set.consider t ~complete:false (pm ~id:2 ~root:10 ~score:0.7 ~max_possible:1.0);
   Alcotest.(check int) "one entry per root" 1 (Topk_set.cardinality t);
@@ -45,14 +45,14 @@ let test_per_root_dedup () =
   | _ -> Alcotest.fail "expected one entry"
 
 let test_admit_partial_false () =
-  let t = Topk_set.create ~k:2 ~admit_partial:false in
+  let t = Topk_set.create ~k:2 ~admit_partial:false () in
   Topk_set.consider t ~complete:false (pm ~id:1 ~root:10 ~score:0.9 ~max_possible:1.0);
   Alcotest.(check int) "partials ignored" 0 (Topk_set.cardinality t);
   Topk_set.consider t ~complete:true (pm ~id:2 ~root:20 ~score:0.4 ~max_possible:0.4);
   Alcotest.(check int) "completes admitted" 1 (Topk_set.cardinality t)
 
 let test_pruning () =
-  let t = Topk_set.create ~k:1 ~admit_partial:true in
+  let t = Topk_set.create ~k:1 ~admit_partial:true () in
   Topk_set.consider t ~complete:false (pm ~id:1 ~root:10 ~score:0.8 ~max_possible:0.9);
   Alcotest.(check bool) "hopeless match pruned" true
     (Topk_set.should_prune t (pm ~id:2 ~root:20 ~score:0.1 ~max_possible:0.5));
@@ -66,7 +66,7 @@ let test_pruning () =
     (Topk_set.should_prune t (pm ~id:1 ~root:10 ~score:0.8 ~max_possible:0.9))
 
 let test_entries_sorted () =
-  let t = Topk_set.create ~k:5 ~admit_partial:true in
+  let t = Topk_set.create ~k:5 ~admit_partial:true () in
   List.iter
     (fun (id, root, score) ->
       Topk_set.consider t ~complete:false (pm ~id ~root ~score ~max_possible:score))
@@ -79,14 +79,14 @@ let test_entries_sorted () =
 let test_invalid_k () =
   Alcotest.check_raises "k must be positive"
     (Invalid_argument "Topk_set.create: k must be positive") (fun () ->
-      ignore (Topk_set.create ~k:0 ~admit_partial:true))
+      ignore (Topk_set.create ~k:0 ~admit_partial:true ()))
 
 (* The threshold never decreases under any sequence of considers. *)
 let prop_threshold_monotone =
   QCheck2.Test.make ~name:"threshold is monotone" ~count:200
     QCheck2.Gen.(list (pair (int_range 1 20) (float_range 0.0 1.0)))
     (fun events ->
-      let t = Topk_set.create ~k:3 ~admit_partial:true in
+      let t = Topk_set.create ~k:3 ~admit_partial:true () in
       let last = ref neg_infinity in
       List.for_all
         (fun (root, score) ->
@@ -102,7 +102,7 @@ let prop_threshold_monotone =
    [best_since_mark] instead of sorting; a retract can leave [floor]
    stale (too high), which may cost a sort but never an emission. *)
 let test_certify_gate () =
-  let t = Topk_set.create ~k:4 ~admit_partial:true in
+  let t = Topk_set.create ~k:4 ~admit_partial:true () in
   let out = ref [] in
   let c = Certify.create ~emit:(fun (e : Topk_set.entry) -> out := e.root :: !out) in
   let add id root score =
@@ -141,7 +141,7 @@ let prop_certify_matches_sorting =
            (quad (int_range 1 12) (float_range 0.0 1.0) (float_range 0.5 1.0)
               bool)))
     (fun (k, events) ->
-      let t = Topk_set.create ~k ~admit_partial:true in
+      let t = Topk_set.create ~k ~admit_partial:true () in
       let gated = ref [] and sorted = ref [] and streamed = ref 0 in
       let c = Certify.create ~emit:(fun e -> gated := e :: !gated) in
       let sort_and_take bound =
@@ -196,7 +196,7 @@ let prop_threshold_equals_fold_oracle =
     ~count:300
     QCheck2.Gen.(pair (int_range 1 4) gen_steps)
     (fun (k, steps) ->
-      let t = Topk_set.create ~k ~admit_partial:true in
+      let t = Topk_set.create ~k ~admit_partial:true () in
       let considered = ref [||] in
       let id = ref 0 in
       let ok = ref true in
@@ -235,12 +235,17 @@ let prop_threshold_equals_fold_oracle =
 
 (* should_prune must stay consistent with the reported threshold at
    every point: never prune a match that can strictly beat it, always
-   prune one that cannot even reach it. *)
+   prune one that cannot even reach it.  A set with a random floor runs
+   beside one without: the floor adds exactly [max_possible < floor]
+   to the prune and to the class-kill test, and changes neither the
+   threshold nor what the set stores. *)
 let prop_should_prune_consistent =
   QCheck2.Test.make ~name:"should_prune agrees with threshold" ~count:200
-    QCheck2.Gen.(pair (int_range 1 4) gen_steps)
-    (fun (k, steps) ->
-      let t = Topk_set.create ~k ~admit_partial:true in
+    QCheck2.Gen.(triple (int_range 1 4) (int_bound 96) gen_steps)
+    (fun (k, floor, steps) ->
+      let floor = float_of_int floor /. 8.0 in
+      let t = Topk_set.create ~floor ~k ~admit_partial:true () in
+      let t0 = Topk_set.create ~k ~admit_partial:true () in
       let id = ref 0 in
       List.for_all
         (fun { root; weight; extend = _; code = _ } ->
@@ -249,15 +254,23 @@ let prop_should_prune_consistent =
               ~max_rest:1.0
           in
           incr id;
-          let theta = Topk_set.threshold t in
-          let pruned = Topk_set.should_prune t pm in
+          let theta = Topk_set.threshold t0 in
+          let pruned0 = Topk_set.should_prune t0 pm in
           let agreed =
-            if pm.max_possible > theta then not pruned
-            else if pm.max_possible < theta then pruned
+            if pm.max_possible > theta then not pruned0
+            else if pm.max_possible < theta then pruned0
             else true
           in
+          let floored =
+            Topk_set.threshold t = theta
+            && Topk_set.should_prune t pm
+               = (pruned0 || pm.max_possible < floor)
+            && Topk_set.prunes_bound t pm.max_possible
+               = (pm.max_possible <= theta || pm.max_possible < floor)
+          in
           Topk_set.consider t ~complete:false pm;
-          agreed)
+          Topk_set.consider t0 ~complete:false pm;
+          agreed && floored && Topk_set.entries t = Topk_set.entries t0)
         steps)
 
 let suite =
