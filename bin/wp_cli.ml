@@ -612,8 +612,11 @@ let race_cmd =
       & info [ "inject" ] ~docv:"FAULT"
           ~doc:
             "Inject a known concurrency defect (drop-topk-lock, \
-             retire-early, skip-pending-incr) to demonstrate detection; \
-             repeatable.")
+             retire-early, skip-pending-incr); repeatable.  A fault is \
+             reported only when an explored schedule reaches its window, \
+             which depends on the document, $(b,-k) and \
+             $(b,--schedules): on a document where no schedule reaches \
+             it the run exits 0.")
   in
   Cmd.v
     (cmd_info "race"

@@ -104,73 +104,10 @@ let lock_rank = Wp_serve.Pool.lock_rank
 
 (* --- small helpers --- *)
 
-let line (loc : Location.t) = loc.Location.loc_start.Lexing.pos_lnum
-
-let norm_path p =
-  let s = Path.name p in
-  if String.starts_with ~prefix:"Stdlib." s then
-    String.sub s 7 (String.length s - 7)
-  else s
-
 let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
-
-(* Render the receiver of a lock operation for identity resolution and
-   messages: [t.mutex], [shared.topk_mutex], [queue_mutex], ... *)
-let rec render (e : expression) =
-  match e.exp_desc with
-  | Texp_ident (p, _, _) -> Path.last p
-  | Texp_field (b, _, lbl) -> render b ^ "." ^ lbl.Types.lbl_name
-  | _ -> "?"
-
-(* --- attributes --- *)
-
-let attr_string (a : Parsetree.attribute) =
-  match a.Parsetree.attr_payload with
-  | Parsetree.PStr
-      [
-        {
-          pstr_desc =
-            Parsetree.Pstr_eval
-              ( {
-                  pexp_desc =
-                    Parsetree.Pexp_constant (Parsetree.Pconst_string (s, _, _));
-                  _;
-                },
-                _ );
-          _;
-        };
-      ] ->
-      Some s
-  | _ -> None
-
-type allow = { rule : string; justified : bool; aloc : Location.t }
-
-let allows_of (attrs : Parsetree.attributes) =
-  List.filter_map
-    (fun (a : Parsetree.attribute) ->
-      if a.Parsetree.attr_name.txt <> "wp.allow" then None
-      else
-        let rule, justified =
-          match attr_string a with
-          | None -> ("", false)
-          | Some s -> (
-              let s = String.trim s in
-              match String.index_opt s ' ' with
-              | None -> (s, false)
-              | Some i ->
-                  let rest = String.sub s i (String.length s - i) in
-                  (String.sub s 0 i, String.trim rest <> ""))
-        in
-        Some { rule; justified; aloc = a.Parsetree.attr_loc })
-    attrs
-
-let has_hot (attrs : Parsetree.attributes) =
-  List.exists
-    (fun (a : Parsetree.attribute) -> a.Parsetree.attr_name.txt = "wp.hot")
-    attrs
 
 (* --- per-unit traversal state --- *)
 
@@ -189,24 +126,24 @@ type ctx = {
 let report ctx ~loc rule msg =
   if not (List.mem rule ctx.allowed) then
     ctx.diags <-
-      D.errorf ("sentinel/" ^ rule) "%s:%d: %s" ctx.source (line loc) msg
+      D.errorf ("sentinel/" ^ rule) "%s:%d: %s" ctx.source (Summary.line loc) msg
       :: ctx.diags
 
 let with_allows ctx (attrs : Parsetree.attributes) f =
-  match allows_of attrs with
+  match Summary.allows_of attrs with
   | [] -> f ()
   | allows ->
       List.iter
         (fun a ->
-          if not a.justified then
+          if not a.Summary.justified then
             ctx.diags <-
               D.errorf "sentinel/allow"
                 "%s:%d: [@wp.allow] needs a justification after the rule name"
-                ctx.source (line a.aloc)
+                ctx.source (Summary.line a.aloc)
               :: ctx.diags)
         allows;
       let saved = ctx.allowed in
-      ctx.allowed <- List.map (fun a -> a.rule) allows @ saved;
+      ctx.allowed <- List.map (fun a -> a.Summary.rule) allows @ saved;
       Fun.protect ~finally:(fun () -> ctx.allowed <- saved) f
 
 (* --- lock identity --- *)
@@ -252,22 +189,6 @@ let is_section_helper name =
 
 (* --- shape recognizers --- *)
 
-(* [Mutex.lock m], [S.lock t.mutex], [t.lock ()]: an application whose
-   head is an ident whose last component is exactly [lock], or a field
-   access on a [lock] field.  Returns the rendered receiver text. *)
-let lock_target (e : expression) =
-  match e.exp_desc with
-  | Texp_apply (head, args) -> (
-      match head.exp_desc with
-      | Texp_ident (p, _, _) when Path.last p = "lock" -> (
-          match args with
-          | (_, Some a) :: _ -> Some (render a)
-          | _ -> Some "?")
-      | Texp_field (b, _, lbl) when lbl.Types.lbl_name = "lock" ->
-          Some (render b ^ ".lock")
-      | _ -> None)
-  | _ -> None
-
 let rec expr_contains pred (e : expression) =
   pred e
   ||
@@ -305,7 +226,7 @@ let protect_parts (e : expression) =
   match e.exp_desc with
   | Texp_apply (head, args) -> (
       match head.exp_desc with
-      | Texp_ident (p, _, _) when norm_path p = "Fun.protect" ->
+      | Texp_ident (p, _, _) when Summary.norm_path p = "Fun.protect" ->
           let finally =
             List.find_map
               (function
@@ -352,7 +273,7 @@ let scan_expressions ctx (str : structure) =
   let visit it (e : expression) =
     match e.exp_desc with
     | Texp_ident (p, _, _) ->
-        let n = norm_path p in
+        let n = Summary.norm_path p in
         if List.mem n clock_banned then
           report ctx ~loc:e.exp_loc rule_clock
             (n ^ " is forbidden; use the monotonic Clock module")
@@ -418,13 +339,13 @@ let scan_expressions ctx (str : structure) =
            lock combinator, not a critical section. *)
         List.iter
           (fun c ->
-            match lock_target c.c_rhs with
+            match Summary.lock_target c.c_rhs with
             | Some _ -> ctx.exempt <- c.c_rhs :: ctx.exempt
             | None -> ())
           cases;
         default.expr it e
-    | Texp_sequence (e1, e2) when lock_target e1 <> None ->
-        let text = Option.value (lock_target e1) ~default:"?" in
+    | Texp_sequence (e1, e2) when Summary.lock_target e1 <> None ->
+        let text = Option.value (Summary.lock_target e1) ~default:"?" in
         let name = lock_name ~unit_name:ctx.unit_name text in
         let entry = check_acquire ctx ~loc:e1.exp_loc name text in
         default.expr it e1;
@@ -476,8 +397,8 @@ let scan_expressions ctx (str : structure) =
             with_held ctx entry (fun () ->
                 match body with Some b -> it.expr it b | None -> ())
         | None ->
-            if lock_target e <> None then begin
-              let text = Option.value (lock_target e) ~default:"?" in
+            if Summary.lock_target e <> None then begin
+              let text = Option.value (Summary.lock_target e) ~default:"?" in
               let name = lock_name ~unit_name:ctx.unit_name text in
               let entry = check_acquire ctx ~loc:e.exp_loc name text in
               if not (List.memq e ctx.exempt) then
@@ -499,7 +420,7 @@ let scan_expressions ctx (str : structure) =
         (fun it vb ->
           with_allows ctx vb.vb_attributes (fun () ->
               let saved = ctx.hot in
-              if has_hot vb.vb_attributes then ctx.hot <- true;
+              if Summary.has_attr "wp.hot" vb.vb_attributes then ctx.hot <- true;
               Fun.protect
                 ~finally:(fun () -> ctx.hot <- saved)
                 (fun () -> default.value_binding it vb)));
@@ -604,8 +525,8 @@ let rec check_rule5 ctx (str : structure) =
               | Tpat_var (_, name) -> (
                   let allowed =
                     List.exists
-                      (fun a -> a.rule = rule_wire_total)
-                      (allows_of vb.vb_attributes)
+                      (fun a -> a.Summary.rule = rule_wire_total)
+                      (Summary.allows_of vb.vb_attributes)
                   in
                   match base_of name.txt "to_string" with
                   | Some base -> (

@@ -88,7 +88,7 @@ type db = {
       (* [@wp.bounded] with no justification *)
 }
 
-(* --- small shared helpers (kept in sync with the Sentinel's) --- *)
+(* --- typedtree helpers, shared with the Sentinel's per-unit rules --- *)
 
 let line (loc : Location.t) = loc.Location.loc_start.Lexing.pos_lnum
 
@@ -122,20 +122,25 @@ let has_attr name (attrs : Parsetree.attributes) =
     (fun (a : Parsetree.attribute) -> a.Parsetree.attr_name.txt = name)
     attrs
 
-(* wp.allow payloads are "rule justification"; we only need the rule
-   names here (the Sentinel reports missing justifications). *)
-let allow_rules (attrs : Parsetree.attributes) =
+type allow = { rule : string; justified : bool; aloc : Location.t }
+
+let allows_of (attrs : Parsetree.attributes) =
   List.filter_map
     (fun (a : Parsetree.attribute) ->
       if a.Parsetree.attr_name.txt <> "wp.allow" then None
       else
-        match attr_string a with
-        | None -> None
-        | Some s -> (
-            let s = String.trim s in
-            match String.index_opt s ' ' with
-            | None -> Some s
-            | Some i -> Some (String.sub s 0 i)))
+        let rule, justified =
+          match attr_string a with
+          | None -> ("", false)
+          | Some s -> (
+              let s = String.trim s in
+              match String.index_opt s ' ' with
+              | None -> (s, false)
+              | Some i ->
+                  let rest = String.sub s i (String.length s - i) in
+                  (String.sub s 0 i, String.trim rest <> ""))
+        in
+        Some { rule; justified; aloc = a.Parsetree.attr_loc })
     attrs
 
 (* [@wp.bounded "why"]: [Some true] = justified, [Some false] = bare. *)
@@ -149,12 +154,17 @@ let bounded_attr (attrs : Parsetree.attributes) =
         | _ -> Some false)
     attrs
 
+(* Render the receiver of a lock operation for identity resolution and
+   messages: [t.mutex], [shared.topk_mutex], [queue_mutex], ... *)
 let rec render (e : expression) =
   match e.exp_desc with
   | Texp_ident (p, _, _) -> Path.last p
   | Texp_field (b, _, lbl) -> render b ^ "." ^ lbl.Types.lbl_name
   | _ -> "?"
 
+(* [Mutex.lock m], [S.lock t.mutex], [t.lock ()]: an application whose
+   head is an ident whose last component is exactly [lock], or a field
+   access on a [lock] field.  Returns the rendered receiver text. *)
 let lock_target (e : expression) =
   match e.exp_desc with
   | Texp_apply (head, args) -> (
@@ -281,7 +291,7 @@ let last_component name =
 (* Track attribute scopes ([@wp.allow], [@wp.bounded]) around [f]. *)
 let with_attrs st (attrs : Parsetree.attributes) f =
   let saved_allowed = st.allowed and saved_bounded = st.bounded in
-  st.allowed <- allow_rules attrs @ st.allowed;
+  st.allowed <- List.map (fun a -> a.rule) (allows_of attrs) @ st.allowed;
   (match bounded_attr attrs with
   | Some justified ->
       st.bounded <- true;

@@ -72,6 +72,27 @@ type db = {
   mutable naked_bounded : naked_attr list;
 }
 
+(** {2 Typedtree helpers} shared with the Sentinel's per-unit rules. *)
+
+val line : Location.t -> int
+(** Start line of a location. *)
+
+val norm_path : Path.t -> string
+(** A path's name without its [Stdlib.] prefix. *)
+
+val has_attr : string -> Parsetree.attributes -> bool
+
+type allow = { rule : string; justified : bool; aloc : Location.t }
+(** One [[@wp.allow "rule justification"]]: its rule name (empty when
+    the payload is not a string) and whether a justification follows. *)
+
+val allows_of : Parsetree.attributes -> allow list
+
+val lock_target : Typedtree.expression -> string option
+(** [Mutex.lock m], [S.lock t.mutex], [t.lock ()]: the rendered
+    receiver of a lock acquisition ([t.mutex], [shared.topk_mutex],
+    ...), [None] for any other expression. *)
+
 val build : tables -> Discover.unit_info list -> db
 (** Harvest every unit and saturate the transitive facts. *)
 

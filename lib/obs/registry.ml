@@ -1,5 +1,3 @@
-module Json = Wp_json.Json
-
 let mutex_name = "obs.registry.mutex"
 
 type kind = Counter | Gauge | Histogram
@@ -17,7 +15,6 @@ type sample = {
 }
 
 type counter = { mutable c : int }
-type gauge = { mutable g : float }
 
 type histogram = {
   bounds : float array;  (* strictly increasing, +inf excluded *)
@@ -28,7 +25,6 @@ type histogram = {
 
 type metric =
   | M_counter of counter
-  | M_gauge of gauge
   | M_histogram of histogram
   | M_pull_counter of (unit -> float)
   | M_pull_gauge of (unit -> float)
@@ -53,7 +49,7 @@ let with_lock t f =
 
 let kind_of = function
   | M_counter _ | M_pull_counter _ -> Counter
-  | M_gauge _ | M_pull_gauge _ -> Gauge
+  | M_pull_gauge _ -> Gauge
   | M_histogram _ -> Histogram
 
 let valid_name name =
@@ -96,7 +92,6 @@ let register t ~help ~labels ~name ~same ~make =
               e_metric =
                 (match m with
                 | `C c -> M_counter c
-                | `G g -> M_gauge g
                 | `H h -> M_histogram h
                 | `PC f -> M_pull_counter f
                 | `PG f -> M_pull_gauge f);
@@ -118,17 +113,6 @@ let incr ?(by = 1) (c : counter) =
   c.c <- c.c + by
 
 let counter_value (c : counter) = c.c
-
-let gauge t ?(help = "") ?(labels = []) name =
-  match
-    register t ~help ~labels ~name
-      ~same:(function M_gauge g -> Some (`G g) | _ -> None)
-      ~make:(fun () -> `G { g = 0.0 })
-  with
-  | `G g -> g
-  | _ -> assert false
-
-let set (g : gauge) v = g.g <- v
 
 let default_buckets =
   [ 0.5; 1.0; 2.5; 5.0; 10.0; 25.0; 50.0; 100.0; 250.0; 500.0; 1000.0 ]
@@ -189,7 +173,6 @@ let snapshot t =
       let value =
         match e.e_metric with
         | M_counter c -> Sample (float_of_int c.c)
-        | M_gauge g -> Sample g.g
         | M_pull_counter f | M_pull_gauge f -> Sample (f ())
         | M_histogram h ->
             let acc = ref 0 in
@@ -287,50 +270,6 @@ let to_prometheus samples =
                count))
     samples;
   Buffer.contents b
-
-(* --- JSON export --- *)
-
-let to_json samples =
-  let metric s =
-    let base =
-      [
-        ("name", Json.String s.name);
-        ("kind", Json.String (kind_string s.kind));
-      ]
-    in
-    let labels =
-      match s.labels with
-      | [] -> []
-      | ls ->
-          [
-            ( "labels",
-              Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) ls) );
-          ]
-    in
-    let value =
-      match s.value with
-      | Sample v -> [ ("value", Json.Float v) ]
-      | Buckets { buckets; sum; count } ->
-          [
-            ( "buckets",
-              Json.List
-                (List.map
-                   (fun (bound, n) ->
-                     Json.Obj
-                       [
-                         ( "le",
-                           if bound = infinity then Json.String "+Inf"
-                           else Json.Float bound );
-                         ("count", Json.Int n);
-                       ])
-                   buckets) );
-            ("sum", Json.Float sum);
-            ("count", Json.Int count);
-          ]
-    in
-    Json.Obj (base @ labels @ value)
-  in
-  Json.Obj [ ("metrics", Json.List (List.map metric samples)) ]
 
 (* --- exposition validation --- *)
 

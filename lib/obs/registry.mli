@@ -1,8 +1,8 @@
 (** Metrics registry — one namespace of counters, gauges and histograms
-    with Prometheus text-exposition and JSON exporters.
+    with a Prometheus text exporter.
 
     A registry is the single snapshot path for every figure the system
-    publishes: push-style metrics ({!counter}, {!gauge}, {!histogram})
+    publishes: push-style metrics ({!counter}, {!histogram})
     are updated at event sites, pull-style metrics ({!pull_counter},
     {!pull_gauge}) read their value from a callback at snapshot time —
     that is how {!Whirlpool.Stats} accumulators and the serve-layer
@@ -38,13 +38,6 @@ val incr : ?by:int -> counter -> unit
 (** Add [by] (default 1, must be >= 0) to the counter. *)
 
 val counter_value : counter -> int
-
-type gauge
-
-val gauge :
-  t -> ?help:string -> ?labels:(string * string) list -> string -> gauge
-
-val set : gauge -> float -> unit
 
 type histogram
 
@@ -107,8 +100,6 @@ val to_prometheus : sample list -> string
 (** Prometheus text exposition (version 0.0.4): [# HELP] / [# TYPE]
     once per metric family, then one line per sample.  Histograms emit
     [_bucket{le=...}], [_sum] and [_count] series. *)
-
-val to_json : sample list -> Wp_json.Json.t
 
 val validate_exposition : string -> (unit, string) result
 (** Structural check of a Prometheus text page: every line must be

@@ -18,8 +18,7 @@ let test_counter_and_gauge () =
   Registry.incr c;
   Registry.incr ~by:4 c;
   Alcotest.(check int) "counter value" 5 (Registry.counter_value c);
-  let g = Registry.gauge reg "wp_test_gauge" in
-  Registry.set g 2.5;
+  Registry.pull_gauge reg "wp_test_gauge" (fun () -> 2.5);
   let samples = Registry.snapshot reg in
   Alcotest.(check int) "two samples" 2 (List.length samples);
   (match samples with
@@ -46,7 +45,7 @@ let test_dedup_and_kind_clash () =
   Alcotest.check_raises "kind clash"
     (Invalid_argument
        "Registry: wp_dup_total already registered with a different kind")
-    (fun () -> ignore (Registry.gauge reg "wp_dup_total"))
+    (fun () -> Registry.pull_gauge reg "wp_dup_total" (fun () -> 0.0))
 
 let test_histogram_buckets () =
   let reg = Registry.create () in
@@ -83,7 +82,7 @@ let test_prometheus_exposition () =
       "wp_requests_total"
   in
   Registry.incr ~by:3 c;
-  Registry.set (Registry.gauge reg "wp_uptime_seconds") 1.25;
+  Registry.pull_gauge reg "wp_uptime_seconds" (fun () -> 1.25);
   Registry.observe (Registry.histogram reg ~buckets:[ 5.0 ] "wp_ms") 2.0;
   let page = Registry.to_prometheus (Registry.snapshot reg) in
   (match Registry.validate_exposition page with
@@ -108,19 +107,6 @@ let test_validate_exposition_rejects () =
   Alcotest.(check bool) "unclosed label" false (bad "wp_x{a=\"b 1\n");
   Alcotest.(check bool) "good page" true
     (bad "# HELP wp_x help\n# TYPE wp_x gauge\nwp_x{a=\"b\"} 1.5\n")
-
-let test_registry_json () =
-  let reg = Registry.create () in
-  Registry.incr (Registry.counter reg "wp_j_total");
-  match
-    Wp_json.Json.member "metrics" (Registry.to_json (Registry.snapshot reg))
-  with
-  | Some (Wp_json.Json.List [ entry ]) ->
-      (match Wp_json.Json.member "name" entry with
-      | Some (Wp_json.Json.String n) ->
-          Alcotest.(check string) "name" "wp_j_total" n
-      | _ -> Alcotest.fail "entry lacks name")
-  | _ -> Alcotest.fail "expected a one-entry metrics list"
 
 (* --- spans and profile --- *)
 
@@ -320,7 +306,6 @@ let suite =
     Alcotest.test_case "prometheus exposition" `Quick test_prometheus_exposition;
     Alcotest.test_case "validate rejects malformed" `Quick
       test_validate_exposition_rejects;
-    Alcotest.test_case "registry json" `Quick test_registry_json;
     Alcotest.test_case "disabled is inert" `Quick test_disabled_is_inert;
     Alcotest.test_case "span tree shape" `Quick test_span_tree_shape;
     Alcotest.test_case "profile matches stats" `Quick test_profile_matches_stats;

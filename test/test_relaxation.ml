@@ -109,6 +109,62 @@ let prop_steps_preserve_matches_random =
           List.for_all (fun r -> List.mem r rr) original)
         (Relaxation.steps Relaxation.all pat))
 
+let structural_configs =
+  List.concat_map
+    (fun eg ->
+      List.concat_map
+        (fun ld ->
+          List.map
+            (fun sp ->
+              {
+                Relaxation.exact with
+                edge_generalization = eg;
+                leaf_deletion = ld;
+                subtree_promotion = sp;
+              })
+            [ false; true ])
+        [ false; true ])
+    [ false; true ]
+
+module Keys = Set.Make (String)
+
+let keys pats = Keys.of_list (List.map Relaxation.canonical_key pats)
+
+(* The lattice's views agree: the labeled closure covers the same shapes
+   as the plain one (it only keeps apart same-shaped points of different
+   provenance), and every point the plain closure reaches at depth d is a
+   single step from a point at depth d - 1. *)
+let prop_lattice_views_agree =
+  QCheck2.Test.make ~name:"closure and closure_labeled agree" ~count:60
+    Test_matcher.small_pattern_gen (fun pat ->
+      List.for_all
+        (fun config ->
+          let plain = Relaxation.closure config pat in
+          let labeled = List.map fst (Relaxation.closure_labeled config pat) in
+          let with_steps = Relaxation.closure_with_steps config pat in
+          let reached = Hashtbl.create 64 in
+          List.iter
+            (fun (q, d) ->
+              let ks = keys (Relaxation.steps config q) in
+              Hashtbl.replace reached (d + 1)
+                (Keys.union ks
+                   (Option.value (Hashtbl.find_opt reached (d + 1))
+                      ~default:Keys.empty)))
+            with_steps;
+          Keys.equal (keys plain) (keys labeled)
+          && List.length plain <= List.length labeled
+          && (match List.filter (fun (_, d) -> d = 0) with_steps with
+             | [ (p, _) ] -> Pattern.equal p pat
+             | _ -> false)
+          && List.for_all
+               (fun (p, d) ->
+                 d = 0
+                 || Keys.mem (Relaxation.canonical_key p)
+                      (Option.value (Hashtbl.find_opt reached d)
+                         ~default:Keys.empty))
+               with_steps)
+        structural_configs)
+
 let suite =
   [
     Alcotest.test_case "configs" `Quick test_configs;
@@ -120,4 +176,5 @@ let suite =
     Alcotest.test_case "exact closure singleton" `Quick test_closure_exact_is_singleton;
     Alcotest.test_case "steps preserve matches" `Quick test_steps_preserve_matches;
     QCheck_alcotest.to_alcotest prop_steps_preserve_matches_random;
+    QCheck_alcotest.to_alcotest prop_lattice_views_agree;
   ]
