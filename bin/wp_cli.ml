@@ -459,7 +459,11 @@ let explain_cmd =
 let relax q limit =
   let pattern = parse_query q in
   let relaxed =
-    Wp_relax.Relaxation.closure ~limit Wp_relax.Relaxation.all pattern
+    match Wp_relax.Relaxation.closure ~limit Wp_relax.Relaxation.all pattern with
+    | relaxed -> relaxed
+    | exception Failure msg ->
+        (* [closure]'s one failure: the limit *)
+        die "relax: %s: more than %d relaxations (raise --limit)" msg limit
   in
   Printf.printf "%d distinct relaxations of %s:\n" (List.length relaxed)
     (Wp_pattern.Pattern.to_string pattern);

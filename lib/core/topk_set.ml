@@ -4,6 +4,7 @@ type entry = {
   match_id : int;
   bindings : int array;
   progress : int;  (* servers visited when the snapshot was taken *)
+  complete : bool;  (* the snapshot had visited every server *)
 }
 
 (* Min-heap over (score, root) with lazy deletion: [consider] pushes an
@@ -108,7 +109,14 @@ let cardinality t = Hashtbl.length t.by_root
    option: the prune path runs once per extension and must not
    allocate. *)
 let no_entry =
-  { root = -1; score = Float.nan; match_id = -1; bindings = [||]; progress = 0 }
+  {
+    root = -1;
+    score = Float.nan;
+    match_id = -1;
+    bindings = [||];
+    progress = 0;
+    complete = false;
+  }
 
 let find t root =
   match Hashtbl.find t.by_root root with
@@ -144,7 +152,7 @@ let threshold t =
 (* Entries are built only on the branches that store them: under
    relaxed semantics every extension is offered, and most are turned
    away. *)
-let store t (pm : Partial_match.t) root =
+let store t ~complete (pm : Partial_match.t) root =
   let entry =
     {
       root;
@@ -152,6 +160,7 @@ let store t (pm : Partial_match.t) root =
       match_id = pm.id;
       bindings = Array.copy pm.bindings;
       progress = Partial_match.n_visited pm;
+      complete;
     }
   in
   Hashtbl.replace t.by_root root entry;
@@ -169,7 +178,7 @@ let consider t ~complete (pm : Partial_match.t) =
           bindings reflect a maximal match rather than an early partial
           snapshot. *)
        if pm.score > existing.score then begin
-         store t pm root;
+         store t ~complete pm root;
          Min_heap.push t.heap pm.score root
        end
        else if
@@ -177,17 +186,17 @@ let consider t ~complete (pm : Partial_match.t) =
          && Partial_match.n_visited pm > existing.progress
        then
          (* Same score: the existing heap item stays valid. *)
-         store t pm root
+         store t ~complete pm root
      end
      else if Hashtbl.length t.by_root < t.k then begin
-       store t pm root;
+       store t ~complete pm root;
        Min_heap.push t.heap pm.score root
      end
      else begin
        let m = min_entry t in
        if m != no_entry && pm.score > m.score then begin
          Hashtbl.remove t.by_root m.root;
-         store t pm root;
+         store t ~complete pm root;
          Min_heap.push t.heap pm.score root
        end
      end);
@@ -196,17 +205,18 @@ let consider t ~complete (pm : Partial_match.t) =
     | None -> ()
   end
 
+(* The tie rule and own-root dominance read one lookup of the match's
+   root; the interface says why each is sound. *)
 let should_prune t (pm : Partial_match.t) =
   pm.max_possible < t.floor ||
   let theta = threshold t in
-  if pm.max_possible < theta then true
-  else if pm.max_possible > theta then false
+  pm.max_possible < theta ||
+  let e = find t (Partial_match.root_binding pm) in
+  if e == no_entry then pm.max_possible = theta
   else
-    (* A match that can at best tie the threshold can still improve the
-       entry holding its own root, but cannot displace any other
-       entry. *)
-    let e = find t (Partial_match.root_binding pm) in
-    e == no_entry || (pm.max_possible <= e.score && e.match_id <> pm.id)
+    e.match_id <> pm.id
+    && pm.max_possible <= e.score
+    && (e.complete || pm.max_possible = theta)
 [@@wp.hot]
 
 let prunes_bound t bound = bound <= threshold t || bound < t.floor
@@ -214,7 +224,12 @@ let prunes_bound t bound = bound <= threshold t || bound < t.floor
 let retract t (pm : Partial_match.t) =
   let root = Partial_match.root_binding pm in
   let e = find t root in
-  if e != no_entry && e.match_id = pm.id then Hashtbl.remove t.by_root root
+  if e != no_entry && e.match_id = pm.id then begin
+    (* The dominance rule pruned matches against this entry on the
+       promise that it stays. *)
+    if e.complete then invalid_arg "Topk_set.retract: complete entry";
+    Hashtbl.remove t.by_root root
+  end
 
 let best_since_mark t = t.best_since_mark
 let mark t = t.best_since_mark <- Float.neg_infinity

@@ -7,7 +7,9 @@
     otherwise it competes with the lowest entry.  The threshold (the
     k-th best current score, once the set is full) prunes any match
     whose maximum possible final score cannot strictly beat it, and so
-    does a fixed [floor] ([Engine.run_above]'s bar) any match below it.
+    does a fixed [floor] ([Engine.run_above]'s bar) any match below it;
+    a complete entry prunes every other match for its own root that
+    cannot strictly beat it ({!should_prune}).
 
     Whether partial matches are admitted depends on the relaxation
     configuration: with outer-join (relaxed) semantics every partial
@@ -25,6 +27,9 @@ type entry = {
   progress : int;
       (** how many servers the snapshot had visited — among equal-score
           matches for a root, the most-processed one is kept *)
+  complete : bool;
+      (** the snapshot had visited every server (the [~complete] it was
+          offered with) *)
 }
 
 type t
@@ -43,10 +48,22 @@ val consider : t -> complete:bool -> Partial_match.t -> unit
     only admits complete ones). *)
 
 val should_prune : t -> Partial_match.t -> bool
-(** True when the match's maximum possible final score cannot strictly
-    beat the current threshold (a tie can still improve the entry
-    holding its own root), or is strictly below the floor — the match
-    can never enter the final top-k. *)
+(** True when the match can never change the final top-k, by one of
+    three rules:
+    - its maximum possible final score is strictly below the floor;
+    - it cannot strictly beat the threshold, unless it ties the
+      threshold and its own root's entry is its own or scores below the
+      tie (a tie cannot displace another root's entry, but can still
+      improve its own root's);
+    - its own root holds a {e complete} entry contributed by another
+      match, scoring at least the match's maximum possible score
+      (own-root dominance).  The match cannot beat that entry's score,
+      and at an equal score cannot replace it either, since the progress
+      tie-break needs strictly more servers visited than a complete
+      match's.  Should the entry be evicted later, the threshold has
+      risen to at least its score, so the threshold rule prunes the match
+      anyway; and a complete entry is never retracted.
+    Allocation-free: one threshold read and one table lookup. *)
 
 val prunes_bound : t -> float -> bool
 (** True when a match holding no entry, with maximum possible final
@@ -60,7 +77,10 @@ val retract : t -> Partial_match.t -> unit
     promotion), so a dead match cannot linger as a phantom answer.  The
     threshold may drop as a result; matches already pruned against the
     higher threshold are not resurrected — the same approximation the
-    paper's lock-step predecessor accepts. *)
+    paper's lock-step predecessor accepts.  Raises [Invalid_argument] if
+    that entry is complete: a complete match never dies, and
+    {!should_prune}'s dominance rule relies on a complete entry staying
+    until it is evicted. *)
 
 val best_since_mark : t -> float
 (** The best score stored since the last {!mark} (or creation),

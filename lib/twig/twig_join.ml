@@ -371,6 +371,7 @@ let run ?(config = Engine.Config.default) ?guide (plan : Plan.t) ~k =
               match_id = !n_ans;
               bindings = witness ~stats doc pat msets root;
               progress = Pattern.size pat;
+              complete = true;
             }
             :: !answers
         end)

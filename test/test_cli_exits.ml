@@ -143,6 +143,21 @@ let test_positive_counts () =
         (fun opt -> (opt, loadgen opt))
         [ "--workers"; "--queue-depth"; "--clients" ])
 
+(* A closure past [relax --limit] is a usage error, not an uncaught
+   exception. *)
+let test_relax_limit () =
+  let q3 =
+    In_channel.with_open_bin
+      (Filename.concat build_root "examples/queries/xmark-q3.xpath")
+      In_channel.input_all
+    |> String.trim
+  in
+  check_exit "relax within the limit exits 0" 0
+    [ "relax"; "-q"; "/book[./title]" ];
+  check_usage_line
+    ~prefix:"relax: Relaxation.closure: limit exceeded: more than 50"
+    [ "relax"; "-q"; q3; "--limit"; "50" ]
+
 (* An unknown [--algo] or [--routing] is cmdliner's usage error (exit
    2, naming the value) on every subcommand that takes the option. *)
 let test_unknown_enums () =
@@ -326,4 +341,5 @@ let suite =
     Alcotest.test_case "unknown --algo and --routing" `Quick
       test_unknown_enums;
     Alcotest.test_case "bad --deadline-ms" `Quick test_deadline_ms;
+    Alcotest.test_case "relax past --limit" `Quick test_relax_limit;
   ]

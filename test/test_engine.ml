@@ -198,11 +198,11 @@ let test_default_counters () =
   let plan = Run.compile idx (parse Fixtures.q2) in
   let obs = Wp_obs.Obs.create () in
   let r = Engine.run ~config:Engine.Config.(default |> with_obs obs) plan ~k:15 in
-  Alcotest.(check int) "routing_decisions" 200 r.stats.routing_decisions;
-  Alcotest.(check int) "server_ops" 201 r.stats.server_ops;
-  Alcotest.(check int) "matches_created" 1492 r.stats.matches_created;
+  Alcotest.(check int) "routing_decisions" 75 r.stats.routing_decisions;
+  Alcotest.(check int) "server_ops" 76 r.stats.server_ops;
+  Alcotest.(check int) "matches_created" 343 r.stats.matches_created;
   Alcotest.(check int) "seeds_materialized" 15 r.stats.seeds_materialized;
-  Alcotest.(check int) "matches_pruned" 110 r.stats.matches_pruned;
+  Alcotest.(check int) "matches_pruned" 161 r.stats.matches_pruned;
   Alcotest.(check int) "visit spans = routing decisions"
     r.stats.routing_decisions
     (List.length
@@ -250,16 +250,16 @@ let test_streaming_allocation_bound () =
    the event sites are skipped before any record is allocated.  Minor
    words per created match, bounded at the measured value (x86-64,
    OCaml 5 without flambda) plus 3% headroom; building an event per
-   site costs ~8-14% more on these runs and fails every row. *)
+   site costs ~12-15% more on these runs and fails every row. *)
 let test_default_run_allocates_no_events () =
   (* [WP_CHECK_INVARIANTS] debug checks allocate by design; the pins
      are for the default run. *)
   if not (Invariants.enabled ()) then
   let bounds =
     [
-      ((Fixtures.q1, 10), 28.50); ((Fixtures.q1, 75), 74.26);
-      ((Fixtures.q2, 10), 46.08); ((Fixtures.q2, 75), 56.84);
-      ((Fixtures.q3, 10), 63.98); ((Fixtures.q3, 75), 50.45);
+      ((Fixtures.q1, 10), 22.55); ((Fixtures.q1, 75), 64.02);
+      ((Fixtures.q2, 10), 47.22); ((Fixtures.q2, 75), 84.42);
+      ((Fixtures.q3, 10), 63.33); ((Fixtures.q3, 75), 87.17);
     ]
   in
   List.iter

@@ -1525,21 +1525,21 @@ let timing_goldens =
     (("q1", 75, "max_next"), "217*75 / 218");
     (("q1", 75, "max_final"), "150*75 / 150");
     (("q2", 5, "fifo"), "887*5 / 887");
-    (("q2", 5, "current"), "199*5 / 202");
-    (("q2", 5, "max_next"), "199*5 / 202");
-    (("q2", 5, "max_final"), "70*5 / 70");
+    (("q2", 5, "current"), "174*5 / 177");
+    (("q2", 5, "max_next"), "174*5 / 177");
+    (("q2", 5, "max_final"), "43*5 / 43");
     (("q2", 75, "fifo"), "1172*52 1192*23 / 1192");
-    (("q2", 75, "current"), "1065*52 1068*23 / 1070");
-    (("q2", 75, "max_next"), "1065*52 1068*23 / 1070");
-    (("q2", 75, "max_final"), "658*52 850*23 / 851");
+    (("q2", 75, "current"), "814*52 817*23 / 819");
+    (("q2", 75, "max_next"), "814*52 817*23 / 819");
+    (("q2", 75, "max_final"), "428*52 614*23 / 615");
     (("q3", 5, "fifo"), "2779*5 / 2779");
-    (("q3", 5, "current"), "1005*5 / 1005");
-    (("q3", 5, "max_next"), "1005*5 / 1005");
-    (("q3", 5, "max_final"), "104*5 / 207");
+    (("q3", 5, "current"), "293*5 / 293");
+    (("q3", 5, "max_next"), "293*5 / 293");
+    (("q3", 5, "max_final"), "51*5 / 82");
     (("q3", 75, "fifo"), "4185*75 / 4185");
-    (("q3", 75, "current"), "4646*30 4647*45 / 4659");
-    (("q3", 75, "max_next"), "4646*30 4647*45 / 4659");
-    (("q3", 75, "max_final"), "646*24 1369*6 1794*7 2134*19 3054 3063 3122 3143 3367*4 3460*2 3512*4 3716 3772 3784 3789 3836 / 3839")
+    (("q3", 75, "current"), "1716*75 / 1728");
+    (("q3", 75, "max_next"), "1716*75 / 1728");
+    (("q3", 75, "max_final"), "248*24 354*6 464*7 666*19 689 697 710 720 824*4 857*2 899*4 924 939 948 951 966 / 967");
   ]
 
 let test_stream_emission_timing () =

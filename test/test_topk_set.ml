@@ -7,6 +7,15 @@ let pm ~id ~root ~score ~max_possible =
   in
   p
 
+(* A match that has visited both of [pm]'s two servers, scoring
+   [score]. *)
+let complete_match ~id ~root ~score =
+  Partial_match.extend
+    (Partial_match.create_root ~plan_servers:2 ~id:(-id) ~root
+       ~weight:(score /. 2.0) ~max_rest:1.0)
+    ~id ~server:1 ~binding:(Some (root + 1)) ~weight:(score /. 2.0)
+    ~server_max:1.0
+
 let test_fill_and_threshold () =
   let t = Topk_set.create ~k:2 ~admit_partial:true () in
   Alcotest.(check bool) "empty threshold" true
@@ -64,6 +73,32 @@ let test_pruning () =
   (* ... but the entry owner itself is not pruned. *)
   Alcotest.(check bool) "own entry survives" false
     (Topk_set.should_prune t (pm ~id:1 ~root:10 ~score:0.8 ~max_possible:0.9))
+
+(* A complete entry kills every other match for its root that cannot
+   strictly beat it, whatever the threshold; a partial entry does not,
+   and a complete entry cannot be retracted. *)
+let test_own_root_dominance () =
+  let t = Topk_set.create ~k:3 ~admit_partial:true () in
+  let done_10 = complete_match ~id:1 ~root:10 ~score:0.6 in
+  Topk_set.consider t ~complete:true done_10;
+  let partial_30 = pm ~id:2 ~root:30 ~score:0.5 ~max_possible:0.9 in
+  Topk_set.consider t ~complete:false partial_30;
+  Alcotest.(check bool) "under capacity" true
+    (Topk_set.threshold t = neg_infinity);
+  Alcotest.(check bool) "dominated at equal score" true
+    (Topk_set.should_prune t (pm ~id:3 ~root:10 ~score:0.1 ~max_possible:0.6));
+  Alcotest.(check bool) "can still beat its root's entry" false
+    (Topk_set.should_prune t (pm ~id:4 ~root:10 ~score:0.1 ~max_possible:0.7));
+  Alcotest.(check bool) "the entry's own match" false
+    (Topk_set.should_prune t done_10);
+  Alcotest.(check bool) "a partial entry does not dominate" false
+    (Topk_set.should_prune t (pm ~id:5 ~root:30 ~score:0.1 ~max_possible:0.5));
+  Alcotest.check_raises "complete entry"
+    (Invalid_argument "Topk_set.retract: complete entry") (fun () ->
+      Topk_set.retract t done_10);
+  Topk_set.retract t partial_30;
+  Alcotest.(check (list int)) "the complete entry stays" [ 10 ]
+    (List.map (fun (e : Topk_set.entry) -> e.root) (Topk_set.entries t))
 
 let test_entries_sorted () =
   let t = Topk_set.create ~k:5 ~admit_partial:true () in
@@ -179,9 +214,26 @@ let oracle_threshold t =
       infinity (Topk_set.entries t)
 
 (* Script steps: a match is created with one of a few roots and a
-   weight, optionally extended (progress 2 instead of 1), considered;
-   or an earlier match is retracted. *)
+   weight, optionally extended (progress 2 instead of 1, complete),
+   considered; or an earlier match is retracted. *)
 type step = { root : int; weight : float; extend : bool; code : int }
+
+(* The step's match: a root match with 1.0 still to come, or its
+   extension by 0.5 at the second and last server.  Ids come from
+   [next]. *)
+let step_match next { root; weight; extend; code = _ } =
+  let fresh () =
+    incr next;
+    !next
+  in
+  let pm =
+    Partial_match.create_root ~plan_servers:2 ~id:(fresh ()) ~root ~weight
+      ~max_rest:1.0
+  in
+  if extend then
+    Partial_match.extend pm ~id:(fresh ()) ~server:1
+      ~binding:(Some (root + 1)) ~weight:0.5 ~server_max:1.0
+  else pm
 
 let gen_steps =
   QCheck2.Gen.(
@@ -201,31 +253,26 @@ let prop_threshold_equals_fold_oracle =
       let id = ref 0 in
       let ok = ref true in
       List.iter
-        (fun { root; weight; extend; code } ->
-          (if code = 9 && Array.length !considered > 0 then
-             (* retract an earlier match (possibly a stale owner) *)
+        (fun ({ weight; extend; code; _ } as step) ->
+          (if code = 9 && Array.length !considered > 0 then begin
+             (* retract an earlier match (possibly a stale owner); a
+                complete owner refuses and keeps its entry *)
              let victim =
                !considered.(int_of_float (weight *. 8.0)
                             mod Array.length !considered)
              in
-             Topk_set.retract t victim
+             try Topk_set.retract t victim
+             with Invalid_argument _ ->
+               if
+                 not
+                   (List.exists
+                      (fun (e : Topk_set.entry) ->
+                        e.match_id = victim.Partial_match.id && e.complete)
+                      (Topk_set.entries t))
+               then ok := false
+           end
            else begin
-             let pm =
-               Partial_match.create_root ~plan_servers:2 ~id:!id ~root ~weight
-                 ~max_rest:1.0
-             in
-             incr id;
-             let pm =
-               if extend then begin
-                 let pm' =
-                   Partial_match.extend pm ~id:!id ~server:1
-                     ~binding:(Some (root + 1)) ~weight:0.5 ~server_max:1.0
-                 in
-                 incr id;
-                 pm'
-               end
-               else pm
-             in
+             let pm = step_match id step in
              Topk_set.consider t ~complete:extend pm;
              considered := Array.append !considered [| pm |]
            end);
@@ -233,9 +280,21 @@ let prop_threshold_equals_fold_oracle =
         steps;
       !ok)
 
+(* Whether [pm]'s own root holds a complete entry, contributed by
+   another match, scoring at least [pm]'s maximum possible score. *)
+let dominated t (pm : Partial_match.t) =
+  List.exists
+    (fun (e : Topk_set.entry) ->
+      e.root = Partial_match.root_binding pm
+      && e.complete && e.match_id <> pm.id
+      && pm.max_possible <= e.score)
+    (Topk_set.entries t)
+
 (* should_prune must stay consistent with the reported threshold at
-   every point: never prune a match that can strictly beat it, always
-   prune one that cannot even reach it.  A set with a random floor runs
+   every point: never prune a match that can strictly beat it unless
+   its own root's complete entry dominates it, and always prune one
+   that cannot even reach it (or is dominated).  Partial and complete
+   matches are offered alike.  A set with a random floor runs
    beside one without: the floor adds exactly [max_possible < floor]
    to the prune and to the class-kill test, and changes neither the
    threshold nor what the set stores. *)
@@ -248,18 +307,15 @@ let prop_should_prune_consistent =
       let t0 = Topk_set.create ~k ~admit_partial:true () in
       let id = ref 0 in
       List.for_all
-        (fun { root; weight; extend = _; code = _ } ->
-          let pm =
-            Partial_match.create_root ~plan_servers:2 ~id:!id ~root ~weight
-              ~max_rest:1.0
-          in
-          incr id;
+        (fun step ->
+          let pm = step_match id step in
           let theta = Topk_set.threshold t0 in
           let pruned0 = Topk_set.should_prune t0 pm in
+          let dominated = dominated t0 pm in
           let agreed =
-            if pm.max_possible > theta then not pruned0
+            if pm.max_possible > theta then pruned0 = dominated
             else if pm.max_possible < theta then pruned0
-            else true
+            else pruned0 || not dominated
           in
           let floored =
             Topk_set.threshold t = theta
@@ -268,10 +324,58 @@ let prop_should_prune_consistent =
             && Topk_set.prunes_bound t pm.max_possible
                = (pm.max_possible <= theta || pm.max_possible < floor)
           in
-          Topk_set.consider t ~complete:false pm;
-          Topk_set.consider t0 ~complete:false pm;
+          Topk_set.consider t ~complete:step.extend pm;
+          Topk_set.consider t0 ~complete:step.extend pm;
           agreed && floored && Topk_set.entries t = Topk_set.entries t0)
         steps)
+
+(* The dominance rule is sound: once a match is pruned because its own
+   root's complete entry scores at least its maximum possible score,
+   nothing it could become — any score up to that bound, at either
+   progress — changes the set, bindings and progress included. *)
+let prop_dominance_sound =
+  QCheck2.Test.make ~name:"a dominated match cannot change the set"
+    ~count:300
+    QCheck2.Gen.(
+      quad (int_range 1 4) gen_steps
+        (pair nat (oneof [ return 1.0; float_range 0.0 1.0 ]))
+        (list_size (int_range 1 8)
+           (pair (oneof [ return 1.0; float_range 0.0 1.0 ]) bool)))
+    (fun (k, steps, (pick, slack), offers) ->
+      let t = Topk_set.create ~k ~admit_partial:true () in
+      let id = ref 0 in
+      List.iter
+        (fun step ->
+          Topk_set.consider t ~complete:step.extend (step_match id step))
+        steps;
+      match
+        List.filter (fun (e : Topk_set.entry) -> e.complete)
+          (Topk_set.entries t)
+      with
+      | [] -> true
+      | complete ->
+          let e = List.nth complete (pick mod List.length complete) in
+          incr id;
+          let probe =
+            Partial_match.create_root ~plan_servers:2 ~id:!id ~root:e.root
+              ~weight:0.0 ~max_rest:(slack *. e.score)
+          in
+          let before = Topk_set.entries t in
+          dominated t probe
+          && Topk_set.should_prune t probe
+          && List.for_all
+               (fun (u, extend) ->
+                 let score = u *. probe.max_possible in
+                 incr id;
+                 let m =
+                   if extend then complete_match ~id:!id ~root:e.root ~score
+                   else
+                     Partial_match.create_root ~plan_servers:2 ~id:!id
+                       ~root:e.root ~weight:score ~max_rest:0.0
+                 in
+                 Topk_set.consider t ~complete:extend m;
+                 Topk_set.entries t = before)
+               offers)
 
 let suite =
   [
@@ -280,6 +384,7 @@ let suite =
     Alcotest.test_case "per-root dedup" `Quick test_per_root_dedup;
     Alcotest.test_case "admit_partial=false" `Quick test_admit_partial_false;
     Alcotest.test_case "pruning" `Quick test_pruning;
+    Alcotest.test_case "own-root dominance" `Quick test_own_root_dominance;
     Alcotest.test_case "entries sorted" `Quick test_entries_sorted;
     Alcotest.test_case "invalid k" `Quick test_invalid_k;
     Alcotest.test_case "certify gate" `Quick test_certify_gate;
@@ -287,4 +392,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_certify_matches_sorting;
     QCheck_alcotest.to_alcotest prop_threshold_equals_fold_oracle;
     QCheck_alcotest.to_alcotest prop_should_prune_consistent;
+    QCheck_alcotest.to_alcotest prop_dominance_sound;
   ]
