@@ -318,6 +318,9 @@ let seed_classes t r =
 let n_classes t = Array.length t.seeds
 let n_seeds t = Array.fold_left (fun n c -> n + c.size) 0 t.seeds
 
+let head_bound t =
+  if Array.length t.seeds > 0 then t.seeds.(0).bound else Float.neg_infinity
+
 (* Each non-root server's cap inputs: the sweeps of its exact and
    relaxed components, read through the memo, and its weights; index 0
    (the root server) is unused. *)

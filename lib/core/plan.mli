@@ -140,6 +140,11 @@ val n_seeds : t -> int
 (** Bound classes, and roots in them (root candidates minus killed
     ones). *)
 
+val head_bound : t -> float
+(** The first class's bound, which no match of the plan can score
+    above: what {!Seeds.head} reads on a fresh cursor, without creating
+    one.  [neg_infinity] when no root is live. *)
+
 val admits_partial_answers : t -> bool
 (** Whether the top-k set may hold partial matches: true as soon as leaf
     deletion or subtree promotion can leave nodes unbound; under the

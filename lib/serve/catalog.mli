@@ -13,8 +13,9 @@
     {!Wp_stats.Dataguide.of_index} memoizes one per live document, so a
     reloaded document's old guide goes with it.
 
-    A query that names no document runs over every loaded document, in
-    load order, and {!Wp_serve.Service} merges their top-k answers.
+    A query that names no document runs over the loaded documents, best
+    head bound first, and {!Wp_serve.Service} merges their top-k
+    answers, skipping the documents that cannot place.
 
     All operations are thread-safe: worker domains resolve documents
     and plans concurrently under the catalog's internal mutex.  A plan

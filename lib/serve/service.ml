@@ -22,6 +22,7 @@ type t = {
   base_config : Whirlpool.Engine.Config.t;
   slow_query_ms : float option;
   slow_counter : Registry.counter;
+  skipped_counter : Registry.counter;
   state_mutex : Mutex.t;
   (* engine totals aggregated across every served request, and the
      bounded slow-query log (newest first) — both under [state_mutex] *)
@@ -41,6 +42,11 @@ let create ?(default_k = 10) ?default_deadline_ms ?(max_k = 1000)
     Registry.counter registry
       ~help:"requests slower than the slow-query threshold"
       "wp_serve_slow_queries_total"
+  in
+  let skipped_counter =
+    Registry.counter registry
+      ~help:"documents of merged queries skipped because they could not place"
+      "wp_serve_merged_docs_skipped_total"
   in
   Registry.pull_gauge registry ~help:"documents in the corpus"
     "wp_corpus_documents" (fun () ->
@@ -69,6 +75,7 @@ let create ?(default_k = 10) ?default_deadline_ms ?(max_k = 1000)
     base_config = engine_config;
     slow_query_ms;
     slow_counter;
+    skipped_counter;
     state_mutex = Mutex.create ();
     totals;
     slow_log = [];
@@ -178,47 +185,82 @@ let request_config t ~routing ~should_stop ~obs =
   let c = match routing with None -> c | Some r -> with_routing r c in
   c |> with_should_stop should_stop |> with_obs obs
 
-(* One engine run over one document: resolve the memoized plan and
-   run. *)
-let run_doc t ~config ~algo ~k (doc : Catalog.doc) (q : Protocol.query) =
-  let* cached =
-    Result.map_error
-      (function
-        | Catalog.Bad_query m -> (Protocol.Bad_request, m)
-        | Catalog.Rejected m -> (Protocol.Lint_rejected, m))
-      (Catalog.plan_for t.catalog doc q.query)
-  in
-  let config = Whirlpool.Engine.Config.with_algo algo config in
-  let result = Wp_twig.Backend.run ~config cached.Catalog.plan ~k in
-  note_totals t result.stats;
-  Result.Ok result
+let plan_for t (doc : Catalog.doc) (q : Protocol.query) =
+  Result.map
+    (fun (c : Catalog.cached_plan) -> c.plan)
+    (Result.map_error
+       (function
+         | Catalog.Bad_query m -> (Protocol.Bad_request, m)
+         | Catalog.Rejected m -> (Protocol.Lint_rejected, m))
+       (Catalog.plan_for t.catalog doc q.query))
 
-(* Run the resolved documents one after another in catalog order,
-   folding answers tagged with their document. *)
+(* The merge order: best score first, ties by document name, then root
+   id. *)
+let merge_order ((d1 : Catalog.doc), (e1 : Whirlpool.Topk_set.entry))
+    ((d2 : Catalog.doc), (e2 : Whirlpool.Topk_set.entry)) =
+  match Float.compare e2.score e1.score with
+  | 0 -> (
+      match String.compare d1.name d2.name with
+      | 0 -> Int.compare e1.root e2.root
+      | c -> c)
+  | c -> c
+
+(* Whether a document whose matches score at most [head] can place in
+   [merged], the top k so far in merge order: not once k entries are
+   held and its best possible entry, [head] under its name, sorts after
+   the k-th.  No two documents share a name, so a tie at the k-th score
+   goes by name. *)
+let can_place ~k merged (doc : Catalog.doc) head =
+  match List.nth_opt merged (k - 1) with
+  | None -> true
+  | Some ((kd : Catalog.doc), (ke : Whirlpool.Topk_set.entry)) ->
+      head > ke.score
+      || (head = ke.score && String.compare doc.name kd.name < 0)
+
+(* Run the documents best head bound first, ties by name, keeping the
+   top k in merge order.  A document after one that cannot place has a
+   lower bound, or the same bound and a later name, so it cannot place
+   either: the first such document ends the loop, and the documents
+   skipped would have added nothing to the merge.  The deadline also
+   applies between documents. *)
 let run_docs t ~config ~algo ~k ~should_stop docs (q : Protocol.query) =
-  let stats = Whirlpool.Stats.create () in
-  let partial = ref false in
-  let* tagged =
+  let* plans =
     List.fold_left
-      (fun acc (doc : Catalog.doc) ->
+      (fun acc doc ->
         let* acc = acc in
-        (* Between documents of a merged query the deadline also
-           applies: skip the remaining documents once it has passed. *)
-        if should_stop () then begin
-          partial := true;
-          Result.Ok acc
-        end
-        else
-          let* result = run_doc t ~config ~algo ~k doc q in
-          if result.Whirlpool.Engine.partial then partial := true;
-          Whirlpool.Stats.add stats result.stats;
-          Result.Ok
-            (List.rev_append
-               (List.map (fun e -> (doc, e)) result.answers)
-               acc))
+        let* plan = plan_for t doc q in
+        Result.Ok ((doc, plan, Whirlpool.Plan.head_bound plan) :: acc))
       (Result.Ok []) docs
   in
-  Result.Ok (tagged, stats, !partial)
+  let order ((d1 : Catalog.doc), _, b1) ((d2 : Catalog.doc), _, b2) =
+    match Float.compare b2 b1 with
+    | 0 -> String.compare d1.name d2.name
+    | c -> c
+  in
+  let config = Whirlpool.Engine.Config.with_algo algo config in
+  let stats = Whirlpool.Stats.create () in
+  let rec go merged partial = function
+    | [] -> (merged, partial)
+    | (doc, _, head) :: _ as rest when not (can_place ~k merged doc head) ->
+        Registry.incr ~by:(List.length rest) t.skipped_counter;
+        (merged, partial)
+    | _ :: _ when should_stop () -> (merged, true)
+    | (doc, plan, _) :: rest ->
+        let result = Wp_twig.Backend.run ~config plan ~k in
+        note_totals t result.stats;
+        Whirlpool.Stats.add stats result.stats;
+        let merged =
+          List.filteri
+            (fun i _ -> i < k)
+            (List.sort merge_order
+               (List.rev_append
+                  (List.map (fun e -> (doc, e)) result.answers)
+                  merged))
+        in
+        go merged (partial || result.Whirlpool.Engine.partial) rest
+  in
+  let merged, partial = go [] false (List.sort order plans) in
+  Result.Ok (merged, stats, partial)
 
 let entry_answer (doc : Catalog.doc) (e : Whirlpool.Topk_set.entry) =
   let d = Wp_xml.Index.doc doc.Catalog.index in
@@ -255,25 +297,11 @@ let run_query t (q : Protocol.query) ~t0 ~obs ~cancelled ~on_entry =
         Whirlpool.Engine.Config.with_on_certified (emit doc) config
     | _ -> config
   in
-  let* tagged, stats, partial =
+  let* merged, stats, partial =
     run_docs t ~config ~algo ~k ~should_stop docs q
   in
-  (* Merge across documents: best scores first, ties by document name
-     then root id for a deterministic order. *)
-  let merged =
-    List.sort
-      (fun ((d1 : Catalog.doc), (e1 : Whirlpool.Topk_set.entry))
-           (d2, (e2 : Whirlpool.Topk_set.entry)) ->
-        match Float.compare e2.score e1.score with
-        | 0 -> (
-            match String.compare d1.name d2.name with
-            | 0 -> Int.compare e1.root e2.root
-            | c -> c)
-        | c -> c)
-      tagged
-  in
-  let top = List.filteri (fun i _ -> i < k) merged in
-  Result.Ok (List.map (fun (doc, e) -> entry_answer doc e) top, stats, partial)
+  Result.Ok
+    (List.map (fun (doc, e) -> entry_answer doc e) merged, stats, partial)
 
 let note_slow t (q : Protocol.query) ~elapsed_ms ~obs =
   match t.slow_query_ms with

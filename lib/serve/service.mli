@@ -15,7 +15,10 @@
     non-finite one is a [bad_request].  So is a request that carries
     [use_cache], [batch] or [bound_push]: the candidate cache, bulk
     routing and sharding they toggled are gone.  A merged query runs
-    its documents one after another, in catalog order.  A request
+    its documents one after another, best head bound
+    ({!Whirlpool.Plan.head_bound}) first, and stops at the first one
+    that cannot place in the merged top k; its answers are those of
+    running every document and merging.  A request
     whose hook never fires returns answers entry-identical to a direct
     {!Whirlpool.Engine.run} on the same (document, plan, k).
 

@@ -244,12 +244,11 @@ let join_node ~(stats : Stats.t) doc pat (msets : int array array) q xs =
    what the full join computes.  [on_window msets] sees each window's
    match sets (msets.(0): its matched roots) and returns true to stop.
    Returns false when [should_stop] fired before a window. *)
-let join ~(stats : Stats.t) ~should_stop ~guide (plan : Plan.t) ~first
-    ~on_window =
+let join ~(stats : Stats.t) ~should_stop ~(sel : Dataguide.selection)
+    (plan : Plan.t) ~first ~on_window =
   let doc = Index.doc plan.index in
   let pat = plan.pattern in
   let p = Pattern.size pat in
-  let sel = Dataguide.select guide pat in
   if not sel.satisfiable then true
   else begin
     let postings =
@@ -336,14 +335,48 @@ let witness ~(stats : Stats.t) doc pat (msets : int array array) root =
   bind 0 root;
   b
 
-let guide_of ?guide (plan : Plan.t) =
-  match guide with Some g -> g | None -> Dataguide.of_index plan.index
+(* Selections against the memoized guide of a plan's document, keyed by
+   plan identity and held weakly, so an evicted plan takes its
+   selection with it.  As with the guide memo, the table is touched
+   only under its mutex, a selection is computed outside it, and of two
+   concurrent first computations for one plan the first insert wins. *)
+module Sel_memo = Ephemeron.K1.Make (struct
+  type t = Plan.t
+
+  let equal = ( == )
+  let hash (p : Plan.t) = Hashtbl.hash (p.pattern, Array.length p.roots)
+end)
+
+let sel_cache : Dataguide.selection Sel_memo.t = Sel_memo.create 16
+let sel_mutex = Mutex.create ()
+
+let with_sel_cache f =
+  Mutex.lock sel_mutex;
+  Fun.protect ~finally:(fun () -> Mutex.unlock sel_mutex) f
+
+(* A caller's own guide gets a fresh selection. *)
+let selection ?guide (plan : Plan.t) =
+  match guide with
+  | Some g -> Dataguide.select g plan.pattern
+  | None -> (
+      match with_sel_cache (fun () -> Sel_memo.find_opt sel_cache plan) with
+      | Some sel -> sel
+      | None ->
+          let sel =
+            Dataguide.select (Dataguide.of_index plan.index) plan.pattern
+          in
+          with_sel_cache (fun () ->
+              match Sel_memo.find_opt sel_cache plan with
+              | Some sel -> sel
+              | None ->
+                  Sel_memo.add sel_cache plan sel;
+                  sel))
 
 let match_count ?guide (plan : Plan.t) =
   let count = ref 0 in
   ignore
     (join ~stats:(Stats.create ()) ~should_stop:Engine.never_stop
-       ~guide:(guide_of ?guide plan) plan ~first:max_int
+       ~sel:(selection ?guide plan) plan ~first:max_int
        ~on_window:(fun msets ->
          count := !count + Array.length msets.(0);
          false));
@@ -380,7 +413,7 @@ let run ?(config = Engine.Config.default) ?guide (plan : Plan.t) ~k =
   in
   let finished =
     join ~stats ~should_stop:config.Engine.Config.should_stop
-      ~guide:(guide_of ?guide plan) plan ~first:k ~on_window
+      ~sel:(selection ?guide plan) plan ~first:k ~on_window
   in
   stats.wall_ns <- Int64.sub (Clock.now_ns ()) t0;
   if finished then

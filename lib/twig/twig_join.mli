@@ -45,7 +45,10 @@ val run :
     [Score_table.max_total plan.scores].  [guide] defaults to the
     memoized guide of the plan's document
     ({!Wp_stats.Dataguide.of_index}), which the CLI and the serve tier
-    both use; pass one to run against a guide built elsewhere.  Reads
+    both use; the pattern's selection against that guide
+    ({!Wp_stats.Dataguide.select}) is memoized per plan too.  Pass a
+    guide to run against one built elsewhere: its selection is computed
+    afresh on every call.  Reads
     [config.should_stop] before each window: a stopped run returns
     [partial = true] with no answers.
     @raise Invalid_argument when [k < 1]. *)

@@ -783,6 +783,297 @@ let test_merged_mapped_corpus () =
                 (answer_list a = answer_list b))
             merged_queries))
 
+(* --- merged queries: best bound first, stop at the first document
+   that cannot place --- *)
+
+(* A temporary directory holding the named trees, loaded into a fresh
+   catalog one file at a time in the list's order. *)
+let with_loaded_docs docs f =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "wp-merged-%d-%d" (Unix.getpid ()) (Random.int 1_000_000))
+  in
+  Unix.mkdir dir 0o700;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+        (Sys.readdir dir);
+      try Unix.rmdir dir with Unix.Unix_error _ -> ())
+    (fun () ->
+      let catalog = Catalog.create () in
+      List.iter
+        (fun (name, tree) ->
+          let path = Filename.concat dir name in
+          write_tree path tree;
+          match Catalog.load_file catalog path with
+          | Ok _ -> ()
+          | Error m -> Alcotest.failf "load_file %s: %s" name m)
+        docs;
+      f catalog)
+
+(* The merge as it was before documents could be skipped: every
+   document run to its own top-k, the union sorted by score, then
+   document name, then root id, and cut at k. *)
+let reference_merged catalog ~algo ~k q =
+  let tagged =
+    List.concat_map
+      (fun (doc : Catalog.doc) ->
+        match Catalog.plan_for catalog doc q with
+        | Error e -> Alcotest.failf "plan %s: %s" q (Catalog.plan_error_message e)
+        | Ok c ->
+            List.map
+              (fun (e : Whirlpool.Topk_set.entry) ->
+                (doc.name, e.root, e.score, e.progress))
+              (Fixtures.run_algo algo c.plan ~k).answers)
+      (Catalog.docs catalog)
+  in
+  List.filteri
+    (fun i _ -> i < k)
+    (List.sort
+       (fun (d1, r1, s1, _) (d2, r2, s2, _) ->
+         match Float.compare s2 s1 with
+         | 0 -> compare (d1, r1) (d2, r2)
+         | c -> c)
+       tagged)
+
+let served_entries (r : Protocol.response) =
+  List.map
+    (fun (a : Protocol.answer) -> (a.doc, a.root, a.score, a.progress))
+    r.answers
+
+let skipped_docs service =
+  Wp_obs.Registry.counter_value
+    (Wp_obs.Registry.counter (Service.registry service)
+       "wp_serve_merged_docs_skipped_total")
+
+let server_ops (r : Protocol.response) =
+  match Option.bind r.stats (Json.member "server_ops") with
+  | Some (Json.Int n) -> n
+  | _ -> Alcotest.fail "reply stats lack server_ops"
+
+let hand_doc items = Wp_xml.Tree.el "site" [ Wp_xml.Tree.el "regions" items ]
+
+(* Hand-made auction documents whose head bounds differ: a document
+   allows each of a name, a description (holding a parlist, or text
+   with a keyword) and a mailbox or not, and each of its items carries
+   an allowed part or not. *)
+let gen_items =
+  let open QCheck2.Gen in
+  let* name = bool and* description = int_bound 2 and* mailbox = bool in
+  let part allowed x =
+    if allowed then map (fun b -> if b then [ x ] else []) bool else return []
+  in
+  let open Wp_xml.Tree in
+  let description =
+    match description with
+    | 1 -> Some (el "parlist" [ el "listitem" [ leaf "text" "plain" ] ])
+    | 2 -> Some (el "text" [ leaf "keyword" "rare" ])
+    | _ -> None
+  in
+  let gen_item =
+    map3
+      (fun n d m -> el "item" (n @ d @ m))
+      (part name (leaf "name" "gadget"))
+      (match description with
+      | Some d -> part true (el "description" [ d ])
+      | None -> return [])
+      (part mailbox (el "mailbox" [ el "mail" [ leaf "text" "hi" ] ]))
+  in
+  list_size (int_range 1 14) gen_item
+
+type merged_doc = Xmark of int * int | Hand of Wp_xml.Tree.t list
+
+let gen_merged_doc =
+  let open QCheck2.Gen in
+  oneof
+    [
+      map2
+        (fun seed bytes -> Xmark (seed, bytes))
+        (int_range 1 50) (int_range 4_000 12_000);
+      map (fun items -> Hand items) gen_items;
+    ]
+
+let merged_doc_tree = function
+  | Xmark (seed, bytes) ->
+      Wp_xmark.Generator.generate ~seed ~target_bytes:bytes ()
+  | Hand items -> hand_doc items
+
+(* Documents named d0 .. dn, loaded in a shuffled order, so catalog
+   order is not name order. *)
+let gen_merged_case =
+  let open QCheck2.Gen in
+  let* docs = list_size (int_range 2 5) gen_merged_doc in
+  let named = List.mapi (fun i d -> (Printf.sprintf "d%d.xml" i, d)) docs in
+  let* order = shuffle_l named in
+  let* k = int_range 1 12 in
+  return (order, k)
+
+let print_merged_case (docs, k) =
+  Printf.sprintf "k=%d [%s]" k
+    (String.concat "; "
+       (List.map
+          (fun (name, d) ->
+            match d with
+            | Xmark (seed, bytes) ->
+                Printf.sprintf "%s xmark seed %d, %d bytes" name seed bytes
+            | Hand items -> Printf.sprintf "%s %d hand items" name (List.length items))
+          docs))
+
+let scores_agree a b =
+  List.length a = List.length b
+  && List.for_all2
+       (fun (_, _, x, _) (_, _, y, _) -> Float.abs (x -. y) < 1e-9)
+       a b
+
+(* The served merge equals the reference for every merged query and
+   engine: entry for entry where the engine fixes which tied roots it
+   keeps, score for score for Whirlpool-M and twig. *)
+let prop_merged_equals_reference =
+  QCheck2.Test.make ~name:"merged answers = reference merge" ~count:40
+    ~print:print_merged_case gen_merged_case (fun (docs, k) ->
+      with_loaded_docs
+        (List.map (fun (name, d) -> (name, merged_doc_tree d)) docs)
+        (fun catalog ->
+          let service = Service.create ~catalog () in
+          List.for_all
+            (fun q ->
+              List.for_all
+                (fun algo ->
+                  let r =
+                    Service.handle_query service
+                      {
+                        (query 1 ~k q) with
+                        algo =
+                          Some (Whirlpool.Engine.Config.algo_to_string algo);
+                      }
+                  in
+                  let got = served_entries r
+                  and want = reference_merged catalog ~algo ~k q in
+                  r.status = Protocol.Ok
+                  &&
+                  match algo with
+                  | Whirlpool.Engine.Config.Whirlpool_mt | Twig ->
+                      scores_agree got want
+                  | Whirlpool | Lockstep | Lockstep_noprun -> got = want)
+                Whirlpool.Engine.Config.all_algos)
+            merged_queries))
+
+let head_bound catalog name q =
+  match Catalog.find catalog name with
+  | None -> Alcotest.failf "no document %s" name
+  | Some doc -> (
+      match Catalog.plan_for catalog doc q with
+      | Ok c -> Whirlpool.Plan.head_bound c.plan
+      | Error e -> Alcotest.failf "plan %s: %s" q (Catalog.plan_error_message e))
+
+let xmark_docs n =
+  List.init n (fun i ->
+      ( Printf.sprintf "doc%d.xml" (i + 1),
+        Wp_xmark.Generator.generate ~seed:(100 + i + 1) ~target_bytes:30_000 ()
+      ))
+
+(* Four documents tie at the head bound and the first by name fills k
+   at it: the other three never run, so the merged reply costs what
+   that document's own reply costs. *)
+let test_merged_skip_equal_bounds () =
+  let q = "//item[./name]" and k = 10 in
+  with_loaded_docs (List.rev (xmark_docs 4)) (fun catalog ->
+      let service = Service.create ~catalog () in
+      let head = head_bound catalog "doc1.xml" q in
+      List.iter
+        (fun name ->
+          Alcotest.(check (float 0.0)) (name ^ " ties doc1's bound") head
+            (head_bound catalog name q))
+        [ "doc2.xml"; "doc3.xml"; "doc4.xml" ];
+      let merged = Service.handle_query service (query 1 ~k q) in
+      Alcotest.(check bool) "ok" true (merged.status = Protocol.Ok);
+      Alcotest.(check int) "three documents skipped" 3 (skipped_docs service);
+      Alcotest.(check bool) "doc1 fills k at the bound" true
+        (List.length merged.answers = k
+        && List.for_all
+             (fun (a : Protocol.answer) -> a.doc = "doc1.xml" && a.score = head)
+             merged.answers);
+      let single = Service.handle_query service (query 2 ~doc:"doc1.xml" ~k q) in
+      Alcotest.(check int) "server_ops of doc1 alone" (server_ops single)
+        (server_ops merged);
+      Alcotest.(check bool) "equals the reference merge" true
+        (served_entries merged
+        = reference_merged catalog ~algo:Whirlpool.Engine.Config.Whirlpool ~k q))
+
+let named_items n ~name =
+  List.init n (fun _ ->
+      Wp_xml.Tree.el "item"
+        (if name then [ Wp_xml.Tree.leaf "name" "gadget" ] else []))
+
+(* b.xml's items all carry a name, a.xml's none: b's head bound is
+   strictly higher, so b runs first although a sorts first by name, fills
+   k above a's bound, and a is skipped. *)
+let test_merged_skip_lower_bound () =
+  let q = "//item[./name]" and k = 3 in
+  with_loaded_docs
+    [
+      ("a.xml", hand_doc (named_items 5 ~name:false));
+      ("b.xml", hand_doc (named_items 5 ~name:true));
+    ]
+    (fun catalog ->
+      let service = Service.create ~catalog () in
+      Alcotest.(check bool) "b's bound is higher" true
+        (head_bound catalog "b.xml" q > head_bound catalog "a.xml" q);
+      let merged = Service.handle_query service (query 1 ~k q) in
+      Alcotest.(check int) "a skipped" 1 (skipped_docs service);
+      Alcotest.(check (list string)) "every answer from b" [ "b.xml" ]
+        (List.sort_uniq compare
+           (List.map (fun (a : Protocol.answer) -> a.doc) merged.answers));
+      let single = Service.handle_query service (query 2 ~doc:"b.xml" ~k q) in
+      Alcotest.(check int) "server_ops of b alone" (server_ops single)
+        (server_ops merged))
+
+(* b.xml holds one named item and several unnamed ones, a.xml unnamed
+   ones only.  b runs first (higher bound) and its k-th entry scores
+   a's head bound; a ties it but sorts before b by name, so a runs and
+   its entries displace b's tied ones. *)
+let test_merged_tie_earlier_name_runs () =
+  let q = "//item[./name]" and k = 3 in
+  with_loaded_docs
+    [
+      ("b.xml", hand_doc (named_items 1 ~name:true @ named_items 4 ~name:false));
+      ("a.xml", hand_doc (named_items 4 ~name:false));
+    ]
+    (fun catalog ->
+      let service = Service.create ~catalog () in
+      let b = Service.handle_query service (query 1 ~doc:"b.xml" ~k q) in
+      let a_head = head_bound catalog "a.xml" q in
+      Alcotest.(check bool) "b's k-th entry scores a's bound" true
+        (match List.rev b.answers with
+        | last :: _ -> List.length b.answers = k && last.score = a_head
+        | [] -> false);
+      let merged = Service.handle_query service (query 2 ~k q) in
+      Alcotest.(check int) "nothing skipped" 0 (skipped_docs service);
+      Alcotest.(check bool) "a contributes" true
+        (List.exists (fun (a : Protocol.answer) -> a.doc = "a.xml") merged.answers);
+      Alcotest.(check bool) "equals the reference merge" true
+        (served_entries merged
+        = reference_merged catalog ~algo:Whirlpool.Engine.Config.Whirlpool ~k q))
+
+let test_merged_expired_deadline_partial () =
+  with_loaded_docs (xmark_docs 4) (fun catalog ->
+      let service = Service.create ~catalog () in
+      let r =
+        Service.handle_query service
+          (query 1 ~k:10 ~deadline_ms:0.0 "//item[./name]")
+      in
+      Alcotest.(check bool) "partial" true (r.status = Protocol.Partial);
+      Alcotest.(check bool) "no error" true (r.error = None);
+      (* Every plan resolves before any document runs, so a query that
+         does not parse is refused even when its deadline has passed. *)
+      let bad =
+        Service.handle_query service (query 2 ~deadline_ms:0.0 "//item[")
+      in
+      Alcotest.(check bool) "unparseable: bad_request" true
+        (bad.code = Some Protocol.Bad_request))
+
 (* Two mapped documents of equal node count but distinct content in
    one catalog: the guide memo is keyed by document identity, so it
    neither compares the documents' accessor closures nor hands one
@@ -2003,6 +2294,15 @@ let suite =
       test_service_deadline_range;
     Alcotest.test_case "merged mapped corpus" `Quick
       test_merged_mapped_corpus;
+    QCheck_alcotest.to_alcotest prop_merged_equals_reference;
+    Alcotest.test_case "merged skip: equal bounds" `Quick
+      test_merged_skip_equal_bounds;
+    Alcotest.test_case "merged skip: lower bound" `Quick
+      test_merged_skip_lower_bound;
+    Alcotest.test_case "merged tie: earlier name runs" `Quick
+      test_merged_tie_earlier_name_runs;
+    Alcotest.test_case "merged expired deadline partial" `Quick
+      test_merged_expired_deadline_partial;
     Alcotest.test_case "mapped equal-size docs" `Quick
       test_mapped_equal_size_docs;
     Alcotest.test_case "service errors" `Quick test_service_errors;
