@@ -198,14 +198,10 @@ let generate_cmd =
 
 (* Remote mode: ship the query to a running server and print its
    reply.  Parsing, planning and deadline enforcement all happen
-   server-side.  With --stream (over protocol v2) each certified answer
-   prints the moment its Part frame arrives, ahead of the final
-   summary. *)
+   server-side.  With --stream each certified answer prints the moment
+   its Part frame arrives, ahead of the final summary. *)
 let remote_query socket q k deadline_ms algo routing doc stream json =
   let client = client_or_exit (Wp_serve.Client.connect socket) in
-  if stream && Wp_serve.Client.version client < 2 then
-    prerr_endline
-      "note: server negotiated protocol v1; nothing will stream";
   let req =
     Wp_serve.Protocol.Query
       {
@@ -273,17 +269,18 @@ let local_query path q k threshold algo routing exact explain json =
   let r =
     match threshold with
     | Some threshold ->
-        Printf.printf "All answers above %.3f for %s:\n" threshold
-          (Wp_pattern.Pattern.to_string pattern);
         Whirlpool.Engine.run_above ~config:engine_config plan ~threshold
-    | None ->
-        Printf.printf "Top-%d for %s:\n" k (Wp_pattern.Pattern.to_string pattern);
-        Wp_twig.Backend.run ~config:engine_config plan ~k
+    | None -> Wp_twig.Backend.run ~config:engine_config plan ~k
   in
   let doc = Wp_xml.Index.doc idx in
   if json then
     Format.printf "%a@." Wp_json.Json.pp (Whirlpool.Answer.result_to_json plan r)
   else begin
+    let shown = Wp_pattern.Pattern.to_string pattern in
+    (match threshold with
+    | Some threshold ->
+        Printf.printf "All answers above %.3f for %s:\n" threshold shown
+    | None -> Printf.printf "Top-%d for %s:\n" k shown);
     if explain then
       List.iter
         (fun a -> Format.printf "%a@." (Whirlpool.Answer.pp plan) a)
@@ -370,8 +367,7 @@ let query_cmd =
       & info [ "stream" ]
           ~doc:
             "With --connect: print each answer the moment the server \
-             certifies it (protocol v2 Part frames), before the final \
-             summary.")
+             certifies it (Part frames), before the final summary.")
   in
   Cmd.v
     (cmd_info "query"
@@ -934,11 +930,7 @@ let ctl_run socket op format json =
     | "stop" -> Wp_serve.Protocol.Stop { id = 1 }
     | other -> die "unknown operation %S (known: ping, metrics, stop)" other
   in
-  let client =
-    (* Control ops have buffered replies; v1 skips the Hello
-       round-trip. *)
-    client_or_exit (Wp_serve.Client.connect ~version:1 socket)
-  in
+  let client = client_or_exit (Wp_serve.Client.connect socket) in
   let reply = Wp_serve.Client.call client req in
   Wp_serve.Client.close client;
   let r = client_or_exit reply in
@@ -1214,9 +1206,9 @@ let loadgen_cmd =
       & opt (some string) None
       & info [ "ttfa-query" ] ~docv:"XPATH"
           ~doc:
-            "After each point, stream this query once over protocol v2 \
-             and record the client-side time-to-first-answer in the \
-             point (field $(b,ttfa)).")
+            "After each point, stream this query once and record the \
+             client-side time-to-first-answer in the point (field \
+             $(b,ttfa)).")
   in
   let workers_list =
     Arg.(

@@ -10,9 +10,7 @@ let error_to_string = function
   | Io m -> "i/o error: " ^ m
   | Protocol_violation m -> "protocol violation: " ^ m
 
-type t = { fd : Unix.file_descr; mutable version : int }
-
-let version t = t.version
+type t = { fd : Unix.file_descr }
 
 let ( let* ) = Result.bind
 
@@ -26,10 +24,9 @@ let read_reply t =
   let* raw = Result.map_error (fun m -> Io m) (Wire.read_frame t.fd) in
   Result.map_error (fun m -> Protocol_violation m) (Protocol.parse_frame raw)
 
-(* One request, one streamed reply: [Part] frames go to [on_part] as
-   they arrive; the terminal [Done] response is returned.  On a v1
-   connection the server sends a single [Done], so [on_part] simply
-   never fires — the same code path serves both versions. *)
+(* One request, one reply: [Part] frames go to [on_part] as they
+   arrive; the terminal [Done] response is returned.  A reply that does
+   not stream is a single [Done], so [on_part] simply never fires. *)
 let stream t ~on_part req =
   let* () = send t req in
   let rec drain () =
@@ -51,8 +48,7 @@ let stream t ~on_part req =
    nothing. *)
 let call t req = stream t ~on_part:(fun (_ : Protocol.answer) -> ()) req
 
-let connect ?(version = Protocol.current_version) path =
-  if version < 1 then invalid_arg "Client.connect: version >= 1";
+let connect ?version:_ path =
   match Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 with
   | exception Unix.Unix_error (e, _, _) ->
       Result.Error (Connect_failed (Unix.error_message e))
@@ -63,20 +59,4 @@ let connect ?(version = Protocol.current_version) path =
           Result.Error
             (Connect_failed
                (Printf.sprintf "%s: %s" path (Unix.error_message e)))
-      | () ->
-          let t = { fd; version = 1 } in
-          if version = 1 then Result.Ok t
-          else begin
-            (* Negotiate: the server answers with the highest version
-               both sides speak; a v1-only server (or one predating
-               Hello) leaves the connection at 1. *)
-            match call t (Protocol.Hello { id = 0; version }) with
-            | Result.Ok reply ->
-                t.version <- (match reply.Protocol.version with
-                  | Some v when v >= 1 -> min v version
-                  | Some _ | None -> 1);
-                Result.Ok t
-            | Result.Error e ->
-                close t;
-                Result.Error e
-          end)
+      | () -> Result.Ok { fd })

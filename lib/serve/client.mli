@@ -3,10 +3,9 @@
     {!Loadgen}, replacing their hand-rolled frame loops.
 
     A client speaks the {!Wire} framing over a Unix-domain socket.
-    {!connect} negotiates the protocol version with a [Hello] exchange
-    (v2 by default); when the server answers [Hello] with version 1, or
-    predates [Hello], the connection transparently degrades to buffered
-    v1 replies, so callers never branch on the version themselves.
+    Every reply is zero or more [Part] frames closed by a [Done]
+    ({!Protocol.stream_frame}); {!call} drops the parts, {!stream}
+    hands them over as they arrive.
 
     Errors are typed: {!error.Connect_failed} before the socket is up,
     {!error.Io} for transport failures (including the server vanishing
@@ -23,19 +22,14 @@ val error_to_string : error -> string
 type t
 
 val connect : ?version:int -> string -> (t, error) result
-(** Connect to a server socket path.  [version] (default
-    {!Protocol.current_version}) is the highest protocol version to
-    offer; [1] skips the [Hello] exchange entirely and forces buffered
-    replies.  Raises [Invalid_argument] on [version < 1]. *)
-
-val version : t -> int
-(** The negotiated protocol version (1 until proven otherwise). *)
+(** Connect to a server socket path.  [version] is ignored: the wire
+    has one protocol.  The argument stays because perfbench passes it;
+    it goes with the next change to the benchmark's protocol. *)
 
 val call : t -> Protocol.request -> (Protocol.response, error) result
-(** Send one request and block for its complete reply.  On a v2
-    connection any streamed [Part] frames are drained and discarded —
-    the terminal [Done] always carries the full answer list, so the
-    result is identical to a v1 buffered call. *)
+(** Send one request and block for its complete reply.  Any streamed
+    [Part] frames are drained and discarded — the terminal [Done]
+    always carries the full answer list. *)
 
 val stream :
   t ->
@@ -44,7 +38,8 @@ val stream :
   (Protocol.response, error) result
 (** As {!call}, but hand each certified answer to [on_part] the moment
     its [Part] frame arrives.  The returned [Done] response's [answers]
-    include the streamed prefix in the same order.  On a v1 connection
-    [on_part] never fires. *)
+    include the streamed prefix in the same order.  Only a query that
+    resolves to one document streams; for any other request [on_part]
+    never fires. *)
 
 val close : t -> unit

@@ -5,7 +5,7 @@
    parsed and dispatched, and replies drain from per-connection
    outboxes when the socket is writable.  The bounded worker pool is
    kept strictly for query execution — the loop thread answers control
-   operations (ping, metrics, hello, stop) inline, so a saturated pool
+   operations (ping, metrics, stop) inline, so a saturated pool
    never makes the service unobservable, and it never blocks on any
    one connection, so N connections cost one thread instead of N.
 
@@ -53,7 +53,6 @@ type conn = {
   cancelled : bool Atomic.t;  (* read by should_stop on worker domains *)
   mutable inflight : int;  (* queries submitted, replies not yet queued *)
   mutable close_after_flush : bool;  (* HTTP: one reply, then close *)
-  mutable version : int;  (* negotiated protocol version; loop thread *)
   mutable gone : bool;  (* loop thread: fd closed, slot held until drain *)
   mutable http : http_state;  (* loop thread *)
 }
@@ -107,12 +106,11 @@ let enqueue conn text = with_lock conn.omutex (fun () -> append_reply conn text)
 
 (* One wire frame.  A payload past [Wire.max_frame] is dropped: no
    client could read it. *)
-let wire_frame json =
-  let payload = Json.to_string json in
+let wire_frame frame =
+  let payload = Json.to_string (Protocol.frame_to_json frame) in
   if String.length payload <= Wire.max_frame then Wire.frame payload else ""
 
-let send_response conn resp =
-  enqueue conn (wire_frame (Protocol.response_to_json resp))
+let wire_done resp = wire_frame (Protocol.Done resp)
 
 (* --- disconnect / reclaim --- *)
 
@@ -155,41 +153,31 @@ let submit_query server conn ?on_part ~reply (q : Protocol.query) =
 
 (* --- wire dispatch (loop thread) --- *)
 
-(* A v2 connection streams certified answers as [Part] frames and ends
-   with a [Done] frame; a v1 connection gets one bare response. *)
+(* A wire query streams certified answers as [Part] frames and ends
+   with a [Done] frame. *)
 let submit_wire_query server conn (q : Protocol.query) =
-  let streamed = conn.version >= 2 in
-  let on_part =
-    if streamed then begin
-      let seq = ref 0 in
-      Some
-        (fun answer ->
-          let frame = Protocol.Part { id = q.id; seq = !seq; answer } in
-          incr seq;
-          enqueue conn (wire_frame (Protocol.frame_to_json frame));
-          wake server)
-    end
-    else None
+  let seq = ref 0 in
+  let on_part answer =
+    let frame = Protocol.Part { id = q.id; seq = !seq; answer } in
+    incr seq;
+    enqueue conn (wire_frame frame);
+    wake server
   in
-  submit_query server conn ?on_part q ~reply:(fun resp ->
-      wire_frame
-        (if streamed then Protocol.frame_to_json (Protocol.Done resp)
-         else Protocol.response_to_json resp))
+  submit_query server conn ~on_part q ~reply:wire_done
 
 let dispatch_wire server conn payload =
   match Protocol.parse_request payload with
   | Result.Error msg ->
-      send_response conn (Protocol.error_response ~id:0 ("bad request: " ^ msg))
+      enqueue conn
+        (wire_done
+           (Protocol.error_response ~id:0 ~code:Protocol.Bad_request
+              ("bad request: " ^ msg)))
   | Result.Ok (Protocol.Query q) -> submit_wire_query server conn q
   | Result.Ok req -> (
       match Service.handle server.service req with
-      | `Reply r ->
-          (* Only a Hello reply carries a version: it becomes the
-             connection's negotiated one. *)
-          Option.iter (fun v -> conn.version <- v) r.Protocol.version;
-          send_response conn r
+      | `Reply r -> enqueue conn (wire_done r)
       | `Stop r ->
-          send_response conn r;
+          enqueue conn (wire_done r);
           with_lock server.mutex (fun () -> server.stopping <- true))
 
 (* --- HTTP gateway (same loop) --- *)
@@ -472,7 +460,6 @@ let accept_conns server lfd kind =
               cancelled = Atomic.make false;
               inflight = 0;
               close_after_flush = false;
-              version = 1;
               gone = false;
               http = Reading_head;
             }

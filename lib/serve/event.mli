@@ -3,11 +3,12 @@
     strictly for query execution.
 
     - N connections cost one loop thread plus the pool, not N threads;
-    - the loop can interleave frames on a connection, so it negotiates
-      protocol v2 and streams certified answers as [Part] frames the
-      moment the engine's k-th threshold certifies them, closing with a
-      [Done] frame carrying the complete reply (v1 clients still get a
-      single buffered response);
+    - the loop can interleave frames on a connection, so a query that
+      resolves to one document streams certified answers as [Part]
+      frames the moment the engine's k-th threshold certifies them,
+      closing with a [Done] frame carrying the complete reply; merged
+      queries, control replies and parse errors are a single [Done]
+      ({!Protocol.stream_frame});
     - a client that vanishes mid-stream or mid-frame is detected at the
       next loop round: its fd is closed immediately, the in-flight run
       is cancelled through the engine's [should_stop], and the
@@ -21,7 +22,7 @@
       accepted gets an interim [100 Continue] before its body is
       read.
 
-    Control operations (ping, metrics, hello, stop) are answered inline
+    Control operations (ping, metrics, stop) are answered inline
     by the loop thread through {!Service.handle}, so a saturated pool
     never makes the service unobservable.  Workers never touch sockets:
     replies and stream frames are appended to a per-connection outbox

@@ -66,8 +66,6 @@ let client_loop client queries ~algo ~t_end acc =
         continue := false)
   done
 
-(* Latency windows speak protocol v1: one buffered reply per request,
-   with no Hello round-trip and no stream frames to drain. *)
 let run ?algo ~socket ~queries ~clients ~duration_s () =
   if queries = [] then Result.Error "no queries to issue"
   else if clients < 1 then Result.Error "need at least one client"
@@ -76,7 +74,7 @@ let run ?algo ~socket ~queries ~clients ~duration_s () =
     let conns = ref [] in
     let connect_err = ref None in
     for _ = 1 to clients do
-      match Client.connect ~version:1 socket with
+      match Client.connect socket with
       | Result.Ok c -> conns := c :: !conns
       | Result.Error e ->
           if !connect_err = None then
@@ -154,7 +152,7 @@ let ( let* ) = Result.bind
 let client_err r = Result.map_error Client.error_to_string r
 
 let fetch_metrics ~socket =
-  let* client = client_err (Client.connect ~version:1 socket) in
+  let* client = client_err (Client.connect socket) in
   let reply =
     client_err
       (Client.call client
@@ -166,61 +164,55 @@ let fetch_metrics ~socket =
   | Some m -> Result.Ok m
   | None -> Result.Error "metrics reply carried no metrics object"
 
-(* One streamed query over protocol v2, timing the first [Part] frame
-   against the terminal [Done] — the client-side view of the
-   time-to-first-answer metric the server records. *)
+(* One streamed query, timing the first [Part] frame against the
+   terminal [Done] — the client-side view of the time-to-first-answer
+   metric the server records. *)
 let ttfa_probe ?algo ?k ?doc ~socket ~query () =
   let* client = client_err (Client.connect socket) in
-  if Client.version client < 2 then begin
-    Client.close client;
-    Result.Error "server negotiated v1: nothing can stream"
-  end
-  else begin
-    let req =
-      Protocol.Query
-        {
-          id = 1;
-          query;
-          doc;
-          k;
-          deadline_ms = None;
-          algo;
-          routing = None;
-          batch = None;
-          use_cache = None;
-          bound_push = None;
-        }
-    in
-    let t0 = now_ns () in
-    let first_ms = ref None in
-    let parts = ref 0 in
-    let on_part (_ : Protocol.answer) =
-      incr parts;
-      if !first_ms = None then
-        first_ms :=
-          Some (Int64.to_float (Int64.sub (now_ns ()) t0) /. 1e6)
-    in
-    let reply = client_err (Client.stream client ~on_part req) in
-    let total_ms = Int64.to_float (Int64.sub (now_ns ()) t0) /. 1e6 in
-    Client.close client;
-    let* r = reply in
-    let open Json in
-    Result.Ok
-      (Obj
-         [
-           ("query", String query);
-           ("streamed", Int !parts);
-           ("answers", Int (List.length r.Protocol.answers));
-           ( "ttfa_ms",
-             match !first_ms with Some ms -> Float ms | None -> Null );
-           ("total_ms", Float total_ms);
-           ( "ttfa_before_done",
-             Bool
-               (match !first_ms with
-               | Some ms -> ms < total_ms
-               | None -> false) );
-         ])
-  end
+  let req =
+    Protocol.Query
+      {
+        id = 1;
+        query;
+        doc;
+        k;
+        deadline_ms = None;
+        algo;
+        routing = None;
+        batch = None;
+        use_cache = None;
+        bound_push = None;
+      }
+  in
+  let t0 = now_ns () in
+  let first_ms = ref None in
+  let parts = ref 0 in
+  let on_part (_ : Protocol.answer) =
+    incr parts;
+    if !first_ms = None then
+      first_ms :=
+        Some (Int64.to_float (Int64.sub (now_ns ()) t0) /. 1e6)
+  in
+  let reply = client_err (Client.stream client ~on_part req) in
+  let total_ms = Int64.to_float (Int64.sub (now_ns ()) t0) /. 1e6 in
+  Client.close client;
+  let* r = reply in
+  let open Json in
+  Result.Ok
+    (Obj
+       [
+         ("query", String query);
+         ("streamed", Int !parts);
+         ("answers", Int (List.length r.Protocol.answers));
+         ( "ttfa_ms",
+           match !first_ms with Some ms -> Float ms | None -> Null );
+         ("total_ms", Float total_ms);
+         ( "ttfa_before_done",
+           Bool
+             (match !first_ms with
+             | Some ms -> ms < total_ms
+             | None -> false) );
+       ])
 
 type measured = {
   cold : point;

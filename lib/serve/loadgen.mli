@@ -32,9 +32,9 @@ val run :
   (point, string) result
 (** [Error] when no client can connect or [queries] is empty.
     [algo] is the backend wire name forwarded on every request
-    (omitted when [None], leaving the server's default).
-    Every connection speaks protocol v1, so each request costs exactly one
-    buffered reply. *)
+    (omitted when [None], leaving the server's default).  Requests are
+    merged queries (no [doc]), which stream no [Part] frames unless the
+    corpus holds one document; a client's latency runs to the [Done]. *)
 
 val ttfa_probe :
   ?algo:string ->
@@ -44,13 +44,11 @@ val ttfa_probe :
   query:string ->
   unit ->
   (Wp_json.Json.t, string) result
-(** Issue one streamed query over protocol v2 and report the
-    client-side time-to-first-answer: [ttfa_ms] (first [Part] frame,
-    [null] when nothing streamed), [total_ms] (terminal [Done]),
-    [streamed] and [answers] counts, and [ttfa_before_done].  Only
-    single-document queries stream, so pass [doc] on a multi-document
-    corpus.  [Error] when the server negotiates the connection down to
-    v1, since nothing can stream there. *)
+(** Issue one streamed query and report the client-side
+    time-to-first-answer: [ttfa_ms] (first [Part] frame, [null] when
+    nothing streamed), [total_ms] (terminal [Done]), [streamed] and
+    [answers] counts, and [ttfa_before_done].  Only single-document
+    queries stream, so pass [doc] on a multi-document corpus. *)
 
 type measured = {
   cold : point;  (** first window *)

@@ -24,17 +24,11 @@ let metrics_format_of_string = function
   | "prometheus" -> Some Prometheus
   | _ -> None
 
-(* Highest protocol version this build speaks.  v1 is the original
-   buffered request/reply; v2 adds [Hello] negotiation and streamed
-   query replies (a sequence of [Part] frames closed by a [Done]). *)
-let current_version = 2
-
 type request =
   | Query of query
   | Metrics of { id : int; format : metrics_format }
   | Ping of { id : int }
   | Stop of { id : int }
-  | Hello of { id : int; version : int }
 
 type status = Ok | Partial | Overloaded | Error
 
@@ -97,11 +91,10 @@ type response = {
   metrics : Json.t option;
   metrics_text : string option;
   elapsed_ms : float;
-  version : int option;
 }
 
 let ok_response ?(answers = []) ?stats ?metrics ?metrics_text ?(partial = false)
-    ?version ~id ~elapsed_ms () =
+    ~id ~elapsed_ms () =
   {
     id;
     status = (if partial then Partial else Ok);
@@ -112,10 +105,9 @@ let ok_response ?(answers = []) ?stats ?metrics ?metrics_text ?(partial = false)
     metrics;
     metrics_text;
     elapsed_ms;
-    version;
   }
 
-let error_response ~id ?(elapsed_ms = 0.0) ?(code = Internal) msg =
+let error_response ~id ?(elapsed_ms = 0.0) ~code msg =
   {
     id;
     status = Error;
@@ -126,7 +118,6 @@ let error_response ~id ?(elapsed_ms = 0.0) ?(code = Internal) msg =
     metrics = None;
     metrics_text = None;
     elapsed_ms;
-    version = None;
   }
 
 let overloaded_response ~id =
@@ -140,7 +131,6 @@ let overloaded_response ~id =
     metrics = None;
     metrics_text = None;
     elapsed_ms = 0.0;
-    version = None;
   }
 
 (* --- field accessors with typed errors --- *)
@@ -214,8 +204,6 @@ let request_to_json req =
         | f -> [ ("format", String (metrics_format_to_string f)) ])
   | Ping { id } -> Obj [ ("op", String "ping"); ("id", Int id) ]
   | Stop { id } -> Obj [ ("op", String "stop"); ("id", Int id) ]
-  | Hello { id; version } ->
-      Obj [ ("op", String "hello"); ("id", Int id); ("version", Int version) ]
 
 let request_of_json json =
   let* op = field_string "op" json in
@@ -261,10 +249,6 @@ let request_of_json json =
       Result.Ok (Metrics { id; format })
   | "ping" -> Result.Ok (Ping { id })
   | "stop" -> Result.Ok (Stop { id })
-  | "hello" ->
-      let* version = field_int "version" json in
-      if version < 1 then Result.Error "field \"version\" must be >= 1"
-      else Result.Ok (Hello { id; version })
   | other -> Result.Error (Printf.sprintf "unknown op %S" other)
 
 (* --- responses --- *)
@@ -309,8 +293,7 @@ let response_to_json r =
       | answers -> [ ("answers", List (List.map answer_to_json answers)) ])
     @ opt "stats" r.stats Fun.id
     @ opt "metrics" r.metrics Fun.id
-    @ opt "metrics_text" r.metrics_text (fun s -> String s)
-    @ opt "version" r.version (fun v -> Int v))
+    @ opt "metrics_text" r.metrics_text (fun s -> String s))
 
 let response_of_json json =
   let* id = field_int "id" json in
@@ -350,10 +333,9 @@ let response_of_json json =
   let stats = Json.member "stats" json in
   let metrics = Json.member "metrics" json in
   let* metrics_text = opt_string "metrics_text" json in
-  let* version = opt_int "version" json in
   Result.Ok
     { id; status; error; code; answers; stats; metrics; metrics_text;
-      elapsed_ms; version }
+      elapsed_ms }
 
 let parse_request s =
   let* json = Json.of_string s in
@@ -363,7 +345,7 @@ let parse_response s =
   let* json = Json.of_string s in
   response_of_json json
 
-(* --- protocol-v2 streamed replies --- *)
+(* --- reply frames --- *)
 
 type stream_frame =
   | Part of { id : int; seq : int; answer : answer }
@@ -395,14 +377,13 @@ let frame_of_json json =
         | None -> Result.Error "missing field \"answer\""
       in
       Result.Ok (Part { id; seq; answer })
-  | Some (Json.String "done") | None ->
-      (* A frame-less object is a v1 buffered reply: the whole response
-         arrives as one terminal frame. *)
+  | Some (Json.String "done") ->
       let* r = response_of_json json in
       Result.Ok (Done r)
   | Some (Json.String other) ->
       Result.Error (Printf.sprintf "unknown frame kind %S" other)
   | Some _ -> Result.Error "field \"frame\" must be a string"
+  | None -> Result.Error "missing field \"frame\""
 
 let parse_frame s =
   let* json = Json.of_string s in

@@ -1,18 +1,25 @@
-(** The service's wire vocabulary — JSON requests and replies.
+(** The service's wire vocabulary — JSON requests and reply frames.
 
     Every frame on the wire ({!Wire}) carries one JSON object.
-    Requests select an operation with ["op"]; replies echo the
-    request's ["id"] and carry a {!status}:
+    Requests select an operation with ["op"].  Every reply is a
+    sequence of {!stream_frame}s: zero or more ["part"] frames, one
+    certified answer each, closed by a ["done"] frame that echoes the
+    request's ["id"] and carries a {!status} and the complete reply:
 
     {v
     -> {"op":"query","id":1,"query":"//item[./name]","doc":"a.xml",
         "k":10,"deadline_ms":250}
+    <- {"id":1,"frame":"part","seq":0,
+        "answer":{"doc":"a.xml","root":17,"dewey":"0.3.1",
+                  "score":0.91,"progress":2}}
     <- {"id":1,"status":"ok","elapsed_ms":3.1,
-        "answers":[{"doc":"a.xml","root":17,"dewey":"0.3.1",
-                    "score":0.91,"progress":2}, ...],
-        "stats":{...}}
+        "answers":[{"doc":"a.xml","root":17,...}, ...],
+        "stats":{...},"frame":"done"}
     v}
 
+    Only a query that resolves to one document sends parts; merged
+    queries and the control operations (ping, metrics, stop) send one
+    ["done"].
     Omitting ["doc"] asks for the top-k merged across the whole corpus.
     [Overloaded] is the admission-control reply — the request was shed,
     not queued; [Partial] flags a top-k cut short by its deadline.
@@ -55,11 +62,6 @@ type metrics_format = Json_format | Prometheus
 val metrics_format_to_string : metrics_format -> string
 val metrics_format_of_string : string -> metrics_format option
 
-val current_version : int
-(** Highest protocol version this build speaks (2).  v1 is the
-    original buffered request/reply; v2 adds {!request.Hello}
-    negotiation and streamed query replies ({!stream_frame}). *)
-
 type request =
   | Query of query
   | Metrics of { id : int; format : metrics_format }
@@ -68,12 +70,6 @@ type request =
           object in [metrics] *)
   | Ping of { id : int }
   | Stop of { id : int }  (** graceful shutdown *)
-  | Hello of { id : int; version : int }
-      (** version negotiation: the client announces the highest
-          protocol version it speaks; the reply's [version] carries
-          [min (version, current_version)], which governs the
-          connection from then on.  A connection that never says hello
-          is a v1 connection and gets buffered replies. *)
 
 type status = Ok | Partial | Overloaded | Error
 
@@ -118,8 +114,6 @@ type response = {
   metrics_text : string option;
       (** Prometheus text exposition, for [Metrics] with [Prometheus] *)
   elapsed_ms : float;  (** server-side handling time *)
-  version : int option;
-      (** negotiated protocol version, set on [Hello] replies only *)
 }
 
 val ok_response :
@@ -128,7 +122,6 @@ val ok_response :
   ?metrics:Wp_json.Json.t ->
   ?metrics_text:string ->
   ?partial:bool ->
-  ?version:int ->
   id:int ->
   elapsed_ms:float ->
   unit ->
@@ -137,8 +130,7 @@ val ok_response :
     [code = Some Deadline_expired]. *)
 
 val error_response :
-  id:int -> ?elapsed_ms:float -> ?code:error_code -> string -> response
-(** [code] defaults to [Internal]. *)
+  id:int -> ?elapsed_ms:float -> code:error_code -> string -> response
 
 val overloaded_response : id:int -> response
 
@@ -152,14 +144,14 @@ val parse_request : string -> (request, string) result
 
 val parse_response : string -> (response, string) result
 
-(** A protocol-v2 streamed query reply: zero or more [Part] frames —
-    one certified answer each, [seq] counting from 0 — closed by a
-    terminal [Done] carrying the full {!response}.  The [Done]'s
-    [answers] list is the {e complete} top-k (streamed prefix
-    included), so a client that ignored the parts still ends with the
-    exact buffered reply, and one that consumed them can check
-    [parts @ tail = done.answers].  Non-query replies and all v1
-    replies are a single [Done]. *)
+(** One reply: zero or more [Part] frames — one certified answer each,
+    [seq] counting from 0 — closed by a terminal [Done] carrying the
+    full {!response}.  The [Done]'s [answers] list is the {e complete}
+    top-k (streamed prefix included), so a client that ignored the
+    parts still ends with the exact buffered reply, and one that
+    consumed them can check [parts @ tail = done.answers].  Merged
+    queries, control operations and unparseable requests get a single
+    [Done]. *)
 type stream_frame =
   | Part of { id : int; seq : int; answer : answer }
   | Done of response
@@ -168,5 +160,5 @@ val frame_to_json : stream_frame -> Wp_json.Json.t
 val frame_of_json : Wp_json.Json.t -> (stream_frame, string) result
 
 val parse_frame : string -> (stream_frame, string) result
-(** Parse one frame of a streamed reply.  An object without a ["frame"]
-    member is a v1 buffered reply and parses as [Done]. *)
+(** Parse one reply frame.  An object without a ["frame"] member is a
+    protocol error. *)

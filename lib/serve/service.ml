@@ -439,11 +439,5 @@ let handle t (req : Protocol.request) =
            ())
   | Protocol.Ping { id } ->
       `Reply (Protocol.ok_response ~id ~elapsed_ms:0.0 ())
-  | Protocol.Hello { id; version } ->
-      (* Meet at the highest version both sides speak. *)
-      `Reply
-        (Protocol.ok_response
-           ~version:(min version Protocol.current_version)
-           ~id ~elapsed_ms:0.0 ())
   | Protocol.Stop { id } ->
       `Stop (Protocol.ok_response ~id ~elapsed_ms:0.0 ())

@@ -211,18 +211,39 @@ let test_deadline_ms () =
   check_exit "query --deadline-ms=0 runs" 0
     [ "query"; books; "-q"; q; "--deadline-ms=0" ]
 
-(* [profile --json] on stdout, parsed; the exit code comes back too. *)
-let profile_json args =
-  let out = Filename.temp_file "wp_profile" ".json" in
+(* A run's whole stdout, parsed as one JSON document; the exit code
+   comes back too. *)
+let stdout_json args =
+  let out = Filename.temp_file "wp_cli" ".json" in
   Fun.protect
     ~finally:(fun () -> Sys.remove out)
     (fun () ->
       let code =
         Sys.command
-          (Filename.quote_command wp_cli ~stdout:out ~stderr:Filename.null
-             ("profile" :: "--json" :: args))
+          (Filename.quote_command wp_cli ~stdout:out ~stderr:Filename.null args)
       in
       (code, Wp_json.Json.of_string (In_channel.with_open_bin out In_channel.input_all)))
+
+let profile_json args = stdout_json ("profile" :: "--json" :: args)
+
+(* A local [query --json] prints the JSON document alone, in both the
+   top-k and the threshold form. *)
+let test_query_json () =
+  let books = Lazy.force books_file in
+  List.iter
+    (fun (what, extra) ->
+      match
+        stdout_json
+          ([ "query"; books; "-q"; "/book[./title]"; "--json" ] @ extra)
+      with
+      | 0, Ok json ->
+          Alcotest.(check bool) (what ^ ": answers list") true
+            (match Wp_json.Json.member "answers" json with
+            | Some (Wp_json.Json.List (_ :: _)) -> true
+            | _ -> false)
+      | 0, Error e -> Alcotest.failf "%s: stdout is not JSON: %s" what e
+      | code, _ -> Alcotest.failf "%s: query exited %d" what code)
+    [ ("-k 3", [ "-k"; "3" ]); ("--threshold 0.5", [ "--threshold"; "0.5" ]) ]
 
 (* Total engine events across a span-tree node and its descendants. *)
 let rec span_events node =
@@ -335,6 +356,7 @@ let suite =
     Alcotest.test_case "race exit codes" `Quick test_race;
     Alcotest.test_case "query --algo exit codes" `Quick test_query_algo;
     Alcotest.test_case "query load errors" `Quick test_query_load;
+    Alcotest.test_case "query --json stdout" `Quick test_query_json;
     Alcotest.test_case "check exit codes" `Quick test_check;
     Alcotest.test_case "profile exit codes and events" `Quick test_profile;
     Alcotest.test_case "non-positive counts" `Quick test_positive_counts;

@@ -132,7 +132,8 @@ let test_protocol_response_roundtrip () =
            };
          ]
        ~partial:true ~id:7 ~elapsed_ms:3.5 ());
-  roundtrip_response (Protocol.error_response ~id:9 "bad things");
+  roundtrip_response
+    (Protocol.error_response ~id:9 ~code:Protocol.Internal "bad things");
   roundtrip_response (Protocol.overloaded_response ~id:3)
 
 let test_protocol_rejects () =
@@ -145,6 +146,7 @@ let test_protocol_rejects () =
       "{}";
       "{\"op\":\"query\",\"id\":1}";  (* no query text *)
       "{\"op\":\"warp\",\"id\":1}";  (* unknown op *)
+      "{\"op\":\"hello\",\"id\":1,\"version\":2}";  (* no handshake op *)
       "{\"op\":\"ping\"}";  (* no id *)
       "{\"op\":\"query\",\"id\":\"x\",\"query\":\"/a\"}";  (* id not int *)
       "not json at all";
@@ -1353,13 +1355,13 @@ let test_spawn_rejects_empty_pool () =
             (Sys.file_exists socket))
         [ ("queue_depth=0", 1, 0); ("workers=0", 0, 8); ("workers=-1", -1, 8) ])
 
-(* Pinned to v1: the single buffered reply carries the partial flag. *)
+(* The Done frame of an expired query carries the partial flag. *)
 let test_wire_deadline_over_socket () =
   with_corpus_dir (fun dir ->
       let socket = temp_socket () in
       let service = Service.create ~catalog:(loaded_catalog dir) () in
       let _server, thread = start_event_server ~socket ~service () in
-      let client = connect_exn ~version:1 socket in
+      let client = connect_exn socket in
       let r =
         call_exn client
           (Protocol.Query (query 1 ~deadline_ms:0.0 "/book[./title]"))
@@ -1610,7 +1612,7 @@ let test_algo_over_wire () =
       Client.close client;
       Thread.join thread)
 
-(* --- protocol v2: frame codec and Hello negotiation --- *)
+(* --- reply frame codec --- *)
 
 let sample_answer =
   { Protocol.doc = "a.xml"; root = 3; dewey = "0.1"; score = 0.5; progress = 2 }
@@ -1621,27 +1623,21 @@ let roundtrip_frame frame =
   | Error m -> Alcotest.failf "frame does not reparse: %s" m
 
 let test_protocol_v2_codec () =
-  Alcotest.(check int) "current version" 2 Protocol.current_version;
-  roundtrip_request (Protocol.Hello { id = 11; version = 2 });
-  roundtrip_request (Protocol.Hello { id = 0; version = 9 });
-  (* Version rides the response envelope. *)
-  roundtrip_response
-    (Protocol.ok_response ~version:2 ~id:1 ~elapsed_ms:0.25 ());
   roundtrip_frame (Protocol.Part { id = 4; seq = 0; answer = sample_answer });
   roundtrip_frame
     (Protocol.Done
        (Protocol.ok_response ~answers:[ sample_answer ] ~partial:true ~id:4
           ~elapsed_ms:1.5 ()));
-  (* v1 compatibility: a frame-less response object parses as Done. *)
+  (* Every reply is framed: a bare response object is a protocol
+     error, not a Done. *)
   (match
      Protocol.parse_frame
        (Json.to_string
           (Protocol.response_to_json
              (Protocol.ok_response ~id:9 ~elapsed_ms:0.0 ())))
    with
-  | Ok (Protocol.Done r) -> Alcotest.(check int) "plain = Done" 9 r.id
-  | Ok (Protocol.Part _) -> Alcotest.fail "plain response parsed as Part"
-  | Error m -> Alcotest.failf "plain response as frame: %s" m);
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "frame-less response accepted as a frame");
   (* An unknown frame tag is a protocol error, not a silent Done. *)
   match Protocol.parse_frame "{\"id\":1,\"frame\":\"warp\"}" with
   | Error _ -> ()
@@ -1902,23 +1898,24 @@ let test_event_end_to_end () =
       let socket = temp_socket () in
       let service = Service.create ~catalog:(loaded_catalog dir) () in
       let _server, thread = start_event_server ~socket ~service () in
-      (* Negotiation: default offer lands on v2, pinned v1 stays v1,
-         an over-eager v9 is capped at the server's current version. *)
       let client = connect_exn socket in
-      Alcotest.(check int) "event tier negotiates v2" 2
-        (Client.version client);
-      let v1 = connect_exn ~version:1 socket in
-      Alcotest.(check int) "pinned v1 stays v1" 1 (Client.version v1);
-      Client.close v1;
-      let v9 = connect_exn ~version:9 socket in
-      Alcotest.(check int) "v9 capped at current" Protocol.current_version
-        (Client.version v9);
-      Client.close v9;
+      (* The benchmark harness connects with an explicit version, which
+         the client ignores: its control operations are answered as on
+         any connection (its Stop ends this test). *)
+      let perfbench_version = 1 in
+      let pinned = connect_exn ~version:perfbench_version socket in
+      (let r = call_exn pinned (Protocol.Ping { id = 1 }) in
+       Alcotest.(check bool) "pinned ping ok" true (r.status = Protocol.Ok));
+      (let r =
+         call_exn pinned
+           (Protocol.Metrics { id = 1; format = Protocol.Json_format })
+       in
+       Alcotest.(check bool) "pinned metrics snapshot" true
+         (r.status = Protocol.Ok && r.metrics <> None));
       (let r = call_exn client (Protocol.Ping { id = 1 }) in
        Alcotest.(check bool) "ping ok" true (r.status = Protocol.Ok));
-      (* Single-document query over v2: Part frames stream a prefix of
-         the Done reply's answers (a complete run streams all of
-         them). *)
+      (* Single-document query: Part frames stream a prefix of the Done
+         reply's answers (a complete run streams all of them). *)
       let parts = ref [] in
       (match
          Client.stream client
@@ -1975,28 +1972,87 @@ let test_event_end_to_end () =
                  (Test_stats.contains ~needle:"wp_serve_requests_total" page)
            | Error m -> Alcotest.failf "invalid exposition: %s" m)
        | None -> Alcotest.fail "prometheus reply lacks metrics_text");
-      (* A malformed frame gets an error reply; the server survives. *)
+      (* A malformed frame — not JSON, or an op the protocol does not
+         have, such as the removed "hello" — gets a bad_request Done
+         frame; the server survives. *)
       (let raw = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
        Fun.protect
          ~finally:(fun () -> try Unix.close raw with Unix.Unix_error _ -> ())
          (fun () ->
            Unix.connect raw (Unix.ADDR_UNIX socket);
-           (match Wire.write_frame raw "this is not json" with
-           | Ok () -> ()
-           | Error e -> Alcotest.failf "raw write: %s" e);
-           match Wire.read_frame raw with
-           | Ok reply -> (
-               match Protocol.parse_response reply with
-               | Ok r ->
-                   Alcotest.(check bool) "bad frame -> error reply" true
-                     (r.status = Protocol.Error)
-               | Error e -> Alcotest.failf "error reply unparsable: %s" e)
-           | Error e -> Alcotest.failf "raw read: %s" e));
-      (let r = call_exn client (Protocol.Stop { id = 5 }) in
-       Alcotest.(check bool) "stop acked" true (r.status = Protocol.Ok));
+           List.iter
+             (fun bad ->
+               (match Wire.write_frame raw bad with
+               | Ok () -> ()
+               | Error e -> Alcotest.failf "raw write: %s" e);
+               match Wire.read_frame raw with
+               | Ok reply -> (
+                   match Protocol.parse_frame reply with
+                   | Ok (Protocol.Done r) ->
+                       Alcotest.(check bool) (bad ^ " -> error reply") true
+                         (r.status = Protocol.Error);
+                       Alcotest.(check bool) (bad ^ " -> bad_request") true
+                         (r.code = Some Protocol.Bad_request)
+                   | Ok (Protocol.Part _) ->
+                       Alcotest.failf "%s answered with a Part" bad
+                   | Error e -> Alcotest.failf "error reply unparsable: %s" e)
+               | Error e -> Alcotest.failf "raw read: %s" e)
+             [ "this is not json"; {|{"op":"hello","id":0,"version":2}|} ]));
+      (let r = call_exn client (Protocol.Ping { id = 7 }) in
+       Alcotest.(check bool) "alive after bad frames" true
+         (r.status = Protocol.Ok));
+      (let r = call_exn pinned (Protocol.Stop { id = 5 }) in
+       Alcotest.(check bool) "pinned stop acked" true
+         (r.status = Protocol.Ok));
+      Client.close pinned;
       Client.close client;
       Thread.join thread;
       Alcotest.(check bool) "socket removed" false (Sys.file_exists socket))
+
+(* A bare Wire connection that never sends anything but its query gets
+   the streamed reply: Part frames, numbered from 0, ahead of a Done
+   whose answers they prefix. *)
+let test_event_streams_without_hello () =
+  with_corpus_dir (fun dir ->
+      let socket = temp_socket () in
+      let service = Service.create ~catalog:(loaded_catalog dir) () in
+      let server, thread = start_event_server ~socket ~service () in
+      let raw = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () ->
+          (try Unix.close raw with Unix.Unix_error _ -> ());
+          Event.request_stop server;
+          Thread.join thread)
+        (fun () ->
+          Unix.connect raw (Unix.ADDR_UNIX socket);
+          Unix.setsockopt_float raw Unix.SO_RCVTIMEO 10.0;
+          let payload =
+            Json.to_string
+              (Protocol.request_to_json
+                 (Protocol.Query (query 1 ~doc:"a.xml" ~k:3 "/book[./title]")))
+          in
+          (match Wire.write_frame raw payload with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "raw write: %s" e);
+          let rec frames parts =
+            match Wire.read_frame raw with
+            | Error e -> Alcotest.failf "raw read: %s" e
+            | Ok text -> (
+                match Protocol.parse_frame text with
+                | Error e -> Alcotest.failf "unparsable frame: %s" e
+                | Ok (Protocol.Part { id; seq; answer }) ->
+                    Alcotest.(check int) "part echoes the id" 1 id;
+                    Alcotest.(check int) "parts count from 0"
+                      (List.length parts) seq;
+                    frames (answer :: parts)
+                | Ok (Protocol.Done r) -> (List.rev parts, r))
+          in
+          let parts, r = frames [] in
+          Alcotest.(check bool) "query ok" true (r.status = Protocol.Ok);
+          Alcotest.(check bool) "parts before done" true (parts <> []);
+          Alcotest.(check bool) "parts prefix the done answers" true
+            (List.filteri (fun i _ -> i < List.length parts) r.answers
+            = parts)))
 
 let test_event_deadline_mid_stream () =
   with_corpus_dir (fun dir ->
@@ -2329,6 +2385,8 @@ let suite =
     Alcotest.test_case "stream emission timing" `Quick
       test_stream_emission_timing;
     Alcotest.test_case "event tier end to end" `Quick test_event_end_to_end;
+    Alcotest.test_case "event streams without hello" `Quick
+      test_event_streams_without_hello;
     Alcotest.test_case "loadgen point" `Quick test_loadgen_measure;
     Alcotest.test_case "event deadline mid-stream" `Quick
       test_event_deadline_mid_stream;
